@@ -29,7 +29,7 @@ def _run_all():
         budget = measure_fi_budget(model, spec.fi_triangles)
         reachable = None
         if world.track is not None:
-            reachable = lambda p, w=world: w.grid.is_reachable(w.grid.snap(p))
+            reachable = world.grid.reachable_mask
         cutoff_map = build_cutoff_map(
             world.scene, model, budget, reachable=reachable, seed=3
         )

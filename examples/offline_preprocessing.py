@@ -41,7 +41,7 @@ def main(game: str = "cts") -> None:
     # Step 2: adaptive cutoff scheme (recursive quadtree partitioning).
     reachable = None
     if world.track is not None:
-        reachable = lambda p: world.grid.is_reachable(world.grid.snap(p))
+        reachable = world.grid.reachable_mask
     cutoff_map = build_cutoff_map(
         world.scene, model, budget, reachable=reachable, seed=3
     )

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .. import perf
-from ..geometry import QuadTree, QuadTreeStats, Rect, Vec2
+from ..geometry import BatchPredicate, QuadTree, QuadTreeStats, Rect, Vec2
 from ..render.timing import RenderCostModel
 from ..world.scene import Scene
 from .constraint import RenderBudget
@@ -142,39 +142,87 @@ def exact_max_radius(
     budget: RenderBudget,
     max_radius: float,
 ) -> float:
-    """Exact maximal radius satisfying Constraint 1, in O(N log N).
+    """Exact maximal radius satisfying Constraint 1, in O(M log M).
 
     The near-BE cost only changes when the radius crosses an object's
     distance, and each object's LOD weight depends on its own distance, not
     the radius — so sorting objects by distance and prefix-summing their
-    weighted costs yields the exact supremum radius in one pass.  Orders of
-    magnitude faster than bisection with repeated spatial queries, and used
-    by :func:`build_cutoff_map`.
+    weighted costs yields the exact supremum radius in one pass.  The
+    answer is capped at ``max_radius``, so only the M objects within it are
+    sorted.  Orders of magnitude faster than bisection with repeated
+    spatial queries, and used by :func:`build_cutoff_map`.
     """
+    return _radius_solver(scene, model, budget, max_radius)(viewpoint)
+
+
+def _radius_solver(
+    scene: Scene, model: RenderCostModel, budget: RenderBudget, max_radius: float
+) -> Callable[[Vec2], float]:
+    """:func:`exact_max_radius` with the per-scene work done once."""
     if max_radius <= 0:
         raise ValueError("max_radius must be positive")
     positions, triangles = scene.position_triangle_arrays()
-    if len(triangles) == 0:
-        return max_radius
-    deltas = positions - np.array([viewpoint.x, viewpoint.y])
-    distances = np.hypot(deltas[:, 0], deltas[:, 1])
-    order = np.argsort(distances)
-    sorted_d = distances[order]
-    lod = np.maximum(
-        model.device.lod_floor,
-        1.0 / (1.0 + (sorted_d / model.device.lod_distance) ** 2),
-    )
-    cost_ms = np.cumsum(triangles[order] * lod) / model.device.triangle_throughput
+    xs = np.ascontiguousarray(positions[:, 0])
+    ys = np.ascontiguousarray(positions[:, 1])
+    device = model.device
     limit = budget.near_be_budget_ms
-    # First object whose inclusion busts the budget.
-    index = int(np.searchsorted(cost_ms, limit, side="left"))
-    if index >= len(sorted_d):
-        return max_radius
-    supremum = float(sorted_d[index])
-    if supremum >= max_radius:
-        return max_radius
-    # Just inside the busting object's distance.
-    return max(0.0, supremum - 1e-6)
+
+    def solve(viewpoint: Vec2) -> float:
+        distances = np.hypot(xs - viewpoint.x, ys - viewpoint.y)
+        # An object beyond max_radius can only bust the budget at a radius
+        # the cap below already excludes.
+        within = np.flatnonzero(distances <= max_radius)
+        order = within[np.argsort(distances[within])]
+        sorted_d = distances[order]
+        lod = np.maximum(device.lod_floor, 1.0 / (1.0 + (sorted_d / device.lod_distance) ** 2))
+        cost_ms = np.cumsum(triangles[order] * lod) / device.triangle_throughput
+        # First object whose inclusion busts the budget.
+        index = int(np.searchsorted(cost_ms, limit, side="left"))
+        if index >= len(sorted_d):
+            return max_radius
+        supremum = float(sorted_d[index])
+        if supremum >= max_radius:
+            return max_radius
+        # Just inside the busting object's distance.
+        return max(0.0, supremum - 1e-6)
+
+    return solve
+
+
+def sample_points(
+    rng: np.random.Generator,
+    region: Rect,
+    k_samples: int,
+    reachable: Optional[BatchPredicate],
+) -> List[Vec2]:
+    """K sample locations in ``region``, biased toward reachable ones.
+
+    Equivalent to drawing candidates one at a time (x then y from ``rng``)
+    until ``k_samples`` are reachable or ``8 * k_samples`` were tried, then
+    topping up with unconditioned draws — but the whole candidate budget
+    is drawn and tested as one batch.  The generator is then rewound and
+    advanced past exactly the draws the one-at-a-time loop would have
+    made, so the stream continues as if it had run.
+    """
+    attempts = 8 * k_samples if reachable is not None else 0
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    lows = np.tile([region.x_min, region.y_min], attempts + k_samples)
+    highs = np.tile([region.x_max, region.y_max], attempts + k_samples)
+    draws = rng.uniform(lows, highs)
+    xs, ys = draws[0::2], draws[1::2]
+
+    chosen = np.empty(0, dtype=np.intp)
+    tried = 0
+    if reachable is not None:
+        accepted = np.flatnonzero(reachable(xs[:attempts], ys[:attempts]))
+        chosen = accepted[:k_samples]
+        tried = int(chosen[-1]) + 1 if len(chosen) == k_samples else attempts
+    fill = k_samples - len(chosen)
+    chosen = np.concatenate([chosen, np.arange(tried, tried + fill)])
+    bit_generator.state = state
+    bit_generator.advance(2 * (tried + fill))
+    return [Vec2(x, y) for x, y in zip(xs[chosen].tolist(), ys[chosen].tolist())]
 
 
 def build_cutoff_map(
@@ -184,32 +232,21 @@ def build_cutoff_map(
     world: Optional[Rect] = None,
     config: Optional[CutoffSchemeConfig] = None,
     seed: int = 0,
-    reachable: Optional[Callable[[Vec2], bool]] = None,
+    reachable: Optional[BatchPredicate] = None,
 ) -> CutoffMap:
     """Run the adaptive cutoff scheme over a game world.
 
-    ``reachable`` biases sampling toward locations players can occupy
-    (e.g. the track band); if a region has no reachable samples it falls
-    back to uniform samples — its radius is then conservative but the
-    region is never visited anyway.
+    ``reachable`` — a predicate over coordinate arrays, e.g.
+    :meth:`~repro.geometry.WorldGrid.reachable_mask` — biases sampling
+    toward locations players can occupy (e.g. the track band); if a region
+    has no reachable samples it falls back to uniform samples — its radius
+    is then conservative but the region is never visited anyway.
     """
     world = world if world is not None else scene.bounds
     config = config if config is not None else CutoffSchemeConfig()
     rng = np.random.default_rng(seed)
+    max_radius_at = _radius_solver(scene, model, budget, config.max_radius)
     counter = {"samples": 0}
-
-    def sample_points(region: Rect) -> List[Vec2]:
-        points: List[Vec2] = []
-        if reachable is not None:
-            attempts = 0
-            while len(points) < config.k_samples and attempts < config.k_samples * 8:
-                candidate = region.sample(rng, 1)[0]
-                attempts += 1
-                if reachable(candidate):
-                    points.append(candidate)
-        while len(points) < config.k_samples:
-            points.append(region.sample(rng, 1)[0])
-        return points
 
     def radii_similar(radii: List[float]) -> bool:
         lo, hi = min(radii), max(radii)
@@ -220,10 +257,8 @@ def build_cutoff_map(
         return hi / lo <= config.agreement_ratio
 
     def policy(region: Rect, depth: int) -> Tuple[bool, LeafCutoff]:
-        radii = [
-            exact_max_radius(scene, model, p, budget, config.max_radius)
-            for p in sample_points(region)
-        ]
+        points = sample_points(rng, region, config.k_samples, reachable)
+        radii = [max_radius_at(p) for p in points]
         counter["samples"] += len(radii)
         payload = LeafCutoff(
             cutoff_radius=min(radii), sampled_radii=tuple(radii)

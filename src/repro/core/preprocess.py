@@ -498,9 +498,7 @@ def preprocess_game(
     eye_height = world.spec.player.eye_height
     with perf.timed("preprocess"):
         budget = measure_fi_budget(cost_model, world.spec.fi_triangles)
-        reachable = None
-        if world.track is not None:
-            reachable = lambda p: world.grid.is_reachable(world.grid.snap(p))
+        reachable = world.grid.reachable_mask if world.track is not None else None
         cutoff_map = build_cutoff_map(
             world.scene,
             cost_model,

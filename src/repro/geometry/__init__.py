@@ -1,6 +1,6 @@
 """Geometry substrate: vectors, grids, quadtrees, projections, rays."""
 
-from .grid import GridPoint, Rect, WorldGrid
+from .grid import BatchPredicate, GridPoint, Rect, WorldGrid, batch_predicate
 from .projection import (
     FovSpec,
     angles_to_direction,
@@ -16,6 +16,7 @@ from .rays import Ray, camera_height, find_foothold, intersect_sphere, march_hei
 from .vec import Vec2, Vec3
 
 __all__ = [
+    "BatchPredicate",
     "FovSpec",
     "GridPoint",
     "QuadNode",
@@ -30,6 +31,7 @@ __all__ = [
     "angles_to_pixel",
     "angular_displacement",
     "angular_radius",
+    "batch_predicate",
     "camera_height",
     "crop_fov",
     "direction_to_angles",

@@ -16,9 +16,34 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .vec import Vec2
 
 GridPoint = Tuple[int, int]
+
+# A reachability predicate over coordinate arrays: (xs, ys) -> bool array.
+BatchPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def batch_predicate(predicate: Callable[[Vec2], bool]) -> BatchPredicate:
+    """The ``(xs, ys) -> bool array`` form of a ``Vec2 -> bool`` predicate.
+
+    Masks that evaluate arrays natively expose ``contains_many``; any other
+    callable is applied point by point.
+    """
+    contains_many = getattr(predicate, "contains_many", None)
+    if contains_many is not None:
+        return contains_many
+
+    def pointwise(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (predicate(Vec2(x, y)) for x, y in zip(xs.tolist(), ys.tolist())),
+            dtype=bool,
+            count=len(xs),
+        )
+
+    return pointwise
 
 
 @dataclass(frozen=True)
@@ -78,11 +103,16 @@ class Rect:
             Rect(cx, cy, self.x_max, self.y_max),
         )
 
-    def sample(self, rng, count: int) -> List[Vec2]:
-        """Draw ``count`` uniform random points from the rectangle."""
+    def sample_arrays(self, rng, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``count`` uniform random points as ``(xs, ys)`` arrays."""
         xs = rng.uniform(self.x_min, self.x_max, size=count)
         ys = rng.uniform(self.y_min, self.y_max, size=count)
-        return [Vec2(float(x), float(y)) for x, y in zip(xs, ys)]
+        return xs, ys
+
+    def sample(self, rng, count: int) -> List[Vec2]:
+        """Draw ``count`` uniform random points from the rectangle."""
+        xs, ys = self.sample_arrays(rng, count)
+        return [Vec2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 class WorldGrid:
@@ -112,6 +142,7 @@ class WorldGrid:
         self.bounds = bounds
         self.pitch = pitch
         self._reachable = reachable
+        self._reachable_many = None if reachable is None else batch_predicate(reachable)
         self.nx = max(1, int(math.floor(bounds.width / pitch)) + 1)
         self.ny = max(1, int(math.floor(bounds.height / pitch)) + 1)
 
@@ -146,6 +177,20 @@ class WorldGrid:
             return True
         return self._reachable(self.to_world(gp))
 
+    def reachable_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``is_reachable(snap(p))`` for every world position ``(xs[i], ys[i])``."""
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if self._reachable_many is None:
+            return np.ones(len(xs), dtype=bool)
+        b = self.bounds
+        i = np.rint((np.clip(xs, b.x_min, b.x_max) - b.x_min) / self.pitch)
+        j = np.rint((np.clip(ys, b.y_min, b.y_max) - b.y_min) / self.pitch)
+        return self._reachable_many(
+            b.x_min + np.minimum(i, self.nx - 1) * self.pitch,
+            b.y_min + np.minimum(j, self.ny - 1) * self.pitch,
+        )
+
     # ------------------------------------------------------------------
     # Counting and enumeration
     # ------------------------------------------------------------------
@@ -161,11 +206,9 @@ class WorldGrid:
         points for CTS), so this mirrors how we report "grid points" in
         Table 3: ``total_points`` scaled by a sampled reachable fraction.
         """
-        if self._reachable is None:
+        if self._reachable_many is None:
             return self.total_points
-        hits = sum(
-            1 for p in self.bounds.sample(rng, sample_size) if self._reachable(p)
-        )
+        hits = int(self._reachable_many(*self.bounds.sample_arrays(rng, sample_size)).sum())
         return int(round(self.total_points * hits / sample_size))
 
     def iter_points(self) -> Iterator[GridPoint]:

@@ -565,10 +565,19 @@ def game_spec(name: str) -> GameSpec:
 
 
 @lru_cache(maxsize=None)
+def _load_game(name: str, scale: float) -> GameWorld:
+    return build_game(name, scale=scale)
+
+
 def load_game(name: str, scale: float = 1.0) -> GameWorld:
     """Memoized :func:`build_game`.
 
     World construction is deterministic, and benchmarks repeatedly need the
     same worlds; treat the returned :class:`GameWorld` as read-only.
+    Every spelling of the arguments shares one cache entry.
     """
-    return build_game(name, scale=scale)
+    return _load_game(name, scale)
+
+
+load_game.cache_info = _load_game.cache_info
+load_game.cache_clear = _load_game.cache_clear

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,6 +121,7 @@ class KindMixture:
             for k, w in zip(self.kinds, self.weights)
         ) / total_w
 
+    @cached_property
     def _cumulative(self) -> Tuple[float, ...]:
         total = sum(self.weights)
         running = 0.0
@@ -132,7 +134,7 @@ class KindMixture:
     def draw(self, rng: np.random.Generator) -> ObjectKind:
         """Sample a kind according to the weights."""
         u = float(rng.random())
-        for kind_obj, threshold in zip(self.kinds, self._cumulative()):
+        for kind_obj, threshold in zip(self.kinds, self._cumulative):
             if u <= threshold:
                 return kind_obj
         return self.kinds[-1]

@@ -12,7 +12,7 @@ from repro.core import (
     measure_fi_budget,
     satisfies_constraint,
 )
-from repro.geometry import Rect, Vec2, Vec3
+from repro.geometry import Rect, Vec2, Vec3, batch_predicate
 from repro.render import PIXEL2, RenderCostModel
 from repro.world import Scene, SceneObject
 
@@ -211,7 +211,7 @@ class TestCutoffScheme:
         # Only the sparse east half is reachable: radii reflect east density.
         cutoff_map = build_cutoff_map(
             scene, MODEL, RenderBudget(), seed=4,
-            reachable=lambda p: p.x > 120,
+            reachable=batch_predicate(lambda p: p.x > 120),
             config=CutoffSchemeConfig(max_depth=2),
         )
         east = cutoff_map.cutoff_for(Vec2(170, 100))

@@ -249,6 +249,15 @@ class TestBuildGame:
         b = load_game("pool")
         assert a is b
 
+    def test_load_game_spellings_share_one_entry(self):
+        load_game.cache_clear()
+        world = load_game("pool")
+        assert load_game("pool", scale=1.0) is world
+        assert load_game("pool", 1.0) is world
+        assert load_game(name="pool", scale=1) is world
+        info = load_game.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
     def test_indoor_game_has_walls(self):
         gw = build_game("corridor")
         assert any(o.kind_name == "wall_panel" for o in gw.scene.objects)
