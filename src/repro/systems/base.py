@@ -12,12 +12,11 @@ transfers through Eq. 2, then vsync-quantize into the display interval.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
-
-import dataclasses
 
 from ..adapt import AbrConfig, AbrController
 from ..codec import CodecTiming, FrameCodec
@@ -39,6 +38,9 @@ from ..sim import Simulator
 from ..telemetry import LATENCY_BUCKETS_MS, as_hub, as_tracer
 from ..trace import Trajectory, generate_party
 from ..world.games import GameWorld
+
+if TYPE_CHECKING:
+    from ..telemetry import MetricsHub, SpanTracer
 
 SENSOR_SCANOUT_MS = 0.5  # pose sampling + display scanout overhead
 
@@ -87,12 +89,12 @@ class SessionConfig:
     # A repro.telemetry.SpanTracer recording sim-time spans for the whole
     # online path.  Purely observational: a traced run produces the same
     # metrics as an untraced one (asserted by bench_trace_overhead).
-    tracer: Optional[object] = None
+    tracer: Optional[SpanTracer] = None
     # A repro.telemetry.MetricsHub sampling counters/gauges/histograms on
     # a sim-time cadence across the engine, link, caches, frame loops,
     # ABR, and supervisor.  Same contract as the tracer: observational
     # only, bit-identical results (asserted by bench_metrics_overhead).
-    metrics: Optional[object] = None
+    metrics: Optional[MetricsHub] = None
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -260,7 +262,9 @@ class Session:
         self.tracer = as_tracer(config.tracer)
         self.hub = as_hub(config.metrics)
         self.sim = Simulator(tracer=self.tracer, metrics=self.hub)
-        self.faults = FaultInjector(config.faults) if config.faults else None
+        # The single fault query point of the loop and its strategies;
+        # over an empty schedule every query answers "nothing scripted".
+        self.faults = FaultInjector(config.faults or FaultSchedule())
         self.link = WifiLink(
             self.sim,
             capacity_mbps=config.wifi_mbps,
@@ -292,7 +296,7 @@ class Session:
         self.fi_ms = self.cost_model.fi_ms(world.spec.fi_triangles)
         self._kernel_renders_traced = 0  # trace_kernel_reuse watermark
         self.horizon_ms = config.duration_s * 1000.0
-        # Per-slot ABR controllers; seated by the system loop (which knows
+        # Per-slot ABR controllers; seated by the fetch strategy (which knows
         # the nominal frame size) via init_abr.  None when adapt is off.
         self.abr: Optional[List[AbrController]] = None
         self.supervisor: Optional[SessionSupervisor] = None
@@ -341,42 +345,6 @@ class Session:
             base = dataclasses.replace(base, dips=base.dips + dips)
         return LinkImpairment(base)
 
-    # ------------------------------------------------------------------
-    # Fault queries (uniform across all system loops)
-    # ------------------------------------------------------------------
-
-    def server_stall_ms(self, now_ms: float) -> float:
-        """Scripted extra server latency for a fetch issued now."""
-        if self.faults is None:
-            return 0.0
-        return self.faults.server_stall_ms(now_ms)
-
-    def outage_resume_ms(self, player_id: int, now_ms: float) -> Optional[float]:
-        """End of the outage pausing ``player_id`` now, or None if online."""
-        if self.faults is None:
-            return None
-        return self.faults.outage_resume_ms(player_id, now_ms)
-
-    def speculation_frozen(self, player_id: int, now_ms: float) -> bool:
-        """Whether a stale-speculation storm freezes this player's predictor."""
-        if self.faults is None:
-            return False
-        return self.faults.speculation_frozen(player_id, now_ms)
-
-    def speculation_corrupted(self, player_id: int, now_ms: float) -> bool:
-        """Whether a speculative fetch completing now arrives corrupted."""
-        if self.faults is None:
-            return False
-        return self.faults.speculation_corrupted(player_id, now_ms)
-
-    def desync_event_ms(
-        self, player_id: int, since_ms: float, until_ms: float
-    ) -> Optional[float]:
-        """Earliest scripted desync for ``player_id`` in ``(since, until]``."""
-        if self.faults is None:
-            return None
-        return self.faults.desync_event_ms(player_id, since_ms, until_ms)
-
     def fault_label(self, now_ms: float) -> str:
         """Scheduled fault episodes active at ``now_ms`` (span attribution).
 
@@ -385,29 +353,22 @@ class Session:
         impairment (always-on loss/jitter) is not an episode and is not
         labelled.
         """
-        schedule = self.config.faults
-        if schedule is None:
-            return ""
-        parts = []
-        if any(w.start_ms <= now_ms < w.end_ms for w in schedule.link):
-            parts.append("dip")
-        if any(s.start_ms <= now_ms < s.end_ms for s in schedule.stalls):
-            parts.append("stall")
-        if any(o.start_ms <= now_ms < o.end_ms for o in schedule.outages):
-            parts.append("outage")
-        if any(s.start_ms <= now_ms < s.end_ms for s in schedule.spec_storms):
-            parts.append("specstorm")
-        if any(
-            w.start_ms <= now_ms < w.end_ms
-            for w in schedule.spec_corruptions
-        ):
-            parts.append("speccorrupt")
-        return "+".join(parts)
+        schedule = self.faults.schedule
+        return "+".join(
+            label
+            for label, windows in (
+                ("dip", schedule.link),
+                ("stall", schedule.stalls),
+                ("outage", schedule.outages),
+                ("specstorm", schedule.spec_storms),
+                ("speccorrupt", schedule.spec_corruptions),
+            )
+            if any(w.start_ms <= now_ms < w.end_ms for w in windows)
+        )
 
     # ------------------------------------------------------------------
-    # Telemetry emitters (shared by every system loop; call only when
-    # ``self.tracer.enabled`` — the callers guard, so the disabled path
-    # never reaches these)
+    # Telemetry emitters (call only when ``self.tracer.enabled`` — the
+    # frame loop guards, so the disabled path never reaches these)
     # ------------------------------------------------------------------
 
     def trace_kernel_reuse(self, store, player_id: int, at_ms: float) -> None:
@@ -539,8 +500,8 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # Metrics emitters (call only when ``self.hub.enabled`` — the system
-    # loops guard, so the disabled path never reaches these)
+    # Metrics emitters (call only when ``self.hub.enabled`` — the frame
+    # loop guards, so the disabled path never reaches these)
     # ------------------------------------------------------------------
 
     def meter_frame(self, player_id: int, record: FrameRecord) -> None:
@@ -670,14 +631,14 @@ class Session:
         trajectory = self.trajectories[player]
         index = min(len(trajectory) - 1, max(0, int(t_ms / (1000.0 / 60.0))))
         sample = trajectory[index]
-        if self.faults is not None and self.config.faults.poses:
+        if self.faults.schedule.poses:
             sample = self._apply_pose_faults(player, t_ms, sample)
         return sample
 
     def _apply_pose_faults(self, player: int, t_ms: float, sample):
         """Offset a trajectory sample by every pose jump in effect."""
         dx = dy = dheading = 0.0
-        for jump in self.config.faults.poses:
+        for jump in self.faults.schedule.poses:
             if jump.applies(player, t_ms):
                 dx += jump.dx
                 dy += jump.dy
@@ -694,13 +655,35 @@ class Session:
     def finish(
         self,
         system: str,
-        cpu_per_player: List[float],
+        cpu_per_player: Optional[List[float]] = None,
         switch_ssims: Optional[List[List[float]]] = None,
+        *,
+        decoding: bool = False,
+        cache_enabled: bool = False,
     ) -> RunResult:
-        """Aggregate collected metrics once the simulation has drained."""
+        """Aggregate collected metrics once the simulation has drained.
+
+        ``cpu_per_player`` None (every system run) rolls the CPU model up
+        here from each slot's GPU load and BE share; ``decoding`` and
+        ``cache_enabled`` are the system's terms of that model.
+        """
         horizon = self.horizon_ms
         be_mbps = self.link.bandwidth_mbps("be", horizon)
         fi_kbps = self.link.bandwidth_mbps("fi", horizon) * 1000.0
+        if cpu_per_player is None:
+            cpu_model = CpuModel()
+            cpu_per_player = [
+                cpu_model.utilization(
+                    gpu_utilization=collector.gpu_utilization(),
+                    net_mbps=be_mbps / self.n_players,
+                    decoding=decoding,
+                    cache_enabled=cache_enabled,
+                    n_players=self.n_players,
+                )
+                if collector.records
+                else 0.0
+                for collector in self.collectors
+            ]
         power_model = PowerModel()
         players = []
         for player_id, collector in enumerate(self.collectors):

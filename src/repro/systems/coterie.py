@@ -17,51 +17,286 @@ Two fidelity modes:
   ``ssim_stride`` frames, and far-BE switch SSIMs are recorded for the
   user-study model (Tables 7 and 10).
 
-Graceful degradation (active only when the session config enables
-impairment, faults, or an explicit prefetch deadline — the clean default
-path is untouched):
-
-* each prefetch races a **deadline** derived from the frame budget
-  (Eq. 2: budget minus merge); a fetch that loses the race does not stall
-  the display — the client shows the *nearest cached* far-BE panorama
-  instead (frame similarity, §4.6, keeps a nearby stale frame
-  perceptually close) and records the stale age;
-* the late fetch continues in the **background** with a timeout and
-  capped exponential-backoff retries (abandoned attempts are withdrawn
-  from the medium), so one interference burst cannot pile up transfers;
-* after a scripted disconnect the client **re-warms** its cache with a
-  blocking fetch on reconnect before resuming its normal cadence.
+Graceful degradation, speculative prefetch and cross-peer sync validation
+are default-off policies (:mod:`repro.systems.policies`) plugged into the
+strategy's stage lists; with none configured the lists are empty and the
+frame runs the clean path only.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List
+from typing import Callable, List
 
-from .. import perf
 from ..core.cache import FrameCache
-from ..core.constraint import BandwidthBudget, satisfies_constraint
-from ..core.online import SsimBatchQueue
-from ..core.pipeline import PipelineTimings, frame_interval_ms
+from ..core.constraint import satisfies_constraint
 from ..core.prefetch import Prefetcher
 from ..core.preprocess import OfflineArtifacts, PanoramaStore
-from ..perf import FrameArena
-from ..metrics import CpuModel, FrameRecord
-from ..predict import PosePredictor, stored_frame_digest
-from ..render.splitter import eye_at, reference_frame, render_fi, render_near_be
-from ..session import ACTIVE, WARMING, AdmissionController, SyncValidator
-from ..session.sync import CORRUPTION_MASK, state_digest
-from ..similarity import ssim
-from ..sim import any_of
-from ..trace import avatars_at
+from ..predict import stored_frame_digest
 from ..world.games import GameWorld
-from .base import (
-    MIN_YIELD_MS,
-    SENSOR_SCANOUT_MS,
-    RunResult,
-    Session,
-    SessionConfig,
+from .base import RunResult, Session, SessionConfig
+from .loop import FetchStrategy, FrameOutcome, run_clients
+from .policies import (
+    Degradation,
+    DisplayScorer,
+    Speculation,
+    SyncCheck,
+    fetch_with_retries,
+    meter_speculation,
 )
+
+
+class CoterieStrategy(FetchStrategy):
+    """Fetch the far-BE panorama, behind the similarity cache.
+
+    Per frame: ``pre_plan`` hooks → ``Prefetcher.plan`` → ``post_plan``
+    hooks (may re-plan) → ``display`` (cache hit, or fetch) →
+    ``post_fetch`` hooks → Eq. 2 pacing.  Policies hook themselves in
+    when constructed.
+    """
+
+    stale_in_trace = True
+
+    def __init__(
+        self,
+        session: Session,
+        artifacts: OfflineArtifacts,
+        use_cache: bool = True,
+        ssim_stride: int = 25,
+        overhear: bool = False,
+    ) -> None:
+        super().__init__(session)
+        config = session.config
+        world = session.world
+        n_slots = session.total_slots
+        self.artifacts = artifacts
+        self.use_cache = use_cache
+        self.overhear = overhear
+        self.store = PanoramaStore(
+            world,
+            config.render_config,
+            session.codec,
+            cutoff_map=artifacts.cutoff_map,
+            kind="far",
+            eye_height=world.spec.player.eye_height,
+            render_frames=config.render_frames,
+            size_model=None if config.render_frames else artifacts.far_size_model,
+            disk_cache=artifacts.disk_cache,
+        )
+        self.caches = [
+            FrameCache(capacity_bytes=config.cache_capacity_bytes, policy=config.cache_policy)
+            for _ in range(n_slots)
+        ]
+        self.prefetchers = [
+            Prefetcher(
+                world.scene, world.grid, artifacts.cutoff_map, artifacts.dist_thresh_map, cache
+            )
+            for cache in self.caches
+        ]
+        if config.render_config.kernels != "scalar":
+            # Non-scalar kernel modes score cache candidates over the
+            # vectorized scan index — bit-identical lookup/nearest outcomes.
+            for cache in self.caches:
+                cache.vector_scan = True
+        if session.hub.enabled:
+            for player_id, cache in enumerate(self.caches):
+                session.meter_cache(player_id, cache)
+            session.meter_store(self.store)
+        if session.tracer.enabled:
+            for player_id, cache in enumerate(self.caches):
+                cache.tracer = session.tracer
+                cache.owner = player_id
+        # Closed-loop adaptation (None when config.adapt is off): per-slot
+        # controllers stepping the CRF ladder, throttling the prefetcher,
+        # and choosing app-layer frame drops.  The far-BE size-model mean
+        # anchors the ladder forecast.
+        self.abr = session.init_abr(artifacts.far_size_model.mean_bytes)
+        # Digest stamping is needed by both speculation (oracle
+        # validation) and sync validation (state hashes); the clean path
+        # never computes one.
+        self.stamp_digests = config.predict is not None or config.sync is not None
+        # Stage hooks (empty on a clean run) and the far-BE resolver; a
+        # policy appends to / replaces these, and may replace
+        # ``before_frame`` and ``reconnected`` the same way.
+        self.pre_plan: List[Callable] = []
+        self.post_plan: List[Callable] = []  # decision -> decision
+        self.post_fetch: List[Callable] = []
+        self.on_finish: List[Callable] = []
+        self.display = self._display_clean
+        self.policies: list = []
+        if config.degraded_mode:
+            self.policies.append(Degradation(self))
+        if config.predict is not None:
+            self.policies.append(Speculation(self, config.predict))
+        validator = None
+        if config.sync is not None:
+            self.policies.append(SyncCheck(self, config.sync))
+            validator = self.policies[-1].validator
+        if session.hub.enabled and self.stamp_digests:
+            meter_speculation(session, self.caches, validator)
+        self.scorer = DisplayScorer(self, ssim_stride) if config.render_frames else None
+
+    # ------------------------------------------------------------------
+    # Shared by the frame, the warm-up and the policies
+    # ------------------------------------------------------------------
+
+    def roster(self) -> List[int]:
+        """Slots currently displaying (the fixed roster when unsupervised)."""
+        supervisor = self.session.supervisor
+        if supervisor is None:
+            return list(range(self.session.n_players))
+        return supervisor.active_slots()
+
+    def oracle_digest(self, grid_point) -> int:
+        """The float64 oracle hash of the frame the store serves now.
+
+        ``PanoramaStore.frame_for`` is memoized and deterministic, so this
+        is exactly what an on-demand (non-speculative) fetch of the same
+        grid point would display — the convergence target the rollback
+        path asserts against.
+        """
+        return stored_frame_digest(self.store.frame_for(grid_point), grid_point)
+
+    def admit(self, decision, stored, frame_bytes: int, now_ms: float, player_id: int):
+        """Admit a fetched frame into the player's cache.
+
+        With ``overhear`` — the inter-player variant the paper evaluated
+        and *rejected* (§4.6 Version 5) — every server reply is also
+        mirrored into all other displaying players' caches.
+        """
+        digest = self.oracle_digest(decision.grid_point) if self.stamp_digests else 0
+        cached = self.prefetchers[player_id].admit(
+            decision, stored, frame_bytes, now_ms, origin_player=player_id, digest=digest
+        )
+        if self.overhear:
+            for other in self.roster():
+                if other != player_id:
+                    self.prefetchers[other].admit(
+                        decision, stored, frame_bytes, now_ms,
+                        origin_player=player_id, digest=digest,
+                    )
+        return cached
+
+    def blocking_fetch(self, player_id: int, decision, stored):
+        """Fetch and admit one panorama off the display path (warm-up,
+        resync): the joiner has no display to keep at cadence yet, so it
+        simply waits — with the retry discipline — until the frame lands
+        or the retry budget is spent."""
+        session = self.session
+        first_ev = session.link.transfer(stored.wire_bytes, tag="be")
+        ev, _ = yield from fetch_with_retries(
+            session, player_id, stored.wire_bytes, first_ev, blocking=True
+        )
+        if ev is not None:
+            self.admit(decision, stored, stored.wire_bytes, session.sim.now, player_id)
+
+    # ------------------------------------------------------------------
+    # The frame
+    # ------------------------------------------------------------------
+
+    def frame(self, player_id: int, t0: float, sample):
+        """Plan against the cache, fetch on a miss, pace through Eq. 2."""
+        session = self.session
+        for hook in self.pre_plan:
+            hook(player_id, t0, sample)
+        decision = self.prefetchers[player_id].plan(sample.position, sample.heading, t0)
+        for hook in self.post_plan:
+            decision = hook(player_id, t0, sample, decision)
+        out = FrameOutcome()
+        out.cached = yield from self.display(player_id, t0, decision, out)
+        for hook in self.post_fetch:
+            hook(player_id, t0, sample, decision, out)
+        near_ms = session.cost_model.near_be_ms(
+            session.world.scene, sample.position, decision.cutoff_radius
+        )
+        self.pace_pipeline(out, near_ms)
+        if not self.use_cache:
+            out.cache_label = "bypass"
+        elif not decision.needs_fetch:
+            out.cache_hit = True
+            out.cache_label = "hit"
+        else:
+            out.cache_hit = False
+            if out.dropped:
+                out.cache_label = "drop"
+            elif out.stale_age_ms is not None:
+                out.cache_label = "stale"
+            else:
+                out.cache_label = "fetch"
+        return out
+
+    def _display_clean(self, player_id: int, t0: float, decision, out: FrameOutcome):
+        """The clean path: a cache hit, or block on the fetch (generator
+        returning the entry on display)."""
+        if not decision.needs_fetch and self.use_cache:
+            return decision.cached
+        session = self.session
+        stored = self.store.frame_for(decision.grid_point)
+        if session.tracer.enabled:
+            session.trace_kernel_reuse(self.store, player_id, t0)
+        out.frame_bytes = stored.wire_bytes
+        out.transfer_ms = yield session.link.transfer(out.frame_bytes, tag="be")
+        return self.admit(decision, stored, out.frame_bytes, t0, player_id)
+
+    # ------------------------------------------------------------------
+    # Membership
+    # ------------------------------------------------------------------
+
+    def reset(self, slot: int) -> None:
+        """The previous life's cache and every policy's slot state are stale."""
+        self.caches[slot].clear()
+        for policy in self.policies:
+            policy.reset(slot)
+
+    def warmup(self, player_id: int):
+        """Late-joiner warm-up: stream the working set before ACTIVE.
+
+        Fetches the panoramas the joiner's trajectory needs next (one
+        grid point per upcoming display interval span) through the
+        normal prefetch planner, so admission's promise — the player
+        starts with a warm cache — is kept with real transfers on the
+        shared link, not by fiat.
+        """
+        session = self.session
+        sim = session.sim
+        supervisor = session.supervisor
+        prefetcher = self.prefetchers[player_id]
+        lookahead_ms = 0.0
+        for _ in range(supervisor.config.warmup_fetches):
+            if not supervisor.poll(player_id):
+                return None  # crashed / left / evicted mid-handshake
+            sample = session.position_at(player_id, sim.now + lookahead_ms)
+            decision = prefetcher.plan(sample.position, sample.heading, sim.now)
+            lookahead_ms += 200.0
+            if decision.needs_fetch:  # else: trajectory start revisits a cached point
+                stored = self.store.frame_for(decision.grid_point)
+                if session.tracer.enabled:
+                    session.trace_kernel_reuse(self.store, player_id, sim.now)
+                yield from self.blocking_fetch(player_id, decision, stored)
+        return {"fetches": supervisor.config.warmup_fetches}
+
+    def be_kbps_for(self, slot: int) -> float:
+        """Dist-thresh fetch-rate estimate (Constraint 2's BE term).
+
+        A player moving at ``speed`` re-fetches roughly every dist-thresh
+        metres (§4.3): the reuse displacement at its current position
+        bounds how far a cached panorama stays usable, so fetch rate ≈
+        speed / dist_thresh, capped at one fetch per display interval.
+        """
+        session = self.session
+        position = session.position_at(slot, session.sim.now).position
+        thresh = max(self.artifacts.dist_thresh_map.threshold_for(position), 1e-3)
+        speed = max(session.world.spec.player.speed, 1e-3)
+        fetch_hz = min(60.0, speed / thresh)
+        return fetch_hz * self.artifacts.far_size_model.mean_bytes * 8.0 / 1000.0
+
+    def render_check(self, slot: int) -> bool:
+        """Constraint 1 at the joiner's spawn region."""
+        session = self.session
+        position = session.position_at(slot, session.sim.now).position
+        cutoff = self.artifacts.cutoff_map.cutoff_for(position)
+        return satisfies_constraint(
+            session.cost_model, session.world.scene, position, cutoff, self.artifacts.budget
+        )
 
 
 def run_coterie(
@@ -88,858 +323,16 @@ def run_coterie(
     if ssim_stride < 1:
         raise ValueError("ssim_stride must be >= 1")
     session = Session(world, n_players, config)
-    sim = session.sim
-    supervisor = session.supervisor
-    n_slots = session.total_slots
-    store = PanoramaStore(
-        world,
-        config.render_config,
-        session.codec,
-        cutoff_map=artifacts.cutoff_map,
-        kind="far",
-        eye_height=world.spec.player.eye_height,
-        render_frames=config.render_frames,
-        size_model=None if config.render_frames else artifacts.far_size_model,
-        disk_cache=artifacts.disk_cache,
-    )
-    caches = [
-        FrameCache(
-            capacity_bytes=config.cache_capacity_bytes, policy=config.cache_policy
-        )
-        for _ in range(n_slots)
-    ]
-    prefetchers = [
-        Prefetcher(
-            world.scene,
-            world.grid,
-            artifacts.cutoff_map,
-            artifacts.dist_thresh_map,
-            caches[player_id],
-        )
-        for player_id in range(n_slots)
-    ]
-    switch_ssims: List[List[float]] = [[] for _ in range(n_slots)]
-    last_far = [None] * n_slots
-    frame_counters = [0] * n_slots
-    degraded = config.degraded_mode
-    tracer = session.tracer
-    batched_kernels = config.render_config.kernels != "scalar"
-    if batched_kernels:
-        # Non-scalar kernel modes score cache candidates over the
-        # vectorized scan index — bit-identical lookup/nearest outcomes.
-        for cache in caches:
-            cache.vector_scan = True
-    ssim_queue = None
-    if config.render_frames and batched_kernels:
-        # SSIM scores feed only *metrics*, never simulated timing, so the
-        # batched kernels defer them: jobs queue during the simulation and
-        # compute in stacked :func:`repro.similarity.ssim_pairs` flushes.
-        # Submitted arrays (store payloads, freshly rendered/merged
-        # frames) are owned, so submit-triggered flushes are safe here.
-        ssim_queue = SsimBatchQueue(
-            arena=FrameArena() if config.render_config.reuse_enabled else None,
-            batch_target=64,
-        )
-    if session.hub.enabled:
-        for player_id, cache in enumerate(caches):
-            session.meter_cache(player_id, cache)
-        session.meter_store(store)
-    if tracer.enabled:
-        for player_id, cache in enumerate(caches):
-            cache.tracer = tracer
-            cache.owner = player_id
-        if ssim_queue is not None:
-            def _trace_ssim_flush(jobs: int) -> None:
-                args = {"jobs": jobs, "queued_total": ssim_queue.jobs_total}
-                if ssim_queue.arena is not None:
-                    args["arena_reuse"] = round(
-                        ssim_queue.arena.reuse_ratio, 4
-                    )
-                tracer.instant(
-                    "ssim.batch_flush", 0, "render", sim.now, cat="kernel",
-                    args=args,
-                )
-
-            ssim_queue.on_flush = _trace_ssim_flush
-    # Per-player degradation state: an in-flight background fetch (at most
-    # one — a second would just contend with the first), and a pending
-    # cache re-warm after a reconnect.
-    pending_fetch = [False] * n_slots
-    needs_rewarm = [False] * n_slots
-    # Closed-loop adaptation (None when config.adapt is off): per-slot
-    # controllers stepping the CRF ladder, throttling the prefetcher, and
-    # choosing app-layer frame drops.  The far-BE size-model mean anchors
-    # the ladder forecast.
-    abr = session.init_abr(artifacts.far_size_model.mean_bytes)
-    # Speculative pose-prediction prefetch (repro.predict): per-slot
-    # predictors forecast the viewport a few frames out and background
-    # transfers land speculative-tagged, digest-stamped cache entries.
-    # None when config.predict is off — the loop below never touches a
-    # speculation branch and the clean path stays bit-identical.
-    predict = config.predict
-    predictors = None
-    spec_pending = None
-    if predict is not None:
-        predictors = [PosePredictor(predict) for _ in range(n_slots)]
-        spec_pending = [False] * n_slots
-    # Digest stamping is needed by both speculation (oracle validation)
-    # and sync validation (state hashes); the clean path never computes
-    # one.
-    stamp_digests = predict is not None or config.sync is not None
-
-    def authoritative_digest(grid_point):
-        """The float64 oracle hash of the frame the store serves now.
-
-        ``PanoramaStore.frame_for`` is memoized and deterministic, so this
-        is exactly what an on-demand (non-speculative) fetch of the same
-        grid point would display — the convergence target the rollback
-        path asserts against.
-        """
-        return stored_frame_digest(store.frame_for(grid_point), grid_point)
-
-    def overhear_targets(player_id):
-        """Caches a server reply is mirrored into (overhear variant)."""
-        if supervisor is None:
-            return range(n_players)
-        return supervisor.active_slots()
-
-    def admit_all(decision, stored, frame_bytes, now_ms, player_id):
-        """Admit a fetched frame, mirroring to other caches if overhearing."""
-        digest = authoritative_digest(decision.grid_point) if stamp_digests else 0
-        cached = prefetchers[player_id].admit(
-            decision, stored, frame_bytes, now_ms, origin_player=player_id,
-            digest=digest,
-        )
-        if overhear:
-            for other in overhear_targets(player_id):
-                if other != player_id:
-                    prefetchers[other].admit(
-                        decision, stored, frame_bytes, now_ms,
-                        origin_player=player_id, digest=digest,
-                    )
-        return cached
-
-    def speculative_fetch(player_id, decision):
-        """Best-effort transfer of a forecast grid point's panorama.
-
-        At most one in flight per player and no retries — a speculative
-        transfer is cheap to lose.  The entry lands tagged speculative
-        with its oracle digest stamped (perturbed during a scripted
-        ``speccorrupt`` window, so validation must catch it before
-        anything displays from it).  A slot whose pending flag was reset
-        mid-flight (rejoin cleared its cache) abandons the admission.
-        """
-        stored = store.frame_for(decision.grid_point)
-        frame_bytes = stored.wire_bytes
-        yield session.link.transfer(frame_bytes, tag="be")
-        if not spec_pending[player_id]:
-            return  # incarnation changed mid-transfer; stale admission
-        digest = authoritative_digest(decision.grid_point)
-        if session.speculation_corrupted(player_id, sim.now):
-            digest ^= CORRUPTION_MASK
-        prefetchers[player_id].admit(
-            decision, stored, frame_bytes, sim.now,
-            origin_player=player_id, speculative=True, digest=digest,
-        )
-        spec_pending[player_id] = False
-        if tracer.enabled:
-            tracer.instant(
-                "predict.landed", player_id, "net", sim.now, cat="predict",
-                args={"grid": list(decision.grid_point),
-                      "bytes": frame_bytes},
-            )
-
-    # Cross-peer sync validation (repro.session.sync): a fixed-cadence
-    # digest exchange over the PUN channel.  None when config.sync is off.
-    validator = None
-    needs_resync = None
-    last_display = None
-    if config.sync is not None:
-        # (t_ms, x, y, heading, displayed-frame digest) per slot — the
-        # authoritative inputs to each peer's per-round state hash.
-        last_display = [(0.0, 0.0, 0.0, 0.0, 0)] * n_slots
-        needs_resync = [False] * n_slots
-
-        def sync_roster():
-            """Slots whose state hashes are exchanged this round."""
-            if supervisor is None:
-                return range(n_players)
-            return supervisor.active_slots()
-
-        def authoritative_state(slot):
-            """Recompute one peer's state hash from live session state."""
-            t_ms, x, y, heading, frame_digest = last_display[slot]
-            return state_digest(
-                t_ms, x, y, heading, frame_digest, caches[slot], slot
-            )
-
-        def record_sync_bytes(nbytes):
-            """Account digest-exchange traffic as FI-class datagrams."""
-            session.link.record_datagram(nbytes, tag="fi")
-
-        def request_resync(slot):
-            """Flag a divergent peer for an authoritative re-warm."""
-            needs_resync[slot] = True
-
-        validator = SyncValidator(
-            sim=sim,
-            config=config.sync,
-            horizon_ms=session.horizon_ms,
-            n_slots=n_slots,
-            roster=sync_roster,
-            authoritative=authoritative_state,
-            injected_at=session.desync_event_ms,
-            record_bytes=record_sync_bytes,
-            request_resync=request_resync,
-            tracer=tracer,
-        )
-        sim.spawn(validator.process())
-
-    if session.hub.enabled and (predictors is not None or validator is not None):
-        # Speculation / sync observability: probe-based totals sampled on
-        # the hub cadence, mirroring the cache-stats probes.
-        hub = session.hub
-        spec_inserts_total = hub.counter("spec_prefetches_landed_total")
-        spec_confirms_total = hub.counter("spec_confirms_total")
-        spec_rollbacks_total = hub.counter("spec_rollbacks_total")
-        desync_alarms_total = hub.counter("desync_alarms_total")
-
-        def _spec_probe():
-            spec_inserts_total.set_total(float(
-                sum(c.stats.speculative_inserts for c in caches)
-            ))
-            spec_confirms_total.set_total(float(
-                sum(c.stats.speculative_confirms for c in caches)
-            ))
-            spec_rollbacks_total.set_total(float(sum(
-                session.collectors[s].resilience.spec_rollbacks
-                for s in range(n_slots)
-            )))
-            if validator is not None:
-                desync_alarms_total.set_total(float(validator.total_alarms))
-
-        hub.register_probe(_spec_probe)
-
-    def resync(player_id):
-        """Re-warm a desynced peer from authoritative state.
-
-        GGPO-style repair, reusing the retry/backoff fetch machinery and
-        the rejoin cache-repair discipline: every unconfirmed speculative
-        entry is dropped, then the panorama for the player's *current*
-        viewpoint is re-fetched with :func:`blocking_fetch` (timeout,
-        abort, capped exponential backoff) and admitted with a fresh
-        oracle digest.
-        """
-        needs_resync[player_id] = False
-        now = sim.now
-        caches[player_id].drop_speculative()
-        sample = session.position_at(player_id, now)
-        decision = prefetchers[player_id].plan_speculative(
-            sample.position, sample.heading, now
-        )
-        stored = store.frame_for(decision.grid_point)
-        perf.count("sync.resyncs")
-        if tracer.enabled:
-            tracer.instant(
-                "sync.resync", player_id, "net", now, cat="sync",
-                args={"grid": list(decision.grid_point),
-                      "bytes": stored.wire_bytes},
-            )
-        ok = yield from blocking_fetch(player_id, stored.wire_bytes)
-        if ok:
-            admit_all(decision, stored, stored.wire_bytes, sim.now, player_id)
-
-    def background_fetch(player_id, decision, stored, frame_bytes, first_ev):
-        """Finish a deadline-missed fetch off the display's critical path.
-
-        Waits with a timeout; on timeout the attempt is withdrawn from
-        the medium and re-issued with exponentially backed-off patience,
-        capped, until the frame lands or the retry budget is spent.
-        """
-        resilience = session.collectors[player_id].resilience
-        ev = first_ev
-        timeout_ms = config.fetch_timeout_ms
-        started_ms = sim.now
-        for attempt in range(config.fetch_max_retries + 1):
-            if attempt > 0:
-                resilience.fetch_retries += 1
-                perf.count("resilience.fetch_retries")
-                if tracer.enabled:
-                    tracer.instant(
-                        "fetch.retry", player_id, "net", sim.now,
-                        args={"attempt": attempt, "bytes": frame_bytes},
-                    )
-                ev = session.link.transfer(frame_bytes, tag="be")
-            yield any_of(sim, [ev, sim.timeout(timeout_ms)])
-            if not ev.triggered and session.link.abort(ev):
-                timeout_ms = min(timeout_ms * 2.0, config.fetch_backoff_cap_ms)
-                continue
-            if not ev.triggered:
-                # Completion raced the timeout (e.g. mid-jitter); the
-                # event is about to fire — wait it out.
-                yield ev
-            if abr is not None:
-                abr[player_id].observe_transfer(sim.now, frame_bytes, ev.value)
-            admit_all(decision, stored, frame_bytes, sim.now, player_id)
-            pending_fetch[player_id] = False
-            if tracer.enabled:
-                tracer.complete(
-                    "fetch.background", player_id, "net", started_ms,
-                    sim.now - started_ms, cat="net",
-                    args={"attempts": attempt + 1, "bytes": frame_bytes},
-                )
-            return
-        resilience.fetches_abandoned += 1
-        perf.count("resilience.fetches_abandoned")
-        pending_fetch[player_id] = False
-        if tracer.enabled:
-            tracer.complete(
-                "fetch.abandoned", player_id, "net", started_ms,
-                sim.now - started_ms, cat="net",
-                args={"attempts": config.fetch_max_retries + 1,
-                      "bytes": frame_bytes},
-            )
-
-    def blocking_fetch(player_id, frame_bytes):
-        """One warm-up fetch with the background-retry discipline.
-
-        Same timeout / abort / capped-exponential-backoff pattern as
-        :func:`background_fetch`, but blocking — the joiner has no
-        display to keep at cadence yet.  Returns True when the frame
-        landed, False when the retry budget is spent.
-        """
-        resilience = session.collectors[player_id].resilience
-        timeout_ms = config.fetch_timeout_ms
-        ev = session.link.transfer(frame_bytes, tag="be")
-        for attempt in range(config.fetch_max_retries + 1):
-            if attempt > 0:
-                resilience.fetch_retries += 1
-                perf.count("resilience.fetch_retries")
-                ev = session.link.transfer(frame_bytes, tag="be")
-            yield any_of(sim, [ev, sim.timeout(timeout_ms)])
-            if not ev.triggered and session.link.abort(ev):
-                timeout_ms = min(timeout_ms * 2.0, config.fetch_backoff_cap_ms)
-                continue
-            if not ev.triggered:
-                yield ev  # completion raced the timeout; nearly done
-            return True
-        resilience.fetches_abandoned += 1
-        perf.count("resilience.fetches_abandoned")
-        return False
-
-    def warmup(player_id: int):
-        """Late-joiner warm-up: stream the working set before ACTIVE.
-
-        Fetches the panoramas the joiner's trajectory needs next (one
-        grid point per upcoming display interval span) through the
-        normal prefetch planner, so admission's promise — the player
-        starts with a warm cache — is kept with real transfers on the
-        shared link, not by fiat.
-        """
-        started_ms = sim.now
-        prefetcher = prefetchers[player_id]
-        fetched = 0
-        lookahead_ms = 0.0
-        while fetched < supervisor.config.warmup_fetches:
-            if not supervisor.poll(player_id):
-                return  # crashed / left / evicted mid-handshake
-            sample = session.position_at(player_id, sim.now + lookahead_ms)
-            decision = prefetcher.plan(sample.position, sample.heading, sim.now)
-            lookahead_ms += 200.0
-            if not decision.needs_fetch:
-                fetched += 1  # trajectory start revisits a cached point
-                continue
-            stored = store.frame_for(decision.grid_point)
-            if tracer.enabled:
-                session.trace_kernel_reuse(store, player_id, sim.now)
-            ok = yield from blocking_fetch(player_id, stored.wire_bytes)
-            if ok:
-                admit_all(decision, stored, stored.wire_bytes, sim.now,
-                          player_id)
-            fetched += 1
-        if not supervisor.poll(player_id):
-            return
-        if supervisor.activate(player_id) and tracer.enabled:
-            tracer.complete(
-                "warmup", player_id, "net", started_ms, sim.now - started_ms,
-                cat="membership",
-                args={"fetches": supervisor.config.warmup_fetches},
-            )
-
-    def client(player_id: int):
-        prefetcher = prefetchers[player_id]
-        collector = session.collectors[player_id]
-        controller = abr[player_id] if abr is not None else None
-        if supervisor is not None and supervisor.state(player_id) == WARMING:
-            yield from warmup(player_id)
-            if supervisor.state(player_id) != ACTIVE:
-                return  # never finished the handshake
-        while sim.now < session.horizon_ms:
-            if supervisor is not None and not supervisor.poll(player_id):
-                return  # left, crashed, or evicted: no silent rejoin
-            if degraded:
-                resume = session.outage_resume_ms(player_id, sim.now)
-                if resume is not None and resume > sim.now:
-                    # Disconnected: produce no frames until the outage
-                    # ends, then re-warm the cache before resuming.
-                    outage_start = sim.now
-                    yield resume - sim.now
-                    if tracer.enabled:
-                        session.trace_outage(player_id, outage_start, sim.now)
-                    needs_rewarm[player_id] = True
-                    continue
-            if needs_resync is not None and needs_resync[player_id]:
-                # A desync alarm flagged this peer: repair before the
-                # next frame displays anything.
-                yield from resync(player_id)
-            t0 = sim.now
-            if controller is not None:
-                # Ladder re-evaluation and prefetch throttling happen
-                # *before* plan() so this frame's fetch (and its cache
-                # acceptance band) already reflect the chosen rung.
-                controller.on_frame(t0)
-                prefetcher.thresh_scale = controller.thresh_scale()
-            sample = session.position_at(player_id, t0)
-            if predictors is not None:
-                # Feed the predictor (unless a scripted stale-speculation
-                # storm froze its observations) and age out unconfirmed
-                # speculative entries before this frame's lookup.
-                if not session.speculation_frozen(player_id, t0):
-                    predictors[player_id].observe(
-                        t0, sample.position, sample.heading
-                    )
-                expired = caches[player_id].expire_speculative(
-                    t0, predict.speculative_ttl_ms
-                )
-                if expired:
-                    perf.count("predict.spec_expired")
-                    if tracer.enabled:
-                        tracer.instant(
-                            "predict.expired", player_id, "cache", t0,
-                            cat="predict", args={"entries": expired},
-                        )
-            decision = prefetcher.plan(sample.position, sample.heading, t0)
-            if predictors is not None:
-                # Rollback discipline: a lookup that returned speculative
-                # state must validate it against the float64 oracle before
-                # the display may trust it.  On mismatch the entry is
-                # rolled back and the plan re-runs on confirmed state
-                # only, converging on exactly what an on-demand fetch
-                # would have displayed (the digest equality below *is*
-                # the convergence assertion).
-                while (
-                    decision.cached is not None and decision.cached.speculative
-                ):
-                    spec_frame = decision.cached
-                    if spec_frame.digest == authoritative_digest(
-                        spec_frame.grid_point
-                    ):
-                        caches[player_id].confirm(spec_frame)
-                        collector.resilience.spec_confirms += 1
-                        perf.count("predict.spec_confirms")
-                        break
-                    caches[player_id].discard(spec_frame)
-                    collector.resilience.spec_rollbacks += 1
-                    perf.count("predict.spec_rollbacks")
-                    if tracer.enabled:
-                        tracer.instant(
-                            "predict.rollback", player_id, "cache", t0,
-                            cat="predict",
-                            args={"grid": list(spec_frame.grid_point)},
-                        )
-                    decision = prefetcher.plan(
-                        sample.position, sample.heading, t0
-                    )
-
-            frame_bytes = 0
-            transfer_ms = 0.0
-            deadline_missed = False
-            stale_age_ms = None
-            dropped = False
-            if decision.needs_fetch or not use_cache:
-                if not degraded:
-                    # Clean path — identical to the pre-robustness code.
-                    stored = store.frame_for(decision.grid_point)
-                    if tracer.enabled:
-                        session.trace_kernel_reuse(store, player_id, t0)
-                    frame_bytes = stored.wire_bytes
-                    transfer_ms = yield session.link.transfer(frame_bytes, tag="be")
-                    cached = admit_all(decision, stored, frame_bytes, t0, player_id)
-                elif pending_fetch[player_id]:
-                    # Still recovering a late fetch: display the nearest
-                    # stale frame, issue nothing new.
-                    deadline_missed = True
-                    cached = caches[player_id].nearest(decision.position,
-                                                       now_ms=t0)
-                    if cached is not None:
-                        stale_age_ms = t0 - cached.inserted_ms
-                        perf.count("resilience.stale_frames")
-                elif (
-                    controller is not None
-                    and not needs_rewarm[player_id]
-                    and len(caches[player_id]) > 0
-                    and controller.should_drop(
-                        t0, controller.scaled_bytes(controller.nominal_bytes)
-                    )
-                ):
-                    # App-layer drop: the forecast says this fetch cannot
-                    # land anywhere near the deadline, so the transfer is
-                    # never issued (no server render, no medium load) and
-                    # the nearest cached panorama displays instead.  A
-                    # chosen degradation — not a deadline miss.
-                    dropped = True
-                    cached = caches[player_id].nearest(decision.position,
-                                                       now_ms=t0)
-                    stale_age_ms = t0 - cached.inserted_ms
-                    perf.count("adapt.drops")
-                else:
-                    stored = store.frame_for(decision.grid_point)
-                    if tracer.enabled:
-                        session.trace_kernel_reuse(store, player_id, t0)
-                    frame_bytes = stored.wire_bytes
-                    if controller is not None:
-                        # Re-encode at the current rung: the ladder only
-                        # changes the wire size (§4.5's CRF staircase).
-                        frame_bytes = controller.scaled_bytes(frame_bytes)
-                    stall_ms = session.server_stall_ms(t0)
-                    if stall_ms > 0:
-                        yield stall_ms
-                    transfer_ev = session.link.transfer(frame_bytes, tag="be")
-                    if needs_rewarm[player_id]:
-                        # Reconnect re-warm: block on this fetch so the
-                        # cache is fresh before the cadence resumes.
-                        needs_rewarm[player_id] = False
-                        collector.resilience.rewarm_fetches += 1
-                        perf.count("resilience.rewarm_fetches")
-                        if tracer.enabled:
-                            tracer.instant(
-                                "fetch.rewarm", player_id, "net", sim.now,
-                                args={"bytes": frame_bytes},
-                            )
-                        transfer_ms = stall_ms + (yield transfer_ev)
-                        if controller is not None:
-                            controller.observe_transfer(
-                                sim.now, frame_bytes, transfer_ms - stall_ms
-                            )
-                        cached = admit_all(
-                            decision, stored, frame_bytes, sim.now, player_id
-                        )
-                    else:
-                        deadline = session.prefetch_deadline_ms()
-                        yield any_of(
-                            sim, [transfer_ev, sim.timeout(deadline)]
-                        )
-                        if transfer_ev.triggered:
-                            transfer_ms = stall_ms + transfer_ev.value
-                            if controller is not None:
-                                controller.observe_transfer(
-                                    sim.now, frame_bytes, transfer_ev.value
-                                )
-                            cached = admit_all(
-                                decision, stored, frame_bytes, sim.now, player_id
-                            )
-                        else:
-                            deadline_missed = True
-                            perf.count("resilience.deadline_misses")
-                            fallback = caches[player_id].nearest(
-                                decision.position, now_ms=sim.now
-                            )
-                            if fallback is None:
-                                # Nothing cached to show (cold start):
-                                # the display has to wait for the fetch.
-                                transfer_ms = stall_ms + (yield transfer_ev)
-                                if controller is not None:
-                                    controller.observe_transfer(
-                                        sim.now, frame_bytes,
-                                        transfer_ms - stall_ms,
-                                    )
-                                cached = admit_all(
-                                    decision, stored, frame_bytes, sim.now,
-                                    player_id,
-                                )
-                            else:
-                                # Stale-frame fallback: keep the display
-                                # at cadence, finish the fetch off-path.
-                                cached = fallback
-                                stale_age_ms = t0 - fallback.inserted_ms
-                                perf.count("resilience.stale_frames")
-                                transfer_ms = stall_ms + deadline
-                                pending_fetch[player_id] = True
-                                sim.spawn(background_fetch(
-                                    player_id, decision, stored, frame_bytes,
-                                    transfer_ev,
-                                ))
-            else:
-                cached = decision.cached
-                if degraded:
-                    needs_rewarm[player_id] = False
-
-            if predictors is not None and not spec_pending[player_id]:
-                # Forecast the viewport a few frames out; when the
-                # predictor is confident and the forecast grid point is
-                # not already covered, start a best-effort speculative
-                # transfer off the display's critical path.
-                prediction = predictors[player_id].predict(t0)
-                if (
-                    prediction is not None
-                    and prediction.confidence_m <= predict.max_confidence_m
-                ):
-                    spec_decision = prefetcher.plan_speculative(
-                        prediction.position, prediction.heading, t0
-                    )
-                    if spec_decision.cached is None:
-                        spec_pending[player_id] = True
-                        collector.resilience.spec_prefetches += 1
-                        perf.count("predict.spec_prefetches")
-                        if tracer.enabled:
-                            tracer.instant(
-                                "predict.speculate", player_id, "net", t0,
-                                cat="predict",
-                                args={
-                                    "grid": list(spec_decision.grid_point),
-                                    "confidence_m": round(
-                                        prediction.confidence_m, 4
-                                    ),
-                                },
-                            )
-                        sim.spawn(
-                            speculative_fetch(player_id, spec_decision)
-                        )
-            if last_display is not None:
-                # The authoritative inputs to this peer's next exchanged
-                # state hash: the pose it displayed and the oracle digest
-                # of the frame it displayed it with.
-                last_display[player_id] = (
-                    t0, sample.position.x, sample.position.y,
-                    sample.heading,
-                    cached.digest if cached is not None else 0,
-                )
-
-            near_ms = session.cost_model.near_be_ms(
-                world.scene, sample.position, decision.cutoff_radius
-            )
-            session.pun.tick()
-            timings = PipelineTimings(
-                render_fi_ms=session.fi_ms,
-                render_near_be_ms=near_ms,
-                decode_ms=session.cost_model.decode_ms(3840, 2160),
-                prefetch_ms=transfer_ms,
-                sync_ms=session.pun.sync_latency_ms(),
-                merge_ms=config.device.merge_ms,
-                setup_ms=config.device.setup_ms,
-            )
-            interval = frame_interval_ms(timings)
-
-            displayed_ssim = None
-            ssim_job = None
-            if config.render_frames:
-                payload = cached.payload if cached is not None else None
-                far_image = payload.decoded if payload is not None else None
-                if far_image is not None:
-                    if last_far[player_id] is not None and (
-                        far_image is not last_far[player_id]
-                    ):
-                        if ssim_queue is not None:
-                            ssim_queue.submit(
-                                last_far[player_id], far_image,
-                                switch_ssims[player_id].append,
-                            )
-                        else:
-                            switch_ssims[player_id].append(
-                                ssim(last_far[player_id], far_image)
-                            )
-                    last_far[player_id] = far_image
-                    if frame_counters[player_id] % ssim_stride == 0:
-                        displayed, reference = _displayed_frame_pair(
-                            session, world, player_id, sample, decision, far_image
-                        )
-                        if ssim_queue is None:
-                            displayed_ssim = ssim(displayed, reference)
-                        else:
-                            ssim_job = (displayed, reference)
-            frame_counters[player_id] += 1
-
-            record = FrameRecord(
-                t_ms=t0 + interval,
-                interval_ms=interval,
-                render_ms=timings.render_ms - timings.setup_ms + timings.merge_ms,
-                responsiveness_ms=timings.split_render_ms() + SENSOR_SCANOUT_MS,
-                net_delay_ms=transfer_ms,
-                frame_bytes=frame_bytes,
-                cache_hit=not decision.needs_fetch if use_cache else None,
-                displayed_ssim=displayed_ssim,
-                deadline_missed=deadline_missed,
-                stale_age_ms=stale_age_ms,
-                dropped=dropped,
-            )
-            collector.add(record)
-            if session.hub.enabled:
-                session.meter_frame(player_id, record)
-            if ssim_job is not None:
-                # The record was added with displayed_ssim=None; the flush
-                # callback patches the score in by index (FrameRecord is
-                # frozen).  Scores never steer the simulation, so patching
-                # after the fact is observationally identical.
-                def _patch_ssim(
-                    value, records=collector.records,
-                    index=len(collector.records) - 1,
-                ):
-                    records[index] = replace(
-                        records[index], displayed_ssim=value
-                    )
-
-                ssim_queue.submit(ssim_job[0], ssim_job[1], _patch_ssim)
-            if supervisor is not None:
-                supervisor.note_frame(player_id, t0 + interval)
-            if tracer.enabled:
-                if not use_cache:
-                    outcome = "bypass"
-                elif not decision.needs_fetch:
-                    outcome = "hit"
-                elif dropped:
-                    outcome = "drop"
-                elif stale_age_ms is not None:
-                    outcome = "stale"
-                else:
-                    outcome = "fetch"
-                session.trace_pipeline_frame(
-                    player_id, frame_counters[player_id] - 1, t0, timings,
-                    interval, frame_bytes=frame_bytes, cache=outcome,
-                    deadline_missed=deadline_missed, stale_age_ms=stale_age_ms,
-                )
-            remaining = interval - transfer_ms
-            # Clamp to a minimum 1-tick yield: a transfer slower than the
-            # interval must not let the loop re-enter plan() at the same
-            # simulated instant (busy-spin hazard).
-            yield remaining if remaining > 0 else MIN_YIELD_MS
-
-    def _displayed_frame_pair(session, world, player_id, sample, decision,
-                              far_image):
-        """The actually displayed frame and its all-local reference.
-
-        The caller scores ``ssim(displayed, reference)`` — inline on the
-        scalar path, deferred through the :class:`SsimBatchQueue` on the
-        batched path (bit-identical either way).
-        """
-        eye = eye_at(world.scene, sample.position, world.spec.player.eye_height)
-        roster = (
-            list(range(n_players)) if supervisor is None
-            else supervisor.active_slots()
-        )
-        positions = [
-            session.position_at(other, sim.now).position for other in roster
-        ]
-        exclude = roster.index(player_id) if player_id in roster else -1
-        avatars = avatars_at(world, positions, exclude_player=exclude)
-        near = render_near_be(
-            world.scene, eye, config.render_config, decision.cutoff_radius
-        )
-        fi_layer = render_fi(avatars, eye, config.render_config)
-        from ..render.rasterizer import merge_layers
-        from ..core.merger import layer_from_decoded
-
-        displayed = merge_layers(layer_from_decoded(far_image), near, fi_layer)
-        reference = reference_frame(
-            world.scene, eye, config.render_config, avatars=avatars
-        )
-        return displayed, reference
-
-    if supervisor is None:
-        for player_id in range(n_players):
-            sim.spawn(client(player_id))
-    else:
-        speed = max(world.spec.player.speed, 1e-3)
-        far_bytes = artifacts.far_size_model.mean_bytes
-
-        def be_kbps_for(slot):
-            """Dist-thresh fetch-rate estimate (Constraint 2's BE term).
-
-            A player moving at ``speed`` re-fetches roughly every
-            dist-thresh metres (§4.3): the reuse displacement at its
-            current position bounds how far a cached panorama stays
-            usable, so fetch rate ≈ speed / dist_thresh, capped at one
-            fetch per display interval.
-            """
-            position = session.position_at(slot, sim.now).position
-            thresh = max(
-                artifacts.dist_thresh_map.threshold_for(position), 1e-3
-            )
-            fetch_hz = min(60.0, speed / thresh)
-            return fetch_hz * far_bytes * 8.0 / 1000.0
-
-        def render_ok(slot):
-            """Constraint 1 at the joiner's spawn region."""
-            position = session.position_at(slot, sim.now).position
-            cutoff = artifacts.cutoff_map.cutoff_for(position)
-            return satisfies_constraint(
-                session.cost_model, world.scene, position, cutoff,
-                artifacts.budget,
-            )
-
-        admission = AdmissionController(
-            budget=BandwidthBudget(
-                capacity_mbps=config.wifi_mbps,
-                utilization_bound=supervisor.config.utilization_bound,
-            ),
-            be_kbps_for=be_kbps_for,
-            fi_kbps_for=session.pun.expected_bandwidth_kbps,
-            max_players=supervisor.config.max_players,
-            render_check=render_ok,
-        )
-
-        def spawn_client(slot, rejoining):
-            if rejoining:
-                # A new incarnation starts cold: the previous life's
-                # cache, pending fetch, re-warm, and speculation state
-                # are all stale.
-                caches[slot].clear()
-                pending_fetch[slot] = False
-                needs_rewarm[slot] = False
-                if predictors is not None:
-                    predictors[slot] = PosePredictor(predict)
-                    spec_pending[slot] = False
-                if needs_resync is not None:
-                    needs_resync[slot] = False
-            sim.spawn(client(slot))
-
-        supervisor.start(spawn_client, admission)
-    sim.run_until(session.horizon_ms)
-    if ssim_queue is not None:
-        # Score whatever is still queued before the session report reads
-        # switch SSIMs and displayed-SSIM records.
-        ssim_queue.flush()
-    if predictors is not None:
-        # Stamp predictor / cache speculation outcomes into the per-slot
-        # resilience stats so collector.summary() reports them.
-        for slot in range(n_slots):
-            resilience = session.collectors[slot].resilience
-            resilience.spec_predictions = predictors[slot].predictions
-            resilience.spec_mispredictions = predictors[slot].mispredictions
-            resilience.spec_expired = caches[slot].stats.speculative_expired
-    if validator is not None:
-        for slot in range(n_slots):
-            resilience = session.collectors[slot].resilience
-            slot_stats = validator.stats[slot]
-            resilience.desync_alarms = slot_stats.alarms
-            resilience.desync_detection_ms = slot_stats.max_detection_ms
-            resilience.resyncs = slot_stats.resyncs
-            resilience.resync_recovery_ms = slot_stats.recovery_ms
-
-    cpu_model = CpuModel()
-    be_mbps = session.link.bandwidth_mbps("be", session.horizon_ms)
-    cpu = [
-        cpu_model.utilization(
-            gpu_utilization=session.collectors[p].gpu_utilization(),
-            net_mbps=be_mbps / n_players,
-            decoding=True,
-            cache_enabled=use_cache,
-            n_players=n_players,
-        )
-        if session.collectors[p].records
-        else 0.0
-        for p in range(session.total_slots)
-    ]
+    strategy = CoterieStrategy(session, artifacts, use_cache, ssim_stride, overhear)
+    run_clients(session, strategy)
+    for hook in strategy.on_finish:
+        hook()
     name = "coterie" if use_cache else "coterie_nocache"
     if overhear:
         name = "coterie_overhear"
-    return session.finish(name, cpu, switch_ssims=switch_ssims)
+    return session.finish(
+        name,
+        switch_ssims=strategy.scorer.switch_ssims if strategy.scorer is not None else None,
+        decoding=True,
+        cache_enabled=use_cache,
+    )

@@ -7,9 +7,27 @@ study's 4K apps (Table 1) with the GPU pinned at ~90-99 %.
 
 from __future__ import annotations
 
-from ..metrics import CpuModel, FrameRecord
 from ..world.games import GameWorld
-from .base import SENSOR_SCANOUT_MS, RunResult, Session, SessionConfig
+from .base import RunResult, Session, SessionConfig
+from .loop import FetchStrategy, FrameOutcome, run_clients
+
+
+class MobileStrategy(FetchStrategy):
+    """Fetch nothing: the frame is one local render stage."""
+
+    networked = False
+
+    def frame(self, player_id: int, t0: float, sample):
+        """Render FI + whole BE locally; yields no sim events."""
+        session = self.session
+        whole_ms = session.cost_model.whole_be_ms(session.world.scene, sample.position)
+        out = FrameOutcome()
+        render_ms = out.render_ms = session.cost_model.frame_ms(session.fi_ms, whole_ms)
+        # Rendering IS the frame interval: the GPU is the bottleneck and
+        # the display shows frames as they complete (sub-60 FPS).
+        self.pace_sequential(out, render_ms, (("render", render_ms),))
+        return out
+        yield  # a generator, like every strategy's frame()
 
 
 def run_mobile(world: GameWorld, n_players: int, config: SessionConfig) -> RunResult:
@@ -20,50 +38,5 @@ def run_mobile(world: GameWorld, n_players: int, config: SessionConfig) -> RunRe
             "churn requires coterie, multi_furion, or thin_client"
         )
     session = Session(world, n_players, config)
-    sim = session.sim
-
-    tracer = session.tracer
-
-    def client(player_id: int):
-        frame_index = 0
-        while sim.now < session.horizon_ms:
-            t0 = sim.now
-            sample = session.position_at(player_id, t0)
-            whole_ms = session.cost_model.whole_be_ms(
-                session.world.scene, sample.position
-            )
-            render_ms = session.cost_model.frame_ms(session.fi_ms, whole_ms)
-            # Rendering IS the frame interval: the GPU is the bottleneck and
-            # the display shows frames as they complete (sub-60 FPS).
-            interval = max(render_ms, 1000.0 / 60.0)
-            session.pun.tick()
-            record = FrameRecord(
-                t_ms=t0 + interval,
-                interval_ms=interval,
-                render_ms=render_ms,
-                responsiveness_ms=render_ms + SENSOR_SCANOUT_MS,
-            )
-            session.collectors[player_id].add(record)
-            if session.hub.enabled:
-                session.meter_frame(player_id, record)
-            if tracer.enabled:
-                session.trace_sequential_frame(
-                    player_id, frame_index, t0, (("render", render_ms),),
-                    interval,
-                )
-            frame_index += 1
-            yield interval
-
-    for player_id in range(n_players):
-        sim.spawn(client(player_id))
-    sim.run_until(session.horizon_ms)
-
-    cpu_model = CpuModel()
-    cpu = [
-        cpu_model.utilization(
-            gpu_utilization=session.collectors[p].gpu_utilization(),
-            n_players=n_players,
-        )
-        for p in range(n_players)
-    ]
-    return session.finish("mobile", cpu)
+    run_clients(session, MobileStrategy(session))
+    return session.finish("mobile")

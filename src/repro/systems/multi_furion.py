@@ -19,21 +19,90 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.cache import CachedFrame, FrameCache
-from ..core.constraint import BandwidthBudget
-from ..core.pipeline import PipelineTimings, frame_interval_ms
-from ..core.preprocess import FrameSizeModel, calibrate_size_model
-from ..metrics import CpuModel, FrameRecord
-from ..session import ACTIVE, WARMING, AdmissionController
+from ..core.preprocess import FrameSizeModel
 from ..world.games import GameWorld
-from .base import (
-    MIN_YIELD_MS,
-    SENSOR_SCANOUT_MS,
-    RunResult,
-    Session,
-    SessionConfig,
-)
+from .base import RunResult, Session, SessionConfig
+from .loop import FrameOutcome, run_clients
+from .whole_frame import WholeFrameStrategy
 
 _WHOLE_LEAF = (0.0, 0.0, 0.0, 0.0)  # whole-BE frames have no leaf regions
+
+
+class MultiFurionStrategy(WholeFrameStrategy):
+    """Fetch the next grid point's whole-BE panorama every interval."""
+
+    def __init__(
+        self, session: Session, size_model: Optional[FrameSizeModel], exact_cache: bool
+    ) -> None:
+        super().__init__(session, size_model, calibration_seed=6)
+        config = session.config
+        self.caches = [
+            FrameCache(
+                capacity_bytes=config.cache_capacity_bytes,
+                policy=config.cache_policy,
+                exact_only=True,
+            )
+            if exact_cache
+            else None
+            for _ in range(session.total_slots)
+        ]
+        if exact_cache:
+            for player_id, cache in enumerate(self.caches):
+                if session.hub.enabled:
+                    session.meter_cache(player_id, cache)
+                if session.tracer.enabled:
+                    cache.tracer = session.tracer
+                    cache.owner = player_id
+
+    def reset(self, slot: int) -> None:
+        """A rejoiner's exact cache starts empty too."""
+        super().reset(slot)
+        if self.caches[slot] is not None:
+            self.caches[slot].clear()
+
+    def frame(self, player_id: int, t0: float, sample):
+        """Exact-match cache lookup, else stall → transfer of the panorama."""
+        session = self.session
+        cache = self.caches[player_id]
+        grid_point = session.world.grid.snap(sample.position)
+        snapped = session.world.grid.to_world(grid_point)
+        out = FrameOutcome()
+        hit = None
+        if cache is not None:
+            hit = cache.lookup(grid_point, snapped, _WHOLE_LEAF, frozenset(), 0.0, t0)
+            out.cache_hit = hit is not None
+            out.cache_label = "hit" if out.cache_hit else "fetch"
+        if hit is not None:
+            self.last_frame_ms[player_id] = t0
+        else:
+            frame_bytes = self.wire_bytes(player_id, grid_point, t0)
+            if frame_bytes is None:
+                # Dropped: re-display the previously decoded panorama.
+                out.dropped = True
+                out.stale_age_ms = t0 - self.last_frame_ms[player_id]
+                out.cache_label = "drop"
+            else:
+                stall_ms, wire_ms = yield from self.stream(frame_bytes, t0)
+                out.frame_bytes = frame_bytes
+                out.transfer_ms = stall_ms + wire_ms
+                self.observe(player_id, frame_bytes, out.transfer_ms - stall_ms)
+                self.last_frame_ms[player_id] = session.sim.now
+                if cache is not None:
+                    cache.insert(
+                        CachedFrame(
+                            grid_point=grid_point,
+                            position=snapped,
+                            leaf=_WHOLE_LEAF,
+                            near_ids=frozenset(),
+                            payload=None,
+                            size_bytes=frame_bytes,
+                            inserted_ms=t0,
+                            last_used_ms=t0,
+                            origin_player=player_id,
+                        )
+                    )
+        self.pace_pipeline(out, near_be_ms=0.0)
+        return out
 
 
 def run_multi_furion(
@@ -45,226 +114,6 @@ def run_multi_furion(
 ) -> RunResult:
     """Simulate N players under the replicated Furion architecture."""
     session = Session(world, n_players, config)
-    sim = session.sim
-    supervisor = session.supervisor
-    n_slots = session.total_slots
-    if size_model is None:
-        size_model = calibrate_size_model(
-            world, config.render_config, session.codec, None, kind="whole",
-            samples=6, seed=config.seed + 6,
-            eye_height=world.spec.player.eye_height,
-        )
-    caches = [
-        FrameCache(
-            capacity_bytes=config.cache_capacity_bytes,
-            policy=config.cache_policy,
-            exact_only=True,
-        )
-        if exact_cache
-        else None
-        for _ in range(n_slots)
-    ]
-
-    tracer = session.tracer
-    if session.hub.enabled:
-        for player_id, cache in enumerate(caches):
-            if cache is not None:
-                session.meter_cache(player_id, cache)
-    if tracer.enabled:
-        for player_id, cache in enumerate(caches):
-            if cache is not None:
-                cache.tracer = tracer
-                cache.owner = player_id
-    # Closed-loop adaptation (None when config.adapt is off).  Without a
-    # far-BE prefetcher there is nothing to throttle; the ladder scales
-    # the whole-BE wire size and the drop policy re-displays the previous
-    # panorama when the forecast says a fetch cannot land in time.
-    abr = session.init_abr(size_model.mean_bytes)
-
-    def warmup(player_id: int):
-        """Late-joiner handshake: block on one whole-BE panorama.
-
-        Furion-style clients need the next grid point's panorama before
-        they can display anything; streaming it through the shared link
-        (with any scripted server stall) is the whole warm-up.
-        """
-        started_ms = sim.now
-        if not supervisor.poll(player_id):
-            return
-        sample = session.position_at(player_id, sim.now)
-        grid_point = session.world.grid.snap(sample.position)
-        frame_bytes = size_model.sample(grid_point)
-        stall_ms = session.server_stall_ms(sim.now)
-        if stall_ms > 0:
-            yield stall_ms
-        yield session.link.transfer(frame_bytes, tag="be")
-        if not supervisor.poll(player_id):
-            return
-        if supervisor.activate(player_id) and tracer.enabled:
-            tracer.complete(
-                "warmup", player_id, "net", started_ms, sim.now - started_ms,
-                cat="membership", args={"bytes": frame_bytes},
-            )
-
-    def client(player_id: int):
-        cache = caches[player_id]
-        controller = abr[player_id] if abr is not None else None
-        last_frame_ms = None  # when the displayed panorama last refreshed
-        frame_index = 0
-        if supervisor is not None and supervisor.state(player_id) == WARMING:
-            yield from warmup(player_id)
-            if supervisor.state(player_id) != ACTIVE:
-                return
-        while sim.now < session.horizon_ms:
-            if supervisor is not None and not supervisor.poll(player_id):
-                return  # left, crashed, or evicted: no silent rejoin
-            resume = session.outage_resume_ms(player_id, sim.now)
-            if resume is not None and resume > sim.now:
-                outage_start = sim.now
-                yield resume - sim.now  # disconnected: no frames produced
-                if tracer.enabled:
-                    session.trace_outage(player_id, outage_start, sim.now)
-                continue
-            t0 = sim.now
-            if controller is not None:
-                controller.on_frame(t0)
-            sample = session.position_at(player_id, t0)
-            grid_point = session.world.grid.snap(sample.position)
-            snapped = session.world.grid.to_world(grid_point)
-
-            hit = None
-            if cache is not None:
-                hit = cache.lookup(
-                    grid_point, snapped, _WHOLE_LEAF, frozenset(), 0.0, t0
-                )
-            frame_bytes = 0
-            transfer_ms = 0.0
-            dropped = False
-            stale_age_ms = None
-            if hit is None:
-                frame_bytes = size_model.sample(grid_point)
-                if controller is not None:
-                    frame_bytes = controller.scaled_bytes(frame_bytes)
-                if (
-                    controller is not None
-                    and last_frame_ms is not None
-                    and controller.should_drop(t0, frame_bytes)
-                ):
-                    # App-layer drop: re-display the previously decoded
-                    # panorama instead of issuing a doomed transfer.
-                    dropped = True
-                    stale_age_ms = t0 - last_frame_ms
-                    frame_bytes = 0
-                else:
-                    stall_ms = session.server_stall_ms(t0)
-                    if stall_ms > 0:
-                        yield stall_ms  # scripted slow server response
-                    transfer_ms = stall_ms
-                    transfer_ms += yield session.link.transfer(frame_bytes, tag="be")
-                    if controller is not None:
-                        controller.observe_transfer(
-                            sim.now, frame_bytes, transfer_ms - stall_ms
-                        )
-                    last_frame_ms = sim.now
-                    if cache is not None:
-                        cache.insert(
-                            CachedFrame(
-                                grid_point=grid_point,
-                                position=snapped,
-                                leaf=_WHOLE_LEAF,
-                                near_ids=frozenset(),
-                                payload=None,
-                                size_bytes=frame_bytes,
-                                inserted_ms=t0,
-                                last_used_ms=t0,
-                                origin_player=player_id,
-                            )
-                        )
-            else:
-                last_frame_ms = t0
-            session.pun.tick()
-            timings = PipelineTimings(
-                render_fi_ms=session.fi_ms,
-                render_near_be_ms=0.0,
-                decode_ms=session.cost_model.decode_ms(3840, 2160),
-                prefetch_ms=transfer_ms,
-                sync_ms=session.pun.sync_latency_ms(),
-                merge_ms=config.device.merge_ms,
-                setup_ms=config.device.setup_ms,
-            )
-            interval = frame_interval_ms(timings)
-            record = FrameRecord(
-                t_ms=t0 + interval,
-                interval_ms=interval,
-                render_ms=timings.render_ms - timings.setup_ms + timings.merge_ms,
-                responsiveness_ms=timings.split_render_ms() + SENSOR_SCANOUT_MS,
-                net_delay_ms=transfer_ms,
-                frame_bytes=frame_bytes,
-                cache_hit=(hit is not None) if cache is not None else None,
-                stale_age_ms=stale_age_ms,
-                dropped=dropped,
-            )
-            session.collectors[player_id].add(record)
-            if session.hub.enabled:
-                session.meter_frame(player_id, record)
-            if supervisor is not None:
-                supervisor.note_frame(player_id, t0 + interval)
-            if tracer.enabled:
-                outcome = None
-                if dropped:
-                    outcome = "drop"
-                elif cache is not None:
-                    outcome = "hit" if hit is not None else "fetch"
-                session.trace_pipeline_frame(
-                    player_id, frame_index, t0, timings, interval,
-                    frame_bytes=frame_bytes, cache=outcome,
-                )
-            frame_index += 1
-            remaining = interval - transfer_ms
-            # Minimum 1-tick yield: never re-enter the loop at the same
-            # simulated instant when the transfer ate the whole interval.
-            yield remaining if remaining > 0 else MIN_YIELD_MS
-
-    if supervisor is None:
-        for player_id in range(n_players):
-            sim.spawn(client(player_id))
-    else:
-        # Whole-BE systems fetch a fresh panorama every display interval,
-        # so the Constraint-2 BE term is simply 60 Hz x the mean wire
-        # size — which is why Multi-Furion joins are usually rejected on
-        # links that admit Coterie joins comfortably.
-        whole_kbps = 60.0 * size_model.mean_bytes * 8.0 / 1000.0
-        admission = AdmissionController(
-            budget=BandwidthBudget(
-                capacity_mbps=config.wifi_mbps,
-                utilization_bound=supervisor.config.utilization_bound,
-            ),
-            be_kbps_for=lambda slot: whole_kbps,
-            fi_kbps_for=session.pun.expected_bandwidth_kbps,
-            max_players=supervisor.config.max_players,
-        )
-
-        def spawn_client(slot, rejoining):
-            if rejoining and caches[slot] is not None:
-                caches[slot].clear()
-            sim.spawn(client(slot))
-
-        supervisor.start(spawn_client, admission)
-    sim.run_until(session.horizon_ms)
-
-    cpu_model = CpuModel()
-    be_mbps = session.link.bandwidth_mbps("be", session.horizon_ms)
-    cpu = [
-        cpu_model.utilization(
-            gpu_utilization=session.collectors[p].gpu_utilization(),
-            net_mbps=be_mbps / n_players,
-            decoding=True,
-            cache_enabled=exact_cache,
-            n_players=n_players,
-        )
-        if session.collectors[p].records
-        else 0.0
-        for p in range(session.total_slots)
-    ]
+    run_clients(session, MultiFurionStrategy(session, size_model, exact_cache))
     name = "multi_furion_cache" if exact_cache else "multi_furion"
-    return session.finish(name, cpu)
+    return session.finish(name, decoding=True, cache_enabled=exact_cache)

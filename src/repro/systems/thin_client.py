@@ -10,20 +10,15 @@ contention (Table 1's 52-64 ms at 2 players).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..codec import FOUR_K_PIXELS
-from ..core.constraint import BandwidthBudget
-from ..core.preprocess import FrameSizeModel, calibrate_size_model
-from ..metrics import CpuModel, FrameRecord
-from ..session import ACTIVE, WARMING, AdmissionController
+from ..core.preprocess import FrameSizeModel
 from ..render import GTX1080TI, RenderCostModel
 from ..world.games import GameWorld
-from .base import (
-    MIN_YIELD_MS,
-    SENSOR_SCANOUT_MS,
-    RunResult,
-    Session,
-    SessionConfig,
-)
+from .base import RunResult, Session, SessionConfig
+from .loop import FrameOutcome, run_clients
+from .whole_frame import WholeFrameStrategy
 
 # Pose upload + server-side session/compositor scheduling per frame; the
 # calibrated residual between the measurable stages and the paper's 41-50 ms
@@ -32,190 +27,69 @@ POSE_UPLOAD_MS = 2.0
 SERVER_SCHEDULING_MS = 14.0
 
 
+class ThinClientStrategy(WholeFrameStrategy):
+    """Fetch the fully rendered frame as one sequential stream."""
+
+    def __init__(self, session: Session, size_model: Optional[FrameSizeModel]) -> None:
+        super().__init__(session, size_model, calibration_seed=5)
+        self.server_model = RenderCostModel(GTX1080TI)
+
+    def frame(self, player_id: int, t0: float, sample):
+        """Upload pose → server render + encode → transfer → decode."""
+        session = self.session
+        world = session.world
+        out = FrameOutcome()
+        out.render_ms = 1.0  # phone GPU only composites the stream
+        frame_bytes = self.wire_bytes(player_id, world.grid.snap(sample.position), t0)
+        if frame_bytes is None:
+            # Dropped: hold the previous streamed frame for one display
+            # interval; no pose upload, render, or transfer.
+            out.dropped = True
+            out.stale_age_ms = t0 - self.last_frame_ms[player_id]
+            server_ms = decode_ms = 0.0
+            latency = 1000.0 / 60.0
+        else:
+            server_render_ms = self.server_model.frame_ms(
+                session.cost_model.fi_ms(world.spec.fi_triangles) / 10.0,
+                self.server_model.whole_be_ms(world.scene, sample.position),
+            )
+            stall_ms, transfer_ms = yield from self.stream(frame_bytes, t0)
+            encode_ms = session.codec_timing.encode_ms(FOUR_K_PIXELS)
+            self.observe(player_id, frame_bytes, transfer_ms)
+            decode_ms = session.cost_model.decode_ms(3840, 2160)
+            out.frame_bytes = frame_bytes
+            out.transfer_ms = transfer_ms
+            server_ms = stall_ms + server_render_ms + encode_ms
+            latency = (
+                POSE_UPLOAD_MS
+                + SERVER_SCHEDULING_MS
+                + stall_ms
+                + server_render_ms
+                + encode_ms
+                + transfer_ms
+                + decode_ms
+            )
+        self.pace_sequential(
+            out, latency,
+            (
+                ("upload", POSE_UPLOAD_MS + SERVER_SCHEDULING_MS),
+                ("server", server_ms),
+                ("transfer", out.transfer_ms),
+                ("decode", decode_ms),
+            ),
+        )
+        if not out.dropped:
+            self.last_frame_ms[player_id] = t0 + out.interval_ms
+        return out
+
+
 def run_thin_client(
     world: GameWorld,
     n_players: int,
     config: SessionConfig,
-    size_model: FrameSizeModel = None,
+    size_model: Optional[FrameSizeModel] = None,
 ) -> RunResult:
     """Simulate N players on the remote-rendering baseline."""
     session = Session(world, n_players, config)
-    sim = session.sim
-    supervisor = session.supervisor
-    server_model = RenderCostModel(GTX1080TI)
-    if size_model is None:
-        size_model = calibrate_size_model(
-            world, config.render_config, session.codec, None, kind="whole",
-            samples=6, seed=config.seed + 5,
-            eye_height=world.spec.player.eye_height,
-        )
-
-    tracer = session.tracer
-    # Closed-loop adaptation (None when config.adapt is off).  The ladder
-    # scales the streamed frame's wire size; a drop holds the previous
-    # streamed frame on screen for one display interval instead of
-    # pushing a doomed transfer into the congested medium.
-    abr = session.init_abr(size_model.mean_bytes)
-
-    def warmup(player_id: int):
-        """Late-joiner handshake: stream the first rendered frame.
-
-        The thin client has no local state to warm, but the server must
-        deliver one full frame through the shared link before the
-        stream is considered established.
-        """
-        started_ms = sim.now
-        if not supervisor.poll(player_id):
-            return
-        sample = session.position_at(player_id, sim.now)
-        grid_point = session.world.grid.snap(sample.position)
-        frame_bytes = size_model.sample(grid_point)
-        stall_ms = session.server_stall_ms(sim.now)
-        if stall_ms > 0:
-            yield stall_ms
-        yield session.link.transfer(frame_bytes, tag="be")
-        if not supervisor.poll(player_id):
-            return
-        if supervisor.activate(player_id) and tracer.enabled:
-            tracer.complete(
-                "warmup", player_id, "net", started_ms, sim.now - started_ms,
-                cat="membership", args={"bytes": frame_bytes},
-            )
-
-    def client(player_id: int):
-        controller = abr[player_id] if abr is not None else None
-        last_frame_ms = None  # when a streamed frame last reached the screen
-        frame_index = 0
-        if supervisor is not None and supervisor.state(player_id) == WARMING:
-            yield from warmup(player_id)
-            if supervisor.state(player_id) != ACTIVE:
-                return
-        while sim.now < session.horizon_ms:
-            if supervisor is not None and not supervisor.poll(player_id):
-                return  # left, crashed, or evicted: no silent rejoin
-            resume = session.outage_resume_ms(player_id, sim.now)
-            if resume is not None and resume > sim.now:
-                outage_start = sim.now
-                yield resume - sim.now  # disconnected: no frames streamed
-                if tracer.enabled:
-                    session.trace_outage(player_id, outage_start, sim.now)
-                continue
-            t0 = sim.now
-            if controller is not None:
-                controller.on_frame(t0)
-            sample = session.position_at(player_id, t0)
-            grid_point = session.world.grid.snap(sample.position)
-            frame_bytes = size_model.sample(grid_point)
-            if controller is not None:
-                frame_bytes = controller.scaled_bytes(frame_bytes)
-
-            dropped = False
-            stale_age_ms = None
-            if (
-                controller is not None
-                and last_frame_ms is not None
-                and controller.should_drop(t0, frame_bytes)
-            ):
-                # App-layer drop: hold the previous streamed frame for one
-                # display interval; no pose upload, render, or transfer.
-                dropped = True
-                stale_age_ms = t0 - last_frame_ms
-                frame_bytes = 0
-                transfer_ms = 0.0
-                stall_ms = 0.0
-                server_render_ms = 0.0
-                encode_ms = 0.0
-                decode_ms = 0.0
-                latency = 1000.0 / 60.0
-            else:
-                server_render_ms = server_model.frame_ms(
-                    session.cost_model.fi_ms(world.spec.fi_triangles) / 10.0,
-                    server_model.whole_be_ms(world.scene, sample.position),
-                )
-                stall_ms = session.server_stall_ms(t0)
-                if stall_ms > 0:
-                    yield stall_ms  # scripted server-side stall
-                encode_ms = session.codec_timing.encode_ms(FOUR_K_PIXELS)
-                transfer_ms = yield session.link.transfer(frame_bytes, tag="be")
-                if controller is not None:
-                    controller.observe_transfer(sim.now, frame_bytes, transfer_ms)
-                decode_ms = session.cost_model.decode_ms(3840, 2160)
-
-                latency = (
-                    POSE_UPLOAD_MS
-                    + SERVER_SCHEDULING_MS
-                    + stall_ms
-                    + server_render_ms
-                    + encode_ms
-                    + transfer_ms
-                    + decode_ms
-                )
-            interval = max(latency, 1000.0 / 60.0)
-            if not dropped:
-                last_frame_ms = t0 + interval
-            session.pun.tick()
-            record = FrameRecord(
-                t_ms=t0 + interval,
-                interval_ms=interval,
-                render_ms=1.0,  # phone GPU only composites the stream
-                responsiveness_ms=latency + SENSOR_SCANOUT_MS,
-                net_delay_ms=transfer_ms,
-                frame_bytes=frame_bytes,
-                stale_age_ms=stale_age_ms,
-                dropped=dropped,
-            )
-            session.collectors[player_id].add(record)
-            if session.hub.enabled:
-                session.meter_frame(player_id, record)
-            if supervisor is not None:
-                supervisor.note_frame(player_id, t0 + interval)
-            if tracer.enabled:
-                session.trace_sequential_frame(
-                    player_id, frame_index, t0,
-                    (
-                        ("upload", POSE_UPLOAD_MS + SERVER_SCHEDULING_MS),
-                        ("server", stall_ms + server_render_ms + encode_ms),
-                        ("transfer", transfer_ms),
-                        ("decode", decode_ms),
-                    ),
-                    interval, frame_bytes=frame_bytes,
-                )
-            frame_index += 1
-            remaining = interval - transfer_ms
-            # Minimum 1-tick yield (busy-spin hazard; see run_coterie).
-            yield remaining if remaining > 0 else MIN_YIELD_MS
-
-    if supervisor is None:
-        for player_id in range(n_players):
-            sim.spawn(client(player_id))
-    else:
-        # Streamed whole frames every display interval: same Constraint-2
-        # arithmetic as Multi-Furion.
-        whole_kbps = 60.0 * size_model.mean_bytes * 8.0 / 1000.0
-        admission = AdmissionController(
-            budget=BandwidthBudget(
-                capacity_mbps=config.wifi_mbps,
-                utilization_bound=supervisor.config.utilization_bound,
-            ),
-            be_kbps_for=lambda slot: whole_kbps,
-            fi_kbps_for=session.pun.expected_bandwidth_kbps,
-            max_players=supervisor.config.max_players,
-        )
-        supervisor.start(lambda slot, rejoining: sim.spawn(client(slot)),
-                         admission)
-    sim.run_until(session.horizon_ms)
-
-    cpu_model = CpuModel()
-    be_mbps = session.link.bandwidth_mbps("be", session.horizon_ms)
-    cpu = [
-        cpu_model.utilization(
-            gpu_utilization=session.collectors[p].gpu_utilization(),
-            net_mbps=be_mbps / n_players,
-            decoding=True,
-            n_players=n_players,
-        )
-        if session.collectors[p].records
-        else 0.0
-        for p in range(session.total_slots)
-    ]
-    return session.finish("thin_client", cpu)
+    run_clients(session, ThinClientStrategy(session, size_model))
+    return session.finish("thin_client", decoding=True)
