@@ -93,10 +93,10 @@ class Degradation:
         self.strategy = strategy
         self.session = strategy.session
         n_slots = self.session.total_slots
-        # An in-flight background fetch (at most one per player — a
-        # second would just contend with the first), and a pending cache
-        # re-warm after a reconnect.
-        self.pending_fetch = [False] * n_slots
+        # The in-flight background fetch's token (at most one per player
+        # — a second would just contend with the first; None: none), and
+        # a pending cache re-warm after a reconnect.
+        self.pending_fetch: List[Optional[object]] = [None] * n_slots
         self.needs_rewarm = [False] * n_slots
         strategy.display = self.display
         strategy.reconnected = self.reconnected
@@ -104,8 +104,9 @@ class Degradation:
             strategy.pre_plan.append(self.throttle)
 
     def reset(self, slot: int) -> None:
-        """Forget the previous life's pending fetch and re-warm."""
-        self.pending_fetch[slot] = False
+        """Disown the previous life's background fetch (it finds its
+        token gone and withdraws) and forget its re-warm."""
+        self.pending_fetch[slot] = None
         self.needs_rewarm[slot] = False
 
     def reconnected(self, player_id: int) -> None:
@@ -130,7 +131,7 @@ class Degradation:
             return decision.cached
         cache = strategy.caches[player_id]
         controller = strategy.abr[player_id] if strategy.abr is not None else None
-        if self.pending_fetch[player_id]:
+        if self.pending_fetch[player_id] is not None:
             # Still recovering a late fetch: display the nearest stale
             # frame, issue nothing new.
             out.deadline_missed = True
@@ -193,8 +194,10 @@ class Degradation:
                 out.stale_age_ms = t0 - fallback.inserted_ms
                 perf.count("resilience.stale_frames")
                 out.transfer_ms = stall_ms + deadline
-                self.pending_fetch[player_id] = True
-                sim.spawn(self._background(player_id, decision, stored, frame_bytes, transfer_ev))
+                token = self.pending_fetch[player_id] = object()
+                sim.spawn(
+                    self._background(player_id, token, decision, stored, frame_bytes, transfer_ev)
+                )
                 return fallback
             # Nothing cached to show (cold start): the display has to
             # wait for the fetch.
@@ -209,16 +212,21 @@ class Degradation:
             strategy.abr[player_id].observe_transfer(now, frame_bytes, wire_ms)
         return strategy.admit(decision, stored, frame_bytes, now, player_id)
 
-    def _background(self, player_id: int, decision, stored, frame_bytes: int, first_ev):
+    def _background(self, player_id: int, token, decision, stored, frame_bytes: int, first_ev):
         """Finish a deadline-missed fetch off the display's critical path."""
         session = self.session
         started_ms = session.sim.now
         ev, attempts = yield from fetch_with_retries(
             session, player_id, frame_bytes, first_ev, blocking=False
         )
+        if self.pending_fetch[player_id] is not token:
+            # The slot rejoined mid-transfer: this fetch belongs to a dead
+            # incarnation.  Withdraw quietly — no admission into the new
+            # life's cache, and its pending flag is not ours to clear.
+            return
         if ev is not None:
             self._landed(player_id, decision, stored, frame_bytes, ev.value)
-        self.pending_fetch[player_id] = False
+        self.pending_fetch[player_id] = None
         if session.tracer.enabled:
             session.tracer.complete(
                 "fetch.background" if ev is not None else "fetch.abandoned",
@@ -401,8 +409,10 @@ class SyncCheck:
         strategy.on_finish.append(self.stamp_stats)
 
     def reset(self, slot: int) -> None:
-        """A new incarnation owes no repair for the old one's divergence."""
+        """A new incarnation owes no repair for the old one's divergence,
+        and has displayed nothing yet."""
         self.needs_resync[slot] = False
+        self.last_display[slot] = (0.0, 0.0, 0.0, 0.0, 0)
 
     def request_resync(self, slot: int) -> None:
         """Flag a divergent peer for an authoritative re-warm."""

@@ -27,6 +27,7 @@ from repro.systems import (
     run_multi_furion,
     run_thin_client,
 )
+from repro.telemetry import SpanTracer
 from repro.world import load_game
 
 BASE = dict(duration_s=4.0, seed=1)
@@ -158,6 +159,31 @@ class TestLifecycle:
         member = result.membership
         assert member.invariant_violations == 0
         assert member.evictions == 1
+
+
+    def test_dead_incarnation_background_fetch_is_withdrawn(self, pool):
+        """A leaver's in-flight background fetch belongs to the life that
+        issued it: it must not land in the rejoiner's cleared cache, nor
+        clear the rejoiner's pending flag.  Slot 1 misses a deadline in
+        the dip, leaves with the fetch still retrying, and rejoins before
+        it lands — the dead life's fetch reports no completion."""
+        world, artifacts = pool
+        tracer = SpanTracer()
+        config = SessionConfig(
+            duration_s=2.5, seed=1, tracer=tracer,
+            faults=FaultSchedule.parse("dip@300-2000:0.003"),
+            churn=ChurnSchedule.parse("leave@500:1,rejoin@700:1"),
+        )
+        run_coterie(world, 2, config, artifacts)
+        (left,) = tracer.instants("member.left", player=1)
+        retries = tracer.instants("fetch.retry", player=1)
+        assert any(r.start_ms > left.start_ms for r in retries)  # it outlived the leave
+        straddling = [
+            span for name in ("fetch.background", "fetch.abandoned")
+            for span in tracer.spans(name, player=1)
+            if span.start_ms < left.start_ms < span.end_ms
+        ]
+        assert straddling == []
 
 
 class TestDeterminism:

@@ -59,7 +59,43 @@ class TestPolicyConstruction:
         assert [type(policy) for policy in strategy.policies] == expected
 
 
+def slot_state(policy, slot, n_slots):
+    """The policy's per-slot state: element ``slot`` of each per-slot list
+    (a predictor compares by its attributes)."""
+    state = {}
+    for name, value in vars(policy).items():
+        if isinstance(value, list) and len(value) == n_slots:
+            item = value[slot]
+            state[name] = vars(item) if hasattr(item, "__dict__") else item
+    return state
+
+
 class TestRejoinReset:
+    def test_reset_restores_every_policys_fresh_slot_state(self, pool):
+        strategy = strategy_for(pool, **EVERYTHING)
+        fresh = strategy_for(pool, **EVERYTHING)
+        n_slots = strategy.session.total_slots
+        degradation, speculation, sync_check = strategy.policies
+        # Dirty slot 1 the way a life does: a background fetch in flight
+        # and a re-warm owed, a trained predictor with a speculative
+        # fetch out, a resync owed and a displayed pose on record.
+        degradation.pending_fetch[1] = object()
+        degradation.reconnected(1)
+        sample = strategy.session.position_at(1, 0.0)
+        speculation.observe(1, 0.0, sample)
+        speculation.observe(1, 16.0, strategy.session.position_at(1, 16.0))
+        speculation.spec_pending[1] = True
+        sync_check.request_resync(1)
+        sync_check.last_display[1] = (16.0, 1.0, 2.0, 0.5, 99)
+        for policy, fresh_policy in zip(strategy.policies, fresh.policies):
+            assert slot_state(policy, 1, n_slots) != slot_state(fresh_policy, 1, n_slots)
+        strategy.reset(1)
+        for policy, fresh_policy in zip(strategy.policies, fresh.policies):
+            state = slot_state(policy, 1, n_slots)
+            assert state and state == slot_state(fresh_policy, 1, n_slots)
+            # ... and the other slot is untouched.
+            assert slot_state(policy, 0, n_slots) == slot_state(fresh_policy, 0, n_slots)
+
     def test_loop_resets_the_strategy_on_rejoin_only(self, pool, monkeypatch):
         world, artifacts = pool
         resets = []
