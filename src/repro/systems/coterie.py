@@ -127,12 +127,12 @@ class CoterieStrategy(FetchStrategy):
             self.policies.append(Degradation(self))
         if config.predict is not None:
             self.policies.append(Speculation(self, config.predict))
-        validator = None
+        sync_check = None
         if config.sync is not None:
-            self.policies.append(SyncCheck(self, config.sync))
-            validator = self.policies[-1].validator
+            sync_check = SyncCheck(self, config.sync)
+            self.policies.append(sync_check)
         if session.hub.enabled and self.stamp_digests:
-            meter_speculation(session, self.caches, validator)
+            meter_speculation(session, self.caches, sync_check)
         self.scorer = DisplayScorer(self, ssim_stride) if config.render_frames else None
 
     # ------------------------------------------------------------------
@@ -209,19 +209,15 @@ class CoterieStrategy(FetchStrategy):
             session.world.scene, sample.position, decision.cutoff_radius
         )
         self.pace_pipeline(out, near_ms)
-        if not self.use_cache:
-            out.cache_label = "bypass"
-        elif not decision.needs_fetch:
-            out.cache_hit = True
-            out.cache_label = "hit"
-        else:
-            out.cache_hit = False
-            if out.dropped:
-                out.cache_label = "drop"
-            elif out.stale_age_ms is not None:
-                out.cache_label = "stale"
-            else:
-                out.cache_label = "fetch"
+        if self.use_cache:
+            out.cache_hit = not decision.needs_fetch
+        out.cache_label = (
+            "bypass" if not self.use_cache
+            else "hit" if out.cache_hit
+            else "drop" if out.dropped
+            else "stale" if out.stale_age_ms is not None
+            else "fetch"
+        )
         return out
 
     def _display_clean(self, player_id: int, t0: float, decision, out: FrameOutcome):

@@ -465,7 +465,7 @@ class SyncCheck:
             resilience.resync_recovery_ms = slot_stats.recovery_ms
 
 
-def meter_speculation(session: Session, caches, validator: Optional[SyncValidator]) -> None:
+def meter_speculation(session: Session, caches, sync_check: Optional[SyncCheck]) -> None:
     """Speculation / sync observability: probe-based totals sampled on the
     hub cadence, mirroring the cache-stats probes.  The four series are
     exported together whenever either feature is on."""
@@ -481,8 +481,8 @@ def meter_speculation(session: Session, caches, validator: Optional[SyncValidato
         spec_rollbacks_total.set_total(
             float(sum(c.resilience.spec_rollbacks for c in session.collectors))
         )
-        if validator is not None:
-            desync_alarms_total.set_total(float(validator.total_alarms))
+        if sync_check is not None:
+            desync_alarms_total.set_total(float(sync_check.validator.total_alarms))
 
     hub.register_probe(probe)
 
