@@ -1,4 +1,4 @@
-"""E-K1 — frame-pipeline kernel speedup: scalar vs vector vs vector+reuse.
+"""E-K1 — frame-pipeline kernel speedup: scalar vs vector.
 
 The offline stage (§6) is raster-bound: every far-BE panorama, size-model
 calibration frame, and dist-thresh probe walks the per-object scanline
@@ -9,12 +9,9 @@ game set, and reports:
 
 * **wall clocks and speedups** — end-to-end per mode, plus per-stage
   (raster / encode / dist_thresh) attribution from ``perf.report()``;
-* **reuse counters** — dirty-block codec hit ratios
-  (``codec.blocks_reused / codec.blocks_total``) and shared-moment SSIM
-  row reuse under ``vector+reuse``;
 * **bit-identity** — a running SHA-256 over every encoded panorama's
-  bytes and every dist-thresh value must be *equal across all three
-  modes* (the kernels are drop-in replacements, not approximations).
+  bytes and every dist-thresh value must be *equal across both modes*
+  (the kernels are drop-in replacements, not approximations).
 
 Results land in ``benchmarks/results/BENCH_kernels.json``.  Run
 standalone with ``python benchmarks/bench_kernels.py`` (add ``--smoke``
@@ -59,7 +56,7 @@ GAME_SET = (
 )
 SMOKE_GAME_SET = (("racing", 0.15, 10, 1),)
 
-# Minimum end-to-end vector+reuse speedup over scalar per mode.  The full
+# Minimum end-to-end vector speedup over scalar per mode.  The full
 # gate is the ISSUE's acceptance bar; the smoke gate only catches a
 # vectorization regression outright (CI runners are noisy and the smoke
 # workload amortizes less fixed cost).
@@ -67,13 +64,6 @@ GATES = {False: 2.0, True: 1.2}
 
 # Counters worth carrying into the artifact verbatim.
 COUNTER_NAMES = (
-    "codec.blocks_total",
-    "codec.blocks_recomputed",
-    "codec.blocks_reused",
-    "codec.ref_hits",
-    "codec.ref_misses",
-    "ssim.rows_total",
-    "ssim.rows_reused",
     "raster.vector.units",
     "raster.vector.buckets",
     "panorama.renders",
@@ -145,7 +135,7 @@ def _mode_leg(mode, game_set):
         for name in COUNTER_NAMES
         if perf.counter(name)
     }
-    record = {
+    return {
         "wall_s": round(elapsed, 3),
         "digest": digest.hexdigest(),
         "stages": {
@@ -154,21 +144,10 @@ def _mode_leg(mode, game_set):
         "counters": counters,
         "profile": perf.report(),
     }
-    total = counters.get("codec.blocks_total", 0)
-    if total:
-        record["block_hit_ratio"] = round(
-            counters.get("codec.blocks_reused", 0) / total, 4
-        )
-    rows = counters.get("ssim.rows_total", 0)
-    if rows:
-        record["ssim_row_reuse"] = round(
-            counters.get("ssim.rows_reused", 0) / rows, 4
-        )
-    return record
 
 
 def run_modes(smoke: bool = False):
-    """All three kernel modes over the game set; returns (legs, speedups).
+    """Both kernel modes over the game set; returns (legs, speedups).
 
     Asserts the bit-identity invariant: every mode must produce the same
     encoded panorama bytes and dist-thresh values.
@@ -177,16 +156,14 @@ def run_modes(smoke: bool = False):
     legs = {mode: _mode_leg(mode, game_set) for mode in KERNEL_MODES}
     digests = {leg["digest"] for leg in legs.values()}
     assert len(digests) == 1, f"kernel modes diverged: {digests}"
-    scalar = legs["scalar"]
-    speedups = {}
-    for mode in ("vector", "vector+reuse"):
-        speedups[mode] = round(scalar["wall_s"] / legs[mode]["wall_s"], 2)
-        stage_speedups = {}
-        for stage, scalar_s in scalar["stages"].items():
-            mode_s = legs[mode]["stages"].get(stage)
-            if mode_s and scalar_s:
-                stage_speedups[stage] = round(scalar_s / mode_s, 2)
-        legs[mode]["stage_speedups"] = stage_speedups
+    scalar, vector = legs["scalar"], legs["vector"]
+    speedups = {"vector": round(scalar["wall_s"] / vector["wall_s"], 2)}
+    stage_speedups = {}
+    for stage, scalar_s in scalar["stages"].items():
+        vector_s = vector["stages"].get(stage)
+        if vector_s and scalar_s:
+            stage_speedups[stage] = round(scalar_s / vector_s, 2)
+    vector["stage_speedups"] = stage_speedups
     return legs, speedups
 
 
@@ -214,11 +191,10 @@ def _record(legs, speedups, smoke=False):
             fmt(leg["wall_s"], 2),
             fmt(leg["stages"].get("raster", 0.0), 2),
             fmt(speedups.get(mode, 1.0), 2) + "x",
-            fmt(100 * leg.get("block_hit_ratio", 0.0), 1) + "%",
         ))
     report(
         "BENCH_kernels_table",
-        ("mode", "wall s", "raster s", "speedup", "block reuse"),
+        ("mode", "wall s", "raster s", "speedup"),
         rows,
         notes=f"{len(game_set)} game(s) @ {WIDTH}x{HEIGHT}; "
         "identical output digests across modes",
@@ -232,10 +208,9 @@ def main(argv=None) -> int:
     legs, speedups = run_modes(smoke=smoke)
     _record(legs, speedups, smoke=smoke)
     gate = GATES[smoke]
-    print(f"\nvector speedup: {speedups['vector']}x  "
-          f"vector+reuse speedup: {speedups['vector+reuse']}x")
-    ok = speedups["vector+reuse"] >= gate
-    print("acceptance:", "PASS" if ok else f"FAIL (>={gate}x vector+reuse)")
+    print(f"\nvector speedup: {speedups['vector']}x")
+    ok = speedups["vector"] >= gate
+    print("acceptance:", "PASS" if ok else f"FAIL (>={gate}x vector)")
     return 0 if ok else 1
 
 
@@ -248,12 +223,12 @@ if pytest is not None:
 
     @pytest.mark.benchmark(group="kernels")
     def test_kernel_speedup(benchmark):
-        """vector+reuse >= 2x over scalar end-to-end, bit-identical."""
+        """vector >= 2x over scalar end-to-end, bit-identical."""
         from harness import once
 
         legs, speedups = once(benchmark, run_modes)
         _record(legs, speedups)
-        assert speedups["vector+reuse"] >= GATES[False]
+        assert speedups["vector"] >= GATES[False]
 
 
 if __name__ == "__main__":

@@ -50,17 +50,13 @@ from typing import Iterable, List, Optional
 SPECS = {
     "BENCH_kernels.json": [
         ("speedup.vector", "ratio_high"),
-        ("speedup.vector+reuse", "ratio_high"),
         ("legs.scalar.wall_s", "wall"),
         ("legs.vector.wall_s", "wall"),
-        ("legs.vector+reuse.wall_s", "wall"),
     ],
     "BENCH_online.json": [
         ("speedup.vector", "ratio_high"),
-        ("speedup.vector+reuse", "ratio_high"),
         ("legs.scalar.wall_s", "wall"),
         ("legs.vector.wall_s", "wall"),
-        ("legs.vector+reuse.wall_s", "wall"),
     ],
     "BENCH_preprocess.json": [
         ("speedup.parallel", "ratio_high"),

@@ -44,7 +44,7 @@ from .fleet import (
 )
 from .net import TRACE_PROFILES, ImpairmentConfig, RateTrace
 from .predict import PredictConfig
-from .render import KERNEL_MODES
+from .render import KERNEL_MODES, RenderConfig
 from .session import SyncConfig
 from .systems import SYSTEMS, SessionConfig, prepare_artifacts, run_system
 from .telemetry import (
@@ -174,7 +174,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                            adapt=AbrConfig() if args.abr else None,
                            churn=churn, max_players=args.max_players,
                            predict=predict, sync=sync,
-                           tracer=tracer, metrics=hub, kernels=args.kernels)
+                           tracer=tracer, metrics=hub,
+                           render_config=RenderConfig(kernels=args.kernels))
     if args.perf:
         with perf.timed("run.simulate"):
             result = run_system(args.system, args.game, args.players, config)
@@ -373,7 +374,8 @@ def _verify_determinism(args, impairment, faults, churn, predict, sync) -> int:
             wifi_mbps=args.wifi_mbps, impairment=impairment,
             faults=faults, adapt=AbrConfig() if args.abr else None,
             churn=churn, max_players=args.max_players,
-            predict=predict, sync=sync, kernels=args.kernels,
+            predict=predict, sync=sync,
+            render_config=RenderConfig(kernels=args.kernels),
         )
 
     label = f"{args.system} on {args.game}, {args.players} player(s), " \
@@ -393,18 +395,9 @@ def _verify_determinism(args, impairment, faults, churn, predict, sync) -> int:
 
 
 def _kernels_summary(mode: str) -> str:
-    """One-line frame-pipeline kernel summary from the perf registry.
-
-    Reports the active kernel mode, the wall-clock spent in the raster
-    stage, and — when the dirty-block codec ran — the block reuse ratio.
-    """
+    """The active kernel mode and the wall-clock spent in the raster stage."""
     raster_s = perf.stage_names().get("raster", 0.0)
-    parts = [f"raster {1000 * raster_s:.0f} ms"]
-    total = perf.counter("codec.blocks_total")
-    if total:
-        reused = perf.counter("codec.blocks_reused")
-        parts.append(f"block reuse {100 * reused / total:.0f} % of {total}")
-    return f"{mode} ({', '.join(parts)})"
+    return f"{mode} (raster {1000 * raster_s:.0f} ms)"
 
 
 def _is_metrics_jsonl(path: str) -> bool:
@@ -505,7 +498,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     world = load_game(args.game)
-    config = SessionConfig(seed=args.seed, kernels=args.kernels)
+    config = SessionConfig(
+        seed=args.seed, render_config=RenderConfig(kernels=args.kernels)
+    )
     artifacts = prepare_artifacts(
         world,
         config,
@@ -779,10 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dashboard", action="store_true",
                      help="render a live terminal dashboard (sparklines + "
                           "SLO status) while the run progresses")
-    run.add_argument("--kernels", choices=KERNEL_MODES, default=None,
+    run.add_argument("--kernels", choices=KERNEL_MODES,
+                     default=RenderConfig.kernels,
                      help="frame-pipeline kernel mode for both the offline "
-                          "pipeline and the online hot path (default: the "
-                          "RenderConfig default, currently 'vector')")
+                          "pipeline and the online hot path "
+                          "(default: %(default)s)")
     run.add_argument("--perf", action="store_true",
                      help="print the per-stage perf report afterwards")
     run.set_defaults(func=_cmd_run)
@@ -808,9 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="process count for the parallel driver (1 = serial)")
     pre.add_argument("--cache-dir", default=None,
                      help="persistent panorama/artifact cache directory")
-    pre.add_argument("--kernels", choices=KERNEL_MODES, default=None,
-                     help="frame-pipeline kernel mode (default: the "
-                          "RenderConfig default, currently 'vector')")
+    pre.add_argument("--kernels", choices=KERNEL_MODES,
+                     default=RenderConfig.kernels,
+                     help="frame-pipeline kernel mode (default: %(default)s)")
     pre.add_argument("--perf", action="store_true",
                      help="print the per-stage perf report afterwards")
     pre.set_defaults(func=_cmd_preprocess)

@@ -2,12 +2,6 @@
 
 from .blocks import BLOCK, join_blocks, pad_to_blocks, split_blocks
 from .dct import dct_matrix, forward_dct, inverse_dct
-from .dirty import (
-    DirtyBlockCodec,
-    block_digests,
-    dirty_row_mask,
-    frame_block_digests,
-)
 from .entropy import decode_levels, encode_levels, zigzag_order
 from .h264like import FOUR_K_PIXELS, CodecTiming, EncodedFrame, FrameCodec
 from .quant import (
@@ -24,16 +18,12 @@ __all__ = [
     "BLOCK",
     "CodecTiming",
     "DEFAULT_CRF",
-    "DirtyBlockCodec",
     "EncodedFrame",
     "FOUR_K_PIXELS",
     "FrameCodec",
-    "block_digests",
     "dct_matrix",
     "decode_levels",
     "dequantize",
-    "dirty_row_mask",
-    "frame_block_digests",
     "encode_levels",
     "forward_dct",
     "inverse_dct",

@@ -63,7 +63,7 @@ def join_blocks_stack(
 ) -> np.ndarray:
     """Inverse of :func:`split_blocks_stack`, cropping each frame to ``shape``.
 
-    ``out`` takes a preallocated ``(N, ny*8, nx*8)`` buffer (arena use);
+    ``out`` takes a preallocated ``(N, ny*8, nx*8)`` buffer;
     the returned array is then a cropped view into it.  Per-frame results
     are bit-identical to :func:`join_blocks`.
     """

@@ -41,8 +41,7 @@ def inverse_dct(
 
     Accepts any leading batch dimensions — the einsum contracts each
     block independently, so stacked decodes are bit-identical to
-    per-frame ones.  ``out`` takes a preallocated float64 result buffer
-    (arena use).
+    per-frame ones.  ``out`` takes a preallocated float64 result buffer.
     """
     if coeffs.shape[-2:] != (BLOCK, BLOCK):
         raise ValueError("coeffs must be (..., 8, 8)")

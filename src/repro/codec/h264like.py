@@ -156,7 +156,7 @@ class FrameCodec:
                 out = pixels + np.asarray(reference, dtype=np.float64) * 255.0
             return np.clip(out / 255.0, 0.0, 1.0).astype(np.float32)
 
-    def decode_batch(self, encoded_frames, arena=None):
+    def decode_batch(self, encoded_frames):
         """Decode many I-frames in stacked numpy passes.
 
         The online loop's cross-player decode: frames are grouped by
@@ -166,11 +166,8 @@ class FrameCodec:
         per-frame (variable-length zlib streams cannot batch).  Results
         are bit-identical to :meth:`decode` on each frame.
 
-        Scratch buffers come from ``arena`` (a
-        :class:`repro.perf.FrameArena`); the returned float32 frames own
-        their memory — they outlive the tick inside frame caches, so
-        they are never arena-backed.  P-frames are rejected: the batch
-        path serves the far-BE store, which is I-frame only.
+        P-frames are rejected: the batch path serves the far-BE store,
+        which is I-frame only.
         """
         encoded_frames = list(encoded_frames)
         results: list = [None] * len(encoded_frames)
@@ -182,12 +179,6 @@ class FrameCodec:
                 raise ValueError("decode_batch only handles I-frames")
             key = (encoded.height, encoded.width, encoded.crf)
             groups.setdefault(key, []).append(index)
-        if arena is not None:
-            def take(shape, dtype=np.float64):
-                return arena.take(shape, dtype)
-        else:
-            def take(shape, dtype=np.float64):
-                return np.empty(shape, dtype=dtype)
         with perf.timed("decode"):
             perf.count("decode.batched_frames", len(encoded_frames))
             perf.count("decode.batches", len(groups))
@@ -197,18 +188,18 @@ class FrameCodec:
                 ny = (height + pad_h) // BLOCK
                 nx = (width + pad_w) // BLOCK
                 n = len(indices)
-                levels = take((n, ny, nx, BLOCK, BLOCK), np.int32)
+                levels = np.empty((n, ny, nx, BLOCK, BLOCK), np.int32)
                 for row, index in enumerate(indices):
                     levels[row] = decode_levels(
                         encoded_frames[index].data, ny, nx
                     )
                 # dequantize, stacked: int32 levels promote to float64
                 # exactly as levels.astype(float64) * q does per frame.
-                coeffs = take((n, ny, nx, BLOCK, BLOCK), np.float64)
+                coeffs = np.empty((n, ny, nx, BLOCK, BLOCK), np.float64)
                 np.multiply(levels, quant_matrix(crf), out=coeffs)
-                blocks = take((n, ny, nx, BLOCK, BLOCK), np.float64)
+                blocks = np.empty((n, ny, nx, BLOCK, BLOCK), np.float64)
                 inverse_dct(coeffs, out=blocks)
-                joined = take((n, ny * BLOCK, nx * BLOCK), np.float64)
+                joined = np.empty((n, ny * BLOCK, nx * BLOCK), np.float64)
                 pixels = join_blocks_stack(blocks, (height, width), out=joined)
                 np.add(pixels, 128.0, out=pixels)
                 np.divide(pixels, 255.0, out=pixels)

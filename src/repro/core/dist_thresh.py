@@ -28,11 +28,10 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from .. import perf
-from ..codec.dirty import dirty_row_mask, frame_block_digests
 from ..geometry import Rect, Vec2
 from ..render.rasterizer import RenderConfig
 from ..render.splitter import eye_at, render_far_be
-from ..similarity import SSIM_GOOD, prepare_reference, ssim_with, ssim_with_update
+from ..similarity import SSIM_GOOD, prepare_reference, ssim_with
 from ..world.scene import Scene
 from .cutoff import CutoffMap, LeafKey
 
@@ -54,13 +53,6 @@ def measure_dist_thresh(
     Renders the far-BE frame at ``point`` and at candidate displacements in
     a random direction; returns the largest displacement whose pair scores
     above ``threshold``.
-
-    Under ``config.kernels == "vector+reuse"`` the probe sequence shares
-    candidate-side SSIM moments: consecutive probes differ only where the
-    scene actually moved on screen (the sky half of a far-BE frame is
-    pose-invariant), so each probe hashes its block tensor, diffs it
-    against the previous probe's, and refreshes gaussian moments only for
-    dirty rows.  Scores are bit-identical to the from-scratch path.
     """
     if cutoff_radius < 0:
         raise ValueError("cutoff_radius must be non-negative")
@@ -72,8 +64,6 @@ def measure_dist_thresh(
     ).image
     # Every probe compares against the same base frame: share its moments.
     reference = prepare_reference(base)
-    reuse = config.reuse_enabled
-    probe_state = {"digests": None, "moments": None}
 
     def similar_at(displacement: float) -> bool:
         moved = scene.bounds.clamp(point + direction * displacement)
@@ -81,22 +71,7 @@ def measure_dist_thresh(
             scene, eye_at(scene, moved, eye_height), config, cutoff_radius
         ).image
         perf.count("dist_thresh.probes")
-        if not reuse:
-            return ssim_with(reference, frame) > threshold
-        digests = frame_block_digests(frame)
-        dirty_rows = None
-        if probe_state["digests"] is not None:
-            dirty_rows = dirty_row_mask(
-                probe_state["digests"] != digests, frame.shape[0]
-            )
-        score, probe_state["moments"] = ssim_with_update(
-            reference,
-            frame,
-            prev=probe_state["moments"],
-            dirty_rows=dirty_rows,
-        )
-        probe_state["digests"] = digests
-        return score > threshold
+        return ssim_with(reference, frame) > threshold
 
     # Halve from the 32 m start until a similar displacement is found.
     hi = _SEARCH_START_M

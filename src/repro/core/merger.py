@@ -48,7 +48,7 @@ def compose_display_into(
     """:func:`compose_display` into a preallocated float32 buffer.
 
     The batched online loop composes every player's display frame into
-    arena-backed buffers; results are bit-identical to
+    preallocated buffers; results are bit-identical to
     :func:`compose_display` (same copy-then-masked-overwrite sequence as
     :func:`repro.render.merge_layers`).
     """

@@ -10,15 +10,13 @@ players' work into single numpy passes over tiled float32 frame layouts:
   einsum IDCT, strided block join);
 * **cache** — candidate scoring runs over the vectorized scan index
   (``FrameCache.vector_scan``);
-* **merge** — display frames compose into arena-backed float32 buffers
+* **merge** — display frames compose into one preallocated float32 stack
   (:func:`repro.core.merger.compose_display_into`);
 * **SSIM** — all players' displayed-vs-reference scores compute in one
   :func:`repro.similarity.ssim_pairs` pass;
 * **intervals** — the frame-interval clamp vectorizes across players
   (:func:`repro.core.pipeline.frame_intervals_ms`).
 
-Scratch memory comes from a :class:`repro.perf.FrameArena`, reset once per
-tick, so the steady state makes **zero** per-frame large allocations.
 Both paths fold displayed bytes, SSIM values, and intervals into one
 sha256 digest — equal digests prove the batched path is bit-identical.
 
@@ -173,13 +171,8 @@ class OnlineFrameLoop:
 
     # ------------------------------------------------------------------
 
-    def run(self, batched: bool = False, arena=None) -> OnlineRunResult:
-        """Replay the schedule; ``batched`` selects the kernel path.
-
-        ``arena`` (a :class:`repro.perf.FrameArena`) backs the batched
-        path's scratch; it is reset once per tick.  The scalar path
-        ignores it.
-        """
+    def run(self, batched: bool = False) -> OnlineRunResult:
+        """Replay the schedule; ``batched`` selects the kernel path."""
         n_players = len(self.ticks[0]) if self.ticks else 0
         caches = [
             FrameCache(capacity_bytes=self.cache_capacity_bytes)
@@ -192,15 +185,9 @@ class OnlineFrameLoop:
             # Displayed-SSIM only feeds metrics, never control flow, so the
             # batched path defers it: jobs accumulate across ticks and
             # compute in stacks far wider than one tick's player count.
-            # The queue gets its own arena — its buffers (displayed
-            # frames included) must survive until the flush, not just
-            # until the next per-tick reset.
             # The flush is driven at tick boundaries below (never from
-            # inside submit): displayed frames composed into the queue
-            # arena earlier in a tick must not be recycled while later
-            # players of the same tick still queue jobs against theirs.
+            # inside submit).
             queue = SsimBatchQueue(
-                arena=None if arena is None else type(arena)(),
                 batch_target=self.ssim_batch_target + len(self.ticks[0]),
             )
         digest = hashlib.sha256()
@@ -212,8 +199,7 @@ class OnlineFrameLoop:
             ssim_tick = tick_index % self.ssim_stride == 0
             if batched:
                 intervals = self._run_tick_batched(
-                    caches, tick, now_ms, ssim_tick, arena, queue, digest,
-                    ssim_values,
+                    caches, tick, now_ms, ssim_tick, queue, digest, ssim_values
                 )
             else:
                 intervals = self._run_tick_scalar(
@@ -272,19 +258,8 @@ class OnlineFrameLoop:
     # -- batched kernels -----------------------------------------------
 
     def _run_tick_batched(
-        self, caches, tick, now_ms, ssim_tick, arena, queue, digest, ssim_values
+        self, caches, tick, now_ms, ssim_tick, queue, digest, ssim_values
     ) -> np.ndarray:
-        if arena is not None:
-            arena.reset()
-
-        def take_f32(shape):
-            # Displayed frames come from the *queue's* arena: a pending
-            # SSIM job may hold one until the next flush, which is the
-            # point at which that arena's buffers recycle.
-            if queue.arena is not None:
-                return queue.arena.take(shape, np.float32)
-            return np.empty(shape, dtype=np.float32)
-
         lookups = [
             self._lookup(caches[player], inp, now_ms)
             for player, inp in enumerate(tick)
@@ -292,7 +267,7 @@ class OnlineFrameLoop:
         missing = [p for p, cached in enumerate(lookups) if cached is None]
         if missing:
             decoded_stack = self.codec.decode_batch(
-                [tick[p].encoded for p in missing], arena=arena
+                [tick[p].encoded for p in missing]
             )
             for p, decoded in zip(missing, decoded_stack):
                 lookups[p] = self._admit(caches[p], tick[p], decoded, now_ms)
@@ -305,7 +280,7 @@ class OnlineFrameLoop:
             # contiguous (N, H, W) stack and fold its bytes into the
             # digest in a single update — sha256 streams, so hashing the
             # stack equals hashing each row in player order.
-            stack = take_f32((len(tick), *shapes.pop()))
+            stack = np.empty((len(tick), *shapes.pop()), dtype=np.float32)
             displayed_frames = [
                 compose_display_into(
                     stack[player], far_frames[player],
@@ -318,7 +293,8 @@ class OnlineFrameLoop:
             displayed_frames = []
             for player, inp in enumerate(tick):
                 displayed = compose_display_into(
-                    take_f32(far_frames[player].shape), far_frames[player],
+                    np.empty(far_frames[player].shape, dtype=np.float32),
+                    far_frames[player],
                     inp.near_layer, inp.fi_layer,
                 )
                 digest.update(displayed.tobytes())
@@ -355,10 +331,9 @@ class SsimBatchQueue:
     before the flush.
     """
 
-    def __init__(self, arena=None, batch_target: int = 16) -> None:
+    def __init__(self, batch_target: int = 16) -> None:
         if batch_target < 1:
             raise ValueError("batch_target must be >= 1")
-        self.arena = arena
         self.batch_target = batch_target
         self.jobs_total = 0
         self.flushes = 0
@@ -389,16 +364,12 @@ class SsimBatchQueue:
             return
         jobs, self._jobs = self._jobs, []
         self.flushes += 1
-        if self.arena is not None:
-            self.arena.reset()
         groups: Dict[tuple, List[int]] = {}
         for index, (a, _b, _cb) in enumerate(jobs):
             groups.setdefault(a.shape, []).append(index)
         scores: List[float] = [0.0] * len(jobs)
         for indices in groups.values():
-            values = ssim_pairs(
-                [(jobs[i][0], jobs[i][1]) for i in indices], arena=self.arena
-            )
+            values = ssim_pairs([(jobs[i][0], jobs[i][1]) for i in indices])
             for i, value in zip(indices, values):
                 scores[i] = float(value)
         perf.count("online.ssim_jobs", len(jobs))

@@ -37,7 +37,7 @@ import multiprocessing
 import numpy as np
 
 from .. import perf
-from ..codec import DirtyBlockCodec, EncodedFrame, FrameCodec
+from ..codec import EncodedFrame, FrameCodec
 from ..geometry import GridPoint, Vec2
 from ..render.rasterizer import Layer, RenderConfig
 from ..render.splitter import eye_at, render_far_be, render_whole_be
@@ -123,18 +123,6 @@ class PanoramaStore:
         self.disk_cache = disk_cache
         self._memo: Dict[GridPoint, StoredFrame] = {}
         self.renders = 0
-        # Under "vector+reuse" kernels, encode through the dirty-block
-        # coder: panoramas rendered behind the same cutoff share their
-        # pose-invariant blocks (sky, clipped bands) and skip their
-        # DCT/quant work.  Output bytes are bit-identical either way.
-        self._encoder: Optional[DirtyBlockCodec] = None
-        if render_frames and config.reuse_enabled:
-            self._encoder = DirtyBlockCodec(codec)
-
-    @property
-    def reuse_dirty_map(self) -> Optional[np.ndarray]:
-        """Dirty-block map of the latest reuse encode (None without reuse)."""
-        return None if self._encoder is None else self._encoder.last_dirty
 
     @property
     def memo_entries(self) -> int:
@@ -170,12 +158,7 @@ class PanoramaStore:
                     decoded = self.codec.decode(encoded)
             if encoded is None:
                 layer = self._render(viewpoint, cutoff)
-                if self._encoder is not None:
-                    encoded = self._encoder.encode(
-                        layer.image, key=(self.kind, cutoff)
-                    )
-                else:
-                    encoded = self.codec.encode(layer.image)
+                encoded = self.codec.encode(layer.image)
                 decoded = self.codec.decode(encoded)
                 self.renders += 1
                 perf.count("panorama.renders")
@@ -252,7 +235,6 @@ def calibrate_size_model(
             )
     with perf.timed("size_model"):
         rng = np.random.default_rng(seed)
-        encoder = DirtyBlockCodec(codec) if config.reuse_enabled else None
         sizes = []
         attempts = 0
         while len(sizes) < samples and attempts < samples * 20:
@@ -267,18 +249,14 @@ def calibrate_size_model(
             if not world.grid.is_reachable(world.grid.snap(point)):
                 continue
             eye = eye_at(world.scene, point, eye_height)
-            cutoff = None
             if kind == "whole":
                 layer = render_whole_be(world.scene, eye, config)
             else:
                 assert cutoff_map is not None
-                cutoff = cutoff_map.cutoff_for(point)
-                layer = render_far_be(world.scene, eye, config, cutoff)
-            if encoder is not None:
-                encoded = encoder.encode(layer.image, key=(kind, cutoff))
-            else:
-                encoded = codec.encode(layer.image)
-            sizes.append(encoded.wire_bytes())
+                layer = render_far_be(
+                    world.scene, eye, config, cutoff_map.cutoff_for(point)
+                )
+            sizes.append(codec.encode(layer.image).wire_bytes())
         if len(sizes) < 2:
             raise RuntimeError("could not sample enough reachable viewpoints")
     model = FrameSizeModel(
@@ -365,9 +343,6 @@ def _init_worker(
     _WORKER["world"] = load_game(game_name, scale)
     _WORKER["config"] = render_config
     _WORKER["codec"] = FrameCodec(crf)
-    _WORKER["encoder"] = (
-        DirtyBlockCodec(_WORKER["codec"]) if render_config.reuse_enabled else None
-    )
     _WORKER["seed"] = seed
     _WORKER["k_samples"] = k_samples
     _WORKER["eye_height"] = eye_height
@@ -402,7 +377,6 @@ def _render_panorama(task: Tuple[GridPoint, float]) -> Tuple[GridPoint, bool]:
     world: GameWorld = _WORKER["world"]  # type: ignore[assignment]
     config: RenderConfig = _WORKER["config"]  # type: ignore[assignment]
     codec: FrameCodec = _WORKER["codec"]  # type: ignore[assignment]
-    encoder = _WORKER.get("encoder")
     disk: PanoramaDiskCache = _WORKER["disk"]  # type: ignore[assignment]
     eye_height: float = _WORKER["eye_height"]  # type: ignore[assignment]
     viewpoint = world.grid.to_world(grid_point)
@@ -412,10 +386,7 @@ def _render_panorama(task: Tuple[GridPoint, float]) -> Tuple[GridPoint, bool]:
     with perf.timed("panorama"):
         eye = eye_at(world.scene, viewpoint, eye_height)
         layer = render_far_be(world.scene, eye, config, cutoff)
-        if encoder is not None:
-            encoded = encoder.encode(layer.image, key=("far", cutoff))
-        else:
-            encoded = codec.encode(layer.image)
+        encoded = codec.encode(layer.image)
         decoded = codec.decode(encoded)
     disk.store_frame(key, cutoff, "far", decoded, encoded)
     perf.count("panorama.renders")

@@ -21,8 +21,6 @@ from .registry import PerfRegistry, StageStats
 # The process-wide registry every repro module reports into.
 REGISTRY = PerfRegistry()
 
-from .arena import FrameArena  # noqa: E402  (needs REGISTRY bound first)
-
 timed = REGISTRY.timed
 add_time = REGISTRY.add_time
 count = REGISTRY.count
@@ -35,7 +33,6 @@ reset = REGISTRY.reset
 report = REGISTRY.report
 
 __all__ = [
-    "FrameArena",
     "PerfRegistry",
     "REGISTRY",
     "StageStats",

@@ -36,10 +36,8 @@ _INFINITY = float("inf")
 
 #: Recognized frame-pipeline kernel modes.  ``scalar`` is the original
 #: per-object reference oracle; ``vector`` batches the per-pixel math into
-#: grouped numpy kernels (bit-identical output); ``vector+reuse`` adds
-#: dirty-block encode/SSIM reuse on top of the vector rasterizer (also
-#: bit-identical — reuse splices cached coefficients, never approximates).
-KERNEL_MODES = ("scalar", "vector", "vector+reuse")
+#: grouped numpy kernels (bit-identical output).
+KERNEL_MODES = ("scalar", "vector")
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,6 @@ class RenderConfig:
             raise ValueError(
                 f"kernels must be one of {KERNEL_MODES}, got {self.kernels!r}"
             )
-
-    @property
-    def reuse_enabled(self) -> bool:
-        """Whether dirty-block encode/SSIM reuse layers are active."""
-        return self.kernels == "vector+reuse"
 
 
 @dataclass

@@ -93,8 +93,8 @@ def _blur(img: np.ndarray, out=None, scratch=None) -> np.ndarray:
     truncate=_TRUNCATE)`` on a 2D frame, and — because the correlation
     never mixes values across leading axes — to blurring each frame of an
     ``(N, H, W)`` stack independently.  ``out``/``scratch`` take
-    preallocated float64 buffers of ``img``'s shape (arena-backed
-    zero-allocation use); they must not alias ``img``.
+    preallocated float64 buffers of ``img``'s shape; they must not alias
+    ``img``.
     """
     tmp = correlate1d(img, _WINDOW, axis=-2, mode="reflect", output=scratch)
     return correlate1d(tmp, _WINDOW, axis=-1, mode="reflect", output=out)
@@ -208,10 +208,8 @@ def ssim_map_update(
     Drop-in equivalent of :func:`ssim_map_with` for one-vs-many probe
     sequences whose candidates change incrementally (the dist-thresh
     binary search: sky rows are identical between displaced far-BE
-    renders).  ``dirty_rows`` is a per-pixel-row bool mask derived from
-    the codec's dirty-block map
-    (:func:`repro.codec.dirty.dirty_row_mask`): rows marked clean must be
-    bit-identical between ``prev.image`` and ``b``.  Gaussian moments are
+    renders).  ``dirty_rows`` is a per-pixel-row bool mask: rows marked
+    clean must be bit-identical between ``prev.image`` and ``b``.  Gaussian moments are
     recomputed only inside the dirty bands (padded by the blur radius so
     every refreshed output sees exactly the taps a full-frame filter
     would), and spliced into ``prev``'s maps — the returned map is
@@ -300,13 +298,6 @@ def ssim_many(
     return np.array([ssim_with(ref, c) for c in candidates], dtype=np.float64)
 
 
-def _take_factory(arena):
-    """Buffer source: the arena when given, plain ``np.empty`` otherwise."""
-    if arena is None:
-        return lambda shape: np.empty(shape, dtype=np.float64)
-    return lambda shape: arena.take(shape, np.float64)
-
-
 def _stack_means(maps: np.ndarray) -> np.ndarray:
     """Per-frame means of a contiguous (N, H, W) stack.
 
@@ -317,9 +308,7 @@ def _stack_means(maps: np.ndarray) -> np.ndarray:
     return maps.reshape(maps.shape[0], -1).mean(axis=1)
 
 
-def ssim_many_stacked(
-    ref: SsimReference, candidates: np.ndarray, arena=None
-) -> np.ndarray:
+def ssim_many_stacked(ref: SsimReference, candidates: np.ndarray) -> np.ndarray:
     """Mean SSIM of a stacked candidate tile against one prepared reference.
 
     The multi-candidate batch kernel of the online loop: ``candidates``
@@ -329,9 +318,6 @@ def ssim_many_stacked(
     are computed by a *single* pair of separable correlations over one
     ``(3N, H, W)`` float64 stack.  Results are bit-identical to
     ``[ssim_with(ref, c) for c in candidates]``.
-
-    ``arena`` (a :class:`repro.perf.FrameArena`) supplies the scratch
-    stacks so the steady-state loop performs no large allocations.
     """
     candidates = np.asarray(candidates)
     if candidates.ndim != 3:
@@ -346,10 +332,9 @@ def ssim_many_stacked(
     h, w = ref.shape
     with perf.timed("ssim"):
         perf.count("ssim.batched_candidates", n)
-        take = _take_factory(arena)
-        stack = take((3 * n, h, w))
-        blurred = take((3 * n, h, w))
-        scratch = take((3 * n, h, w))
+        stack = np.empty((3 * n, h, w), dtype=np.float64)
+        blurred = np.empty_like(stack)
+        scratch = np.empty_like(stack)
         y = stack[:n]
         np.copyto(y, candidates)  # the float64 promotion of the scalar path
         np.multiply(y, y, out=stack[n:2 * n])
@@ -376,7 +361,7 @@ def ssim_many_stacked(
         return _stack_means(maps)
 
 
-def ssim_pairs(pairs, data_range: float = 1.0, arena=None) -> np.ndarray:
+def ssim_pairs(pairs, data_range: float = 1.0) -> np.ndarray:
     """Mean SSIM of K independent (a, b) frame pairs in one tiled pass.
 
     The cross-player batch kernel: all 5K gaussian moments — blur(x),
@@ -406,10 +391,9 @@ def ssim_pairs(pairs, data_range: float = 1.0, arena=None) -> np.ndarray:
     c1, c2 = _stab_constants(data_range)
     with perf.timed("ssim"):
         perf.count("ssim.batched_pairs", k)
-        take = _take_factory(arena)
-        stack = take((5 * k, h, w))
-        blurred = take((5 * k, h, w))
-        scratch = take((5 * k, h, w))
+        stack = np.empty((5 * k, h, w), dtype=np.float64)
+        blurred = np.empty_like(stack)
+        scratch = np.empty_like(stack)
         xs, ys = stack[:k], stack[k:2 * k]
         for i, (a, b) in enumerate(pairs):
             np.copyto(xs[i], a)  # the float64 promotion of the scalar path

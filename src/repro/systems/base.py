@@ -32,7 +32,7 @@ from ..metrics import (
 )
 from ..net import ImpairmentConfig, LinkImpairment, PunChannel, WifiLink
 from ..predict import PredictConfig
-from ..render import KERNEL_MODES, PIXEL2, DeviceProfile, RenderConfig, RenderCostModel
+from ..render import PIXEL2, DeviceProfile, RenderConfig, RenderCostModel
 from ..session import MembershipSummary, SessionSupervisor, SupervisorConfig, SyncConfig
 from ..sim import Simulator
 from ..telemetry import LATENCY_BUCKETS_MS, as_hub, as_tracer
@@ -64,10 +64,6 @@ class SessionConfig:
     render_frames: bool = False  # True: full-fidelity frames (slow)
     cache_capacity_bytes: int = 512 * 1024 * 1024
     cache_policy: str = "lru"
-    # Frame-pipeline kernel mode (repro.render.KERNEL_MODES).  None keeps
-    # whatever ``render_config.kernels`` says; a string overrides it for
-    # the whole run (CLI ``--kernels``).  All modes are bit-identical.
-    kernels: Optional[str] = None
     # --- robustness (all default-off: clean runs are bit-identical) ---
     impairment: Optional[ImpairmentConfig] = None  # link loss/jitter/dips
     faults: Optional[FaultSchedule] = None  # scripted failure windows
@@ -109,15 +105,6 @@ class SessionConfig:
             raise ValueError("fetch_max_retries must be non-negative")
         if self.max_players is not None and self.max_players < 1:
             raise ValueError("max_players must be >= 1")
-        if self.kernels is not None:
-            if self.kernels not in KERNEL_MODES:
-                raise ValueError(
-                    f"kernels must be one of {KERNEL_MODES}, got {self.kernels!r}"
-                )
-            if self.kernels != self.render_config.kernels:
-                self.render_config = dataclasses.replace(
-                    self.render_config, kernels=self.kernels
-                )
 
     @property
     def supervised(self) -> bool:
@@ -294,7 +281,6 @@ class Session:
         )
         self.collectors = [MetricsCollector() for _ in range(self.total_slots)]
         self.fi_ms = self.cost_model.fi_ms(world.spec.fi_triangles)
-        self._kernel_renders_traced = 0  # trace_kernel_reuse watermark
         self.horizon_ms = config.duration_s * 1000.0
         # Per-slot ABR controllers; seated by the fetch strategy (which knows
         # the nominal frame size) via init_abr.  None when adapt is off.
@@ -370,29 +356,6 @@ class Session:
     # Telemetry emitters (call only when ``self.tracer.enabled`` — the
     # frame loop guards, so the disabled path never reaches these)
     # ------------------------------------------------------------------
-
-    def trace_kernel_reuse(self, store, player_id: int, at_ms: float) -> None:
-        """Emit a ``kernel.block_reuse`` instant for a fresh reuse-encode.
-
-        Call after a panorama-store fetch: no-ops unless the fetch actually
-        rendered and encoded a *new* panorama through the dirty-block coder
-        (memo/disk hits and non-reuse kernel modes emit nothing), so the
-        trace shows one instant per server-side encode with its block
-        hit/miss split.
-        """
-        dirty = getattr(store, "reuse_dirty_map", None)
-        if dirty is None or store.renders == self._kernel_renders_traced:
-            return
-        self._kernel_renders_traced = store.renders
-        recomputed = int(dirty.sum())
-        self.tracer.instant(
-            "kernel.block_reuse", player_id, "render", at_ms, cat="kernel",
-            args={
-                "blocks": int(dirty.size),
-                "recomputed": recomputed,
-                "reused": int(dirty.size) - recomputed,
-            },
-        )
 
     def trace_pipeline_frame(
         self,

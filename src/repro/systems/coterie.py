@@ -227,8 +227,6 @@ class CoterieStrategy(FetchStrategy):
             return decision.cached
         session = self.session
         stored = self.store.frame_for(decision.grid_point)
-        if session.tracer.enabled:
-            session.trace_kernel_reuse(self.store, player_id, t0)
         out.frame_bytes = stored.wire_bytes
         out.transfer_ms = yield session.link.transfer(out.frame_bytes, tag="be")
         return self.admit(decision, stored, out.frame_bytes, t0, player_id)
@@ -265,8 +263,6 @@ class CoterieStrategy(FetchStrategy):
             lookahead_ms += 200.0
             if decision.needs_fetch:  # else: trajectory start revisits a cached point
                 stored = self.store.frame_for(decision.grid_point)
-                if session.tracer.enabled:
-                    session.trace_kernel_reuse(self.store, player_id, sim.now)
                 yield from self.blocking_fetch(player_id, decision, stored)
         return {"fetches": supervisor.config.warmup_fetches}
 

@@ -19,7 +19,6 @@ from .. import perf
 from ..core.merger import layer_from_decoded
 from ..core.online import SsimBatchQueue
 from ..metrics import MetricsCollector
-from ..perf import FrameArena
 from ..predict import PosePredictor, PredictConfig
 from ..render.rasterizer import merge_layers
 from ..render.splitter import eye_at, reference_frame, render_fi, render_near_be
@@ -157,8 +156,6 @@ class Degradation:
             perf.count("adapt.drops")
             return cached
         stored = strategy.store.frame_for(decision.grid_point)
-        if session.tracer.enabled:
-            session.trace_kernel_reuse(strategy.store, player_id, t0)
         frame_bytes = stored.wire_bytes
         if controller is not None:
             # Re-encode at the current rung: the ladder only changes the
@@ -506,27 +503,20 @@ class DisplayScorer:
         self.switch_ssims: List[List[float]] = [[] for _ in range(n_slots)]
         self.last_far = [None] * n_slots
         self.queue: Optional[SsimBatchQueue] = None
-        render_config = session.config.render_config
-        if render_config.kernels != "scalar":
+        if session.config.render_config.kernels != "scalar":
             # Submitted arrays (store payloads, freshly rendered/merged
             # frames) are owned, so submit-triggered flushes are safe.
-            self.queue = SsimBatchQueue(
-                arena=FrameArena() if render_config.reuse_enabled else None,
-                batch_target=64,
-            )
+            self.queue = SsimBatchQueue(batch_target=64)
             if session.tracer.enabled:
                 self.queue.on_flush = self._trace_flush
             strategy.on_finish.append(self.queue.flush)
         strategy.post_fetch.append(self.score)
 
     def _trace_flush(self, jobs: int) -> None:
-        queue = self.queue
         session = self.session
-        args = {"jobs": jobs, "queued_total": queue.jobs_total}
-        if queue.arena is not None:
-            args["arena_reuse"] = round(queue.arena.reuse_ratio, 4)
         session.tracer.instant(
-            "ssim.batch_flush", 0, "render", session.sim.now, cat="kernel", args=args
+            "ssim.batch_flush", 0, "render", session.sim.now, cat="kernel",
+            args={"jobs": jobs, "queued_total": self.queue.jobs_total},
         )
 
     def score(self, player_id: int, t0: float, sample, decision, out: FrameOutcome) -> None:

@@ -1,18 +1,17 @@
 """End-to-end kernel-mode pinning across the preprocessing pipeline.
 
-The acceptance bar for the kernel layer is that ``vector`` and
-``vector+reuse`` are invisible everywhere except wall clock: panorama
-bytes out of :class:`PanoramaStore`, calibrated size models, and
-dist-thresh values must all be bit-identical to the ``scalar`` oracle.
-These tests pin that end to end, plus the config plumbing
-(``SessionConfig.kernels`` override, cache-key invariance).
+The acceptance bar for the kernel layer is that ``vector`` is invisible
+everywhere except wall clock: panorama bytes out of
+:class:`PanoramaStore`, calibrated size models, and dist-thresh values
+must all be bit-identical to the ``scalar`` oracle.  These tests pin that
+end to end, plus the config plumbing (one ``render_config.kernels`` knob,
+cache-key invariance).
 """
 
 import dataclasses
 
 import pytest
 
-from repro import perf
 from repro.codec import FrameCodec
 from repro.core.dist_thresh import leaf_threshold
 from repro.core.preprocess import PanoramaStore, calibrate_size_model
@@ -76,42 +75,13 @@ def world_and_cutoffs():
 
 class TestStoreBitIdentity:
     def test_panorama_bytes_identical_across_modes(self, world_and_cutoffs):
-        """The acceptance pin: scalar == vector == vector+reuse bytes."""
+        """The acceptance pin: scalar == vector bytes."""
         world, cutoff_map = world_and_cutoffs
         served = {
             mode: _served_bytes(world, mode, cutoff_map)
             for mode in KERNEL_MODES
         }
         assert served["vector"] == served["scalar"]
-        assert served["vector+reuse"] == served["scalar"]
-
-    def test_reuse_store_exposes_dirty_map(self, world_and_cutoffs):
-        world, cutoff_map = world_and_cutoffs
-        store = PanoramaStore(
-            world,
-            _mode_config("vector+reuse"),
-            FrameCodec(),
-            cutoff_map=cutoff_map,
-            kind="far",
-            eye_height=world.spec.player.eye_height,
-        )
-        assert store.reuse_dirty_map is None  # nothing encoded yet
-        for grid_point in _demand(world, count=3):
-            store.frame_for(grid_point)
-        assert store.reuse_dirty_map is not None
-
-    def test_non_reuse_store_has_no_dirty_map(self, world_and_cutoffs):
-        world, cutoff_map = world_and_cutoffs
-        store = PanoramaStore(
-            world,
-            _mode_config("vector"),
-            FrameCodec(),
-            cutoff_map=cutoff_map,
-            kind="far",
-            eye_height=world.spec.player.eye_height,
-        )
-        store.frame_for(_demand(world, count=1)[0])
-        assert store.reuse_dirty_map is None
 
 
 class TestDerivedValues:
@@ -141,45 +111,19 @@ class TestDerivedValues:
             for mode in KERNEL_MODES
         }
         assert values["vector"] == values["scalar"]
-        assert values["vector+reuse"] == values["scalar"]
-
-    def test_reuse_mode_exercises_ssim_counters(self, world_and_cutoffs):
-        """The reuse path actually runs (counters move) during probing."""
-        world, cutoff_map = world_and_cutoffs
-        leaf = next(iter(cutoff_map.tree.leaves()))
-        from repro.core.cutoff import leaf_key
-
-        perf.reset()
-        leaf_threshold(
-            world.scene, _mode_config("vector+reuse"),
-            leaf_key(leaf.region), leaf.payload.cutoff_radius,
-            seed=0, k_samples=1,
-        )
-        assert perf.counter("ssim.rows_total") > 0
 
 
 class TestConfigPlumbing:
-    def test_session_config_overrides_render_config(self):
-        config = SessionConfig(kernels="scalar")
-        assert config.render_config.kernels == "scalar"
-
     def test_session_config_default_keeps_render_config(self):
+        """The mode lives on ``render_config`` only — no second knob."""
         config = SessionConfig()
-        assert config.kernels is None
+        assert not hasattr(config, "kernels")
         assert config.render_config.kernels == "vector"
 
-    def test_session_config_rejects_unknown_mode(self):
+    @pytest.mark.parametrize("mode", ["gpu", "vector+reuse"])
+    def test_render_config_rejects_unknown_mode(self, mode):
         with pytest.raises(ValueError):
-            SessionConfig(kernels="gpu")
-
-    def test_render_config_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            RenderConfig(kernels="gpu")
-
-    def test_reuse_enabled_property(self):
-        assert _mode_config("vector+reuse").reuse_enabled
-        assert not _mode_config("vector").reuse_enabled
-        assert not _mode_config("scalar").reuse_enabled
+            RenderConfig(kernels=mode)
 
     def test_cache_key_ignores_kernel_mode(self):
         """Bit-identical modes share disk-cache entries."""

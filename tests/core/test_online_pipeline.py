@@ -17,7 +17,6 @@ from repro.core.pipeline import (
     frame_intervals_ms,
 )
 from repro.geometry import Vec2
-from repro.perf import FrameArena
 from repro.render.rasterizer import Layer
 from repro.similarity import ssim
 
@@ -87,27 +86,17 @@ class TestCrossModeIdentity:
         )
         scalar = loop.run(batched=False)
         vector = loop.run(batched=True)
-        reuse = loop.run(batched=True, arena=FrameArena())
         assert scalar.fetches > 0 and scalar.cache_hits > 0
         assert scalar.metrics() == vector.metrics()
-        assert scalar.metrics() == reuse.metrics()
 
     def test_ssim_values_match_inline(self, schedule):
         loop = OnlineFrameLoop(
             ticks=schedule, ssim_stride=1, ssim_batch_target=4
         )
         scalar = loop.run(batched=False)
-        batched = loop.run(batched=True, arena=FrameArena())
+        batched = loop.run(batched=True)
         assert scalar.ssim_values == batched.ssim_values
         assert len(scalar.ssim_values) == sum(len(t) for t in schedule)
-
-    def test_arena_reaches_steady_state(self, schedule):
-        loop = OnlineFrameLoop(
-            ticks=schedule, ssim_stride=1, ssim_batch_target=6
-        )
-        arena = FrameArena()
-        loop.run(batched=True, arena=arena)
-        assert arena.reuse_ratio > 0.5
 
     def test_invalid_config(self, schedule):
         with pytest.raises(ValueError):

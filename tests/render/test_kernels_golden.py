@@ -62,16 +62,9 @@ class TestVectorGolden:
         for index, (a, b) in enumerate(zip(scalar, vector)):
             _assert_layers_equal(a, b, f"{game}[{index}]")
 
-    def test_reuse_mode_renders_like_vector(self):
-        """'vector+reuse' only changes encode; rendering is the vector path."""
-        world = load_game("racing", scale=SCALE)
-        vector = _frames(world, _kernel_config("vector"))
-        reuse = _frames(world, _kernel_config("vector+reuse"))
-        for index, (a, b) in enumerate(zip(vector, reuse)):
-            _assert_layers_equal(a, b, f"racing[{index}]")
-
     def test_kernel_modes_constant_is_exhaustive(self):
         """Every mode validates; an unknown one is rejected at construction."""
+        assert KERNEL_MODES == ("scalar", "vector")
         for mode in KERNEL_MODES:
             assert _kernel_config(mode).kernels == mode
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ session digests assert byte equality downstream.
 
 import numpy as np
 
-from repro.perf import FrameArena
 from repro.similarity import (
     prepare_reference,
     ssim,
@@ -53,27 +52,6 @@ class TestSsimPairs:
         for (a, b), value in zip(pairs, batched):
             assert float(value) == ssim(a, b)
 
-    def test_arena_backed_matches(self):
-        pairs = [(noise_frame(s), noise_frame(s + 9)) for s in range(6)]
-        plain = ssim_pairs(pairs)
-        arena = FrameArena()
-        pooled = ssim_pairs(pairs, arena=arena)
-        np.testing.assert_array_equal(plain, pooled)
-        assert arena.growths > 0
-
-    def test_arena_reuse_across_flushes_still_exact(self):
-        arena = FrameArena()
-        for round_index in range(3):
-            pairs = [
-                (noise_frame(round_index * 10 + s), noise_frame(s + 70))
-                for s in range(5)
-            ]
-            arena.reset()
-            batched = ssim_pairs(pairs, arena=arena)
-            for (a, b), value in zip(pairs, batched):
-                assert float(value) == ssim(a, b)
-        assert arena.reuse_ratio > 0.5
-
     def test_single_pair(self):
         a, b = noise_frame(1), noise_frame(2)
         assert float(ssim_pairs([(a, b)])[0]) == ssim(a, b)
@@ -92,10 +70,3 @@ class TestSsimManyStacked:
         np.testing.assert_array_equal(stacked, looped)
         for candidate, value in zip(candidates, stacked):
             assert float(value) == ssim(ref, candidate)
-
-    def test_arena_backed_matches(self):
-        prepared = prepare_reference(noise_frame(20))
-        candidates = np.stack([noise_frame(s) for s in range(21, 26)])
-        plain = ssim_many_stacked(prepared, candidates)
-        pooled = ssim_many_stacked(prepared, candidates, arena=FrameArena())
-        np.testing.assert_array_equal(plain, pooled)

@@ -2,7 +2,7 @@
 
 The dist-thresh probe loop re-scores near-identical frames against one
 fixed reference; the update API reuses the previous candidate's Gaussian
-moments for rows the dirty-block map calls clean.  These tests pin the
+moments for rows a dirty-row mask calls clean.  These tests pin the
 only property that matters: the incremental path is *bit-identical* to
 the from-scratch one, for any dirty-row pattern — including degenerate
 all-dirty / all-clean masks.
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.codec import dirty_row_mask, frame_block_digests
 from repro.similarity import (
     CandidateMoments,
     prepare_reference,
@@ -36,45 +35,38 @@ def _frame_pair(seed=0, shape=(32, 48)):
     return base, frames
 
 
+def _with_honest_masks(frames):
+    """(frame, dirty_rows) pairs: the rows that differ from the previous
+    frame, ``None`` for the first."""
+    masks = [None] + [
+        (cur != prev).any(axis=1) for prev, cur in zip(frames, frames[1:])
+    ]
+    return zip(frames, masks)
+
+
 class TestBitIdentity:
     def test_update_matches_scratch_over_sequence(self):
         """Incremental maps equal from-scratch maps for every frame."""
         base, frames = _frame_pair()
         reference = prepare_reference(base)
         prev = None
-        digests = None
-        for frame in frames:
-            new_digests = frame_block_digests(frame)
-            dirty_rows = None
-            if digests is not None:
-                dirty_rows = dirty_row_mask(
-                    digests != new_digests, frame.shape[0]
-                )
+        for frame, dirty_rows in _with_honest_masks(frames):
             updated_map, prev = ssim_map_update(
                 reference, frame, prev=prev, dirty_rows=dirty_rows
             )
             scratch_map = ssim_map_with(reference, frame)
             assert np.array_equal(updated_map, scratch_map)
-            digests = new_digests
 
     def test_scalar_scores_match(self):
         """ssim_with_update == ssim_with for every frame under honest masks."""
         base, frames = _frame_pair(seed=3)
         reference = prepare_reference(base)
         prev = None
-        digests = None
-        for frame in frames:
-            new_digests = frame_block_digests(frame)
-            dirty_rows = None
-            if digests is not None:
-                dirty_rows = dirty_row_mask(
-                    digests != new_digests, frame.shape[0]
-                )
+        for frame, dirty_rows in _with_honest_masks(frames):
             score, prev = ssim_with_update(
                 reference, frame, prev=prev, dirty_rows=dirty_rows
             )
             assert score == ssim_with(reference, frame)
-            digests = new_digests
 
     def test_all_dirty_mask_equals_full_recompute(self):
         base, frames = _frame_pair(seed=5)

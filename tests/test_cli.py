@@ -25,6 +25,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["preprocess", "tetris"])
 
+    def test_kernels_takes_the_two_modes_only(self):
+        parser = build_parser()
+        assert parser.parse_args(["run", "coterie", "pool"]).kernels == "vector"
+        assert parser.parse_args(
+            ["preprocess", "pool", "--kernels", "scalar"]
+        ).kernels == "scalar"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "coterie", "pool", "--kernels", "vector+reuse"])
+
     @pytest.mark.parametrize("bad", ["0", "-3", "33", "two"])
     def test_players_out_of_range_rejected(self, bad, capsys):
         with pytest.raises(SystemExit):
