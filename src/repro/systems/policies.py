@@ -247,16 +247,19 @@ class Speculation:
         self.config = config
         n_slots = self.session.total_slots
         self.predictors = [PosePredictor(config) for _ in range(n_slots)]
-        self.spec_pending = [False] * n_slots  # at most one in flight per player
+        # The in-flight speculative fetch's token (at most one per player;
+        # None: none).
+        self.spec_pending: List[Optional[object]] = [None] * n_slots
         strategy.pre_plan.append(self.observe)
         strategy.post_plan.append(self.validate)
         strategy.post_fetch.append(self.speculate)
         strategy.on_finish.append(self.stamp_stats)
 
     def reset(self, slot: int) -> None:
-        """A rejoiner must not inherit the dead life's velocity state."""
+        """A rejoiner must not inherit the dead life's velocity state;
+        its in-flight speculative fetch finds its token gone and withdraws."""
         self.predictors[slot] = PosePredictor(self.config)
-        self.spec_pending[slot] = False
+        self.spec_pending[slot] = None
 
     def observe(self, player_id: int, t0: float, sample) -> None:
         """Feed the predictor (unless a scripted stale-speculation storm
@@ -306,7 +309,7 @@ class Speculation:
         """When the predictor is confident and the forecast grid point is
         not already covered, start a best-effort speculative transfer off
         the display's critical path."""
-        if self.spec_pending[player_id]:
+        if self.spec_pending[player_id] is not None:
             return
         prediction = self.predictors[player_id].predict(t0)
         if prediction is None or prediction.confidence_m > self.config.max_confidence_m:
@@ -317,7 +320,7 @@ class Speculation:
         )
         if spec_decision.cached is not None:
             return
-        self.spec_pending[player_id] = True
+        token = self.spec_pending[player_id] = object()
         session.collectors[player_id].resilience.spec_prefetches += 1
         perf.count("predict.spec_prefetches")
         if session.tracer.enabled:
@@ -328,24 +331,25 @@ class Speculation:
                     "confidence_m": round(prediction.confidence_m, 4),
                 },
             )
-        session.sim.spawn(self._fetch(player_id, spec_decision))
+        session.sim.spawn(self._fetch(player_id, token, spec_decision))
 
-    def _fetch(self, player_id: int, decision):
+    def _fetch(self, player_id: int, token, decision):
         """Best-effort transfer of a forecast grid point's panorama.
 
         No retries — a speculative transfer is cheap to lose.  The entry
         lands tagged speculative with its oracle digest stamped
         (perturbed during a scripted ``speccorrupt`` window, so
         validation must catch it before anything displays from it).  A
-        slot whose pending flag was reset mid-flight (rejoin cleared its
-        cache) abandons the admission.
+        fetch whose token is gone (the slot rejoined mid-flight: its cache
+        was cleared and any pending token belongs to the new life)
+        withdraws without admitting.
         """
         strategy = self.strategy
         session = self.session
         stored = strategy.store.frame_for(decision.grid_point)
         frame_bytes = stored.wire_bytes
         yield session.link.transfer(frame_bytes, tag="be")
-        if not self.spec_pending[player_id]:
+        if self.spec_pending[player_id] is not token:
             return  # incarnation changed mid-transfer; stale admission
         now = session.sim.now
         digest = strategy.oracle_digest(decision.grid_point)
@@ -355,7 +359,7 @@ class Speculation:
             decision, stored, frame_bytes, now,
             origin_player=player_id, speculative=True, digest=digest,
         )
-        self.spec_pending[player_id] = False
+        self.spec_pending[player_id] = None
         if session.tracer.enabled:
             session.tracer.instant(
                 "predict.landed", player_id, "net", now, cat="predict",

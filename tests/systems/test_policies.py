@@ -84,7 +84,7 @@ class TestRejoinReset:
         sample = strategy.session.position_at(1, 0.0)
         speculation.observe(1, 0.0, sample)
         speculation.observe(1, 16.0, strategy.session.position_at(1, 16.0))
-        speculation.spec_pending[1] = True
+        speculation.spec_pending[1] = object()
         sync_check.request_resync(1)
         sync_check.last_display[1] = (16.0, 1.0, 2.0, 0.5, 99)
         for policy, fresh_policy in zip(strategy.policies, fresh.policies):
@@ -113,6 +113,40 @@ class TestRejoinReset:
         result = run_coterie(world, 2, config, artifacts)
         assert result.membership.stats[1].incarnations == 2
         assert resets == [1]  # the first-time joiner (slot 2) is not reset
+
+    def test_dead_incarnation_speculative_fetch_is_withdrawn(self, pool):
+        """A speculative transfer belongs to the life that issued it.  Slot
+        1 speculates, rejoins with that transfer still in flight, and
+        speculates again; the old transfer lands first.  It must withdraw
+        (the rejoiner's cache was cleared for a reason) and leave the new
+        life's fetch pending, which then lands normally.  The end-to-end
+        twin is ``test_churn``'s background-fetch case; the fluid-share
+        link never lands an older equal-sized transfer after a newer one,
+        so this ordering needs the stub link."""
+        strategy = strategy_for(pool, predict=PredictConfig())
+        (speculation,) = strategy.policies
+        session = strategy.session
+        sim = session.sim
+        session.link = StubLink(sim, [250.0, 100.0])
+
+        def speculate_at(t0):
+            sim.run_until(t0)
+            for t in (t0 - 32.0, t0 - 16.0, t0):
+                speculation.observe(1, t, session.position_at(1, t))
+            speculation.speculate(1, t0, session.position_at(1, t0), None, None)
+
+        speculate_at(100.0)  # first life: lands at 350
+        sim.run_until(300.0)
+        strategy.reset(1)  # the rejoin
+        speculate_at(320.0)  # second life: lands at 420
+        assert session.link.issued_at == [100.0, 320.0]
+        sim.run_until(400.0)
+        assert len(strategy.caches[1]) == 0  # the dead life's fetch withdrew ...
+        assert speculation.spec_pending[1] is not None  # ... leaving ours in flight
+        sim.run_until(500.0)
+        (landed,) = strategy.caches[1].frames()
+        assert (landed.inserted_ms, landed.speculative) == (420.0, True)
+        assert speculation.spec_pending[1] is None
 
 
 class StubLink:
