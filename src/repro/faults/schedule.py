@@ -246,13 +246,9 @@ class FaultSchedule:
         storms = []
         corruptions = []
         desyncs = []
-
-        def bad(entry: str, cause: Exception) -> ValueError:
-            """The uniform parse-failure error for one entry."""
-            return ValueError(
-                f"bad fault entry {entry!r}; expected kind@start-end[:arg] "
-                f"(or kind@t[:arg] for instant kinds)"
-            )
+        shape = (
+            "expected kind@start-end[:arg] (or kind@t[:arg] for instant kinds)"
+        )
 
         def split_player_arg(arg: str, default: float):
             """Parse ``[player][~value]`` into (player_id, value)."""
@@ -262,52 +258,43 @@ class FaultSchedule:
             value = float(value_s) if value_s else default
             return player, value
 
-        for raw in spec.split(","):
-            entry = raw.strip()
-            if not entry:
-                continue
-            try:
-                kind, rest = entry.split("@", 1)
-            except ValueError as exc:
-                raise bad(entry, exc) from exc
+        def add(entry: str) -> None:
+            """Parse one entry onto its list; any failure — shape, argument
+            conversion, or the record's own range check — is a ValueError
+            naming the cause."""
+            kind, at, rest = entry.partition("@")
+            if not at:
+                raise ValueError(shape)
             kind = kind.strip().lower()
             window, _, arg = rest.partition(":")
             if kind in ("teleport", "snapturn", "desync"):
                 # Instant kinds: kind@t[:arg].
                 try:
                     t_ms = float(window)
-                except ValueError as exc:
-                    raise bad(entry, exc) from exc
+                except ValueError:
+                    raise ValueError(shape) from None
                 if kind == "teleport":
-                    try:
-                        player, meters = split_player_arg(arg, default=10.0)
-                    except ValueError as exc:
-                        raise bad(entry, exc) from exc
+                    player, meters = split_player_arg(arg, default=10.0)
                     poses.append(PoseJump(t_ms, player_id=player, dx=meters))
                 elif kind == "snapturn":
-                    try:
-                        player, degrees = split_player_arg(arg, default=90.0)
-                    except ValueError as exc:
-                        raise bad(entry, exc) from exc
+                    player, degrees = split_player_arg(arg, default=90.0)
                     poses.append(PoseJump(
                         t_ms, player_id=player,
                         dheading=math.radians(degrees),
                     ))
                 else:  # desync
-                    try:
-                        player = int(arg)
-                    except ValueError as exc:
+                    if not arg:
                         raise ValueError(
-                            f"bad fault entry {entry!r}; desync needs an "
-                            f"explicit player, e.g. desync@2500:1"
-                        ) from exc
-                    desyncs.append(DesyncInjection(t_ms, player_id=player))
-                continue
+                            "desync needs an explicit player, "
+                            "e.g. desync@2500:1"
+                        )
+                    desyncs.append(DesyncInjection(t_ms, player_id=int(arg)))
+                return
             try:
                 start_s, end_s = window.split("-", 1)
                 start_ms, end_ms = float(start_s), float(end_s)
-            except ValueError as exc:
-                raise bad(entry, exc) from exc
+            except ValueError:
+                raise ValueError(shape) from None
             if kind == "dip":
                 link.append(LinkDegradation(
                     start_ms, end_ms,
@@ -341,6 +328,15 @@ class FaultSchedule:
                     f"unknown fault kind {kind!r}; use dip/loss/stall/outage/"
                     f"teleport/snapturn/specstorm/speccorrupt/desync"
                 )
+
+        for raw in spec.split(","):
+            entry = raw.strip()
+            if not entry:
+                continue
+            try:
+                add(entry)
+            except ValueError as exc:
+                raise ValueError(f"bad fault entry {entry!r}: {exc}") from exc
         return cls(link=tuple(link), stalls=tuple(stalls),
                    outages=tuple(outages), poses=tuple(poses),
                    spec_storms=tuple(storms),

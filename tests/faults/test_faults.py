@@ -86,6 +86,25 @@ class TestParse:
         with pytest.raises(ValueError):
             FaultSchedule.parse(bad)
 
+    @pytest.mark.parametrize("bad, cause", [
+        ("dip@0-100:abc", "could not convert string to float: 'abc'"),
+        ("dip@0-100:7", "capacity_factor must be in (0, 1]"),
+        ("loss@100-50:0.5", "fault window must satisfy 0 <= start < end"),
+        ("stall@5-9:zz", "could not convert string to float: 'zz'"),
+        ("outage@0-100:x", "invalid literal for int() with base 10: 'x'"),
+        ("specstorm@0-100:-4", "player_id must be >= -1"),
+        ("speccorrupt@0-100:p1", "invalid literal for int() with base 10: 'p1'"),
+        ("teleport@-5:1", "t_ms must be non-negative"),
+        ("snapturn@5:1~x", "could not convert string to float: 'x'"),
+        ("desync@2500", "desync needs an explicit player, e.g. desync@2500:1"),
+    ])
+    def test_every_kind_locates_its_bad_entry(self, bad, cause):
+        """Argument conversion and the record's own range check fail the
+        same way for every kind: one line naming the entry and the cause."""
+        with pytest.raises(ValueError) as excinfo:
+            FaultSchedule.parse(f"stall@0-100:5,{bad}")
+        assert str(excinfo.value) == f"bad fault entry {bad!r}: {cause}"
+
 
 class TestInjector:
     def test_stalls_sum_when_overlapping(self):

@@ -87,6 +87,12 @@ class TestCommands:
                      "--faults", "freeze@0-100"]) == 2
         assert "invalid --faults" in capsys.readouterr().err
 
+    def test_bad_faults_argument_names_the_entry(self, capsys):
+        assert main(["run", "coterie", "pool", "2", "--duration", "2",
+                     "--faults", "dip@0-100:0.5,stall@5-9:zz"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "bad fault entry 'stall@5-9:zz'" in line
+
 
 class TestChurnCommands:
     def test_run_with_churn_prints_membership(self, capsys):
