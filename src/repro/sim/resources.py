@@ -100,11 +100,18 @@ class FluidShareServer:
         return True
 
     def utilization(self, horizon_ms: float) -> float:
-        """Fraction of ``horizon_ms`` during which the server was busy."""
+        """Fraction of ``horizon_ms`` during which the server was busy.
+
+        A read-only query: a sampler calling it mid-run must not split the
+        drain arithmetic, so the interval since the last state change is
+        added here instead of being folded in by ``_advance``.
+        """
         if horizon_ms <= 0:
             raise ValueError("horizon_ms must be positive")
-        self._advance()
-        return min(1.0, self.busy_time / horizon_ms)
+        busy = self.busy_time
+        if self._flows:
+            busy += max(0.0, self.sim.now - self._last_update)
+        return min(1.0, busy / horizon_ms)
 
     # ------------------------------------------------------------------
 

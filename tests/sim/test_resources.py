@@ -103,6 +103,26 @@ class TestFluidShareServer:
         sim.run_until(10.0)
         assert server.utilization(10.0) == pytest.approx(0.5)
 
+    def test_utilization_query_is_read_only(self):
+        """Sampling mid-flow reports the open busy interval without
+        draining it: a probe must not split the drain arithmetic, or a
+        metered run's sums differ from the unmetered run's in the last bit."""
+        sim = Simulator()
+        server = FluidShareServer(sim, capacity=3.0)
+        done = server.submit(9.0)  # busy 0..3
+        seen = []
+
+        def probe():
+            before = (server.busy_time, server.total_work_done)
+            seen.append(server.utilization(sim.now))
+            assert (server.busy_time, server.total_work_done) == before
+
+        for t in (0.7, 1.9, 4.0):
+            sim.schedule(t, probe)
+        sim.run_until(6.0)
+        assert seen == [1.0, 1.0, 0.75]
+        assert done.value == 3.0
+
     def test_utilization_bad_horizon(self):
         sim = Simulator()
         server = FluidShareServer(sim, capacity=10.0)

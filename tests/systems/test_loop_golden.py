@@ -168,7 +168,7 @@ clean-multi_furion ab33f41eb69789ed79dd413b176a16afbd97364b198a607923cafb8360fd6
 clean-multi_furion_cache 3837a337063e2be7007a6a6414b68d7cdcfb284dd4c52ed32c2c96d8423014bd da8841188ae7fb72b5aae72726de44eabbaba90156d5319939ac5e2c7ea0431b 484c17818597f09940966cf224c4dee9c6f62825ff1cfa948e9c838716df5cb8
 clean-thin_client fd5c92d6502185a052d10ccf22a5c3e87b0b6158fc3203ff73e42660d0e9b3e7 adf1da6ef67faeaf42d1362c868ce9b6cdf38ea05bb70726440179e0a93950c4 e52c2f97b1a38b18fb04e48ed50b593c72c4f4753b869881ce69bf7e576781ab
 everything-coterie fd2be9c0c12c93a0ad245cb30165a379b039e445c89774cd1713c3b34b2252fe 857c5441b999f98380a115aa1fd46e5352f2efc0729aebf17aef837d8fb95ded 024f07dd1adb08b87bc557927f3d70055ad4a443fe1d46378b731dc2d3592a56
-faults-coterie 4f4993506d33faedbecab22ed7de840eb3c83febdabfcd1aacae4a53a9ee9aae 422c86872d9827d475a4730fc740b09aa4755d66e15c7d8f80a1ef89aea382d1 d6a5465efd0a0a6b706e311e2464c4c686d1bab775af676e7b3109493a27d0cc
+faults-coterie 4f4993506d33faedbecab22ed7de840eb3c83febdabfcd1aacae4a53a9ee9aae 422c86872d9827d475a4730fc740b09aa4755d66e15c7d8f80a1ef89aea382d1 3bf498194fbe8c9abac8718e0d9445e5e23e8fcdfa521d2c8c3139d8b0448958
 faults-multi_furion 2907c916642a02f403398f87f35a1824f8e9be6f6175804b3a6d2f9750332c65 ead489d5193e3e15e2752e4736a998eb14e2a10025b2d52da10dd2e4a02e80a8 96570863de8d6ed7dc1e720926002bcdf35e049093f4f1d2ebd23b10abc81a66
 faults-thin_client cd027409ba78d6aa18fb1016a0c9a7ba2d660f5d33c466a979eab69c38419316 aaf3631083949a997b5b13cd0ed8d37668068ae00d6bb19d12600c6aaa0758e1 0b5e52a27a4e20fe6e35156f37fbc01bbdf89c0dc01121c97ecca975d80cb6b4
 fullrender-scalar 8e1721476770f86686c4dc17652cb1e0d0957055978e1f8b14f566e247dd0b29 eba59e72e606ae5eb97d8f287ef62dd46204852dd93078aee3cb42adccb98a48 f67d85c7dd921f7002a336e44bd854f5bc25ed984ab47a4a91614b7274f567ba
@@ -205,9 +205,9 @@ def _sha(payload) -> str:
     return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
 
 
-def result_digest(result, with_utilization: bool = True) -> str:
+def result_digest(result) -> str:
     """Everything a ``RunResult`` reports, player by player."""
-    payload = {
+    return _sha(_canonical({
         "system": result.system,
         "be_mbps": result.be_mbps,
         "fi_kbps": result.fi_kbps,
@@ -217,10 +217,8 @@ def result_digest(result, with_utilization: bool = True) -> str:
              p.power_w, p.temperature_c]
             for p in result.players
         ],
-    }
-    if with_utilization:
-        payload["link_utilization"] = result.link_utilization
-    return _sha(_canonical(payload))
+        "link_utilization": result.link_utilization,
+    }))
 
 
 def trace_digest(tracer) -> str:
@@ -247,14 +245,10 @@ def run_scenario(name, tmp_path):
     twin = RUNNERS[runner](
         world, n_players, SessionConfig(seed=SEED, tracer=tracer, metrics=hub, **kwargs)
     )
-    # Observability never steers the simulation.  ``link_utilization`` is
-    # left out of this comparison only: the hub's utilization probe drains
-    # the fluid-share medium at every sample boundary, which splits the
-    # busy-time sum differently and can move its last bit (net/, sim/ —
-    # not the frame loop).  The untraced value is still pinned below.
-    assert result_digest(twin, with_utilization=False) == result_digest(
-        plain, with_utilization=False
-    ), f"{name}: tracing/metering changed the simulated result"
+    # Observability never steers the simulation.
+    assert result_digest(twin) == result_digest(plain), (
+        f"{name}: tracing/metering changed the simulated result"
+    )
     return result_digest(plain), trace_digest(tracer), metrics_digest(hub, tmp_path)
 
 
