@@ -110,7 +110,7 @@ class FluidShareServer:
             raise ValueError("horizon_ms must be positive")
         busy = self.busy_time
         if self._flows:
-            busy += max(0.0, self.sim.now - self._last_update)
+            busy += self.sim.now - self._last_update
         return min(1.0, busy / horizon_ms)
 
     # ------------------------------------------------------------------

@@ -209,11 +209,11 @@ def ssim_map_update(
     sequences whose candidates change incrementally (the dist-thresh
     binary search: sky rows are identical between displaced far-BE
     renders).  ``dirty_rows`` is a per-pixel-row bool mask: rows marked
-    clean must be bit-identical between ``prev.image`` and ``b``.  Gaussian moments are
-    recomputed only inside the dirty bands (padded by the blur radius so
-    every refreshed output sees exactly the taps a full-frame filter
-    would), and spliced into ``prev``'s maps — the returned map is
-    bit-identical to :func:`ssim_map_with`.
+    clean must be bit-identical between ``prev.image`` and ``b``.
+    Gaussian moments are recomputed only inside the dirty bands (padded
+    by the blur radius so every refreshed output sees exactly the taps a
+    full-frame filter would), and spliced into ``prev``'s maps — the
+    returned map is bit-identical to :func:`ssim_map_with`.
 
     Returns ``(ssim_map, moments)``; pass ``moments`` back as ``prev`` for
     the next candidate.  With ``prev=None`` or ``dirty_rows=None`` the
