@@ -53,11 +53,6 @@ SPECS = {
         ("legs.scalar.wall_s", "wall"),
         ("legs.vector.wall_s", "wall"),
     ],
-    "BENCH_online.json": [
-        ("speedup.vector", "ratio_high"),
-        ("legs.scalar.wall_s", "wall"),
-        ("legs.vector.wall_s", "wall"),
-    ],
     "BENCH_preprocess.json": [
         ("speedup.parallel", "ratio_high"),
         ("speedup.warm", "ratio_high"),

@@ -45,7 +45,7 @@ from .fleet import (
 from .net import TRACE_PROFILES, ImpairmentConfig, RateTrace
 from .predict import PredictConfig
 from .render import KERNEL_MODES, RenderConfig
-from .session import SyncConfig
+from .session import SupervisorConfig, SyncConfig
 from .systems import SYSTEMS, SessionConfig, prepare_artifacts, run_system
 from .telemetry import (
     FrameBudgetReport,
@@ -94,105 +94,9 @@ def _player_count(text: str) -> int:
     return value
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.system == "mobile" and (args.trace_profile or args.abr):
-        print("--trace-profile/--abr require a networked system "
-              "(coterie, multi_furion, multi_furion_cache, thin_client)",
-              file=sys.stderr)
-        return 2
-    impairment = None
-    if args.loss > 0:
-        impairment = ImpairmentConfig.bursty(args.loss, seed=args.seed)
-    if args.trace_profile is not None:
-        if args.trace_profile in TRACE_PROFILES:
-            rate_trace = RateTrace.named(
-                args.trace_profile, seed=args.seed,
-                duration_ms=args.duration * 1000.0,
-            )
-        else:
-            try:
-                rate_trace = RateTrace.from_file(args.trace_profile)
-            except (OSError, ValueError) as exc:
-                print(f"invalid --trace-profile: {exc}", file=sys.stderr)
-                return 2
-        if impairment is None:
-            impairment = ImpairmentConfig(rate_trace=rate_trace)
-        else:
-            impairment = dataclasses.replace(impairment, rate_trace=rate_trace)
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultSchedule.parse(args.faults)
-        except ValueError as exc:
-            print(f"invalid --faults spec: {exc}", file=sys.stderr)
-            return 2
-    churn = None
-    if args.churn is not None:
-        if args.system in ("mobile",):
-            print("--churn requires a networked system "
-                  "(coterie, multi_furion, multi_furion_cache, thin_client)",
-                  file=sys.stderr)
-            return 2
-        try:
-            churn = ChurnSchedule.parse(args.churn)
-        except ValueError as exc:
-            print(f"invalid --churn spec: {exc}", file=sys.stderr)
-            return 2
-    if args.max_players is not None and args.players > args.max_players:
-        print(f"players ({args.players}) exceeds --max-players "
-              f"({args.max_players})", file=sys.stderr)
-        return 2
-    if (args.predict or args.sync_check) and args.system != "coterie":
-        print("--predict/--sync-check require the coterie system "
-              "(frame cache + PUN sync channel)", file=sys.stderr)
-        return 2
-    if args.predict_horizon is not None and not args.predict:
-        print("--predict-horizon requires --predict", file=sys.stderr)
-        return 2
-    predict = None
-    if args.predict:
-        try:
-            predict = (PredictConfig() if args.predict_horizon is None
-                       else PredictConfig(horizon_frames=args.predict_horizon))
-        except ValueError as exc:
-            print(f"invalid --predict-horizon: {exc}", file=sys.stderr)
-            return 2
-    sync = SyncConfig() if args.sync_check else None
-    if args.verify_determinism:
-        return _verify_determinism(args, impairment, faults, churn,
-                                   predict, sync)
-    tracer = SpanTracer() if (args.trace or args.events) else None
-    metered = bool(args.metrics or args.openmetrics or args.dashboard)
-    hub = MetricsHub() if metered else None
-    dashboard = None
-    if args.dashboard and hub is not None:
-        dashboard = LiveDashboard(hub, engine=SloEngine())
-        dashboard.attach()
-    config = SessionConfig(duration_s=args.duration, seed=args.seed,
-                           wifi_mbps=args.wifi_mbps,
-                           impairment=impairment, faults=faults,
-                           adapt=AbrConfig() if args.abr else None,
-                           churn=churn, max_players=args.max_players,
-                           predict=predict, sync=sync,
-                           tracer=tracer, metrics=hub,
-                           render_config=RenderConfig(kernels=args.kernels))
-    if args.perf:
-        with perf.timed("run.simulate"):
-            result = run_system(args.system, args.game, args.players, config)
-    else:
-        result = run_system(args.system, args.game, args.players, config)
-    slo_results = None
-    if hub is not None:
-        horizon_ms = args.duration * 1000.0
-        if dashboard is not None:
-            slo_results = dashboard.final(horizon_ms)
-        else:
-            slo_results = SloEngine().evaluate(hub.series)
-        if tracer is not None:
-            emit_slo_instants(tracer, slo_results)
+def _print_qoe(config: SessionConfig, result) -> None:
+    """The per-player QoE rows of ``repro run`` (needs one displaying player)."""
     metrics0 = result.players[0].metrics
-    print(f"{args.system} on {args.game}, {args.players} player(s), "
-          f"{args.duration:g}s simulated:")
     print(f"  FPS             : {result.mean_fps:.1f}")
     print(f"  inter-frame     : {result.mean_inter_frame_ms:.1f} ms "
           f"(p95 {metrics0.p95_inter_frame_ms:.1f}, "
@@ -261,6 +165,113 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"(worst detection {detect:.1f} ms)")
         print(f"  resyncs         : {resyncs} "
               f"(recovery {recover:.1f} ms total)")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.system == "mobile" and (args.trace_profile or args.abr):
+        print("--trace-profile/--abr require a networked system "
+              "(coterie, multi_furion, multi_furion_cache, thin_client)",
+              file=sys.stderr)
+        return 2
+    impairment = None
+    if args.loss > 0:
+        impairment = ImpairmentConfig.bursty(args.loss, seed=args.seed)
+    if args.trace_profile is not None:
+        if args.trace_profile in TRACE_PROFILES:
+            rate_trace = RateTrace.named(
+                args.trace_profile, seed=args.seed,
+                duration_ms=args.duration * 1000.0,
+            )
+        else:
+            try:
+                rate_trace = RateTrace.from_file(args.trace_profile)
+            except (OSError, ValueError) as exc:
+                print(f"invalid --trace-profile: {exc}", file=sys.stderr)
+                return 2
+        if impairment is None:
+            impairment = ImpairmentConfig(rate_trace=rate_trace)
+        else:
+            impairment = dataclasses.replace(impairment, rate_trace=rate_trace)
+    faults = None
+    if args.faults:
+        try:
+            faults = FaultSchedule.parse(args.faults)
+        except ValueError as exc:
+            print(f"invalid --faults spec: {exc}", file=sys.stderr)
+            return 2
+    churn = None
+    if args.churn is not None:
+        if args.system in ("mobile",):
+            print("--churn requires a networked system "
+                  "(coterie, multi_furion, multi_furion_cache, thin_client)",
+                  file=sys.stderr)
+            return 2
+        try:
+            churn = ChurnSchedule.parse(args.churn)
+        except ValueError as exc:
+            print(f"invalid --churn spec: {exc}", file=sys.stderr)
+            return 2
+    if args.max_players is not None and args.players > args.max_players:
+        print(f"players ({args.players}) exceeds --max-players "
+              f"({args.max_players})", file=sys.stderr)
+        return 2
+    supervision = (None if args.max_players is None
+                   else SupervisorConfig(max_players=args.max_players))
+    if (args.predict or args.sync_check) and args.system != "coterie":
+        print("--predict/--sync-check require the coterie system "
+              "(frame cache + PUN sync channel)", file=sys.stderr)
+        return 2
+    if args.predict_horizon is not None and not args.predict:
+        print("--predict-horizon requires --predict", file=sys.stderr)
+        return 2
+    predict = None
+    if args.predict:
+        try:
+            predict = (PredictConfig() if args.predict_horizon is None
+                       else PredictConfig(horizon_frames=args.predict_horizon))
+        except ValueError as exc:
+            print(f"invalid --predict-horizon: {exc}", file=sys.stderr)
+            return 2
+    sync = SyncConfig() if args.sync_check else None
+    if args.verify_determinism:
+        return _verify_determinism(args, impairment, faults, churn,
+                                   supervision, predict, sync)
+    tracer = SpanTracer() if (args.trace or args.events) else None
+    metered = bool(args.metrics or args.openmetrics or args.dashboard)
+    hub = MetricsHub() if metered else None
+    dashboard = None
+    if args.dashboard and hub is not None:
+        dashboard = LiveDashboard(hub, engine=SloEngine())
+        dashboard.attach()
+    config = SessionConfig(duration_s=args.duration, seed=args.seed,
+                           wifi_mbps=args.wifi_mbps,
+                           impairment=impairment, faults=faults,
+                           adapt=AbrConfig() if args.abr else None,
+                           churn=churn, supervision=supervision,
+                           predict=predict, sync=sync,
+                           tracer=tracer, metrics=hub,
+                           render_config=RenderConfig(kernels=args.kernels))
+    if args.perf:
+        with perf.timed("run.simulate"):
+            result = run_system(args.system, args.game, args.players, config)
+    else:
+        result = run_system(args.system, args.game, args.players, config)
+    slo_results = None
+    if hub is not None:
+        horizon_ms = args.duration * 1000.0
+        if dashboard is not None:
+            slo_results = dashboard.final(horizon_ms)
+        else:
+            slo_results = SloEngine().evaluate(hub.series)
+        if tracer is not None:
+            emit_slo_instants(tracer, slo_results)
+    print(f"{args.system} on {args.game}, {args.players} player(s), "
+          f"{args.duration:g}s simulated:")
+    if result.players:
+        _print_qoe(config, result)
+    else:
+        # Every slot was rejected, or evicted before its first frame.
+        print("  no player displayed a frame")
     if result.membership is not None:
         member = result.membership
         print("  -- membership --")
@@ -360,7 +371,8 @@ def _first_divergence(a, b) -> Optional[str]:
     return None
 
 
-def _verify_determinism(args, impairment, faults, churn, predict, sync) -> int:
+def _verify_determinism(args, impairment, faults, churn, supervision,
+                        predict, sync) -> int:
     """Run the experiment twice and fail loudly on any bit divergence.
 
     Both runs use identical configs with tracing/metrics disabled (those
@@ -373,7 +385,7 @@ def _verify_determinism(args, impairment, faults, churn, predict, sync) -> int:
             duration_s=args.duration, seed=args.seed,
             wifi_mbps=args.wifi_mbps, impairment=impairment,
             faults=faults, adapt=AbrConfig() if args.abr else None,
-            churn=churn, max_players=args.max_players,
+            churn=churn, supervision=supervision,
             predict=predict, sync=sync,
             render_config=RenderConfig(kernels=args.kernels),
         )

@@ -32,18 +32,8 @@ from .merger import (
     layer_from_decoded,
     switch_discontinuities,
 )
-from .online import (
-    OnlineFrameLoop,
-    OnlineRunResult,
-    PlayerFrameInput,
-    SsimBatchQueue,
-)
-from .pipeline import (
-    PipelineTimings,
-    batched_frame_intervals_ms,
-    frame_interval_ms,
-    frame_intervals_ms,
-)
+from .online import SsimBatchQueue
+from .pipeline import PipelineTimings, frame_interval_ms
 from .prefetch import PrefetchDecision, Prefetcher
 from .preprocess import (
     FrameSizeModel,
@@ -71,13 +61,10 @@ __all__ = [
     "LeafCutoff",
     "LeafKey",
     "OfflineArtifacts",
-    "OnlineFrameLoop",
-    "OnlineRunResult",
     "PAPER_FI_BOUND_MS",
     "PanoramaDiskCache",
     "PanoramaStore",
     "PipelineTimings",
-    "PlayerFrameInput",
     "PrefetchDecision",
     "Prefetcher",
     "PreprocessOptions",
@@ -85,7 +72,6 @@ __all__ = [
     "BandwidthBudget",
     "RenderBudget",
     "StoredFrame",
-    "batched_frame_intervals_ms",
     "build_cutoff_map",
     "calibrate_size_model",
     "compose_display",
@@ -93,7 +79,6 @@ __all__ = [
     "dist_thresh_payload",
     "exact_max_radius",
     "frame_interval_ms",
-    "frame_intervals_ms",
     "layer_from_decoded",
     "leaf_key",
     "leaf_threshold",

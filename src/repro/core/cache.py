@@ -22,20 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional
 
-import numpy as np
-
 from ..geometry import GridPoint, Vec2
 from .cutoff import LeafKey
 
 LRU = "lru"
 FLF = "flf"
-
-# Safety pad on squared-distance prefilters: ``np.hypot`` is NOT
-# bit-identical to ``math.hypot``, so the vector scan only *prefilters*
-# with squared distances (padded to a superset by this factor, far above
-# the ~4-ulp rounding of dx*dx + dy*dy) and confirms survivors with the
-# exact ``math.hypot`` the scalar loop uses.
-_PREFILTER_PAD = 1.0 + 1e-9
 
 
 @dataclass
@@ -120,17 +111,6 @@ class FrameCache:
         # cache lane.  None (the default) costs one branch per lookup.
         self.tracer = None
         self.owner = -1
-        # Vectorized candidate scoring (the batched online path, enabled
-        # by the owning system when kernels != "scalar").  The scan index
-        # — position arrays plus interned leaf / near-set ids — rebuilds
-        # lazily after inserts and evictions; lookups between mutations
-        # reuse it.  Results are bit-identical to the scalar loop.
-        self.vector_scan = False
-        self._index_dirty = True
-        self._scan_frames: List[CachedFrame] = []
-        self._xs = self._ys = self._leaf_arr = self._near_arr = None
-        self._leaf_intern: Dict[LeafKey, int] = {}
-        self._near_intern: Dict[FrozenSet[int], int] = {}
         # Resident unconfirmed speculative entries.  Zero on every
         # non-predicting session, which keeps the speculative filters
         # below completely off the clean code paths (bit-identity).
@@ -184,10 +164,7 @@ class FrameCache:
             self._trace_lookup("miss", now_ms)
             return None
 
-        if self.vector_scan:
-            best = self._scan_vector(position, leaf, near_ids, dist_thresh)
-        else:
-            best = self._scan_scalar(position, leaf, near_ids, dist_thresh)
+        best = self._scan(position, leaf, near_ids, dist_thresh)
         if best is None:
             self.stats.misses += 1
             self._trace_lookup("miss", now_ms)
@@ -197,14 +174,14 @@ class FrameCache:
         self._trace_lookup("similar_hit", now_ms)
         return best
 
-    def _scan_scalar(
+    def _scan(
         self,
         position: Vec2,
         leaf: LeafKey,
         near_ids: FrozenSet[int],
         dist_thresh: float,
     ) -> Optional[CachedFrame]:
-        """The §5.3 candidate loop (the bit-identity oracle)."""
+        """The §5.3 candidate loop: closest frame passing all three criteria."""
         best: Optional[CachedFrame] = None
         best_distance = float("inf")
         for frame in self._frames.values():
@@ -219,68 +196,6 @@ class FrameCache:
                 best = frame
                 best_distance = distance
         return best
-
-    def _scan_vector(
-        self,
-        position: Vec2,
-        leaf: LeafKey,
-        near_ids: FrozenSet[int],
-        dist_thresh: float,
-    ) -> Optional[CachedFrame]:
-        """Vectorized candidate scoring, bit-identical to the scalar loop.
-
-        Criteria 2/3 compare *interned* integer ids (exact, the same
-        ``==`` the scalar loop evaluates); criterion 1 prefilters on a
-        padded squared distance and the few survivors are confirmed —
-        and ranked, first-wins on strict improvement in insertion order
-        — with the scalar loop's exact ``math.hypot`` distance.
-        """
-        self._ensure_index()
-        if not self._scan_frames:
-            return None
-        leaf_id = self._leaf_intern.get(leaf)
-        near_id = self._near_intern.get(near_ids)
-        if leaf_id is None or near_id is None:
-            return None  # no resident frame can match criteria 2/3
-        dx = self._xs - position.x
-        dy = self._ys - position.y
-        d2 = dx * dx + dy * dy
-        mask = (self._leaf_arr == leaf_id) & (self._near_arr == near_id)
-        mask &= d2 <= (dist_thresh * dist_thresh) * _PREFILTER_PAD
-        best: Optional[CachedFrame] = None
-        best_distance = float("inf")
-        for index in np.flatnonzero(mask):
-            frame = self._scan_frames[index]
-            distance = frame.position.distance_to(position)
-            if distance > dist_thresh:
-                continue  # prefilter false positive
-            if distance < best_distance:
-                best = frame
-                best_distance = distance
-        return best
-
-    def _ensure_index(self) -> None:
-        """Rebuild the vector-scan index if mutations invalidated it."""
-        if not self._index_dirty:
-            return
-        frames = list(self._frames.values())
-        self._scan_frames = frames
-        self._xs = np.array([f.position.x for f in frames], dtype=np.float64)
-        self._ys = np.array([f.position.y for f in frames], dtype=np.float64)
-        leaf_intern = self._leaf_intern
-        near_intern = self._near_intern
-        self._leaf_arr = np.array(
-            [leaf_intern.setdefault(f.leaf, len(leaf_intern)) for f in frames],
-            dtype=np.int64,
-        )
-        self._near_arr = np.array(
-            [
-                near_intern.setdefault(f.near_ids, len(near_intern))
-                for f in frames
-            ],
-            dtype=np.int64,
-        )
-        self._index_dirty = False
 
     def _trace_lookup(self, outcome: str, now_ms: float) -> None:
         if self.tracer is not None:
@@ -316,13 +231,10 @@ class FrameCache:
                     args={"outcome": "empty", "entries": 0},
                 )
             return None
-        if self.vector_scan:
-            best = self._nearest_vector(position)
-        else:
-            best = min(
-                self._frames.values(),
-                key=lambda f: f.position.distance_to(position),
-            )
+        best = min(
+            self._frames.values(),
+            key=lambda f: f.position.distance_to(position),
+        )
         if self.tracer is not None:
             self.tracer.instant(
                 "cache.nearest", self.owner, "cache", now_ms, cat="cache",
@@ -332,41 +244,14 @@ class FrameCache:
             )
         return best
 
-    def _nearest_vector(self, position: Vec2) -> Optional[CachedFrame]:
-        """Vectorized stale-fallback scan, bit-identical to ``min()``.
-
-        The squared-distance minimum (padded, so exact ties and rounding
-        stragglers survive) narrows the field; the winner among survivors
-        is picked with the exact ``math.hypot`` distance, first minimal
-        in insertion order — exactly what ``min()`` over the scalar key
-        returns.
-        """
-        self._ensure_index()
-        if not self._scan_frames:
-            return None
-        dx = self._xs - position.x
-        dy = self._ys - position.y
-        d2 = dx * dx + dy * dy
-        bound = d2.min() * _PREFILTER_PAD
-        best: Optional[CachedFrame] = None
-        best_distance = float("inf")
-        for index in np.flatnonzero(d2 <= bound):
-            frame = self._scan_frames[index]
-            distance = frame.position.distance_to(position)
-            if distance < best_distance:
-                best = frame
-                best_distance = distance
-        return best
-
     def _nearest_confirmed(
         self, position: Vec2, now_ms: float
     ) -> Optional[CachedFrame]:
         """Stale-fallback scan over confirmed (non-speculative) frames.
 
         Only runs while unconfirmed speculative entries are resident, so
-        the plain :meth:`nearest` paths (scalar *and* vector — both see
-        the same filtered candidate list here, keeping kernel modes in
-        lockstep) stay untouched for non-predicting sessions.
+        the plain :meth:`nearest` path stays untouched for non-predicting
+        sessions.
         """
         candidates = [f for f in self._frames.values() if not f.speculative]
         if not candidates:
@@ -411,7 +296,7 @@ class FrameCache:
             return exact
         if self.exact_only:
             return None
-        return self._scan_scalar(position, leaf, near_ids, dist_thresh)
+        return self._scan(position, leaf, near_ids, dist_thresh)
 
     def confirm(self, frame: CachedFrame) -> None:
         """Promote a validated speculative entry to a confirmed one."""
@@ -430,7 +315,6 @@ class FrameCache:
             return False
         del self._frames[frame.grid_point]
         self._bytes -= frame.size_bytes
-        self._index_dirty = True
         if frame.speculative:
             self._spec_count -= 1
             self.stats.speculative_discards += 1
@@ -454,7 +338,6 @@ class FrameCache:
             self._bytes -= frame.size_bytes
             self._spec_count -= 1
             self.stats.speculative_expired += 1
-            self._index_dirty = True
         return len(stale)
 
     def drop_speculative(self) -> int:
@@ -467,7 +350,6 @@ class FrameCache:
             self._bytes -= frame.size_bytes
             self._spec_count -= 1
             self.stats.speculative_discards += 1
-            self._index_dirty = True
         return len(doomed)
 
     @property
@@ -493,7 +375,6 @@ class FrameCache:
         if frame.speculative:
             self._spec_count += 1
             self.stats.speculative_inserts += 1
-        self._index_dirty = True
         self._evict_if_needed(player_position=frame.position)
 
     def _evict_if_needed(self, player_position: Vec2) -> None:
@@ -504,7 +385,6 @@ class FrameCache:
             if victim.speculative:
                 self._spec_count -= 1
             self.stats.evictions += 1
-            self._index_dirty = True
 
     def _pick_victim(self, player_position: Vec2) -> CachedFrame:
         frames = self._frames.values()
@@ -518,4 +398,3 @@ class FrameCache:
         self._frames.clear()
         self._bytes = 0
         self._spec_count = 0
-        self._index_dirty = True

@@ -14,9 +14,6 @@ followed by merging:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,59 +85,4 @@ def frame_interval_ms(
     import math
 
     beats = max(1, math.ceil(total / target_interval_ms - 1e-9))
-    return beats * target_interval_ms
-
-
-def frame_intervals_ms(
-    timings_seq: Sequence[PipelineTimings],
-    target_interval_ms: float = 1000.0 / 60.0,
-    quantize: bool = False,
-) -> np.ndarray:
-    """:func:`frame_interval_ms` over a batch of per-player timings.
-
-    The batched online loop clamps/quantizes every player's interval in
-    one numpy pass; each element is bit-identical to the scalar helper
-    (``np.maximum`` and ``np.ceil`` agree exactly with ``max`` and
-    ``math.ceil`` on these finite inputs).
-    """
-    if target_interval_ms <= 0:
-        raise ValueError("target_interval_ms must be positive")
-    totals = np.fromiter(
-        (t.split_render_ms() for t in timings_seq),
-        dtype=np.float64,
-        count=len(timings_seq),
-    )
-    if not quantize:
-        return np.maximum(totals, target_interval_ms)
-    beats = np.maximum(1.0, np.ceil(totals / target_interval_ms - 1e-9))
-    return beats * target_interval_ms
-
-
-def batched_frame_intervals_ms(
-    prefetch_ms: np.ndarray,
-    *,
-    render_ms: float,
-    decode_ms: float,
-    sync_ms: float,
-    merge_ms: float,
-    target_interval_ms: float = 1000.0 / 60.0,
-    quantize: bool = False,
-) -> np.ndarray:
-    """Eq. 2 intervals for a batch that varies only in prefetch latency.
-
-    The online loop's device-model latencies are per-session constants;
-    only the prefetch term differs per player (zero on a cache hit, a
-    link-rate transfer on a fetch).  Folding the constant tasks into one
-    scalar ``max`` first and broadcasting over ``prefetch_ms`` gives the
-    same floats as building a :class:`PipelineTimings` per player —
-    ``max(a, b, c, d)`` returns one of its (finite) inputs regardless of
-    grouping.
-    """
-    if target_interval_ms <= 0:
-        raise ValueError("target_interval_ms must be positive")
-    base = max(render_ms, decode_ms, sync_ms)
-    totals = np.maximum(base, prefetch_ms) + merge_ms
-    if not quantize:
-        return np.maximum(totals, target_interval_ms)
-    beats = np.maximum(1.0, np.ceil(totals / target_interval_ms - 1e-9))
     return beats * target_interval_ms

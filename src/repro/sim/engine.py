@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, List, Tuple
+import math
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 ProcessGen = Generator[Any, Any, None]
 
@@ -171,47 +172,18 @@ class Simulator:
         """Process events until the clock would pass ``t_end`` ms."""
         if t_end < self.now:
             raise SimulationError(f"t_end {t_end} is before now {self.now}")
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        tracer = self.tracer
-        metrics = self.metrics
-        observed = tracer is not None or metrics is not None
-        t_start = self.now
-        dispatched = 0
-        try:
-            while self._queue and self._queue[0][0] <= t_end:
-                when, _seq, action = heapq.heappop(self._queue)
-                self.now = when
-                action()
-                if observed:
-                    dispatched += 1
-                    if (
-                        tracer is not None
-                        and dispatched % Simulator.TRACE_SAMPLE_EVERY == 0
-                    ):
-                        tracer.counter(
-                            "sim.queue_depth", self.now, len(self._queue)
-                        )
-                    if (
-                        metrics is not None
-                        and dispatched % Simulator.METRICS_PUMP_EVERY == 0
-                    ):
-                        metrics.maybe_sample(self.now)
-            self.now = t_end
-        finally:
-            self._running = False
-            self.dispatched += dispatched
-            if metrics is not None:
-                metrics.maybe_sample(self.now)
-            if tracer is not None:
-                tracer.complete(
-                    "sim.run", -1, "sim", t_start, self.now - t_start,
-                    cat="sim", args={"dispatched": dispatched},
-                )
+        self._dispatch(t_end)
 
     def run(self) -> None:
         """Process events until the queue drains."""
+        self._dispatch(None)
+
+    def _dispatch(self, t_end: Optional[float]) -> None:
+        """The one dispatch loop; ``t_end=None`` runs until the queue drains.
+
+        A bounded run leaves the clock at ``t_end``, an unbounded one at
+        the last event's time.
+        """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
@@ -219,9 +191,10 @@ class Simulator:
         metrics = self.metrics
         observed = tracer is not None or metrics is not None
         t_start = self.now
+        limit = math.inf if t_end is None else t_end
         dispatched = 0
         try:
-            while self._queue:
+            while self._queue and self._queue[0][0] <= limit:
                 when, _seq, action = heapq.heappop(self._queue)
                 self.now = when
                 action()
@@ -239,6 +212,8 @@ class Simulator:
                         and dispatched % Simulator.METRICS_PUMP_EVERY == 0
                     ):
                         metrics.maybe_sample(self.now)
+            if t_end is not None:
+                self.now = t_end
         finally:
             self._running = False
             self.dispatched += dispatched

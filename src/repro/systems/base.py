@@ -76,7 +76,6 @@ class SessionConfig:
     # --- session membership (None: fixed roster, no supervisor) ---
     churn: Optional[ChurnSchedule] = None  # scripted join/leave/crash
     supervision: Optional[SupervisorConfig] = None  # detector/admission knobs
-    max_players: Optional[int] = None  # roster cap (overrides supervision's)
     # --- speculation (None: no prediction, clean path bit-identical) ---
     predict: Optional[PredictConfig] = None  # pose-prediction prefetch knobs
     # --- sync validation (None: no digest exchange, clean path) ---
@@ -103,8 +102,6 @@ class SessionConfig:
             raise ValueError("fetch timeouts must be positive")
         if self.fetch_max_retries < 0:
             raise ValueError("fetch_max_retries must be non-negative")
-        if self.max_players is not None and self.max_players < 1:
-            raise ValueError("max_players must be >= 1")
 
     @property
     def supervised(self) -> bool:
@@ -112,13 +109,6 @@ class SessionConfig:
         empty schedule, turns supervision on; None keeps the fixed-roster
         clean path bit-identical)."""
         return self.churn is not None
-
-    def supervisor_config(self) -> SupervisorConfig:
-        """The effective supervision knobs for this run."""
-        base = self.supervision or SupervisorConfig()
-        if self.max_players is not None:
-            base = dataclasses.replace(base, max_players=self.max_players)
-        return base
 
     @property
     def degraded_mode(self) -> bool:
@@ -158,6 +148,12 @@ class PlayerResult:
         return collector.recovery_ms(after_ms, target_fps, window)
 
 
+def _mean(values: List[float]) -> float:
+    """``np.mean``, but NaN without a warning for an empty roster (a
+    supervised run where nobody ever displayed a frame)."""
+    return float(np.mean(values)) if values else float("nan")
+
+
 @dataclass
 class RunResult:
     """A complete multi-player run of one system on one game."""
@@ -175,15 +171,15 @@ class RunResult:
 
     @property
     def mean_fps(self) -> float:
-        return float(np.mean([p.metrics.fps for p in self.players]))
+        return _mean([p.metrics.fps for p in self.players])
 
     @property
     def mean_inter_frame_ms(self) -> float:
-        return float(np.mean([p.metrics.inter_frame_ms for p in self.players]))
+        return _mean([p.metrics.inter_frame_ms for p in self.players])
 
     @property
     def mean_responsiveness_ms(self) -> float:
-        return float(np.mean([p.metrics.responsiveness_ms for p in self.players]))
+        return _mean([p.metrics.responsiveness_ms for p in self.players])
 
     @property
     def mean_cache_hit_ratio(self) -> Optional[float]:
@@ -292,7 +288,7 @@ class Session:
                 config.churn,
                 n_initial=n_players,
                 total_slots=self.total_slots,
-                config=config.supervisor_config(),
+                config=config.supervision or SupervisorConfig(),
                 pun=self.pun,
                 tracer=self.tracer,
                 metrics=self.hub,

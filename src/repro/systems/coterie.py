@@ -92,11 +92,6 @@ class CoterieStrategy(FetchStrategy):
             )
             for cache in self.caches
         ]
-        if config.render_config.kernels != "scalar":
-            # Non-scalar kernel modes score cache candidates over the
-            # vectorized scan index — bit-identical lookup/nearest outcomes.
-            for cache in self.caches:
-                cache.vector_scan = True
         if session.hub.enabled:
             for player_id, cache in enumerate(self.caches):
                 session.meter_cache(player_id, cache)

@@ -11,7 +11,8 @@ roster, or the supervisor's spawn: a rejoining slot is ``reset`` first,
 a WARMING one runs the strategy's ``warmup``) → ``supervisor.poll`` →
 outage pause (then ``strategy.reconnected``) → ``strategy.before_frame``
 → ``t0`` → ABR ``on_frame`` → ``position_at`` → ``outcome = yield from
-strategy.frame(...)`` → one ``FrameRecord`` → collector →
+strategy.frame(...)`` (dropped, and the client exits, if the slot was
+evicted meanwhile) → one ``FrameRecord`` → collector →
 ``meter_frame`` → ``note_frame`` → one trace emission → yield the rest of
 the display interval.
 
@@ -31,7 +32,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 from ..core.constraint import BandwidthBudget
 from ..core.pipeline import PipelineTimings, frame_interval_ms
 from ..metrics import FrameRecord, MetricsCollector
-from ..session import WARMING, AdmissionController
+from ..session import DISPLAYING, WARMING, AdmissionController
 from .base import MIN_YIELD_MS, SENSOR_SCANOUT_MS, Session
 
 
@@ -182,6 +183,10 @@ def run_clients(session: Session, strategy: FetchStrategy) -> None:
                 controller.on_frame(t0)
             sample = session.position_at(player_id, t0)
             out = yield from strategy.frame(player_id, t0, sample)
+            if supervisor is not None and supervisor.state(player_id) not in DISPLAYING:
+                # Evicted while blocked in this frame's fetch (one transfer
+                # outlasting evict_after_ms): the frame reaches no display.
+                return
             interval = out.interval_ms
             record = FrameRecord(
                 t_ms=t0 + interval,

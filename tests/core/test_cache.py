@@ -1,5 +1,7 @@
 """Tests for the far-BE frame cache (§5.3 lookup + replacement)."""
 
+import math
+
 import pytest
 
 from repro.core import FLF, LRU, CachedFrame, FrameCache
@@ -103,6 +105,40 @@ class TestLookup:
 
     def test_empty_cache_hit_ratio_zero(self):
         assert FrameCache().stats.hit_ratio == 0.0
+
+
+class TestTieBreaking:
+    """Ties resolve by insertion order; the distance criterion is inclusive."""
+
+    def test_exact_tie_resolves_to_insertion_order(self):
+        cache = FrameCache()
+        cache.insert(frame((0, 1), 0.0, 1.0, near={1}))
+        cache.insert(frame((0, -1), 0.0, -1.0, near={1}))  # same distance
+        cache.insert(frame((2, 0), 2.0, 0.0, near={1}))
+        hit = cache.lookup(
+            (9, 9), Vec2(0.0, 0.0), LEAF_A, frozenset({1}), dist_thresh=5.0,
+            now_ms=1.0,
+        )
+        assert hit is not None and hit.grid_point == (0, 1)
+
+    def test_nearest_tie_matches_min(self):
+        cache = FrameCache()
+        cache.insert(frame((1, 0), 1.0, 0.0))
+        cache.insert(frame((-1, 0), -1.0, 0.0))
+        origin = Vec2(0.0, 0.0)
+        expected = min(cache.frames(), key=lambda f: f.position.distance_to(origin))
+        assert cache.nearest(origin) is expected
+        assert expected.grid_point == (1, 0)
+
+    def test_threshold_boundary_exact(self):
+        """A candidate at exactly dist_thresh is a hit."""
+        cache = FrameCache()
+        cache.insert(frame((3, 4), 3.0, 4.0, near={1}))
+        hit = cache.lookup(
+            (9, 9), Vec2(0.0, 0.0), LEAF_A, frozenset({1}),
+            dist_thresh=math.hypot(3.0, 4.0), now_ms=1.0,
+        )
+        assert hit is not None and hit.grid_point == (3, 4)
 
 
 class TestInsertAndReplacement:

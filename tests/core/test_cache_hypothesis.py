@@ -1,12 +1,13 @@
-"""Property tests: vector-scan parity under arbitrary cache interleavings.
+"""Property tests: cache invariants under arbitrary interleavings.
 
-The vectorized candidate scan promises bit-identity with the scalar
-loop.  A fixed unit test can only pin the interleavings someone thought
-of; here hypothesis drives *arbitrary* insert → evict → lookup →
-nearest sequences (including LRU pressure evictions and, in the second
-property, speculative tagging with confirm/discard/expire) against a
-scalar twin and asserts every observable answer matches.
+A fixed unit test can only pin the interleavings someone thought of;
+here hypothesis drives *arbitrary* insert → evict → lookup → nearest
+sequences (including LRU pressure evictions and, in the second property,
+speculative tagging with confirm/discard/expire) through one cache and
+checks its bookkeeping after every operation.
 """
+
+import dataclasses
 
 import pytest
 
@@ -71,23 +72,26 @@ spec_ops = st.lists(
 )
 
 
-def key_of(frame):
-    """Observable identity of a lookup/nearest answer."""
-    if frame is None:
-        return None
-    return (frame.grid_point, frame.size_bytes, frame.speculative,
-            frame.digest)
+def check_invariants(cache, before):
+    """Bookkeeping that must hold after every operation; returns the stats."""
+    frames = cache.frames()
+    assert len(cache) == len(frames)
+    assert cache.used_bytes == sum(f.size_bytes for f in frames)
+    assert cache.used_bytes <= cache.capacity_bytes
+    assert cache.speculative_count == sum(f.speculative for f in frames)
+    after = dataclasses.asdict(cache.stats)
+    assert all(after[name] >= before[name] for name in before)
+    return after
 
 
-class TestVectorParityUnderInterleavings:
+class TestCacheInvariants:
     @given(ops=plain_ops)
     @settings(max_examples=60, deadline=None)
-    def test_insert_evict_lookup_nearest_parity(self, ops):
-        """Scalar and vector caches agree after every operation."""
+    def test_plain_interleavings(self, ops):
+        """Every answer is a resident frame that meets the §5.3 criteria."""
         # Small capacity: a handful of inserts forces LRU evictions.
-        scalar = FrameCache(capacity_bytes=1500)
-        vector = FrameCache(capacity_bytes=1500)
-        vector.vector_scan = True
+        cache = FrameCache(capacity_bytes=1500)
+        stats = dataclasses.asdict(cache.stats)
         t_ms = 0.0
         for op in ops:
             t_ms += 16.0
@@ -95,93 +99,78 @@ class TestVectorParityUnderInterleavings:
                 _, gx, gy, size = op
                 leaf = LEAVES[(gx + gy) % 2]
                 near = NEAR_SETS[gx % 2]
-                scalar.insert(make_frame(gx, gy, size, t_ms, leaf, near))
-                vector.insert(make_frame(gx, gy, size, t_ms, leaf, near))
+                cache.insert(make_frame(gx, gy, size, t_ms, leaf, near))
             elif op[0] == "lookup":
                 _, gx, gy, leaf, near, thresh = op
                 position = Vec2(float(gx), float(gy))
-                a = scalar.lookup((gx, gy), position, leaf, near, thresh, t_ms)
-                b = vector.lookup((gx, gy), position, leaf, near, thresh, t_ms)
-                assert key_of(a) == key_of(b)
+                lookups = cache.stats.lookups
+                hit = cache.lookup((gx, gy), position, leaf, near, thresh, t_ms)
+                assert cache.stats.lookups == lookups + 1
+                if hit is not None and hit.grid_point != (gx, gy):
+                    assert hit.position.distance_to(position) <= thresh
+                    assert (hit.leaf, hit.near_ids) == (leaf, near)
+                if hit is not None:
+                    assert hit in cache.frames()
+                    assert hit.last_used_ms == t_ms
             else:
                 _, x, y = op
-                a = scalar.nearest(Vec2(x, y), t_ms)
-                b = vector.nearest(Vec2(x, y), t_ms)
-                assert key_of(a) == key_of(b)
-            assert len(scalar) == len(vector)
-            assert scalar.stats.hits == vector.stats.hits
-            assert scalar.stats.misses == vector.stats.misses
-        assert [key_of(f) for f in scalar.frames()] == [
-            key_of(f) for f in vector.frames()
-        ]
+                query = Vec2(x, y)
+                best = cache.nearest(query, t_ms)
+                assert (best is None) == (len(cache) == 0)
+                if best is not None:
+                    assert best.position.distance_to(query) == min(
+                        f.position.distance_to(query) for f in cache.frames()
+                    )
+            stats = check_invariants(cache, stats)
 
-
-class TestSpeculativeTaggingParity:
     @given(ops=spec_ops)
     @settings(max_examples=60, deadline=None)
-    def test_speculative_interleavings_parity(self, ops):
-        """Parity holds with speculative tagging in the mix.
-
-        confirm/discard are resolved per cache by grid point (the twin
-        caches hold distinct objects), and nearest() must filter
-        unconfirmed speculative entries identically in both modes.
-        """
-        scalar = FrameCache(capacity_bytes=2000)
-        vector = FrameCache(capacity_bytes=2000)
-        vector.vector_scan = True
+    def test_speculative_interleavings(self, ops):
+        """Bookkeeping holds with speculative tagging in the mix, and
+        ``nearest`` never serves an unconfirmed speculative frame."""
+        cache = FrameCache(capacity_bytes=2000)
+        stats = dataclasses.asdict(cache.stats)
         t_ms = 0.0
         for op in ops:
             t_ms += 16.0
             if op[0] == "insert":
                 _, gx, gy, size, speculative = op
                 digest = (gx << 8) | gy if speculative else 0
-                scalar.insert(make_frame(gx, gy, size, t_ms,
-                                         speculative=speculative,
-                                         digest=digest))
-                vector.insert(make_frame(gx, gy, size, t_ms,
-                                         speculative=speculative,
-                                         digest=digest))
+                cache.insert(make_frame(gx, gy, size, t_ms,
+                                        speculative=speculative, digest=digest))
             elif op[0] == "lookup":
                 _, gx, gy = op
-                position = Vec2(float(gx), float(gy))
-                a = scalar.lookup((gx, gy), position, "leaf-a",
-                                  frozenset({1}), 2.0, t_ms)
-                b = vector.lookup((gx, gy), position, "leaf-a",
-                                  frozenset({1}), 2.0, t_ms)
-                assert key_of(a) == key_of(b)
+                cache.lookup((gx, gy), Vec2(float(gx), float(gy)), "leaf-a",
+                             frozenset({1}), 2.0, t_ms)
             elif op[0] == "nearest":
                 _, gx, gy = op
-                a = scalar.nearest(Vec2(float(gx), float(gy)), t_ms)
-                b = vector.nearest(Vec2(float(gx), float(gy)), t_ms)
-                assert key_of(a) == key_of(b)
-                if a is not None:
-                    # The stale fallback never serves unvalidated state.
-                    assert not a.speculative
+                best = cache.nearest(Vec2(float(gx), float(gy)), t_ms)
+                confirmed = [f for f in cache.frames() if not f.speculative]
+                assert (best is None) == (not confirmed)
+                if best is not None:
+                    assert not best.speculative
             elif op[0] in ("confirm", "discard"):
                 _, gx, gy = op
-                for cache in (scalar, vector):
-                    resident = cache._frames.get((gx, gy))
-                    if resident is None:
-                        continue
-                    if op[0] == "confirm":
-                        cache.confirm(resident)
-                    else:
-                        cache.discard(resident)
+                resident = cache._frames.get((gx, gy))
+                if resident is None:
+                    continue
+                if op[0] == "confirm":
+                    cache.confirm(resident)
+                    assert not resident.speculative
+                else:
+                    assert cache.discard(resident)
+                    assert resident not in cache.frames()
             elif op[0] == "expire":
                 _, ttl = op
-                a = scalar.expire_speculative(t_ms, float(ttl))
-                b = vector.expire_speculative(t_ms, float(ttl))
-                assert a == b
+                spec_before = cache.speculative_count
+                expired = cache.expire_speculative(t_ms, float(ttl))
+                assert cache.speculative_count == spec_before - expired
+                assert not any(
+                    f.speculative and t_ms - f.inserted_ms > ttl
+                    for f in cache.frames()
+                )
             else:  # drop_spec
-                assert scalar.drop_speculative() == vector.drop_speculative()
-            assert scalar.speculative_count == vector.speculative_count
-            assert len(scalar) == len(vector)
-        assert [key_of(f) for f in scalar.frames()] == [
-            key_of(f) for f in vector.frames()
-        ]
-        assert (scalar.stats.speculative_confirms
-                == vector.stats.speculative_confirms)
-        assert (scalar.stats.speculative_discards
-                == vector.stats.speculative_discards)
-        assert (scalar.stats.speculative_expired
-                == vector.stats.speculative_expired)
+                spec_before = cache.speculative_count
+                assert cache.drop_speculative() == spec_before
+                assert cache.speculative_count == 0
+            stats = check_invariants(cache, stats)

@@ -1,22 +1,10 @@
-"""Tests for the batched online frame loop and its building blocks."""
+"""Tests for the deferred SSIM queue and the in-place display merge."""
 
 import numpy as np
 import pytest
 
-from repro.codec import FrameCodec
 from repro.core.merger import compose_display, compose_display_into
-from repro.core.online import (
-    OnlineFrameLoop,
-    PlayerFrameInput,
-    SsimBatchQueue,
-)
-from repro.core.pipeline import (
-    PipelineTimings,
-    batched_frame_intervals_ms,
-    frame_interval_ms,
-    frame_intervals_ms,
-)
-from repro.geometry import Vec2
+from repro.core.online import SsimBatchQueue
 from repro.render.rasterizer import Layer
 from repro.similarity import ssim
 
@@ -38,71 +26,6 @@ def layer(seed, coverage=0.3, shape=SHAPE):
         mask=rng.random(shape) < coverage,
         depth=np.full(shape, 1.0),
     )
-
-
-def build_schedule(codec, n_ticks=12, n_players=3, cell=4):
-    """A synthetic multi-player schedule with genuine hits and misses.
-
-    Players walk along a line; panorama viewpoints snap to ``cell``-sized
-    segments so each encoded frame serves a run of ticks.
-    """
-    near_sets = [frozenset({1, 2}), frozenset({1, 2, 3})]
-    encoded = {}
-    ticks = []
-    for t in range(n_ticks):
-        tick = []
-        for p in range(n_players):
-            step = t + 3 * p
-            gx = (step // cell) * cell
-            key = (gx, p % 2)
-            if key not in encoded:
-                encoded[key] = codec.encode(textured_frame(hash(key) % 1000))
-            tick.append(
-                PlayerFrameInput(
-                    grid_point=key,
-                    position=Vec2(float(gx), float(p)),
-                    leaf=("leaf", p % 2),
-                    near_ids=near_sets[p % 2],
-                    dist_thresh=1.5,
-                    encoded=encoded[key],
-                    wire_bytes=1200 + 10 * p,
-                    near_layer=layer(step),
-                    fi_layer=layer(step + 500) if p else None,
-                    reference=textured_frame(step + 2000),
-                )
-            )
-        ticks.append(tick)
-    return ticks
-
-
-class TestCrossModeIdentity:
-    @pytest.fixture(scope="class")
-    def schedule(self):
-        return build_schedule(FrameCodec())
-
-    def test_digest_and_metrics_identical(self, schedule):
-        loop = OnlineFrameLoop(
-            ticks=schedule, ssim_stride=2, ssim_batch_target=5
-        )
-        scalar = loop.run(batched=False)
-        vector = loop.run(batched=True)
-        assert scalar.fetches > 0 and scalar.cache_hits > 0
-        assert scalar.metrics() == vector.metrics()
-
-    def test_ssim_values_match_inline(self, schedule):
-        loop = OnlineFrameLoop(
-            ticks=schedule, ssim_stride=1, ssim_batch_target=4
-        )
-        scalar = loop.run(batched=False)
-        batched = loop.run(batched=True)
-        assert scalar.ssim_values == batched.ssim_values
-        assert len(scalar.ssim_values) == sum(len(t) for t in schedule)
-
-    def test_invalid_config(self, schedule):
-        with pytest.raises(ValueError):
-            OnlineFrameLoop(ticks=schedule, ssim_stride=0)
-        with pytest.raises(ValueError):
-            OnlineFrameLoop(ticks=schedule, link_mbps=0.0)
 
 
 class TestSsimBatchQueue:
@@ -185,41 +108,4 @@ class TestComposeDisplayInto:
         with pytest.raises(ValueError):
             compose_display_into(
                 np.empty((8, 8), dtype=np.float32), far, near
-            )
-
-
-class TestFrameIntervals:
-    def timings(self, prefetch_ms):
-        return PipelineTimings(
-            render_fi_ms=3.0, render_near_be_ms=4.0, decode_ms=3.7,
-            prefetch_ms=prefetch_ms, sync_ms=1.0, merge_ms=1.0, setup_ms=0.5,
-        )
-
-    def test_batch_matches_scalar(self):
-        seq = [self.timings(p) for p in (0.0, 5.0, 16.0, 40.0)]
-        batch = frame_intervals_ms(seq)
-        assert list(batch) == [frame_interval_ms(t) for t in seq]
-
-    def test_quantized_batch_matches_scalar(self):
-        seq = [self.timings(p) for p in (0.0, 16.0, 17.0, 40.0)]
-        batch = frame_intervals_ms(seq, quantize=True)
-        assert list(batch) == [
-            frame_interval_ms(t, quantize=True) for t in seq
-        ]
-
-    def test_constant_task_fast_path_matches(self):
-        prefetch = np.array([0.0, 5.0, 16.0, 40.0])
-        fast = batched_frame_intervals_ms(
-            prefetch, render_ms=7.5, decode_ms=3.7, sync_ms=1.0, merge_ms=1.0
-        )
-        slow = frame_intervals_ms([self.timings(p) for p in prefetch])
-        assert list(fast) == list(slow)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            frame_intervals_ms([], target_interval_ms=0.0)
-        with pytest.raises(ValueError):
-            batched_frame_intervals_ms(
-                np.zeros(1), render_ms=1.0, decode_ms=1.0, sync_ms=1.0,
-                merge_ms=1.0, target_interval_ms=-1.0,
             )

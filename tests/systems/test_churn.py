@@ -12,6 +12,8 @@ Three layers:
 """
 
 import dataclasses
+import math
+import warnings
 
 import pytest
 
@@ -184,6 +186,21 @@ class TestLifecycle:
             if span.start_ms < left.start_ms < span.end_ms
         ]
         assert straddling == []
+
+    def test_frame_outlasting_eviction_is_dropped(self, pool):
+        """On a 5 Mbps link one far-BE fetch takes over a second: the
+        detector evicts both clients while they block in it, and the
+        frame that lands afterwards reaches no display (it used to trip
+        invariant 5, "frame delivered to a non-displaying player")."""
+        world, artifacts = pool
+        config = churn_config("leave@500:1,rejoin@700:1", wifi_mbps=5.0)
+        result = run_coterie(world, 2, config, artifacts)
+        assert result.players == []
+        assert result.membership.evictions == 2
+        assert result.membership.invariant_violations == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty roster must not warn
+            assert math.isnan(result.mean_fps)
 
 
 class TestDeterminism:

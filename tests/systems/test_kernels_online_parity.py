@@ -1,10 +1,10 @@
 """Cross-mode bit-identity of the full-render Coterie online path.
 
-``--kernels`` governs the online hot path too: ``vector`` turns on the
-vectorized cache scan and defers SSIM scoring through the
-:class:`repro.core.online.SsimBatchQueue`.  A full-render session must
-produce *identical* metrics — switch SSIMs, displayed SSIMs, FPS —
-under every kernel mode.
+Online, ``--kernels`` selects the pixel kernels and one more thing:
+``vector`` defers SSIM scoring through the
+:class:`repro.core.online.SsimBatchQueue` (the frame cache is
+mode-independent).  A full-render session must produce *identical*
+metrics — switch SSIMs, displayed SSIMs, FPS — under every kernel mode.
 """
 
 import pytest

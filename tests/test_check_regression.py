@@ -251,32 +251,6 @@ class TestAllFailuresReported:
         assert "2 regression(s)" in out.err
 
 
-class TestOnlineBenchSpec:
-    def test_online_speedup_drop_fails(self, tmp_path):
-        online = {
-            "benchmark": "online_pipeline",
-            "speedup": {"vector": 1.9},
-            "legs": {
-                "scalar": {"wall_s": 0.28},
-                "vector": {"wall_s": 0.15},
-            },
-        }
-        baseline = tmp_path / "baseline"
-        fresh = tmp_path / "fresh"
-        baseline.mkdir()
-        fresh.mkdir()
-        (baseline / "BENCH_online.json").write_text(json.dumps(online))
-        good = copy.deepcopy(online)
-        (fresh / "BENCH_online.json").write_text(json.dumps(good))
-        assert run_gate(baseline, fresh, "--ratio-only", "--artifacts",
-                        "BENCH_online.json") == 0
-        bad = copy.deepcopy(online)
-        bad["speedup"]["vector"] = 1.0
-        (fresh / "BENCH_online.json").write_text(json.dumps(bad))
-        assert run_gate(baseline, fresh, "--ratio-only", "--artifacts",
-                        "BENCH_online.json") == 1
-
-
 class TestUpdateBaselines:
     """``--update-baselines`` re-pins committed baselines from fresh runs."""
 

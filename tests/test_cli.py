@@ -119,6 +119,15 @@ class TestChurnCommands:
                      "--max-players", "2"]) == 2
         assert "exceeds --max-players" in capsys.readouterr().err
 
+    def test_run_where_nobody_displays_exits_cleanly(self, capsys):
+        """Both clients are evicted while blocked in their first fetch."""
+        assert main(["run", "coterie", "pool", "2", "--duration", "4",
+                     "--seed", "1", "--wifi-mbps", "5",
+                     "--churn", "leave@500:1,rejoin@700:1"]) == 0
+        out = capsys.readouterr().out
+        assert "no player displayed a frame" in out
+        assert "2 evicted" in out
+
     def test_clean_run_omits_membership(self, capsys):
         assert main(["run", "coterie", "pool", "1", "--duration", "2"]) == 0
         assert "membership" not in capsys.readouterr().out
