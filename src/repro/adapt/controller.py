@@ -33,9 +33,12 @@ reproduces every step/drop bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..net.estimator import EstimatorConfig, RateEstimator
+
+if TYPE_CHECKING:
+    from ..telemetry import SpanTracer
 
 #: CRF-to-size staircase: wire bytes roughly halve every +6 CRF
 #: (matching repro.codec.quant.quant_scale's doubling quantizer).
@@ -112,7 +115,7 @@ class AbrController:
         base_crf: float,
         deadline_ms: float,
         nominal_bytes: float,
-        tracer=None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
@@ -124,7 +127,7 @@ class AbrController:
         self.deadline_ms = deadline_ms
         #: Typical wire size at base quality; the ladder forecast anchor.
         self.nominal_bytes = nominal_bytes
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.tracer = tracer
         self.estimator = RateEstimator(config.estimator)
         ladder = sorted(set(config.ladder) | {base_crf})
         self.ladder: Tuple[float, ...] = tuple(ladder)

@@ -167,6 +167,22 @@ def _print_qoe(config: SessionConfig, result) -> None:
               f"(recovery {recover:.1f} ms total)")
 
 
+def _outputs_writable(args: argparse.Namespace, *flags: str) -> bool:
+    """Whether every requested output file can be opened for writing;
+    reports the first that cannot in one line.  Checked before the
+    simulation starts, so a mistyped path does not cost the whole run."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is not None:
+            try:
+                with open(path, "a"):
+                    pass
+            except OSError as exc:
+                print(f"cannot write --{flag} {path}: {exc.strerror}", file=sys.stderr)
+                return False
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.system == "mobile" and (args.trace_profile or args.abr):
         print("--trace-profile/--abr require a networked system "
@@ -236,6 +252,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.verify_determinism:
         return _verify_determinism(args, impairment, faults, churn,
                                    supervision, predict, sync)
+    if not _outputs_writable(args, "trace", "events", "metrics", "openmetrics"):
+        return 2
     tracer = SpanTracer() if (args.trace or args.events) else None
     metered = bool(args.metrics or args.openmetrics or args.dashboard)
     hub = MetricsHub() if metered else None
@@ -671,6 +689,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"fleet determinism check: {args.workload} workload, "
               f"{len(trace)} arrivals, seed {args.seed}")
         return _verify_fleet_determinism(config)
+    if not _outputs_writable(args, "metrics", "openmetrics"):
+        return 2
     metered = bool(args.metrics or args.openmetrics)
     hub = MetricsHub() if metered else None
     result = run_fleet(config, metrics=hub)

@@ -20,10 +20,13 @@ localities coincide in player movement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
 
 from ..geometry import GridPoint, Vec2
 from .cutoff import LeafKey
+
+if TYPE_CHECKING:
+    from ..telemetry import SpanTracer
 
 LRU = "lru"
 FLF = "flf"
@@ -106,10 +109,10 @@ class FrameCache:
         self.stats = CacheStats()
         self._frames: Dict[GridPoint, CachedFrame] = {}
         self._bytes = 0
-        # Telemetry hooks (assigned by the owning system when tracing):
+        # Telemetry hooks (assigned by the session observer when tracing):
         # every lookup / stale-fallback emits an instant on the owner's
         # cache lane.  None (the default) costs one branch per lookup.
-        self.tracer = None
+        self.tracer: Optional[SpanTracer] = None
         self.owner = -1
         # Resident unconfirmed speculative entries.  Zero on every
         # non-predicting session, which keeps the speculative filters

@@ -20,9 +20,10 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import Simulator
+from ..telemetry import MetricsHub
 from .admission import FleetAdmissionController, FleetDecision, SessionEstimate
 from .arrivals import ArrivalTrace
 
@@ -91,7 +92,7 @@ class Matchmaker:
         estimate_for: Callable[[str, int], SessionEstimate],
         launch: Callable[[str, Tuple[float, ...], FleetDecision], None],
         active_estimates: Callable[[], Sequence[SessionEstimate]],
-        metrics: Optional[Any] = None,
+        metrics: Optional[MetricsHub] = None,
     ) -> None:
         """Wire the matchmaker to its simulator and collaborators."""
         self.sim = sim
@@ -105,7 +106,7 @@ class Matchmaker:
         self._formed_counter = None
         self._rejected_counter = None
         self._lobby_gauge = None
-        if metrics is not None and getattr(metrics, "enabled", False):
+        if metrics is not None:
             self._formed_counter = metrics.counter("fleet_sessions_formed_total")
             self._rejected_counter = metrics.counter(
                 "fleet_sessions_rejected_total"

@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..metrics.stats import percentile
 from ..sim import Event, Simulator
+from ..telemetry import MetricsHub
 
 
 @dataclass
@@ -106,7 +107,7 @@ class RenderFarm:
         batch_max: int = 8,
         cross_session: bool = True,
         completion_hook: Optional[Callable[[RenderRequest], None]] = None,
-        metrics: Optional[Any] = None,
+        metrics: Optional[MetricsHub] = None,
     ) -> None:
         """``completion_hook`` runs once per finished request (e.g. the
         shared store's ``commit``); ``metrics`` is an optional
@@ -136,7 +137,7 @@ class RenderFarm:
         self._wait_gauge = None
         self._renders_counter = None
         self._coalesced_counter = None
-        if metrics is not None and getattr(metrics, "enabled", False):
+        if metrics is not None:
             depth_gauge = metrics.gauge("farm_queue_depth")
             busy_gauge = metrics.gauge("farm_busy_slots")
             metrics.register_probe(

@@ -38,6 +38,7 @@ from ..core.store import world_cache_key
 from ..metrics.stats import percentile
 from ..sim import Simulator, all_of
 from ..systems import SYSTEMS, RunResult, SessionConfig, run_system
+from ..telemetry import MetricsHub
 from ..world import ALL_GAMES, load_game
 from .admission import FleetAdmissionController, FleetBudget, FleetDecision, SessionEstimate
 from .arrivals import WORKLOADS, ArrivalTrace, generate_arrivals
@@ -234,7 +235,7 @@ class _FleetRun:
     """Mutable state of one in-flight fleet simulation."""
 
     def __init__(self, config: FleetConfig, trace: ArrivalTrace,
-                 metrics: Optional[Any]) -> None:
+                 metrics: Optional[MetricsHub]) -> None:
         """Build the component graph for one run."""
         self.config = config
         self.trace = trace
@@ -292,7 +293,7 @@ class _FleetRun:
         self._join_hist = None
         self._admitted_counter = None
         self._completed_counter = None
-        if metrics is not None and getattr(metrics, "enabled", False):
+        if metrics is not None:
             self._join_gauge = metrics.gauge("join_latency_ms")
             self._join_hist = metrics.histogram(
                 "fleet_join_latency_ms", edges=JOIN_BUCKETS_MS
@@ -446,7 +447,7 @@ class _FleetRun:
 
 
 def run_fleet(config: FleetConfig,
-              metrics: Optional[Any] = None) -> FleetResult:
+              metrics: Optional[MetricsHub] = None) -> FleetResult:
     """Simulate one fleet serving run end to end.
 
     ``metrics`` is an optional :class:`~repro.telemetry.MetricsHub`; when

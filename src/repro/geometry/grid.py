@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,12 +210,6 @@ class WorldGrid:
             return self.total_points
         hits = int(self._reachable_many(*self.bounds.sample_arrays(rng, sample_size)).sum())
         return int(round(self.total_points * hits / sample_size))
-
-    def iter_points(self) -> Iterator[GridPoint]:
-        """Enumerate every grid point; only sensible for small test grids."""
-        for j in range(self.ny):
-            for i in range(self.nx):
-                yield (i, j)
 
     # ------------------------------------------------------------------
     # Neighbourhoods (used by the prefetcher, Fig. 10)

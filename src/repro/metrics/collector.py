@@ -192,10 +192,6 @@ class MetricsCollector:
             return None
         return mean(values)
 
-    def bytes_transferred(self) -> int:
-        """Total wire bytes fetched during the session."""
-        return sum(r.frame_bytes for r in self.records)
-
     def deadline_miss_rate(self) -> float:
         """Fraction of frames whose prefetch missed its deadline."""
         if not self.records:

@@ -14,10 +14,13 @@ Table 9's bandwidth split (BE frames vs FI sync traffic).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..sim import Event, FluidShareServer, Simulator
 from .impairment import LinkImpairment
+
+if TYPE_CHECKING:
+    from ..telemetry import MetricsHub, SpanTracer
 
 MBIT = 1_000_000.0
 
@@ -37,8 +40,8 @@ class WifiLink:
         overhead_ms: float = 1.5,
         stations: int = 1,
         impairment: Optional[LinkImpairment] = None,
-        tracer=None,
-        metrics=None,
+        tracer: Optional[SpanTracer] = None,
+        metrics: Optional[MetricsHub] = None,
     ) -> None:
         if capacity_mbps <= 0:
             raise ValueError("capacity_mbps must be positive")
@@ -49,14 +52,12 @@ class WifiLink:
         # instants carry the impairment draw, the impaired relay stamps a
         # completed link.transfer span, aborts are marked.  Purely
         # observational — no events are scheduled for tracing.
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.tracer = tracer
         self._trace_lane_ends: list = []  # per-lane last span end (tracing)
         # Metrics hook (repro.telemetry.MetricsHub or None): per-tag byte
         # counters mirror _tag_bytes, and a probe samples active transfers
         # plus medium utilization at each boundary.  Also observational.
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
+        self.metrics = metrics
         self._byte_counters: Dict[str, object] = {}
         if self.metrics is not None:
             active_gauge = self.metrics.gauge("link_active_transfers")

@@ -122,7 +122,3 @@ class EpochLog:
     def fingerprint(self) -> Tuple[Tuple, ...]:
         """Byte-comparable log identity (determinism tests)."""
         return tuple(event.key() for event in self.events)
-
-    def last_epoch(self) -> int:
-        """Epoch number of the most recent transition (0 when empty)."""
-        return self.events[-1].epoch if self.events else 0

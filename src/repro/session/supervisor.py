@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults.churn import ChurnSchedule, CrashEvent, JoinEvent, LeaveEvent
 from ..sim import Simulator
-from ..telemetry import as_tracer
+from ..telemetry import MetricsHub, SpanTracer
 from .admission import AdmissionController, AdmissionDecision
 from .invariants import InvariantChecker
 from .membership import (
@@ -133,8 +133,8 @@ class SessionSupervisor:
         total_slots: int,
         config: Optional[SupervisorConfig] = None,
         pun=None,
-        tracer=None,
-        metrics=None,
+        tracer: Optional[SpanTracer] = None,
+        metrics: Optional[MetricsHub] = None,
         horizon_ms: float = math.inf,
     ) -> None:
         if n_initial < 1:
@@ -146,20 +146,17 @@ class SessionSupervisor:
         self.schedule = schedule
         self.config = config or SupervisorConfig()
         self.pun = pun
-        self.tracer = as_tracer(tracer)
+        self.tracer = tracer
         # Metrics hub (repro.telemetry.MetricsHub or None): membership
         # gauges/counters updated at _transition, the single mutation
         # point, so the series mirror the epoch log exactly.
-        self._metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
-        if self._metrics is not None:
-            hub = self._metrics
-            self._members_gauge = hub.gauge("members_active")
-            self._epochs_counter = hub.counter("membership_epochs_total")
-            self._suspects_counter = hub.counter("membership_suspects_total")
-            self._evictions_counter = hub.counter("membership_evictions_total")
-            self._join_latency_gauge = hub.gauge("join_latency_ms")
+        self._metrics = metrics
+        if metrics is not None:
+            self._members_gauge = metrics.gauge("members_active")
+            self._epochs_counter = metrics.counter("membership_epochs_total")
+            self._suspects_counter = metrics.counter("membership_suspects_total")
+            self._evictions_counter = metrics.counter("membership_evictions_total")
+            self._join_latency_gauge = metrics.gauge("join_latency_ms")
         self.n_initial = n_initial
         self.total_slots = total_slots
         self.horizon_ms = horizon_ms
@@ -475,7 +472,7 @@ class SessionSupervisor:
                 slot=slot, epoch=self.epoch,
                 utilization=revalidation.utilization,
             )
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 f"member.{to_state}", slot, "member", self.sim.now,
                 cat="membership",

@@ -24,9 +24,12 @@ nondeterminism bug produces a mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from ..predict.digest import digest_ints, fnv1a, int_bits, pose_digest
+
+if TYPE_CHECKING:
+    from ..telemetry import SpanTracer
 
 #: XOR mask applied to a submitted hash by an injected desync — any
 #: single-bit perturbation would do; a wide mask makes hexdumps obvious.
@@ -124,7 +127,7 @@ class SyncValidator:
     injected_at: Callable[[int, float, float], Optional[float]]
     record_bytes: Callable[[int], None]
     request_resync: Callable[[int], None]
-    tracer: Optional[object] = None
+    tracer: Optional[SpanTracer] = None
     rounds: int = 0
     alarms: List[DesyncAlarm] = field(default_factory=list)
     stats: List[SlotSyncStats] = field(default_factory=list)
@@ -163,7 +166,7 @@ class SyncValidator:
                     alarm_ms = self._pending_recovery.pop(slot)
                     stats = self.stats[slot]
                     stats.recovery_ms += now - alarm_ms
-                    if self.tracer is not None and self.tracer.enabled:
+                    if self.tracer is not None:
                         self.tracer.instant(
                             "sync.recovered", slot, "net", now, cat="sync",
                             args={"recovery_ms": round(now - alarm_ms, 4)},
@@ -189,7 +192,7 @@ class SyncValidator:
         stats = self.stats[slot]
         stats.alarms += 1
         stats.max_detection_ms = max(stats.max_detection_ms, detection_ms)
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "sync.alarm", slot, "net", now, cat="sync",
                 args={"expected": f"{expected:016x}",

@@ -1,13 +1,11 @@
 """Discrete-event simulation substrate (engine + shared resources)."""
 
 from .engine import Event, SimulationError, Simulator, all_of, any_of
-from .resources import FluidShareServer, Queue, Semaphore
+from .resources import FluidShareServer
 
 __all__ = [
     "Event",
     "FluidShareServer",
-    "Queue",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "all_of",

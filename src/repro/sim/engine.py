@@ -18,7 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from ..telemetry import MetricsHub, SpanTracer
 
 ProcessGen = Generator[Any, Any, None]
 
@@ -85,21 +88,19 @@ class Simulator:
     # time can elapse between stamping passes, not the sample times.
     METRICS_PUMP_EVERY = 64
 
-    def __init__(self, tracer=None, metrics=None) -> None:
+    def __init__(
+        self, tracer: Optional[SpanTracer] = None, metrics: Optional[MetricsHub] = None
+    ) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self._running = False
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
-        if self.metrics is not None:
-            depth_gauge = self.metrics.gauge("sim_queue_depth")
+        self.tracer = tracer
+        self.metrics = metrics
+        if metrics is not None:
+            depth_gauge = metrics.gauge("sim_queue_depth")
             queue = self._queue
-            self.metrics.register_probe(
-                lambda: depth_gauge.set(float(len(queue)))
-            )
+            metrics.register_probe(lambda: depth_gauge.set(float(len(queue))))
         self.dispatched = 0
 
     # ------------------------------------------------------------------

@@ -6,18 +6,14 @@ share of the capacity.  This is the standard fluid model of a shared
 wireless medium and is what produces the paper's headline scaling failure:
 N players prefetching concurrently each see ~1/N of the 802.11ac
 throughput, so per-frame network delay grows linearly with N (Table 1).
-
-A plain FIFO :class:`Queue` and a counting :class:`Semaphore` support the
-server-side request handling and bounded decoder slots.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict
+from typing import Dict
 
-from .engine import Event, SimulationError, Simulator
+from .engine import Event, Simulator
 
 
 @dataclass
@@ -61,11 +57,6 @@ class FluidShareServer:
     @property
     def active_flows(self) -> int:
         return len(self._flows)
-
-    def current_rate(self) -> float:
-        """Per-flow service rate right now (0 when idle)."""
-        n = len(self._flows)
-        return self.capacity / n if n else 0.0
 
     def submit(self, work: float) -> Event:
         """Submit a job of ``work`` units; returns its completion event."""
@@ -174,63 +165,3 @@ class FluidShareServer:
         self._reschedule_completion()
         for flow in finished:
             flow.done.succeed(self.sim.now - flow.started_at)
-
-
-class Semaphore:
-    """Counting semaphore for bounded concurrent stages (e.g. decoder slots)."""
-
-    def __init__(self, sim: Simulator, slots: int) -> None:
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
-        self.sim = sim
-        self.slots = slots
-        self._available = slots
-        self._waiting: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        """Take a slot; the returned event fires when granted."""
-        ev = self.sim.event()
-        if self._available > 0:
-            self._available -= 1
-            self.sim.schedule(0.0, lambda: ev.succeed())
-        else:
-            self._waiting.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return a slot, waking the oldest waiter if any."""
-        if self._waiting:
-            self._waiting.popleft().succeed()
-        else:
-            if self._available >= self.slots:
-                raise SimulationError("release without matching acquire")
-            self._available += 1
-
-
-class Queue:
-    """Unbounded FIFO queue connecting simulator processes."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        """Enqueue an item, waking the oldest blocked getter."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Dequeue; the returned event fires with the item."""
-        ev = self.sim.event()
-        if self._items:
-            item = self._items.popleft()
-            self.sim.schedule(0.0, lambda: ev.succeed(item))
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -35,12 +35,9 @@ from ..predict import PredictConfig
 from ..render import PIXEL2, DeviceProfile, RenderConfig, RenderCostModel
 from ..session import MembershipSummary, SessionSupervisor, SupervisorConfig, SyncConfig
 from ..sim import Simulator
-from ..telemetry import LATENCY_BUCKETS_MS, as_hub, as_tracer
+from ..telemetry import MetricsHub, SessionObserver, SpanTracer
 from ..trace import Trajectory, generate_party
 from ..world.games import GameWorld
-
-if TYPE_CHECKING:
-    from ..telemetry import MetricsHub, SpanTracer
 
 SENSOR_SCANOUT_MS = 0.5  # pose sampling + display scanout overhead
 
@@ -60,10 +57,7 @@ class SessionConfig:
     render_config: RenderConfig = field(default_factory=RenderConfig)
     codec_crf: float = 25.0
     wifi_mbps: float = 500.0
-    wifi_overhead_ms: float = 1.5
     render_frames: bool = False  # True: full-fidelity frames (slow)
-    cache_capacity_bytes: int = 512 * 1024 * 1024
-    cache_policy: str = "lru"
     # --- robustness (all default-off: clean runs are bit-identical) ---
     impairment: Optional[ImpairmentConfig] = None  # link loss/jitter/dips
     faults: Optional[FaultSchedule] = None  # scripted failure windows
@@ -80,15 +74,14 @@ class SessionConfig:
     predict: Optional[PredictConfig] = None  # pose-prediction prefetch knobs
     # --- sync validation (None: no digest exchange, clean path) ---
     sync: Optional[SyncConfig] = None  # cross-peer desync detection knobs
-    # --- observability (None: tracing off, zero overhead) ---
-    # A repro.telemetry.SpanTracer recording sim-time spans for the whole
-    # online path.  Purely observational: a traced run produces the same
-    # metrics as an untraced one (asserted by bench_trace_overhead).
+    # --- observability (both None: no observer is built, zero overhead) ---
+    # A repro.telemetry.SpanTracer (sim-time spans for the whole online
+    # path) and a repro.telemetry.MetricsHub (counters/gauges/histograms
+    # sampled on a sim-time cadence across the engine, link, caches, frame
+    # loop, ABR and supervisor).  Purely observational: a traced and/or
+    # metered run produces the same result as a plain one, asserted per
+    # scenario by the twin in tests/systems/test_loop_golden.py.
     tracer: Optional[SpanTracer] = None
-    # A repro.telemetry.MetricsHub sampling counters/gauges/histograms on
-    # a sim-time cadence across the engine, link, caches, frame loops,
-    # ABR, and supervisor.  Same contract as the tracer: observational
-    # only, bit-identical results (asserted by bench_metrics_overhead).
     metrics: Optional[MetricsHub] = None
 
     def __post_init__(self) -> None:
@@ -197,42 +190,6 @@ class RunResult:
         return self.be_mbps / self.n_players
 
 
-class _PlayerMeter:
-    """Cached per-player instrument handles for the frame-loop hot path.
-
-    Built lazily on a player's first metered frame so late joiners and
-    never-admitted slots cost nothing; holding the handles here keeps
-    :meth:`Session.meter_frame` free of registry lookups.
-    """
-
-    __slots__ = (
-        "interval_hist", "render_hist", "net_hist", "responsiveness_hist",
-        "margin_gauge", "delivery_gauge", "crf_gauge", "degraded_gauge",
-        "abr_drops", "abr_steps",
-    )
-
-    def __init__(self, hub, player_id: int) -> None:
-        labels = {"player": str(player_id)}
-        self.interval_hist = hub.histogram(
-            "frame_interval_ms", labels, edges=LATENCY_BUCKETS_MS
-        )
-        self.render_hist = hub.histogram(
-            "stage_render_ms", labels, edges=LATENCY_BUCKETS_MS
-        )
-        self.net_hist = hub.histogram(
-            "stage_net_ms", labels, edges=LATENCY_BUCKETS_MS
-        )
-        self.responsiveness_hist = hub.histogram(
-            "responsiveness_ms", labels, edges=LATENCY_BUCKETS_MS
-        )
-        self.margin_gauge = hub.gauge("deadline_margin_ms", labels)
-        self.delivery_gauge = hub.gauge("delivery_rate_mbps", labels)
-        self.crf_gauge = hub.gauge("abr_crf", labels)
-        self.degraded_gauge = hub.gauge("abr_degraded", labels)
-        self.abr_drops = hub.counter("abr_drops_total", labels)
-        self.abr_steps = hub.counter("abr_steps_total", labels)
-
-
 class Session:
     """Simulation context shared by one run's player processes."""
 
@@ -242,20 +199,18 @@ class Session:
         self.world = world
         self.n_players = n_players
         self.config = config
-        self.tracer = as_tracer(config.tracer)
-        self.hub = as_hub(config.metrics)
-        self.sim = Simulator(tracer=self.tracer, metrics=self.hub)
+        self.tracer: Optional[SpanTracer] = config.tracer
+        self.sim = Simulator(tracer=self.tracer, metrics=config.metrics)
         # The single fault query point of the loop and its strategies;
         # over an empty schedule every query answers "nothing scripted".
         self.faults = FaultInjector(config.faults or FaultSchedule())
         self.link = WifiLink(
             self.sim,
             capacity_mbps=config.wifi_mbps,
-            overhead_ms=config.wifi_overhead_ms,
             stations=n_players,
             impairment=self._build_impairment(),
             tracer=self.tracer,
-            metrics=self.hub,
+            metrics=config.metrics,
         )
         self.pun = PunChannel(
             self.sim, self.link, n_players, seed=config.seed + 77
@@ -291,24 +246,15 @@ class Session:
                 config=config.supervision or SupervisorConfig(),
                 pun=self.pun,
                 tracer=self.tracer,
-                metrics=self.hub,
+                metrics=config.metrics,
                 horizon_ms=self.horizon_ms,
             )
-        # Session-wide metering: unlabeled totals the SLO engine's ratio
-        # objectives divide (per-player detail lives in _PlayerMeter).
-        self._meters: dict = {}
-        if self.hub.enabled:
-            hub = self.hub
-            self._frames_total = hub.counter("frames_total")
-            self._misses_total = hub.counter("deadline_misses_total")
-            self._drops_total = hub.counter("frames_dropped_total")
-            self._stales_total = hub.counter("stale_frames_total")
-            self._ssim_gauge = hub.gauge("displayed_ssim")
-            pun = self.pun
-            pun_gauge = hub.gauge("pun_players")
-            hub.register_probe(
-                lambda: pun_gauge.set(float(pun.n_players))
-            )
+        # The run's one observation seam (None: nothing is observed).
+        # Built last: its session-wide instruments register after the
+        # engine's, the link's and the supervisor's.
+        self.observer: Optional[SessionObserver] = None
+        if self.tracer is not None or config.metrics is not None:
+            self.observer = SessionObserver(self)
 
     def _build_impairment(self) -> Optional[LinkImpairment]:
         """Compose the configured impairment with fault-schedule windows.
@@ -326,224 +272,6 @@ class Session:
         if dips:
             base = dataclasses.replace(base, dips=base.dips + dips)
         return LinkImpairment(base)
-
-    def fault_label(self, now_ms: float) -> str:
-        """Scheduled fault episodes active at ``now_ms`` (span attribution).
-
-        ``"dip"``, ``"stall"``, ``"outage"`` joined with ``+`` when windows
-        overlap; ``""`` when nothing scripted is active.  Ambient
-        impairment (always-on loss/jitter) is not an episode and is not
-        labelled.
-        """
-        schedule = self.faults.schedule
-        return "+".join(
-            label
-            for label, windows in (
-                ("dip", schedule.link),
-                ("stall", schedule.stalls),
-                ("outage", schedule.outages),
-                ("specstorm", schedule.spec_storms),
-                ("speccorrupt", schedule.spec_corruptions),
-            )
-            if any(w.start_ms <= now_ms < w.end_ms for w in windows)
-        )
-
-    # ------------------------------------------------------------------
-    # Telemetry emitters (call only when ``self.tracer.enabled`` — the
-    # frame loop guards, so the disabled path never reaches these)
-    # ------------------------------------------------------------------
-
-    def trace_pipeline_frame(
-        self,
-        player_id: int,
-        frame: int,
-        t0: float,
-        timings,
-        interval_ms: float,
-        *,
-        frame_bytes: int = 0,
-        cache: Optional[str] = None,
-        deadline_missed: bool = False,
-        stale_age_ms: Optional[float] = None,
-    ) -> None:
-        """Emit one Eq. 2 pipeline frame: concurrent stages + merge + wait.
-
-        The four concurrent tasks (render, decode, prefetch, sync) all
-        start at the interval origin; merge follows their max; any
-        remainder up to the display interval is the vsync wait.
-        """
-        tracer = self.tracer
-        args = {
-            "frame": frame,
-            "interval_ms": round(interval_ms, 6),
-            "fault": self.fault_label(t0),
-        }
-        if frame_bytes:
-            args["bytes"] = frame_bytes
-        if cache is not None:
-            args["cache"] = cache
-        if deadline_missed:
-            args["deadline_missed"] = True
-        if stale_age_ms is not None:
-            args["stale_age_ms"] = round(stale_age_ms, 4)
-        tracer.complete(
-            "frame", player_id, "frame", t0, interval_ms, cat="frame",
-            args=args,
-        )
-        stage_args = {"frame": frame}
-        for lane, dur in (
-            ("render", timings.render_ms),
-            ("decode", timings.decode_ms),
-            ("prefetch", timings.prefetch_ms),
-            ("sync", timings.sync_ms),
-        ):
-            if dur > 0.0:
-                tracer.complete(lane, player_id, lane, t0, dur, args=stage_args)
-        split = timings.split_render_ms()
-        if timings.merge_ms > 0.0:
-            tracer.complete(
-                "merge", player_id, "merge", t0 + split - timings.merge_ms,
-                timings.merge_ms, args=stage_args,
-            )
-        wait = interval_ms - split
-        if wait > 1e-9:
-            tracer.complete(
-                "wait", player_id, "wait", t0 + split, wait, args=stage_args
-            )
-
-    def trace_sequential_frame(
-        self,
-        player_id: int,
-        frame: int,
-        t0: float,
-        stages,
-        interval_ms: float,
-        *,
-        frame_bytes: int = 0,
-    ) -> None:
-        """Emit one sequential frame (thin client): stages laid end to end,
-        any remainder up to the display interval as the vsync wait.
-
-        ``stages`` is an ordered iterable of ``(lane, duration_ms)``.
-        """
-        tracer = self.tracer
-        args = {
-            "frame": frame,
-            "interval_ms": round(interval_ms, 6),
-            "fault": self.fault_label(t0),
-        }
-        if frame_bytes:
-            args["bytes"] = frame_bytes
-        tracer.complete(
-            "frame", player_id, "frame", t0, interval_ms, cat="frame",
-            args=args,
-        )
-        stage_args = {"frame": frame}
-        cursor = t0
-        for lane, dur in stages:
-            if dur > 0.0:
-                tracer.complete(lane, player_id, lane, cursor, dur,
-                                args=stage_args)
-                cursor += dur
-        wait = t0 + interval_ms - cursor
-        if wait > 1e-9:
-            tracer.complete(
-                "wait", player_id, "wait", cursor, wait, args=stage_args
-            )
-
-    def trace_outage(self, player_id: int, start_ms: float, end_ms: float) -> None:
-        """Mark a scripted disconnect on the player's frame lane."""
-        self.tracer.complete(
-            "outage", player_id, "frame", start_ms, end_ms - start_ms,
-            cat="fault", args={"fault": "outage"},
-        )
-
-    # ------------------------------------------------------------------
-    # Metrics emitters (call only when ``self.hub.enabled`` — the frame
-    # loop guards, so the disabled path never reaches these)
-    # ------------------------------------------------------------------
-
-    def meter_frame(self, player_id: int, record: FrameRecord) -> None:
-        """Meter one displayed frame into the hub and pump sampling.
-
-        Stage latencies land in per-player histograms, outcomes bump the
-        session-wide SLO counters, and the hub gets a sampling pass at
-        the *current* sim time (``record.t_ms`` is the future display
-        stamp; sampling off it would stamp boundaries not yet reached).
-        """
-        hub = self.hub
-        meter = self._meters.get(player_id)
-        if meter is None:
-            meter = self._meters[player_id] = _PlayerMeter(hub, player_id)
-        meter.interval_hist.observe(record.interval_ms)
-        meter.render_hist.observe(record.render_ms)
-        meter.responsiveness_hist.observe(record.responsiveness_ms)
-        self._frames_total.inc()
-        if record.deadline_missed:
-            self._misses_total.inc()
-        if record.dropped:
-            self._drops_total.inc()
-        if record.stale_age_ms is not None:
-            self._stales_total.inc()
-        if record.displayed_ssim is not None:
-            self._ssim_gauge.set(record.displayed_ssim)
-        if record.frame_bytes > 0:
-            meter.net_hist.observe(record.net_delay_ms)
-            meter.margin_gauge.set(
-                self.prefetch_deadline_ms() - record.net_delay_ms
-            )
-            if record.net_delay_ms > 0:
-                meter.delivery_gauge.set(
-                    record.frame_bytes * 8.0 / 1000.0 / record.net_delay_ms
-                )
-        if self.abr is not None:
-            controller = self.abr[player_id]
-            meter.crf_gauge.set(controller.crf)
-            meter.degraded_gauge.set(1.0 if controller.degraded else 0.0)
-            meter.abr_drops.set_total(float(controller.drops))
-            meter.abr_steps.set_total(
-                float(controller.steps_down + controller.steps_up)
-            )
-        hub.maybe_sample(self.sim.now)
-
-    def meter_cache(self, player_id: int, cache) -> None:
-        """Register hit/miss/occupancy probes for a player's frame cache.
-
-        Probe-based so the cache itself needs no metrics plumbing: the
-        hub reads ``cache.stats`` at each sample boundary only.
-        """
-        hub = self.hub
-        labels = {"player": str(player_id)}
-        hits = hub.counter("cache_hits_total", labels)
-        misses = hub.counter("cache_misses_total", labels)
-        evictions = hub.counter("cache_evictions_total", labels)
-        ratio = hub.gauge("cache_hit_ratio", labels)
-        occupancy = hub.gauge("cache_occupancy_bytes", labels)
-        entries = hub.gauge("cache_entries", labels)
-
-        def probe() -> None:
-            stats = cache.stats
-            hits.set_total(float(stats.hits))
-            misses.set_total(float(stats.misses))
-            evictions.set_total(float(stats.evictions))
-            if stats.lookups:
-                ratio.set(stats.hit_ratio)
-            occupancy.set(float(cache.used_bytes))
-            entries.set(float(len(cache)))
-
-        hub.register_probe(probe)
-
-    def meter_store(self, store) -> None:
-        """Register render/occupancy probes for the shared panorama store."""
-        hub = self.hub
-        renders = hub.counter("store_renders_total")
-        memo = hub.gauge("store_memo_entries")
-
-        def probe() -> None:
-            renders.set_total(float(store.renders))
-            memo.set(float(store.memo_entries))
-
-        hub.register_probe(probe)
 
     def init_abr(self, nominal_bytes: float) -> Optional[List[AbrController]]:
         """Seat one ABR controller per slot (no-op when adapt is off).

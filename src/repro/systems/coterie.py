@@ -41,7 +41,6 @@ from .policies import (
     Speculation,
     SyncCheck,
     fetch_with_retries,
-    meter_speculation,
 )
 
 
@@ -82,24 +81,18 @@ class CoterieStrategy(FetchStrategy):
             size_model=None if config.render_frames else artifacts.far_size_model,
             disk_cache=artifacts.disk_cache,
         )
-        self.caches = [
-            FrameCache(capacity_bytes=config.cache_capacity_bytes, policy=config.cache_policy)
-            for _ in range(n_slots)
-        ]
+        self.caches = [FrameCache() for _ in range(n_slots)]
         self.prefetchers = [
             Prefetcher(
                 world.scene, world.grid, artifacts.cutoff_map, artifacts.dist_thresh_map, cache
             )
             for cache in self.caches
         ]
-        if session.hub.enabled:
+        observer = session.observer
+        if observer is not None:
             for player_id, cache in enumerate(self.caches):
-                session.meter_cache(player_id, cache)
-            session.meter_store(self.store)
-        if session.tracer.enabled:
-            for player_id, cache in enumerate(self.caches):
-                cache.tracer = session.tracer
-                cache.owner = player_id
+                observer.watch_cache(player_id, cache)
+            observer.watch_store(self.store)
         # Closed-loop adaptation (None when config.adapt is off): per-slot
         # controllers stepping the CRF ladder, throttling the prefetcher,
         # and choosing app-layer frame drops.  The far-BE size-model mean
@@ -126,8 +119,8 @@ class CoterieStrategy(FetchStrategy):
         if config.sync is not None:
             sync_check = SyncCheck(self, config.sync)
             self.policies.append(sync_check)
-        if session.hub.enabled and self.stamp_digests:
-            meter_speculation(session, self.caches, sync_check)
+        if observer is not None and self.stamp_digests:
+            observer.watch_speculation(self.caches, sync_check)
         self.scorer = DisplayScorer(self, ssim_stride) if config.render_frames else None
 
     # ------------------------------------------------------------------
@@ -203,7 +196,7 @@ class CoterieStrategy(FetchStrategy):
         near_ms = session.cost_model.near_be_ms(
             session.world.scene, sample.position, decision.cutoff_radius
         )
-        self.pace_pipeline(out, near_ms)
+        self.pace_pipeline(out, t0, near_ms)
         if self.use_cache:
             out.cache_hit = not decision.needs_fetch
         out.cache_label = (

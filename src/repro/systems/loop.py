@@ -13,8 +13,12 @@ outage pause (then ``strategy.reconnected``) → ``strategy.before_frame``
 → ``t0`` → ABR ``on_frame`` → ``position_at`` → ``outcome = yield from
 strategy.frame(...)`` (dropped, and the client exits, if the slot was
 evicted meanwhile) → one ``FrameRecord`` → collector →
-``meter_frame`` → ``note_frame`` → one trace emission → yield the rest of
-the display interval.
+``out.after_record`` → ``note_frame`` → ``observer.frame`` → yield the
+rest of the display interval.
+
+``session.observer`` (``None`` unless a tracer or a metrics hub is
+configured) is the only telemetry object the loop knows; the strategy's
+``pace_*`` call lays the frame out on ``FrameOutcome.layout`` for it.
 
 **Order is the contract.**  Bit-identical results rest on the order of
 ``link.transfer`` / ``sim.timeout`` / ``sim.spawn`` / ``any_of`` calls and
@@ -38,18 +42,16 @@ from .base import MIN_YIELD_MS, SENSOR_SCANOUT_MS, Session
 
 @dataclass
 class FrameOutcome:
-    """What one frame's fetch and pacing produced (strategy → loop).
-
-    Exactly one of ``timings`` (an Eq. 2 pipeline frame) and ``stages``
-    (a sequential frame: ordered ``(lane, duration_ms)`` pairs) is set;
-    the loop picks the trace emitter from that.
-    """
+    """What one frame's fetch and pacing produced (strategy → loop)."""
 
     interval_ms: float = 0.0
     render_ms: float = 0.0
     responsiveness_ms: float = 0.0
-    timings: Optional[PipelineTimings] = None
-    stages: Optional[Sequence[Tuple[str, float]]] = None
+    # Where the frame's time went: ``(lane, start_ms, duration_ms)`` per
+    # stage in absolute sim time, the vsync ``wait`` last; a zero duration
+    # means the stage did not run.  Set by ``pace_pipeline`` /
+    # ``pace_sequential``.
+    layout: Sequence[Tuple[str, float, float]] = ()
     transfer_ms: float = 0.0  # network delay on the frame's critical path
     frame_bytes: int = 0  # wire size of anything fetched this interval
     cache_hit: Optional[bool] = None  # None: no cache in play
@@ -59,8 +61,8 @@ class FrameOutcome:
     dropped: bool = False
     displayed_ssim: Optional[float] = None
     cached: Any = None  # the cache entry on display (Coterie)
-    # Called with the collector once the record is added and metered
-    # (Coterie's deferred SSIM scoring patches the record by index).
+    # Called with the collector once the record is added (Coterie's
+    # deferred SSIM scoring patches the record by index).
     after_record: Optional[Callable[[MetricsCollector], None]] = None
 
 
@@ -100,16 +102,19 @@ class FetchStrategy:
     def reset(self, slot: int) -> None:
         """A new incarnation of ``slot`` starts cold (rejoin)."""
 
-    def pace_pipeline(self, out: FrameOutcome, near_be_ms: float) -> None:
+    def pace_pipeline(self, out: FrameOutcome, t0: float, near_be_ms: float) -> None:
         """Pace a split-rendering frame through Eq. 2.
 
         Ticks the FI sync clock, then draws this frame's sync latency —
-        the order the pipeline systems have always used.
+        the order the pipeline systems have always used.  Layout: the four
+        concurrent tasks (render, decode, prefetch, sync) all start at the
+        interval origin, merge follows their max, and any remainder up to
+        the display interval is the vsync wait.
         """
         session = self.session
         device = session.config.device
         session.pun.tick()
-        timings = out.timings = PipelineTimings(
+        timings = PipelineTimings(
             render_fi_ms=session.fi_ms,
             render_near_be_ms=near_be_ms,
             decode_ms=session.cost_model.decode_ms(3840, 2160),
@@ -120,23 +125,44 @@ class FetchStrategy:
         )
         out.interval_ms = frame_interval_ms(timings)
         out.render_ms = timings.render_ms - timings.setup_ms + timings.merge_ms
-        out.responsiveness_ms = timings.split_render_ms() + SENSOR_SCANOUT_MS
+        split = timings.split_render_ms()
+        out.responsiveness_ms = split + SENSOR_SCANOUT_MS
+        out.layout = (
+            ("render", t0, timings.render_ms),
+            ("decode", t0, timings.decode_ms),
+            ("prefetch", t0, timings.prefetch_ms),
+            ("sync", t0, timings.sync_ms),
+            ("merge", t0 + split - timings.merge_ms, timings.merge_ms),
+            ("wait", t0 + split, _wait_ms(out.interval_ms - split)),
+        )
 
-    def pace_sequential(self, out: FrameOutcome, latency_ms: float, stages) -> None:
-        """Pace a frame whose stages run end to end (no Eq. 2 overlap):
-        the display shows it when it completes, never faster than vsync."""
-        out.stages = stages
+    def pace_sequential(self, out: FrameOutcome, t0: float, latency_ms: float, stages) -> None:
+        """Pace a frame whose ``stages`` — ordered ``(lane, duration_ms)``
+        pairs — run end to end (no Eq. 2 overlap): the display shows it
+        when it completes, never faster than vsync."""
         out.interval_ms = max(latency_ms, 1000.0 / 60.0)
         out.responsiveness_ms = latency_ms + SENSOR_SCANOUT_MS
+        layout = []
+        cursor = t0
+        for lane, dur_ms in stages:
+            layout.append((lane, cursor, dur_ms))
+            cursor += dur_ms
+        layout.append(("wait", cursor, _wait_ms(t0 + out.interval_ms - cursor)))
+        out.layout = layout
         self.session.pun.tick()
+
+
+def _wait_ms(remainder_ms: float) -> float:
+    """The vsync wait closing a frame's layout; float residue of the
+    interval arithmetic is no wait at all."""
+    return remainder_ms if remainder_ms > 1e-9 else 0.0
 
 
 def run_clients(session: Session, strategy: FetchStrategy) -> None:
     """Seat the players and run the simulation to the horizon."""
     sim = session.sim
     supervisor = session.supervisor
-    tracer = session.tracer
-    hub = session.hub
+    observer = session.observer
     horizon_ms = session.horizon_ms
     # Only a networked system with scripted outages ever pauses.
     outages = strategy.networked and bool(session.faults.schedule.outages)
@@ -157,11 +183,8 @@ def run_clients(session: Session, strategy: FetchStrategy) -> None:
                 or not supervisor.activate(player_id)
             ):
                 return
-            if tracer.enabled:
-                tracer.complete(
-                    "warmup", player_id, "net", started_ms, sim.now - started_ms,
-                    cat="membership", args=span_args,
-                )
+            if observer is not None:
+                observer.warmup(player_id, started_ms, span_args)
         while sim.now < horizon_ms:
             if supervisor is not None and not supervisor.poll(player_id):
                 return  # left, crashed, or evicted: no silent rejoin
@@ -171,8 +194,8 @@ def run_clients(session: Session, strategy: FetchStrategy) -> None:
                     # Disconnected: no frames until the outage ends.
                     outage_start = sim.now
                     yield resume - sim.now
-                    if tracer.enabled:
-                        session.trace_outage(player_id, outage_start, sim.now)
+                    if observer is not None:
+                        observer.outage(player_id, outage_start)
                     strategy.reconnected(player_id)
                     continue
             yield from strategy.before_frame(player_id)
@@ -202,28 +225,12 @@ def run_clients(session: Session, strategy: FetchStrategy) -> None:
                 dropped=out.dropped,
             )
             collector.add(record)
-            if hub.enabled:
-                session.meter_frame(player_id, record)
             if out.after_record is not None:
                 out.after_record(collector)
             if supervisor is not None:
                 supervisor.note_frame(player_id, t0 + interval)
-            if tracer.enabled:
-                if out.timings is not None:
-                    session.trace_pipeline_frame(
-                        player_id, frame_index[player_id], t0, out.timings,
-                        interval, frame_bytes=out.frame_bytes,
-                        cache=out.cache_label,
-                        deadline_missed=out.deadline_missed,
-                        stale_age_ms=(
-                            out.stale_age_ms if strategy.stale_in_trace else None
-                        ),
-                    )
-                else:
-                    session.trace_sequential_frame(
-                        player_id, frame_index[player_id], t0, out.stages,
-                        interval, frame_bytes=out.frame_bytes,
-                    )
+            if observer is not None:
+                observer.frame(strategy, player_id, t0, record, out)
             frame_index[player_id] += 1
             remaining = interval - out.transfer_ms
             # Clamp to a minimum 1-tick yield: a transfer slower than the

@@ -25,7 +25,7 @@ class MobileStrategy(FetchStrategy):
         render_ms = out.render_ms = session.cost_model.frame_ms(session.fi_ms, whole_ms)
         # Rendering IS the frame interval: the GPU is the bottleneck and
         # the display shows frames as they complete (sub-60 FPS).
-        self.pace_sequential(out, render_ms, (("render", render_ms),))
+        self.pace_sequential(out, t0, render_ms, (("render", render_ms),))
         return out
         yield  # a generator, like every strategy's frame()
 

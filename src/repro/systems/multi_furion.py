@@ -35,24 +35,13 @@ class MultiFurionStrategy(WholeFrameStrategy):
         self, session: Session, size_model: Optional[FrameSizeModel], exact_cache: bool
     ) -> None:
         super().__init__(session, size_model, calibration_seed=6)
-        config = session.config
         self.caches = [
-            FrameCache(
-                capacity_bytes=config.cache_capacity_bytes,
-                policy=config.cache_policy,
-                exact_only=True,
-            )
-            if exact_cache
-            else None
+            FrameCache(exact_only=True) if exact_cache else None
             for _ in range(session.total_slots)
         ]
-        if exact_cache:
+        if exact_cache and session.observer is not None:
             for player_id, cache in enumerate(self.caches):
-                if session.hub.enabled:
-                    session.meter_cache(player_id, cache)
-                if session.tracer.enabled:
-                    cache.tracer = session.tracer
-                    cache.owner = player_id
+                session.observer.watch_cache(player_id, cache)
 
     def reset(self, slot: int) -> None:
         """A rejoiner's exact cache starts empty too."""
@@ -101,7 +90,7 @@ class MultiFurionStrategy(WholeFrameStrategy):
                             origin_player=player_id,
                         )
                     )
-        self.pace_pipeline(out, near_be_ms=0.0)
+        self.pace_pipeline(out, t0, near_be_ms=0.0)
         return out
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional
 
-from .. import perf
 from ..core.merger import layer_from_decoded
 from ..core.online import SsimBatchQueue
 from ..metrics import MetricsCollector
@@ -52,8 +51,7 @@ def fetch_with_retries(session: Session, player_id: int, frame_bytes: int, ev, b
     for attempt in range(config.fetch_max_retries + 1):
         if attempt > 0:
             resilience.fetch_retries += 1
-            perf.count("resilience.fetch_retries")
-            if not blocking and session.tracer.enabled:
+            if not blocking and session.tracer is not None:
                 session.tracer.instant(
                     "fetch.retry", player_id, "net", sim.now,
                     args={"attempt": attempt, "bytes": frame_bytes},
@@ -69,7 +67,6 @@ def fetch_with_retries(session: Session, player_id: int, frame_bytes: int, ev, b
             yield ev
         return ev, attempt + 1
     resilience.fetches_abandoned += 1
-    perf.count("resilience.fetches_abandoned")
     return None, config.fetch_max_retries + 1
 
 
@@ -137,7 +134,6 @@ class Degradation:
             cached = cache.nearest(decision.position, now_ms=t0)
             if cached is not None:
                 out.stale_age_ms = t0 - cached.inserted_ms
-                perf.count("resilience.stale_frames")
             return cached
         if (
             controller is not None
@@ -153,7 +149,6 @@ class Degradation:
             out.dropped = True
             cached = cache.nearest(decision.position, now_ms=t0)
             out.stale_age_ms = t0 - cached.inserted_ms
-            perf.count("adapt.drops")
             return cached
         stored = strategy.store.frame_for(decision.grid_point)
         frame_bytes = stored.wire_bytes
@@ -171,8 +166,7 @@ class Degradation:
             # fresh before the cadence resumes.
             self.needs_rewarm[player_id] = False
             session.collectors[player_id].resilience.rewarm_fetches += 1
-            perf.count("resilience.rewarm_fetches")
-            if session.tracer.enabled:
+            if session.tracer is not None:
                 session.tracer.instant(
                     "fetch.rewarm", player_id, "net", sim.now, args={"bytes": frame_bytes}
                 )
@@ -183,13 +177,11 @@ class Degradation:
                 out.transfer_ms = stall_ms + transfer_ev.value
                 return self._landed(player_id, decision, stored, frame_bytes, transfer_ev.value)
             out.deadline_missed = True
-            perf.count("resilience.deadline_misses")
             fallback = cache.nearest(decision.position, now_ms=sim.now)
             if fallback is not None:
                 # Stale-frame fallback: keep the display at cadence,
                 # finish the fetch off-path.
                 out.stale_age_ms = t0 - fallback.inserted_ms
-                perf.count("resilience.stale_frames")
                 out.transfer_ms = stall_ms + deadline
                 token = self.pending_fetch[player_id] = object()
                 sim.spawn(
@@ -224,7 +216,7 @@ class Degradation:
         if ev is not None:
             self._landed(player_id, decision, stored, frame_bytes, ev.value)
         self.pending_fetch[player_id] = None
-        if session.tracer.enabled:
+        if session.tracer is not None:
             session.tracer.complete(
                 "fetch.background" if ev is not None else "fetch.abandoned",
                 player_id, "net", started_ms, session.sim.now - started_ms, cat="net",
@@ -272,8 +264,7 @@ class Speculation:
             t0, self.config.speculative_ttl_ms
         )
         if expired:
-            perf.count("predict.spec_expired")
-            if session.tracer.enabled:
+            if session.tracer is not None:
                 session.tracer.instant(
                     "predict.expired", player_id, "cache", t0, cat="predict",
                     args={"entries": expired},
@@ -292,12 +283,10 @@ class Speculation:
             if spec_frame.digest == strategy.oracle_digest(spec_frame.grid_point):
                 cache.confirm(spec_frame)
                 resilience.spec_confirms += 1
-                perf.count("predict.spec_confirms")
                 break
             cache.discard(spec_frame)
             resilience.spec_rollbacks += 1
-            perf.count("predict.spec_rollbacks")
-            if self.session.tracer.enabled:
+            if self.session.tracer is not None:
                 self.session.tracer.instant(
                     "predict.rollback", player_id, "cache", t0, cat="predict",
                     args={"grid": list(spec_frame.grid_point)},
@@ -322,8 +311,7 @@ class Speculation:
             return
         token = self.spec_pending[player_id] = object()
         session.collectors[player_id].resilience.spec_prefetches += 1
-        perf.count("predict.spec_prefetches")
-        if session.tracer.enabled:
+        if session.tracer is not None:
             session.tracer.instant(
                 "predict.speculate", player_id, "net", t0, cat="predict",
                 args={
@@ -360,7 +348,7 @@ class Speculation:
             origin_player=player_id, speculative=True, digest=digest,
         )
         self.spec_pending[player_id] = None
-        if session.tracer.enabled:
+        if session.tracer is not None:
             session.tracer.instant(
                 "predict.landed", player_id, "net", now, cat="predict",
                 args={"grid": list(decision.grid_point), "bytes": frame_bytes},
@@ -448,8 +436,7 @@ class SyncCheck:
             sample.position, sample.heading, now
         )
         stored = strategy.store.frame_for(decision.grid_point)
-        perf.count("sync.resyncs")
-        if session.tracer.enabled:
+        if session.tracer is not None:
             session.tracer.instant(
                 "sync.resync", player_id, "net", now, cat="sync",
                 args={"grid": list(decision.grid_point), "bytes": stored.wire_bytes},
@@ -464,28 +451,6 @@ class SyncCheck:
             resilience.desync_detection_ms = slot_stats.max_detection_ms
             resilience.resyncs = slot_stats.resyncs
             resilience.resync_recovery_ms = slot_stats.recovery_ms
-
-
-def meter_speculation(session: Session, caches, sync_check: Optional[SyncCheck]) -> None:
-    """Speculation / sync observability: probe-based totals sampled on the
-    hub cadence, mirroring the cache-stats probes.  The four series are
-    exported together whenever either feature is on."""
-    hub = session.hub
-    spec_inserts_total = hub.counter("spec_prefetches_landed_total")
-    spec_confirms_total = hub.counter("spec_confirms_total")
-    spec_rollbacks_total = hub.counter("spec_rollbacks_total")
-    desync_alarms_total = hub.counter("desync_alarms_total")
-
-    def probe() -> None:
-        spec_inserts_total.set_total(float(sum(c.stats.speculative_inserts for c in caches)))
-        spec_confirms_total.set_total(float(sum(c.stats.speculative_confirms for c in caches)))
-        spec_rollbacks_total.set_total(
-            float(sum(c.resilience.spec_rollbacks for c in session.collectors))
-        )
-        if sync_check is not None:
-            desync_alarms_total.set_total(float(sync_check.validator.total_alarms))
-
-    hub.register_probe(probe)
 
 
 class DisplayScorer:
@@ -511,7 +476,7 @@ class DisplayScorer:
             # Submitted arrays (store payloads, freshly rendered/merged
             # frames) are owned, so submit-triggered flushes are safe.
             self.queue = SsimBatchQueue(batch_target=64)
-            if session.tracer.enabled:
+            if session.tracer is not None:
                 self.queue.on_flush = self._trace_flush
             strategy.on_finish.append(self.queue.flush)
         strategy.post_fetch.append(self.score)

@@ -70,7 +70,7 @@ class ThinClientStrategy(WholeFrameStrategy):
                 + decode_ms
             )
         self.pace_sequential(
-            out, latency,
+            out, t0, latency,
             (
                 ("upload", POSE_UPLOAD_MS + SERVER_SCHEDULING_MS),
                 ("server", server_ms),

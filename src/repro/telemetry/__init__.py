@@ -3,15 +3,19 @@
 (Named ``telemetry`` to avoid colliding with :mod:`repro.trace`, the
 head-pose trace package.)
 
-Six layers:
+Two sinks, each ``Optional`` wherever it is held — ``None`` is the only
+"telemetry off" — one seam that feeds them, and the tools that read them:
 
 * :mod:`~repro.telemetry.tracer` — span/instant/counter recording in
-  simulated milliseconds (:class:`SpanTracer`), with an allocation-free
-  :class:`NullTracer` for the disabled path;
+  simulated milliseconds (:class:`SpanTracer`);
 * :mod:`~repro.telemetry.metrics` — counters/gauges/histograms sampled
   on a deterministic sim-time cadence into ring-buffered time series
   (:class:`MetricsHub`), with OpenMetrics text exposition and a
   schema-versioned JSONL series dump;
+* :mod:`~repro.telemetry.observer` — :class:`SessionObserver`, the one
+  object a session's frame loop reports to (``Session.observer``; built
+  only when a tracer or hub is configured): one call per displayed frame
+  meters the record and emits the ``frame``/stage/``wait`` spans;
 * :mod:`~repro.telemetry.slo` — declarative service objectives with
   multi-window burn-rate alert evaluation over the sampled series;
 * :mod:`~repro.telemetry.dashboard` — sparkline terminal dashboard over
@@ -47,14 +51,11 @@ from .export import (
 from .metrics import (
     LATENCY_BUCKETS_MS,
     METRICS_SCHEMA_VERSION,
-    NULL_HUB,
     Counter,
     Gauge,
     Histogram,
     MetricsDump,
     MetricsHub,
-    NullMetricsHub,
-    as_hub,
     read_metrics_jsonl,
     render_name,
     split_name,
@@ -62,6 +63,7 @@ from .metrics import (
     write_metrics_jsonl,
     write_openmetrics,
 )
+from .observer import SessionObserver
 from .report import (
     FRAME_BUDGET_MS,
     FrameAttribution,
@@ -81,13 +83,10 @@ from .slo import (
     results_from_dump,
 )
 from .tracer import (
-    NULL_TRACER,
     SCHEMA_VERSION,
     SESSION_TRACK,
-    NullTracer,
     Span,
     SpanTracer,
-    as_tracer,
 )
 
 __all__ = [
@@ -99,8 +98,6 @@ __all__ = [
     "LATENCY_BUCKETS_MS",
     "LOW_BAD",
     "METRICS_SCHEMA_VERSION",
-    "NULL_HUB",
-    "NULL_TRACER",
     "BurnRule",
     "Counter",
     "DiffRow",
@@ -112,10 +109,9 @@ __all__ = [
     "LiveDashboard",
     "MetricsDump",
     "MetricsHub",
-    "NullMetricsHub",
-    "NullTracer",
     "SCHEMA_VERSION",
     "SESSION_TRACK",
+    "SessionObserver",
     "SloAlert",
     "SloEngine",
     "SloResult",
@@ -123,8 +119,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "StageRow",
-    "as_hub",
-    "as_tracer",
     "attribute_frame",
     "default_slos",
     "diff_dumps",

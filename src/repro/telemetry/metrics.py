@@ -9,10 +9,10 @@ shape the SLO engine (:mod:`repro.telemetry.slo`), the live dashboard
 
 Design constraints mirror the tracer's, in the same order:
 
-1. **The disabled path must be free.**  Instrumentation sites guard on
-   ``hub.enabled`` before touching any instrument, and the
-   :class:`NullMetricsHub` methods are single-statement no-ops, so a run
-   without ``--metrics`` stays bit-identical to the unmetered seed.
+1. **The disabled path must be free.**  ``None`` is the only "metrics
+   off": every holder types its hub ``Optional[MetricsHub]`` and guards on
+   ``is not None`` before touching any instrument, so a run without
+   ``--metrics`` stays bit-identical to the unmetered seed.
 2. **Metering must not perturb the simulation.**  Sampling is *pumped*
    from code that already runs (the simulator dispatch loop, the frame
    loops) and stamped retroactively at deterministic sim-time boundaries;
@@ -220,8 +220,6 @@ class MetricsHub:
     hook.
     """
 
-    enabled = True
-
     def __init__(
         self,
         sample_period_ms: float = DEFAULT_SAMPLE_PERIOD_MS,
@@ -330,53 +328,6 @@ class MetricsHub:
             for name in self.series
             if name in self._instruments
         }
-
-
-class NullMetricsHub:
-    """The disabled hub: every method is a no-op.
-
-    Instrumentation sites check ``hub.enabled`` before touching any
-    instrument, so a run with the null hub performs no metering work
-    beyond one attribute read per site — the clean path stays
-    bit-identical to the unmetered seed.
-    """
-
-    enabled = False
-    series: Dict[str, Deque[Tuple[float, float]]] = {}  # shared, always empty
-    samples_taken = 0
-    sample_period_ms = DEFAULT_SAMPLE_PERIOD_MS
-
-    def counter(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (metrics disabled)."""
-
-    def gauge(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (metrics disabled)."""
-
-    def histogram(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (metrics disabled)."""
-
-    def register_probe(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (metrics disabled)."""
-
-    def maybe_sample(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (metrics disabled)."""
-
-    def instruments(self) -> List[Instrument]:
-        """Always empty (metrics disabled)."""
-        return []
-
-    def series_types(self) -> Dict[str, str]:
-        """Always empty (metrics disabled)."""
-        return {}
-
-
-# The process-wide disabled hub; sessions without metrics share it.
-NULL_HUB = NullMetricsHub()
-
-
-def as_hub(hub: Optional[Any]) -> Any:
-    """Normalize an optional metrics hub to a usable one (None -> off)."""
-    return NULL_HUB if hub is None else hub
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.stats import percentile as _percentile
-from .tracer import SESSION_TRACK
+from .tracer import SESSION_TRACK, SpanTracer
 
 #: Alert when budget burns >= threshold x in BOTH windows (short AND
 #: long).  The defaults are scaled-down versions of the SRE book's
@@ -349,14 +349,16 @@ class SloEngine:
         return [self.evaluate_spec(spec, series_map) for spec in self.specs]
 
 
-def emit_slo_instants(tracer, results: Sequence[SloResult]) -> int:
+def emit_slo_instants(
+    tracer: Optional[SpanTracer], results: Sequence[SloResult]
+) -> int:
     """Mirror alert firings into the tracer as ``slo.<name>`` instants.
 
-    Returns the number of instants emitted; a null/absent tracer emits
+    Returns the number of instants emitted; no tracer (None) emits
     none.  Called after the run, so the instants land in the trace file
     alongside the stage spans they explain.
     """
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         return 0
     emitted = 0
     for result in results:

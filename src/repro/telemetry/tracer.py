@@ -11,11 +11,12 @@ traces.
 
 Design constraints, in order:
 
-1. **The disabled path must be free.**  Every instrumentation site in the
-   hot loops is guarded by ``tracer.enabled`` before any argument dict is
-   built, and the :class:`NullTracer` methods are single-statement
-   no-ops, so a run without ``--trace`` allocates nothing and schedules
-   nothing — the pinned clean regression stays bit-identical.
+1. **The disabled path must be free.**  ``None`` is the only "tracing
+   off": every holder types its tracer ``Optional[SpanTracer]`` and every
+   instrumentation site is guarded by ``tracer is not None`` before any
+   argument dict is built, so a run without ``--trace`` allocates
+   nothing and schedules nothing — the pinned clean regression stays
+   bit-identical.
 2. **Tracing must not perturb the simulation.**  Spans are recorded
    *retroactively* (``complete(start, dur)``) by the code that already
    knows both endpoints; the tracer never schedules simulator events,
@@ -31,7 +32,7 @@ JSON and a schema-versioned JSONL event log) and
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 # Bumped whenever the JSONL record layout changes; readers refuse files
 # from a different major version instead of misparsing them.
@@ -102,8 +103,6 @@ class SpanTracer:
     every method is a list append.  Memory: one small object per record —
     a 20 s 4-player Coterie run emits ~10 k records.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.records: List[Span] = []
@@ -199,54 +198,3 @@ class SpanTracer:
     def clear(self) -> None:
         """Drop all recorded events (reuse one tracer across runs)."""
         self.records.clear()
-
-
-class NullTracer:
-    """The disabled tracer: every method is a no-op.
-
-    Instrumentation sites check ``tracer.enabled`` before building
-    argument dicts, so a run with the null tracer performs no tracing
-    work beyond one attribute read per site — the clean path stays
-    allocation-free and bit-identical to the untraced seed.
-    """
-
-    enabled = False
-    records: List[Span] = []  # always empty; shared intentionally
-
-    def complete(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def instant(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def counter(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def spans(self, *args: Any, **kwargs: Any) -> List[Span]:
-        """Always empty (tracing disabled)."""
-        return []
-
-    def instants(self, *args: Any, **kwargs: Any) -> List[Span]:
-        """Always empty (tracing disabled)."""
-        return []
-
-    def lanes(self, player: int) -> List[str]:
-        """Always empty (tracing disabled)."""
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-# The process-wide disabled tracer; sessions without tracing share it.
-NULL_TRACER = NullTracer()
-
-
-def as_tracer(tracer: Optional[Any]) -> Any:
-    """Normalize an optional tracer to a usable one (None -> disabled)."""
-    return NULL_TRACER if tracer is None else tracer
-
-
-def iter_spans(records: Iterable[Span]) -> Iterable[Span]:
-    """Just the completed spans of a record stream."""
-    return (r for r in records if r.kind == KIND_SPAN)

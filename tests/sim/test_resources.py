@@ -1,8 +1,8 @@
-"""Tests for shared simulator resources (processor sharing, queue, semaphore)."""
+"""Tests for the shared simulator resource (processor sharing)."""
 
 import pytest
 
-from repro.sim import FluidShareServer, Queue, Semaphore, SimulationError, Simulator
+from repro.sim import FluidShareServer, Simulator
 
 
 class TestFluidShareServer:
@@ -160,106 +160,3 @@ class TestFluidShareServer:
             sim.run()
             assert all(ev.triggered for ev in events)
             assert server.active_flows == 0
-
-
-class TestSemaphore:
-    def test_acquire_release_cycle(self):
-        sim = Simulator()
-        sem = Semaphore(sim, slots=1)
-        order = []
-
-        def worker(name, hold_ms):
-            yield sem.acquire()
-            order.append((name, "start", sim.now))
-            yield hold_ms
-            sem.release()
-            order.append((name, "end", sim.now))
-
-        sim.spawn(worker("a", 5.0))
-        sim.spawn(worker("b", 5.0))
-        sim.run()
-        assert order == [
-            ("a", "start", 0.0),
-            ("a", "end", 5.0),
-            ("b", "start", 5.0),
-            ("b", "end", 10.0),
-        ]
-
-    def test_two_slots_run_concurrently(self):
-        sim = Simulator()
-        sem = Semaphore(sim, slots=2)
-        ends = []
-
-        def worker():
-            yield sem.acquire()
-            yield 5.0
-            sem.release()
-            ends.append(sim.now)
-
-        for _ in range(2):
-            sim.spawn(worker())
-        sim.run()
-        assert ends == [5.0, 5.0]
-
-    def test_release_without_acquire_raises(self):
-        sim = Simulator()
-        sem = Semaphore(sim, slots=1)
-        with pytest.raises(SimulationError):
-            sem.release()
-
-    def test_zero_slots_raises(self):
-        with pytest.raises(ValueError):
-            Semaphore(Simulator(), slots=0)
-
-
-class TestQueue:
-    def test_put_then_get(self):
-        sim = Simulator()
-        q = Queue(sim)
-        q.put("x")
-        got = []
-
-        def proc():
-            item = yield q.get()
-            got.append(item)
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        q = Queue(sim)
-        got = []
-
-        def consumer():
-            item = yield q.get()
-            got.append((item, sim.now))
-
-        sim.spawn(consumer())
-        sim.schedule(7.0, lambda: q.put("late"))
-        sim.run()
-        assert got == [("late", 7.0)]
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        q = Queue(sim)
-        for i in range(3):
-            q.put(i)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield q.get()
-                got.append(item)
-
-        sim.spawn(consumer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_len(self):
-        sim = Simulator()
-        q = Queue(sim)
-        assert len(q) == 0
-        q.put(1)
-        assert len(q) == 1

@@ -10,15 +10,12 @@ from repro.telemetry import (
     INFO,
     LOW_BAD,
     METRICS_SCHEMA_VERSION,
-    NULL_HUB,
     BurnRule,
     DiffRule,
     MetricsHub,
-    NullMetricsHub,
     SloEngine,
     SloSpec,
     SpanTracer,
-    as_hub,
     default_slos,
     diff_dumps,
     emit_slo_instants,
@@ -123,16 +120,6 @@ class TestSampling:
         hub.on_sample = stamps.append
         hub.maybe_sample(250.0)
         assert stamps == [200.0]
-
-    def test_null_hub_is_inert(self):
-        assert not NULL_HUB.enabled
-        NULL_HUB.counter("x_total")
-        NULL_HUB.maybe_sample(1e9)
-        assert NULL_HUB.series == {}
-        assert as_hub(None) is NULL_HUB
-        hub = MetricsHub()
-        assert as_hub(hub) is hub
-        assert isinstance(as_hub(NullMetricsHub()), NullMetricsHub)
 
 
 def _ratio_spec(**overrides):

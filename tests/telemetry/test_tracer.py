@@ -1,8 +1,9 @@
-"""Tracer core: span recording, null tracer, and run determinism."""
+"""Tracer core: span recording, run determinism, and the observation seam."""
 
 import pytest
 
-from repro.telemetry import NULL_TRACER, NullTracer, SpanTracer, as_tracer
+from repro.systems import SYSTEMS
+from repro.telemetry import SpanTracer
 from repro.telemetry.tracer import KIND_COUNTER, KIND_INSTANT, KIND_SPAN
 
 
@@ -57,24 +58,6 @@ class TestSpanTracer:
         assert len(tracer) == 0
 
 
-class TestNullTracer:
-    def test_disabled_and_inert(self):
-        null = NullTracer()
-        assert not null.enabled
-        null.complete("x", 0, "frame", 0.0, 1.0)
-        null.instant("y", 0, "frame", 0.0)
-        null.counter("z", 0.0, 1)
-        assert len(null) == 0
-        assert null.records == []
-        assert null.spans() == []
-
-    def test_as_tracer_normalization(self):
-        assert as_tracer(None) is NULL_TRACER
-        tracer = SpanTracer()
-        assert as_tracer(tracer) is tracer
-        assert as_tracer(NULL_TRACER) is NULL_TRACER
-
-
 class TestTracedRunDeterminism:
     """Tracing must be purely observational: a traced run produces
     bit-identical metrics to an untraced run of the same config."""
@@ -125,3 +108,59 @@ class TestTracedRunDeterminism:
         assert sum(s.arg("dispatched") for s in sim_spans) > 0
         depth = [r for r in tracer.records if r.name == "sim.queue_depth"]
         assert depth  # sampled every TRACE_SAMPLE_EVERY dispatches
+
+
+class TestObservationSeam:
+    """``Session.observer`` is the frame loop's only telemetry object:
+    absent unless configured, never steering the run, and laying every
+    system's frame out through the same emitter."""
+
+    def test_no_observer_unless_configured(self):
+        from repro.systems import SessionConfig
+        from repro.systems.base import Session
+        from repro.world import load_game
+
+        world = load_game("viking")
+        assert Session(world, 2, SessionConfig()).observer is None
+        traced = Session(world, 2, SessionConfig(tracer=SpanTracer()))
+        assert traced.observer is not None
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_frame_layout_and_twin_per_system(self, system):
+        from repro.systems import SessionConfig, run_system
+        from repro.telemetry import MetricsHub
+
+        tracer, hub = SpanTracer(), MetricsHub()
+        plain = run_system(system, "viking", 2, SessionConfig(duration_s=0.4, seed=1))
+        twin = run_system(
+            system, "viking", 2,
+            SessionConfig(duration_s=0.4, seed=1, tracer=tracer, metrics=hub),
+        )
+
+        def key(result):
+            return (
+                [(p.player_id, p.metrics, p.records) for p in result.players],
+                result.be_mbps, result.fi_kbps, result.link_utilization,
+            )
+
+        assert key(twin) == key(plain)
+        assert hub.series["frames_total"][-1][1] > 0
+
+        stage_lanes = set()
+        for player in (0, 1):
+            frames = {s.arg("frame"): s for s in tracer.spans("frame", player)}
+            assert frames
+            for span in tracer.spans(player=player):
+                if span.cat != "stage":
+                    continue
+                frame = frames[span.arg("frame")]
+                assert span.start_ms >= frame.start_ms
+                assert span.end_ms <= frame.end_ms + 1e-9
+                if span.name == "wait":
+                    assert span.end_ms == pytest.approx(frame.end_ms, abs=1e-9)
+                else:
+                    stage_lanes.add(span.lane)
+        # Eq. 2's concurrent lanes, or the sequential systems' own.
+        pipeline = system not in ("mobile", "thin_client")
+        assert ("merge" in stage_lanes) == pipeline
+        assert ("render" in stage_lanes) == (system != "thin_client")

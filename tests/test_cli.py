@@ -221,6 +221,35 @@ class TestTelemetryCommands:
         assert "p95" in out and "p99" in out
 
 
+_RUN = ["run", "mobile", "pool", "1", "--duration", "1"]
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is refused up front."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (_RUN, "--metrics"),
+        (_RUN, "--openmetrics"),
+        (_RUN, "--trace"),
+        (_RUN, "--events"),
+        (["fleet"], "--metrics"),
+        (["fleet"], "--openmetrics"),
+    ])
+    def test_exits_2_before_simulating(self, argv, flag, tmp_path, capsys,
+                                       monkeypatch):
+        def simulated(*_args, **_kwargs):
+            raise AssertionError("simulated before checking the output path")
+
+        monkeypatch.setattr("repro.cli.run_system", simulated)
+        monkeypatch.setattr("repro.cli.run_fleet", simulated)
+        path = tmp_path / "no_such_dir" / "out"
+        assert main([*argv, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert flag in line and str(path) in line
+        assert captured.out == ""
+
+
 class TestMetricsCli:
     """``run --metrics/--openmetrics/--dashboard`` and ``report`` on dumps."""
 
