@@ -33,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import fmt, report, run_cost, write_bench
+from harness import fmt, gated_bench, run_cost, table, write_bench
 
 from repro.adapt import AbrConfig
 from repro.net import TRACE_PROFILES, ImpairmentConfig, RateTrace
@@ -206,47 +206,21 @@ def _record(m, checks):
             fmt(fx["mean_ssim"], 4) if fx["mean_ssim"] is not None else "-",
             fmt(ad["mean_ssim"], 4) if ad["mean_ssim"] is not None else "-",
         ))
-    report(
-        "BENCH_adaptive_table",
+    print("\n" + table(
+        "BENCH_adaptive",
         ("trace", "fixed miss", "adaptive miss", "drops", "steps dn/up",
          "mean CRF", "fixed SSIM", "adaptive SSIM"),
         rows,
         notes=f"{GAME}, {PLAYERS} players, {m['duration_s']:g}s per trace, "
         f"seed {SEED}; adaptive = AbrConfig() defaults; SSIM leg "
         f"{'skipped (smoke)' if m['smoke'] else f'{SSIM_PLAYERS} players, {SSIM_DURATION_S:g}s, render_frames'}",
-    )
+    ))
     return payload
 
 
-def main(argv=None) -> int:
-    """Standalone entry point: measure, record, verify the gates."""
-    argv = sys.argv[1:] if argv is None else argv
-    smoke = "--smoke" in argv
-    m = run_benchmark(smoke=smoke)
-    checks = _acceptance(m)
-    _record(m, checks)
-    print()
-    for name, ok in checks.items():
-        print(f"  {name:32}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
-
-
-try:
-    import pytest
-except ImportError:  # standalone run without pytest installed
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.benchmark(group="adapt")
-    def test_adaptive_beats_fixed(benchmark):
-        """All adaptive-streaming acceptance gates hold."""
-        from harness import once
-
-        m = once(benchmark, run_benchmark)
-        checks = _acceptance(m)
-        _record(m, checks)
-        assert all(checks.values()), checks
+main, test_adaptive_beats_fixed = gated_bench(
+    run_benchmark, _acceptance, _record, group="adapt"
+)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import fmt, report, run_cost, write_bench
+from harness import fmt, gated_bench, run_cost, table, write_bench
 
 from repro.cli import _first_divergence
 from repro.fleet import (
@@ -248,47 +248,21 @@ def _record(m, checks):
         fmt(comparison["isolated_sessions_per_s"], 4),
         "-", "-", "0.0%", "-",
     ))
-    report(
-        "BENCH_fleet_table",
+    print("\n" + table(
+        "BENCH_fleet",
         ("workload", "sessions", "sessions/s", "join p50 ms",
          "join p99 ms", "dedup", "queue peak"),
         rows,
         notes=f"{GAME}, rate {RATE_PER_S:g}/s, seed {SEED}; comparison "
         f"legs on {comparison['gpu_slots']} GPU slots — shared/isolated "
         f"sessions-per-s ratio {comparison['sessions_per_s_ratio']:.3f}",
-    )
+    ))
     return payload
 
 
-def main(argv=None) -> int:
-    """Standalone entry point: measure, record, verify the gates."""
-    argv = sys.argv[1:] if argv is None else argv
-    smoke = "--smoke" in argv
-    m = run_benchmark(smoke=smoke)
-    checks = _acceptance(m)
-    _record(m, checks)
-    print()
-    for name, ok in checks.items():
-        print(f"  {name:40}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
-
-
-try:
-    import pytest
-except ImportError:  # standalone run without pytest installed
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.benchmark(group="fleet")
-    def test_fleet_shared_serving_wins(benchmark):
-        """All fleet-serving acceptance gates hold."""
-        from harness import once
-
-        m = once(benchmark, run_benchmark)
-        checks = _acceptance(m)
-        _record(m, checks)
-        assert all(checks.values()), checks
+main, test_fleet_shared_serving_wins = gated_bench(
+    run_benchmark, _acceptance, _record, group="fleet"
+)
 
 
 if __name__ == "__main__":

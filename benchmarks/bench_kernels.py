@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import numpy as np
 
-from harness import fmt, report, run_cost, write_bench
+from harness import fmt, run_cost, table, write_bench
 
 from repro import perf
 from repro.codec import FrameCodec
@@ -192,13 +192,13 @@ def _record(legs, speedups, smoke=False):
             fmt(leg["stages"].get("raster", 0.0), 2),
             fmt(speedups.get(mode, 1.0), 2) + "x",
         ))
-    report(
-        "BENCH_kernels_table",
+    print("\n" + table(
+        "BENCH_kernels",
         ("mode", "wall s", "raster s", "speedup"),
         rows,
         notes=f"{len(game_set)} game(s) @ {WIDTH}x{HEIGHT}; "
         "identical output digests across modes",
-    )
+    ))
     return payload
 
 

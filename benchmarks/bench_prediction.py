@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import fmt, report, run_cost, write_bench
+from harness import fmt, gated_bench, run_cost, table, write_bench
 
 from repro.faults import FaultSchedule
 from repro.predict import PredictConfig
@@ -192,8 +192,8 @@ def _record(m, checks):
         )
         for game, g in m["genres"].items()
     ]
-    report(
-        "BENCH_prediction_table",
+    print("\n" + table(
+        "BENCH_prediction",
         ("game", "genre", "base hit", "predict hit", "gain",
          "prefetches", "confirms"),
         rows,
@@ -203,39 +203,13 @@ def _record(m, checks):
         f"storm '{m['corrupt']['faults']}': "
         f"{m['corrupt']['spec_rollbacks']} rollbacks at "
         f"{fmt(m['corrupt']['fps'], 1)} fps",
-    )
+    ))
     return payload
 
 
-def main(argv=None) -> int:
-    """Standalone entry point: measure, record, verify the gates."""
-    argv = sys.argv[1:] if argv is None else argv
-    smoke = "--smoke" in argv
-    m = run_benchmark(smoke=smoke)
-    checks = _acceptance(m)
-    _record(m, checks)
-    print()
-    for name, ok in checks.items():
-        print(f"  {name:32}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
-
-
-try:
-    import pytest
-except ImportError:  # standalone run without pytest installed
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.benchmark(group="predict")
-    def test_prediction_effectiveness(benchmark):
-        """All speculation-effectiveness and desync gates hold."""
-        from harness import once
-
-        m = once(benchmark, run_benchmark)
-        checks = _acceptance(m)
-        _record(m, checks)
-        assert all(checks.values()), checks
+main, test_prediction_effectiveness = gated_bench(
+    run_benchmark, _acceptance, _record, group="predict"
+)
 
 
 if __name__ == "__main__":

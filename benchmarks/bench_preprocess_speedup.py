@@ -34,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import fmt, report, run_cost, write_bench
+from harness import fmt, run_cost, table, write_bench
 
 from repro import perf
 from repro.codec import FrameCodec
@@ -189,13 +189,13 @@ def _record(legs, speedups, demand_size, smoke=False):
         )
         for name, leg in legs.items()
     ]
-    report(
-        "BENCH_preprocess_table",
+    print("\n" + table(
+        "BENCH_preprocess",
         ("leg", "wall s", "panorama renders", "speedup"),
         rows,
         notes=f"{GAME} @ scale {SCALE}, {demand_size} demand points x "
         f"{replays} replays, {WORKERS} workers",
-    )
+    ))
     return payload
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import fmt, report, run_cost, write_bench
+from harness import fmt, gated_bench, run_cost, table, write_bench
 
 from repro.faults import FaultSchedule
 from repro.net import ImpairmentConfig
@@ -117,18 +117,19 @@ def _outage(world, artifacts):
 
 
 def run_benchmark():
-    """Run all legs; returns (sweep cells, outage record, recoveries)."""
+    """Run all legs; returns the sweep cells, outage record and recoveries."""
     world = load_game(GAME)
     artifacts = prepare_artifacts(
         world, SessionConfig(duration_s=SWEEP_DURATION_S, seed=SEED)
     )
     cells = _sweep(world, artifacts)
     outage, recoveries = _outage(world, artifacts)
-    return cells, outage, recoveries
+    return {"sweep": cells, "outage": outage, "_recoveries": recoveries}
 
 
-def _acceptance(cells, outage, recoveries):
+def _acceptance(m):
     """The ISSUE's acceptance gates; returns a dict of named booleans."""
+    cells, outage, recoveries = m["sweep"], m["outage"], m["_recoveries"]
     zero_loss = [c for c in cells if c["loss"] == 0.0]
     lossy = [c for c in cells if c["loss"] >= 0.05]
     return {
@@ -147,7 +148,8 @@ def _acceptance(cells, outage, recoveries):
     }
 
 
-def _record(cells, outage, checks):
+def _record(m, checks):
+    cells, outage = m["sweep"], m["outage"]
     payload = {
         "benchmark": "resilience",
         "game": GAME,
@@ -175,43 +177,19 @@ def _record(cells, outage, checks):
     recovery = ", ".join(
         "-" if r is None else f"{r:.0f}" for r in outage["recovery_ms"]
     )
-    report(
-        "BENCH_resilience_table",
+    print("\n" + table(
+        "BENCH_resilience",
         ("players", "loss", "fps", "miss", "stale", "max age ms", "retries"),
         rows,
         notes=f"{GAME}, {SWEEP_DURATION_S:g}s sweep; outage {OUTAGE_SPEC}: "
         f"fps {fmt(outage['fps'])}, recovery [{recovery}] ms",
-    )
+    ))
     return payload
 
 
-def main() -> int:
-    """Standalone entry point: run, record, and verify the acceptance bar."""
-    cells, outage, recoveries = run_benchmark()
-    checks = _acceptance(cells, outage, recoveries)
-    _record(cells, outage, checks)
-    print()
-    for name, ok in checks.items():
-        print(f"  {name:28}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
-
-
-try:
-    import pytest
-except ImportError:  # standalone run without pytest installed
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.benchmark(group="resilience")
-    def test_resilience(benchmark):
-        """All resilience acceptance gates hold."""
-        from harness import once
-
-        cells, outage, recoveries = once(benchmark, run_benchmark)
-        checks = _acceptance(cells, outage, recoveries)
-        _record(cells, outage, checks)
-        assert all(checks.values()), checks
+main, test_resilience = gated_bench(
+    run_benchmark, _acceptance, _record, group="resilience", smoke=False
+)
 
 
 if __name__ == "__main__":

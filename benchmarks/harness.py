@@ -5,15 +5,19 @@ evaluation.  The harness provides:
 
 * ``PAPER`` — the published reference numbers, so each report prints
   paper-vs-measured side by side;
-* ``report(...)`` — formatted table output, also persisted under
-  ``benchmarks/results/`` for EXPERIMENTS.md;
+* ``table(...)`` — the formatted table text; ``report(...)`` prints it
+  and persists it under ``benchmarks/results/`` for EXPERIMENTS.md (the
+  paper tables and figures);
 * ``once(benchmark, fn)`` — run an experiment exactly once under
   pytest-benchmark (these are minutes-long system simulations, not
   microbenchmarks);
 * ``write_bench(name, payload)`` — the single path for machine-readable
   ``BENCH_*.json`` artifacts: everything lands in ``benchmarks/results/``
   (never the repo root), which is the directory CI uploads and the
-  perf-regression gate reads.
+  perf-regression gate reads.  A gated bench writes that one file and
+  only prints its table;
+* ``gated_bench(...)`` — the ``main(argv)`` / ``--smoke`` / PASS-FAIL
+  printout and the pytest-benchmark case every gated bench shares.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence
+
+try:
+    import pytest
+except ImportError:  # standalone run without pytest installed
+    pytest = None
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -134,7 +143,7 @@ PAPER = {
 def write_bench(name: str, payload: Dict) -> Path:
     """Persist one machine-readable benchmark artifact.
 
-    ``name`` is the bare artifact name (e.g. ``BENCH_churn.json``); the
+    ``name`` is the bare artifact name (e.g. ``BENCH_fleet.json``); the
     file is written under :data:`RESULTS_DIR` only — the repo root stays
     clean, and both CI artifact uploads and ``check_regression.py`` agree
     on this one location.  Returns the written path.
@@ -150,9 +159,43 @@ def once(benchmark, fn: Callable, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-def report(name: str, header: Sequence[str], rows: List[Sequence], notes: str = "") -> None:
-    """Print a table and persist it for EXPERIMENTS.md."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def gated_bench(run: Callable, acceptance: Callable, record: Callable,
+                group: str, smoke: bool = True):
+    """The two entry points of a bench whose verdict is a dict of named gates.
+
+    ``run`` measures (called with ``smoke=`` unless the bench has no
+    smoke mode), ``acceptance(m)`` names the boolean gates and
+    ``record(m, checks)`` writes the artifact.  Returns ``(main, test)``:
+    ``main(argv)`` prints one PASS/FAIL line per gate and returns 0 only
+    when all hold; ``test`` asserts the same once under pytest-benchmark
+    (``None`` without pytest) — bind it to the module's ``test_*`` name.
+    """
+    def main(argv=None) -> int:
+        argv = sys.argv[1:] if argv is None else argv
+        m = run(smoke="--smoke" in argv) if smoke else run()
+        checks = acceptance(m)
+        record(m, checks)
+        print()
+        width = max(map(len, checks))
+        for name, ok in checks.items():
+            print(f"  {name:{width}}: {'PASS' if ok else 'FAIL'}")
+        return 0 if all(checks.values()) else 1
+
+    if pytest is None:
+        return main, None
+
+    @pytest.mark.benchmark(group=group)
+    def test(benchmark):
+        m = once(benchmark, run)
+        checks = acceptance(m)
+        record(m, checks)
+        assert all(checks.values()), checks
+
+    return main, test
+
+
+def table(name: str, header: Sequence[str], rows: List[Sequence], notes: str = "") -> str:
+    """Format a titled, column-aligned table (no I/O)."""
     widths = [
         max(len(str(header[i])), max((len(str(r[i])) for r in rows), default=0))
         for i in range(len(header))
@@ -165,6 +208,13 @@ def report(name: str, header: Sequence[str], rows: List[Sequence], notes: str = 
     text = f"== {name} ==\n" + "\n".join(lines)
     if notes:
         text += f"\n{notes}"
+    return text
+
+
+def report(name: str, header: Sequence[str], rows: List[Sequence], notes: str = "") -> None:
+    """Print a table and persist it for EXPERIMENTS.md."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    text = table(name, header, rows, notes)
     print("\n" + text)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     payload = {"name": name, "header": list(header), "rows": [list(r) for r in rows], "notes": notes, "cost": run_cost()}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 import dataclasses
@@ -249,9 +250,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"invalid --predict-horizon: {exc}", file=sys.stderr)
             return 2
     sync = SyncConfig() if args.sync_check else None
+    make_config = partial(_session_config, args, impairment, faults, churn,
+                          supervision, predict, sync)
     if args.verify_determinism:
-        return _verify_determinism(args, impairment, faults, churn,
-                                   supervision, predict, sync)
+        return _verify_determinism(args, make_config)
     if not _outputs_writable(args, "trace", "events", "metrics", "openmetrics"):
         return 2
     tracer = SpanTracer() if (args.trace or args.events) else None
@@ -261,14 +263,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dashboard and hub is not None:
         dashboard = LiveDashboard(hub, engine=SloEngine())
         dashboard.attach()
-    config = SessionConfig(duration_s=args.duration, seed=args.seed,
-                           wifi_mbps=args.wifi_mbps,
-                           impairment=impairment, faults=faults,
-                           adapt=AbrConfig() if args.abr else None,
-                           churn=churn, supervision=supervision,
-                           predict=predict, sync=sync,
-                           tracer=tracer, metrics=hub,
-                           render_config=RenderConfig(kernels=args.kernels))
+    config = make_config(tracer=tracer, metrics=hub)
     if args.perf:
         with perf.timed("run.simulate"):
             result = run_system(args.system, args.game, args.players, config)
@@ -389,25 +384,29 @@ def _first_divergence(a, b) -> Optional[str]:
     return None
 
 
-def _verify_determinism(args, impairment, faults, churn, supervision,
-                        predict, sync) -> int:
+def _session_config(args, impairment, faults, churn, supervision, predict,
+                    sync, tracer=None, metrics=None) -> SessionConfig:
+    """The one place ``repro run`` turns its flags into a SessionConfig, so
+    ``--verify-determinism`` checks the run the other flags describe."""
+    return SessionConfig(
+        duration_s=args.duration, seed=args.seed,
+        wifi_mbps=args.wifi_mbps, impairment=impairment,
+        faults=faults, adapt=AbrConfig() if args.abr else None,
+        churn=churn, supervision=supervision,
+        predict=predict, sync=sync,
+        tracer=tracer, metrics=metrics,
+        render_config=RenderConfig(kernels=args.kernels),
+    )
+
+
+def _verify_determinism(args, make_config) -> int:
     """Run the experiment twice and fail loudly on any bit divergence.
 
-    Both runs use identical configs with tracing/metrics disabled (those
-    are observers, not state).  Exit 0 when every per-player metric,
-    frame record, and aggregate counter is bit-identical; exit 1 with a
-    first-divergence report otherwise.
+    Both runs use ``make_config()`` — the plain run's config with
+    tracing/metrics left off (those are observers, not state).  Exit 0
+    when every per-player metric, frame record, and aggregate counter is
+    bit-identical; exit 1 with a first-divergence report otherwise.
     """
-    def make_config() -> SessionConfig:
-        return SessionConfig(
-            duration_s=args.duration, seed=args.seed,
-            wifi_mbps=args.wifi_mbps, impairment=impairment,
-            faults=faults, adapt=AbrConfig() if args.abr else None,
-            churn=churn, supervision=supervision,
-            predict=predict, sync=sync,
-            render_config=RenderConfig(kernels=args.kernels),
-        )
-
     label = f"{args.system} on {args.game}, {args.players} player(s), " \
             f"{args.duration:g}s, seed {args.seed}"
     print(f"determinism check: {label}")

@@ -73,18 +73,12 @@ class Prefetcher:
         # untouched (the scale is not even applied).
         self.thresh_scale = 1.0
 
-    def plan(
-        self,
-        position: Vec2,
-        heading: float,
-        now_ms: float,
+    def _resolve(
+        self, position: Vec2, heading: float, lookup, **lookup_args
     ) -> PrefetchDecision:
-        """Resolve the far-BE frame for the (predicted) next viewpoint.
-
-        ``lookahead_m`` projects the request ahead along the movement
-        direction so the transfer completes before arrival (Fig. 10's
-        enlarged prefetching window).
-        """
+        """Derive grid point, leaf, cutoff, near set and dist-thresh for the
+        look-ahead target of ``position`` and ask ``lookup`` (one of the
+        cache's keyword queries) for a frame that serves it."""
         target = position
         if self.lookahead_m > 0:
             target = self.scene.bounds.clamp(
@@ -99,16 +93,14 @@ class Prefetcher:
         dist_thresh = self.dist_thresh_map.threshold_for(snapped)
         if self.thresh_scale != 1.0:
             dist_thresh = dist_thresh * self.thresh_scale
-        cached = self.cache.lookup(
+        cached = lookup(
             grid_point=grid_point,
             position=snapped,
             leaf=leaf,
             near_ids=near_ids,
             dist_thresh=dist_thresh,
-            now_ms=now_ms,
+            **lookup_args,
         )
-        if cached is None:
-            self.fetches += 1
         return PrefetchDecision(
             grid_point=grid_point,
             position=snapped,
@@ -118,6 +110,25 @@ class Prefetcher:
             cached=cached,
             dist_thresh=dist_thresh,
         )
+
+    def plan(
+        self,
+        position: Vec2,
+        heading: float,
+        now_ms: float,
+    ) -> PrefetchDecision:
+        """Resolve the far-BE frame for the (predicted) next viewpoint.
+
+        ``lookahead_m`` projects the request ahead along the movement
+        direction so the transfer completes before arrival (Fig. 10's
+        enlarged prefetching window).
+        """
+        decision = self._resolve(
+            position, heading, self.cache.lookup, now_ms=now_ms
+        )
+        if decision.cached is None:
+            self.fetches += 1
+        return decision
 
     def plan_speculative(
         self,
@@ -135,35 +146,8 @@ class Prefetcher:
         and ``fetches`` is left alone.  Predicted positions may fall
         outside the scene, so the target is clamped to its bounds.
         """
-        target = self.scene.bounds.clamp(position)
-        if self.lookahead_m > 0:
-            target = self.scene.bounds.clamp(
-                target + Vec2.from_angle(heading, self.lookahead_m)
-            )
-        grid_point = self.grid.snap(target)
-        snapped = self.grid.to_world(grid_point)
-        leaf, cutoff = self.cutoff_map.leaf_for(snapped)
-        near_ids = self.scene.near_object_ids(
-            snapped, cutoff, min_radius=self.near_significance * cutoff
-        )
-        dist_thresh = self.dist_thresh_map.threshold_for(snapped)
-        if self.thresh_scale != 1.0:
-            dist_thresh = dist_thresh * self.thresh_scale
-        cached = self.cache.peek(
-            grid_point=grid_point,
-            position=snapped,
-            leaf=leaf,
-            near_ids=near_ids,
-            dist_thresh=dist_thresh,
-        )
-        return PrefetchDecision(
-            grid_point=grid_point,
-            position=snapped,
-            leaf=leaf,
-            cutoff_radius=cutoff,
-            near_ids=near_ids,
-            cached=cached,
-            dist_thresh=dist_thresh,
+        return self._resolve(
+            self.scene.bounds.clamp(position), heading, self.cache.peek
         )
 
     def admit(

@@ -246,6 +246,8 @@ class TestOpenMetrics:
         assert "# TYPE lat_ms histogram" in text
         assert 'lat_ms_bucket{le="+Inf"} 2' in text
         assert "lat_ms_count 2" in text
+        samples = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert samples and all(len(ln.rsplit(" ", 1)) == 2 for ln in samples)
 
 
 class TestJsonlDump:
@@ -268,6 +270,12 @@ class TestJsonlDump:
         assert dump.series["frames_total"] == [(100.0, 5.0), (200.0, 5.0)]
         assert dump.series_types["frames_total"] == "counter"
         assert dump.histograms["lat_ms"]["count"] == 1
+        # Lossless: every sampled series and its type reads back.
+        assert dump.series == {
+            name: [(round(t, 6), float(v)) for t, v in ring]
+            for name, ring in hub.series.items()
+        }
+        assert dump.series_types == hub.series_types()
 
     def test_every_record_is_schema_versioned(self, tmp_path):
         path = tmp_path / "m.jsonl"

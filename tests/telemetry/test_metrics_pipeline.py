@@ -91,6 +91,9 @@ class TestInstrumentationCoverage:
             for t, _ in ring:
                 assert t % period == pytest.approx(0.0), (name, t)
 
+    def test_a_coterie_run_exposes_at_least_twenty_series(self, hub):
+        assert len(hub.series) >= 20
+
     def test_sim_and_link_series_present(self, hub):
         assert "sim_queue_depth" in hub.series
         assert "link_utilization" in hub.series

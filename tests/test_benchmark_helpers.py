@@ -1,4 +1,5 @@
-"""Tests for the benchmark harness helpers (report tables, ASCII plots)."""
+"""Tests for the benchmark helpers (report tables, ASCII plots, the
+observer-overhead verdict arithmetic)."""
 
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
 from ascii_plot import ascii_cdf, ascii_series  # noqa: E402
-from harness import PAPER, fmt, report  # noqa: E402
+from bench_overhead import judge_overhead  # noqa: E402
+from harness import PAPER, fmt, report, table  # noqa: E402
 
 
 class TestFmt:
@@ -35,6 +37,83 @@ class TestReport:
         assert (tmp_path / "unit_test_table.json").exists()
         text = (tmp_path / "unit_test_table.txt").read_text()
         assert "yy" in text and "22" in text and text.endswith("n\n")
+
+
+    def test_table_is_the_same_text_without_io(self, tmp_path, monkeypatch,
+                                               capsys):
+        import harness
+
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        text = table("t", ["a", "b"], [("x", 1), ("yy", 22)], notes="n")
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
+        report("t", ["a", "b"], [("x", 1), ("yy", 22)], notes="n")
+        assert (tmp_path / "t.txt").read_text() == text + "\n"
+
+
+class TestJudgeOverhead:
+    """Pure arithmetic: per-repeat walls in, verdicts out (no simulation)."""
+
+    # Plain legs differ per repeat (machine drift); ratios are what count.
+    PLAIN = [2.0, 2.2, 1.9, 2.1, 2.0]
+    NULL_RATIOS = [1.04, 0.96, 1.05, 0.97, 1.03]  # median |r - 1| = 4%
+
+    def _walls(self, traced, metered=None, supervised=None):
+        def leg(ratios):
+            return [p * r for p, r in zip(self.PLAIN, ratios)]
+
+        flat = [1.0] * len(self.PLAIN)
+        return {
+            "plain": list(self.PLAIN),
+            "null": leg(self.NULL_RATIOS),
+            "traced": leg(traced),
+            "metered": leg(metered or flat),
+            "supervised": leg(supervised or flat),
+        }
+
+    def test_noise_floor_sets_the_gate(self):
+        verdict = judge_overhead(self._walls([1.0] * 5), floor=0.05)
+        assert verdict["noise"] == pytest.approx(0.04)
+        assert verdict["gate"] == pytest.approx(0.08)
+        quiet = dict(self._walls([1.0] * 5), null=list(self.PLAIN))
+        assert judge_overhead(quiet, floor=0.05)["gate"] == 0.05
+
+    def test_overhead_below_noise_passes_as_within_noise(self):
+        walls = self._walls([1.03, 1.01, 1.09, 1.03, 0.98])
+        traced = judge_overhead(walls, floor=0.05)["observers"]["traced"]
+        assert traced["overhead"] == pytest.approx(0.03)
+        assert traced["passed"] and traced["verdict"] == "within noise"
+
+    def test_resolved_overhead_under_the_gate_is_measurable(self):
+        walls = self._walls([1.06] * 5)
+        traced = judge_overhead(walls, floor=0.05)["observers"]["traced"]
+        assert traced["passed"] and traced["verdict"] == "measurable"
+
+    def test_large_overhead_fails_under_the_same_floor(self):
+        walls = self._walls([1.30, 1.28, 1.35, 1.30, 1.31])
+        traced = judge_overhead(walls, floor=0.05)["observers"]["traced"]
+        assert traced["overhead"] == pytest.approx(0.30)
+        assert not traced["passed"] and traced["verdict"] == "over gate"
+
+    def test_negative_median_is_noise_not_a_speed_up(self):
+        walls = self._walls([0.90, 0.93, 0.95, 0.91, 0.97])
+        traced = judge_overhead(walls, floor=0.05)["observers"]["traced"]
+        assert traced["overhead"] == pytest.approx(-0.07)
+        assert traced["passed"] and traced["verdict"] == "within noise"
+
+    def test_repeat_order_does_not_change_the_result(self):
+        walls = self._walls([1.03, 1.01, 1.09, 1.03, 0.98],
+                            metered=[1.2, 1.1, 1.3, 1.25, 1.4],
+                            supervised=[0.9, 1.0, 1.1, 1.0, 1.0])
+        order = [3, 0, 4, 2, 1]
+        shuffled = {leg: [w[i] for i in order] for leg, w in walls.items()}
+        a, b = judge_overhead(walls, 0.05), judge_overhead(shuffled, 0.05)
+        assert (a["noise"], a["gate"]) == (b["noise"], b["gate"])
+        for name, verdict in a["observers"].items():
+            other = b["observers"][name]
+            assert verdict["overhead"] == other["overhead"]
+            assert verdict["verdict"] == other["verdict"]
+            assert sorted(verdict["ratios"]) == sorted(other["ratios"])
 
 
 class TestPaperReference:

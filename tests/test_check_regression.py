@@ -34,11 +34,10 @@ KERNELS_BASE = {
     },
 }
 
-TRACE_BASE = {
-    "benchmark": "trace_overhead",
-    "overhead": 0.02,
-    "untraced_s": 2.5,
-    "traced_s": 2.55,
+PREDICTION_BASE = {
+    "benchmark": "prediction",
+    "improvement": {"genres_improved": 3},
+    "clean": {"desync_alarms": 0},
 }
 
 
@@ -54,7 +53,7 @@ def write_dirs(tmp_path, fresh_mutation=None):
     fresh.mkdir()
     docs = {
         "BENCH_kernels.json": copy.deepcopy(KERNELS_BASE),
-        "BENCH_trace.json": copy.deepcopy(TRACE_BASE),
+        "BENCH_prediction.json": copy.deepcopy(PREDICTION_BASE),
     }
     for name, doc in docs.items():
         (baseline / name).write_text(json.dumps(doc))
@@ -155,8 +154,6 @@ class TestGateEndToEnd:
             # Every leg slower by 2x (a slower runner): ratios unchanged.
             for leg in docs["BENCH_kernels.json"]["legs"].values():
                 leg["wall_s"] *= 2.0
-            docs["BENCH_trace.json"]["untraced_s"] *= 2.0
-            docs["BENCH_trace.json"]["traced_s"] *= 2.0
 
         baseline, fresh = write_dirs(tmp_path, slow_uniformly)
         assert run_gate(baseline, fresh) == 1
@@ -185,7 +182,7 @@ class TestGateEndToEnd:
     def test_unbaselined_artifact_is_skipped_by_default(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
         (baseline / "BENCH_kernels.json").unlink()
-        (baseline / "BENCH_trace.json").unlink()
+        (baseline / "BENCH_prediction.json").unlink()
         # No baselines at all -> nothing compared -> usage error, not pass.
         assert run_gate(baseline, fresh) == 2
 
@@ -212,8 +209,8 @@ class TestCompareDirs:
     def test_restricts_to_requested_artifacts(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
         results = compare_dirs(baseline, fresh, 0.25, False,
-                               artifacts=["BENCH_trace.json"])
-        assert {c.artifact for c in results} == {"BENCH_trace.json"}
+                               artifacts=["BENCH_prediction.json"])
+        assert {c.artifact for c in results} == {"BENCH_prediction.json"}
 
     def test_comparison_line_formats(self):
         line = Comparison("BENCH_x.json", "m", "wall", 1.0, 2.0, True).line()
@@ -226,7 +223,7 @@ class TestAllFailuresReported:
         def wreck(docs):
             docs["BENCH_kernels.json"]["speedup"]["vector"] = 0.5
             docs["BENCH_kernels.json"]["legs"]["vector"]["wall_s"] = 9.0
-            docs["BENCH_trace.json"]["overhead"] = 0.9
+            docs["BENCH_prediction.json"]["clean"]["desync_alarms"] = 1
 
         baseline, fresh = write_dirs(tmp_path, wreck)
         assert run_gate(baseline, fresh) == 1
@@ -239,15 +236,15 @@ class TestAllFailuresReported:
     ):
         """A parse error is a failing row, not an abort: the other
         artifact's regressions are still reported in the same run."""
-        def slow_trace(docs):
-            docs["BENCH_trace.json"]["overhead"] = 0.9
+        def false_alarm(docs):
+            docs["BENCH_prediction.json"]["clean"]["desync_alarms"] = 1
 
-        baseline, fresh = write_dirs(tmp_path, slow_trace)
+        baseline, fresh = write_dirs(tmp_path, false_alarm)
         (fresh / "BENCH_kernels.json").write_text("{not json")
         assert run_gate(baseline, fresh) == 1
         out = capsys.readouterr()
         assert "<parse error>" in out.out
-        assert "overhead" in out.out
+        assert "clean.desync_alarms" in out.out
         assert "2 regression(s)" in out.err
 
 
@@ -257,14 +254,14 @@ class TestUpdateBaselines:
     def test_copies_fresh_artifacts_over_baselines(self, tmp_path):
         baseline, fresh = write_dirs(
             tmp_path,
-            fresh_mutation=lambda docs: docs["BENCH_trace.json"].update(
-                overhead=0.04
-            ),
+            fresh_mutation=lambda docs: docs["BENCH_prediction.json"][
+                "clean"
+            ].update(desync_alarms=1),
         )
         updated = update_baselines(baseline, fresh)
-        assert "BENCH_trace.json" in updated
-        repinned = json.loads((baseline / "BENCH_trace.json").read_text())
-        assert repinned["overhead"] == 0.04
+        assert "BENCH_prediction.json" in updated
+        repinned = json.loads((baseline / "BENCH_prediction.json").read_text())
+        assert repinned["clean"]["desync_alarms"] == 1
         # After re-pinning, the gate is clean again.
         assert run_gate(baseline, fresh) == 0
 
@@ -277,7 +274,7 @@ class TestUpdateBaselines:
 
     def test_refuses_corrupt_fresh_artifact(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (fresh / "BENCH_trace.json").write_text("{ not json")
+        (fresh / "BENCH_prediction.json").write_text("{ not json")
         with pytest.raises(ValueError, match="not valid JSON"):
             update_baselines(baseline, fresh)
 
@@ -297,15 +294,15 @@ class TestUpdateBaselines:
     def test_cli_flag_respects_artifact_restriction(self, tmp_path, capsys):
         baseline, fresh = write_dirs(
             tmp_path,
-            fresh_mutation=lambda docs: docs["BENCH_trace.json"].update(
-                overhead=0.9
-            ),
+            fresh_mutation=lambda docs: docs["BENCH_prediction.json"][
+                "clean"
+            ].update(desync_alarms=1),
         )
         assert run_gate(baseline, fresh, "--update-baselines",
                         "--artifacts", "BENCH_kernels.json") == 0
         capsys.readouterr()
-        untouched = json.loads((baseline / "BENCH_trace.json").read_text())
-        assert untouched["overhead"] == TRACE_BASE["overhead"]
+        untouched = json.loads((baseline / "BENCH_prediction.json").read_text())
+        assert untouched == PREDICTION_BASE
 
     def test_cli_flag_with_nothing_to_pin_is_usage_error(
         self, tmp_path, capsys

@@ -395,6 +395,34 @@ class TestVerifyDeterminism:
         out = capsys.readouterr().out
         assert "bit-identical" in out
 
+    def test_verify_runs_the_config_the_flags_describe(self, tmp_path,
+                                                       monkeypatch, capsys):
+        """Both verify runs use the plain run's config, observers stripped."""
+        import dataclasses
+
+        import repro.cli as cli
+
+        real_run, configs = cli.run_system, []
+
+        def capturing(system, game, players, config):
+            configs.append(config)
+            return real_run(system, game, players, config)
+
+        monkeypatch.setattr(cli, "run_system", capturing)
+        argv = ["run", "coterie", "pool", "2", "--duration", "0.5",
+                "--faults", "dip@100-300:0.05", "--churn", "join@200",
+                "--abr", "--predict", "--sync-check", "--wifi-mbps", "300",
+                "--kernels", "scalar"]
+        assert main([*argv, "--metrics", str(tmp_path / "m.jsonl")]) == 0
+        assert main([*argv, "--verify-determinism"]) == 0
+        capsys.readouterr()
+        plain, first, second = configs
+        assert plain.metrics is not None
+        assert plain.wifi_mbps == 300.0 and plain.adapt is not None
+        assert plain.render_config.kernels == "scalar"
+        stripped = dataclasses.replace(plain, tracer=None, metrics=None)
+        assert first == stripped and second == stripped
+
 
 class TestReportHardening:
     def test_empty_event_log_exits_two(self, tmp_path, capsys):
