@@ -1,20 +1,22 @@
-"""E-P1 — offline preprocessing speedup: serial vs parallel vs warm cache.
+"""E-P1 — offline preprocessing speedup: what the disk cache saves.
 
 The workload replays what the benchmark suite actually does to the offline
 stage.  One full-fidelity study of a game runs several system variants
 (Coterie, Coterie-w/o-cache, the cache-version ablations of Table 5) over
-the *same* trajectories, and the seed-era code gave each variant a fresh
-in-memory :class:`PanoramaStore` — so the identical far-BE panorama demand
-was re-rendered from scratch ``R`` times per study.
+the *same* trajectories, and each variant builds a fresh in-memory
+:class:`PanoramaStore` — so without persistence the identical far-BE
+panorama demand is re-rendered from scratch ``R`` times per study.
 
-Three legs over the same demand stream (one racing drive, ``R`` replays):
+Three legs over the same demand stream (one racing drive, ``R`` replays),
+all on the one lazy path (``PanoramaStore.frame_for``):
 
-* **serial** — the seed behaviour: every replay renders + encodes its own
+* **serial** — no ``cache_dir``: every replay renders + encodes its own
   panoramas, nothing persists;
-* **parallel** — the 4-worker driver pre-renders the demand's union once
-  into the content-addressed disk store, then every replay serves from it;
-* **warm** — the parallel leg rerun against the already-populated cache
-  directory: no panorama is rendered at all.
+* **cached** — ``cache_dir`` on an empty directory: the first replay
+  renders each panorama once and writes it to the content-addressed disk
+  store, every later replay reads it back (dedup);
+* **warm** — the cached leg rerun on the populated directory: nothing is
+  rendered at all (persistence).
 
 Wall clocks, speedups, and per-leg ``perf.report()`` profiles land in
 ``benchmarks/results/BENCH_preprocess.json``.
@@ -34,15 +36,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import fmt, run_cost, table, write_bench
+from harness import fmt, gated_bench, run_cost, table, write_bench
 
 from repro import perf
 from repro.codec import FrameCodec
-from repro.core.preprocess import (
-    PanoramaStore,
-    PreprocessOptions,
-    preprocess_game,
-)
+from repro.core.preprocess import PanoramaStore, preprocess_game
 from repro.render import RenderCostModel
 from repro.render.rasterizer import RenderConfig
 from repro.systems.base import SessionConfig
@@ -50,27 +48,18 @@ from repro.world import load_game
 
 GAME = "racing"  # outdoor (Table 3's headline trio)
 SCALE = 0.15
-# Scalar kernels on purpose: this benchmark isolates the *parallel driver
-# and disk cache* speedups, so the per-frame render cost must stay heavy
-# enough to dominate worker-pool startup (bench_kernels.py owns the
-# kernel-mode comparison).
-CONFIG = RenderConfig(width=64, height=32, kernels="scalar")
-REPLAYS = 4  # system variants sharing one demand stream (Table 5 runs 5+)
-DEMAND_POINTS = 72  # unique far-BE grid points in one drive
-WORKERS = 4
+CONFIG = RenderConfig(width=64, height=32)
 SIZE_SAMPLES = 2
 SEED = 0
 
-# CI quick mode: a shorter drive and fewer replays keep the job under a
-# minute; the speedup gates relax accordingly (see GATES).
-SMOKE_REPLAYS = 2
-SMOKE_DEMAND_POINTS = 48
-
-# Acceptance gates per mode: (min parallel speedup, min warm speedup).
-# The smoke workload barely amortises worker-pool startup, so its parallel
-# gate only demands "not slower than serial" minus CI scheduling noise;
-# the full run keeps the real >=2x / >=5x bar.
-GATES = {False: (2.0, 5.0), True: (0.9, 2.0)}
+# Per mode: system variants sharing one demand stream (Table 5 runs 5+),
+# unique far-BE grid points in one drive, and the minimum cached / warm
+# speedups over serial.  With R replays dedup alone caps the cached leg
+# below R-fold, so the 2-replay smoke run only has to beat serial clearly.
+MODES = {
+    False: dict(replays=4, demand_points=72, min_cached=2.0, min_warm=5.0),
+    True: dict(replays=2, demand_points=48, min_cached=1.2, min_warm=2.0),
+}
 
 
 def _demand_stream(world, demand_points):
@@ -86,25 +75,9 @@ def _demand_stream(world, demand_points):
     return seen
 
 
-def _replay(world, codec, artifacts, demand):
-    """Serve one variant's far-BE demand from a fresh panorama store."""
-    store = PanoramaStore(
-        world,
-        CONFIG,
-        codec,
-        cutoff_map=artifacts.cutoff_map,
-        kind="far",
-        eye_height=world.spec.player.eye_height,
-        disk_cache=artifacts.disk_cache,
-    )
-    total_bytes = 0
-    for grid_point in demand:
-        total_bytes += store.frame_for(grid_point).wire_bytes
-    return store.renders, total_bytes
-
-
-def _leg(world, codec, demand, options, replays):
-    """One preprocessing-plus-replays leg; returns its timing record."""
+def _leg(world, codec, demand, cache_dir, replays):
+    """Preprocess, then serve ``replays`` variants' far-BE demand, each
+    from a fresh panorama store; returns the leg's timing record."""
     perf.reset()
     start = time.perf_counter()
     artifacts = preprocess_game(
@@ -114,20 +87,26 @@ def _leg(world, codec, demand, options, replays):
         codec,
         seed=SEED,
         size_samples=SIZE_SAMPLES,
-        options=options,
+        cache_dir=cache_dir,
     )
     renders = 0
-    checksum = 0
+    bytes_served = 0
     for _ in range(replays):
-        replay_renders, replay_bytes = _replay(world, codec, artifacts, demand)
-        renders += replay_renders
-        checksum += replay_bytes
+        store = PanoramaStore(
+            world,
+            CONFIG,
+            codec,
+            cutoff_map=artifacts.cutoff_map,
+            eye_height=world.spec.player.eye_height,
+            disk_cache=artifacts.disk_cache,
+        )
+        bytes_served += sum(store.frame_for(gp).wire_bytes for gp in demand)
+        renders += store.renders
     elapsed = time.perf_counter() - start
     return {
         "wall_s": round(elapsed, 3),
-        "replay_renders": renders,
-        "eager_renders": perf.counter("preprocess.panoramas_rendered"),
-        "bytes_served": checksum,
+        "renders": renders,
+        "bytes_served": bytes_served,
         "stages": {
             name: round(total, 3) for name, total in perf.stage_names().items()
         },
@@ -136,99 +115,77 @@ def _leg(world, codec, demand, options, replays):
 
 
 def run_legs(smoke: bool = False):
-    """Run all three legs and return (records, speedups, demand size)."""
+    """Run the three legs; returns the measurement record."""
+    mode = MODES[smoke]
     world = load_game(GAME, scale=SCALE)
     codec = FrameCodec()
-    demand_points = SMOKE_DEMAND_POINTS if smoke else DEMAND_POINTS
-    replays = SMOKE_REPLAYS if smoke else REPLAYS
-    demand = _demand_stream(world, demand_points)
+    demand = _demand_stream(world, mode["demand_points"])
     with tempfile.TemporaryDirectory() as cache_root:
         cache_dir = str(Path(cache_root) / "panoramas")
-        parallel_options = PreprocessOptions(
-            workers=WORKERS,
-            cache_dir=cache_dir,
-            panorama_grid_points=demand,
-        )
         legs = {
-            "serial": _leg(world, codec, demand, None, replays),
-            "parallel": _leg(world, codec, demand, parallel_options, replays),
-            "warm": _leg(world, codec, demand, parallel_options, replays),
+            "serial": _leg(world, codec, demand, None, mode["replays"]),
+            "cached": _leg(world, codec, demand, cache_dir, mode["replays"]),
+            "warm": _leg(world, codec, demand, cache_dir, mode["replays"]),
         }
     serial_s = legs["serial"]["wall_s"]
-    speedups = {
-        name: round(serial_s / legs[name]["wall_s"], 2)
-        for name in ("parallel", "warm")
+    return {
+        "smoke": smoke,
+        "replays": mode["replays"],
+        "demand_points": len(demand),
+        "legs": legs,
+        "speedup": {
+            name: round(serial_s / legs[name]["wall_s"], 2)
+            for name in ("cached", "warm")
+        },
     }
-    # Same demand served in every leg — byte-identical panoramas.
-    assert len({leg["bytes_served"] for leg in legs.values()}) == 1
-    return legs, speedups, len(demand)
 
 
-def _record(legs, speedups, demand_size, smoke=False):
-    replays = SMOKE_REPLAYS if smoke else REPLAYS
+def _acceptance(m):
+    mode = MODES[m["smoke"]]
+    legs, speedup = m["legs"], m["speedup"]
+    return {
+        # Same demand served in every leg — byte-identical panoramas.
+        "bytes_identical_across_legs":
+            len({leg["bytes_served"] for leg in legs.values()}) == 1,
+        "cached_renders_each_point_once":
+            legs["cached"]["renders"] == m["demand_points"],
+        "warm_renders_nothing": legs["warm"]["renders"] == 0,
+        f"cached_speedup_at_least_{mode['min_cached']}x":
+            speedup["cached"] >= mode["min_cached"],
+        f"warm_speedup_at_least_{mode['min_warm']}x":
+            speedup["warm"] >= mode["min_warm"],
+    }
+
+
+def _record(m, checks):
     payload = {
         "benchmark": "preprocess_speedup",
         "game": GAME,
         "scale": SCALE,
         "render": [CONFIG.width, CONFIG.height],
-        "replays": replays,
-        "workers": WORKERS,
-        "demand_points": demand_size,
-        "smoke": smoke,
-        "legs": legs,
-        "speedup": speedups,
+        **m,
+        "acceptance": checks,
         "cost": run_cost(),
     }
     write_bench("BENCH_preprocess.json", payload)
     rows = [
-        (
-            name,
-            fmt(leg["wall_s"], 2),
-            leg["eager_renders"] + leg["replay_renders"],
-            fmt(speedups.get(name, 1.0), 2) + "x",
-        )
-        for name, leg in legs.items()
+        (name, fmt(leg["wall_s"], 2), leg["renders"],
+         fmt(m["speedup"].get(name, 1.0), 2) + "x")
+        for name, leg in m["legs"].items()
     ]
     print("\n" + table(
         "BENCH_preprocess",
         ("leg", "wall s", "panorama renders", "speedup"),
         rows,
-        notes=f"{GAME} @ scale {SCALE}, {demand_size} demand points x "
-        f"{replays} replays, {WORKERS} workers",
+        notes=f"{GAME} @ scale {SCALE}, {m['demand_points']} demand points x "
+        f"{m['replays']} replays",
     ))
     return payload
 
 
-def main(argv=None) -> int:
-    """Standalone entry point: run, record, and verify the acceptance bar."""
-    smoke = "--smoke" in (sys.argv[1:] if argv is None else argv)
-    legs, speedups, demand_size = run_legs(smoke=smoke)
-    _record(legs, speedups, demand_size, smoke=smoke)
-    min_parallel, min_warm = GATES[smoke]
-    print(f"\nparallel speedup: {speedups['parallel']}x  "
-          f"warm-cache speedup: {speedups['warm']}x")
-    ok = speedups["parallel"] >= min_parallel and speedups["warm"] >= min_warm
-    print("acceptance:", "PASS" if ok else
-          f"FAIL (>={min_parallel}x parallel, >={min_warm}x warm)")
-    return 0 if ok else 1
-
-
-try:
-    import pytest
-except ImportError:  # standalone run without pytest installed
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.benchmark(group="preprocess_speedup")
-    def test_preprocess_speedup(benchmark):
-        """Parallel+cache >= 2x over serial; warm rerun >= 5x."""
-        from harness import once
-
-        legs, speedups, demand_size = once(benchmark, run_legs)
-        _record(legs, speedups, demand_size)
-        assert speedups["parallel"] >= 2.0
-        assert speedups["warm"] >= 5.0
+main, test_preprocess_speedup = gated_bench(
+    run_legs, _acceptance, _record, group="preprocess_speedup"
+)
 
 
 if __name__ == "__main__":

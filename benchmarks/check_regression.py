@@ -52,16 +52,11 @@ from typing import Iterable, List, Optional
 #: (bench payloads grow fields over time); present-on-one-side-only is
 #: a failure — a silently vanished metric must not pass the gate.
 SPECS = {
-    "BENCH_kernels.json": [
-        ("speedup.vector", "ratio_high"),
-        ("legs.scalar.wall_s", "wall"),
-        ("legs.vector.wall_s", "wall"),
-    ],
     "BENCH_preprocess.json": [
-        ("speedup.parallel", "ratio_high"),
+        ("speedup.cached", "ratio_high"),
         ("speedup.warm", "ratio_high"),
         ("legs.serial.wall_s", "wall"),
-        ("legs.parallel.wall_s", "wall"),
+        ("legs.cached.wall_s", "wall"),
         ("legs.warm.wall_s", "wall"),
     ],
     # Speculation must keep improving the hit ratio on most trajectory

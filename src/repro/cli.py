@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from pathlib import Path
 from typing import List, Optional
 
 import dataclasses
@@ -45,7 +46,6 @@ from .fleet import (
 )
 from .net import TRACE_PROFILES, ImpairmentConfig, RateTrace
 from .predict import PredictConfig
-from .render import KERNEL_MODES, RenderConfig
 from .session import SupervisorConfig, SyncConfig
 from .systems import SYSTEMS, SessionConfig, prepare_artifacts, run_system
 from .telemetry import (
@@ -80,18 +80,32 @@ def _cmd_games(_args: argparse.Namespace) -> int:
 MAX_CLI_PLAYERS = 32
 
 
-def _player_count(text: str) -> int:
-    """Argparse type for the ``players`` positional: int in [1, 32]."""
+def _int_argument(text: str, what: str) -> int:
+    """``int(text)``, or the argparse error naming ``what``."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"players must be an integer, got {text!r}"
+            f"{what} must be an integer, got {text!r}"
         ) from None
+
+
+def _player_count(text: str) -> int:
+    """Argparse type for the ``players`` positional: int in [1, 32]."""
+    value = _int_argument(text, "players")
     if not 1 <= value <= MAX_CLI_PLAYERS:
         raise argparse.ArgumentTypeError(
             f"players must be between 1 and {MAX_CLI_PLAYERS}, got {value}"
         )
+    return value
+
+
+def _seed(text: str) -> int:
+    """Argparse type for ``--seed``: a non-negative int (numpy's
+    generators reject anything else deep inside the run)."""
+    value = _int_argument(text, "seed")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
     return value
 
 
@@ -114,7 +128,6 @@ def _print_qoe(config: SessionConfig, result) -> None:
     print(f"  CPU / GPU       : {100 * player.metrics.cpu_utilization:.0f} % "
           f"/ {100 * player.metrics.gpu_utilization:.0f} %")
     print(f"  power draw      : {player.power_w:.2f} W")
-    print(f"  kernels         : {_kernels_summary(config.render_config.kernels)}")
     if config.degraded_mode:
         metrics = [p.metrics for p in result.players]
         miss = sum(m.deadline_miss_rate for m in metrics) / len(metrics)
@@ -190,25 +203,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "(coterie, multi_furion, multi_furion_cache, thin_client)",
               file=sys.stderr)
         return 2
-    impairment = None
-    if args.loss > 0:
-        impairment = ImpairmentConfig.bursty(args.loss, seed=args.seed)
-    if args.trace_profile is not None:
-        if args.trace_profile in TRACE_PROFILES:
-            rate_trace = RateTrace.named(
-                args.trace_profile, seed=args.seed,
-                duration_ms=args.duration * 1000.0,
-            )
-        else:
-            try:
-                rate_trace = RateTrace.from_file(args.trace_profile)
-            except (OSError, ValueError) as exc:
-                print(f"invalid --trace-profile: {exc}", file=sys.stderr)
-                return 2
-        if impairment is None:
-            impairment = ImpairmentConfig(rate_trace=rate_trace)
-        else:
-            impairment = dataclasses.replace(impairment, rate_trace=rate_trace)
+    rate_trace = None
+    if args.trace_profile is not None and args.trace_profile not in TRACE_PROFILES:
+        try:
+            rate_trace = RateTrace.from_file(args.trace_profile)
+        except (OSError, ValueError) as exc:
+            print(f"invalid --trace-profile: {exc}", file=sys.stderr)
+            return 2
     faults = None
     if args.faults:
         try:
@@ -250,8 +251,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"invalid --predict-horizon: {exc}", file=sys.stderr)
             return 2
     sync = SyncConfig() if args.sync_check else None
-    make_config = partial(_session_config, args, impairment, faults, churn,
+    make_config = partial(_session_config, args, rate_trace, faults, churn,
                           supervision, predict, sync)
+    try:
+        make_config()
+    except ValueError as exc:
+        print(f"invalid run configuration: {exc}", file=sys.stderr)
+        return 2
     if args.verify_determinism:
         return _verify_determinism(args, make_config)
     if not _outputs_writable(args, "trace", "events", "metrics", "openmetrics"):
@@ -384,10 +390,25 @@ def _first_divergence(a, b) -> Optional[str]:
     return None
 
 
-def _session_config(args, impairment, faults, churn, supervision, predict,
+def _session_config(args, rate_trace, faults, churn, supervision, predict,
                     sync, tracer=None, metrics=None) -> SessionConfig:
     """The one place ``repro run`` turns its flags into a SessionConfig, so
-    ``--verify-determinism`` checks the run the other flags describe."""
+    ``--verify-determinism`` checks the run the other flags describe.
+    ``rate_trace`` is an already-parsed ``--trace-profile`` file, if any;
+    a bad ``--duration``/``--wifi-mbps``/``--loss`` raises ValueError."""
+    if args.trace_profile in TRACE_PROFILES:
+        rate_trace = RateTrace.named(
+            args.trace_profile, seed=args.seed,
+            duration_ms=args.duration * 1000.0,
+        )
+    impairment = None
+    if args.loss > 0:
+        impairment = ImpairmentConfig.bursty(args.loss, seed=args.seed)
+    if rate_trace is not None:
+        if impairment is None:
+            impairment = ImpairmentConfig(rate_trace=rate_trace)
+        else:
+            impairment = dataclasses.replace(impairment, rate_trace=rate_trace)
     return SessionConfig(
         duration_s=args.duration, seed=args.seed,
         wifi_mbps=args.wifi_mbps, impairment=impairment,
@@ -395,7 +416,6 @@ def _session_config(args, impairment, faults, churn, supervision, predict,
         churn=churn, supervision=supervision,
         predict=predict, sync=sync,
         tracer=tracer, metrics=metrics,
-        render_config=RenderConfig(kernels=args.kernels),
     )
 
 
@@ -421,12 +441,6 @@ def _verify_determinism(args, make_config) -> int:
           f"{frames} frame records, BE {result_a.be_mbps:.6f} Mbps, "
           f"FI {result_a.fi_kbps:.6f} Kbps -- bit-identical")
     return 0
-
-
-def _kernels_summary(mode: str) -> str:
-    """The active kernel mode and the wall-clock spent in the raster stage."""
-    raster_s = perf.stage_names().get("raster", 0.0)
-    return f"{mode} (raster {1000 * raster_s:.0f} ms)"
 
 
 def _is_metrics_jsonl(path: str) -> bool:
@@ -526,15 +540,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
+    if args.cache_dir is not None:
+        try:
+            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot use --cache-dir {args.cache_dir}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     world = load_game(args.game)
-    config = SessionConfig(
-        seed=args.seed, render_config=RenderConfig(kernels=args.kernels)
-    )
     artifacts = prepare_artifacts(
         world,
-        config,
+        SessionConfig(seed=args.seed),
         seed=args.seed,
-        workers=args.workers,
         cache_dir=args.cache_dir,
     )
     stats = artifacts.cutoff_map.stats()
@@ -756,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"initial player count (1-{MAX_CLI_PLAYERS})")
     run.add_argument("--duration", type=float, default=10.0,
                      help="simulated seconds of game play")
-    run.add_argument("--seed", type=int, default=7)
+    run.add_argument("--seed", type=_seed, default=7)
     run.add_argument("--wifi-mbps", type=float, default=500.0)
     run.add_argument("--loss", type=float, default=0.0,
                      help="bursty packet-loss rate on the link (0-0.5)")
@@ -805,11 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dashboard", action="store_true",
                      help="render a live terminal dashboard (sparklines + "
                           "SLO status) while the run progresses")
-    run.add_argument("--kernels", choices=KERNEL_MODES,
-                     default=RenderConfig.kernels,
-                     help="frame-pipeline kernel mode for both the offline "
-                          "pipeline and the online hot path "
-                          "(default: %(default)s)")
     run.add_argument("--perf", action="store_true",
                      help="print the per-stage perf report afterwards")
     run.set_defaults(func=_cmd_run)
@@ -830,14 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("preprocess", help="run the offline pipeline")
     pre.add_argument("game", choices=ALL_GAMES)
-    pre.add_argument("--seed", type=int, default=3)
-    pre.add_argument("--workers", type=int, default=1,
-                     help="process count for the parallel driver (1 = serial)")
+    pre.add_argument("--seed", type=_seed, default=3)
     pre.add_argument("--cache-dir", default=None,
                      help="persistent panorama/artifact cache directory")
-    pre.add_argument("--kernels", choices=KERNEL_MODES,
-                     default=RenderConfig.kernels,
-                     help="frame-pipeline kernel mode (default: %(default)s)")
     pre.add_argument("--perf", action="store_true",
                      help="print the per-stage perf report afterwards")
     pre.set_defaults(func=_cmd_preprocess)
@@ -858,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean player arrivals per second")
     fleet.add_argument("--duration", type=float, default=30.0,
                        help="arrival-window length in seconds")
-    fleet.add_argument("--seed", type=int, default=7)
+    fleet.add_argument("--seed", type=_seed, default=7)
     fleet.add_argument("--games", default="racing",
                        help="comma-separated games players arrive for")
     fleet.add_argument("--session-size", type=int, default=4,

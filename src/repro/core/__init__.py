@@ -22,7 +22,6 @@ from .cutoff import (
 )
 from .dist_thresh import (
     DistThreshMap,
-    dist_thresh_payload,
     leaf_threshold,
     measure_dist_thresh,
 )
@@ -39,7 +38,6 @@ from .preprocess import (
     FrameSizeModel,
     OfflineArtifacts,
     PanoramaStore,
-    PreprocessOptions,
     StoredFrame,
     calibrate_size_model,
     preprocess_game,
@@ -67,7 +65,6 @@ __all__ = [
     "PipelineTimings",
     "PrefetchDecision",
     "Prefetcher",
-    "PreprocessOptions",
     "SsimBatchQueue",
     "BandwidthBudget",
     "RenderBudget",
@@ -76,7 +73,6 @@ __all__ = [
     "calibrate_size_model",
     "compose_display",
     "compose_display_into",
-    "dist_thresh_payload",
     "exact_max_radius",
     "frame_interval_ms",
     "layer_from_decoded",

@@ -11,19 +11,19 @@ which the far-BE pair keeps SSIM > 0.9, then take the per-leaf minimum.
 Full pre-computation over thousands of leaves is render-heavy, so
 :class:`DistThreshMap` computes thresholds lazily per leaf on first visit
 and memoizes — identical output for every leaf a player actually enters.
-The per-leaf computation lives in :func:`leaf_threshold`, a pure function
-of (scene, config, leaf key, cutoff, seed, k_samples, eye_height), so the
-parallel preprocessing driver can compute the same values eagerly in
-worker processes and :meth:`DistThreshMap.preload` them — lazy, eager, and
-disk-cached paths all produce bit-identical thresholds because they run
-the same function with the same RNG stream.
+:meth:`DistThreshMap.threshold_for` is the only place a threshold is
+looked up, persisted or measured: memo, then the optional
+:class:`~repro.core.store.PanoramaDiskCache`, then :func:`leaf_threshold`,
+a pure function of (scene, config, leaf key, cutoff, seed, k_samples,
+eye_height) with its own RNG stream, so a value read back from disk is
+the value any process would measure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from ..render.splitter import eye_at, render_far_be
 from ..similarity import SSIM_GOOD, prepare_reference, ssim_with
 from ..world.scene import Scene
 from .cutoff import CutoffMap, LeafKey
+from .store import PanoramaDiskCache
 
 _SEARCH_START_M = 32.0
 
@@ -90,22 +91,6 @@ def measure_dist_thresh(
     return lo
 
 
-def dist_thresh_payload(
-    key: LeafKey, cutoff: float, k_samples: int, seed: int
-) -> Dict[str, object]:
-    """The disk-cache payload identifying one leaf's threshold.
-
-    The cutoff is part of the key: a cost-model change that resizes a
-    leaf's cutoff must invalidate its persisted threshold.
-    """
-    return {
-        "leaf": [float(v) for v in key],
-        "cutoff": float(cutoff),
-        "k_samples": int(k_samples),
-        "seed": int(seed),
-    }
-
-
 def leaf_threshold(
     scene: Scene,
     config: RenderConfig,
@@ -146,18 +131,11 @@ class DistThreshMap:
     seed: int = 0
     eye_height: float = 1.7
     _cache: Dict[LeafKey, float] = field(default_factory=dict)
-    disk: Optional[object] = None  # PanoramaDiskCache, if persisting
+    disk: Optional[PanoramaDiskCache] = None
 
     def __post_init__(self) -> None:
         if self.k_samples < 1:
             raise ValueError("k_samples must be >= 1")
-
-    def _disk_payload(self, key: LeafKey, cutoff: float) -> Dict[str, object]:
-        return dist_thresh_payload(key, cutoff, self.k_samples, self.seed)
-
-    def preload(self, mapping: Mapping[LeafKey, float]) -> None:
-        """Install eagerly computed thresholds (from the parallel driver)."""
-        self._cache.update(mapping)
 
     def threshold_for(self, point: Vec2) -> float:
         """The dist_thresh of the leaf region containing ``point``."""
@@ -165,28 +143,32 @@ class DistThreshMap:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        stored = None
         if self.disk is not None:
-            stored = self.disk.load_value(
-                "dist_thresh", self._disk_payload(key, cutoff)
+            # The cutoff is part of the key: a cost-model change that
+            # resizes a leaf's cutoff must invalidate its persisted value.
+            payload = {
+                "leaf": [float(v) for v in key],
+                "cutoff": float(cutoff),
+                "k_samples": int(self.k_samples),
+                "seed": int(self.seed),
+            }
+            stored = self.disk.load_value("dist_thresh", payload)
+        if stored is not None:
+            value = float(stored)
+        else:
+            value = leaf_threshold(
+                self.scene,
+                self.config,
+                key,
+                cutoff,
+                seed=self.seed,
+                k_samples=self.k_samples,
+                eye_height=self.eye_height,
             )
-            if stored is not None:
-                value = float(stored)
-                self._cache[key] = value
-                return value
-        value = leaf_threshold(
-            self.scene,
-            self.config,
-            key,
-            cutoff,
-            seed=self.seed,
-            k_samples=self.k_samples,
-            eye_height=self.eye_height,
-        )
+            if self.disk is not None:
+                self.disk.store_value("dist_thresh", payload, value)
         self._cache[key] = value
-        if self.disk is not None:
-            self.disk.store_value(
-                "dist_thresh", self._disk_payload(key, cutoff), value
-            )
         return value
 
     @property

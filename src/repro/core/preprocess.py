@@ -12,27 +12,21 @@ tables — the cache outcome "is determined by the frame locations", §4.6),
 the store supports an emulated mode backed by a calibrated
 :class:`FrameSizeModel`, skipping rasterization entirely.
 
-Performance layer (this module's driver plus ``repro.perf`` and
-``repro.core.store``): :func:`preprocess_game` accepts
-:class:`PreprocessOptions` selecting a worker count and a persistent
-cache directory.  With ``workers > 1`` the per-leaf dist-thresh searches
-and grid-point panorama render/encode jobs fan out over a
-``ProcessPoolExecutor`` in fixed-size chunks; chunks are created in a
-deterministic order and futures are consumed in submission order, and
-every per-item computation is a pure function of its task tuple, so the
-merged output is bit-identical to a serial run.  With ``cache_dir`` set,
-results additionally persist in a content-addressed
-:class:`~repro.core.store.PanoramaDiskCache` so repeated runs warm-start.
+Every artifact here is a pure function of (world, render config, codec,
+seed), and each is computed one way: lazily, where it is first asked for
+(:meth:`PanoramaStore.frame_for`,
+:meth:`~repro.core.dist_thresh.DistThreshMap.threshold_for`,
+:func:`calibrate_size_model`).  With ``cache_dir`` set,
+:func:`preprocess_game` puts a content-addressed
+:class:`~repro.core.store.PanoramaDiskCache` behind those three lookups,
+so a second store, session or process over the same world reads the bytes
+back instead of rendering them again.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import multiprocessing
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,8 +38,8 @@ from ..render.splitter import eye_at, render_far_be, render_whole_be
 from ..render.timing import RenderCostModel
 from ..world.games import GameWorld
 from .constraint import RenderBudget, measure_fi_budget
-from .cutoff import CutoffMap, CutoffSchemeConfig, LeafKey, build_cutoff_map, leaf_key
-from .dist_thresh import DistThreshMap, dist_thresh_payload, leaf_threshold
+from .cutoff import CutoffMap, CutoffSchemeConfig, build_cutoff_map, leaf_key
+from .dist_thresh import DistThreshMap
 from .store import PanoramaDiskCache, content_digest, world_cache_key
 
 
@@ -78,6 +72,10 @@ class FrameSizeModel:
         return int(max(1000.0, size))
 
 
+# In-memory frames a PanoramaStore keeps before dropping the oldest.
+_MAX_MEMO_FRAMES = 4096
+
+
 class PanoramaStore:
     """Server store of pre-rendered, pre-encoded panoramic frames.
 
@@ -100,7 +98,6 @@ class PanoramaStore:
         eye_height: float = 1.7,
         render_frames: bool = True,
         size_model: Optional[FrameSizeModel] = None,
-        max_cached_frames: int = 4096,
         disk_cache: Optional[PanoramaDiskCache] = None,
     ) -> None:
         if kind not in ("far", "whole"):
@@ -109,8 +106,6 @@ class PanoramaStore:
             raise ValueError("far-BE store requires a cutoff map")
         if not render_frames and size_model is None:
             raise ValueError("emulated store requires a size model")
-        if max_cached_frames < 1:
-            raise ValueError("max_cached_frames must be >= 1")
         self.world = world
         self.config = config
         self.codec = codec
@@ -119,7 +114,6 @@ class PanoramaStore:
         self.eye_height = eye_height
         self.render_frames = render_frames
         self.size_model = size_model
-        self.max_cached_frames = max_cached_frames
         self.disk_cache = disk_cache
         self._memo: Dict[GridPoint, StoredFrame] = {}
         self.renders = 0
@@ -176,7 +170,7 @@ class PanoramaStore:
                 wire_bytes=encoded.wire_bytes(),
                 viewpoint=viewpoint,
             )
-        if len(self._memo) >= self.max_cached_frames:
+        if len(self._memo) >= _MAX_MEMO_FRAMES:
             self._memo.pop(next(iter(self._memo)))
         self._memo[grid_point] = frame
         return frame
@@ -271,37 +265,6 @@ def calibrate_size_model(
     return model
 
 
-@dataclass(frozen=True)
-class PreprocessOptions:
-    """Execution knobs for :func:`preprocess_game`.
-
-    Defaults reproduce the historical serial, in-memory-only behaviour.
-    ``workers > 1`` fans eager stages across processes; ``cache_dir``
-    persists artifacts on disk; ``eager_dist_thresh`` precomputes every
-    leaf's threshold up front (otherwise they stay lazy);
-    ``panorama_grid_points`` pre-renders those far-BE panoramas into the
-    disk cache (requires ``cache_dir``).
-    """
-
-    workers: int = 1
-    cache_dir: Optional[str] = None
-    cache_max_bytes: int = 1 << 30
-    eager_dist_thresh: bool = False
-    panorama_grid_points: Optional[Sequence[GridPoint]] = None
-    chunk_size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.panorama_grid_points is not None and self.cache_dir is None:
-            raise ValueError(
-                "eager panorama rendering requires cache_dir (frames are "
-                "exchanged through the disk store, not pickled)"
-            )
-
-
 @dataclass
 class OfflineArtifacts:
     """Everything §6's offline preprocessing produces for one game."""
@@ -314,140 +277,6 @@ class OfflineArtifacts:
     disk_cache: Optional[PanoramaDiskCache] = None
 
 
-# ----------------------------------------------------------------------
-# Parallel driver plumbing.
-#
-# Workers are initialised once per process with everything needed to
-# rebuild the (deterministic) world; tasks are small picklable tuples and
-# every per-task computation is a pure function of its tuple, so results
-# do not depend on which worker ran them or in what order.
-# ----------------------------------------------------------------------
-
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(
-    game_name: str,
-    scale: float,
-    render_config: RenderConfig,
-    crf: float,
-    seed: int,
-    k_samples: int,
-    eye_height: float,
-    cache_dir: Optional[str],
-    cache_max_bytes: int,
-    world_key: Optional[Dict[str, object]],
-) -> None:
-    from ..world.games import load_game
-
-    _WORKER["world"] = load_game(game_name, scale)
-    _WORKER["config"] = render_config
-    _WORKER["codec"] = FrameCodec(crf)
-    _WORKER["seed"] = seed
-    _WORKER["k_samples"] = k_samples
-    _WORKER["eye_height"] = eye_height
-    _WORKER["disk"] = (
-        PanoramaDiskCache(cache_dir, world_key, cache_max_bytes)
-        if cache_dir is not None and world_key is not None
-        else None
-    )
-
-
-def _compute_leaf(task: Tuple[LeafKey, float]) -> Tuple[LeafKey, float]:
-    key, cutoff = task
-    world: GameWorld = _WORKER["world"]  # type: ignore[assignment]
-    value = leaf_threshold(
-        world.scene,
-        _WORKER["config"],  # type: ignore[arg-type]
-        key,
-        cutoff,
-        seed=_WORKER["seed"],  # type: ignore[arg-type]
-        k_samples=_WORKER["k_samples"],  # type: ignore[arg-type]
-        eye_height=_WORKER["eye_height"],  # type: ignore[arg-type]
-    )
-    return key, value
-
-
-def _render_panorama(task: Tuple[GridPoint, float]) -> Tuple[GridPoint, bool]:
-    """Render/encode one grid point's far-BE panorama into the disk store.
-
-    Returns (grid point, whether a render actually happened).
-    """
-    grid_point, cutoff = task
-    world: GameWorld = _WORKER["world"]  # type: ignore[assignment]
-    config: RenderConfig = _WORKER["config"]  # type: ignore[assignment]
-    codec: FrameCodec = _WORKER["codec"]  # type: ignore[assignment]
-    disk: PanoramaDiskCache = _WORKER["disk"]  # type: ignore[assignment]
-    eye_height: float = _WORKER["eye_height"]  # type: ignore[assignment]
-    viewpoint = world.grid.to_world(grid_point)
-    key = (viewpoint.x, viewpoint.y)
-    if disk.load_frame(key, cutoff, "far") is not None:
-        return grid_point, False
-    with perf.timed("panorama"):
-        eye = eye_at(world.scene, viewpoint, eye_height)
-        layer = render_far_be(world.scene, eye, config, cutoff)
-        encoded = codec.encode(layer.image)
-        decoded = codec.decode(encoded)
-    disk.store_frame(key, cutoff, "far", decoded, encoded)
-    perf.count("panorama.renders")
-    return grid_point, True
-
-
-def _dist_chunk(chunk: List[Tuple[LeafKey, float]]):
-    perf.reset()
-    results = [_compute_leaf(task) for task in chunk]
-    return results, perf.snapshot()
-
-
-def _pano_chunk(chunk: List[Tuple[GridPoint, float]]):
-    perf.reset()
-    results = [_render_panorama(task) for task in chunk]
-    return results, perf.snapshot()
-
-
-def _chunked(tasks: List, size: int) -> List[List]:
-    return [tasks[i : i + size] for i in range(0, len(tasks), size)]
-
-
-def _pool_context():
-    """Prefer fork (instant worker start, inherited world cache)."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-
-
-def _fan_out(chunk_fn, tasks, options: PreprocessOptions, init_args) -> List:
-    """Run per-task computations, serially or across workers.
-
-    Parallel results are merged in chunk-submission order; combined with
-    per-task purity this makes the merged list independent of scheduling.
-    Worker perf snapshots are folded into the parent registry.
-    """
-    if not tasks:
-        return []
-    if options.workers == 1:
-        # Same per-task functions, run inline: no snapshot/reset games with
-        # the parent's perf registry, and trivially the reference ordering.
-        _init_worker(*init_args)
-        task_fn = _compute_leaf if chunk_fn is _dist_chunk else _render_panorama
-        return [task_fn(task) for task in tasks]
-    merged: List = []
-    with ProcessPoolExecutor(
-        max_workers=options.workers,
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=tuple(init_args),
-    ) as pool:
-        futures = [
-            pool.submit(chunk_fn, chunk)
-            for chunk in _chunked(tasks, options.chunk_size)
-        ]
-        for future in futures:  # submission order, not completion order
-            results, snapshot = future.result()
-            merged.extend(results)
-            perf.merge(snapshot)
-    return merged
-
-
 def preprocess_game(
     world: GameWorld,
     cost_model: RenderCostModel,
@@ -456,16 +285,16 @@ def preprocess_game(
     seed: int = 0,
     cutoff_config: Optional[CutoffSchemeConfig] = None,
     size_samples: int = 8,
-    options: Optional[PreprocessOptions] = None,
+    cache_dir: Optional[str] = None,
 ) -> OfflineArtifacts:
     """Run the full offline pipeline for a game (§6 steps 1-2).
 
     Determines the FI budget, builds the adaptive cutoff quadtree, prepares
-    the dist-thresh map, and calibrates far/whole frame-size models.  See
-    :class:`PreprocessOptions` for parallel execution and disk caching;
-    the default options reproduce the historical serial behaviour exactly.
+    the (lazy) dist-thresh map, and calibrates far/whole frame-size models.
+    ``cache_dir`` persists thresholds, size models and — through a
+    :class:`PanoramaStore` given ``artifacts.disk_cache`` — panoramas
+    across stores and processes; without it nothing touches the disk.
     """
-    opts = options if options is not None else PreprocessOptions()
     eye_height = world.spec.player.eye_height
     with perf.timed("preprocess"):
         budget = measure_fi_budget(cost_model, world.spec.fi_triangles)
@@ -479,9 +308,9 @@ def preprocess_game(
             reachable=reachable,
         )
         disk = None
-        if opts.cache_dir is not None:
+        if cache_dir is not None:
             disk = PanoramaDiskCache(
-                opts.cache_dir,
+                cache_dir,
                 world_cache_key(
                     world.name,
                     world.scale,
@@ -490,7 +319,6 @@ def preprocess_game(
                     codec.crf,
                     eye_height,
                 ),
-                max_bytes=opts.cache_max_bytes,
             )
         dist_map = DistThreshMap(
             scene=world.scene,
@@ -500,65 +328,6 @@ def preprocess_game(
             eye_height=eye_height,
             disk=disk,
         )
-        init_args = (
-            world.name,
-            world.scale,
-            render_config,
-            codec.crf,
-            seed,
-            dist_map.k_samples,
-            eye_height,
-            opts.cache_dir,
-            opts.cache_max_bytes,
-            None if disk is None else disk.world_key,
-        )
-        if opts.eager_dist_thresh:
-            tasks = sorted(
-                (leaf_key(leaf.region), leaf.payload.cutoff_radius)
-                for leaf in cutoff_map.tree.leaves()
-            )
-            computed: Dict[LeafKey, float] = {}
-            pending: List[Tuple[LeafKey, float]] = []
-            for key, cutoff in tasks:
-                if disk is not None:
-                    stored = disk.load_value(
-                        "dist_thresh",
-                        dist_thresh_payload(
-                            key, cutoff, dist_map.k_samples, seed
-                        ),
-                    )
-                    if stored is not None:
-                        computed[key] = float(stored)
-                        continue
-                pending.append((key, cutoff))
-            cutoffs = dict(tasks)
-            for key, value in _fan_out(_dist_chunk, pending, opts, init_args):
-                computed[key] = value
-                if disk is not None:
-                    disk.store_value(
-                        "dist_thresh",
-                        dist_thresh_payload(
-                            key, cutoffs[key], dist_map.k_samples, seed
-                        ),
-                        value,
-                    )
-            dist_map.preload(computed)
-        if opts.panorama_grid_points is not None:
-            pano_tasks = [
-                (
-                    grid_point,
-                    cutoff_map.cutoff_for(world.grid.to_world(grid_point)),
-                )
-                for grid_point in opts.panorama_grid_points
-            ]
-            rendered = sum(
-                1
-                for _, did_render in _fan_out(
-                    _pano_chunk, pano_tasks, opts, init_args
-                )
-                if did_render
-            )
-            perf.count("preprocess.panoramas_rendered", rendered)
         far_sizes = calibrate_size_model(
             world, render_config, codec, cutoff_map, kind="far",
             samples=size_samples, seed=seed + 1,

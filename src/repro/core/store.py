@@ -20,8 +20,8 @@ degrades to a cache miss, never to wrong data.
 
 Eviction: entries are touched (mtime) on every hit and the store enforces
 ``max_bytes`` by deleting least-recently-used files after each write.
-Writes are atomic (temp file + ``os.replace``) so concurrent preprocessing
-workers can share one cache directory.
+Writes are atomic (temp file + ``os.replace``) so concurrent processes
+can share one cache directory.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class PanoramaDiskCache:
             try:
                 stat = entry.stat()
             except FileNotFoundError:
-                continue  # concurrent eviction by another worker
+                continue  # concurrent eviction by another process
             entries.append((stat.st_mtime, stat.st_size, entry))
             total += stat.st_size
         if total <= self.max_bytes:
@@ -299,9 +299,7 @@ def world_cache_key(
 
     ``render_config`` is flattened field-by-field so any rendering knob
     change invalidates the cache; game identity is by (name, scale) because
-    world construction is deterministic in them.  The ``kernels`` execution
-    mode is excluded: every kernel path produces bit-identical frames (the
-    test suite pins this), so scalar and vector runs share cache entries.
+    world construction is deterministic in them.
     """
     from dataclasses import asdict
 
@@ -312,7 +310,6 @@ def world_cache_key(
         "render_config": {
             key: (float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value)
             for key, value in asdict(render_config).items()
-            if key != "kernels"
         },
         "crf": float(crf),
         "eye_height": float(eye_height),

@@ -10,8 +10,7 @@ Usage from any module::
     perf.count("panorama_store.hit")
     print(perf.report())
 
-All helpers operate on one process-wide :data:`REGISTRY`; worker processes
-merge their snapshots into the parent's registry via :func:`merge`.
+All helpers operate on one process-wide :data:`REGISTRY`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ counter = REGISTRY.counter
 stage = REGISTRY.stage
 stage_names = REGISTRY.stage_names
 snapshot = REGISTRY.snapshot
-merge = REGISTRY.merge
 reset = REGISTRY.reset
 report = REGISTRY.report
 
@@ -39,7 +37,6 @@ __all__ = [
     "add_time",
     "count",
     "counter",
-    "merge",
     "report",
     "reset",
     "snapshot",

@@ -1,17 +1,16 @@
 """Process-wide performance registry: scoped timers and counters.
 
 Every hot stage of the offline pipeline (rasterization, encoding, SSIM,
-dist-thresh search, preprocessing drivers) reports into one module-level
+dist-thresh search, preprocessing) reports into one module-level
 :class:`PerfRegistry` so any entry point — the CLI, a benchmark, a test —
 can ask "where did the time go" without threading profiler objects through
 a dozen call signatures.  The registry is deliberately tiny: a timer is a
 ``perf_counter`` pair plus a dict update behind a lock (~1 µs per scope,
 invisible next to a 300 ms panorama render).
 
-Worker processes of the parallel preprocessing driver keep their own
-registry (module state is per-process) and ship a :meth:`snapshot` back
-with each completed chunk; the parent merges them, so ``perf.report()``
-covers work done on every core.
+:meth:`PerfRegistry.snapshot` is a plain-dict copy of everything recorded
+so far; the end-to-end benchmark (``benchmarks/e2e``) reads it to refuse
+measuring a process whose registry is not empty.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Optional
 
 
 @dataclass
@@ -102,7 +101,7 @@ class PerfRegistry:
             return {name: stats.total_s for name, stats in self._stages.items()}
 
     def snapshot(self) -> Dict[str, dict]:
-        """Picklable dump for shipping across process boundaries."""
+        """Plain-dict copy of every stage and counter recorded so far."""
         with self._lock:
             return {
                 "stages": {
@@ -117,28 +116,8 @@ class PerfRegistry:
                 "counters": dict(self._counters),
             }
 
-    def merge(self, snapshot: Mapping[str, dict]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The whole merge happens under one lock acquisition so a
-        concurrent :meth:`snapshot` (e.g. the parent registry shipping
-        its own state while a worker chunk lands) can never observe a
-        half-merged registry — some stages updated, others not.
-        """
-        with self._lock:
-            for name, payload in snapshot.get("stages", {}).items():
-                stats = self._stages.get(name)
-                if stats is None:
-                    stats = self._stages[name] = StageStats()
-                stats.calls += payload["calls"]
-                stats.total_s += payload["total_s"]
-                stats.min_s = min(stats.min_s, payload["min_s"])
-                stats.max_s = max(stats.max_s, payload["max_s"])
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-
     def reset(self) -> None:
-        """Clear all stages and counters (tests and worker chunks)."""
+        """Clear all stages and counters (tests and benchmark legs)."""
         with self._lock:
             self._stages.clear()
             self._counters.clear()

@@ -10,7 +10,6 @@ from .framebuffer import (
     value_noise,
 )
 from .rasterizer import (
-    KERNEL_MODES,
     Layer,
     RenderConfig,
     draw_objects,
@@ -33,7 +32,6 @@ from .timing import GTX1080TI, PIXEL2, DeviceProfile, RenderCostModel
 __all__ = [
     "DeviceProfile",
     "GTX1080TI",
-    "KERNEL_MODES",
     "Layer",
     "PIXEL2",
     "RenderCostModel",

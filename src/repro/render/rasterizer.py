@@ -34,11 +34,6 @@ from .framebuffer import cell_noise, clip_frame, fractal_noise, new_frame, value
 TWO_PI = 2.0 * math.pi
 _INFINITY = float("inf")
 
-#: Recognized frame-pipeline kernel modes.  ``scalar`` is the original
-#: per-object reference oracle; ``vector`` batches the per-pixel math into
-#: grouped numpy kernels (bit-identical output).
-KERNEL_MODES = ("scalar", "vector")
-
 
 @dataclass(frozen=True)
 class RenderConfig:
@@ -55,7 +50,6 @@ class RenderConfig:
     fog_luminance: float = 0.74
     object_texture_freq: float = 3.0
     indoor: bool = False
-    kernels: str = "vector"  # frame-pipeline kernel mode (KERNEL_MODES)
 
     def __post_init__(self) -> None:
         if self.width < 8 or self.height < 4:
@@ -64,10 +58,6 @@ class RenderConfig:
             raise ValueError("view_limit and fog_distance must be positive")
         if self.min_angular_radius < 0:
             raise ValueError("min_angular_radius must be non-negative")
-        if self.kernels not in KERNEL_MODES:
-            raise ValueError(
-                f"kernels must be one of {KERNEL_MODES}, got {self.kernels!r}"
-            )
 
 
 @dataclass
@@ -196,19 +186,17 @@ def draw_objects(
     if not objects:
         return layer
     with perf.timed("raster"):
-        if config.kernels == "scalar":
-            return _draw_objects_scalar(layer, objects, eye, config)
         return _draw_objects_vector(layer, objects, eye, config)
 
 
 def _cull_objects(
     objects: Sequence[SceneObject], eye: Vec3, config: RenderConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized visibility cull shared by both kernel paths.
+    """Vectorized visibility cull shared by the draw and its reference.
 
     Returns per-object distances, angular radii, and the indices of the
     surviving objects in far-to-near draw order (stable sort, so depth
-    ties resolve identically in both kernels).
+    ties resolve identically in both).
     """
     min_ang = max(config.min_angular_radius, 0.55 * math.pi / config.height)
     centers = np.array([obj.center.as_tuple() for obj in objects])
@@ -230,7 +218,11 @@ def _draw_objects_scalar(
     eye: Vec3,
     config: RenderConfig,
 ) -> Layer:
-    """Reference oracle: per-object scanline loop (pre-kernel code path)."""
+    """Reference implementation: one scanline loop per object.
+
+    Not called from ``src``: ``tests/render/test_kernels_golden.py`` holds
+    :func:`draw_objects` to this, bit for bit, on all nine games.
+    """
     az_cols, el_rows = _pixel_angles(config)
     width, height = config.width, config.height
     image, mask, depth = layer.image, layer.mask, layer.depth
@@ -323,7 +315,7 @@ def _draw_objects_vector(
     eye: Vec3,
     config: RenderConfig,
 ) -> Layer:
-    """Grouped-kernel object draw, bit-identical to the scalar oracle.
+    """Grouped-kernel object draw, bit-identical to the scalar reference.
 
     The scalar loop spends ~40 us of numpy-call overhead per object on
     bounding boxes that are typically a handful of pixels, so the frame

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..codec import FrameCodec
-from ..core.preprocess import OfflineArtifacts, PreprocessOptions, preprocess_game
+from ..core.preprocess import OfflineArtifacts, preprocess_game
 from ..render import RenderCostModel
 from ..world.games import GameWorld, load_game
 from .base import RunResult, SessionConfig
@@ -35,16 +35,14 @@ def prepare_artifacts(
     world: GameWorld,
     config: SessionConfig,
     seed: int = 3,
-    workers: int = 1,
     cache_dir: Optional[str] = None,
 ) -> OfflineArtifacts:
     """Run (and memoize) the offline preprocessing for a game.
 
     Keyed on the game, render resolution, and seed — the expensive part of
     a Coterie experiment that every run over the same game shares.
-    ``workers``/``cache_dir`` select parallel execution and a persistent
-    disk cache (see :class:`~repro.core.preprocess.PreprocessOptions`);
-    the defaults keep the historical serial, in-memory behaviour.
+    ``cache_dir`` additionally persists the artifacts on disk (see
+    :func:`~repro.core.preprocess.preprocess_game`).
     """
     key = (
         world.name,
@@ -57,16 +55,13 @@ def prepare_artifacts(
     cached = _ARTIFACT_CACHE.get(key)
     if cached is not None:
         return cached
-    options = None
-    if workers != 1 or cache_dir is not None:
-        options = PreprocessOptions(workers=workers, cache_dir=cache_dir)
     artifacts = preprocess_game(
         world,
         RenderCostModel(config.device),
         config.render_config,
         FrameCodec(crf=config.codec_crf),
         seed=seed,
-        options=options,
+        cache_dir=cache_dir,
     )
     _ARTIFACT_CACHE[key] = artifacts
     return artifacts

@@ -59,7 +59,6 @@ class FrameOutcome:
     deadline_missed: bool = False
     stale_age_ms: Optional[float] = None
     dropped: bool = False
-    displayed_ssim: Optional[float] = None
     cached: Any = None  # the cache entry on display (Coterie)
     # Called with the collector once the record is added (Coterie's
     # deferred SSIM scoring patches the record by index).
@@ -219,7 +218,6 @@ def run_clients(session: Session, strategy: FetchStrategy) -> None:
                 net_delay_ms=out.transfer_ms,
                 frame_bytes=out.frame_bytes,
                 cache_hit=out.cache_hit,
-                displayed_ssim=out.displayed_ssim,
                 deadline_missed=out.deadline_missed,
                 stale_age_ms=out.stale_age_ms,
                 dropped=out.dropped,

@@ -24,7 +24,6 @@ from ..render.splitter import eye_at, reference_frame, render_fi, render_near_be
 from ..session import SyncConfig, SyncValidator
 from ..session.sync import CORRUPTION_MASK, state_digest
 from ..sim import any_of
-from ..similarity import ssim
 from ..trace import avatars_at
 from .base import Session
 from .loop import FrameOutcome
@@ -458,10 +457,10 @@ class DisplayScorer:
     user-study model's input) and, every ``stride`` frames, the displayed
     frame against its all-local reference.
 
-    SSIM scores feed only *metrics*, never simulated timing, so the
-    batched kernels defer them: jobs queue during the simulation and
-    compute in stacked :func:`repro.similarity.ssim_pairs` flushes
-    (bit-identical to scoring inline, the scalar path).
+    SSIM scores feed only *metrics*, never simulated timing, so they
+    are deferred: jobs queue during the simulation and compute in
+    stacked :func:`repro.similarity.ssim_pairs` flushes (bit-identical
+    to :func:`repro.similarity.ssim`, pair by pair).
     """
 
     def __init__(self, strategy, stride: int) -> None:
@@ -471,14 +470,12 @@ class DisplayScorer:
         n_slots = session.total_slots
         self.switch_ssims: List[List[float]] = [[] for _ in range(n_slots)]
         self.last_far = [None] * n_slots
-        self.queue: Optional[SsimBatchQueue] = None
-        if session.config.render_config.kernels != "scalar":
-            # Submitted arrays (store payloads, freshly rendered/merged
-            # frames) are owned, so submit-triggered flushes are safe.
-            self.queue = SsimBatchQueue(batch_target=64)
-            if session.tracer is not None:
-                self.queue.on_flush = self._trace_flush
-            strategy.on_finish.append(self.queue.flush)
+        # Submitted arrays (store payloads, freshly rendered/merged
+        # frames) are owned, so submit-triggered flushes are safe.
+        self.queue = SsimBatchQueue(batch_target=64)
+        if session.tracer is not None:
+            self.queue.on_flush = self._trace_flush
+        strategy.on_finish.append(self.queue.flush)
         strategy.post_fetch.append(self.score)
 
     def _trace_flush(self, jobs: int) -> None:
@@ -496,20 +493,15 @@ class DisplayScorer:
             return
         last_far = self.last_far[player_id]
         if last_far is not None and far_image is not last_far:
-            record = self.switch_ssims[player_id].append
-            if self.queue is not None:
-                self.queue.submit(last_far, far_image, record)
-            else:
-                record(ssim(last_far, far_image))
+            self.queue.submit(
+                last_far, far_image, self.switch_ssims[player_id].append
+            )
         self.last_far[player_id] = far_image
         if self.strategy.frame_index[player_id] % self.stride == 0:
             displayed, reference = self._frame_pair(player_id, sample, decision, far_image)
-            if self.queue is None:
-                out.displayed_ssim = ssim(displayed, reference)
-            else:
-                out.after_record = lambda collector: self._score_later(
-                    collector, displayed, reference
-                )
+            out.after_record = lambda collector: self._score_later(
+                collector, displayed, reference
+            )
 
     def _score_later(self, collector: MetricsCollector, displayed, reference) -> None:
         """Queue the display score for the record just added.

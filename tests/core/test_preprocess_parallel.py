@@ -1,19 +1,15 @@
-"""Determinism of the parallel preprocessing driver.
+"""Persistence of the lazy offline pipeline.
 
-The acceptance bar for the perf layer: fanning the offline pipeline over
-worker processes must be a pure optimisation.  ``workers=4`` has to
-produce bit-identical cutoff maps, dist-thresh maps, and panorama frame
-bytes to ``workers=1`` — across games and seeds — and eager precomputation
-has to agree with the historical lazy path.
+Thresholds, size models and panoramas are each computed in one place, on
+first request; ``cache_dir`` only puts a disk store behind those lookups.
+A rerun on the same directory must therefore read everything back —
+bit-identical, nothing recomputed — and without ``cache_dir`` nothing may
+touch the disk.
 """
-
-import numpy as np
-import pytest
 
 from repro.codec import FrameCodec
 from repro.core.cutoff import leaf_key
-from repro.core.preprocess import PreprocessOptions, preprocess_game
-from repro.geometry import Vec2
+from repro.core.preprocess import PanoramaStore, preprocess_game
 from repro.render import RenderCostModel
 from repro.render.rasterizer import RenderConfig
 from repro.systems.base import SessionConfig
@@ -32,93 +28,43 @@ def _grid_points(world, count=3):
     return seen[:count]
 
 
-def _preprocess(world, seed, workers, cache_dir, grid_points):
-    options = PreprocessOptions(
-        workers=workers,
+def _visit(world, cache_dir, grid_points):
+    """Preprocess on ``cache_dir``, enter every leaf, serve the grid points."""
+    artifacts = preprocess_game(
+        world, COST, CONFIG, FrameCodec(), seed=0, size_samples=2,
         cache_dir=str(cache_dir),
-        eager_dist_thresh=True,
-        panorama_grid_points=grid_points,
-        chunk_size=2,
     )
-    return preprocess_game(
-        world,
-        COST,
-        CONFIG,
-        FrameCodec(),
-        seed=seed,
-        size_samples=2,
-        options=options,
+    for leaf in artifacts.cutoff_map.tree.leaves():
+        artifacts.dist_thresh_map.threshold_for(leaf.region.center)
+    store = PanoramaStore(
+        world, CONFIG, FrameCodec(), cutoff_map=artifacts.cutoff_map,
+        eye_height=world.spec.player.eye_height,
+        disk_cache=artifacts.disk_cache,
     )
-
-
-def _leaf_list(cutoff_map):
-    return sorted(
-        (leaf_key(leaf.region), leaf.payload.cutoff_radius)
-        for leaf in cutoff_map.tree.leaves()
-    )
-
-
-@pytest.mark.parametrize("game,scale", [("racing", 0.12), ("bowling", 0.5)])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_parallel_output_bit_identical_to_serial(tmp_path, game, scale, seed):
-    world = load_game(game, scale=scale)
-    grid_points = _grid_points(world)
-    serial = _preprocess(world, seed, 1, tmp_path / "serial", grid_points)
-    parallel = _preprocess(world, seed, 4, tmp_path / "parallel", grid_points)
-
-    # Cutoff maps: identical leaf partitions and radii.
-    assert _leaf_list(serial.cutoff_map) == _leaf_list(parallel.cutoff_map)
-
-    # Dist-thresh maps: every leaf present with the exact same float.
-    assert serial.dist_thresh_map._cache == parallel.dist_thresh_map._cache
-    assert serial.dist_thresh_map.computed_leaves > 0
-
-    # Size models: identical calibrations.
-    assert serial.far_size_model == parallel.far_size_model
-    assert serial.whole_size_model == parallel.whole_size_model
-
-    # Panorama frames: byte-for-byte equal encoded payloads.
-    for grid_point in grid_points:
-        viewpoint = world.grid.to_world(grid_point)
-        cutoff = serial.cutoff_map.cutoff_for(viewpoint)
-        hit_s = serial.disk_cache.load_frame(
-            (viewpoint.x, viewpoint.y), cutoff, "far"
-        )
-        hit_p = parallel.disk_cache.load_frame(
-            (viewpoint.x, viewpoint.y), cutoff, "far"
-        )
-        assert hit_s is not None and hit_p is not None
-        assert hit_s[1].data == hit_p[1].data
-        assert np.array_equal(hit_s[0], hit_p[0])
-
-
-def test_eager_matches_lazy_thresholds(tmp_path):
-    world = load_game("racing", scale=0.12)
-    eager = _preprocess(world, 0, 1, tmp_path / "eager", _grid_points(world))
-    lazy = preprocess_game(
-        world, COST, CONFIG, FrameCodec(), seed=0, size_samples=2
-    )
-    assert lazy.dist_thresh_map.computed_leaves == 0
-    for key, expected in eager.dist_thresh_map._cache.items():
-        centre = Vec2((key[0] + key[2]) / 2.0, (key[1] + key[3]) / 2.0)
-        assert lazy.dist_thresh_map.threshold_for(centre) == expected
+    frames = [store.frame_for(grid_point).encoded.data for grid_point in grid_points]
+    return artifacts, store, frames
 
 
 def test_warm_cache_rerun_skips_computation(tmp_path):
     world = load_game("racing", scale=0.12)
     grid_points = _grid_points(world)
-    cold = _preprocess(world, 0, 1, tmp_path / "cache", grid_points)
-    cold_misses = cold.disk_cache.misses
-    assert cold_misses > 0
-    warm = _preprocess(world, 0, 1, tmp_path / "cache", grid_points)
+    cold, cold_store, cold_frames = _visit(world, tmp_path / "cache", grid_points)
+    assert cold.disk_cache.misses > 0
+    assert cold_store.renders == len(grid_points)
+    leaves = {leaf_key(leaf.region) for leaf in cold.cutoff_map.tree.leaves()}
+    assert set(cold.dist_thresh_map._cache) == leaves
+    warm, warm_store, warm_frames = _visit(world, tmp_path / "cache", grid_points)
     # Everything — thresholds, panoramas, size models — comes off disk.
     assert warm.disk_cache.misses == 0
+    assert warm_store.renders == 0
+    assert warm_frames == cold_frames
     assert warm.dist_thresh_map._cache == cold.dist_thresh_map._cache
     assert warm.far_size_model == cold.far_size_model
+    assert warm.whole_size_model == cold.whole_size_model
 
 
 def test_default_options_unchanged_signature(tmp_path):
-    """No options == historical behaviour: nothing eager, nothing on disk."""
+    """No ``cache_dir`` == historical behaviour: nothing eager, nothing on disk."""
     world = load_game("racing", scale=0.12)
     artifacts = preprocess_game(
         world, COST, CONFIG, FrameCodec(), seed=0, size_samples=2
@@ -126,8 +72,3 @@ def test_default_options_unchanged_signature(tmp_path):
     assert artifacts.disk_cache is None
     assert artifacts.dist_thresh_map.computed_leaves == 0
     assert not list(tmp_path.iterdir())
-
-
-def test_panorama_stage_requires_cache_dir():
-    with pytest.raises(ValueError):
-        PreprocessOptions(panorama_grid_points=[(0, 0)])

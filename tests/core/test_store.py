@@ -1,5 +1,6 @@
 """Tests for the content-addressed panorama disk cache."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -38,6 +39,28 @@ class TestAddressing:
         assert make_key(width=64) != make_key(width=128)
         assert make_key(crf=20.0) != make_key(crf=30.0)
         assert make_key(seed=1) != make_key(seed=2)
+
+    def test_cache_key_still_sees_other_render_knobs(self):
+        """Every ``RenderConfig`` field is a key ingredient — none is
+        filtered out, so no rendering knob can change without moving the
+        address."""
+        base = RenderConfig(width=64, height=32)
+        base_key = world_cache_key("racing", 0.2, 0, base, 23.0, 1.7)
+        for field in dataclasses.fields(RenderConfig):
+            value = getattr(base, field.name)
+            changed = dataclasses.replace(
+                base, **{field.name: (not value) if isinstance(value, bool) else value * 2}
+            )
+            assert world_cache_key("racing", 0.2, 0, changed, 23.0, 1.7) != base_key, field.name
+
+    def test_default_world_key_digest_is_pinned(self):
+        """Cache directories written by earlier versions stay valid: the
+        default racing key hashes to the value it always has (recorded
+        with ``RenderConfig.kernels`` still present and filtered out)."""
+        key = world_cache_key("racing", 1.0, 3, RenderConfig(), 25.0, 1.7)
+        assert content_digest(key) == (
+            "1a9ea6e5211216b47fa7932e18d28d933c169f1457efe7f78dd043cfb0fa446f"
+        )
 
 
 class TestFrameRoundTrip:

@@ -33,7 +33,6 @@ from repro.adapt import AbrConfig
 from repro.faults import ChurnSchedule, FaultSchedule
 from repro.net import ImpairmentConfig, RateTrace
 from repro.predict import PredictConfig
-from repro.render import KERNEL_MODES, RenderConfig
 from repro.session import SupervisorConfig, SyncConfig
 from repro.systems import (
     SessionConfig,
@@ -133,12 +132,9 @@ def _scenarios():
         dict(duration_s=1.8, predict=PredictConfig(), sync=SyncConfig(),
              faults=FaultSchedule.parse(SPEC_FAULTS)),
     )
-    for kernels in KERNEL_MODES:
-        table[f"fullrender-{kernels}"] = (
-            "coterie_stride5", 2,
-            dict(duration_s=0.35, render_frames=True,
-                 render_config=RenderConfig(kernels=kernels)),
-        )
+    table["fullrender"] = (
+        "coterie_stride5", 2, dict(duration_s=0.35, render_frames=True)
+    )
     table["everything-coterie"] = (
         "coterie", 2,
         dict(duration_s=2.0, wifi_mbps=300.0, impairment=_cellular(2.0),
@@ -171,8 +167,7 @@ everything-coterie fd2be9c0c12c93a0ad245cb30165a379b039e445c89774cd1713c3b34b225
 faults-coterie 4f4993506d33faedbecab22ed7de840eb3c83febdabfcd1aacae4a53a9ee9aae 422c86872d9827d475a4730fc740b09aa4755d66e15c7d8f80a1ef89aea382d1 3bf498194fbe8c9abac8718e0d9445e5e23e8fcdfa521d2c8c3139d8b0448958
 faults-multi_furion 2907c916642a02f403398f87f35a1824f8e9be6f6175804b3a6d2f9750332c65 ead489d5193e3e15e2752e4736a998eb14e2a10025b2d52da10dd2e4a02e80a8 96570863de8d6ed7dc1e720926002bcdf35e049093f4f1d2ebd23b10abc81a66
 faults-thin_client cd027409ba78d6aa18fb1016a0c9a7ba2d660f5d33c466a979eab69c38419316 aaf3631083949a997b5b13cd0ed8d37668068ae00d6bb19d12600c6aaa0758e1 0b5e52a27a4e20fe6e35156f37fbc01bbdf89c0dc01121c97ecca975d80cb6b4
-fullrender-scalar 8e1721476770f86686c4dc17652cb1e0d0957055978e1f8b14f566e247dd0b29 eba59e72e606ae5eb97d8f287ef62dd46204852dd93078aee3cb42adccb98a48 f67d85c7dd921f7002a336e44bd854f5bc25ed984ab47a4a91614b7274f567ba
-fullrender-vector 8e1721476770f86686c4dc17652cb1e0d0957055978e1f8b14f566e247dd0b29 d02ccec7c6fdd40d0363f2131649989db3dae35fc57954e1d15a0c8b55cc86a4 9546602d0fca8fdc2e7ff0dafb6383a11830fb2a43ea18b7a7808d14c0e92d34
+fullrender 8e1721476770f86686c4dc17652cb1e0d0957055978e1f8b14f566e247dd0b29 d02ccec7c6fdd40d0363f2131649989db3dae35fc57954e1d15a0c8b55cc86a4 9546602d0fca8fdc2e7ff0dafb6383a11830fb2a43ea18b7a7808d14c0e92d34
 speculation-coterie 91fe13011cb71c38f82364012e9afc0a483bbb93ee255a0c271013dfa2807507 67bf55da8780165c356becbdfc75677c49dd19fa9dfeace953678e5c1610c4d1 00e8dfcc5dd3852d8d7c1d60da5b3fd36d6f7ee75f3bf5ec8603c7b9b8f6366b
 """
 

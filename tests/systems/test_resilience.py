@@ -4,16 +4,13 @@ The graceful-degradation machinery must be invisible when disabled — the
 pinned regression asserts bit-identical results against values captured
 before the robustness PR — and effective when enabled: bounded staleness
 under loss, recovery after outages, and full determinism for a
-(fault schedule, seed) pair regardless of preprocessing parallelism.
+(fault schedule, seed) pair.
 """
 
 import pytest
 
-from repro.codec import FrameCodec
-from repro.core.preprocess import PreprocessOptions, preprocess_game
 from repro.faults import FaultSchedule
 from repro.net import ImpairmentConfig
-from repro.render import RenderConfig, RenderCostModel
 from repro.systems import (
     SessionConfig,
     prepare_artifacts,
@@ -184,26 +181,3 @@ class TestDeterminism:
         a = run_coterie(world, 2, config, artifacts)
         b = run_coterie(world, 2, config, artifacts)
         assert self._fingerprint(a) == self._fingerprint(b)
-
-    def test_identical_across_preprocess_workers(self):
-        """Offline parallelism must not leak into online fault replay."""
-        render_config = RenderConfig(width=64, height=32)
-        config = SessionConfig(
-            duration_s=2.0, seed=3, render_config=render_config,
-            impairment=ImpairmentConfig.bursty(0.05, seed=3),
-        )
-        world = load_game("pool")
-        fingerprints = []
-        for workers in (1, 2):
-            artifacts = preprocess_game(
-                world,
-                RenderCostModel(config.device),
-                render_config,
-                FrameCodec(crf=config.codec_crf),
-                seed=3,
-                size_samples=2,
-                options=PreprocessOptions(workers=workers),
-            )
-            result = run_coterie(world, 2, config, artifacts)
-            fingerprints.append(self._fingerprint(result))
-        assert fingerprints[0] == fingerprints[1]

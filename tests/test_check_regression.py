@@ -25,12 +25,13 @@ from check_regression import (  # noqa: E402
     update_baselines,
 )
 
-KERNELS_BASE = {
-    "benchmark": "kernels",
-    "speedup": {"vector": 3.0},
+PREPROCESS_BASE = {
+    "benchmark": "preprocess_speedup",
+    "speedup": {"cached": 3.0, "warm": 6.0},
     "legs": {
-        "scalar": {"wall_s": 6.0},
-        "vector": {"wall_s": 2.0},
+        "serial": {"wall_s": 6.0},
+        "cached": {"wall_s": 2.0},
+        "warm": {"wall_s": 1.0},
     },
 }
 
@@ -52,7 +53,7 @@ def write_dirs(tmp_path, fresh_mutation=None):
     baseline.mkdir()
     fresh.mkdir()
     docs = {
-        "BENCH_kernels.json": copy.deepcopy(KERNELS_BASE),
+        "BENCH_preprocess.json": copy.deepcopy(PREPROCESS_BASE),
         "BENCH_prediction.json": copy.deepcopy(PREDICTION_BASE),
     }
     for name, doc in docs.items():
@@ -73,16 +74,16 @@ def run_gate(baseline, fresh, *extra):
 
 class TestLookup:
     def test_nested_path(self):
-        assert lookup(KERNELS_BASE, "legs.vector.wall_s") == 2.0
+        assert lookup(PREPROCESS_BASE, "legs.cached.wall_s") == 2.0
 
     def test_key_with_plus(self):
         assert lookup({"speedup": {"a+b": 3.2}}, "speedup.a+b") == 3.2
 
     def test_missing_returns_none(self):
-        assert lookup(KERNELS_BASE, "legs.gpu.wall_s") is None
+        assert lookup(PREPROCESS_BASE, "legs.gpu.wall_s") is None
 
     def test_non_numeric_returns_none(self):
-        assert lookup({"benchmark": "kernels"}, "benchmark") is None
+        assert lookup({"benchmark": "preprocess_speedup"}, "benchmark") is None
 
 
 class TestCompareMetric:
@@ -140,7 +141,7 @@ class TestGateEndToEnd:
 
     def test_deliberate_2x_slowdown_fails(self, tmp_path, capsys):
         def slow(docs):
-            for leg in docs["BENCH_kernels.json"]["legs"].values():
+            for leg in docs["BENCH_preprocess.json"]["legs"].values():
                 leg["wall_s"] *= 2.0
 
         baseline, fresh = write_dirs(tmp_path, slow)
@@ -152,7 +153,7 @@ class TestGateEndToEnd:
     def test_ratio_only_ignores_wall_slowdown(self, tmp_path):
         def slow_uniformly(docs):
             # Every leg slower by 2x (a slower runner): ratios unchanged.
-            for leg in docs["BENCH_kernels.json"]["legs"].values():
+            for leg in docs["BENCH_preprocess.json"]["legs"].values():
                 leg["wall_s"] *= 2.0
 
         baseline, fresh = write_dirs(tmp_path, slow_uniformly)
@@ -160,15 +161,15 @@ class TestGateEndToEnd:
         assert run_gate(baseline, fresh, "--ratio-only") == 0
 
     def test_ratio_only_catches_speedup_drop(self, tmp_path):
-        def devectorize(docs):
-            docs["BENCH_kernels.json"]["speedup"]["vector"] = 1.0
+        def uncached(docs):
+            docs["BENCH_preprocess.json"]["speedup"]["cached"] = 1.0
 
-        baseline, fresh = write_dirs(tmp_path, devectorize)
+        baseline, fresh = write_dirs(tmp_path, uncached)
         assert run_gate(baseline, fresh, "--ratio-only") == 1
 
     def test_tolerance_widens_the_band(self, tmp_path):
         def slightly_slow(docs):
-            docs["BENCH_kernels.json"]["legs"]["scalar"]["wall_s"] *= 1.4
+            docs["BENCH_preprocess.json"]["legs"]["serial"]["wall_s"] *= 1.4
 
         baseline, fresh = write_dirs(tmp_path, slightly_slow)
         assert run_gate(baseline, fresh, "--tolerance", "0.25") == 1
@@ -176,21 +177,21 @@ class TestGateEndToEnd:
 
     def test_missing_fresh_artifact_fails(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (fresh / "BENCH_kernels.json").unlink()
+        (fresh / "BENCH_preprocess.json").unlink()
         assert run_gate(baseline, fresh) == 1
 
     def test_unbaselined_artifact_is_skipped_by_default(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (baseline / "BENCH_kernels.json").unlink()
+        (baseline / "BENCH_preprocess.json").unlink()
         (baseline / "BENCH_prediction.json").unlink()
         # No baselines at all -> nothing compared -> usage error, not pass.
         assert run_gate(baseline, fresh) == 2
 
     def test_explicit_artifact_without_baseline_fails(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (baseline / "BENCH_kernels.json").unlink()
+        (baseline / "BENCH_preprocess.json").unlink()
         assert run_gate(baseline, fresh, "--artifacts",
-                        "BENCH_kernels.json") == 1
+                        "BENCH_preprocess.json") == 1
 
     def test_unknown_artifact_name_is_usage_error(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
@@ -221,8 +222,8 @@ class TestAllFailuresReported:
     def test_multiple_regressions_all_listed(self, tmp_path, capsys):
         """Every failing metric shows up in one run, not just the first."""
         def wreck(docs):
-            docs["BENCH_kernels.json"]["speedup"]["vector"] = 0.5
-            docs["BENCH_kernels.json"]["legs"]["vector"]["wall_s"] = 9.0
+            docs["BENCH_preprocess.json"]["speedup"]["cached"] = 0.5
+            docs["BENCH_preprocess.json"]["legs"]["cached"]["wall_s"] = 9.0
             docs["BENCH_prediction.json"]["clean"]["desync_alarms"] = 1
 
         baseline, fresh = write_dirs(tmp_path, wreck)
@@ -240,7 +241,7 @@ class TestAllFailuresReported:
             docs["BENCH_prediction.json"]["clean"]["desync_alarms"] = 1
 
         baseline, fresh = write_dirs(tmp_path, false_alarm)
-        (fresh / "BENCH_kernels.json").write_text("{not json")
+        (fresh / "BENCH_preprocess.json").write_text("{not json")
         assert run_gate(baseline, fresh) == 1
         out = capsys.readouterr()
         assert "<parse error>" in out.out
@@ -270,7 +271,7 @@ class TestUpdateBaselines:
         target = tmp_path / "new" / "baselines"
         updated = update_baselines(target, fresh)
         assert updated
-        assert (target / "BENCH_kernels.json").exists()
+        assert (target / "BENCH_preprocess.json").exists()
 
     def test_refuses_corrupt_fresh_artifact(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
@@ -281,15 +282,15 @@ class TestUpdateBaselines:
     def test_cli_flag_reports_and_exits_zero(self, tmp_path, capsys):
         baseline, fresh = write_dirs(
             tmp_path,
-            fresh_mutation=lambda docs: docs["BENCH_kernels.json"][
+            fresh_mutation=lambda docs: docs["BENCH_preprocess.json"][
                 "speedup"
-            ].update(vector=9.9),
+            ].update(cached=9.9),
         )
         assert run_gate(baseline, fresh, "--update-baselines") == 0
         out = capsys.readouterr().out
         assert "re-pinned" in out
-        doc = json.loads((baseline / "BENCH_kernels.json").read_text())
-        assert doc["speedup"]["vector"] == 9.9
+        doc = json.loads((baseline / "BENCH_preprocess.json").read_text())
+        assert doc["speedup"]["cached"] == 9.9
 
     def test_cli_flag_respects_artifact_restriction(self, tmp_path, capsys):
         baseline, fresh = write_dirs(
@@ -299,7 +300,7 @@ class TestUpdateBaselines:
             ].update(desync_alarms=1),
         )
         assert run_gate(baseline, fresh, "--update-baselines",
-                        "--artifacts", "BENCH_kernels.json") == 0
+                        "--artifacts", "BENCH_preprocess.json") == 0
         capsys.readouterr()
         untouched = json.loads((baseline / "BENCH_prediction.json").read_text())
         assert untouched == PREDICTION_BASE
@@ -340,7 +341,7 @@ class TestUpdateBaselines:
         )
         updated = update_baselines(baseline, fresh)
         assert "BENCH_newsub.json" in updated
-        assert "BENCH_kernels.json" in updated
+        assert "BENCH_preprocess.json" in updated
 
     def test_new_artifact_must_still_be_valid_json(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)

@@ -25,14 +25,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["preprocess", "tetris"])
 
-    def test_kernels_takes_the_two_modes_only(self):
-        parser = build_parser()
-        assert parser.parse_args(["run", "coterie", "pool"]).kernels == "vector"
-        assert parser.parse_args(
-            ["preprocess", "pool", "--kernels", "scalar"]
-        ).kernels == "scalar"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "coterie", "pool", "--kernels", "vector+reuse"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "coterie", "pool", "--kernels", "scalar"],
+        ["preprocess", "pool", "--kernels", "scalar"],
+        ["preprocess", "pool", "--workers", "2"],
+    ], ids=["run-kernels", "preprocess-kernels", "preprocess-workers"])
+    def test_execution_mode_flags_are_gone(self, argv, capsys):
+        """How the bits get computed is not an option."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["0", "-3", "33", "two"])
     def test_players_out_of_range_rejected(self, bad, capsys):
@@ -250,6 +253,55 @@ class TestUnwritableOutputs:
         assert captured.out == ""
 
 
+class TestBadConfiguration:
+    """A flag value the config classes reject is one stderr line and exit
+    2 — never a traceback, and never after work has started."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        def reached(*_args, **_kwargs):
+            raise AssertionError("started work on an invalid configuration")
+
+        for name in ("run_system", "prepare_artifacts", "run_fleet"):
+            monkeypatch.setattr(f"repro.cli.{name}", reached)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--duration", "0", "duration_s must be positive"),
+        ("--wifi-mbps", "0", "wifi_mbps must be positive"),
+        ("--loss", "2", "loss_rate must be in [0, 1)"),
+    ], ids=["duration", "wifi-mbps", "loss"])
+    def test_run_reports_invalid_configuration(self, flag, value, message, capsys):
+        assert main(["run", "coterie", "pool", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"invalid run configuration: {message}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "coterie", "pool", "2"],
+        ["preprocess", "pool"],
+        ["fleet"],
+    ], ids=["run", "preprocess", "fleet"])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relative, reason", [
+        ("a_file", "File exists"),
+        ("a_file/below", "Not a directory"),
+    ])
+    def test_unusable_cache_dir_exits_2_before_preprocessing(
+        self, relative, reason, tmp_path, capsys
+    ):
+        (tmp_path / "a_file").write_text("not a directory")
+        path = tmp_path / relative
+        assert main(["preprocess", "pool", "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot use --cache-dir {path}: {reason}"]
+        assert captured.out == ""
+
+
 class TestMetricsCli:
     """``run --metrics/--openmetrics/--dashboard`` and ``report`` on dumps."""
 
@@ -411,15 +463,13 @@ class TestVerifyDeterminism:
         monkeypatch.setattr(cli, "run_system", capturing)
         argv = ["run", "coterie", "pool", "2", "--duration", "0.5",
                 "--faults", "dip@100-300:0.05", "--churn", "join@200",
-                "--abr", "--predict", "--sync-check", "--wifi-mbps", "300",
-                "--kernels", "scalar"]
+                "--abr", "--predict", "--sync-check", "--wifi-mbps", "300"]
         assert main([*argv, "--metrics", str(tmp_path / "m.jsonl")]) == 0
         assert main([*argv, "--verify-determinism"]) == 0
         capsys.readouterr()
         plain, first, second = configs
         assert plain.metrics is not None
         assert plain.wifi_mbps == 300.0 and plain.adapt is not None
-        assert plain.render_config.kernels == "scalar"
         stripped = dataclasses.replace(plain, tracer=None, metrics=None)
         assert first == stripped and second == stripped
 
