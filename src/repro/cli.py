@@ -226,6 +226,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         try:
             churn = ChurnSchedule.parse(args.churn)
+            churn.validate_slots(args.players + churn.new_player_count())
         except ValueError as exc:
             print(f"invalid --churn spec: {exc}", file=sys.stderr)
             return 2

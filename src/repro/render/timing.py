@@ -17,8 +17,11 @@ rendering at 24-27 FPS with ~90-99 % GPU, FI under 4 ms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from ..geometry import Vec2
 from ..world.objects import SceneObject
@@ -115,13 +118,21 @@ class RenderCostModel:
 
     def near_be_ms(self, scene: Scene, viewpoint: Vec2, cutoff_radius: float) -> float:
         """RT_nearBE: geometry within the cutoff radius."""
-        objects = scene.objects_within(viewpoint, cutoff_radius)
-        return self.objects_ms(objects, viewpoint)
+        return self._scene_ms(scene, viewpoint, cutoff_radius)
 
     def whole_be_ms(self, scene: Scene, viewpoint: Vec2) -> float:
         """Rendering the entire BE locally (the Mobile baseline's load)."""
-        objects = scene.objects_within(viewpoint, self.device.view_limit)
-        return self.objects_ms(objects, viewpoint)
+        return self._scene_ms(scene, viewpoint, self.device.view_limit)
+
+    def _scene_ms(self, scene: Scene, viewpoint: Vec2, radius: float) -> float:
+        """``objects_ms(scene.objects_within(viewpoint, radius), viewpoint)``
+        bit for bit: ``math.hypot`` distances, ``lod_weight`` elementwise and
+        a builtin ``sum`` in candidate order (DESIGN.md §6)."""
+        triangles, dx, dy = scene.triangles_and_offsets(viewpoint, radius)
+        distance = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+        ratio = distance / self.device.lod_distance
+        lod = np.maximum(self.device.lod_floor, 1.0 / (1.0 + ratio * ratio))
+        return sum((triangles * lod).tolist()) / self.device.triangle_throughput
 
     def frame_ms(self, *task_ms: float) -> float:
         """Total frame time: per-frame setup plus sequential render tasks."""

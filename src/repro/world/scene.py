@@ -1,4 +1,4 @@
-"""The Scene: placed objects + terrain + spatial queries.
+"""The Scene: placed objects + terrain + radius queries.
 
 Every higher layer asks the scene the same few questions, always centred on
 a viewpoint:
@@ -7,17 +7,18 @@ a viewpoint:
 * how many triangles lie within a radius (Constraint 1 cost input);
 * what is the set of near-object ids (frame-cache criterion 3).
 
-A uniform-cell spatial hash answers these in time proportional to the
-objects actually in range, which matters because paper-scale worlds carry
-tens of thousands of objects.
+Every online frame asks twice, so the objects are kept as flat arrays in
+uniform-grid cell order and each query is one numpy mask over them that
+returns what a cell-by-cell grid walk would, in its order (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..geometry import Rect, Vec2
 from .objects import SceneObject
@@ -41,7 +42,8 @@ class BePartition:
 
 
 class Scene:
-    """An immutable collection of scene objects with fast radius queries."""
+    """An immutable collection of scene objects with radius queries over
+    arrays in cell order: cell row ``j``, then column ``i``, then insertion."""
 
     def __init__(
         self,
@@ -63,9 +65,19 @@ class Scene:
         ids = [obj.object_id for obj in self._objects]
         if len(set(ids)) != len(ids):
             raise ValueError("scene objects must have unique ids")
-        self._cells: Dict[Tuple[int, int], List[SceneObject]] = defaultdict(list)
-        for obj in self._objects:
-            self._cells[self._cell_of(obj.ground_position)].append(obj)
+        x = np.array([obj.center.x for obj in self._objects], dtype=np.float64)
+        y = np.array([obj.center.y for obj in self._objects], dtype=np.float64)
+        triangles = np.array([obj.triangles for obj in self._objects], dtype=np.int64)
+        self._pos_tri_arrays = (np.column_stack((x, y)), triangles.astype(np.float64))
+        cell_i = np.floor(x / cell_size).astype(np.int64)
+        cell_j = np.floor(y / cell_size).astype(np.int64)
+        order = np.lexsort((np.arange(len(x)), cell_i, cell_j))
+        self._ordered = tuple(self._objects[k] for k in order.tolist())
+        self._x, self._y = x[order], y[order]
+        self._cell_i, self._cell_j = cell_i[order], cell_j[order]
+        self._triangles = triangles[order]
+        self._radius = np.array([obj.radius for obj in self._ordered], dtype=np.float64)
+        self._ids = np.array(ids, dtype=np.int64)[order]
 
     def _cell_of(self, point: Vec2) -> Tuple[int, int]:
         return (
@@ -88,45 +100,52 @@ class Scene:
         """Sum of all objects' triangle counts."""
         return sum(obj.triangles for obj in self._objects)
 
-    def position_triangle_arrays(self):
-        """Cached (N, 2) ground positions and (N,) triangle counts.
-
-        Vectorized consumers (the cutoff search) use these instead of
-        per-object queries; built lazily once per scene.
-        """
-        if not hasattr(self, "_pos_tri_arrays"):
-            import numpy as np
-
-            positions = np.array(
-                [[o.center.x, o.center.y] for o in self._objects], dtype=np.float64
-            ).reshape(len(self._objects), 2)
-            triangles = np.array(
-                [o.triangles for o in self._objects], dtype=np.float64
-            )
-            self._pos_tri_arrays = (positions, triangles)
+    def position_triangle_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(N, 2) ground positions and (N,) float triangle counts, in
+        insertion order, for vectorized consumers (the cutoff search)."""
         return self._pos_tri_arrays
 
     # ------------------------------------------------------------------
     # Radius queries
     # ------------------------------------------------------------------
 
-    def objects_within(
+    def _candidates(
         self, center: Vec2, radius: float
-    ) -> List[SceneObject]:
-        """Objects whose footprint centre is within ``radius`` of ``center``."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell-order positions of the objects within ``radius`` of
+        ``center``, and their offsets ``x - center.x``, ``y - center.y``.
+        The rectangle term keeps out an object whose rounded distance
+        passes but whose cell a grid walk would never visit."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
         lo_i, lo_j = self._cell_of(Vec2(center.x - radius, center.y - radius))
         hi_i, hi_j = self._cell_of(Vec2(center.x + radius, center.y + radius))
-        radius_sq = radius * radius
-        found = []
-        for j in range(lo_j, hi_j + 1):
-            for i in range(lo_i, hi_i + 1):
-                for obj in self._cells.get((i, j), ()):
-                    d = obj.ground_position - center
-                    if d.norm_sq() <= radius_sq:
-                        found.append(obj)
-        return found
+        dx = self._x - center.x
+        dy = self._y - center.y
+        inside = (
+            (dx * dx + dy * dy <= radius * radius)
+            & (self._cell_i >= lo_i) & (self._cell_i <= hi_i)
+            & (self._cell_j >= lo_j) & (self._cell_j <= hi_j)
+        )
+        idx = np.flatnonzero(inside)
+        return idx, dx[idx], dy[idx]
+
+    def objects_within(
+        self, center: Vec2, radius: float
+    ) -> List[SceneObject]:
+        """Objects whose footprint centre is within ``radius`` of ``center``,
+        in cell order."""
+        idx, _, _ = self._candidates(center, radius)
+        return [self._ordered[k] for k in idx.tolist()]
+
+    def triangles_and_offsets(
+        self, center: Vec2, radius: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Triangle counts and ``x`` / ``y`` offsets from ``center`` of the
+        ``objects_within(center, radius)`` objects, in that order — the
+        render-cost model's input."""
+        idx, dx, dy = self._candidates(center, radius)
+        return self._triangles[idx], dx, dy
 
     def objects_in_annulus(
         self, center: Vec2, inner: float, outer: float
@@ -137,18 +156,15 @@ class Scene:
         """
         if inner < 0 or outer < inner:
             raise ValueError(f"invalid annulus [{inner}, {outer}]")
-        inner_sq, outer_sq = inner * inner, outer * outer
-        found = []
-        for obj in self.objects_within(center, outer):
-            d_sq = (obj.ground_position - center).norm_sq()
-            if inner_sq < d_sq <= outer_sq:
-                found.append(obj)
-        return found
+        idx, dx, dy = self._candidates(center, outer)
+        idx = idx[dx * dx + dy * dy > inner * inner]
+        return [self._ordered[k] for k in idx.tolist()]
 
     def triangles_within(self, center: Vec2, radius: float) -> int:
         """Total triangle count within ``radius`` — the object-density
         measure the adaptive cutoff scheme samples (§4.3)."""
-        return sum(obj.triangles for obj in self.objects_within(center, radius))
+        idx, _, _ = self._candidates(center, radius)
+        return int(self._triangles[idx].sum())
 
     def triangle_density(self, center: Vec2, probe_radius: float = 10.0) -> float:
         """Triangles per square metre around ``center`` (Fig. 8's x-axis)."""
@@ -211,8 +227,6 @@ class Scene:
         """
         if min_radius < 0:
             raise ValueError("min_radius must be non-negative")
-        return frozenset(
-            obj.object_id
-            for obj in self.objects_within(viewpoint, cutoff_radius)
-            if obj.radius >= min_radius
-        )
+        idx, _, _ = self._candidates(viewpoint, cutoff_radius)
+        # Inserted in cell order: a set's iteration order depends on it.
+        return frozenset(self._ids[idx[self._radius[idx] >= min_radius]].tolist())

@@ -112,6 +112,31 @@ class TestChurnCommands:
                      "--churn", "bogus@100"]) == 2
         assert "invalid --churn" in capsys.readouterr().err
 
+    def test_churn_slot_outside_session_exits_2_before_running(self, capsys,
+                                                               monkeypatch):
+        def reached(*_args, **_kwargs):
+            raise AssertionError("started work on an out-of-range churn slot")
+
+        monkeypatch.setattr("repro.cli.run_system", reached)
+        assert main(["run", "coterie", "pool", "2", "--churn", "leave@100:9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "invalid --churn spec: churn schedule references slot 9 but the "
+            "session only has slots 0..1"
+        ]
+        assert captured.out == ""
+
+    def test_churn_slot_of_a_joiner_is_accepted(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*_args, **_kwargs):
+            raise Reached
+
+        monkeypatch.setattr("repro.cli.run_system", reached)
+        with pytest.raises(Reached):
+            main(["run", "coterie", "pool", "2", "--churn", "join@100,leave@200:2"])
+
     def test_churn_on_mobile_is_an_error(self, capsys):
         assert main(["run", "mobile", "pool", "1", "--duration", "2",
                      "--churn", "join@100"]) == 2
