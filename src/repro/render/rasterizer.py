@@ -26,10 +26,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .. import perf
-from ..geometry import Vec3, angular_radius, direction_to_angles
+from ..geometry import Vec3, direction_to_angles
 from ..world.objects import SceneObject
 from ..world.scene import Scene
-from .framebuffer import cell_noise, clip_frame, fractal_noise, new_frame, value_noise
+from .framebuffer import cell_noise, clip_frame, fractal_noise, hash01, new_frame, value_noise
 
 TWO_PI = 2.0 * math.pi
 _INFINITY = float("inf")
@@ -191,12 +191,13 @@ def draw_objects(
 
 def _cull_objects(
     objects: Sequence[SceneObject], eye: Vec3, config: RenderConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized visibility cull shared by the draw and its reference.
 
-    Returns per-object distances, angular radii, and the indices of the
-    surviving objects in far-to-near draw order (stable sort, so depth
-    ties resolve identically in both).
+    Returns per-object distances, angular radii, the indices of the
+    surviving objects in far-to-near draw order, and the eye-relative
+    centre offsets ``(n, 3)``.  The sort is stable: objects at exactly
+    equal distance keep their list order, on every CPU and numpy build.
     """
     min_ang = max(config.min_angular_radius, 0.55 * math.pi / config.height)
     centers = np.array([obj.center.as_tuple() for obj in objects])
@@ -207,9 +208,9 @@ def _cull_objects(
         ang = np.arcsin(np.minimum(1.0, radii / np.maximum(dists, 1e-9)))
     ang = np.where(dists <= radii, math.pi, ang)
     keep = (dists > 1e-6) & (ang >= min_ang)
-    order = np.argsort(-dists[keep])
+    order = np.argsort(-dists[keep], kind="stable")
     kept_indices = np.nonzero(keep)[0][order]
-    return dists, ang, kept_indices
+    return dists, ang, kept_indices, offsets
 
 
 def _draw_objects_scalar(
@@ -227,7 +228,7 @@ def _draw_objects_scalar(
     width, height = config.width, config.height
     image, mask, depth = layer.image, layer.mask, layer.depth
 
-    dists, ang, kept_indices = _cull_objects(objects, eye, config)
+    dists, ang, kept_indices, _ = _cull_objects(objects, eye, config)
 
     for index in kept_indices:
         obj = objects[index]
@@ -304,9 +305,11 @@ def _draw_objects_scalar(
     return layer
 
 
-def _pad_dim(n: int) -> int:
-    """Smallest power of two >= ``n`` (bucket padding size)."""
-    return 1 << (max(1, int(n)) - 1).bit_length()
+def _ragged(counts: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Owner and position of each entry of a ragged list: owner ``i`` holds
+    ``counts[i]`` entries at positions ``starts[i]``, ``starts[i] + 1``, ..."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) + (starts - np.cumsum(counts) + counts)[owner]
 
 
 def _draw_objects_vector(
@@ -315,156 +318,109 @@ def _draw_objects_vector(
     eye: Vec3,
     config: RenderConfig,
 ) -> Layer:
-    """Grouped-kernel object draw, bit-identical to the scalar reference.
+    """One-pass object draw, bit-identical to the scalar reference.
 
-    The scalar loop spends ~40 us of numpy-call overhead per object on
-    bounding boxes that are typically a handful of pixels, so the frame
-    cost is dominated by interpreter dispatch, not arithmetic.  This path
-    restructures the same work into four phases:
-
-    1. **setup** — a cheap per-object Python loop computes the scalar
-       draw parameters (bbox, fog, texture frequency) with exactly the
-       same ``math.*`` calls as the oracle, emitting one *draw unit* per
-       (object, seam segment) in global far-to-near order;
-    2. **bucket** — units are grouped by power-of-two-padded bbox size so
-       each group forms one rectangular ``(n, rows, cols)`` batch;
-    3. **evaluate** — each bucket runs the per-pixel math (angular disk
-       test, cell-noise texture, shading, fog) as one vectorized kernel.
-       Elementwise float ops are per-element deterministic in numpy, so
-       batching cannot change any pixel value;
-    4. **scatter** — writes replay sequentially in the original draw
-       order with the same strict ``dist < depth`` test, preserving the
-       painter/tie semantics of the oracle exactly.
-
-    Padding lanes are masked out via per-unit validity masks; padded
-    row/column indices are clamped before the angle-table gather so they
-    stay in range (their values are computed but never written).
+    Three array steps replace the reference's per-object loop; DESIGN §10
+    says why each is exact.  **Units**: per-object parameters as array
+    math, one unit per (object, non-empty seam segment) in draw order.
+    **Pixels**: one ragged list of the units' bounding-box pixels, with a
+    separable disk test.  **Resolve**: each pixel takes the unit that the
+    reference's far-to-near strict ``dist < depth`` painter leaves there;
+    texture, shade and fog run for those winners only.
     """
     az_cols, el_rows = _pixel_angles(config)
     width, height = config.width, config.height
-    image, mask, depth = layer.image, layer.mask, layer.depth
-
-    dists, ang, kept_indices = _cull_objects(objects, eye, config)
-
-    # Phase 1 — per-object scalar parameters (identical math to the oracle).
-    units = []  # (row_lo, row_hi, c0, c1, az0, el0, cos_el, ang_r, dist,
-    #              fog, freq, seed, luminance, contrast)
-    for index in kept_indices:
-        obj = objects[index]
-        dist = float(dists[index])
-        ang_r = min(float(ang[index]), math.pi / 2 - 1e-3)
-        az0, el0 = direction_to_angles(obj.center - eye)
-        rv = ang_r * height / math.pi
-        v0 = (0.5 - el0 / math.pi) * height
-        row_lo = max(0, int(math.floor(v0 - rv - 1)))
-        row_hi = min(height - 1, int(math.ceil(v0 + rv + 1)))
-        if row_lo > row_hi:
-            continue
-        cos_el = max(0.15, math.cos(el0))
-        ru = ang_r / cos_el * width / TWO_PI
-        u0 = az0 / TWO_PI * width
-        col_lo = int(math.floor(u0 - ru - 1))
-        col_hi = int(math.ceil(u0 + ru + 1))
-        if col_hi - col_lo + 1 >= width:
-            col_lo, col_hi = 0, width - 1
-        segments = []
-        if col_lo < 0:
-            segments.append((col_lo % width, width))
-            segments.append((0, col_hi + 1))
-        elif col_hi >= width:
-            segments.append((col_lo, width))
-            segments.append((0, col_hi - width + 1))
-        else:
-            segments.append((col_lo, col_hi + 1))
-        fog = 1.0 - math.exp(-dist / config.fog_distance)
-        if config.indoor:
-            fog *= 0.2
-        ang_r_px = ang_r * height / math.pi
-        freq = min(32.0, max(1.0, ang_r_px / 2.8)) * config.object_texture_freq / 3.0
-        for c0, c1 in segments:
-            if c0 >= c1:
-                continue
-            units.append(
-                (row_lo, row_hi, c0, c1, az0, el0, cos_el, ang_r, dist,
-                 fog, freq, obj.texture_seed, obj.luminance, obj.contrast)
-            )
-    if not units:
+    dists, ang, kept, offsets = _cull_objects(objects, eye, config)
+    dx, dy, dz = (offsets[kept, axis].tolist() for axis in range(3))
+    az0 = np.array(list(map(math.atan2, dy, dx))) % TWO_PI
+    el0 = np.array(list(map(math.atan2, dz, map(math.hypot, dx, dy))))
+    ang_r = np.minimum(ang[kept], math.pi / 2 - 1e-3)
+    rv = ang_r * height / math.pi
+    v0 = (0.5 - el0 / math.pi) * height
+    row_lo = np.maximum(0, np.floor(v0 - rv - 1)).astype(np.int64)
+    rows = np.minimum(height - 1, np.ceil(v0 + rv + 1)).astype(np.int64) - row_lo + 1
+    cos_el = np.maximum(0.15, np.array(list(map(math.cos, el0.tolist()))))
+    ru = ang_r / cos_el * width / TWO_PI
+    u0 = az0 / TWO_PI * width
+    col_lo = np.floor(u0 - ru - 1).astype(np.int64)
+    col_hi = np.ceil(u0 + ru + 1).astype(np.int64)
+    full = col_hi - col_lo + 1 >= width
+    col_lo[full], col_hi[full] = 0, width - 1
+    # Seam split: segment 0 runs from col_lo (wrapped) up to the seam,
+    # segment 1 from column 0 to col_hi (wrapped).  Since u0 >= 0 gives
+    # col_hi >= 1 (and 0 <= v0 <= height gives rows >= 1), the non-empty
+    # segments are the reference's, and (object, segment) is its order.
+    seg_lo = col_lo % width
+    seg_end = seg_lo + col_hi - col_lo + 1
+    c0 = np.stack([seg_lo, np.zeros_like(seg_lo)], axis=1).ravel()
+    c1 = np.stack([np.minimum(seg_end, width), seg_end - width], axis=1).ravel()
+    units = np.flatnonzero(c0 < c1)
+    if not units.size:
         return layer
-    perf.count("raster.vector.units", len(units))
+    perf.count("raster.vector.units", units.size)
+    unit_obj = units // 2
+    c0, cols = c0[units], c1[units] - c0[units]
+    rows, row_lo, az0, el0, cos_el, ang_r, rv = (
+        a[unit_obj] for a in (rows, row_lo, az0, el0, cos_el, ang_r, rv)
+    )
+    dist = dists[kept][unit_obj]
+    fog = 1.0 - np.array(list(map(math.exp, (-dist / config.fog_distance).tolist())))
+    if config.indoor:
+        fog *= 0.2
+    freq = np.minimum(32.0, np.maximum(1.0, rv / 2.8)) * config.object_texture_freq / 3.0
 
-    # Phase 2 — bucket by padded bbox size.
-    buckets: dict = {}
-    for pos, unit in enumerate(units):
-        key = (_pad_dim(unit[1] - unit[0] + 1), _pad_dim(unit[3] - unit[2]))
-        buckets.setdefault(key, []).append(pos)
-    perf.count("raster.vector.buckets", len(buckets))
+    # Separable factors, one entry per (unit, row) and per (unit, column).
+    # For b >= 0, fl(a + b) >= a: a row or column whose own square exceeds
+    # ang_r**2 holds no covered pixel, so only the others are expanded.
+    ang_sq = ang_r * ang_r
+    row_unit, row = _ragged(rows, row_lo)
+    d_el = el_rows[row] - el0[row_unit]
+    el_sq = d_el * d_el
+    near = el_sq <= ang_sq[row_unit]
+    row_unit, row, d_el, el_sq = row_unit[near], row[near], d_el[near], el_sq[near]
+    col_unit, col = _ragged(cols, c0)
+    daz = ((az_cols[col] - az0[col_unit] + math.pi) % TWO_PI - math.pi) * cos_el[col_unit]
+    az_sq = daz * daz
+    near = az_sq <= ang_sq[col_unit]
+    col_unit, col, daz, az_sq = col_unit[near], col[near], daz[near], az_sq[near]
 
-    # Phase 3 — one vectorized evaluation per bucket.
-    values = [None] * len(units)  # float32 (rows, cols) per unit
-    insides = [None] * len(units)  # bool (rows, cols) per unit
-    drawable = np.zeros(len(units), dtype=bool)
-    for (rows_pad, cols_pad), members in buckets.items():
-        sub = [units[p] for p in members]
-        row_lo_a = np.array([u[0] for u in sub])
-        n_rows = np.array([u[1] - u[0] + 1 for u in sub])
-        c0_a = np.array([u[2] for u in sub])
-        n_cols = np.array([u[3] - u[2] for u in sub])
-        az0_a = np.array([u[4] for u in sub])[:, None]
-        el0_a = np.array([u[5] for u in sub])[:, None]
-        cos_a = np.array([u[6] for u in sub])[:, None]
-        ang_r3 = np.array([u[7] for u in sub])[:, None, None]
-        fog3 = np.array([u[9] for u in sub])[:, None, None]
-        freq3 = np.array([u[10] for u in sub])[:, None, None]
-        seed3 = np.array([u[11] for u in sub], dtype=np.int64)[:, None, None]
-        lum3 = np.array([u[12] for u in sub])[:, None, None]
-        con3 = np.array([u[13] for u in sub])[:, None, None]
+    # The ragged pixel list: each kept (unit, row) crossed with its unit's
+    # kept columns, tested exactly as the reference tests it.
+    cols = np.bincount(col_unit, minlength=units.size)
+    pix_row, pix_col = _ragged(cols[row_unit], (np.cumsum(cols) - cols)[row_unit])
+    flat = row[pix_row] * width + col[pix_col]
+    covers = az_sq[pix_col] + el_sq[pix_row] <= ang_sq[row_unit][pix_row]
+    covers &= dist[row_unit][pix_row] < layer.depth.ravel()[flat]
+    pix_row, pix_col, flat = pix_row[covers], pix_col[covers], flat[covers]
 
-        # Gathered pixel angles; padded lanes clamp into range and are
-        # masked out of `inside` below.
-        row_idx = np.minimum(row_lo_a[:, None] + np.arange(rows_pad), height - 1)
-        col_idx = np.minimum(c0_a[:, None] + np.arange(cols_pad), width - 1)
-        d_el = (el_rows[row_idx] - el0_a)[:, :, None]  # (n, R, 1)
-        daz = (az_cols[col_idx] - az0_a + math.pi) % TWO_PI - math.pi
-        daz = (daz * cos_a)[:, None, :]  # (n, 1, C)
+    # Depth resolve: rank units by (distance, draw order); least rank wins.
+    rank = np.argsort(np.argsort(dist, kind="stable"))
+    pix_rank = rank[row_unit][pix_row]
+    best = np.full(width * height, units.size, dtype=np.int64)
+    np.minimum.at(best, flat, pix_rank)
+    wins = pix_rank == best[flat]
+    pix_row, pix_col = pix_row[wins], pix_col[wins]
+    win = row_unit[pix_row]
 
-        inside = daz * daz + d_el * d_el <= ang_r3 * ang_r3
-        valid = (np.arange(rows_pad)[None, :] < n_rows[:, None])[:, :, None]
-        valid = valid & (np.arange(cols_pad)[None, :] < n_cols[:, None])[:, None, :]
-        inside &= valid
-
-        tex = cell_noise(
-            daz / ang_r3 * freq3 + 11.3,
-            d_el / ang_r3 * freq3 + 7.7,
-            seed3,
-        )
-        shade = 1.0 + 0.22 * (d_el / ang_r3)  # lit from above
-        lum = lum3 * (1.0 - con3 * (tex - 0.5)) * shade
-        value = lum * (1.0 - fog3) + config.fog_luminance * fog3
-        np.clip(value, 0.0, 1.0, out=value)
-        value32 = value.astype(np.float32)
-
-        any_inside = inside.reshape(len(sub), -1).any(axis=1)
-        for slot, pos in enumerate(members):
-            u = units[pos]
-            r, c = u[1] - u[0] + 1, u[3] - u[2]
-            values[pos] = value32[slot, :r, :c]
-            insides[pos] = inside[slot, :r, :c]
-            drawable[pos] = any_inside[slot]
-
-    # Phase 4 — sequential scatter in the exact global draw order.
-    for pos, unit in enumerate(units):
-        if not drawable[pos]:
-            continue
-        row_lo, row_hi, c0, c1 = unit[:4]
-        dist = unit[8]
-        sub_depth = depth[row_lo : row_hi + 1, c0:c1]
-        writable = insides[pos] & (dist < sub_depth)
-        if not writable.any():
-            continue
-        image[row_lo : row_hi + 1, c0:c1][writable] = values[pos][writable]
-        sub_depth[writable] = dist
-        mask[row_lo : row_hi + 1, c0:c1][writable] = True
-
+    # View-facing procedural texture, anchored to the object.
+    drawn = [objects[i] for i in kept[unit_obj].tolist()]
+    seed = np.array([obj.texture_seed for obj in drawn], dtype=np.int64)
+    luminance = np.array([obj.luminance for obj in drawn])
+    contrast = np.array([obj.contrast for obj in drawn])
+    el_frac = d_el / ang_r[row_unit]
+    tex = hash01(
+        np.floor(daz / ang_r[col_unit] * freq[col_unit] + 11.3).astype(np.int64)[pix_col],
+        np.floor(el_frac * freq[row_unit] + 7.7).astype(np.int64)[pix_row],
+        seed[win],
+    )
+    shade = 1.0 + 0.22 * el_frac[pix_row]  # lit from above
+    lum = luminance[win] * (1.0 - contrast[win] * (tex - 0.5)) * shade
+    value = lum * (1.0 - fog[win]) + config.fog_luminance * fog[win]
+    np.clip(value, 0.0, 1.0, out=value)
+    at = (row[pix_row], col[pix_col])
+    layer.image[at] = value.astype(np.float32)
+    layer.depth[at] = dist[win]
+    layer.mask[at] = True
     return layer
 
 
