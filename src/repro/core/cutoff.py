@@ -12,7 +12,7 @@ quadrants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,13 +152,14 @@ def exact_max_radius(
     sorted.  Orders of magnitude faster than bisection with repeated
     spatial queries, and used by :func:`build_cutoff_map`.
     """
-    return _radius_solver(scene, model, budget, max_radius)(viewpoint)
+    return _radius_solver(scene, model, budget, max_radius)([viewpoint])[0]
 
 
 def _radius_solver(
     scene: Scene, model: RenderCostModel, budget: RenderBudget, max_radius: float
-) -> Callable[[Vec2], float]:
-    """:func:`exact_max_radius` with the per-scene work done once."""
+) -> Callable[[Sequence[Vec2]], List[float]]:
+    """:func:`exact_max_radius` at several points, the per-scene work done
+    once and the points' candidate objects found once."""
     if max_radius <= 0:
         raise ValueError("max_radius must be positive")
     positions, triangles = scene.position_triangle_arrays()
@@ -166,16 +167,29 @@ def _radius_solver(
     ys = np.ascontiguousarray(positions[:, 1])
     device = model.device
     limit = budget.near_be_budget_ms
+    reach = max_radius + 1.0
 
-    def solve(viewpoint: Vec2) -> float:
-        distances = np.hypot(xs - viewpoint.x, ys - viewpoint.y)
+    def solve(points: Sequence[Vec2]) -> List[float]:
+        # Every object within max_radius of a point lies in the points'
+        # bounding box grown by ``reach``.  Kept in insertion order, the
+        # box hands each point's sort the array the whole scene would.
+        px, py = [p.x for p in points], [p.y for p in points]
+        box = np.flatnonzero(
+            (xs >= min(px) - reach) & (xs <= max(px) + reach)
+            & (ys >= min(py) - reach) & (ys <= max(py) + reach)
+        )
+        bx, by, btri = xs[box], ys[box], triangles[box]
+        return [radius_at(bx, by, btri, p) for p in points]
+
+    def radius_at(bx, by, btri, viewpoint: Vec2) -> float:
+        distances = np.hypot(bx - viewpoint.x, by - viewpoint.y)
         # An object beyond max_radius can only bust the budget at a radius
         # the cap below already excludes.
         within = np.flatnonzero(distances <= max_radius)
         order = within[np.argsort(distances[within])]
         sorted_d = distances[order]
         lod = np.maximum(device.lod_floor, 1.0 / (1.0 + (sorted_d / device.lod_distance) ** 2))
-        cost_ms = np.cumsum(triangles[order] * lod) / device.triangle_throughput
+        cost_ms = np.cumsum(btri[order] * lod) / device.triangle_throughput
         # First object whose inclusion busts the budget.
         index = int(np.searchsorted(cost_ms, limit, side="left"))
         if index >= len(sorted_d):
@@ -258,7 +272,7 @@ def build_cutoff_map(
 
     def policy(region: Rect, depth: int) -> Tuple[bool, LeafCutoff]:
         points = sample_points(rng, region, config.k_samples, reachable)
-        radii = [max_radius_at(p) for p in points]
+        radii = max_radius_at(points)
         counter["samples"] += len(radii)
         payload = LeafCutoff(
             cutoff_radius=min(radii), sampled_radii=tuple(radii)

@@ -4,7 +4,8 @@ loops they replaced (kept here as references).
 ``sample_points`` must pick the same K locations as drawing candidates one
 at a time *and* leave the generator where that loop would have left it,
 because every later region of the quadtree draws from the same stream.
-``exact_max_radius`` must answer as if it had sorted the whole scene.
+``exact_max_radius`` must answer as if it had sorted the whole scene, and
+so must the cutoff map's solve of a whole region's samples at once.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RenderBudget, exact_max_radius
-from repro.core.cutoff import sample_points
+from repro.core.cutoff import _radius_solver, sample_points
 from repro.geometry import Rect, Vec2, Vec3, batch_predicate
 from repro.render import PIXEL2, RenderCostModel
 from repro.world import Scene, SceneObject
@@ -118,22 +119,34 @@ def reference_exact_max_radius(scene, model, viewpoint, budget, max_radius):
     return max(0.0, supremum - 1e-6)
 
 
+def tree(object_id, x, y, triangles):
+    return SceneObject(
+        object_id=object_id,
+        kind_name="tree",
+        center=Vec3(x, y, 1.0),
+        radius=1.0,
+        triangles=triangles,
+        luminance=0.5,
+        contrast=0.3,
+        texture_seed=0,
+    )
+
+
+def flat_scene(objects):
+    return Scene(Rect(0, 0, 400, 400), objects, lambda p: 0.0)
+
+
 def random_scene(seed, count, extent, triangles_hi):
     rng = np.random.default_rng(seed)
-    objects = [
-        SceneObject(
-            object_id=i,
-            kind_name="tree",
-            center=Vec3(float(rng.uniform(0, extent)), float(rng.uniform(0, extent)), 1.0),
-            radius=1.0,
-            triangles=int(rng.integers(1, triangles_hi)),
-            luminance=0.5,
-            contrast=0.3,
-            texture_seed=0,
+    return flat_scene([
+        tree(
+            i,
+            float(rng.uniform(0, extent)),
+            float(rng.uniform(0, extent)),
+            int(rng.integers(1, triangles_hi)),
         )
         for i in range(count)
-    ]
-    return Scene(Rect(0, 0, 400, 400), objects, lambda p: 0.0)
+    ])
 
 
 class TestPrunedRadiusSearch:
@@ -169,3 +182,80 @@ class TestPrunedRadiusSearch:
         expected = reference_exact_max_radius(*args)
         assert 0.0 < expected < 180.0
         assert exact_max_radius(*args) == expected
+
+    # The cutoff map solves a region's K samples together over one
+    # candidate box; each answer must still be the unpruned one.
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 250),
+        triangles_hi=st.sampled_from([2_000, 200_000, 3_000_000]),
+        max_radius=st.sampled_from([0.5, 8.0, 60.0, 180.0, 2_000.0]),
+        x0=st.floats(-600.0, 600.0),
+        y0=st.floats(-600.0, 600.0),
+        width=st.floats(0.0, 1_000.0),
+        height=st.floats(0.0, 1_000.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_region_equals_unpruned(
+        self, seed, count, triangles_hi, max_radius, x0, y0, width, height
+    ):
+        scene = random_scene(seed, count, 400.0, triangles_hi)
+        region = Rect(x0, y0, x0 + width, y0 + height)
+        points = sample_points(np.random.default_rng(seed), region, K, None)
+        assert_region_matches(scene, points, max_radius)
+
+    def test_region_wider_than_twice_max_radius(self):
+        scene = random_scene(3, 250, 400.0, 3_000_000)
+        points = sample_points(np.random.default_rng(0), Rect(-50, -50, 450, 450), K, None)
+        radii = assert_region_matches(scene, points, 60.0)
+        assert min(radii) < 60.0
+
+    def test_region_outside_the_scene(self):
+        scene = random_scene(4, 250, 400.0, 3_000_000)
+        points = sample_points(np.random.default_rng(1), Rect(-200, 100, -10, 300), K, None)
+        radii = assert_region_matches(scene, points, 180.0)
+        assert min(radii) < 180.0 and max(radii) == 180.0
+
+    def test_region_with_empty_box(self):
+        # Every object sits in one corner, farther than max_radius + 1 m
+        # from the whole region.
+        scene = random_scene(1, 200, 40.0, 3_000_000)
+        points = sample_points(np.random.default_rng(2), Rect(300, 300, 390, 390), K, None)
+        assert assert_region_matches(scene, points, 50.0) == [50.0] * K
+
+    def test_region_with_colocated_objects(self):
+        rng = np.random.default_rng(5)
+        scene = flat_scene([
+            tree(6 * c + i, x, y, int(rng.integers(100_000, 3_000_000)))
+            for c, (x, y) in enumerate([(50.0, 50.0), (60.0, 52.5), (44.0, 70.0), (90.0, 90.0)])
+            for i in range(6)
+        ])
+        points = sample_points(np.random.default_rng(6), Rect(30, 30, 110, 110), K, None)
+        points.append(Vec2(50.0, 50.0))  # distance 0 to a whole cluster
+        radii = assert_region_matches(scene, points, 180.0)
+        assert min(radii) < 180.0
+
+    def test_region_busting_object_at_box_edge(self):
+        # The one object that busts the budget is 0.25 m inside max_radius
+        # of the westmost sample, due west of it: the box must reach it.
+        scene = flat_scene([tree(0, 40.25, 100.0, 10**9)])
+        points = [Vec2(100.0, 100.0), Vec2(150.0, 120.0)]
+        radii = assert_region_matches(scene, points, 60.0)
+        assert radii == [pytest.approx(59.75), 60.0]
+
+    def test_region_where_everything_fits(self):
+        scene = random_scene(2, 50, 400.0, 100)
+        points = sample_points(np.random.default_rng(3), Rect(0, 0, 400, 400), K, None)
+        assert assert_region_matches(scene, points, 180.0) == [180.0] * K
+
+
+def assert_region_matches(scene, points, max_radius):
+    """One region solve equals the unpruned search at every point."""
+    solve = _radius_solver(scene, MODEL, RenderBudget(), max_radius)
+    expected = [
+        reference_exact_max_radius(scene, MODEL, p, RenderBudget(), max_radius)
+        for p in points
+    ]
+    assert solve(points) == expected
+    return expected

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Rect, Vec2
 from repro.world import (
@@ -13,12 +15,24 @@ from repro.world import (
     DensityField,
     FlatTerrain,
     KindMixture,
+    TrackMask,
     build_game,
     game_spec,
     generate_scene,
     kind,
     load_game,
+    oval_track,
 )
+
+COORDS = st.floats(-100.0, 300.0)
+BLOBS = st.builds(
+    lambda x, y, sigma, amplitude: DensityBlob(Vec2(x, y), sigma, amplitude),
+    COORDS,
+    COORDS,
+    st.floats(0.5, 200.0),
+    st.floats(0.0, 5e4),
+)
+TRACK = TrackMask(oval_track(Rect(0.0, 0.0, 200.0, 160.0), margin=25.0), half_width=8.0)
 
 
 class TestDensityField:
@@ -37,6 +51,26 @@ class TestDensityField:
             DensityBlob(Vec2(0, 0), sigma=0.0, amplitude=1.0)
         with pytest.raises(ValueError):
             DensityBlob(Vec2(0, 0), sigma=1.0, amplitude=-1.0)
+
+    @given(
+        blobs=st.lists(BLOBS, max_size=12),
+        base=st.floats(0.0, 1e4),
+        points=st.lists(st.tuples(COORDS, COORDS), max_size=24),
+        band=st.sampled_from(["none", "drawn", "edge"]),
+        band_width=st.floats(1.0, 80.0),
+        band_density=st.floats(0.0, 500.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_scalar(self, blobs, base, points, band, band_width, band_density):
+        # Blob centres are exp(0) terms; with "edge" the first point sits
+        # exactly on the band's outer edge, where ``<=`` still counts it.
+        points = [Vec2(x, y) for x, y in points] + [blob.center for blob in blobs]
+        track = None if band == "none" else TRACK
+        if band == "edge" and points and TRACK.distance_to_centerline(points[0]) > 0:
+            band_width = TRACK.distance_to_centerline(points[0])
+        field = DensityField(base, blobs, track, band_width, band_density)
+        batch = field.at_many(np.array([p.x for p in points]), np.array([p.y for p in points]))
+        assert batch.tolist() == [field(p) for p in points]
 
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
