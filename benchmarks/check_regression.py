@@ -66,14 +66,6 @@ SPECS = {
         ("improvement.genres_improved", "ratio_high"),
         ("clean.desync_alarms", "abs_low"),
     ],
-    # Deadline-miss rates are fractions in [0, 1]; the additive abs_low
-    # band keeps adaptive Coterie from quietly sliding back toward the
-    # fixed-CRF miss rates under any committed trace.
-    "BENCH_adaptive.json": [
-        ("traces.cellular.adaptive.deadline_miss_rate", "abs_low"),
-        ("traces.bufferbloat.adaptive.deadline_miss_rate", "abs_low"),
-        ("traces.contention.adaptive.deadline_miss_rate", "abs_low"),
-    ],
     # Shared serving must keep beating isolated serving on sessions/sec
     # at the same GPU budget, and dedup must stay effective.  Join p99s
     # and both identity pins are sim-time deterministic, so the additive

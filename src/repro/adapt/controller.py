@@ -293,19 +293,3 @@ class AbrController:
             if crf > self.base_crf and stop_ms > start_ms:
                 total += stop_ms - start_ms
         return total
-
-    def recovery_after_ms(self, episode_end_ms: float) -> Optional[float]:
-        """Time from a trace episode's end until base quality resumed.
-
-        None when the client never returned to its base rung after
-        ``episode_end_ms`` (or was never degraded there at all).
-        """
-        was_degraded = False
-        for start_ms, crf in self.crf_timeline:
-            if start_ms < episode_end_ms:
-                was_degraded = crf > self.base_crf
-                continue
-            if crf <= self.base_crf:
-                return start_ms - episode_end_ms if was_degraded else 0.0
-            was_degraded = True
-        return None if was_degraded else 0.0

@@ -40,24 +40,6 @@ def split_blocks(frame: np.ndarray) -> np.ndarray:
     )
 
 
-def split_blocks_stack(frames: np.ndarray) -> np.ndarray:
-    """(N, H, W) frame stack -> (N, ny, nx, 8, 8) block tensor.
-
-    Per-frame results are bit-identical to :func:`split_blocks` (pure
-    index reshuffling).
-    """
-    if frames.ndim != 3:
-        raise ValueError("expected an (N, H, W) frame stack")
-    n, h, w = frames.shape
-    if h % BLOCK or w % BLOCK:
-        raise ValueError(f"frames {h}x{w} not block-aligned; pad first")
-    return (
-        frames.reshape(n, h // BLOCK, BLOCK, w // BLOCK, BLOCK)
-        .transpose(0, 1, 3, 2, 4)
-        .copy()
-    )
-
-
 def join_blocks_stack(
     blocks: np.ndarray, shape: Tuple[int, int], out: "np.ndarray | None" = None
 ) -> np.ndarray:

@@ -64,10 +64,6 @@ class EncodedFrame:
         """Actual compressed payload size at render resolution."""
         return len(self.data)
 
-    @property
-    def bits_per_pixel(self) -> float:
-        return 8.0 * len(self.data) / (self.width * self.height)
-
     def wire_bytes(self, target_pixels: int = FOUR_K_PIXELS) -> int:
         """Size scaled to the paper's 4K frames (chroma included).
 

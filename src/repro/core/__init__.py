@@ -29,7 +29,6 @@ from .merger import (
     compose_display,
     compose_display_into,
     layer_from_decoded,
-    switch_discontinuities,
 )
 from .online import SsimBatchQueue
 from .pipeline import PipelineTimings, frame_interval_ms
@@ -84,6 +83,5 @@ __all__ = [
     "preprocess_game",
     "satisfies_bandwidth_constraint",
     "satisfies_constraint",
-    "switch_discontinuities",
     "world_cache_key",
 ]

@@ -2,19 +2,16 @@
 
 The renderer's :func:`repro.render.merge_layers` does the compositing; this
 module adapts *decoded* far-BE frames (plain luminance arrays coming out of
-the codec, which have no mask/depth) into mergeable layers and measures the
-discontinuity between successive far-BE sources — the quantity behind the
-user study (Table 10).
+the codec, which have no mask/depth) into mergeable layers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..render.rasterizer import Layer, merge_layers
-from ..similarity import ssim
 
 
 def layer_from_decoded(image: np.ndarray) -> Layer:
@@ -62,25 +59,3 @@ def compose_display_into(
             raise ValueError("layer shapes differ")
         out[overlay.mask] = overlay.image[overlay.mask]
     return out
-
-
-def switch_discontinuities(
-    far_be_sequence: Sequence[np.ndarray],
-) -> List[float]:
-    """SSIM at each change of far-BE source along a replay.
-
-    Frame reuse shows the *same* far BE for a run of display frames; the
-    perceptible event is the switch to the next fetched frame.  Input is
-    the per-display-frame far-BE array (consecutive duplicates allowed by
-    identity); output is the SSIM across each identity switch.
-    """
-    if not far_be_sequence:
-        raise ValueError("far_be_sequence must be non-empty")
-    values = []
-    previous = far_be_sequence[0]
-    for current in far_be_sequence[1:]:
-        if current is previous:
-            continue
-        values.append(ssim(previous, current))
-        previous = current
-    return values

@@ -53,16 +53,6 @@ class PipelineTimings:
             + self.merge_ms
         )
 
-    def bottleneck(self) -> str:
-        """Which task dominated the interval (diagnostics)."""
-        tasks = {
-            "render": self.render_ms,
-            "decode": self.decode_ms,
-            "prefetch": self.prefetch_ms,
-            "sync": self.sync_ms,
-        }
-        return max(tasks, key=tasks.get)
-
 
 def frame_interval_ms(
     timings: PipelineTimings,

@@ -134,11 +134,13 @@ class ChurnSchedule:
         * ``flap@3000-9000:2`` — slot 2 alternates leave/rejoin over the
           window (default 1000 ms half-period; ``~800`` overrides it).
 
-        Conflicting entries are rejected with the 1-based entry number:
-        two events of the same kind targeting the same slot at the same
-        instant are a duplicate, and two flap windows on the same slot
-        must not overlap (their interleaved leave/rejoin trains would
-        silently corrupt each other's on/offline state).
+        Any bad entry is rejected with one message naming its 1-based
+        number, its text and the cause.  Two events of the same kind
+        targeting the same slot at the same instant are a duplicate, and
+        two flap windows on the same slot must not overlap (their
+        interleaved leave/rejoin trains would silently corrupt each
+        other's on/offline state); both errors also cite the first
+        declaring entry.
         """
         joins: List[JoinEvent] = []
         leaves: List[LeaveEvent] = []
@@ -150,103 +152,101 @@ class ChurnSchedule:
         flap_windows: List[Tuple[int, float, float, int]] = []
 
         def note_slot_event(kind_name: str, t_ms: float, slot: int,
-                            index: int, entry: str) -> None:
+                            index: int) -> None:
             """Reject a second same-kind event for one slot at one time."""
             key = (kind_name, t_ms, slot)
             first = seen_slots.get(key)
             if first is not None:
                 raise ValueError(
-                    f"churn spec entry {index} ({entry!r}): duplicate "
-                    f"{kind_name} for slot {slot} at {t_ms:g} ms "
+                    f"duplicate {kind_name} for slot {slot} at {t_ms:g} ms "
                     f"(first declared in entry {first})"
                 )
             seen_slots[key] = index
 
         def note_flap_window(slot: int, start_ms: float, end_ms: float,
-                             index: int, entry: str) -> None:
+                             index: int) -> None:
             """Reject overlapping flap windows targeting the same slot."""
             for other_slot, other_start, other_end, other_index in flap_windows:
                 if other_slot != slot:
                     continue
                 if start_ms < other_end and other_start < end_ms:
                     raise ValueError(
-                        f"churn spec entry {index} ({entry!r}): flap window "
-                        f"{start_ms:g}-{end_ms:g} ms for slot {slot} overlaps "
-                        f"the {other_start:g}-{other_end:g} ms window from "
-                        f"entry {other_index}"
+                        f"flap window {start_ms:g}-{end_ms:g} ms for slot "
+                        f"{slot} overlaps the {other_start:g}-{other_end:g} ms "
+                        f"window from entry {other_index}"
                     )
             flap_windows.append((slot, start_ms, end_ms, index))
+
+        def add(index: int, entry: str) -> None:
+            """Parse one entry onto its list; any failure — shape, argument
+            conversion, conflict, or the event's own range check — is a
+            ValueError naming the cause."""
+            kind, at, rest = entry.partition("@")
+            if not at:
+                raise ValueError("expected kind@time[:arg]")
+            kind = kind.strip().lower()
+            when, _, arg = rest.partition(":")
+            if kind == "join":
+                t_ms = float(when)
+                count = int(arg) if arg else 1
+                if count < 1:
+                    raise ValueError("join count must be >= 1")
+                joins.extend(JoinEvent(t_ms) for _ in range(count))
+            elif kind in ("rejoin", "leave", "crash"):
+                t_ms, slot = float(when), int(arg)
+                note_slot_event(kind, t_ms, slot, index)
+                if kind == "rejoin":
+                    joins.append(JoinEvent(t_ms, slot=slot))
+                elif kind == "leave":
+                    leaves.append(LeaveEvent(t_ms, slot=slot))
+                else:
+                    crashes.append(CrashEvent(t_ms, slot=slot))
+            elif kind == "flap":
+                start_s, dash, end_s = when.partition("-")
+                if not dash:
+                    raise ValueError("expected flap@start-end:slot[~half_period]")
+                slot_s, _, period_s = arg.partition("~")
+                start_ms, end_ms = float(start_s), float(end_s)
+                if end_ms <= start_ms:
+                    raise ValueError("flap window must satisfy start < end")
+                slot = int(slot_s)
+                half_period = float(period_s) if period_s else 1000.0
+                if half_period <= 0:
+                    raise ValueError("flap period must be positive")
+                note_flap_window(slot, start_ms, end_ms, index)
+                # Expand into an alternating leave / rejoin train; the
+                # generated events register for duplicate detection so
+                # a flap silently colliding with an explicit leave /
+                # rejoin is rejected too.
+                t, leaving = start_ms, True
+                while t < end_ms:
+                    if leaving:
+                        note_slot_event("leave", t, slot, index)
+                        leaves.append(LeaveEvent(t, slot=slot))
+                    else:
+                        note_slot_event("rejoin", t, slot, index)
+                        joins.append(JoinEvent(t, slot=slot))
+                    leaving = not leaving
+                    t += half_period
+                if not leaving:
+                    # Never strand the player offline at window end.
+                    note_slot_event("rejoin", end_ms, slot, index)
+                    joins.append(JoinEvent(end_ms, slot=slot))
+            else:
+                raise ValueError(
+                    f"unknown churn kind {kind!r}; "
+                    "use join/rejoin/leave/crash/flap"
+                )
 
         for index, raw in enumerate(spec.split(","), start=1):
             entry = raw.strip()
             if not entry:
                 continue
             try:
-                kind, rest = entry.split("@", 1)
-                when, _, arg = rest.partition(":")
+                add(index, entry)
             except ValueError as exc:
                 raise ValueError(
-                    f"bad churn entry {entry!r}; expected kind@time[:arg]"
-                ) from exc
-            kind = kind.strip().lower()
-            try:
-                if kind == "join":
-                    t_ms = float(when)
-                    count = int(arg) if arg else 1
-                    if count < 1:
-                        raise ValueError("join count must be >= 1")
-                    joins.extend(JoinEvent(t_ms) for _ in range(count))
-                elif kind == "rejoin":
-                    t_ms, slot = float(when), int(arg)
-                    note_slot_event("rejoin", t_ms, slot, index, entry)
-                    joins.append(JoinEvent(t_ms, slot=slot))
-                elif kind == "leave":
-                    t_ms, slot = float(when), int(arg)
-                    note_slot_event("leave", t_ms, slot, index, entry)
-                    leaves.append(LeaveEvent(t_ms, slot=slot))
-                elif kind == "crash":
-                    t_ms, slot = float(when), int(arg)
-                    note_slot_event("crash", t_ms, slot, index, entry)
-                    crashes.append(CrashEvent(t_ms, slot=slot))
-                elif kind == "flap":
-                    start_s, end_s = when.split("-", 1)
-                    slot_s, _, period_s = arg.partition("~")
-                    start_ms, end_ms = float(start_s), float(end_s)
-                    if end_ms <= start_ms:
-                        raise ValueError("flap window must satisfy start < end")
-                    slot = int(slot_s)
-                    half_period = float(period_s) if period_s else 1000.0
-                    if half_period <= 0:
-                        raise ValueError("flap period must be positive")
-                    note_flap_window(slot, start_ms, end_ms, index, entry)
-                    # Expand into an alternating leave / rejoin train; the
-                    # generated events register for duplicate detection so
-                    # a flap silently colliding with an explicit leave /
-                    # rejoin is rejected too.
-                    t, leaving = start_ms, True
-                    while t < end_ms:
-                        if leaving:
-                            note_slot_event("leave", t, slot, index, entry)
-                            leaves.append(LeaveEvent(t, slot=slot))
-                        else:
-                            note_slot_event("rejoin", t, slot, index, entry)
-                            joins.append(JoinEvent(t, slot=slot))
-                        leaving = not leaving
-                        t += half_period
-                    if not leaving:
-                        # Never strand the player offline at window end.
-                        note_slot_event("rejoin", end_ms, slot, index, entry)
-                        joins.append(JoinEvent(end_ms, slot=slot))
-                else:
-                    raise ValueError(
-                        f"unknown churn kind {kind!r}; "
-                        "use join/rejoin/leave/crash/flap"
-                    )
-            except ValueError as exc:
-                if "churn" in str(exc) or "flap" in str(exc) or "join" in str(exc):
-                    raise
-                raise ValueError(
-                    f"bad churn entry {entry!r}; expected kind@time[:arg]"
+                    f"churn spec entry {index} ({entry!r}): {exc}"
                 ) from exc
         return cls(joins=tuple(joins), leaves=tuple(leaves),
                    crashes=tuple(crashes))

@@ -49,13 +49,6 @@ class FaultInjector:
                     advanced = True
         return resume
 
-    def outage_count(self, player_id: int) -> int:
-        """How many outage windows apply to ``player_id``."""
-        return sum(
-            1 for outage in self.schedule.outages
-            if outage.player_id in (-1, player_id)
-        )
-
     # ------------------------------------------------------------------
     # Speculation / sync faults (repro.predict, repro.session.sync)
     # ------------------------------------------------------------------

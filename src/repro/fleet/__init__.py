@@ -50,7 +50,6 @@ from .demand import (
     DemandPoint,
     SessionDemand,
     demand_for,
-    fi_sync_kbps,
     session_demand,
 )
 from .matchmaker import LobbyConfig, Matchmaker, MatchmakerStats
@@ -93,7 +92,6 @@ __all__ = [
     "WORKLOADS",
     "demand_for",
     "diurnal_arrivals",
-    "fi_sync_kbps",
     "flash_crowd_arrivals",
     "fleet_slos",
     "generate_arrivals",

@@ -34,7 +34,7 @@ from typing import Dict, List, Tuple
 import math
 
 from ..geometry import GridPoint
-from ..net.pun import PunConfig
+from ..net.pun import fi_sync_kbps
 from ..trace import generate_party
 from ..world import GameWorld
 from .admission import SessionEstimate
@@ -97,24 +97,6 @@ class SessionDemand:
             be_kbps_per_player=be_kbps,
             fi_kbps=fi_sync_kbps(self.players),
         )
-
-
-def fi_sync_kbps(n_players: int, config: PunConfig = PunConfig()) -> float:
-    """Closed-form FI sync bandwidth for an ``n_players`` roster.
-
-    Mirrors :meth:`repro.net.pun.PunChannel.expected_bandwidth_kbps`
-    without needing a live channel: heartbeats only for a lone player,
-    ``n`` uploads plus ``n*(n-1)`` fanout downloads per tick otherwise.
-    """
-    if n_players <= 0:
-        return 0.0
-    if n_players == 1:
-        return config.heartbeat_bytes * 8 * config.heartbeat_hz / 1000.0
-    per_tick = (
-        n_players * config.state_bytes
-        + n_players * (n_players - 1) * config.state_bytes
-    )
-    return per_tick * 8 * config.send_rate_hz / 1000.0
 
 
 def demand_cell(x: float, y: float, spacing_m: float) -> GridPoint:

@@ -247,11 +247,6 @@ class RenderFarm:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests waiting for a slot right now."""
-        return len(self._pending)
-
     def served(self, session_id: int) -> int:
         """Completed renders credited to ``session_id`` (fairness count)."""
         return self._served.get(session_id, 0)

@@ -258,13 +258,7 @@ class _FleetRun:
         )
         self.matchmaker = Matchmaker(
             self.sim,
-            LobbyConfig(
-                session_size=config.lobby.session_size,
-                min_session_size=config.lobby.min_session_size,
-                max_wait_ms=config.lobby.max_wait_ms,
-                retry_ms=config.lobby.retry_ms,
-                patience_ms=config.lobby.patience_ms,
-            ),
+            config.lobby,
             self.controller,
             estimate_for=self._estimate_for,
             launch=self._launch,

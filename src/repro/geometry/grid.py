@@ -210,40 +210,3 @@ class WorldGrid:
             return self.total_points
         hits = int(self._reachable_many(*self.bounds.sample_arrays(rng, sample_size)).sum())
         return int(round(self.total_points * hits / sample_size))
-
-    # ------------------------------------------------------------------
-    # Neighbourhoods (used by the prefetcher, Fig. 10)
-    # ------------------------------------------------------------------
-
-    def neighbors(self, gp: GridPoint, hops: int = 1) -> List[GridPoint]:
-        """Reachable grid points within ``hops`` Chebyshev steps (excl. self)."""
-        i, j = gp
-        result = []
-        for dj in range(-hops, hops + 1):
-            for di in range(-hops, hops + 1):
-                if di == 0 and dj == 0:
-                    continue
-                cand = (i + di, j + dj)
-                if self.is_reachable(cand):
-                    result.append(cand)
-        return result
-
-    def points_within(self, center: Vec2, radius: float) -> List[GridPoint]:
-        """Reachable grid points within Euclidean ``radius`` of ``center``."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        lo = self.snap(Vec2(center.x - radius, center.y - radius))
-        hi = self.snap(Vec2(center.x + radius, center.y + radius))
-        result = []
-        for j in range(lo[1], hi[1] + 1):
-            for i in range(lo[0], hi[0] + 1):
-                gp = (i, j)
-                if not self.is_reachable(gp):
-                    continue
-                if self.to_world(gp).distance_to(center) <= radius:
-                    result.append(gp)
-        return result
-
-    def grid_distance(self, a: GridPoint, b: GridPoint) -> float:
-        """Euclidean world-space distance between two grid points."""
-        return self.to_world(a).distance_to(self.to_world(b))

@@ -1,10 +1,9 @@
-"""Projection math for panoramic and field-of-view rendering.
+"""Projection math for panoramic rendering.
 
 Coterie prefetches *panoramic* far-BE frames (the paper uses 3840x2160
 equirectangular frames) so any head orientation can be served by cropping.
-This module maps world-space directions to equirectangular pixel
-coordinates, computes angular sizes under perspective projection, and crops
-a field-of-view window out of a panorama.
+This module maps world-space directions to equirectangular angles and
+computes angular sizes under perspective projection.
 
 The "near-object" effect (§4.2) falls directly out of these formulas: an
 object of radius ``r`` at distance ``d`` subtends ``atan(r/d)`` radians, and
@@ -16,10 +15,7 @@ objects dominate frame-to-frame change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 from .vec import Vec3
 
@@ -35,34 +31,6 @@ def direction_to_angles(direction: Vec3) -> Tuple[float, float]:
     azimuth = math.atan2(direction.y, direction.x) % TWO_PI
     horiz = math.hypot(direction.x, direction.y)
     elevation = math.atan2(direction.z, horiz)
-    return azimuth, elevation
-
-
-def angles_to_direction(azimuth: float, elevation: float) -> Vec3:
-    """Inverse of :func:`direction_to_angles`; returns a unit vector."""
-    ce = math.cos(elevation)
-    return Vec3(ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation))
-
-
-def angles_to_pixel(
-    azimuth: float, elevation: float, width: int, height: int
-) -> Tuple[float, float]:
-    """Map (azimuth, elevation) to fractional equirectangular pixel coords.
-
-    Column 0 is azimuth 0; rows run from elevation +pi/2 (top) to -pi/2
-    (bottom), the standard equirectangular layout.
-    """
-    u = (azimuth % TWO_PI) / TWO_PI * width
-    v = (0.5 - elevation / math.pi) * height
-    return u, v
-
-
-def pixel_to_angles(
-    u: float, v: float, width: int, height: int
-) -> Tuple[float, float]:
-    """Inverse of :func:`angles_to_pixel` for fractional pixel coords."""
-    azimuth = (u / width) * TWO_PI % TWO_PI
-    elevation = (0.5 - v / height) * math.pi
     return azimuth, elevation
 
 
@@ -86,55 +54,3 @@ def angular_displacement(displacement: float, distance: float) -> float:
     if distance <= 0:
         return math.pi
     return math.atan2(displacement, distance)
-
-
-@dataclass(frozen=True)
-class FovSpec:
-    """A rectilinear field-of-view window for headset display.
-
-    Daydream-class headsets show ~90-100 degrees horizontally; the default
-    matches that with a 16:9-ish aspect.
-    """
-
-    h_fov: float = math.radians(100.0)
-    v_fov: float = math.radians(90.0)
-
-    def __post_init__(self) -> None:
-        if not (0 < self.h_fov < TWO_PI and 0 < self.v_fov < math.pi):
-            raise ValueError(f"invalid FoV spec: {self}")
-
-
-def crop_fov(
-    panorama: np.ndarray,
-    yaw: float,
-    pitch: float,
-    fov: FovSpec,
-    out_width: int,
-    out_height: int,
-) -> np.ndarray:
-    """Crop a rectilinear FoV frame from an equirectangular panorama.
-
-    ``panorama`` is an (H, W) or (H, W, C) array.  ``yaw``/``pitch`` give
-    the view centre.  Nearest-neighbour sampling — the paper notes the crop
-    happens "at almost no cost or delay", so we keep it cheap too.
-    """
-    if panorama.ndim not in (2, 3):
-        raise ValueError("panorama must be a 2D or 3D array")
-    pano_h, pano_w = panorama.shape[:2]
-
-    # Tangent-plane grid of view directions for each output pixel.
-    xs = np.tan(np.linspace(-fov.h_fov / 2, fov.h_fov / 2, out_width))
-    ys = np.tan(np.linspace(fov.v_fov / 2, -fov.v_fov / 2, out_height))
-    tan_x, tan_y = np.meshgrid(xs, ys)
-
-    # Camera-space direction (forward=+1), rotated by pitch then yaw.
-    fwd = np.ones_like(tan_x)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    dir_f = fwd * cp - tan_y * sp
-    dir_z = fwd * sp + tan_y * cp
-    azimuth = (yaw + np.arctan2(tan_x, dir_f)) % TWO_PI
-    elevation = np.arctan2(dir_z, np.hypot(dir_f, tan_x))
-
-    u = (azimuth / TWO_PI * pano_w).astype(np.intp) % pano_w
-    v = np.clip(((0.5 - elevation / math.pi) * pano_h).astype(np.intp), 0, pano_h - 1)
-    return panorama[v, u]

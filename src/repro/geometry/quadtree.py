@@ -12,7 +12,7 @@ lookup, and summary statistics reported in Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, Iterator, Optional, Tuple, TypeVar
 
 from .grid import Rect
 from .vec import Vec2
@@ -138,10 +138,6 @@ class QuadTree(Generic[T]):
             else:
                 assert node.children is not None
                 stack.extend(node.children)
-
-    def leaf_payloads(self) -> List[T]:
-        """Payloads of all leaves that carry one."""
-        return [leaf.payload for leaf in self.leaves() if leaf.payload is not None]
 
     def stats(self) -> QuadTreeStats:
         """Leaf/depth/node summary (Table 3's columns)."""

@@ -1,34 +1,19 @@
-"""Ray queries against terrain heightfields and scene objects.
+"""Ray queries against terrain heightfields.
 
 The paper's offline preprocessing module "appl[ies] ray tracing to find the
 foothold of the players and then adjust[s] the height of the camera to gain
 the same views as the players" (§6).  :func:`find_foothold` is that query:
 drop a vertical ray onto the terrain to find where a player stands, and
-derive the camera (eye) elevation from it.  Sphere intersection supports
-visibility tests in the renderer.
+derive the camera (eye) elevation from it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .vec import Vec2, Vec3
 
 HeightField = Callable[[Vec2], float]
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A ray with origin and (not necessarily unit) direction."""
-
-    origin: Vec3
-    direction: Vec3
-
-    def at(self, t: float) -> Vec3:
-        """Point at parameter ``t`` along the ray."""
-        return self.origin + self.direction * t
 
 
 def find_foothold(terrain: HeightField, position: Vec2) -> Vec3:
@@ -49,65 +34,3 @@ def camera_height(terrain: HeightField, position: Vec2, eye_height: float) -> fl
     if eye_height < 0:
         raise ValueError("eye_height must be non-negative")
     return find_foothold(terrain, position).z + eye_height
-
-
-def intersect_sphere(ray: Ray, center: Vec3, radius: float) -> Optional[float]:
-    """Smallest non-negative ray parameter hitting the sphere, else None."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    oc = ray.origin - center
-    a = ray.direction.norm_sq()
-    if a == 0.0:
-        return None
-    b = 2.0 * oc.dot(ray.direction)
-    c = oc.norm_sq() - radius * radius
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return None
-    sqrt_disc = math.sqrt(disc)
-    t0 = (-b - sqrt_disc) / (2 * a)
-    t1 = (-b + sqrt_disc) / (2 * a)
-    if t0 >= 0:
-        return t0
-    if t1 >= 0:
-        return t1
-    return None
-
-
-def march_heightfield(
-    terrain: HeightField,
-    ray: Ray,
-    max_distance: float,
-    step: float = 0.25,
-) -> Optional[Vec3]:
-    """First point where a ray passes below the terrain surface, by marching.
-
-    Used for line-of-sight style queries over rolling terrain.  Refines the
-    crossing with one bisection pass for sub-step accuracy.
-    """
-    if step <= 0 or max_distance <= 0:
-        raise ValueError("step and max_distance must be positive")
-    dir_norm = ray.direction.norm()
-    if dir_norm == 0.0:
-        return None
-    unit = ray.direction / dir_norm
-
-    prev_t = 0.0
-    prev_above = ray.origin.z - terrain(ray.origin.ground()) >= 0
-    t = step
-    while t <= max_distance:
-        p = ray.origin + unit * t
-        above = p.z - terrain(p.ground()) >= 0
-        if prev_above and not above:
-            lo, hi = prev_t, t
-            for _ in range(16):
-                mid = (lo + hi) / 2.0
-                pm = ray.origin + unit * mid
-                if pm.z - terrain(pm.ground()) >= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return ray.origin + unit * ((lo + hi) / 2.0)
-        prev_t, prev_above = t, above
-        t += step
-    return None

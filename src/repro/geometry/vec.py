@@ -44,10 +44,6 @@ class Vec2:
         yield self.x
         yield self.y
 
-    def dot(self, other: "Vec2") -> float:
-        """Dot product."""
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Vec2") -> float:
         """Z component of the 3D cross product (signed parallelogram area)."""
         return self.x * other.y - self.y * other.x
@@ -63,13 +59,6 @@ class Vec2:
     def distance_to(self, other: "Vec2") -> float:
         """Euclidean distance to another point."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def normalized(self) -> "Vec2":
-        """Unit vector in this direction."""
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize a zero vector")
-        return Vec2(self.x / n, self.y / n)
 
     def lerp(self, other: "Vec2", t: float) -> "Vec2":
         """Linear interpolation: self at t=0, other at t=1."""
@@ -127,10 +116,6 @@ class Vec3:
         yield self.y
         yield self.z
 
-    def dot(self, other: "Vec3") -> float:
-        """Dot product."""
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def cross(self, other: "Vec3") -> "Vec3":
         """Right-handed cross product."""
         return Vec3(
@@ -151,13 +136,6 @@ class Vec3:
         """Euclidean distance to another point."""
         return (self - other).norm()
 
-    def normalized(self) -> "Vec3":
-        """Unit vector in this direction."""
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize a zero vector")
-        return self / n
-
     def lerp(self, other: "Vec3", t: float) -> "Vec3":
         """Linear interpolation: self at t=0, other at t=1."""
         return Vec3(
@@ -173,10 +151,6 @@ class Vec3:
     def as_tuple(self) -> Tuple[float, float, float]:
         """Plain-tuple form (hashable key)."""
         return (self.x, self.y, self.z)
-
-    @staticmethod
-    def from_ground(point: Vec2, z: float = 0.0) -> "Vec3":
-        return Vec3(point.x, point.y, z)
 
     @staticmethod
     def zero() -> "Vec3":

@@ -16,12 +16,10 @@ from .qoe import (
     trace_jumps,
 )
 from .stats import (
-    cdf_points,
     histogram,
     mean,
     percentile,
     percentiles,
-    running_average,
     tail_summary,
 )
 from .thermal import PIXEL2_THERMAL_LIMIT_C, ThermalModel
@@ -43,7 +41,6 @@ __all__ = [
     "TARGET_FRAME_MS",
     "ThermalModel",
     "UserStudyResult",
-    "cdf_points",
     "histogram",
     "mean",
     "mos_for_jump",
@@ -51,7 +48,6 @@ __all__ = [
     "percentiles",
     "run_user_study",
     "build_timeline",
-    "running_average",
     "tail_summary",
     "trace_jumps",
 ]

@@ -2,7 +2,7 @@
 
 Edge-case contract: every aggregate in this module (:func:`mean`,
 :func:`percentile`, :func:`percentiles`, :func:`tail_summary`,
-:func:`cdf_points`, :func:`histogram`) raises ``ValueError`` with the
+:func:`histogram`) raises ``ValueError`` with the
 message ``"<fn>: empty input sequence"`` when given no values — there
 is no NaN/sentinel path, so a silently empty series can never masquerade
 as a zero in a report.  Emptiness is tested with ``len()``, which works
@@ -59,28 +59,6 @@ def tail_summary(values: Sequence[float]) -> Tuple[float, float, float]:
     _require_nonempty(values, "tail_summary")
     p50, p95, p99 = percentiles(values, (50.0, 95.0, 99.0))
     return p50, p95, p99
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, fraction<=value) pairs, for plotting."""
-    _require_nonempty(values, "cdf_points")
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
-def running_average(values: Sequence[float], window: int) -> List[float]:
-    """Trailing-window moving average (shorter prefix windows included)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    out = []
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc += v
-        if i >= window:
-            acc -= values[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
 
 
 def histogram(values: Sequence[float], edges: Sequence[float]) -> List[int]:

@@ -44,7 +44,3 @@ class ThermalModel:
         alpha = 1.0 - math.exp(-dt_s / self.tau_s)
         self.temperature_c += (target - self.temperature_c) * alpha
         return self.temperature_c
-
-    def throttled(self, limit_c: float = PIXEL2_THERMAL_LIMIT_C) -> bool:
-        """Whether the SoC has reached the throttle trigger."""
-        return self.temperature_c >= limit_c

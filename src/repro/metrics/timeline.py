@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .power import BATTERY_WH, PowerModel
-from .thermal import PIXEL2_THERMAL_LIMIT_C, ThermalModel
+from .thermal import ThermalModel
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,6 @@ class ResourceTimeline:
     @property
     def mean_power_w(self) -> float:
         return sum(p.power_w for p in self.points) / len(self.points)
-
-    def ever_throttled(self, limit_c: float = PIXEL2_THERMAL_LIMIT_C) -> bool:
-        """Whether the SoC crossed the throttle trigger at any point."""
-        return self.peak_temperature_c >= limit_c
-
-    def battery_exhausted(self) -> bool:
-        """Whether the battery ran flat before the session ended."""
-        return self.points[-1].battery_fraction <= 0.0
 
 
 def build_timeline(

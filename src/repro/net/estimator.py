@@ -1,25 +1,17 @@
-"""Per-client delivery-rate and queueing-delay estimation.
+"""Per-client delivery-rate estimation.
 
 The adaptation layer (``repro.adapt``) needs to know, per client, how
-fast the shared medium is actually delivering bytes *right now* and how
-much of each transfer's latency is queueing rather than service.  This
+fast the shared medium is actually delivering bytes *right now*.  This
 module provides that signal: a :class:`RateEstimator` fed with completed
 :class:`~repro.net.link.WifiLink` transfers (the system loops call
 :meth:`RateEstimator.observe` with the size and measured duration of
 every finished fetch).
 
-Two mechanisms, both standard in delay-based congestion control:
-
-* **EWMA delivery rate** — each completed transfer yields one
-  instantaneous rate sample (``bits / duration``); an exponentially
-  weighted moving average smooths the processor-sharing medium's
-  per-transfer contention noise while still tracking sustained rate
-  changes within a few transfers.
-* **Windowed min unit-delay** — the per-megabit service time of each
-  transfer enters a sliding time window; the window *minimum* is the
-  uncongested baseline (BBR's min-RTT idea applied to unit service
-  time), and the excess of the smoothed unit delay over that baseline is
-  the queueing-delay estimate.
+Each completed transfer yields one instantaneous rate sample
+(``bits / duration``) and one per-megabit service time; exponentially
+weighted moving averages of both smooth the processor-sharing medium's
+per-transfer contention noise while still tracking sustained rate
+changes within a few transfers.
 
 Determinism: the estimator is pure arithmetic over the observation
 stream — no wall clock, no RNG.  Identical observation sequences produce
@@ -29,40 +21,34 @@ bit-identical estimate streams (property-tested), which is what lets a
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 MBIT = 1_000_000.0
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the per-client rate/delay estimator."""
+    """Knobs of the per-client rate estimator."""
 
     ewma_alpha: float = 0.3  # weight of the newest rate sample
-    min_window_ms: float = 3000.0  # sliding window for the min unit-delay
     warmup_samples: int = 2  # observations before estimates are served
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.min_window_ms <= 0:
-            raise ValueError("min_window_ms must be positive")
         if self.warmup_samples < 1:
             raise ValueError("warmup_samples must be >= 1")
 
 
 class RateEstimator:
-    """EWMA delivery rate plus windowed-min queueing delay for one client."""
+    """EWMA delivery rate and unit delay for one client."""
 
     def __init__(self, config: Optional[EstimatorConfig] = None) -> None:
         self.config = config or EstimatorConfig()
         self.samples = 0
         self._rate_mbps: Optional[float] = None
         self._unit_ms: Optional[float] = None  # smoothed ms per megabit
-        # (observed_at_ms, unit_ms) pairs inside the sliding window.
-        self._window: Deque[Tuple[float, float]] = deque()
         self._last_observed_ms: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -94,10 +80,6 @@ class RateEstimator:
         else:
             self._rate_mbps += alpha * (rate_mbps - self._rate_mbps)
             self._unit_ms += alpha * (unit_ms - self._unit_ms)
-        self._window.append((now_ms, unit_ms))
-        horizon = now_ms - self.config.min_window_ms
-        while self._window and self._window[0][0] < horizon:
-            self._window.popleft()
         self.samples += 1
 
     # ------------------------------------------------------------------
@@ -115,34 +97,13 @@ class RateEstimator:
             return None
         return self._rate_mbps
 
-    def min_unit_ms(self) -> Optional[float]:
-        """Windowed minimum service time per megabit (the clean baseline)."""
-        if not self._window:
-            return None
-        return min(unit for _, unit in self._window)
-
-    def queueing_delay_ms(self, size_bytes: float) -> Optional[float]:
-        """Estimated queueing excess for a transfer of ``size_bytes``.
-
-        The smoothed unit delay minus the windowed-min baseline, scaled to
-        the transfer size: zero on an uncontended link, growing as the
-        medium saturates.
-        """
-        if not self.warmed_up:
-            return None
-        baseline = self.min_unit_ms()
-        if baseline is None:
-            return None
-        megabits = size_bytes * 8.0 / MBIT
-        return max(0.0, (self._unit_ms - baseline) * megabits)
-
     def predict_transfer_ms(self, size_bytes: float) -> Optional[float]:
         """Expected latency of a ``size_bytes`` transfer issued now.
 
-        Smoothed unit delay times the transfer size — queueing excess is
-        already folded into the smoothed unit delay, so this is the
-        straightforward "at the rate and contention I have been seeing"
-        forecast the drop/ladder policies act on.  None before warm-up.
+        Smoothed unit delay times the transfer size — queueing is folded
+        into the smoothed unit delay, so this is the straightforward "at
+        the rate and contention I have been seeing" forecast the
+        drop/ladder policies act on.  None before warm-up.
         """
         if not self.warmed_up or size_bytes <= 0:
             return None

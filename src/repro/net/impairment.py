@@ -118,31 +118,6 @@ class RateTrace:
             return 1.0  # before the trace starts: nominal capacity
         return self.segments[index][1]
 
-    @property
-    def min_factor(self) -> float:
-        """Deepest capacity reduction anywhere in the trace."""
-        return min(factor for _, factor in self.segments)
-
-    def episodes(self, threshold: float = 0.999) -> Tuple[Tuple[float, float], ...]:
-        """Degraded intervals ``(start_ms, end_ms)`` where factor < threshold.
-
-        The last episode's end is the final segment boundary (an open-ended
-        degraded tail reports its start segment's start as both edges of
-        knowledge — callers treat ``end_ms == inf``).  Used by benchmarks
-        to measure recovery time after each trace episode.
-        """
-        episodes = []
-        open_start: Optional[float] = None
-        for start_ms, factor in self.segments:
-            if factor < threshold and open_start is None:
-                open_start = start_ms
-            elif factor >= threshold and open_start is not None:
-                episodes.append((open_start, start_ms))
-                open_start = None
-        if open_start is not None:
-            episodes.append((open_start, float("inf")))
-        return tuple(episodes)
-
     # ------------------------------------------------------------------
     # Construction: trace files and named synthetic generators
     # ------------------------------------------------------------------
@@ -346,16 +321,6 @@ class ImpairmentConfig:
             dips=dips,
         )
 
-    @property
-    def is_identity(self) -> bool:
-        """True when the config perturbs nothing (clean-link equivalent)."""
-        return (
-            self.loss_rate == 0.0
-            and self.jitter_median_ms == 0.0
-            and not self.dips
-            and self.rate_trace is None
-        )
-
 
 @dataclass(frozen=True)
 class TransferImpairment:
@@ -377,13 +342,6 @@ class ImpairmentStats:
     bursts: int = 0
     extra_latency_ms: float = 0.0
     dip_transfers: int = 0
-
-    @property
-    def observed_loss_rate(self) -> float:
-        """Fraction of segments the chain actually dropped."""
-        if self.segments == 0:
-            return 0.0
-        return self.lost_segments / self.segments
 
 
 class LinkImpairment:

@@ -214,10 +214,6 @@ class WifiLink:
     # Accounting
     # ------------------------------------------------------------------
 
-    @property
-    def active_transfers(self) -> int:
-        return self._medium.active_flows
-
     def bytes_for(self, tag: str) -> float:
         """Total bytes recorded under a traffic tag."""
         return self._tag_bytes.get(tag, 0.0)

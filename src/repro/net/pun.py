@@ -43,6 +43,23 @@ class PunConfig:
             raise ValueError("latencies must be non-negative")
 
 
+def fi_sync_kbps(n_players: int, config: PunConfig = PunConfig()) -> float:
+    """Closed-form FI sync bandwidth for an ``n_players`` roster (Table 9).
+
+    Heartbeats only for a lone player, ``n`` uploads plus ``n*(n-1)``
+    fanout downloads per tick otherwise.
+    """
+    if n_players <= 0:
+        return 0.0
+    if n_players == 1:
+        return config.heartbeat_bytes * 8 * config.heartbeat_hz / 1000.0
+    per_tick = (
+        n_players * config.state_bytes
+        + n_players * (n_players - 1) * config.state_bytes
+    )
+    return per_tick * 8 * config.send_rate_hz / 1000.0
+
+
 class PunChannel:
     """FI sync channel shared by the players of one game session."""
 
@@ -132,9 +149,4 @@ class PunChannel:
         to the live roster.
         """
         n = self.n_players if n_players is None else n_players
-        if n <= 0:
-            return 0.0
-        if n == 1:
-            return self.config.heartbeat_bytes * 8 * self.config.heartbeat_hz / 1000.0
-        per_tick = n * self.config.state_bytes + n * (n - 1) * self.config.state_bytes
-        return per_tick * 8 * self.config.send_rate_hz / 1000.0
+        return fi_sync_kbps(n, self.config)

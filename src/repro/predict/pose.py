@@ -94,11 +94,6 @@ class PosePrediction:
     heading: float
     confidence_m: float
 
-    @property
-    def confident(self) -> bool:
-        """Whether the radius is finite (some error history exists)."""
-        return math.isfinite(self.confidence_m)
-
 
 class PosePredictor:
     """Per-player pose forecaster with calibrated confidence.
@@ -178,11 +173,3 @@ class PosePredictor:
             heading=heading,
             confidence_m=radius,
         )
-
-    @property
-    def misprediction_rate(self) -> float:
-        """Fraction of scored forecasts whose error exceeded their radius."""
-        scored = self.predictions - len(self._outstanding)
-        if scored <= 0:
-            return 0.0
-        return self.mispredictions / scored

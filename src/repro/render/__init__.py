@@ -4,7 +4,6 @@ from .framebuffer import (
     cell_noise,
     clip_frame,
     fractal_noise,
-    frames_equal,
     hash01,
     new_frame,
     value_noise,
@@ -26,7 +25,6 @@ from .splitter import (
     render_near_be,
     render_whole_be,
 )
-from .stereo import DEFAULT_IPD_M, StereoConfig, side_by_side, stereo_views
 from .timing import GTX1080TI, PIXEL2, DeviceProfile, RenderCostModel
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "empty_layer",
     "eye_at",
     "fractal_noise",
-    "frames_equal",
     "hash01",
     "merge_layers",
     "new_frame",
@@ -53,9 +50,5 @@ __all__ = [
     "render_fi",
     "render_near_be",
     "render_whole_be",
-    "side_by_side",
-    "stereo_views",
     "value_noise",
-    "DEFAULT_IPD_M",
-    "StereoConfig",
 ]

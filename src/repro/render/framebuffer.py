@@ -109,12 +109,3 @@ def clip_frame(frame: np.ndarray) -> np.ndarray:
     """Clamp a frame into [0, 1] in place and return it."""
     np.clip(frame, 0.0, 1.0, out=frame)
     return frame
-
-
-def frames_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 0.0) -> bool:
-    """Exact (or tolerance-bounded) frame equality."""
-    if a.shape != b.shape:
-        return False
-    if tolerance == 0.0:
-        return bool(np.array_equal(a, b))
-    return bool(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))) <= tolerance)

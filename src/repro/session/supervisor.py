@@ -251,10 +251,6 @@ class SessionSupervisor:
         """Slots currently ACTIVE (Constraint 2's roster)."""
         return [s for s in range(self.total_slots) if self._states[s] == ACTIVE]
 
-    def room_size(self) -> int:
-        """Players currently in the PUN room (ACTIVE or suspected)."""
-        return sum(self._in_room)
-
     def _constraint_roster(self) -> List[int]:
         """Slots whose traffic the admission arithmetic must count:
         everyone in the room plus anyone already warming up."""

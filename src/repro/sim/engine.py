@@ -226,10 +226,6 @@ class Simulator:
                     cat="sim", args={"dispatched": dispatched},
                 )
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
 
 def any_of(sim: Simulator, events: List[Event]) -> Event:
     """An event that fires as soon as the *first* event in ``events`` fires.

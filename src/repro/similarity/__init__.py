@@ -10,7 +10,6 @@ from .ssim import (
     SSIM_GOOD,
     CandidateMoments,
     SsimReference,
-    is_similar,
     prepare_reference,
     ssim,
     ssim_many,
@@ -30,7 +29,6 @@ __all__ = [
     "adjacent_similarities",
     "best_case_similarities",
     "fraction_above",
-    "is_similar",
     "prepare_reference",
     "similarity_cdf",
     "ssim",

@@ -438,12 +438,3 @@ def ssim_map(
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
     """Mean SSIM between two luminance frames (1.0 = identical)."""
     return float(ssim_map(a, b, data_range).mean())
-
-
-def is_similar(
-    a: np.ndarray, b: np.ndarray, threshold: float = SSIM_GOOD
-) -> bool:
-    """Whether two frames pass the paper's reuse-quality bar."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
-    return ssim(a, b) > threshold

@@ -67,7 +67,6 @@ DEFAULT_DIFF_RULES: Tuple[DiffRule, ...] = (
     DiffRule("cache_hit_ratio", LOW_BAD, tolerance_abs=0.05),
     DiffRule("cache_evictions", HIGH_BAD, tolerance_abs=2.0,
              tolerance_rel=0.10),
-    DiffRule("displayed_ssim", LOW_BAD, tolerance_abs=0.01),
     DiffRule("deadline_margin_ms", LOW_BAD, tolerance_abs=2.0),
     DiffRule("abr_crf", HIGH_BAD, tolerance_abs=3.0),
     DiffRule("abr_degraded", HIGH_BAD, tolerance_abs=0.25),

@@ -59,7 +59,6 @@ class SessionObserver:
             self._misses_total = hub.counter("deadline_misses_total")
             self._drops_total = hub.counter("frames_dropped_total")
             self._stales_total = hub.counter("stale_frames_total")
-            self._ssim_gauge = hub.gauge("displayed_ssim")
             pun = session.pun
             pun_gauge = hub.gauge("pun_players")
             hub.register_probe(lambda: pun_gauge.set(float(pun.n_players)))
@@ -167,8 +166,6 @@ class SessionObserver:
             self._drops_total.inc()
         if record.stale_age_ms is not None:
             self._stales_total.inc()
-        if record.displayed_ssim is not None:
-            self._ssim_gauge.set(record.displayed_ssim)
         if record.frame_bytes > 0:
             meter.net_hist.observe(record.net_delay_ms)
             meter.margin_gauge.set(session.prefetch_deadline_ms() - record.net_delay_ms)

@@ -1,8 +1,8 @@
 """Declarative SLOs with multi-window burn-rate alert evaluation.
 
 An :class:`SloSpec` states an objective over the metrics series — e.g.
-"deadline-miss rate ≤ 1% over a 2 s rolling window" or "displayed SSIM
-≥ 0.97" — and the :class:`SloEngine` evaluates it *post hoc* over a
+"deadline-miss rate ≤ 1% over a 2 s rolling window" or "p99 join
+latency ≤ 1500 ms" — and the :class:`SloEngine` evaluates it *post hoc* over a
 :attr:`~repro.telemetry.metrics.MetricsHub.series` map (or a parsed
 :class:`~repro.telemetry.metrics.MetricsDump`).  Evaluation is a pure
 function of the sampled series: replaying the same run produces the
@@ -17,13 +17,10 @@ means "burning budget ten times too fast".  Alerts use the classic
 on the rising edge only, so one sustained episode produces one alert per
 rule, not one per sample.
 
-Three objective kinds cover the session's signals:
+Two objective kinds cover the session's signals:
 
 * ``ratio`` — bad-event counter over total-event counter, windowed by
   counter deltas (deadline misses / frames);
-* ``value_min`` — a gauge whose windowed aggregate must stay **at or
-  above** ``bound`` (displayed SSIM); burn is the deficit over the
-  budget ``1 - bound`` (override with ``budget``);
 * ``value_max`` — a gauge whose windowed aggregate must stay **at or
   below** ``bound`` (join latency p99); burn is ``value / bound``.
 
@@ -73,12 +70,11 @@ class SloSpec:
     """One declarative service-level objective over the metrics series."""
 
     name: str
-    #: "ratio" (bad/total counters), "value_min", or "value_max" (gauge).
+    #: "ratio" (bad/total counters) or "value_max" (gauge).
     kind: str
-    #: Series name of the bad-event counter (ratio) or the gauge (value_*).
+    #: Series name of the bad-event counter (ratio) or the gauge (value_max).
     metric: str
-    #: The objective: max bad fraction (ratio), min value (value_min),
-    #: or max value (value_max).
+    #: The objective: max bad fraction (ratio) or max value (value_max).
     bound: float
     #: Series name of the total-event counter (ratio kind only).
     total: Optional[str] = None
@@ -86,13 +82,10 @@ class SloSpec:
     window_ms: float = 2000.0
     #: Aggregate gauge windows at this percentile instead of the mean.
     percentile: Optional[float] = None
-    #: Error budget for value_min burn (default ``1 - bound``, which
-    #: suits unit-interval metrics like SSIM).
-    budget: Optional[float] = None
     rules: Tuple[BurnRule, ...] = DEFAULT_BURN_RULES
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ratio", "value_min", "value_max"):
+        if self.kind not in ("ratio", "value_max"):
             raise ValueError(f"unknown SLO kind {self.kind!r}")
         if self.kind == "ratio" and not self.total:
             raise ValueError("ratio SLOs need a total counter series")
@@ -102,8 +95,6 @@ class SloSpec:
             raise ValueError("window_ms must be positive")
         if self.percentile is not None and not 0 <= self.percentile <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -203,14 +194,6 @@ def default_slos() -> Tuple[SloSpec, ...]:
             bound=0.01,
             window_ms=2000.0,
         ),
-        # Visual-quality promise: windowed mean displayed SSIM >= 0.97.
-        SloSpec(
-            name="displayed_ssim",
-            kind="value_min",
-            metric="displayed_ssim",
-            bound=0.97,
-            window_ms=2000.0,
-        ),
         # Membership responsiveness: p99 join latency <= 1500 ms over a
         # 5 s window (PUN room join plus supervisor admission).
         SloSpec(
@@ -278,11 +261,6 @@ class SloEngine:
             aggregate = _percentile(values, spec.percentile)
         else:
             aggregate = sum(values) / len(values)
-        if spec.kind == "value_min":
-            budget = spec.budget
-            if budget is None:
-                budget = max(1e-9, 1.0 - spec.bound)
-            return max(0.0, spec.bound - aggregate) / budget
         return aggregate / spec.bound  # value_max
 
     # ------------------------------------------------------------------

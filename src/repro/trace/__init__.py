@@ -1,8 +1,6 @@
-"""Player traces: movement, head pose, FI events, record/replay."""
+"""Player traces: movement, FI avatars, record/replay."""
 
-from .analysis import TraceStats, analyze_trace, path_overlap, prefetch_demand_hz
-from .fi import FiEvent, avatars_at, generate_fi_events
-from .headpose import HeadPose, HeadPoseModel, head_poses_for
+from .fi import avatars_at
 from .movement import (
     FRAME_MS,
     TrackFollower,
@@ -16,28 +14,18 @@ from .recorder import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from .trajectory import Trajectory, TrajectorySample, proximity_stats
+from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
     "FRAME_MS",
-    "FiEvent",
-    "HeadPose",
-    "HeadPoseModel",
-    "TraceStats",
     "TrackFollower",
     "Trajectory",
     "TrajectorySample",
     "WaypointRoamer",
-    "analyze_trace",
     "avatars_at",
-    "generate_fi_events",
     "generate_party",
     "generate_trajectory",
-    "head_poses_for",
     "load_traces",
-    "path_overlap",
-    "prefetch_demand_hz",
-    "proximity_stats",
     "save_traces",
     "trajectory_from_dict",
     "trajectory_to_dict",

@@ -9,10 +9,7 @@ budget is the game's ``fi_triangles``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 from ..geometry import Vec2, Vec3
 from ..world.games import GameWorld
@@ -20,15 +17,6 @@ from ..world.objects import SceneObject
 
 # Reserved id space so FI objects never collide with scene object ids.
 _FI_ID_BASE = 10_000_000
-
-
-@dataclass(frozen=True)
-class FiEvent:
-    """A transient foreground action (shot fired, ball hit, horn...)."""
-
-    t_ms: float
-    player_id: int
-    kind: str
 
 
 def avatars_at(
@@ -61,26 +49,3 @@ def avatars_at(
             )
         )
     return avatars
-
-
-def generate_fi_events(
-    n_players: int, duration_s: float, seed: int, rate_hz: float = 0.8
-) -> List[FiEvent]:
-    """A Poisson stream of controller actions per player.
-
-    Rate defaults to roughly one action per player per 1.25 s — the
-    shooting/hitting cadence of the study games.
-    """
-    if n_players < 1 or duration_s <= 0 or rate_hz <= 0:
-        raise ValueError("invalid FI event parameters")
-    rng = np.random.default_rng(seed)
-    events: List[FiEvent] = []
-    for player_id in range(n_players):
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1000.0 / rate_hz))
-            if t >= duration_s * 1000.0:
-                break
-            events.append(FiEvent(t_ms=t, player_id=player_id, kind="action"))
-    events.sort(key=lambda e: e.t_ms)
-    return events

@@ -4,8 +4,7 @@ Every similarity study in the paper starts from a recorded trajectory
 ("we record the player trajectory in the virtual world during game play",
 §4.1), and the caching experiments replay them (§4.6, §7.4).  A
 :class:`Trajectory` is an immutable sequence of timestamped samples with
-the derived views the experiments need: grid-point sequences, distance
-subsampling, and proximity statistics between two players.
+the grid-point view the experiments need.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ class Trajectory:
         """Ground positions of every sample, in order."""
         return [s.position for s in self.samples]
 
-    def path_length(self) -> float:
-        """Total ground distance travelled."""
-        positions = self.positions()
-        return sum(a.distance_to(b) for a, b in zip(positions, positions[1:]))
-
     # ------------------------------------------------------------------
     # Grid views
     # ------------------------------------------------------------------
@@ -67,52 +61,3 @@ class Trajectory:
     def grid_points(self, grid: WorldGrid) -> List[GridPoint]:
         """The grid point under each sample (with repeats)."""
         return [grid.snap(s.position) for s in self.samples]
-
-    def distinct_grid_points(self, grid: WorldGrid) -> List[GridPoint]:
-        """Grid points visited, consecutive duplicates collapsed.
-
-        This is the sequence of BE-frame viewpoints: a new panoramic frame
-        is needed each time the player crosses to a new grid point.
-        """
-        points: List[GridPoint] = []
-        for sample in self.samples:
-            gp = grid.snap(sample.position)
-            if not points or points[-1] != gp:
-                points.append(gp)
-        return points
-
-    # ------------------------------------------------------------------
-    # Subsampling
-    # ------------------------------------------------------------------
-
-    def subsample_by_distance(self, min_spacing: float) -> "Trajectory":
-        """Keep samples at least ``min_spacing`` metres apart (plus the
-        first), preserving order — used to bound offline rendering work."""
-        if min_spacing <= 0:
-            raise ValueError("min_spacing must be positive")
-        kept = [self.samples[0]]
-        for sample in self.samples[1:]:
-            if sample.position.distance_to(kept[-1].position) >= min_spacing:
-                kept.append(sample)
-        return Trajectory(kept, player_id=self.player_id)
-
-    def every_nth(self, n: int) -> "Trajectory":
-        """Keep every n-th sample (plus the first)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return Trajectory(self.samples[::n], player_id=self.player_id)
-
-
-def proximity_stats(a: Trajectory, b: Trajectory) -> Tuple[float, float]:
-    """(mean, max) distance between two players sampled index-aligned.
-
-    Quantifies the multiplayer movement proximity the paper observes for
-    outdoor group games (§4.1).
-    """
-    n = min(len(a), len(b))
-    if n == 0:
-        raise ValueError("empty trajectories")
-    distances = [
-        a[i].position.distance_to(b[i].position) for i in range(n)
-    ]
-    return sum(distances) / n, max(distances)

@@ -69,12 +69,6 @@ class SceneObject:
         """
         return self.ground_position.distance_to(point)
 
-    def is_near(self, viewpoint: Vec2, cutoff_radius: float) -> bool:
-        """Near-BE membership under a given cutoff radius."""
-        if cutoff_radius < 0:
-            raise ValueError("cutoff_radius must be non-negative")
-        return self.ground_distance_to(viewpoint) <= cutoff_radius
-
 
 def make_object(
     object_id: int,

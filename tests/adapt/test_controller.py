@@ -219,24 +219,6 @@ class TestAccounting:
         ctl.on_frame(300.0)  # recovered at t=300
         assert ctl.degraded_ms(1000.0) == pytest.approx(200.0)
 
-    def test_recovery_after_ms(self):
-        ctl = controller(dwell_ms=0.0)
-        feed_rate(ctl, 0.0, 5.0, n=3)
-        ctl.on_frame(100.0)  # degraded before the episode ends at 250
-        feed_rate(ctl, 150.0, 2000.0, n=15)
-        ctl.on_frame(400.0)  # back at base 150 ms after the episode end
-        assert ctl.recovery_after_ms(250.0) == pytest.approx(150.0)
-
-    def test_recovery_none_when_never_recovered(self):
-        ctl = controller(dwell_ms=0.0)
-        feed_rate(ctl, 0.0, 5.0, n=3)
-        ctl.on_frame(100.0)
-        assert ctl.recovery_after_ms(250.0) is None
-
-    def test_recovery_zero_when_never_degraded(self):
-        ctl = controller()
-        assert ctl.recovery_after_ms(250.0) == 0.0
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError, match="deadline_ms"):
             AbrController(AbrConfig(), 0, base_crf=23.0, deadline_ms=0.0,

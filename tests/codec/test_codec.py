@@ -172,12 +172,6 @@ class TestFrameCodec:
         with pytest.raises(ValueError):
             enc.wire_bytes(0)
 
-    def test_bits_per_pixel(self):
-        enc = FrameCodec().encode(textured_frame(7))
-        assert enc.bits_per_pixel == pytest.approx(
-            8 * enc.luma_bytes / (64 * 128)
-        )
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=500))
     def test_roundtrip_never_explodes(self, seed):

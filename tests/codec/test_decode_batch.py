@@ -5,12 +5,7 @@ import pytest
 
 from repro import perf
 from repro.codec import FrameCodec, quant_matrix
-from repro.codec.blocks import (
-    join_blocks,
-    join_blocks_stack,
-    split_blocks,
-    split_blocks_stack,
-)
+from repro.codec.blocks import join_blocks, join_blocks_stack, split_blocks
 
 
 def textured_frame(seed, shape=(32, 64)):
@@ -63,20 +58,12 @@ class TestDecodeBatch:
 
 
 class TestStackBlockHelpers:
-    def test_split_stack_matches_per_frame(self):
-        frames = np.stack(
-            [textured_frame(s, (24, 40)).astype(np.float64) for s in range(3)]
-        )
-        stacked = split_blocks_stack(frames)
-        for row in range(frames.shape[0]):
-            np.testing.assert_array_equal(stacked[row], split_blocks(frames[row]))
-
     def test_join_stack_roundtrip_and_out(self):
         shape = (24, 40)
         frames = np.stack(
             [textured_frame(s, shape).astype(np.float64) for s in range(3)]
         )
-        blocks = split_blocks_stack(frames)
+        blocks = np.stack([split_blocks(frame) for frame in frames])
         joined = join_blocks_stack(blocks, shape)
         np.testing.assert_array_equal(joined, frames)
         out = np.empty_like(joined)

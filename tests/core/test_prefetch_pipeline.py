@@ -16,7 +16,6 @@ from repro.core import (
     frame_interval_ms,
     layer_from_decoded,
     preprocess_game,
-    switch_discontinuities,
 )
 from repro.core.dist_thresh import DistThreshMap
 from repro.core.preprocess import FrameSizeModel
@@ -108,14 +107,12 @@ class TestPipeline:
         )
         # render path = 1.5 + 2 + 8 = 11.5 dominates
         assert t.split_render_ms() == pytest.approx(11.5 + 1.2)
-        assert t.bottleneck() == "render"
 
     def test_network_bound_interval(self):
         t = PipelineTimings(
             render_fi_ms=2.0, render_near_be_ms=4.0, decode_ms=7.9,
             prefetch_ms=18.5, sync_ms=2.5, merge_ms=1.2,
         )
-        assert t.bottleneck() == "prefetch"
         assert t.split_render_ms() == pytest.approx(19.7)
 
     def test_vsync_quantization(self):
@@ -155,16 +152,6 @@ class TestMerger:
         assert np.all(out[~near.mask] == 0.0)
         if near.mask.any():
             assert np.array_equal(out[near.mask], near.image[near.mask])
-
-    def test_switch_discontinuities_identity_runs(self):
-        a = np.random.default_rng(1).random((32, 64)).astype(np.float32)
-        b = np.clip(a + 0.01, 0, 1)
-        # a reused 3 times, then switch to b: exactly one switch measured.
-        values = switch_discontinuities([a, a, a, b, b])
-        assert len(values) == 1
-        assert values[0] > 0.9
-        with pytest.raises(ValueError):
-            switch_discontinuities([])
 
 
 class TestPanoramaStore:

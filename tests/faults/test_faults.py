@@ -135,16 +135,6 @@ class TestInjector:
         assert injector.outage_resume_ms(0, 150.0) == 400.0
         assert injector.outage_resume_ms(0, 399.0) == 400.0
 
-    def test_outage_count(self):
-        injector = FaultInjector(FaultSchedule(outages=(
-            ClientOutage(0.0, 1.0, player_id=0),
-            ClientOutage(0.0, 1.0, player_id=1),
-            ClientOutage(0.0, 1.0),
-        )))
-        assert injector.outage_count(0) == 2
-        assert injector.outage_count(1) == 2
-        assert injector.outage_count(5) == 1
-
 
 class TestOutageResumeProperties:
     """Property tests: the chase loop terminates and finds the true

@@ -171,3 +171,19 @@ class TestChurnValidation:
         # leave@3000... an explicit leave at an expanded instant collides.
         with pytest.raises(ValueError, match="duplicate"):
             ChurnSchedule.parse("flap@1000-3000:2~1000,leave@1000:2")
+
+    @pytest.mark.parametrize("entry,cause", [
+        ("leave@100:-1", "slot must be non-negative"),
+        ("join@-5", "time must be non-negative"),
+        ("crash@abc:1", "could not convert string to float: 'abc'"),
+        ("leave@100", "invalid literal for int() with base 10: ''"),
+        ("flap@500-100:1", "flap window must satisfy start < end"),
+        ("join@100:0", "join count must be >= 1"),
+        ("bogus@1", "unknown churn kind 'bogus'"),
+    ])
+    def test_bad_entry_names_number_text_and_cause(self, entry, cause):
+        with pytest.raises(ValueError) as info:
+            ChurnSchedule.parse(f"join@50,{entry}")
+        (line,) = str(info.value).splitlines()
+        assert line.startswith(f"churn spec entry 2 ({entry!r}): ")
+        assert cause in line

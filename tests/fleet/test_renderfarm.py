@@ -180,10 +180,8 @@ class TestAccounting:
         farm = make_farm(sim, gpu_slots=1, batch_max=1)
         for i in range(5):
             farm.submit(0, f"addr-{i}", deadline_ms=1000.0)
-        assert farm.queue_depth == 4  # one dispatched immediately
         sim.run()
-        assert farm.queue_depth == 0
-        assert farm.snapshot().queue_peak == 4
+        assert farm.snapshot().queue_peak == 4  # one dispatched immediately
 
     def test_empty_farm_snapshot(self):
         farm = make_farm(Simulator())

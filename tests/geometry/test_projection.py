@@ -1,22 +1,16 @@
-"""Tests for projection math (equirectangular mapping, angular sizes)."""
+"""Tests for projection math (equirectangular angles, angular sizes)."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    FovSpec,
     Vec3,
-    angles_to_direction,
-    angles_to_pixel,
     angular_displacement,
     angular_radius,
-    crop_fov,
     direction_to_angles,
-    pixel_to_angles,
 )
 
 
@@ -39,31 +33,11 @@ class TestAngles:
         st.floats(min_value=-math.pi / 2 + 0.01, max_value=math.pi / 2 - 0.01),
     )
     def test_angle_direction_roundtrip(self, az, el):
-        direction = angles_to_direction(az, el)
+        ce = math.cos(el)
+        direction = Vec3(ce * math.cos(az), ce * math.sin(az), math.sin(el))
         az2, el2 = direction_to_angles(direction)
         assert az2 == pytest.approx(az, abs=1e-9)
         assert el2 == pytest.approx(el, abs=1e-9)
-
-
-class TestPixelMapping:
-    def test_forward_center_row(self):
-        u, v = angles_to_pixel(0.0, 0.0, 360, 180)
-        assert u == pytest.approx(0.0)
-        assert v == pytest.approx(90.0)
-
-    def test_zenith_top_row(self):
-        _, v = angles_to_pixel(0.0, math.pi / 2, 360, 180)
-        assert v == pytest.approx(0.0)
-
-    @given(
-        st.floats(min_value=0, max_value=359.0),
-        st.floats(min_value=1.0, max_value=179.0),
-    )
-    def test_pixel_roundtrip(self, u, v):
-        az, el = pixel_to_angles(u, v, 360, 180)
-        u2, v2 = angles_to_pixel(az, el, 360, 180)
-        assert u2 == pytest.approx(u, abs=1e-6)
-        assert v2 == pytest.approx(v, abs=1e-6)
 
 
 class TestAngularSize:
@@ -95,40 +69,3 @@ class TestAngularSize:
     )
     def test_angular_radius_monotone_in_distance(self, r, d):
         assert angular_radius(r, d) >= angular_radius(r, d * 2)
-
-
-class TestCropFov:
-    def _gradient_pano(self):
-        # Azimuth gradient: pixel value = column index.
-        pano = np.tile(np.arange(360, dtype=np.float64), (180, 1))
-        return pano
-
-    def test_output_shape(self):
-        pano = self._gradient_pano()
-        out = crop_fov(pano, yaw=0.0, pitch=0.0, fov=FovSpec(), out_width=64, out_height=48)
-        assert out.shape == (48, 64)
-
-    def test_yaw_shifts_view(self):
-        pano = self._gradient_pano()
-        fov = FovSpec()
-        front = crop_fov(pano, 0.0, 0.0, fov, 32, 32)
-        side = crop_fov(pano, math.pi / 2, 0.0, fov, 32, 32)
-        # Looking 90 degrees to the left reads columns ~90 later.
-        center_front = front[16, 16]
-        center_side = side[16, 16]
-        assert (center_side - center_front) % 360 == pytest.approx(90, abs=2)
-
-    def test_multichannel_passthrough(self):
-        pano = np.zeros((90, 180, 3))
-        pano[..., 1] = 7.0
-        out = crop_fov(pano, 0.0, 0.0, FovSpec(), 16, 16)
-        assert out.shape == (16, 16, 3)
-        assert np.all(out[..., 1] == 7.0)
-
-    def test_invalid_panorama_raises(self):
-        with pytest.raises(ValueError):
-            crop_fov(np.zeros(10), 0.0, 0.0, FovSpec(), 8, 8)
-
-    def test_invalid_fov_raises(self):
-        with pytest.raises(ValueError):
-            FovSpec(h_fov=0.0)

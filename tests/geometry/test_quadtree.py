@@ -103,5 +103,5 @@ class TestTraversal:
 
     def test_leaf_payloads(self):
         tree = QuadTree.build(Rect(0, 0, 8, 8), depth_policy(1))
-        payloads = tree.leaf_payloads()
+        payloads = [leaf.payload for leaf in tree.leaves()]
         assert payloads == [16.0] * 4

@@ -1,18 +1,10 @@
-"""Tests for ray queries (foothold finding, sphere intersection)."""
+"""Tests for ray queries (foothold finding, camera height)."""
 
 import math
 
 import pytest
 
-from repro.geometry import (
-    Ray,
-    Vec2,
-    Vec3,
-    camera_height,
-    find_foothold,
-    intersect_sphere,
-    march_heightfield,
-)
+from repro.geometry import Vec2, Vec3, camera_height, find_foothold
 
 
 def hilly(p: Vec2) -> float:
@@ -35,60 +27,3 @@ class TestFoothold:
     def test_negative_eye_height_raises(self):
         with pytest.raises(ValueError):
             camera_height(lambda p: 0.0, Vec2(0, 0), eye_height=-1)
-
-
-class TestSphereIntersection:
-    def test_direct_hit(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))
-        t = intersect_sphere(ray, Vec3(10, 0, 0), 1.0)
-        assert t == pytest.approx(9.0)
-
-    def test_miss(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))
-        assert intersect_sphere(ray, Vec3(10, 5, 0), 1.0) is None
-
-    def test_behind_origin(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))
-        assert intersect_sphere(ray, Vec3(-10, 0, 0), 1.0) is None
-
-    def test_origin_inside_sphere(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))
-        t = intersect_sphere(ray, Vec3(0, 0, 0), 2.0)
-        assert t == pytest.approx(2.0)
-
-    def test_zero_direction(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(0, 0, 0))
-        assert intersect_sphere(ray, Vec3(1, 0, 0), 0.5) is None
-
-    def test_negative_radius_raises(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))
-        with pytest.raises(ValueError):
-            intersect_sphere(ray, Vec3(1, 0, 0), -1.0)
-
-    def test_ray_at(self):
-        ray = Ray(Vec3(1, 2, 3), Vec3(1, 0, 0))
-        assert ray.at(4.0) == Vec3(5, 2, 3)
-
-
-class TestMarchHeightfield:
-    def test_downward_ray_hits_flat_ground(self):
-        ray = Ray(Vec3(0, 0, 10), Vec3(1, 0, -1))
-        hit = march_heightfield(lambda p: 0.0, ray, max_distance=30.0)
-        assert hit is not None
-        assert hit.z == pytest.approx(0.0, abs=1e-3)
-        assert hit.x == pytest.approx(10.0, abs=1e-3)
-
-    def test_horizontal_ray_over_flat_ground_misses(self):
-        ray = Ray(Vec3(0, 0, 5), Vec3(1, 0, 0))
-        assert march_heightfield(lambda p: 0.0, ray, max_distance=100.0) is None
-
-    def test_zero_direction_returns_none(self):
-        ray = Ray(Vec3(0, 0, 5), Vec3(0, 0, 0))
-        assert march_heightfield(lambda p: 0.0, ray, max_distance=10.0) is None
-
-    def test_bad_parameters_raise(self):
-        ray = Ray(Vec3(0, 0, 5), Vec3(1, 0, -1))
-        with pytest.raises(ValueError):
-            march_heightfield(lambda p: 0.0, ray, max_distance=0)
-        with pytest.raises(ValueError):
-            march_heightfield(lambda p: 0.0, ray, max_distance=5, step=0)

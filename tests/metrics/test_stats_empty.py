@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.metrics.stats import (
-    cdf_points,
     histogram,
     mean,
     percentile,
@@ -25,7 +24,6 @@ CASES = [
     ("percentile", lambda v: percentile(v, 50.0)),
     ("percentiles", lambda v: percentiles(v, (50.0, 95.0))),
     ("tail_summary", lambda v: tail_summary(v)),
-    ("cdf_points", lambda v: cdf_points(v)),
     ("histogram", lambda v: histogram(v, [0.0, 1.0])),
 ]
 

@@ -37,10 +37,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="ewma_alpha"):
             EstimatorConfig(ewma_alpha=alpha)
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="min_window_ms"):
-            EstimatorConfig(min_window_ms=0.0)
-
     def test_bad_warmup(self):
         with pytest.raises(ValueError, match="warmup_samples"):
             EstimatorConfig(warmup_samples=0)
@@ -53,7 +49,6 @@ class TestWarmupAndFeeding:
         assert not est.warmed_up
         assert est.rate_mbps() is None
         assert est.predict_transfer_ms(1_000_000) is None
-        assert est.queueing_delay_ms(1_000_000) is None
 
     def test_estimates_after_warmup(self):
         est = RateEstimator(EstimatorConfig(warmup_samples=3))
@@ -99,26 +94,6 @@ class TestEstimates:
         est = RateEstimator()
         observe_constant(est, 100.0, 5)
         assert est.predict_transfer_ms(1_000_000) == pytest.approx(80.0)
-
-    def test_queueing_delay_zero_on_clean_link(self):
-        est = RateEstimator()
-        observe_constant(est, 100.0, 5)
-        assert est.queueing_delay_ms(1_000_000) == pytest.approx(0.0)
-
-    def test_queueing_delay_positive_when_link_congests(self):
-        est = RateEstimator()
-        t = observe_constant(est, 100.0, 5)
-        # Same sizes suddenly take 3x as long: unit delay rises above the
-        # windowed-min baseline set by the clean phase.
-        observe_constant(est, 100.0 / 3.0, 5, start_ms=t)
-        assert est.queueing_delay_ms(1_000_000) > 0.0
-
-    def test_min_window_expires_old_baseline(self):
-        est = RateEstimator(EstimatorConfig(min_window_ms=500.0))
-        est.observe(0.0, 1_000_000, 40.0)  # fast sample
-        est.observe(2_000.0, 1_000_000, 120.0)  # much later, slower
-        # The fast sample left the 500 ms window: baseline is the slow one.
-        assert est.min_unit_ms() == pytest.approx(120.0 / 8.0)
 
 
 class TestConvergenceProperties:
@@ -185,7 +160,5 @@ class TestDeterminism:
             a.observe(t, size, duration_ms)
             b.observe(t, size, duration_ms)
             assert a.rate_mbps() == b.rate_mbps()
-            assert a.min_unit_ms() == b.min_unit_ms()
             assert a.predict_transfer_ms(size) == b.predict_transfer_ms(size)
-            assert a.queueing_delay_ms(size) == b.queueing_delay_ms(size)
         assert a.samples == b.samples

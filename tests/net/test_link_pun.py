@@ -57,7 +57,6 @@ class TestWifiLink:
         assert done.triggered  # completes immediately, pre-resolved
         assert done.value == 0.0
         assert link.bytes_for("be") == 0.0
-        assert link.active_transfers == 0
         sim.run_until(100.0)
         assert link.utilization(100.0) == 0.0
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.geometry import Vec2
 from repro.predict import (
-    PosePrediction,
     PosePredictor,
     PredictConfig,
     float_bits,
@@ -126,7 +125,6 @@ class TestPosePredictor:
         predictor.observe(forecast.t_ms, Vec2(50.0, 50.0), 0.0)
         assert predictor.mispredictions == 1
         assert predictor.confidence_m > before
-        assert predictor.misprediction_rate == 1.0
 
     def test_ewma_model_lags_a_sharp_turn(self):
         cv = PosePredictor(PredictConfig(model="cv"))
@@ -141,12 +139,6 @@ class TestPosePredictor:
         f_ewma = ewma.predict(6 * FRAME_MS)
         # cv chases the new velocity; ewma still carries the old heading.
         assert f_ewma.position.x > f_cv.position.x
-
-    def test_misprediction_rate_zero_before_scoring(self):
-        predictor = PosePredictor(PredictConfig())
-        t = feed_linear(predictor, 3)
-        predictor.predict(t)
-        assert predictor.misprediction_rate == 0.0
 
 
 class TestDigests:
@@ -184,11 +176,3 @@ class TestDigests:
         assert stored_frame_digest(Stored(100, Vec2(1.1, 2.0)), (3, 4)) != a
         assert stored_frame_digest(Stored(100, Vec2(1.0, 2.0)), (4, 3)) != a
         assert stored_frame_digest(Stored(100, Vec2(1.0, 2.0)), (3, 4)) == a
-
-
-class TestPosePredictionDataclass:
-    def test_confident_property(self):
-        finite = PosePrediction(0.0, Vec2(0, 0), 0.0, 1.0)
-        assert finite.confident
-        infinite = PosePrediction(0.0, Vec2(0, 0), 0.0, math.inf)
-        assert not infinite.confident

@@ -9,7 +9,6 @@ from repro.render import (
     cell_noise,
     clip_frame,
     fractal_noise,
-    frames_equal,
     hash01,
     new_frame,
     value_noise,
@@ -116,12 +115,3 @@ class TestFrameHelpers:
         out = clip_frame(f)
         assert np.array_equal(out, np.array([[0.0, 0.5, 1.0]], dtype=np.float32))
         assert out is f
-
-    def test_frames_equal(self):
-        a = new_frame(4, 4, 0.5)
-        b = new_frame(4, 4, 0.5)
-        assert frames_equal(a, b)
-        b[0, 0] = 0.6
-        assert not frames_equal(a, b)
-        assert frames_equal(a, b, tolerance=0.2)
-        assert not frames_equal(a, new_frame(8, 4))

@@ -43,7 +43,8 @@ class TestScheduling:
         sim.run_until(5.0)
         assert log == [1]
         assert sim.now == 5.0
-        assert sim.pending_events == 1
+        sim.run()
+        assert log == [1, 10]
 
     def test_run_until_past_raises(self):
         sim = Simulator()

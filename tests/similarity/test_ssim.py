@@ -10,7 +10,6 @@ from repro.similarity import (
     adjacent_similarities,
     best_case_similarities,
     fraction_above,
-    is_similar,
     prepare_reference,
     similarity_cdf,
     ssim,
@@ -156,20 +155,6 @@ class TestSsimMany:
         prepared = prepare_reference(noise_frame(0))
         with pytest.raises(ValueError):
             ssim_with(prepared, noise_frame(0, (16, 16)))
-
-
-class TestIsSimilar:
-    def test_threshold_behaviour(self):
-        f = noise_frame(1)
-        assert is_similar(f, f)
-        assert not is_similar(noise_frame(1), noise_frame(2))
-
-    def test_invalid_threshold(self):
-        f = noise_frame(0)
-        with pytest.raises(ValueError):
-            is_similar(f, f, threshold=0.0)
-        with pytest.raises(ValueError):
-            is_similar(f, f, threshold=1.5)
 
 
 class TestSequenceMetrics:

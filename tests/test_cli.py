@@ -112,6 +112,13 @@ class TestChurnCommands:
                      "--churn", "bogus@100"]) == 2
         assert "invalid --churn" in capsys.readouterr().err
 
+    def test_bad_churn_argument_names_the_entry(self, capsys):
+        assert main(["run", "coterie", "pool", "2",
+                     "--churn", "leave@100:-1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "churn spec entry 1 ('leave@100:-1')" in line
+        assert "slot must be non-negative" in line
+
     def test_churn_slot_outside_session_exits_2_before_running(self, capsys,
                                                                monkeypatch):
         def reached(*_args, **_kwargs):

@@ -63,15 +63,6 @@ class TestSceneObject:
         obj = self._obj(3.0, 4.0)
         assert obj.ground_distance_to(Vec2(0, 0)) == 5.0
 
-    def test_is_near_boundary_inclusive(self):
-        obj = self._obj(3.0, 4.0)
-        assert obj.is_near(Vec2(0, 0), 5.0)
-        assert not obj.is_near(Vec2(0, 0), 4.99)
-
-    def test_is_near_negative_cutoff_raises(self):
-        with pytest.raises(ValueError):
-            self._obj().is_near(Vec2(0, 0), -1.0)
-
     def test_invalid_radius_raises(self):
         with pytest.raises(ValueError):
             SceneObject(1, "tree", Vec3(0, 0, 0), -1.0, 100, 0.3, 0.4, 0)

@@ -37,7 +37,8 @@ def reference_distance(waypoints, closed, point):
         if ab_len_sq == 0:
             dist = point.distance_to(a)
         else:
-            t = max(0.0, min(1.0, (point - a).dot(ab) / ab_len_sq))
+            ap = point - a
+            t = max(0.0, min(1.0, (ap.x * ab.x + ap.y * ab.y) / ab_len_sq))
             dist = point.distance_to(a + ab * t)
         best = min(best, dist)
     return best
