@@ -43,7 +43,8 @@ def split_blocks(frame: np.ndarray) -> np.ndarray:
 def join_blocks_stack(
     blocks: np.ndarray, shape: Tuple[int, int], out: "np.ndarray | None" = None
 ) -> np.ndarray:
-    """Inverse of :func:`split_blocks_stack`, cropping each frame to ``shape``.
+    """Inverse of stacking :func:`split_blocks` per frame, cropping each
+    frame to ``shape``.
 
     ``out`` takes a preallocated ``(N, ny*8, nx*8)`` buffer;
     the returned array is then a cropped view into it.  Per-frame results

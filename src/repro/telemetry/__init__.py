@@ -1,7 +1,7 @@
 """Sim-time tracing and telemetry for the online simulation.
 
 (Named ``telemetry`` to avoid colliding with :mod:`repro.trace`, the
-head-pose trace package.)
+player-trace package.)
 
 Two sinks, each ``Optional`` wherever it is held — ``None`` is the only
 "telemetry off" — one seam that feeds them, and the tools that read them:

@@ -107,12 +107,14 @@ class TestPipeline:
         )
         # render path = 1.5 + 2 + 8 = 11.5 dominates
         assert t.split_render_ms() == pytest.approx(11.5 + 1.2)
+        assert t.render_ms > max(t.decode_ms, t.prefetch_ms, t.sync_ms)
 
     def test_network_bound_interval(self):
         t = PipelineTimings(
             render_fi_ms=2.0, render_near_be_ms=4.0, decode_ms=7.9,
             prefetch_ms=18.5, sync_ms=2.5, merge_ms=1.2,
         )
+        assert t.prefetch_ms > max(t.render_ms, t.decode_ms, t.sync_ms)
         assert t.split_render_ms() == pytest.approx(19.7)
 
     def test_vsync_quantization(self):

@@ -181,6 +181,8 @@ class TestAccounting:
         for i in range(5):
             farm.submit(0, f"addr-{i}", deadline_ms=1000.0)
         sim.run()
+        assert not farm._pending  # the backlog drained
+        assert farm.snapshot().renders == 5
         assert farm.snapshot().queue_peak == 4  # one dispatched immediately
 
     def test_empty_farm_snapshot(self):

@@ -57,6 +57,7 @@ class TestWifiLink:
         assert done.triggered  # completes immediately, pre-resolved
         assert done.value == 0.0
         assert link.bytes_for("be") == 0.0
+        assert link._medium.active_flows == 0
         sim.run_until(100.0)
         assert link.utilization(100.0) == 0.0
 

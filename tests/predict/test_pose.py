@@ -124,6 +124,9 @@ class TestPosePredictor:
         # Reality at the forecast's target time is a 50 m teleport away.
         predictor.observe(forecast.t_ms, Vec2(50.0, 50.0), 0.0)
         assert predictor.mispredictions == 1
+        # Every forecast scored so far missed its radius.
+        scored = predictor.predictions - len(predictor._outstanding)
+        assert scored == predictor.mispredictions
         assert predictor.confidence_m > before
 
     def test_ewma_model_lags_a_sharp_turn(self):

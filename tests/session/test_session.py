@@ -136,6 +136,7 @@ class TestFailureDetector:
         sup = self.run_with_silent_client()
         assert sup.state(1) == CRASHED
         assert sup.evictions == 1
+        assert sum(sup._in_room) == 1  # eviction freed the room slot
         assert sup.active_slots() == [0]
         assert not sup.poll(1)  # no silent rejoin
 

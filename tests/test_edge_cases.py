@@ -38,6 +38,10 @@ class TestTinyWorlds:
         grid = WorldGrid(Rect(0, 0, 0.01, 0.01), pitch=1.0)
         assert grid.total_points == 1
         assert grid.snap(Vec2(0.005, 0.005)) == (0, 0)
+        assert not any(
+            grid.in_range((di, dj))
+            for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
+        )
 
     def test_single_object_scene_queries(self):
         obj = SceneObject(0, "rock", Vec3(1, 1, 0.5), 0.5, 300, 0.4, 0.2, 0)

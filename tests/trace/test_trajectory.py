@@ -36,6 +36,7 @@ class TestTrajectory:
         assert len(t) == 10
         assert t.player_id == 3
         assert t.duration_ms == pytest.approx(9 * FRAME_MS)
+        assert path_length(t) == pytest.approx(9.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
