@@ -35,7 +35,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from harness import fmt, gated_bench, run_cost, table, write_bench
 
-from repro.adapt import AbrConfig
 from repro.net import TRACE_PROFILES, ImpairmentConfig, RateTrace
 from repro.systems import SessionConfig, prepare_artifacts, run_coterie
 from repro.world import load_game
@@ -115,13 +114,13 @@ def run_benchmark(smoke=False):
     replay_identical = True
     for name in TRACE_PROFILES:
         fixed = run_coterie(
-            world, PLAYERS, _config(name, duration_s, None), artifacts
+            world, PLAYERS, _config(name, duration_s, False), artifacts
         )
         adaptive = run_coterie(
-            world, PLAYERS, _config(name, duration_s, AbrConfig()), artifacts
+            world, PLAYERS, _config(name, duration_s, True), artifacts
         )
         replay = run_coterie(
-            world, PLAYERS, _config(name, duration_s, AbrConfig()), artifacts
+            world, PLAYERS, _config(name, duration_s, True), artifacts
         )
         replay_identical = replay_identical and (
             _metrics_key(adaptive) == _metrics_key(replay)
@@ -136,7 +135,7 @@ def run_benchmark(smoke=False):
             ),
         )
         for name in TRACE_PROFILES:
-            for variant, adapt in (("fixed", None), ("adaptive", AbrConfig())):
+            for variant, adapt in (("fixed", False), ("adaptive", True)):
                 result = run_coterie(
                     world, SSIM_PLAYERS,
                     _config(name, SSIM_DURATION_S, adapt, render=True),
@@ -212,7 +211,7 @@ def _record(m, checks):
          "mean CRF", "fixed SSIM", "adaptive SSIM"),
         rows,
         notes=f"{GAME}, {PLAYERS} players, {m['duration_s']:g}s per trace, "
-        f"seed {SEED}; adaptive = AbrConfig() defaults; SSIM leg "
+        f"seed {SEED}; adaptive = the repro.adapt.controller constants; SSIM leg "
         f"{'skipped (smoke)' if m['smoke'] else f'{SSIM_PLAYERS} players, {SSIM_DURATION_S:g}s, render_frames'}",
     ))
     return payload

@@ -33,7 +33,6 @@ from harness import fmt, gated_bench, run_cost, table, write_bench
 
 from repro.faults import FaultSchedule
 from repro.predict import PredictConfig
-from repro.session import SyncConfig
 from repro.systems import SessionConfig, prepare_artifacts, run_coterie
 from repro.world import load_game
 
@@ -55,7 +54,7 @@ SMOKE_CORRUPT_FAULTS = "speccorrupt@300-1500"
 FPS_TOLERANCE = 0.1
 
 
-def _run(world, artifacts, duration_s, predict=None, sync=None, faults=None):
+def _run(world, artifacts, duration_s, predict=None, sync=False, faults=None):
     """One coterie run with the given speculation/sync/fault config."""
     config = SessionConfig(
         duration_s=duration_s, seed=SEED,
@@ -92,7 +91,7 @@ def run_benchmark(smoke=False):
         )
         base = _run(world, artifacts, duration_s)
         spec = _run(world, artifacts, duration_s,
-                    predict=PredictConfig(), sync=SyncConfig())
+                    predict=PredictConfig(), sync=True)
         totals = _totals(spec)
         base_hit = base.mean_cache_hit_ratio
         spec_hit = spec.mean_cache_hit_ratio
@@ -115,7 +114,7 @@ def run_benchmark(smoke=False):
     )
     corrupt = _run(
         racing_world, racing_artifacts, duration_s,
-        predict=PredictConfig(), sync=SyncConfig(),
+        predict=PredictConfig(), sync=True,
         faults=FaultSchedule.parse(corrupt_spec),
     )
     corrupt_totals = _totals(corrupt)

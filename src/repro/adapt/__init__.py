@@ -1,6 +1,6 @@
 """Closed-loop adaptive streaming: rate estimation driving CRF ladder
 control, prefetch throttling, and app-layer frame dropping."""
 
-from .controller import AbrConfig, AbrController, crf_size_scale
+from .controller import AbrController, crf_size_scale
 
-__all__ = ["AbrConfig", "AbrController", "crf_size_scale"]
+__all__ = ["AbrController", "crf_size_scale"]

@@ -13,29 +13,28 @@ estimator's forecast of the *next* transfer's latency:
   is the hysteresis that prevents rung flapping on a noisy link.
 * **Prefetch throttling** — while degraded (any rung below the base
   quality) the prefetcher's dist-thresh acceptance band is widened by
-  ``prefetch_throttle``, so more cached candidates serve in place of
+  ``PREFETCH_THROTTLE``, so more cached candidates serve in place of
   fetches: the client trades a little spatial fidelity for offered load,
   exactly Coterie's frame-similarity lever.
 * **Frame dropping** — when even the forecast says a fetch cannot land
-  inside ``drop_margin`` deadlines, the transfer is not issued at all;
+  inside ``DROP_MARGIN`` deadlines, the transfer is not issued at all;
   the client charges a stale-frame fallback (the PR 2
   ``FrameCache.nearest`` path) and stays at cadence.  Drops are *chosen*
   degradation and are accounted separately from deadline misses (which
-  are reactive failures).  ``max_consecutive_drops`` bounds the run: a
+  are reactive failures).  ``MAX_CONSECUTIVE_DROPS`` bounds the run: a
   forced real fetch refreshes the estimator so a stale forecast cannot
   pin a client in drop mode after the link recovers.
 
-Determinism: decisions are pure functions of the observation stream and
-config — no RNG, no wall clock — so a (trace, seed, config) replay
-reproduces every step/drop bit-identically.
+Determinism: decisions are pure functions of the observation stream —
+no RNG, no wall clock — so a (trace, seed) replay reproduces every
+step/drop bit-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..net.estimator import EstimatorConfig, RateEstimator
+from ..net.estimator import RateEstimator
 
 if TYPE_CHECKING:
     from ..telemetry import SpanTracer
@@ -50,59 +49,25 @@ def crf_size_scale(crf: float, base_crf: float) -> float:
     return 2.0 ** (-(crf - base_crf) / CRF_SIZE_HALVING)
 
 
-@dataclass(frozen=True)
-class AbrConfig:
-    """Knobs of the per-client adaptation policy."""
-
-    #: Quality ladder as CRF rungs, best (lowest CRF) first after sorting.
-    #: The session's base CRF is inserted if absent, and the controller
-    #: starts there.
-    ladder: Tuple[float, ...] = (22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0)
-    #: Step down (worse quality) when forecast > high_watermark * deadline.
-    #: Tuned with the watermark sweep in E-R3: 0.9 reacts too late on the
-    #: bufferbloat ramp (the forecast crosses 0.9x deadline only after
-    #: misses already started); 0.75 beats fixed-CRF on all three traces.
-    high_watermark: float = 0.75
-    #: Step up when the forecast at the better rung < low_watermark * deadline.
-    low_watermark: float = 0.45
-    #: Minimum time between ladder steps (anti-flap dwell).
-    dwell_ms: float = 200.0
-    #: Skip the transfer entirely when forecast >= drop_margin * deadline.
-    drop_margin: float = 1.4
-    #: Whether the app-layer frame-drop policy is active.
-    drop_policy: bool = True
-    #: Forced real fetch after this many back-to-back drops (estimator
-    #: refresh); the stale forecast problem, see module docstring.
-    max_consecutive_drops: int = 3
-    #: Dist-thresh widening applied to the prefetcher while degraded
-    #: (1.0 disables throttling).
-    prefetch_throttle: float = 1.5
-    #: Estimator knobs (EWMA alpha, min window, warm-up).
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-
-    def __post_init__(self) -> None:
-        if len(self.ladder) < 1:
-            raise ValueError("ladder needs at least one rung")
-        for crf in self.ladder:
-            if not 0.0 <= crf <= 51.0:
-                raise ValueError(f"ladder CRF must be in [0, 51], got {crf}")
-        if len(set(self.ladder)) != len(self.ladder):
-            raise ValueError("ladder rungs must be distinct")
-        if not 0.0 < self.low_watermark < self.high_watermark:
-            raise ValueError(
-                "need 0 < low_watermark < high_watermark (hysteresis band)"
-            )
-        if self.drop_margin < self.high_watermark:
-            raise ValueError(
-                "drop_margin must be >= high_watermark (drop is the last "
-                "resort, after the ladder)"
-            )
-        if self.dwell_ms < 0:
-            raise ValueError("dwell_ms must be non-negative")
-        if self.max_consecutive_drops < 1:
-            raise ValueError("max_consecutive_drops must be >= 1")
-        if self.prefetch_throttle < 1.0:
-            raise ValueError("prefetch_throttle must be >= 1.0")
+#: Quality ladder as CRF rungs, best (lowest CRF) first.  The session's
+#: base CRF is inserted if absent, and the controller starts there.
+LADDER: Tuple[float, ...] = (22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0)
+#: Step down (worse quality) when forecast > HIGH_WATERMARK * deadline.
+#: Tuned with the watermark sweep in E-R3: 0.9 reacts too late on the
+#: bufferbloat ramp (the forecast crosses 0.9x deadline only after
+#: misses already started); 0.75 beats fixed-CRF on all three traces.
+HIGH_WATERMARK = 0.75
+#: Step up when the forecast at the better rung < LOW_WATERMARK * deadline.
+LOW_WATERMARK = 0.45
+#: Minimum time between ladder steps (anti-flap dwell).
+DWELL_MS = 200.0
+#: Skip the transfer entirely when forecast >= DROP_MARGIN * deadline.
+DROP_MARGIN = 1.4
+#: Forced real fetch after this many back-to-back drops (estimator
+#: refresh); the stale forecast problem, see module docstring.
+MAX_CONSECUTIVE_DROPS = 3
+#: Dist-thresh widening applied to the prefetcher while degraded.
+PREFETCH_THROTTLE = 1.5
 
 
 class AbrController:
@@ -110,7 +75,6 @@ class AbrController:
 
     def __init__(
         self,
-        config: AbrConfig,
         player_id: int,
         base_crf: float,
         deadline_ms: float,
@@ -121,15 +85,14 @@ class AbrController:
             raise ValueError("deadline_ms must be positive")
         if nominal_bytes <= 0:
             raise ValueError("nominal_bytes must be positive")
-        self.config = config
         self.player_id = player_id
         self.base_crf = base_crf
         self.deadline_ms = deadline_ms
         #: Typical wire size at base quality; the ladder forecast anchor.
         self.nominal_bytes = nominal_bytes
         self.tracer = tracer
-        self.estimator = RateEstimator(config.estimator)
-        ladder = sorted(set(config.ladder) | {base_crf})
+        self.estimator = RateEstimator()
+        ladder = sorted(set(LADDER) | {base_crf})
         self.ladder: Tuple[float, ...] = tuple(ladder)
         self._base_rung = self.ladder.index(base_crf)
         self.rung = self._base_rung
@@ -166,7 +129,7 @@ class AbrController:
     def thresh_scale(self) -> float:
         """Dist-thresh widening the prefetcher should apply right now."""
         if self.degraded:
-            return self.config.prefetch_throttle
+            return PREFETCH_THROTTLE
         return 1.0
 
     # ------------------------------------------------------------------
@@ -190,16 +153,15 @@ class AbrController:
         Called at the top of the frame loop, before the fetch decision,
         so the chosen rung applies to this frame's transfer.
         """
-        cfg = self.config
         forecast = self.estimator.predict_transfer_ms(
             self.nominal_bytes * self.size_scale()
         )
         if forecast is None:
             return None  # estimator still warming up: hold the rung
-        if now_ms - self._last_step_ms < cfg.dwell_ms:
+        if now_ms - self._last_step_ms < DWELL_MS:
             return None
         if (
-            forecast > cfg.high_watermark * self.deadline_ms
+            forecast > HIGH_WATERMARK * self.deadline_ms
             and self.rung < len(self.ladder) - 1
         ):
             self.rung += 1
@@ -213,7 +175,7 @@ class AbrController:
             better = self.estimator.predict_transfer_ms(
                 self.nominal_bytes * self.size_scale(self.ladder[self.rung - 1])
             )
-            if better is not None and better < cfg.low_watermark * self.deadline_ms:
+            if better is not None and better < LOW_WATERMARK * self.deadline_ms:
                 self.rung -= 1
                 self.steps_up += 1
                 self._note_step(now_ms, "abr.step_up", better)
@@ -224,18 +186,15 @@ class AbrController:
         """Whether to skip this frame's transfer outright.
 
         True when the forecast says the fetch cannot land within
-        ``drop_margin`` deadlines — unless the consecutive-drop cap forces
+        ``DROP_MARGIN`` deadlines — unless the consecutive-drop cap forces
         a real fetch to refresh the estimator.  A True return is already
         accounted (drop counters, tracer instant); the caller must then
         actually skip the transfer and charge its stale fallback.
         """
-        cfg = self.config
-        if not cfg.drop_policy:
-            return False
-        if self._consecutive_drops >= cfg.max_consecutive_drops:
+        if self._consecutive_drops >= MAX_CONSECUTIVE_DROPS:
             return False
         forecast = self.estimator.predict_transfer_ms(size_bytes)
-        if forecast is None or forecast < cfg.drop_margin * self.deadline_ms:
+        if forecast is None or forecast < DROP_MARGIN * self.deadline_ms:
             return False
         self.drops += 1
         self._consecutive_drops += 1

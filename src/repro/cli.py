@@ -32,7 +32,6 @@ from typing import List, Optional
 import dataclasses
 
 from . import perf
-from .adapt import AbrConfig
 from .faults import ChurnSchedule, FaultSchedule
 from .fleet import (
     FIDELITIES,
@@ -46,7 +45,7 @@ from .fleet import (
 )
 from .net import TRACE_PROFILES, ImpairmentConfig, RateTrace
 from .predict import PredictConfig
-from .session import SupervisorConfig, SyncConfig
+from .session import SupervisorConfig
 from .systems import SYSTEMS, SessionConfig, prepare_artifacts, run_system
 from .telemetry import (
     FrameBudgetReport,
@@ -141,7 +140,7 @@ def _print_qoe(config: SessionConfig, result) -> None:
         print(f"  stale frames    : {stale} (max age {max_age:.1f} ms)")
         print(f"  fetch retries   : {retries} "
               f"({abandoned} abandoned, {rewarms} re-warms)")
-    if config.adapt is not None:
+    if config.adapt:
         metrics = [p.metrics for p in result.players if p.metrics.frames]
         down = sum(m.abr_steps_down for m in metrics)
         up = sum(m.abr_steps_up for m in metrics)
@@ -168,7 +167,7 @@ def _print_qoe(config: SessionConfig, result) -> None:
         print(f"  spec prefetches : {prefetches} "
               f"({confirms} confirmed, {rollbacks} rolled back, "
               f"{expired} expired)")
-    if config.sync is not None:
+    if config.sync:
         metrics = [p.metrics for p in result.players]
         alarms = sum(m.desync_alarms for m in metrics)
         resyncs = sum(m.resyncs for m in metrics)
@@ -251,9 +250,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid --predict-horizon: {exc}", file=sys.stderr)
             return 2
-    sync = SyncConfig() if args.sync_check else None
     make_config = partial(_session_config, args, rate_trace, faults, churn,
-                          supervision, predict, sync)
+                          supervision, predict)
     try:
         make_config()
     except ValueError as exc:
@@ -392,7 +390,7 @@ def _first_divergence(a, b) -> Optional[str]:
 
 
 def _session_config(args, rate_trace, faults, churn, supervision, predict,
-                    sync, tracer=None, metrics=None) -> SessionConfig:
+                    tracer=None, metrics=None) -> SessionConfig:
     """The one place ``repro run`` turns its flags into a SessionConfig, so
     ``--verify-determinism`` checks the run the other flags describe.
     ``rate_trace`` is an already-parsed ``--trace-profile`` file, if any;
@@ -413,9 +411,9 @@ def _session_config(args, rate_trace, faults, churn, supervision, predict,
     return SessionConfig(
         duration_s=args.duration, seed=args.seed,
         wifi_mbps=args.wifi_mbps, impairment=impairment,
-        faults=faults, adapt=AbrConfig() if args.abr else None,
+        faults=faults, adapt=args.abr,
         churn=churn, supervision=supervision,
-        predict=predict, sync=sync,
+        predict=predict, sync=args.sync_check,
         tracer=tracer, metrics=metrics,
     )
 

@@ -39,6 +39,7 @@ from ..metrics.stats import percentile
 from ..sim import Simulator, all_of
 from ..systems import SYSTEMS, RunResult, SessionConfig, run_system
 from ..telemetry import MetricsHub
+from ..trace import FRAME_MS
 from ..world import ALL_GAMES, load_game
 from .admission import FleetAdmissionController, FleetBudget, FleetDecision, SessionEstimate
 from .arrivals import WORKLOADS, ArrivalTrace, generate_arrivals
@@ -101,6 +102,11 @@ class FleetConfig:
             raise ValueError("need at least one game")
         if self.session_duration_s <= 0:
             raise ValueError("session_duration_s must be positive")
+        if self.session_duration_s * 1000.0 < FRAME_MS:
+            raise ValueError(
+                "session_duration_s must be at least one frame (1/60 s), "
+                f"got {self.session_duration_s}"
+            )
         if self.stride_ms <= 0:
             raise ValueError("stride_ms must be positive")
         if self.spacing_m <= 0:

@@ -1,6 +1,6 @@
 """Network substrate: shared 802.11ac link, impairment, PUN-like FI sync."""
 
-from .estimator import EstimatorConfig, RateEstimator
+from .estimator import RateEstimator
 from .impairment import (
     TRACE_PROFILES,
     DipEpisode,
@@ -11,17 +11,15 @@ from .impairment import (
     TransferImpairment,
 )
 from .link import MBIT, WifiLink
-from .pun import PunChannel, PunConfig
+from .pun import PunChannel
 
 __all__ = [
     "DipEpisode",
-    "EstimatorConfig",
     "ImpairmentConfig",
     "ImpairmentStats",
     "LinkImpairment",
     "MBIT",
     "PunChannel",
-    "PunConfig",
     "RateEstimator",
     "RateTrace",
     "TRACE_PROFILES",

@@ -16,36 +16,22 @@ changes within a few transfers.
 Determinism: the estimator is pure arithmetic over the observation
 stream — no wall clock, no RNG.  Identical observation sequences produce
 bit-identical estimate streams (property-tested), which is what lets a
-(trace, seed, config) replay reproduce the controller's every decision.
+(trace, seed) replay reproduce the controller's every decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 MBIT = 1_000_000.0
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs of the per-client rate estimator."""
-
-    ewma_alpha: float = 0.3  # weight of the newest rate sample
-    warmup_samples: int = 2  # observations before estimates are served
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.warmup_samples < 1:
-            raise ValueError("warmup_samples must be >= 1")
+EWMA_ALPHA = 0.3  # weight of the newest rate sample
+WARMUP_SAMPLES = 2  # observations before estimates are served
 
 
 class RateEstimator:
     """EWMA delivery rate and unit delay for one client."""
 
-    def __init__(self, config: Optional[EstimatorConfig] = None) -> None:
-        self.config = config or EstimatorConfig()
+    def __init__(self) -> None:
         self.samples = 0
         self._rate_mbps: Optional[float] = None
         self._unit_ms: Optional[float] = None  # smoothed ms per megabit
@@ -73,13 +59,12 @@ class RateEstimator:
         megabits = size_bytes * 8.0 / MBIT
         rate_mbps = megabits / duration_ms * 1000.0
         unit_ms = duration_ms / megabits
-        alpha = self.config.ewma_alpha
         if self._rate_mbps is None:
             self._rate_mbps = rate_mbps
             self._unit_ms = unit_ms
         else:
-            self._rate_mbps += alpha * (rate_mbps - self._rate_mbps)
-            self._unit_ms += alpha * (unit_ms - self._unit_ms)
+            self._rate_mbps += EWMA_ALPHA * (rate_mbps - self._rate_mbps)
+            self._unit_ms += EWMA_ALPHA * (unit_ms - self._unit_ms)
         self.samples += 1
 
     # ------------------------------------------------------------------
@@ -89,7 +74,7 @@ class RateEstimator:
     @property
     def warmed_up(self) -> bool:
         """Whether enough observations arrived to serve estimates."""
-        return self.samples >= self.config.warmup_samples
+        return self.samples >= WARMUP_SAMPLES
 
     def rate_mbps(self) -> Optional[float]:
         """Smoothed delivery rate, or None before warm-up."""

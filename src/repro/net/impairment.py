@@ -277,23 +277,26 @@ class RateTrace:
         )
 
 
+#: Gilbert–Elliott probability of staying in the bad state: the mean bad
+#: burst is ``1 / (1 - BURSTINESS)`` segments.
+BURSTINESS = 0.85
+JITTER_SIGMA = 0.35  # log-normal spread of the heavy-tail jitter
+RTO_MS = 40.0  # base retransmit timeout per loss burst
+RTO_BACKOFF_CAP = 3  # max doublings for back-to-back bursts
+MTU_BYTES = 1448  # segment size the loss chain is walked over
+
+
 @dataclass(frozen=True)
 class ImpairmentConfig:
     """Knobs of the impairment model; the default is the identity.
 
     ``loss_rate`` is the *long-run* segment loss probability; the
     Gilbert–Elliott transition probabilities are derived from it and
-    ``burstiness`` (the probability of staying in the bad state, i.e.
-    the mean bad burst is ``1 / (1 - burstiness)`` segments).
+    :data:`BURSTINESS`.
     """
 
     loss_rate: float = 0.0
-    burstiness: float = 0.85
     jitter_median_ms: float = 0.0
-    jitter_sigma: float = 0.35
-    rto_ms: float = 40.0  # base retransmit timeout per loss burst
-    rto_backoff_cap: int = 3  # max doublings for back-to-back bursts
-    mtu_bytes: int = 1448  # segment size the loss chain is walked over
     seed: int = 0
     dips: Tuple[DipEpisode, ...] = ()
     rate_trace: Optional[RateTrace] = None  # time-varying capacity
@@ -301,14 +304,8 @@ class ImpairmentConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        if not 0.0 <= self.burstiness < 1.0:
-            raise ValueError("burstiness must be in [0, 1)")
-        if self.jitter_median_ms < 0 or self.jitter_sigma < 0:
-            raise ValueError("jitter parameters must be non-negative")
-        if self.rto_ms < 0 or self.rto_backoff_cap < 0:
-            raise ValueError("rto parameters must be non-negative")
-        if self.mtu_bytes < 1:
-            raise ValueError("mtu_bytes must be >= 1")
+        if self.jitter_median_ms < 0:
+            raise ValueError("jitter_median_ms must be non-negative")
 
     @classmethod
     def bursty(cls, loss_rate: float, seed: int = 0,
@@ -385,7 +382,7 @@ class LinkImpairment:
     def sample(self, now_ms: float, size_bytes: float) -> TransferImpairment:
         """Draw one transfer's impairment (consumes the seeded RNG)."""
         cfg = self.config
-        segments = max(1, math.ceil(size_bytes / cfg.mtu_bytes))
+        segments = max(1, math.ceil(size_bytes / MTU_BYTES))
         loss = self._loss_rate_at(now_ms)
         lost = 0
         bursts = 0
@@ -393,7 +390,7 @@ class LinkImpairment:
         if loss > 0.0:
             # Simplified Gilbert model: every bad-state segment is dropped.
             # Stationary bad probability equals the target loss rate.
-            p_bg = 1.0 - cfg.burstiness
+            p_bg = 1.0 - BURSTINESS
             p_gb = min(1.0, loss * p_bg / max(1e-12, 1.0 - loss))
             in_burst = False
             for _ in range(segments):
@@ -402,18 +399,18 @@ class LinkImpairment:
                     if not in_burst:
                         # A fresh burst costs one RTO; consecutive bursts
                         # escalate the backoff like TCP's timer doubling.
-                        exponent = min(bursts, cfg.rto_backoff_cap)
-                        penalty_ms += cfg.rto_ms * (2.0 ** exponent)
+                        exponent = min(bursts, RTO_BACKOFF_CAP)
+                        penalty_ms += RTO_MS * (2.0 ** exponent)
                         bursts += 1
                         in_burst = True
-                    self._bad = self._rng.random() < cfg.burstiness
+                    self._bad = self._rng.random() < BURSTINESS
                 else:
                     in_burst = False
                     self._bad = self._rng.random() < p_gb
         jitter_ms = 0.0
         if cfg.jitter_median_ms > 0.0:
             jitter_ms = cfg.jitter_median_ms * math.exp(
-                cfg.jitter_sigma * self._rng.gauss(0.0, 1.0)
+                JITTER_SIGMA * self._rng.gauss(0.0, 1.0)
             )
         factor = self.capacity_factor(now_ms)
         # Lost segments are retransmitted (more bytes on the air); a dip

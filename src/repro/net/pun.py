@@ -14,7 +14,6 @@ link for Table 9 accounting; sync latency is the small UDP round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,27 +22,16 @@ from ..sim import Simulator
 from .link import WifiLink
 
 
-@dataclass(frozen=True)
-class PunConfig:
-    """PUN-like sync parameters (defaults match PUN's ~20 Hz send rate)."""
-
-    send_rate_hz: float = 20.0
-    state_bytes: int = 80  # serialized position + rotation + animation
-    heartbeat_bytes: int = 12
-    heartbeat_hz: float = 10.0
-    base_latency_ms: float = 1.6  # UDP RTT through the server
-    server_proc_ms: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.send_rate_hz <= 0 or self.heartbeat_hz <= 0:
-            raise ValueError("send rates must be positive")
-        if self.state_bytes <= 0 or self.heartbeat_bytes <= 0:
-            raise ValueError("message sizes must be positive")
-        if self.base_latency_ms < 0 or self.server_proc_ms < 0:
-            raise ValueError("latencies must be non-negative")
+# PUN-like sync parameters (PUN's ~20 Hz send rate).
+SEND_RATE_HZ = 20.0
+STATE_BYTES = 80  # serialized position + rotation + animation
+HEARTBEAT_BYTES = 12
+HEARTBEAT_HZ = 10.0
+BASE_LATENCY_MS = 1.6  # UDP RTT through the server
+SERVER_PROC_MS = 0.6
 
 
-def fi_sync_kbps(n_players: int, config: PunConfig = PunConfig()) -> float:
+def fi_sync_kbps(n_players: int) -> float:
     """Closed-form FI sync bandwidth for an ``n_players`` roster (Table 9).
 
     Heartbeats only for a lone player, ``n`` uploads plus ``n*(n-1)``
@@ -52,12 +40,12 @@ def fi_sync_kbps(n_players: int, config: PunConfig = PunConfig()) -> float:
     if n_players <= 0:
         return 0.0
     if n_players == 1:
-        return config.heartbeat_bytes * 8 * config.heartbeat_hz / 1000.0
+        return HEARTBEAT_BYTES * 8 * HEARTBEAT_HZ / 1000.0
     per_tick = (
-        n_players * config.state_bytes
-        + n_players * (n_players - 1) * config.state_bytes
+        n_players * STATE_BYTES
+        + n_players * (n_players - 1) * STATE_BYTES
     )
-    return per_tick * 8 * config.send_rate_hz / 1000.0
+    return per_tick * 8 * SEND_RATE_HZ / 1000.0
 
 
 class PunChannel:
@@ -68,7 +56,6 @@ class PunChannel:
         sim: Simulator,
         link: WifiLink,
         n_players: int,
-        config: PunConfig = PunConfig(),
         seed: int = 0,
     ) -> None:
         if n_players < 1:
@@ -76,7 +63,6 @@ class PunChannel:
         self.sim = sim
         self.link = link
         self.n_players = n_players
-        self.config = config
         self._rng = np.random.default_rng(seed)
         self._last_tick_ms: Optional[float] = None  # None until first send
 
@@ -105,7 +91,7 @@ class PunChannel:
         scheduling noise.
         """
         jitter = float(self._rng.uniform(0.0, 0.7))
-        return self.config.base_latency_ms + self.config.server_proc_ms + jitter
+        return BASE_LATENCY_MS + SERVER_PROC_MS + jitter
 
     # ------------------------------------------------------------------
     # Bandwidth accounting (Table 9's FI column)
@@ -115,17 +101,15 @@ class PunChannel:
         """Advance the sync clock to *now*, recording any due send ticks.
 
         Called by the session loop once per rendering interval; emits
-        traffic at the configured send rate regardless of frame rate.
+        traffic at the PUN send rate regardless of frame rate.
         The send clock advances in whole period multiples: a tick that
         arrives late (a slow frame) keeps the fractional remainder, so
-        the long-run send rate stays at ``send_rate_hz`` instead of
+        the long-run send rate stays at ``SEND_RATE_HZ`` instead of
         drifting below it by one frame's jitter per tick.
         """
         if self.n_players < 1:
             return  # empty room: nothing syncs, nothing heartbeats
-        period_ms = 1000.0 / (
-            self.config.send_rate_hz if self.n_players > 1 else self.config.heartbeat_hz
-        )
+        period_ms = 1000.0 / (SEND_RATE_HZ if self.n_players > 1 else HEARTBEAT_HZ)
         if self._last_tick_ms is None:
             self._last_tick_ms = self.sim.now
         else:
@@ -134,11 +118,11 @@ class PunChannel:
                 return
             self._last_tick_ms += int(elapsed / period_ms) * period_ms
         if self.n_players == 1:
-            self.link.record_datagram(self.config.heartbeat_bytes, tag="fi")
+            self.link.record_datagram(HEARTBEAT_BYTES, tag="fi")
             return
         n = self.n_players
-        uploads = n * self.config.state_bytes
-        fanout = n * (n - 1) * self.config.state_bytes
+        uploads = n * STATE_BYTES
+        fanout = n * (n - 1) * STATE_BYTES
         self.link.record_datagram(uploads + fanout, tag="fi")
 
     def expected_bandwidth_kbps(self, n_players: Optional[int] = None) -> float:
@@ -149,4 +133,4 @@ class PunChannel:
         to the live roster.
         """
         n = self.n_players if n_players is None else n_players
-        return fi_sync_kbps(n, self.config)
+        return fi_sync_kbps(n)

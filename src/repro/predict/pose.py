@@ -4,13 +4,9 @@ HMD pose exhibits strong frame-to-frame correlation (the "VR Viewport
 Pose Model" measurements), so a few-frames-out forecast is usually a
 meter-accurate guess about where the player's next grid point will be.
 The predictor here is deliberately simple and fully deterministic:
-
-* **cv** — constant-velocity dead reckoning: the latest finite-difference
-  velocity (and angular velocity) is extrapolated ``horizon_frames``
-  ahead;
-* **ewma** — the same extrapolation over EWMA-damped linear velocity and
-  an EWMA-damped angular model, which filters single-frame jitter at the
-  cost of lagging sharp turns.
+constant-velocity dead reckoning, which extrapolates the latest
+finite-difference velocity (and angular velocity) ``horizon_frames``
+ahead.
 
 Every forecast carries a *calibrated confidence radius*: an EWMA of the
 realized prediction error times a safety margin.  The frame loop only
@@ -34,7 +30,17 @@ from typing import Deque, Optional, Tuple
 from ..geometry import Vec2
 from ..trace.movement import FRAME_MS
 
-_MODELS = ("cv", "ewma")
+#: Weight of each realized error in the confidence-radius EWMA.
+ERROR_ALPHA = 0.2
+#: Safety factor from the error EWMA to the radius a forecast ships with.
+CONFIDENCE_MARGIN = 2.0
+#: Error EWMA before any forecast has been scored.
+CONFIDENCE_INIT_M = 0.5
+#: Speculation gate: forecasts with a wider radius are not acted on.
+MAX_CONFIDENCE_M = 4.0
+#: How long an unconfirmed speculative cache entry may linger before it
+#: expires as a misprediction.
+SPECULATIVE_TTL_MS = 1000.0
 
 
 def wrap_angle(radians: float) -> float:
@@ -44,45 +50,14 @@ def wrap_angle(radians: float) -> float:
 
 @dataclass(frozen=True)
 class PredictConfig:
-    """Knobs for the pose predictor and the speculation it drives.
-
-    ``horizon_frames`` is how many rendering intervals ahead to forecast;
-    ``model`` picks ``cv`` or ``ewma``; ``ewma_alpha`` damps the velocity
-    estimate (ewma model only); ``error_alpha`` calibrates the confidence
-    radius from realized errors; ``confidence_margin`` scales the error
-    EWMA into the shipped radius; ``confidence_init_m`` seeds the radius
-    before any error has been observed; ``max_confidence_m`` gates
-    speculation — forecasts with a wider radius are not acted on;
-    ``speculative_ttl_ms`` bounds how long an unconfirmed speculative
-    cache entry may linger before it expires as a misprediction.
-    """
+    """Knobs for the pose predictor: ``horizon_frames`` is how many
+    rendering intervals ahead to forecast."""
 
     horizon_frames: int = 6
-    model: str = "cv"
-    ewma_alpha: float = 0.3
-    error_alpha: float = 0.2
-    confidence_margin: float = 2.0
-    confidence_init_m: float = 0.5
-    max_confidence_m: float = 4.0
-    speculative_ttl_ms: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.horizon_frames < 1:
             raise ValueError("horizon_frames must be >= 1")
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}; use 'cv' or 'ewma'")
-        for name in ("ewma_alpha", "error_alpha"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        if self.confidence_margin <= 0:
-            raise ValueError("confidence_margin must be positive")
-        if self.confidence_init_m < 0:
-            raise ValueError("confidence_init_m must be non-negative")
-        if self.max_confidence_m <= 0:
-            raise ValueError("max_confidence_m must be positive")
-        if self.speculative_ttl_ms <= 0:
-            raise ValueError("speculative_ttl_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,7 +85,7 @@ class PosePredictor:
         self._velocity = Vec2(0.0, 0.0)  # meters per ms
         self._angular = 0.0  # radians per ms
         self._have_velocity = False
-        self._err_ewma = config.confidence_init_m
+        self._err_ewma = CONFIDENCE_INIT_M
         #: (target_t_ms, predicted position, shipped radius) awaiting truth.
         self._outstanding: Deque[Tuple[float, Vec2, float]] = deque()
         self.predictions = 0
@@ -119,7 +94,7 @@ class PosePredictor:
     @property
     def confidence_m(self) -> float:
         """The radius the next forecast would ship with."""
-        return self.config.confidence_margin * self._err_ewma
+        return CONFIDENCE_MARGIN * self._err_ewma
 
     def observe(self, t_ms: float, position: Vec2, heading: float) -> None:
         """Ingest the pose displayed at ``t_ms`` and score due forecasts."""
@@ -128,25 +103,13 @@ class PosePredictor:
             error = predicted.distance_to(position)
             if error > radius:
                 self.mispredictions += 1
-            alpha = self.config.error_alpha
-            self._err_ewma = (1.0 - alpha) * self._err_ewma + alpha * error
+            self._err_ewma = (1.0 - ERROR_ALPHA) * self._err_ewma + ERROR_ALPHA * error
         if self._last is not None:
             last_t, last_pos, last_heading = self._last
             dt = t_ms - last_t
             if dt > 0.0:
-                velocity = (position - last_pos) / dt
-                angular = wrap_angle(heading - last_heading) / dt
-                if self.config.model == "cv" or not self._have_velocity:
-                    self._velocity = velocity
-                    self._angular = angular
-                else:
-                    alpha = self.config.ewma_alpha
-                    self._velocity = (
-                        self._velocity * (1.0 - alpha) + velocity * alpha
-                    )
-                    self._angular = (
-                        (1.0 - alpha) * self._angular + alpha * angular
-                    )
+                self._velocity = (position - last_pos) / dt
+                self._angular = wrap_angle(heading - last_heading) / dt
                 self._have_velocity = True
         self._last = (t_ms, position, heading)
 

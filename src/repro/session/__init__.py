@@ -28,7 +28,6 @@ from .supervisor import MembershipSummary, SessionSupervisor, SupervisorConfig
 from .sync import (
     DesyncAlarm,
     SlotSyncStats,
-    SyncConfig,
     SyncValidator,
     cache_state_digest,
     state_digest,
@@ -56,7 +55,6 @@ __all__ = [
     "SlotSyncStats",
     "SupervisorConfig",
     "SUSPECT",
-    "SyncConfig",
     "SyncValidator",
     "WARMING",
     "cache_state_digest",

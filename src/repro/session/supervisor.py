@@ -13,8 +13,8 @@ holds no RNG):
   and turns events into join attempts (through admission control) or
   pending leave/crash flags the client loops observe at their next poll;
 * the **monitor** process is the heartbeat failure detector: a client
-  whose last heartbeat is older than ``suspect_after_ms`` turns SUSPECT,
-  and a SUSPECT older than ``evict_after_ms`` is evicted (CRASHED) and
+  whose last heartbeat is older than ``SUSPECT_AFTER_MS`` turns SUSPECT,
+  and a SUSPECT older than ``EVICT_AFTER_MS`` is evicted (CRASHED) and
   removed from the PUN room — so a crashed client is discovered the way
   a real PUN room discovers one, by silence, not by fiat;
 * the client loops call :meth:`poll` once per frame iteration — this is
@@ -57,34 +57,26 @@ from .membership import (
 )
 
 
+# Failure-detector and admission timing (all sim-time ms).
+MONITOR_INTERVAL_MS = 100.0  # failure-detector scan period
+SUSPECT_AFTER_MS = 400.0  # heartbeat silence before SUSPECT
+EVICT_AFTER_MS = 1200.0  # heartbeat silence before eviction
+ADMISSION_RETRY_MS = 400.0  # queued-join retry interval
+MAX_ADMISSION_WAIT_MS = 4000.0  # queue patience before reject
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Failure-detector and admission timing knobs (all sim-time ms)."""
+    """The supervisor's settable knobs."""
 
-    monitor_interval_ms: float = 100.0  # failure-detector scan period
-    suspect_after_ms: float = 400.0  # heartbeat silence before SUSPECT
-    evict_after_ms: float = 1200.0  # heartbeat silence before eviction
-    admission_retry_ms: float = 400.0  # queued-join retry interval
-    max_admission_wait_ms: float = 4000.0  # queue patience before reject
     warmup_fetches: int = 3  # panoramas streamed before ACTIVE
     max_players: int = 8  # hard roster cap
-    utilization_bound: float = 0.8  # Constraint 2's usable-capacity bound
 
     def __post_init__(self) -> None:
-        if self.monitor_interval_ms <= 0:
-            raise ValueError("monitor_interval_ms must be positive")
-        if self.suspect_after_ms <= 0 or self.evict_after_ms <= self.suspect_after_ms:
-            raise ValueError(
-                "need 0 < suspect_after_ms < evict_after_ms"
-            )
-        if self.admission_retry_ms <= 0 or self.max_admission_wait_ms < 0:
-            raise ValueError("admission timings must be positive")
         if self.warmup_fetches < 1:
             raise ValueError("warmup_fetches must be >= 1")
         if self.max_players < 1:
             raise ValueError("max_players must be >= 1")
-        if not 0 < self.utilization_bound <= 1.0:
-            raise ValueError("utilization_bound must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -368,13 +360,8 @@ class SessionSupervisor:
             if decision.admitted:
                 break
             waited = self.sim.now - requested_ms
-            out_of_patience = (
-                waited + self.config.admission_retry_ms
-                > self.config.max_admission_wait_ms
-            )
-            past_horizon = (
-                self.sim.now + self.config.admission_retry_ms >= self.horizon_ms
-            )
+            out_of_patience = waited + ADMISSION_RETRY_MS > MAX_ADMISSION_WAIT_MS
+            past_horizon = self.sim.now + ADMISSION_RETRY_MS >= self.horizon_ms
             if out_of_patience or past_horizon:
                 self.joins_rejected += 1
                 self.stats[slot].rejections += 1
@@ -383,7 +370,7 @@ class SessionSupervisor:
             if not queued:
                 queued = True
                 self.joins_queued += 1
-            yield self.config.admission_retry_ms
+            yield ADMISSION_RETRY_MS
         self.joins_admitted += 1
         self.stats[slot].incarnations += 1
         rejoining = self.stats[slot].incarnations > 1
@@ -396,17 +383,16 @@ class SessionSupervisor:
 
     def _monitor(self):
         """The heartbeat failure detector (SUSPECT, then evict)."""
-        config = self.config
         while self.sim.now < self.horizon_ms:
-            yield config.monitor_interval_ms
+            yield MONITOR_INTERVAL_MS
             now = self.sim.now
             for slot in range(self.total_slots):
                 state = self._states[slot]
                 age = now - self._last_heartbeat[slot]
-                if state in (WARMING, ACTIVE) and age > config.suspect_after_ms:
+                if state in (WARMING, ACTIVE) and age > SUSPECT_AFTER_MS:
                     self._pre_suspect[slot] = state
                     self._transition(slot, SUSPECT, "heartbeat-timeout")
-                elif state == SUSPECT and age > config.evict_after_ms:
+                elif state == SUSPECT and age > EVICT_AFTER_MS:
                     self.evictions += 1
                     self.stats[slot].evictions += 1
                     self._crash_pending[slot] = False

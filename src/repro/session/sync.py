@@ -9,10 +9,10 @@ patterns), displayed-frame oracle digest, and the cache roster in
 insertion order — and exchanges it over the PUN fast-path channel.  A
 submitted hash that disagrees with the authoritative recomputation is a
 desync: the validator raises a :class:`DesyncAlarm` within one cadence
-of the divergence (bounded detection latency) and, when resync is
-enabled, asks the frame loop to re-warm from authoritative state (a
-blocking fetch with the PR 2 retry/backoff discipline, plus dropping
-every unconfirmed speculative cache entry).
+of the divergence (bounded detection latency) and asks the frame loop
+to re-warm from authoritative state (a blocking fetch with the PR 2
+retry/backoff discipline, plus dropping every unconfirmed speculative
+cache entry).
 
 Because both the submitted and authoritative digests derive from the
 same deterministic simulation state, a clean run can never raise a
@@ -36,25 +36,11 @@ if TYPE_CHECKING:
 CORRUPTION_MASK = 0xDEAD_BEEF_DEAD_BEEF
 
 
-@dataclass(frozen=True)
-class SyncConfig:
-    """Knobs for the cross-peer sync validator.
-
-    ``cadence_ms`` is the digest-exchange period (and therefore the
-    detection-latency bound); ``digest_bytes`` the wire size of one
-    peer's state-hash packet (header + 64-bit hash + pose summary);
-    ``resync`` enables the recovery protocol on alarm.
-    """
-
-    cadence_ms: float = 250.0
-    digest_bytes: int = 40
-    resync: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cadence_ms <= 0:
-            raise ValueError("cadence_ms must be positive")
-        if self.digest_bytes < 8:
-            raise ValueError("digest_bytes must be >= 8")
+#: Digest-exchange period, and therefore the detection-latency bound.
+CADENCE_MS = 250.0
+#: Wire size of one peer's state-hash packet (header + 64-bit hash +
+#: pose summary).
+DIGEST_BYTES = 40
 
 
 @dataclass(frozen=True)
@@ -119,7 +105,6 @@ class SyncValidator:
     """
 
     sim: object
-    config: SyncConfig
     horizon_ms: float
     n_slots: int
     roster: Callable[[], Iterable[int]]
@@ -140,8 +125,8 @@ class SyncValidator:
 
     def process(self):
         """The validator's sim process: one exchange every cadence."""
-        while self.sim.now + self.config.cadence_ms <= self.horizon_ms:
-            yield self.config.cadence_ms
+        while self.sim.now + CADENCE_MS <= self.horizon_ms:
+            yield CADENCE_MS
             self.run_round()
 
     def run_round(self) -> None:
@@ -152,7 +137,7 @@ class SyncValidator:
             # Each peer uploads its packet and the server fans it out to
             # the others — the PUN fast-path accounting model.
             n = len(peers)
-            self.record_bytes(self.config.digest_bytes * n * max(1, n - 1))
+            self.record_bytes(DIGEST_BYTES * n * max(1, n - 1))
             for slot in peers:
                 expected = self.authoritative(slot)
                 observed = expected
@@ -199,10 +184,9 @@ class SyncValidator:
                       "observed": f"{observed:016x}",
                       "detection_ms": round(detection_ms, 4)},
             )
-        if self.config.resync:
-            stats.resyncs += 1
-            self._pending_recovery.setdefault(slot, now)
-            self.request_resync(slot)
+        stats.resyncs += 1
+        self._pending_recovery.setdefault(slot, now)
+        self.request_resync(slot)
 
     @property
     def total_alarms(self) -> int:

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..adapt import AbrConfig, AbrController
+from ..adapt import AbrController
 from ..codec import CodecTiming, FrameCodec
 from ..faults import ChurnSchedule, FaultInjector, FaultSchedule
 from ..geometry import Vec2
@@ -33,10 +33,10 @@ from ..metrics import (
 from ..net import ImpairmentConfig, LinkImpairment, PunChannel, WifiLink
 from ..predict import PredictConfig
 from ..render import PIXEL2, DeviceProfile, RenderConfig, RenderCostModel
-from ..session import MembershipSummary, SessionSupervisor, SupervisorConfig, SyncConfig
+from ..session import MembershipSummary, SessionSupervisor, SupervisorConfig
 from ..sim import Simulator
 from ..telemetry import MetricsHub, SessionObserver, SpanTracer
-from ..trace import Trajectory, generate_party
+from ..trace import FRAME_MS, Trajectory, generate_party
 from ..world.games import GameWorld
 
 SENSOR_SCANOUT_MS = 0.5  # pose sampling + display scanout overhead
@@ -61,19 +61,19 @@ class SessionConfig:
     # --- robustness (all default-off: clean runs are bit-identical) ---
     impairment: Optional[ImpairmentConfig] = None  # link loss/jitter/dips
     faults: Optional[FaultSchedule] = None  # scripted failure windows
-    # --- adaptation (None: fixed CRF, no estimator, clean path) ---
-    adapt: Optional[AbrConfig] = None  # closed-loop ABR knobs
+    # --- adaptation (False: fixed CRF, no estimator, clean path) ---
+    adapt: bool = False  # closed-loop ABR (repro.adapt)
     prefetch_deadline_ms: Optional[float] = None  # None: frame budget - merge
     fetch_timeout_ms: float = 250.0  # first background-retry timeout
     fetch_max_retries: int = 5  # background re-issues before giving up
     fetch_backoff_cap_ms: float = 2000.0  # retry timeout ceiling
     # --- session membership (None: fixed roster, no supervisor) ---
     churn: Optional[ChurnSchedule] = None  # scripted join/leave/crash
-    supervision: Optional[SupervisorConfig] = None  # detector/admission knobs
+    supervision: Optional[SupervisorConfig] = None  # warm-up and roster-cap knobs
     # --- speculation (None: no prediction, clean path bit-identical) ---
     predict: Optional[PredictConfig] = None  # pose-prediction prefetch knobs
-    # --- sync validation (None: no digest exchange, clean path) ---
-    sync: Optional[SyncConfig] = None  # cross-peer desync detection knobs
+    # --- sync validation (False: no digest exchange, clean path) ---
+    sync: bool = False  # cross-peer desync detection (repro.session.sync)
     # --- observability (both None: no observer is built, zero overhead) ---
     # A repro.telemetry.SpanTracer (sim-time spans for the whole online
     # path) and a repro.telemetry.MetricsHub (counters/gauges/histograms
@@ -87,6 +87,10 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if self.duration_s * 1000.0 < FRAME_MS:
+            raise ValueError(
+                f"duration_s must be at least one frame (1/60 s), got {self.duration_s}"
+            )
         if self.wifi_mbps <= 0:
             raise ValueError("wifi_mbps must be positive")
         if self.prefetch_deadline_ms is not None and self.prefetch_deadline_ms <= 0:
@@ -114,7 +118,7 @@ class SessionConfig:
             self.impairment is not None
             or self.faults is not None
             or self.prefetch_deadline_ms is not None
-            or self.adapt is not None
+            or self.adapt
         )
 
 
@@ -280,11 +284,10 @@ class Session:
         size of this system's frames at base quality (Coterie: the far-BE
         size model mean; whole-BE systems: their size model mean).
         """
-        if self.config.adapt is None:
+        if not self.config.adapt:
             return None
         self.abr = [
             AbrController(
-                self.config.adapt,
                 player_id,
                 base_crf=self.config.codec_crf,
                 deadline_ms=self.prefetch_deadline_ms(),
@@ -374,9 +377,10 @@ class Session:
         power_model = PowerModel()
         players = []
         for player_id, collector in enumerate(self.collectors):
-            if self.supervisor is not None and not collector.records:
-                # A slot that never displayed a frame (join rejected, or
-                # crashed mid-warm-up) has no QoE row to report.
+            if not collector.records:
+                # A slot that never displayed a frame (join rejected,
+                # crashed mid-warm-up, or a link too slow for one fetch)
+                # has no QoE row to report.
                 continue
             metrics = collector.summary(cpu_utilization=cpu_per_player[player_id])
             if self.abr is not None:

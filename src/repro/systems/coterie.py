@@ -101,7 +101,7 @@ class CoterieStrategy(FetchStrategy):
         # Digest stamping is needed by both speculation (oracle
         # validation) and sync validation (state hashes); the clean path
         # never computes one.
-        self.stamp_digests = config.predict is not None or config.sync is not None
+        self.stamp_digests = config.predict is not None or config.sync
         # Stage hooks (empty on a clean run) and the far-BE resolver; a
         # policy appends to / replaces these, and may replace
         # ``before_frame`` and ``reconnected`` the same way.
@@ -116,8 +116,8 @@ class CoterieStrategy(FetchStrategy):
         if config.predict is not None:
             self.policies.append(Speculation(self, config.predict))
         sync_check = None
-        if config.sync is not None:
-            sync_check = SyncCheck(self, config.sync)
+        if config.sync:
+            sync_check = SyncCheck(self)
             self.policies.append(sync_check)
         if observer is not None and self.stamp_digests:
             observer.watch_speculation(self.caches, sync_check)

@@ -241,10 +241,7 @@ def run_clients(session: Session, strategy: FetchStrategy) -> None:
             sim.spawn(client(player_id))
     else:
         admission = AdmissionController(
-            budget=BandwidthBudget(
-                capacity_mbps=session.config.wifi_mbps,
-                utilization_bound=supervisor.config.utilization_bound,
-            ),
+            budget=BandwidthBudget(capacity_mbps=session.config.wifi_mbps),
             be_kbps_for=strategy.be_kbps_for,
             fi_kbps_for=session.pun.expected_bandwidth_kbps,
             max_players=supervisor.config.max_players,

@@ -19,9 +19,10 @@ from ..core.merger import layer_from_decoded
 from ..core.online import SsimBatchQueue
 from ..metrics import MetricsCollector
 from ..predict import PosePredictor, PredictConfig
+from ..predict.pose import MAX_CONFIDENCE_M, SPECULATIVE_TTL_MS
 from ..render.rasterizer import merge_layers
 from ..render.splitter import eye_at, reference_frame, render_fi, render_near_be
-from ..session import SyncConfig, SyncValidator
+from ..session import SyncValidator
 from ..session.sync import CORRUPTION_MASK, state_digest
 from ..sim import any_of
 from ..trace import avatars_at
@@ -260,7 +261,7 @@ class Speculation:
         if not session.faults.speculation_frozen(player_id, t0):
             self.predictors[player_id].observe(t0, sample.position, sample.heading)
         expired = self.strategy.caches[player_id].expire_speculative(
-            t0, self.config.speculative_ttl_ms
+            t0, SPECULATIVE_TTL_MS
         )
         if expired:
             if session.tracer is not None:
@@ -300,7 +301,7 @@ class Speculation:
         if self.spec_pending[player_id] is not None:
             return
         prediction = self.predictors[player_id].predict(t0)
-        if prediction is None or prediction.confidence_m > self.config.max_confidence_m:
+        if prediction is None or prediction.confidence_m > MAX_CONFIDENCE_M:
             return
         session = self.session
         spec_decision = self.strategy.prefetchers[player_id].plan_speculative(
@@ -367,7 +368,7 @@ class SyncCheck:
     """A fixed-cadence digest exchange over the PUN channel; a peer whose
     state hash diverges is re-warmed from authoritative state."""
 
-    def __init__(self, strategy, config: SyncConfig) -> None:
+    def __init__(self, strategy) -> None:
         self.strategy = strategy
         session = self.session = strategy.session
         n_slots = session.total_slots
@@ -377,7 +378,6 @@ class SyncCheck:
         self.needs_resync = [False] * n_slots
         self.validator = SyncValidator(
             sim=session.sim,
-            config=config,
             horizon_ms=session.horizon_ms,
             n_slots=n_slots,
             roster=strategy.roster,

@@ -158,26 +158,44 @@ def record_to_dict(r: Span) -> Dict[str, Any]:
 
 
 def record_from_dict(payload: Dict[str, Any]) -> Span:
-    """Parse one JSONL dict back into a record (version-checked)."""
+    """Parse one JSONL dict back into a record (version- and shape-checked;
+    raises ValueError naming the bad field)."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"record is not a JSON object: {payload!r}")
     version = payload.get("v")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported event-log schema version {version!r} "
             f"(this reader understands v{SCHEMA_VERSION})"
         )
+    missing = [k for k in ("kind", "name", "player", "lane", "t0_ms", "dur_ms")
+               if k not in payload]
+    if missing:
+        raise ValueError(f"event record lacks field {missing[0]!r}")
     kind = payload["kind"]
     if kind not in (KIND_SPAN, KIND_INSTANT, KIND_COUNTER):
         raise ValueError(f"unknown event kind {kind!r}")
+    args = payload.get("args")
+    if args is not None and not isinstance(args, dict):
+        raise ValueError(f"field 'args' must be an object, got {args!r}")
     return Span(
         kind,
         payload["name"],
         payload.get("cat", ""),
-        int(payload["player"]),
+        _number(payload, "player", int),
         payload["lane"],
-        float(payload["t0_ms"]),
-        float(payload["dur_ms"]),
-        payload.get("args"),
+        _number(payload, "t0_ms", float),
+        _number(payload, "dur_ms", float),
+        args,
     )
+
+
+def _number(payload: Dict[str, Any], key: str, cast):
+    """``cast(payload[key])``, or a ValueError naming the field."""
+    try:
+        return cast(payload[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"field {key!r} must be a number, got {payload[key]!r}") from None
 
 
 def write_events_jsonl(path: Union[str, Path], records: Sequence[Span]) -> int:
@@ -201,7 +219,10 @@ def read_events_jsonl(path: Union[str, Path]) -> List[Span]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: not JSON: {exc}") from exc
-            records.append(record_from_dict(payload))
+            try:
+                records.append(record_from_dict(payload))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return records
 
 

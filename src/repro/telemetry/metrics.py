@@ -472,35 +472,54 @@ def write_metrics_jsonl(
     return len(records)
 
 
+_METRICS_FIELDS = {
+    "series": ("name", "samples"),
+    "histogram": ("name", "le", "counts", "sum", "count"),
+}
+
+
 def read_metrics_jsonl(path: Union[str, Path]) -> MetricsDump:
-    """Load a series dump back (version-checked; raises ValueError)."""
+    """Load a series dump back (version- and shape-checked; raises
+    ValueError located at ``PATH:LINE`` and naming the bad field)."""
     dump = MetricsDump()
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: not JSON: {exc}") from exc
+                raise ValueError(f"{where}: not JSON: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise ValueError(f"{where}: record is not a JSON object: {payload!r}")
             version = payload.get("v")
             if version != METRICS_SCHEMA_VERSION:
                 raise ValueError(
-                    f"{path}:{line_no}: unsupported metrics schema version "
+                    f"{where}: unsupported metrics schema version "
                     f"{version!r} (this reader understands "
                     f"v{METRICS_SCHEMA_VERSION})"
                 )
             kind = payload.get("kind")
+            for key in _METRICS_FIELDS.get(kind, ()):
+                if key not in payload:
+                    raise ValueError(f"{where}: {kind} record lacks field {key!r}")
             if kind == "meta":
                 dump.meta = {
                     k: v for k, v in payload.items() if k not in ("v", "kind")
                 }
             elif kind == "series":
                 name = payload["name"]
-                dump.series[name] = [
-                    (float(t), float(v)) for t, v in payload["samples"]
-                ]
+                try:
+                    dump.series[name] = [
+                        (float(t), float(v)) for t, v in payload["samples"]
+                    ]
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{where}: field 'samples' must be a list of "
+                        "[t, value] number pairs"
+                    ) from None
                 dump.series_types[name] = payload.get("type", "gauge")
             elif kind == "histogram":
                 dump.histograms[payload["name"]] = {
@@ -515,6 +534,6 @@ def read_metrics_jsonl(path: Union[str, Path]) -> MetricsDump:
                 )
             else:
                 raise ValueError(
-                    f"{path}:{line_no}: unknown metrics record kind {kind!r}"
+                    f"{where}: unknown metrics record kind {kind!r}"
                 )
     return dump

@@ -7,25 +7,15 @@ this file.
 
 import pytest
 
-from repro.adapt import AbrConfig, AbrController, crf_size_scale
-from repro.net import EstimatorConfig
+from repro.adapt import AbrController, crf_size_scale
+from repro.adapt import controller as abr
 
 DEADLINE_MS = 12.0
 NOMINAL_BYTES = 150_000.0
 
 
-def controller(**overrides):
-    config_kwargs = dict(
-        estimator=EstimatorConfig(warmup_samples=2),
-    )
-    config_kwargs.update(overrides)
-    return AbrController(
-        AbrConfig(**config_kwargs),
-        player_id=0,
-        base_crf=23.0,
-        deadline_ms=DEADLINE_MS,
-        nominal_bytes=NOMINAL_BYTES,
-    )
+def controller():
+    return AbrController(0, base_crf=23.0, deadline_ms=DEADLINE_MS, nominal_bytes=NOMINAL_BYTES)
 
 
 def feed_rate(ctl, now_ms, rate_mbps, n=1, size_bytes=NOMINAL_BYTES):
@@ -53,31 +43,12 @@ class TestSizeScale:
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        AbrConfig()
-
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(ValueError, match="at least one rung"):
-            AbrConfig(ladder=())
-
-    def test_out_of_range_crf_rejected(self):
-        with pytest.raises(ValueError, match="\\[0, 51\\]"):
-            AbrConfig(ladder=(22.0, 60.0))
-
-    def test_duplicate_rungs_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            AbrConfig(ladder=(22.0, 22.0))
-
-    def test_inverted_watermarks_rejected(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            AbrConfig(high_watermark=0.5, low_watermark=0.6)
-
-    def test_drop_margin_below_high_watermark_rejected(self):
-        with pytest.raises(ValueError, match="drop_margin"):
-            AbrConfig(high_watermark=0.9, drop_margin=0.8)
-
-    def test_bad_throttle_rejected(self):
-        with pytest.raises(ValueError, match="prefetch_throttle"):
-            AbrConfig(prefetch_throttle=0.5)
+        # The ladder and hysteresis invariants the controller relies on.
+        assert len(set(abr.LADDER)) == len(abr.LADDER) >= 1
+        assert all(0.0 <= crf <= 51.0 for crf in abr.LADDER)
+        assert 0.0 < abr.LOW_WATERMARK < abr.HIGH_WATERMARK <= abr.DROP_MARGIN
+        assert abr.DWELL_MS >= 0 and abr.MAX_CONSECUTIVE_DROPS >= 1
+        assert abr.PREFETCH_THROTTLE >= 1.0
 
 
 class TestLadder:
@@ -101,43 +72,44 @@ class TestLadder:
         assert ctl.steps_down == 1
 
     def test_steps_up_when_better_rung_fits(self):
-        ctl = controller(dwell_ms=0.0)
+        ctl = controller()
         feed_rate(ctl, 0.0, 10.0, n=3)
         assert ctl.on_frame(10.0) == "down"
         # Link recovers; enough samples for the EWMA (alpha 0.3) to flush
-        # the congested history out of the smoothed unit delay.
+        # the congested history out of the smoothed unit delay.  The next
+        # decision comes after the dwell.
         feed_rate(ctl, 20.0, 1000.0, n=15)
-        assert ctl.on_frame(40.0) == "up"
+        assert ctl.on_frame(10.0 + abr.DWELL_MS) == "up"
         assert ctl.crf == 23.0
         assert ctl.steps_up == 1
 
     def test_dwell_blocks_consecutive_steps(self):
-        ctl = controller(dwell_ms=500.0)
+        ctl = controller()
         feed_rate(ctl, 0.0, 5.0, n=3)
         assert ctl.on_frame(10.0) == "down"
-        assert ctl.on_frame(200.0) is None  # inside the dwell
-        assert ctl.on_frame(511.0) == "down"  # dwell expired
+        assert ctl.on_frame(9.0 + abr.DWELL_MS) is None  # inside the dwell
+        assert ctl.on_frame(10.0 + abr.DWELL_MS) == "down"  # dwell expired
 
     def test_never_steps_below_bottom_rung(self):
-        ctl = controller(dwell_ms=0.0)
+        ctl = controller()
         feed_rate(ctl, 0.0, 0.5, n=3)
-        for t in range(1, 30):
-            ctl.on_frame(float(t))
+        for step in range(2 * len(ctl.ladder)):
+            ctl.on_frame(10.0 + step * abr.DWELL_MS)
         assert ctl.rung == len(ctl.ladder) - 1
         assert ctl.crf == max(ctl.ladder)
 
     def test_never_steps_above_base_even_on_fast_link(self):
-        ctl = controller(dwell_ms=0.0)
+        ctl = controller()
         feed_rate(ctl, 0.0, 10_000.0, n=5)
         assert ctl.on_frame(10.0) is None
         assert ctl.rung == ctl.ladder.index(23.0)
 
     def test_timeline_records_every_step(self):
-        ctl = controller(dwell_ms=0.0)
+        ctl = controller()
         feed_rate(ctl, 0.0, 10.0, n=3)
         ctl.on_frame(10.0)
         feed_rate(ctl, 20.0, 1000.0, n=15)
-        ctl.on_frame(40.0)
+        ctl.on_frame(10.0 + abr.DWELL_MS)
         assert ctl.crf_timeline[0] == (0.0, 23.0)
         assert len(ctl.crf_timeline) == 3
         assert ctl.crf_timeline[-1][1] == 23.0
@@ -145,15 +117,15 @@ class TestLadder:
 
 class TestThrottle:
     def test_unity_at_base_quality(self):
-        ctl = controller(prefetch_throttle=1.8)
+        ctl = controller()
         assert ctl.thresh_scale() == 1.0
 
     def test_throttle_applied_while_degraded(self):
-        ctl = controller(prefetch_throttle=1.8)
+        ctl = controller()
         feed_rate(ctl, 0.0, 5.0, n=3)
         ctl.on_frame(10.0)
         assert ctl.degraded
-        assert ctl.thresh_scale() == 1.8
+        assert ctl.thresh_scale() == abr.PREFETCH_THROTTLE > 1.0
 
 
 class TestDropPolicy:
@@ -162,8 +134,8 @@ class TestDropPolicy:
         assert not ctl.should_drop(0.0, NOMINAL_BYTES)
 
     def test_drops_when_forecast_hopeless(self):
-        ctl = controller(drop_margin=1.4)
-        # 1.2 Mbit at 1 Mbit/s = 1200 ms >> 1.4 * 12 ms.
+        ctl = controller()
+        # 1.2 Mbit at 1 Mbit/s = 1200 ms >> DROP_MARGIN * 12 ms.
         feed_rate(ctl, 0.0, 1.0, n=3)
         assert ctl.should_drop(10.0, NOMINAL_BYTES)
         assert ctl.drops == 1
@@ -175,30 +147,26 @@ class TestDropPolicy:
         assert ctl.drops == 0
 
     def test_consecutive_drop_cap_forces_fetch(self):
-        ctl = controller(max_consecutive_drops=2)
+        ctl = controller()
         feed_rate(ctl, 0.0, 1.0, n=3)
-        assert ctl.should_drop(10.0, NOMINAL_BYTES)
-        assert ctl.should_drop(11.0, NOMINAL_BYTES)
-        # Cap reached: the third frame must fetch to refresh the estimator.
-        assert not ctl.should_drop(12.0, NOMINAL_BYTES)
+        for i in range(abr.MAX_CONSECUTIVE_DROPS):
+            assert ctl.should_drop(10.0 + i, NOMINAL_BYTES)
+        # Cap reached: the next frame must fetch to refresh the estimator.
+        assert not ctl.should_drop(20.0, NOMINAL_BYTES)
 
     def test_observe_resets_consecutive_drops(self):
-        ctl = controller(max_consecutive_drops=2)
+        ctl = controller()
         feed_rate(ctl, 0.0, 1.0, n=3)
-        assert ctl.should_drop(10.0, NOMINAL_BYTES)
+        for i in range(abr.MAX_CONSECUTIVE_DROPS - 1):
+            assert ctl.should_drop(10.0 + i, NOMINAL_BYTES)
         feed_rate(ctl, 20.0, 1.0, n=1)  # a real fetch completed
-        assert ctl.should_drop(21.0, NOMINAL_BYTES)
-        assert ctl.should_drop(22.0, NOMINAL_BYTES)
-
-    def test_drop_policy_disabled(self):
-        ctl = controller(drop_policy=False)
-        feed_rate(ctl, 0.0, 1.0, n=3)
-        assert not ctl.should_drop(10.0, NOMINAL_BYTES)
+        for i in range(abr.MAX_CONSECUTIVE_DROPS):
+            assert ctl.should_drop(30.0 + i, NOMINAL_BYTES)
 
 
 class TestAccounting:
     def test_mean_crf_time_weighted(self):
-        ctl = controller(dwell_ms=0.0)
+        ctl = controller()
         # Step down at t=100 (one rung: 23 -> 25 with the default ladder).
         feed_rate(ctl, 0.0, 5.0, n=3)
         ctl.on_frame(100.0)
@@ -212,17 +180,17 @@ class TestAccounting:
         assert ctl.mean_crf(0.0) == 23.0
 
     def test_degraded_ms(self):
-        ctl = controller(dwell_ms=0.0)
+        ctl = controller()
         feed_rate(ctl, 0.0, 5.0, n=3)
         ctl.on_frame(100.0)  # degraded from t=100
         feed_rate(ctl, 150.0, 2000.0, n=15)
-        ctl.on_frame(300.0)  # recovered at t=300
-        assert ctl.degraded_ms(1000.0) == pytest.approx(200.0)
+        ctl.on_frame(100.0 + abr.DWELL_MS)  # recovered once the dwell allows
+        assert ctl.degraded_ms(1000.0) == pytest.approx(abr.DWELL_MS)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError, match="deadline_ms"):
-            AbrController(AbrConfig(), 0, base_crf=23.0, deadline_ms=0.0,
+            AbrController(0, base_crf=23.0, deadline_ms=0.0,
                           nominal_bytes=1000.0)
         with pytest.raises(ValueError, match="nominal_bytes"):
-            AbrController(AbrConfig(), 0, base_crf=23.0, deadline_ms=10.0,
+            AbrController(0, base_crf=23.0, deadline_ms=10.0,
                           nominal_bytes=0.0)

@@ -4,14 +4,15 @@ The estimator underpins every adaptation decision, so its contract is
 pinned three ways: arithmetic on hand-built observation streams,
 hypothesis-generated convergence on steady links, and bit-identical
 replay of identical observation sequences (the determinism the
-(trace, seed, config) replay guarantee rests on).
+(trace, seed) replay guarantee rests on).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import EstimatorConfig, RateEstimator
+from repro.net import RateEstimator
+from repro.net.estimator import EWMA_ALPHA, WARMUP_SAMPLES
 
 MBIT = 1_000_000.0
 
@@ -30,29 +31,21 @@ def observe_constant(est, rate_mbps, n, size_bytes=1_000_000, start_ms=0.0,
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        EstimatorConfig()
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
-    def test_bad_alpha(self, alpha):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            EstimatorConfig(ewma_alpha=alpha)
-
-    def test_bad_warmup(self):
-        with pytest.raises(ValueError, match="warmup_samples"):
-            EstimatorConfig(warmup_samples=0)
+        assert 0.0 < EWMA_ALPHA <= 1.0
+        assert WARMUP_SAMPLES >= 1
 
 
 class TestWarmupAndFeeding:
     def test_no_estimates_before_warmup(self):
-        est = RateEstimator(EstimatorConfig(warmup_samples=3))
-        observe_constant(est, 100.0, 2)
+        est = RateEstimator()
+        observe_constant(est, 100.0, WARMUP_SAMPLES - 1)
         assert not est.warmed_up
         assert est.rate_mbps() is None
         assert est.predict_transfer_ms(1_000_000) is None
 
     def test_estimates_after_warmup(self):
-        est = RateEstimator(EstimatorConfig(warmup_samples=3))
-        observe_constant(est, 100.0, 3)
+        est = RateEstimator()
+        observe_constant(est, 100.0, WARMUP_SAMPLES)
         assert est.warmed_up
         assert est.rate_mbps() == pytest.approx(100.0)
 

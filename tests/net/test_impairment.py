@@ -8,6 +8,7 @@ from repro.net import (
     LinkImpairment,
     WifiLink,
 )
+from repro.net.impairment import RTO_BACKOFF_CAP, RTO_MS
 from repro.sim import Simulator
 
 
@@ -53,13 +54,7 @@ class TestImpairmentConfig:
         with pytest.raises(ValueError):
             ImpairmentConfig(loss_rate=1.0)
         with pytest.raises(ValueError):
-            ImpairmentConfig(burstiness=1.0)
-        with pytest.raises(ValueError):
             ImpairmentConfig(jitter_median_ms=-1.0)
-        with pytest.raises(ValueError):
-            ImpairmentConfig(rto_ms=-1.0)
-        with pytest.raises(ValueError):
-            ImpairmentConfig(mtu_bytes=0)
 
 
 class TestLinkImpairment:
@@ -83,7 +78,7 @@ class TestLinkImpairment:
     def test_losses_are_bursty(self):
         """Mean burst length well above 1 segment (i.i.d. would be ~1)."""
         model = LinkImpairment(
-            ImpairmentConfig(loss_rate=0.1, burstiness=0.85, seed=3)
+            ImpairmentConfig(loss_rate=0.1, seed=3)
         )
         for _ in range(200):
             model.sample(0.0, 100_000)
@@ -99,14 +94,15 @@ class TestLinkImpairment:
 
     def test_burst_penalty_escalates(self):
         """Back-to-back bursts pay doubled RTOs, capped."""
-        config = ImpairmentConfig(loss_rate=0.3, burstiness=0.5,
-                                  rto_ms=10.0, rto_backoff_cap=2, seed=7)
-        model = LinkImpairment(config)
+        model = LinkImpairment(ImpairmentConfig(loss_rate=0.3, seed=7))
         drawn = model.sample(0.0, 2_000_000)
-        assert drawn.bursts > 3
-        # First three bursts: 10 + 20 + 40; all later ones capped at 40.
-        cap_total = 10.0 + 20.0 + 40.0 * (drawn.bursts - 2)
-        assert drawn.extra_latency_ms <= cap_total + 10.0  # + jitter slack
+        assert drawn.bursts > RTO_BACKOFF_CAP + 1
+        # RTO, 2 RTO, 4 RTO, ... until the cap; every later burst pays
+        # the capped timeout.  No jitter is configured.
+        expected = sum(
+            RTO_MS * 2.0 ** min(i, RTO_BACKOFF_CAP) for i in range(drawn.bursts)
+        )
+        assert drawn.extra_latency_ms == pytest.approx(expected)
 
     def test_dip_scales_work(self):
         config = ImpairmentConfig(

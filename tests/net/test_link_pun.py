@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import PunChannel, PunConfig, WifiLink
+from repro.net import PunChannel, WifiLink
 from repro.sim import Simulator
 
 
@@ -218,7 +218,7 @@ class TestPunChannel:
     def test_tick_respects_send_rate(self):
         sim = Simulator()
         link = WifiLink(sim)
-        channel = PunChannel(sim, link, n_players=2, config=PunConfig(send_rate_hz=20))
+        channel = PunChannel(sim, link, n_players=2)
         # Two ticks 1 ms apart: only the first records traffic.
         channel.tick()
         first = link.bytes_for("fi")
@@ -281,9 +281,3 @@ class TestPunChannel:
     def test_validation(self):
         with pytest.raises(ValueError):
             PunChannel(Simulator(), WifiLink(Simulator()), n_players=0)
-        with pytest.raises(ValueError):
-            PunConfig(send_rate_hz=0)
-        with pytest.raises(ValueError):
-            PunConfig(state_bytes=0)
-        with pytest.raises(ValueError):
-            PunConfig(base_latency_ms=-1)

@@ -25,6 +25,7 @@ from repro.session import (
     SessionSupervisor,
     SupervisorConfig,
 )
+from repro.session import supervisor
 from repro.sim import Simulator
 
 
@@ -38,14 +39,12 @@ def permissive_admission(max_players=8):
     )
 
 
-def make_supervisor(schedule, n_initial=2, horizon_ms=10_000.0, config=None,
-                    extra_slots=None):
+def make_supervisor(schedule, n_initial=2, horizon_ms=10_000.0, extra_slots=None):
     sim = Simulator()
     if extra_slots is None:
         extra_slots = schedule.new_player_count()
     total = n_initial + extra_slots
-    sup = SessionSupervisor(sim, schedule, n_initial, total,
-                            config=config, horizon_ms=horizon_ms)
+    sup = SessionSupervisor(sim, schedule, n_initial, total, horizon_ms=horizon_ms)
     return sim, sup
 
 
@@ -87,10 +86,8 @@ class TestInvariantChecker:
 class TestFailureDetector:
     """A silently-dead client must be found by heartbeat age alone."""
 
-    def run_with_silent_client(self, config=None):
-        sim, sup = make_supervisor(ChurnSchedule(), n_initial=2,
-                                   config=config)
-        config = sup.config
+    def run_with_silent_client(self):
+        sim, sup = make_supervisor(ChurnSchedule(), n_initial=2)
 
         def chatty(slot):
             while sim.now < 5_000.0:
@@ -114,7 +111,6 @@ class TestFailureDetector:
 
     def test_suspect_then_evict_timing(self):
         sup = self.run_with_silent_client()
-        config = sup.config
         events = {e.cause: e for e in sup.log}
         suspect = events["heartbeat-timeout"]
         evict = events["evicted"]
@@ -123,14 +119,10 @@ class TestFailureDetector:
         # Last heartbeat just before t=1000; SUSPECT at the first scan
         # with age > 400 and eviction at the first scan with age > 1200.
         last_beat = 1_000.0 - 16.0
-        assert suspect.t_ms - last_beat > config.suspect_after_ms
-        assert suspect.t_ms - last_beat <= (
-            config.suspect_after_ms + config.monitor_interval_ms
-        )
-        assert evict.t_ms - last_beat > config.evict_after_ms
-        assert evict.t_ms - last_beat <= (
-            config.evict_after_ms + config.monitor_interval_ms
-        )
+        suspect_after, evict_after = supervisor.SUSPECT_AFTER_MS, supervisor.EVICT_AFTER_MS
+        scan = supervisor.MONITOR_INTERVAL_MS
+        assert suspect_after < suspect.t_ms - last_beat <= suspect_after + scan
+        assert evict_after < evict.t_ms - last_beat <= evict_after + scan
 
     def test_evicted_client_stays_out(self):
         sup = self.run_with_silent_client()
@@ -371,18 +363,11 @@ class TestAdmissionControl:
         reject = [e for e in sup.log if e.cause.startswith("rejected:")]
         assert reject and reject[0].cause == "rejected:roster-full"
         # Patience: gave up within max_admission_wait_ms of the request.
-        assert reject[0].t_ms - 1_000.0 <= sup.config.max_admission_wait_ms
+        assert reject[0].t_ms - 1_000.0 <= supervisor.MAX_ADMISSION_WAIT_MS
 
 
 class TestSupervisorConfig:
-    @pytest.mark.parametrize("kwargs", [
-        dict(monitor_interval_ms=0.0),
-        dict(suspect_after_ms=500.0, evict_after_ms=400.0),
-        dict(admission_retry_ms=-1.0),
-        dict(warmup_fetches=0),
-        dict(max_players=0),
-        dict(utilization_bound=1.5),
-    ])
+    @pytest.mark.parametrize("kwargs", [dict(warmup_fetches=0), dict(max_players=0)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SupervisorConfig(**kwargs)

@@ -8,18 +8,15 @@ The state-digest helpers must distinguish caches that differ in any
 entry, order, size, confirmation state, or oracle digest.
 """
 
-import pytest
-
 from repro.core.cache import CachedFrame, FrameCache
 from repro.geometry import Vec2
 from repro.session import (
     SlotSyncStats,
-    SyncConfig,
     SyncValidator,
     cache_state_digest,
     state_digest,
 )
-from repro.session.sync import CORRUPTION_MASK
+from repro.session.sync import CADENCE_MS, CORRUPTION_MASK, DIGEST_BYTES
 
 
 class FakeSim:
@@ -44,8 +41,7 @@ def make_frame(grid_point, speculative=False, digest=0, size_bytes=100):
     )
 
 
-def make_validator(sim, n_slots=2, injected=None, cadence_ms=250.0,
-                   resync=True, hashes=None):
+def make_validator(sim, n_slots=2, injected=None, hashes=None):
     """A validator over constant authoritative hashes and a fault map.
 
     ``injected`` maps slot -> injection t_ms; the injection fires in the
@@ -64,7 +60,6 @@ def make_validator(sim, n_slots=2, injected=None, cadence_ms=250.0,
 
     validator = SyncValidator(
         sim=sim,
-        config=SyncConfig(cadence_ms=cadence_ms, resync=resync),
         horizon_ms=10_000.0,
         n_slots=n_slots,
         roster=lambda: range(n_slots),
@@ -78,18 +73,9 @@ def make_validator(sim, n_slots=2, injected=None, cadence_ms=250.0,
 
 class TestSyncConfig:
     def test_defaults_valid(self):
-        config = SyncConfig()
-        assert config.cadence_ms == 250.0
-        assert config.resync
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(cadence_ms=0.0),
-        dict(cadence_ms=-5.0),
-        dict(digest_bytes=4),
-    ])
-    def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SyncConfig(**kwargs)
+        # The rounds below are 250 ms apart; a packet holds a 64-bit hash.
+        assert CADENCE_MS == 250.0
+        assert DIGEST_BYTES >= 8
 
 
 class TestCleanRounds:
@@ -117,9 +103,7 @@ class TestCleanRounds:
 class TestDetection:
     def test_injected_desync_detected_within_one_cadence(self):
         sim = FakeSim()
-        validator, _, resyncs = make_validator(
-            sim, injected={1: 600.0}, cadence_ms=250.0
-        )
+        validator, _, resyncs = make_validator(sim, injected={1: 600.0})
         for round_no in range(4):
             sim.now = (round_no + 1) * 250.0
             validator.run_round()
@@ -148,20 +132,6 @@ class TestDetection:
         # The clean slot is untouched.
         assert validator.stats[1] == SlotSyncStats()
 
-    def test_resync_disabled_alarms_without_recovery(self):
-        sim = FakeSim()
-        validator, _, resyncs = make_validator(
-            sim, injected={0: 100.0}, resync=False
-        )
-        sim.now = 250.0
-        validator.run_round()
-        sim.now = 500.0
-        validator.run_round()
-        assert validator.total_alarms == 1
-        assert resyncs == []
-        assert validator.stats[0].resyncs == 0
-        assert validator.stats[0].recovery_ms == 0.0
-
     def test_max_detection_ms_zero_without_alarms(self):
         sim = FakeSim()
         validator, _, _ = make_validator(sim)
@@ -171,8 +141,8 @@ class TestDetection:
 class TestProcessCadence:
     def test_process_yields_until_horizon(self):
         sim = FakeSim()
-        validator, _, _ = make_validator(sim, cadence_ms=300.0)
-        validator.horizon_ms = 1000.0
+        validator, _, _ = make_validator(sim)
+        validator.horizon_ms = 900.0
         gen = validator.process()
         delays = []
         try:
@@ -182,8 +152,8 @@ class TestProcessCadence:
                 # run_round happens inside process() after each yield
         except StopIteration:
             pass
-        assert delays == [300.0, 300.0, 300.0]
-        assert sim.now == 900.0
+        assert delays == [CADENCE_MS] * 3
+        assert sim.now == 3 * CADENCE_MS
 
 
 class TestCacheStateDigest:

@@ -2,7 +2,7 @@
 
 Three layers, mirroring the robustness-test structure:
 
-* gating — ``adapt=None`` runs are bit-identical to the pinned
+* gating — ``adapt=False`` runs are bit-identical to the pinned
   pre-adaptation clean path (the controller must be invisible when off);
 * effectiveness — adaptive Coterie is no worse than fixed-CRF on
   deadline-miss rate under every committed trace profile, and all three
@@ -11,13 +11,13 @@ Three layers, mirroring the robustness-test structure:
   SessionMetrics, including the ABR timeline.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.adapt import AbrConfig
 from repro.net import ImpairmentConfig, RateTrace, TRACE_PROFILES
 from repro.systems import (
     SessionConfig,
-    prepare_artifacts,
     run_coterie,
     run_multi_furion,
     run_thin_client,
@@ -35,13 +35,6 @@ PINNED_FRAMES = [235, 235, 235, 235]
 
 DURATION_S = 3.0
 SEED = 1
-
-
-@pytest.fixture(scope="module")
-def racing():
-    world = load_game("racing")
-    artifacts = prepare_artifacts(world, SessionConfig(**PINNED_CONFIG))
-    return world, artifacts
 
 
 def _trace_config(profile, adapt, duration_s=DURATION_S, seed=SEED):
@@ -81,7 +74,7 @@ class TestAdaptGating:
             assert m.abr_crf_timeline == ()
 
     def test_adapt_alone_enables_degraded_mode(self):
-        config = SessionConfig(duration_s=1.0, seed=1, adapt=AbrConfig())
+        config = SessionConfig(duration_s=1.0, seed=1, adapt=True)
         assert config.degraded_mode
         assert not SessionConfig(duration_s=1.0, seed=1).degraded_mode
 
@@ -91,19 +84,13 @@ class TestAdaptiveEffectiveness:
     def test_adaptive_no_worse_than_fixed_on_misses(self, racing, profile):
         """The headline claim, per committed trace."""
         world, artifacts = racing
-        fixed = run_coterie(
-            world, 4, _trace_config(profile, None), artifacts
-        )
-        adaptive = run_coterie(
-            world, 4, _trace_config(profile, AbrConfig()), artifacts
-        )
+        fixed = run_coterie(world, 4, _trace_config(profile, False), artifacts)
+        adaptive = run_coterie(world, 4, _trace_config(profile, True), artifacts)
         assert _miss_rate(adaptive) <= _miss_rate(fixed)
 
     def test_adaptive_coterie_actually_adapts(self, racing):
         world, artifacts = racing
-        result = run_coterie(
-            world, 4, _trace_config("bufferbloat", AbrConfig()), artifacts
-        )
+        result = run_coterie(world, 4, _trace_config("bufferbloat", True), artifacts)
         ms = [p.metrics for p in result.players]
         assert sum(m.abr_steps_down for m in ms) > 0
         assert all(m.abr_crf_timeline[0] == (0.0, 25.0) for m in ms)
@@ -113,18 +100,14 @@ class TestAdaptiveEffectiveness:
 
     def test_multi_furion_carries_controller(self):
         world = load_game("racing")
-        result = run_multi_furion(
-            world, 2, _trace_config("bufferbloat", AbrConfig())
-        )
+        result = run_multi_furion(world, 2, _trace_config("bufferbloat", True))
         ms = [p.metrics for p in result.players]
         assert all(m.frames > 0 for m in ms)
         assert sum(m.abr_steps_down for m in ms) > 0
 
     def test_thin_client_carries_controller(self):
         world = load_game("racing")
-        result = run_thin_client(
-            world, 2, _trace_config("bufferbloat", AbrConfig())
-        )
+        result = run_thin_client(world, 2, _trace_config("bufferbloat", True))
         ms = [p.metrics for p in result.players]
         assert all(m.frames > 0 for m in ms)
         assert sum(m.abr_steps_down for m in ms) > 0
@@ -133,12 +116,10 @@ class TestAdaptiveEffectiveness:
         """Drops are chosen degradation: dropped frames must not inflate
         the reactive deadline-miss rate."""
         world, artifacts = racing
-        # An aggressive drop policy on the deep bufferbloat trough.
-        adapt = AbrConfig(drop_margin=0.8, high_watermark=0.75,
-                          max_consecutive_drops=10)
-        result = run_coterie(
-            world, 4, _trace_config("bufferbloat", adapt), artifacts
-        )
+        # The deep bufferbloat trough on a 100 Mbps link: the forecast
+        # crosses the drop margin often enough to drop frames.
+        config = replace(_trace_config("bufferbloat", True), wifi_mbps=100.0)
+        result = run_coterie(world, 4, config, artifacts)
         for player in result.players:
             m = player.metrics
             assert m.abr_drops >= 0
@@ -157,30 +138,18 @@ class TestReplayDeterminism:
     @pytest.mark.parametrize("profile", ["cellular", "contention"])
     def test_same_trace_seed_config_replays_identically(self, racing, profile):
         world, artifacts = racing
-        first = run_coterie(
-            world, 4, _trace_config(profile, AbrConfig()), artifacts
-        )
-        second = run_coterie(
-            world, 4, _trace_config(profile, AbrConfig()), artifacts
-        )
+        first = run_coterie(world, 4, _trace_config(profile, True), artifacts)
+        second = run_coterie(world, 4, _trace_config(profile, True), artifacts)
         assert self._key(first) == self._key(second)
 
     def test_different_seed_changes_cellular_outcome(self, racing):
         world, artifacts = racing
-        a = run_coterie(
-            world, 4, _trace_config("cellular", AbrConfig(), seed=1), artifacts
-        )
-        b = run_coterie(
-            world, 4, _trace_config("cellular", AbrConfig(), seed=2), artifacts
-        )
+        a = run_coterie(world, 4, _trace_config("cellular", True, seed=1), artifacts)
+        b = run_coterie(world, 4, _trace_config("cellular", True, seed=2), artifacts)
         assert self._key(a) != self._key(b)
 
     def test_thin_client_replays_identically(self):
         world = load_game("racing")
-        first = run_thin_client(
-            world, 2, _trace_config("contention", AbrConfig())
-        )
-        second = run_thin_client(
-            world, 2, _trace_config("contention", AbrConfig())
-        )
+        first = run_thin_client(world, 2, _trace_config("contention", True))
+        second = run_thin_client(world, 2, _trace_config("contention", True))
         assert self._key(first) == self._key(second)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics import FrameRecord, MetricsCollector
-from repro.systems import PlayerResult, RunResult, Session, SessionConfig
+from repro.systems import PlayerResult, RunResult, Session, SessionConfig, run_system
 from repro.systems.base import SENSOR_SCANOUT_MS
 from repro.world import load_game
 
@@ -98,14 +98,19 @@ class TestSession:
         assert result.players[0].power_w > 0
         assert result.players[0].temperature_c > 25.0
 
+    def test_link_too_slow_for_any_frame(self):
+        """No player displays a frame: the run reports an empty roster
+        instead of failing on the empty QoE summary."""
+        config = SessionConfig(duration_s=1.0, seed=1, wifi_mbps=0.01)
+        result = run_system("thin_client", "pool", 2, config)
+        assert result.players == [] and result.n_players == 2
+
     def test_sensor_overhead_constant(self):
         assert 0.0 < SENSOR_SCANOUT_MS < 2.0
 
 
 class TestRunSystemScale:
     def test_scaled_world_runs(self):
-        from repro.systems import run_system
-
         result = run_system(
             "mobile", "viking", 1, SessionConfig(duration_s=2.0, seed=1),
             scale=0.25,

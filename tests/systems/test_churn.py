@@ -17,7 +17,6 @@ import warnings
 
 import pytest
 
-from repro.adapt import AbrConfig
 from repro.faults import ChurnSchedule, FaultSchedule
 from repro.net import ImpairmentConfig, RateTrace
 from repro.session import ACTIVE, CRASHED, LEFT, SupervisorConfig
@@ -33,13 +32,6 @@ from repro.telemetry import SpanTracer
 from repro.world import load_game
 
 BASE = dict(duration_s=4.0, seed=1)
-
-
-@pytest.fixture(scope="module")
-def racing():
-    world = load_game("racing")
-    artifacts = prepare_artifacts(world, SessionConfig(**BASE))
-    return world, artifacts
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +288,7 @@ class TestChaosMatrix:
             duration_s=3.0, seed=seed, churn=ChurnSchedule.parse(spec),
             supervision=SupervisorConfig(warmup_fetches=2),
             impairment=ImpairmentConfig(rate_trace=trace),
-            adapt=AbrConfig(),
+            adapt=True,
         )
         result = run_coterie(world, 2, config, artifacts)
         member = result.membership

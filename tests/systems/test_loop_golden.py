@@ -29,11 +29,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.adapt import AbrConfig
 from repro.faults import ChurnSchedule, FaultSchedule
 from repro.net import ImpairmentConfig, RateTrace
 from repro.predict import PredictConfig
-from repro.session import SupervisorConfig, SyncConfig
+from repro.session import SupervisorConfig
 from repro.systems import (
     SessionConfig,
     prepare_artifacts,
@@ -120,7 +119,7 @@ def _scenarios():
         table[f"adapt-{system}"] = (
             system, 2,
             dict(duration_s=1.5, wifi_mbps=80.0, impairment=_cellular(1.5),
-                 adapt=AbrConfig()),
+                 adapt=True),
         )
         table[f"churn-{churned}"] = (
             churned, 3,
@@ -129,7 +128,7 @@ def _scenarios():
         )
     table["speculation-coterie"] = (
         "coterie", 2,
-        dict(duration_s=1.8, predict=PredictConfig(), sync=SyncConfig(),
+        dict(duration_s=1.8, predict=PredictConfig(), sync=True,
              faults=FaultSchedule.parse(SPEC_FAULTS)),
     )
     table["fullrender"] = (
@@ -138,10 +137,10 @@ def _scenarios():
     table["everything-coterie"] = (
         "coterie", 2,
         dict(duration_s=2.0, wifi_mbps=300.0, impairment=_cellular(2.0),
-             adapt=AbrConfig(), faults=FaultSchedule.parse(EVERYTHING_FAULTS),
+             adapt=True, faults=FaultSchedule.parse(EVERYTHING_FAULTS),
              churn=ChurnSchedule.parse(EVERYTHING_CHURN),
              supervision=SupervisorConfig(warmup_fetches=2),
-             predict=PredictConfig(), sync=SyncConfig(), prefetch_deadline_ms=12.0),
+             predict=PredictConfig(), sync=True, prefetch_deadline_ms=12.0),
     )
     return table
 

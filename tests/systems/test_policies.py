@@ -8,18 +8,16 @@ these tests cover only what nothing else does.
 
 import pytest
 
-from repro.adapt import AbrConfig
 from repro.faults import ChurnSchedule, FaultSchedule
 from repro.net import ImpairmentConfig
 from repro.predict import PredictConfig
-from repro.session import SyncConfig
 from repro.systems import Session, SessionConfig, prepare_artifacts, run_coterie
 from repro.systems.coterie import CoterieStrategy
 from repro.systems.policies import Degradation, Speculation, SyncCheck, fetch_with_retries
 from repro.world import load_game
 
 EVERYTHING = dict(
-    faults=FaultSchedule.parse("stall@0-100"), predict=PredictConfig(), sync=SyncConfig()
+    faults=FaultSchedule.parse("stall@0-100"), predict=PredictConfig(), sync=True
 )
 
 
@@ -49,9 +47,9 @@ class TestPolicyConstruction:
         (dict(faults=FaultSchedule.parse("stall@0-100")), [Degradation]),
         (dict(impairment=ImpairmentConfig(seed=1)), [Degradation]),
         (dict(prefetch_deadline_ms=12.0), [Degradation]),
-        (dict(adapt=AbrConfig()), [Degradation]),
+        (dict(adapt=True), [Degradation]),
         (dict(predict=PredictConfig()), [Speculation]),
-        (dict(sync=SyncConfig()), [SyncCheck]),
+        (dict(sync=True), [SyncCheck]),
         (EVERYTHING, [Degradation, Speculation, SyncCheck]),
     ], ids=["faults", "impairment", "deadline", "adapt", "predict", "sync", "all"])
     def test_each_config_adds_exactly_its_policy(self, pool, config_kwargs, expected):

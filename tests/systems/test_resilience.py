@@ -7,13 +7,10 @@ under loss, recovery after outages, and full determinism for a
 (fault schedule, seed) pair.
 """
 
-import pytest
-
 from repro.faults import FaultSchedule
 from repro.net import ImpairmentConfig
 from repro.systems import (
     SessionConfig,
-    prepare_artifacts,
     run_coterie,
     run_multi_furion,
     run_thin_client,
@@ -36,13 +33,6 @@ PINNED_BE_MBPS = 64.468926
 PINNED_FI_KBPS = 204.8
 PINNED_HIT_RATIO = 0.7297872340425532
 PINNED_FRAMES = [235, 235, 235, 235]
-
-
-@pytest.fixture(scope="module")
-def racing():
-    world = load_game("racing")
-    artifacts = prepare_artifacts(world, SessionConfig(**PINNED_CONFIG))
-    return world, artifacts
 
 
 class TestPinnedCleanPath:

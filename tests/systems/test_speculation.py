@@ -2,7 +2,7 @@
 
 Four contracts:
 
-* **bit-identity** — ``predict=None, sync=None`` runs reproduce the
+* **bit-identity** — ``predict=None, sync=False`` runs reproduce the
   pinned pre-speculation results exactly: the machinery is invisible
   unless enabled;
 * **effectiveness** — speculation warms the cache ahead of motion, so
@@ -19,9 +19,8 @@ import pytest
 
 from repro.faults import FaultSchedule
 from repro.predict import PosePredictor, PredictConfig
-from repro.session import SyncConfig
-from repro.systems import SessionConfig, prepare_artifacts, run_coterie
-from repro.world import load_game
+from repro.session.sync import CADENCE_MS
+from repro.systems import SessionConfig, run_coterie
 
 PINNED_CONFIG = dict(duration_s=4.0, seed=1)
 
@@ -36,17 +35,8 @@ PINNED_FI_KBPS = 204.8
 PINNED_HIT_RATIO = 0.7297872340425532
 PINNED_FRAMES = [235, 235, 235, 235]
 
-CADENCE_MS = SyncConfig().cadence_ms
 
-
-@pytest.fixture(scope="module")
-def racing():
-    world = load_game("racing")
-    artifacts = prepare_artifacts(world, SessionConfig(**PINNED_CONFIG))
-    return world, artifacts
-
-
-def run(racing, n_players=4, predict=None, sync=None, faults=None, **kwargs):
+def run(racing, n_players=4, predict=None, sync=False, faults=None, **kwargs):
     """One racing run with the speculation knobs under test."""
     world, artifacts = racing
     config = SessionConfig(
@@ -106,10 +96,8 @@ class TestSpeculationEffectiveness:
         assert totals["spec_rollbacks"] == 0
 
     def test_speculative_runs_deterministic(self, racing):
-        a = run(racing, n_players=2, predict=PredictConfig(),
-                sync=SyncConfig())
-        b = run(racing, n_players=2, predict=PredictConfig(),
-                sync=SyncConfig())
+        a = run(racing, n_players=2, predict=PredictConfig(), sync=True)
+        b = run(racing, n_players=2, predict=PredictConfig(), sync=True)
         assert [p.metrics for p in a.players] == [p.metrics for p in b.players]
         assert [p.records for p in a.players] == [p.records for p in b.players]
         assert a.be_mbps == b.be_mbps
@@ -117,8 +105,7 @@ class TestSpeculationEffectiveness:
 
     def test_sync_validator_clean_run_zero_alarms(self, racing):
         without_sync = run(racing, n_players=3, predict=PredictConfig())
-        result = run(racing, n_players=3, predict=PredictConfig(),
-                     sync=SyncConfig())
+        result = run(racing, n_players=3, predict=PredictConfig(), sync=True)
         totals = spec_totals(result)
         assert totals["desync_alarms"] == 0
         assert totals["resyncs"] == 0
@@ -172,7 +159,7 @@ class TestRollbackConvergence:
 class TestDesyncDetection:
     def test_single_injection_detected_within_cadence(self, racing):
         result = run(
-            racing, n_players=3, predict=PredictConfig(), sync=SyncConfig(),
+            racing, n_players=3, predict=PredictConfig(), sync=True,
             faults=FaultSchedule.parse("desync@1500:1"),
         )
         metrics = [p.metrics for p in result.players]
@@ -183,7 +170,7 @@ class TestDesyncDetection:
 
     def test_resync_rewarms_the_cache(self, racing):
         result = run(
-            racing, n_players=2, predict=PredictConfig(), sync=SyncConfig(),
+            racing, n_players=2, predict=PredictConfig(), sync=True,
             faults=FaultSchedule.parse("desync@1000:0"),
         )
         assert result.players[0].metrics.resyncs == 1
@@ -206,7 +193,7 @@ class TestDesyncChaosMatrix:
     def test_every_injection_detected(self, racing, spec, seed):
         faults = FaultSchedule.parse(spec)
         result = run(
-            racing, n_players=3, predict=PredictConfig(), sync=SyncConfig(),
+            racing, n_players=3, predict=PredictConfig(), sync=True,
             faults=faults, seed=seed, duration_s=3.5,
         )
         expected = {}
@@ -226,7 +213,7 @@ class TestDesyncChaosMatrix:
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_clean_runs_never_false_alarm(self, racing, seed):
         result = run(
-            racing, n_players=3, predict=PredictConfig(), sync=SyncConfig(),
+            racing, n_players=3, predict=PredictConfig(), sync=True,
             seed=seed, duration_s=3.0,
         )
         totals = spec_totals(result)

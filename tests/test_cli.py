@@ -81,6 +81,14 @@ class TestCommands:
                      "--faults", "stall@0-500:10"]) == 0
         assert "resilience" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["thin_client", "pool", "2", "--wifi-mbps", "0.01", "--duration", "1"],
+        ["coterie", "pool", "2", "--loss", "0.9", "--duration", "2"],
+    ], ids=["slow-link", "lossy-link"])
+    def test_fixed_roster_run_where_nobody_displays_exits_cleanly(self, argv, capsys):
+        assert main(["run", *argv]) == 0
+        assert "no player displayed a frame" in capsys.readouterr().out
+
     def test_run_clean_omits_resilience(self, capsys):
         assert main(["run", "mobile", "pool", "1", "--duration", "2"]) == 0
         assert "resilience" not in capsys.readouterr().out
@@ -306,6 +314,19 @@ class TestBadConfiguration:
         assert main(["run", "coterie", "pool", "2", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"invalid run configuration: {message}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "coterie", "pool", "2", "--duration", "0.001"], "duration_s"),
+        (["fleet", "--session-duration", "0.001", "--duration", "3"], "session_duration_s"),
+    ], ids=["run", "fleet"])
+    def test_duration_under_one_frame_rejected(self, argv, field, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"invalid {argv[0]} configuration: {field} must be at least one frame "
+            "(1/60 s), got 0.001"
+        ]
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -542,6 +563,29 @@ class TestReportHardening:
         )
         assert main(["report", str(spanless)]) == 2
         assert "no frame spans" in capsys.readouterr().err
+
+    _SPAN = '{"v":1,"kind":"span","name":"frame","lane":"l","t0_ms":0,"dur_ms":1,'
+
+    @pytest.mark.parametrize("record, report_says, diff_says", [
+        ('{"v":1,"kind":"series"}', "lacks field 'name'", "lacks field 'name'"),
+        ('{"v":1,"kind":"series","name":"x"}', "lacks field 'samples'",
+         "lacks field 'samples'"),
+        ("[1,2]", "not a JSON object", "not a JSON object"),
+        (_SPAN + '"player":0,"args":5}', "field 'args' must be an object", "kind 'span'"),
+        (_SPAN + '"player":"a"}', "field 'player' must be a number", "kind 'span'"),
+    ], ids=["series-no-name", "series-no-samples", "array", "args-number", "player-text"])
+    def test_bad_record_shape_is_one_located_line(
+        self, record, report_says, diff_says, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n")
+        for argv, says in ((["report", str(bad)], report_says),
+                           (["report", "--diff", str(bad), str(bad)], diff_says)):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert f"{bad}:1: " in line and says in line
+            assert captured.out == ""
 
     def test_truncated_json_line_exits_two(self, tmp_path, capsys):
         clipped = tmp_path / "clipped.jsonl"
