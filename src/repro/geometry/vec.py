@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class Vec2:
         """Counter-clockwise rotation about the origin."""
         c, s = math.cos(radians), math.sin(radians)
         return Vec2(self.x * c - self.y * s, self.x * s + self.y * c)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Plain-tuple form (hashable key)."""
-        return (self.x, self.y)
 
     @staticmethod
     def from_angle(radians: float, length: float = 1.0) -> "Vec2":
@@ -147,10 +143,6 @@ class Vec3:
     def ground(self) -> Vec2:
         """Project onto the 2D ground plane (drop elevation)."""
         return Vec2(self.x, self.y)
-
-    def as_tuple(self) -> Tuple[float, float, float]:
-        """Plain-tuple form (hashable key)."""
-        return (self.x, self.y, self.z)
 
     @staticmethod
     def zero() -> "Vec3":

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .. import perf
 from ..geometry import Vec3, direction_to_angles
-from ..world.objects import SceneObject
+from ..world.objects import ObjectArrays, SceneObject
 from ..world.scene import Scene
 from .framebuffer import cell_noise, clip_frame, fractal_noise, hash01, new_frame, value_noise
 
@@ -117,24 +118,10 @@ def _render_background(
     depth = np.full_like(image, _INFINITY, dtype=np.float64)
     seed = scene.ground_seed
 
-    include_sky = math.isinf(far_clip)
-    if include_sky:
-        sky_rows = el >= 0.0
-        if np.any(sky_rows):
-            el_sky = el[sky_rows][:, None]
-            cloud = value_noise(
-                az[None, :] * 3.0 / TWO_PI * 8.0,
-                np.broadcast_to(el_sky * 4.0, (el_sky.shape[0], az.size)),
-                seed + 17,
-            )
-            sky = config.sky_luminance - 0.18 * (el_sky / (math.pi / 2)) + 0.06 * (
-                cloud - 0.5
-            )
-            if config.indoor:
-                # Indoors the "sky" is a ceiling: flat, darker, no clouds.
-                sky = np.full_like(sky, config.sky_luminance * 0.7)
-            image[sky_rows, :] = sky.astype(np.float32)
-            mask[sky_rows, :] = True
+    if math.isinf(far_clip):
+        sky = _sky(config, seed)
+        image[: len(sky)] = sky
+        mask[: len(sky)] = True
 
     ground_rows = el < -1e-4
     height_above_ground = eye.z - scene.terrain(eye.ground())
@@ -170,9 +157,31 @@ def _render_background(
     return Layer(image=clip_frame(image), mask=mask, depth=depth)
 
 
+@lru_cache(maxsize=16)
+def _sky(config: RenderConfig, seed: int) -> np.ndarray:
+    """The rows at and above the horizon: an elevation gradient with
+    azimuth-anchored clouds.  They depend on the config and the scene's
+    ground seed only, not on the eye, so they are computed once per pair
+    and shared read-only; callers copy them into their own frame."""
+    az, el = _pixel_angles(config)
+    el_sky = el[el >= 0.0][:, None]  # a prefix: elevation falls row by row
+    cloud = value_noise(
+        az[None, :] * 3.0 / TWO_PI * 8.0,
+        np.broadcast_to(el_sky * 4.0, (el_sky.shape[0], az.size)),
+        seed + 17,
+    )
+    sky = config.sky_luminance - 0.18 * (el_sky / (math.pi / 2)) + 0.06 * (cloud - 0.5)
+    if config.indoor:
+        # Indoors the "sky" is a ceiling: flat, darker, no clouds.
+        sky = np.full_like(sky, config.sky_luminance * 0.7)
+    rows = sky.astype(np.float32)
+    rows.setflags(write=False)
+    return rows
+
+
 def draw_objects(
     layer: Layer,
-    objects: Sequence[SceneObject],
+    objects: ObjectArrays,
     eye: Vec3,
     config: RenderConfig,
 ) -> Layer:
@@ -183,14 +192,14 @@ def draw_objects(
     Objects subtending less than about half a pixel are culled (matching
     what any real renderer's LOD would drop at this resolution).
     """
-    if not objects:
+    if not len(objects):
         return layer
     with perf.timed("raster"):
         return _draw_objects_vector(layer, objects, eye, config)
 
 
 def _cull_objects(
-    objects: Sequence[SceneObject], eye: Vec3, config: RenderConfig
+    objects: ObjectArrays, eye: Vec3, config: RenderConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized visibility cull shared by the draw and its reference.
 
@@ -200,8 +209,8 @@ def _cull_objects(
     equal distance keep their list order, on every CPU and numpy build.
     """
     min_ang = max(config.min_angular_radius, 0.55 * math.pi / config.height)
-    centers = np.array([obj.center.as_tuple() for obj in objects])
-    radii = np.array([obj.radius for obj in objects])
+    centers = np.column_stack((objects.x, objects.y, objects.z))
+    radii = objects.radius
     offsets = centers - np.array([eye.x, eye.y, eye.z])
     dists = np.linalg.norm(offsets, axis=1)
     with np.errstate(invalid="ignore"):
@@ -219,16 +228,20 @@ def _draw_objects_scalar(
     eye: Vec3,
     config: RenderConfig,
 ) -> Layer:
-    """Reference implementation: one scanline loop per object.
+    """Reference implementation: one scanline loop per object, reading
+    the objects themselves.
 
     Not called from ``src``: ``tests/render/test_kernels_golden.py`` holds
-    :func:`draw_objects` to this, bit for bit, on all nine games.
+    :func:`draw_objects`, fed a scene's arrays, to this, fed the same
+    objects as a list, bit for bit, on all nine games.
     """
     az_cols, el_rows = _pixel_angles(config)
     width, height = config.width, config.height
     image, mask, depth = layer.image, layer.mask, layer.depth
 
-    dists, ang, kept_indices, _ = _cull_objects(objects, eye, config)
+    dists, ang, kept_indices, _ = _cull_objects(
+        ObjectArrays.from_objects(objects), eye, config
+    )
 
     for index in kept_indices:
         obj = objects[index]
@@ -314,7 +327,7 @@ def _ragged(counts: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
 def _draw_objects_vector(
     layer: Layer,
-    objects: Sequence[SceneObject],
+    objects: ObjectArrays,
     eye: Vec3,
     config: RenderConfig,
 ) -> Layer:
@@ -401,20 +414,17 @@ def _draw_objects_vector(
     wins = pix_rank == best[flat]
     pix_row, pix_col = pix_row[wins], pix_col[wins]
     win = row_unit[pix_row]
+    win_obj = kept[unit_obj][win]
 
     # View-facing procedural texture, anchored to the object.
-    drawn = [objects[i] for i in kept[unit_obj].tolist()]
-    seed = np.array([obj.texture_seed for obj in drawn], dtype=np.int64)
-    luminance = np.array([obj.luminance for obj in drawn])
-    contrast = np.array([obj.contrast for obj in drawn])
     el_frac = d_el / ang_r[row_unit]
     tex = hash01(
         np.floor(daz / ang_r[col_unit] * freq[col_unit] + 11.3).astype(np.int64)[pix_col],
         np.floor(el_frac * freq[row_unit] + 7.7).astype(np.int64)[pix_row],
-        seed[win],
+        objects.texture_seed[win_obj],
     )
     shade = 1.0 + 0.22 * el_frac[pix_row]  # lit from above
-    lum = luminance[win] * (1.0 - contrast[win] * (tex - 0.5)) * shade
+    lum = objects.luminance[win_obj] * (1.0 - objects.contrast[win_obj] * (tex - 0.5)) * shade
     value = lum * (1.0 - fog[win]) + config.fog_luminance * fog[win]
     np.clip(value, 0.0, 1.0, out=value)
     at = (row[pix_row], col[pix_col])

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..geometry import Vec2, Vec3, camera_height
-from ..world.objects import SceneObject
+from ..world.objects import ObjectArrays, SceneObject
 from ..world.scene import Scene
 from .rasterizer import (
     Layer,
@@ -42,7 +42,7 @@ def render_whole_be(
 ) -> Layer:
     """The undecoupled panoramic BE frame (what Furion prefetches)."""
     layer = render_background(scene, eye, config, near_clip=0.0, far_clip=_INFINITY)
-    objects = scene.objects_within(eye.ground(), config.view_limit)
+    objects = scene.object_arrays_within(eye.ground(), config.view_limit)
     return draw_objects(layer, objects, eye, config)
 
 
@@ -59,7 +59,7 @@ def render_far_be(
     layer = render_background(
         scene, eye, config, near_clip=cutoff_radius, far_clip=_INFINITY
     )
-    objects = scene.objects_in_annulus(
+    objects = scene.object_arrays_in_annulus(
         eye.ground(), cutoff_radius, max(config.view_limit, cutoff_radius)
     )
     return draw_objects(layer, objects, eye, config)
@@ -78,7 +78,7 @@ def render_near_be(
     layer = render_background(
         scene, eye, config, near_clip=0.0, far_clip=cutoff_radius
     )
-    objects = scene.objects_within(eye.ground(), cutoff_radius)
+    objects = scene.object_arrays_within(eye.ground(), cutoff_radius)
     return draw_objects(layer, objects, eye, config)
 
 
@@ -87,7 +87,7 @@ def render_fi(
 ) -> Layer:
     """Foreground interactions: the players' avatars/vehicles as a layer."""
     layer = empty_layer(config)
-    return draw_objects(layer, avatars, eye, config)
+    return draw_objects(layer, ObjectArrays.from_objects(avatars), eye, config)
 
 
 def render_display_frame(

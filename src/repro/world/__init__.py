@@ -15,7 +15,7 @@ from .games import (
 )
 from .generator import DensityBlob, DensityField, KindMixture, generate_scene
 from .materials import ObjectKind, catalog, kind
-from .objects import SceneObject, make_object
+from .objects import ObjectArrays, SceneObject, make_object
 from .reachability import FullAreaMask, RoomMask, TrackMask, oval_track
 from .scene import BePartition, Scene
 from .terrain import FlatTerrain, RidgeTerrain, RollingTerrain
@@ -33,6 +33,7 @@ __all__ = [
     "HEADLINE_GAMES",
     "INDOOR_GAMES",
     "KindMixture",
+    "ObjectArrays",
     "ObjectKind",
     "OUTDOOR_GAMES",
     "PlayerProfile",

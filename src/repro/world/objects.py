@@ -10,6 +10,9 @@ panoramic frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..geometry import Vec2, Vec3
 from .materials import ObjectKind
@@ -68,6 +71,53 @@ class SceneObject:
         2D), so near/far classification uses this distance, not the 3D one.
         """
         return self.ground_position.distance_to(point)
+
+
+@dataclass(frozen=True)
+class ObjectArrays:
+    """What the rasterizer reads of a list of objects, as parallel arrays:
+    bounding-sphere centre ``x`` / ``y`` / ``z`` and ``radius``, and the
+    shading inputs ``texture_seed`` / ``luminance`` / ``contrast``.
+
+    A :class:`~repro.world.scene.Scene` holds one set for all its objects
+    and hands out index slices of it, so a draw never walks the objects.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    radius: np.ndarray
+    texture_seed: np.ndarray
+    luminance: np.ndarray
+    contrast: np.ndarray
+
+    @classmethod
+    def from_objects(cls, objects: Sequence[SceneObject]) -> "ObjectArrays":
+        """The arrays of ``objects``, in list order."""
+        return cls(
+            x=np.array([obj.center.x for obj in objects], dtype=np.float64),
+            y=np.array([obj.center.y for obj in objects], dtype=np.float64),
+            z=np.array([obj.center.z for obj in objects], dtype=np.float64),
+            radius=np.array([obj.radius for obj in objects], dtype=np.float64),
+            texture_seed=np.array([obj.texture_seed for obj in objects], dtype=np.int64),
+            luminance=np.array([obj.luminance for obj in objects], dtype=np.float64),
+            contrast=np.array([obj.contrast for obj in objects], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def take(self, index: np.ndarray) -> "ObjectArrays":
+        """The objects at ``index``, in that order."""
+        return ObjectArrays(
+            x=self.x[index],
+            y=self.y[index],
+            z=self.z[index],
+            radius=self.radius[index],
+            texture_seed=self.texture_seed[index],
+            luminance=self.luminance[index],
+            contrast=self.contrast[index],
+        )
 
 
 def make_object(

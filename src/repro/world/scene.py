@@ -3,7 +3,8 @@
 Every higher layer asks the scene the same few questions, always centred on
 a viewpoint:
 
-* which objects are within / beyond a cutoff radius (near/far BE split);
+* which objects are within / beyond a cutoff radius (near/far BE split),
+  as a list or as the rasterizer's :class:`ObjectArrays`;
 * how many triangles lie within a radius (Constraint 1 cost input);
 * what is the set of near-object ids (frame-cache criterion 3).
 
@@ -21,7 +22,7 @@ from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..geometry import Rect, Vec2
-from .objects import SceneObject
+from .objects import ObjectArrays, SceneObject
 
 TerrainFn = Callable[[Vec2], float]
 
@@ -73,10 +74,13 @@ class Scene:
         cell_j = np.floor(y / cell_size).astype(np.int64)
         order = np.lexsort((np.arange(len(x)), cell_i, cell_j))
         self._ordered = tuple(self._objects[k] for k in order.tolist())
-        self._x, self._y = x[order], y[order]
+        # The rasterizer's inputs, built once and sliced per draw; the
+        # queries read their centre and radius columns.
+        self._arrays = ObjectArrays.from_objects(self._ordered)
+        self._x, self._y = self._arrays.x, self._arrays.y
+        self._radius = self._arrays.radius
         self._cell_i, self._cell_j = cell_i[order], cell_j[order]
         self._triangles = triangles[order]
-        self._radius = np.array([obj.radius for obj in self._ordered], dtype=np.float64)
         self._ids = np.array(ids, dtype=np.int64)[order]
 
     def _cell_of(self, point: Vec2) -> Tuple[int, int]:
@@ -138,6 +142,12 @@ class Scene:
         idx, _, _ = self._candidates(center, radius)
         return [self._ordered[k] for k in idx.tolist()]
 
+    def object_arrays_within(self, center: Vec2, radius: float) -> ObjectArrays:
+        """The rasterizer's arrays of ``objects_within(center, radius)``,
+        in that order."""
+        idx, _, _ = self._candidates(center, radius)
+        return self._arrays.take(idx)
+
     def triangles_and_offsets(
         self, center: Vec2, radius: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,11 +164,20 @@ class Scene:
 
         The far BE under cutoff ``r`` is the annulus ``(r, view_limit]``.
         """
+        return [self._ordered[k] for k in self._annulus(center, inner, outer).tolist()]
+
+    def object_arrays_in_annulus(
+        self, center: Vec2, inner: float, outer: float
+    ) -> ObjectArrays:
+        """The rasterizer's arrays of ``objects_in_annulus(center, inner,
+        outer)``, in that order."""
+        return self._arrays.take(self._annulus(center, inner, outer))
+
+    def _annulus(self, center: Vec2, inner: float, outer: float) -> np.ndarray:
         if inner < 0 or outer < inner:
             raise ValueError(f"invalid annulus [{inner}, {outer}]")
         idx, dx, dy = self._candidates(center, outer)
-        idx = idx[dx * dx + dy * dy > inner * inner]
-        return [self._ordered[k] for k in idx.tolist()]
+        return idx[dx * dx + dy * dy > inner * inner]
 
     def triangles_within(self, center: Vec2, radius: float) -> int:
         """Total triangle count within ``radius`` — the object-density

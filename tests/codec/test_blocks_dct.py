@@ -62,6 +62,12 @@ class TestDct:
         c = dct_matrix()
         assert np.allclose(c @ c.T, np.eye(8), atol=1e-12)
 
+    def test_matrix_shared_and_read_only(self):
+        c = dct_matrix()
+        assert c is dct_matrix()
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(1)
         blocks = rng.random((3, 4, 8, 8)) * 255

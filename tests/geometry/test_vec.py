@@ -49,7 +49,7 @@ class TestVec2:
 
     def test_iteration_and_tuple(self):
         assert list(Vec2(1, 2)) == [1, 2]
-        assert Vec2(1, 2).as_tuple() == (1, 2)
+        assert tuple(Vec2(1, 2)) == (1, 2)
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -7,7 +7,10 @@ implementation, with no caller in ``src``) must fill the same image, mask,
 and depth buffers bit for bit — on every one of the nine study games at
 the test resolution and at the default one the online loop and the
 dist-thresh probes draw at, and on synthetic object lists built for the
-cases the stock scenes never produce.  Panorama bytes, size models and
+cases the stock scenes never produce.  The splitter's renders feed
+``draw_objects`` index slices of the scene's own arrays; those are held
+to the reference fed the ``objects_within`` / ``objects_in_annulus``
+lists, so the slices' order is pinned too.  Panorama bytes, size models and
 dist-thresh values are pure functions of those buffers, so this is also
 what keeps every one of them — and every existing disk-cache entry — what
 the reference would have produced.
@@ -29,8 +32,8 @@ from repro.render.rasterizer import (
     empty_layer,
     render_background,
 )
-from repro.render.splitter import eye_at
-from repro.world import ALL_GAMES, Scene, SceneObject, load_game
+from repro.render.splitter import eye_at, render_far_be, render_near_be, render_whole_be
+from repro.world import ALL_GAMES, ObjectArrays, Scene, SceneObject, load_game
 
 SCALE = 0.15
 CONFIG = RenderConfig(width=64, height=32)
@@ -43,30 +46,45 @@ GOLDEN_CASES = [pytest.param(game, SCALE, CONFIG, id=game) for game in ALL_GAMES
 ]
 
 
-def _draws(world, config):
-    """(background layer, objects, eye) of a whole-BE and a far-BE draw
-    at two viewpoints of one game — what ``render_whole_be`` and
-    ``render_far_be`` hand to ``draw_objects``."""
+def _renders(world, config):
+    """(context, eye, splitter render, its background, its object list) of the
+    whole-, far- and near-BE renders at two viewpoints of one game.  The
+    renders hand ``draw_objects`` index slices of the scene's arrays; the
+    lists are what ``objects_within`` / ``objects_in_annulus`` return."""
     scene = world.scene
     bounds = scene.bounds
-    draws = []
+    renders = []
     for fraction in (0.35, 0.62):
         point = bounds.clamp(Vec2(
             bounds.x_min + fraction * (bounds.x_max - bounds.x_min),
             bounds.y_min + (1.0 - fraction) * (bounds.y_max - bounds.y_min),
         ))
         eye = eye_at(scene, point, world.spec.player.eye_height)
-        draws.append((
-            render_background(scene, eye, config),
-            scene.objects_within(eye.ground(), config.view_limit),
-            eye,
-        ))
-        draws.append((
-            render_background(scene, eye, config, near_clip=CUTOFF),
-            scene.objects_in_annulus(eye.ground(), CUTOFF, config.view_limit),
-            eye,
-        ))
-    return draws
+        ground = eye.ground()
+        renders += [
+            (
+                f"{fraction} whole",
+                eye,
+                render_whole_be(scene, eye, config),
+                render_background(scene, eye, config),
+                scene.objects_within(ground, config.view_limit),
+            ),
+            (
+                f"{fraction} far",
+                eye,
+                render_far_be(scene, eye, config, CUTOFF),
+                render_background(scene, eye, config, near_clip=CUTOFF),
+                scene.objects_in_annulus(ground, CUTOFF, config.view_limit),
+            ),
+            (
+                f"{fraction} near",
+                eye,
+                render_near_be(scene, eye, config, CUTOFF),
+                render_background(scene, eye, config, far_clip=CUTOFF),
+                scene.objects_within(ground, CUTOFF),
+            ),
+        ]
+    return renders
 
 
 def _assert_layers_equal(a, b, context):
@@ -77,30 +95,37 @@ def _assert_layers_equal(a, b, context):
 
 
 def _assert_matches_reference(background, objects, eye, config, context):
-    """``draw_objects`` and the reference, each on its own copy of
-    ``background``, fill identical buffers; returns the drawn layer.  An
-    empty list must leave the background untouched (the reference needs at
-    least one object)."""
+    """``draw_objects`` on the objects' arrays and the reference on the
+    list, each on its own copy of ``background``, fill identical buffers;
+    returns the drawn layer.  An empty list must leave the background
+    untouched (the reference needs at least one object)."""
+    expected = _reference(background, objects, eye, config)
+    arrays = ObjectArrays.from_objects(objects)
+    actual = draw_objects(copy.deepcopy(background), arrays, eye, config)
+    _assert_layers_equal(expected, actual, context)
+    return actual
+
+
+def _reference(background, objects, eye, config):
+    """The reference draw of ``objects`` on a copy of ``background``."""
     expected = copy.deepcopy(background)
     if objects:
         expected = _draw_objects_scalar(expected, objects, eye, config)
-    actual = draw_objects(copy.deepcopy(background), objects, eye, config)
-    _assert_layers_equal(expected, actual, context)
-    return actual
+    return expected
 
 
 class TestVectorGolden:
     @pytest.mark.parametrize("game, scale, config", GOLDEN_CASES)
     def test_vector_matches_scalar_all_games(self, game, scale, config):
-        """Reference vs ``draw_objects`` on whole-BE and far-BE draws."""
+        """The splitter's whole-, far- and near-BE renders equal the
+        reference drawing the same objects from their list."""
         world = load_game(game, scale=scale)
         drawn = 0
-        for index, (background, objects, eye) in enumerate(_draws(world, config)):
-            if not objects:
-                continue
-            drawn += 1
-            _assert_matches_reference(background, objects, eye, config, f"{game}[{index}]")
-        assert drawn, f"{game}: no draw had objects to compare"
+        for context, eye, actual, background, objects in _renders(world, config):
+            drawn += bool(objects)
+            expected = _reference(background, objects, eye, config)
+            _assert_layers_equal(expected, actual, f"{game}[{context}]")
+        assert drawn, f"{game}: no render had objects to compare"
 
 
 EYE = Vec3(0.0, 0.0, 1.7)
@@ -194,8 +219,12 @@ class TestVectorProperties:
         order, in ``draw_objects`` and in the reference alike."""
         a, b = _sphere(0, (10.0, 0.5, 0.0), 2.0, 0.2), _sphere(1, (10.0, -0.5, 0.0), 2.0, 0.8)
         c, d = _sphere(2, (-20.0, 1.0, 1.0), 3.0, 0.3), _sphere(3, (-20.0, -1.0, 1.0), 3.0, 0.7)
-        alone = {obj.object_id: draw_objects(empty_layer(CONFIG), [obj], EYE, CONFIG)
-                 for obj in (a, b, c, d)}
+        alone = {
+            obj.object_id: draw_objects(
+                empty_layer(CONFIG), ObjectArrays.from_objects([obj]), EYE, CONFIG
+            )
+            for obj in (a, b, c, d)
+        }
         for objects in ([a, b, c, d], [b, a, d, c]):
             drawn = _assert_matches_reference(empty_layer(CONFIG), objects, EYE, CONFIG, "tie")
             for first, second in (objects[:2], objects[2:]):
@@ -203,3 +232,12 @@ class TestVectorProperties:
                 assert overlap.sum() > 4, "the mirror pair must overlap"
                 expected = alone[first.object_id].image[overlap]
                 assert np.array_equal(drawn.image[overlap], expected)
+
+
+class TestSkyMemo:
+    def test_writing_a_layer_leaves_the_next_background_unchanged(self):
+        """The sky rows are shared between calls; a layer gets its own copy."""
+        first = render_background(FLAT, EYE, CONFIG)
+        expected = first.image.copy()
+        first.image[:] = 0.0
+        assert np.array_equal(render_background(FLAT, EYE, CONFIG).image, expected)

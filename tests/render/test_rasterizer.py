@@ -14,7 +14,7 @@ from repro.render import (
     merge_layers,
     render_background,
 )
-from repro.world import Scene, SceneObject
+from repro.world import ObjectArrays, Scene, SceneObject
 
 CFG = RenderConfig(width=128, height=64)
 
@@ -115,7 +115,7 @@ class TestDrawObjects:
         scene_obj = obj(1, 110.0, 100.0, radius=2.0, luminance=0.9)
         layer = render_background(make_scene(), EYE, CFG)
         before = layer.image.copy()
-        draw_objects(layer, [scene_obj], EYE, CFG)
+        draw_objects(layer, ObjectArrays.from_objects([scene_obj]), EYE, CFG)
         changed = np.nonzero(np.abs(layer.image - before) > 1e-6)
         assert changed[0].size > 0
         cols = changed[1]
@@ -124,16 +124,16 @@ class TestDrawObjects:
 
     def test_nearer_object_larger(self):
         layer_near = empty_layer(CFG)
-        draw_objects(layer_near, [obj(1, 105.0, 100.0)], EYE, CFG)
+        draw_objects(layer_near, ObjectArrays.from_objects([obj(1, 105.0, 100.0)]), EYE, CFG)
         layer_far = empty_layer(CFG)
-        draw_objects(layer_far, [obj(1, 140.0, 100.0)], EYE, CFG)
+        draw_objects(layer_far, ObjectArrays.from_objects([obj(1, 140.0, 100.0)]), EYE, CFG)
         assert layer_near.mask.sum() > 4 * layer_far.mask.sum()
 
     def test_depth_test_near_occludes_far(self):
         near = obj(1, 105.0, 100.0, radius=2.0, luminance=0.1)
         far = obj(2, 120.0, 100.0, radius=2.0, luminance=0.9)
         layer = empty_layer(CFG)
-        draw_objects(layer, [near, far], EYE, CFG)
+        draw_objects(layer, ObjectArrays.from_objects([near, far]), EYE, CFG)
         # Where both overlap, the near (dark) object wins; the bright far
         # object should not fully cover the near region.
         covered = layer.image[layer.mask]
@@ -144,13 +144,14 @@ class TestDrawObjects:
         # not overwrite those pixels.
         layer = render_background(make_scene(), EYE, CFG)
         bottom_before = layer.image[-4:].copy()
-        draw_objects(layer, [obj(1, 150.0, 100.0, radius=3.0)], EYE, CFG)
+        far = ObjectArrays.from_objects([obj(1, 150.0, 100.0, radius=3.0)])
+        draw_objects(layer, far, EYE, CFG)
         assert np.array_equal(layer.image[-4:], bottom_before)
 
     def test_subpixel_object_culled(self):
         tiny = obj(1, 190.0, 100.0, radius=0.05)
         layer = empty_layer(CFG)
-        draw_objects(layer, [tiny], EYE, CFG)
+        draw_objects(layer, ObjectArrays.from_objects([tiny]), EYE, CFG)
         assert layer.mask.sum() == 0
 
     def test_seam_wrapping_object(self):
@@ -159,20 +160,20 @@ class TestDrawObjects:
         eye = Vec3(100.0, 100.0, 1.7)
         west = obj(1, 110.0, 99.0)  # azimuth slightly below 0 -> wraps
         layer = empty_layer(CFG)
-        draw_objects(layer, [west], eye, CFG)
+        draw_objects(layer, ObjectArrays.from_objects([west]), eye, CFG)
         assert layer.mask.sum() > 0
 
     def test_empty_object_list_noop(self):
         layer = empty_layer(CFG)
-        out = draw_objects(layer, [], EYE, CFG)
+        out = draw_objects(layer, ObjectArrays.from_objects([]), EYE, CFG)
         assert out.mask.sum() == 0
 
     def test_deterministic(self):
         a = empty_layer(CFG)
         b = empty_layer(CFG)
         objs = [obj(i, 100 + 3 * i, 95 + 2 * i) for i in range(1, 6)]
-        draw_objects(a, objs, EYE, CFG)
-        draw_objects(b, objs, EYE, CFG)
+        draw_objects(a, ObjectArrays.from_objects(objs), EYE, CFG)
+        draw_objects(b, ObjectArrays.from_objects(objs), EYE, CFG)
         assert np.array_equal(a.image, b.image)
 
 

@@ -8,7 +8,7 @@ from repro.geometry import Rect, Vec2, Vec3, WorldGrid
 from repro.net import WifiLink
 from repro.render import RenderConfig, empty_layer, draw_objects
 from repro.sim import Simulator
-from repro.world import Scene, SceneObject
+from repro.world import ObjectArrays, Scene, SceneObject
 
 
 class TestSeamObjects:
@@ -19,7 +19,7 @@ class TestSeamObjects:
         obj = SceneObject(1, "tree", Vec3(104.0, 100.0, 2.0), 2.0, 1000,
                           0.9, 0.3, 5)
         layer = empty_layer(cfg)
-        draw_objects(layer, [obj], eye, cfg)
+        draw_objects(layer, ObjectArrays.from_objects([obj]), eye, cfg)
         cols = np.nonzero(layer.mask.any(axis=0))[0]
         assert 0 in cols or 127 in cols
         assert len(cols) > 2
@@ -30,7 +30,8 @@ class TestSeamObjects:
         obj = SceneObject(1, "tree", Vec3(10.0, 10.0, 1.0), 1.0, 100,
                           0.5, 0.3, 1)
         layer = empty_layer(cfg)
-        draw_objects(layer, [obj], eye, cfg)  # zero distance: must not crash
+        # Zero distance: must not crash.
+        draw_objects(layer, ObjectArrays.from_objects([obj]), eye, cfg)
 
 
 class TestTinyWorlds:

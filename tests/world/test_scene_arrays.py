@@ -6,14 +6,17 @@ dict-of-lists grid walk returned — the same objects in the same order —
 and that ``RenderCostModel.near_be_ms`` / ``whole_be_ms`` equal
 ``objects_ms`` over that list bit for bit, because the online frame loop's
 digests (``tests/systems/test_loop_golden.py``) depend on every one of
-those floats and on the near-set's insertion order.  ``GridWalk`` below is
+those floats and on the near-set's insertion order.  The rasterizer's
+``ObjectArrays`` slices equal the arrays of the matching lists, field for
+field, so a draw fed a slice draws the list's objects in the list's order.
+``GridWalk`` below is
 the scalar reference; its ``objects_within`` body is the old method's,
 verbatim.
 """
 
 import math
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from repro.core.cutoff import build_cutoff_map
 from repro.geometry import Rect, Vec2, Vec3
 from repro.render import RenderCostModel
 from repro.render.timing import PIXEL2
-from repro.world import ALL_GAMES, Scene, SceneObject, load_game
+from repro.world import ALL_GAMES, ObjectArrays, Scene, SceneObject, load_game
 
 
 class GridWalk:
@@ -71,6 +74,8 @@ def assert_queries_match(scene, walk, center, radius, inner, min_radius):
         if inner_sq < (obj.ground_position - center).norm_sq() <= outer_sq
     ]
     assert ids(scene.objects_in_annulus(center, inner, radius)) == ids(annulus)
+    assert_arrays_equal(scene.object_arrays_within(center, radius), expected)
+    assert_arrays_equal(scene.object_arrays_in_annulus(center, inner, radius), annulus)
     assert scene.triangles_within(center, radius) == sum(obj.triangles for obj in expected)
     near = scene.near_object_ids(center, radius, min_radius)
     reference = frozenset(obj.object_id for obj in expected if obj.radius >= min_radius)
@@ -86,6 +91,14 @@ def assert_queries_match(scene, walk, center, radius, inner, min_radius):
 
 def ids(objects):
     return [obj.object_id for obj in objects]
+
+
+def assert_arrays_equal(arrays, objects):
+    """``arrays`` is ``ObjectArrays.from_objects(objects)``, dtypes included."""
+    reference = ObjectArrays.from_objects(objects)
+    for field in fields(ObjectArrays):
+        got, want = getattr(arrays, field.name), getattr(reference, field.name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field.name
 
 
 def obj_at(object_id, x, y, triangles, radius):
