@@ -15,6 +15,7 @@ from repro.core import (
     build_cutoff_map,
     measure_fi_budget,
 )
+from repro.core.constraint import NEAR_BE_HEADROOM
 from repro.render import PIXEL2, RenderCostModel
 from repro.trace import generate_trajectory
 from repro.world import load_game
@@ -42,7 +43,7 @@ def _violation_rate(game: str, k: int) -> float:
         radius = cutoff_map.cutoff_for(sample.position)
         cost = model.near_be_ms(world.scene, sample.position, radius)
         checked += 1
-        if cost >= budget.near_be_budget_ms / budget.headroom:
+        if cost >= budget.near_be_budget_ms / NEAR_BE_HEADROOM:
             # Violates the paper's raw Constraint 1 (headroom removed).
             violations += 1
     return violations / checked

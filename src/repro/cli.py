@@ -24,6 +24,7 @@ Five subcommands cover the everyday workflows:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -105,6 +106,18 @@ def _seed(text: str) -> int:
     value = _int_argument(text, "seed")
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """Argparse type for the float flags: a finite number.  NaN passes
+    every range check a config makes, and infinity runs forever."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -770,11 +783,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("game", choices=ALL_GAMES)
     run.add_argument("players", type=_player_count, nargs="?", default=2,
                      help=f"initial player count (1-{MAX_CLI_PLAYERS})")
-    run.add_argument("--duration", type=float, default=10.0,
+    run.add_argument("--duration", type=_finite_float, default=10.0,
                      help="simulated seconds of game play")
     run.add_argument("--seed", type=_seed, default=7)
-    run.add_argument("--wifi-mbps", type=float, default=500.0)
-    run.add_argument("--loss", type=float, default=0.0,
+    run.add_argument("--wifi-mbps", type=_finite_float, default=500.0)
+    run.add_argument("--loss", type=_finite_float, default=0.0,
                      help="bursty packet-loss rate on the link (0-0.5)")
     run.add_argument("--faults", default=None,
                      help="fault schedule, e.g. "
@@ -860,9 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--arrivals", default=None, metavar="TRACE.txt",
                        help="replay a committed arrival trace file "
                             "('t_ms game' lines) instead of generating one")
-    fleet.add_argument("--rate", type=float, default=2.0,
+    fleet.add_argument("--rate", type=_finite_float, default=2.0,
                        help="mean player arrivals per second")
-    fleet.add_argument("--duration", type=float, default=30.0,
+    fleet.add_argument("--duration", type=_finite_float, default=30.0,
                        help="arrival-window length in seconds")
     fleet.add_argument("--seed", type=_seed, default=7)
     fleet.add_argument("--games", default="racing",
@@ -871,25 +884,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target party size per session")
     fleet.add_argument("--min-session-size", type=int, default=2,
                        help="smallest party a lobby timeout may launch")
-    fleet.add_argument("--max-wait-ms", type=float, default=1500.0,
+    fleet.add_argument("--max-wait-ms", type=_finite_float, default=1500.0,
                        help="lobby fill timeout before forming short")
-    fleet.add_argument("--retry-ms", type=float, default=250.0,
+    fleet.add_argument("--retry-ms", type=_finite_float, default=250.0,
                        help="admission retry interval for rejected sessions")
-    fleet.add_argument("--patience-ms", type=float, default=4000.0,
+    fleet.add_argument("--patience-ms", type=_finite_float, default=4000.0,
                        help="total wait before a rejected party gives up")
-    fleet.add_argument("--session-duration", type=float, default=10.0,
+    fleet.add_argument("--session-duration", type=_finite_float, default=10.0,
                        help="simulated seconds each admitted session plays")
     fleet.add_argument("--gpu-slots", type=int, default=4,
                        help="concurrent render batches the farm sustains")
-    fleet.add_argument("--render-ms", type=float, default=30.0,
+    fleet.add_argument("--render-ms", type=_finite_float, default=30.0,
                        help="GPU milliseconds per panorama render")
     fleet.add_argument("--batch-max", type=int, default=8,
                        help="renders dispatched per farm batch")
-    fleet.add_argument("--deadline-ms", type=float, default=250.0,
+    fleet.add_argument("--deadline-ms", type=_finite_float, default=250.0,
                        help="render deadline for session warm-up points")
     fleet.add_argument("--warmup-points", type=int, default=4,
                        help="renders a session blocks on before going live")
-    fleet.add_argument("--fleet-mbps", type=float, default=2000.0,
+    fleet.add_argument("--fleet-mbps", type=_finite_float, default=2000.0,
                        help="serving-backhaul capacity (Constraint 2)")
     fleet.add_argument("--max-sessions", type=int, default=None,
                        help="hard concurrent-session cap (default: none)")

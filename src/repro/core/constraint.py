@@ -29,36 +29,33 @@ from ..world.scene import Scene
 FRAME_BUDGET_MS = 16.7
 # The paper's conservative FI bound on Pixel 2.
 PAPER_FI_BOUND_MS = 4.0
+# The near-BE budget keeps this share of 16.7 - RT_FI and leaves the rest
+# unspent: the paper's strict inequality plus on-device measurement
+# variance effectively leaves pipeline slack (their Coterie GPU sits near
+# 55-65 %, not pinned at the budget), which we make explicit.
+NEAR_BE_HEADROOM = 0.85
+# The share of a wireless medium's nominal capacity Constraint 2 admits,
+# the network analogue of NEAR_BE_HEADROOM: 802.11ac never sustains its
+# nominal rate under contention, and admission that fills the medium to
+# 100 % would push every admitted player past the frame budget the
+# moment jitter strikes.
+UTILIZATION_BOUND = 0.8
 
 
 @dataclass(frozen=True)
 class RenderBudget:
-    """The per-frame budget split between FI and near BE.
+    """The per-frame budget split between FI and near BE."""
 
-    ``headroom`` keeps a slice of the near-BE budget unspent: the paper's
-    strict inequality plus on-device measurement variance effectively
-    leaves pipeline slack (their Coterie GPU sits near 55-65 %, not pinned
-    at the budget), which we make explicit.
-    """
-
-    frame_budget_ms: float = FRAME_BUDGET_MS
     fi_ms: float = PAPER_FI_BOUND_MS
-    headroom: float = 0.85
 
     def __post_init__(self) -> None:
-        if self.frame_budget_ms <= 0:
-            raise ValueError("frame_budget_ms must be positive")
-        if not 0 <= self.fi_ms < self.frame_budget_ms:
-            raise ValueError(
-                f"fi_ms {self.fi_ms} must be in [0, {self.frame_budget_ms})"
-            )
-        if not 0 < self.headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
+        if not 0 <= self.fi_ms < FRAME_BUDGET_MS:
+            raise ValueError(f"fi_ms {self.fi_ms} must be in [0, {FRAME_BUDGET_MS})")
 
     @property
     def near_be_budget_ms(self) -> float:
         """Time available for near BE (Eq. 1: 16.7 - RT_FI, with headroom)."""
-        return (self.frame_budget_ms - self.fi_ms) * self.headroom
+        return (FRAME_BUDGET_MS - self.fi_ms) * NEAR_BE_HEADROOM
 
 
 def measure_fi_budget(
@@ -100,28 +97,18 @@ def satisfies_constraint(
 
 @dataclass(frozen=True)
 class BandwidthBudget:
-    """Constraint 2's capacity bound for one shared wireless medium.
-
-    ``utilization_bound`` keeps a slice of the nominal capacity unspent,
-    the network analogue of :class:`RenderBudget.headroom`: 802.11ac
-    never sustains its nominal rate under contention, and admission that
-    fills the medium to 100 % would push every admitted player past the
-    frame budget the moment jitter strikes.
-    """
+    """Constraint 2's capacity bound for one shared wireless medium."""
 
     capacity_mbps: float
-    utilization_bound: float = 0.8
 
     def __post_init__(self) -> None:
         if self.capacity_mbps <= 0:
             raise ValueError("capacity_mbps must be positive")
-        if not 0 < self.utilization_bound <= 1.0:
-            raise ValueError("utilization_bound must be in (0, 1]")
 
     @property
     def usable_mbps(self) -> float:
         """Capacity actually available to BE + FI traffic."""
-        return self.capacity_mbps * self.utilization_bound
+        return self.capacity_mbps * UTILIZATION_BOUND
 
 
 def satisfies_bandwidth_constraint(

@@ -39,27 +39,28 @@ class LeafCutoff:
     sampled_radii: Tuple[float, ...]
 
 
+#: Two sampled radii are "similar" when max/min is at most this ratio ...
+AGREEMENT_RATIO = 2.0
+#: ... or max - min is at most this many metres.
+AGREEMENT_ABS = 0.5
+#: A region stops splitting below this half-edge length (m).
+MIN_REGION_M = 2.0
+#: The radius search's ceiling (m); matches Fig. 7's axis.
+MAX_RADIUS = 180.0
+
+
 @dataclass
 class CutoffSchemeConfig:
     """Tunables of the adaptive scheme."""
 
     k_samples: int = 10  # paper's experimentally chosen K (§4.3, Fig. 6)
-    agreement_ratio: float = 2.0  # max/min radius ratio considered "similar"
-    agreement_abs: float = 0.5  # ... or max-min below this many metres
     max_depth: int = 6
-    min_region_m: float = 2.0  # stop splitting below this edge length
-    max_radius: float = 180.0  # search ceiling (matches Fig. 7's axis)
-    radius_tolerance: float = 0.25  # bisection resolution in metres
 
     def __post_init__(self) -> None:
         if self.k_samples < 1:
             raise ValueError("k_samples must be >= 1")
-        if self.agreement_ratio < 1.0:
-            raise ValueError("agreement_ratio must be >= 1")
-        if self.max_depth < 0 or self.min_region_m <= 0:
-            raise ValueError("invalid depth/region limits")
-        if self.max_radius <= 0 or self.radius_tolerance <= 0:
-            raise ValueError("invalid radius search parameters")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be non-negative")
 
 
 @dataclass
@@ -259,16 +260,16 @@ def build_cutoff_map(
     world = world if world is not None else scene.bounds
     config = config if config is not None else CutoffSchemeConfig()
     rng = np.random.default_rng(seed)
-    max_radius_at = _radius_solver(scene, model, budget, config.max_radius)
+    max_radius_at = _radius_solver(scene, model, budget, MAX_RADIUS)
     counter = {"samples": 0}
 
     def radii_similar(radii: List[float]) -> bool:
         lo, hi = min(radii), max(radii)
-        if hi - lo <= config.agreement_abs:
+        if hi - lo <= AGREEMENT_ABS:
             return True
         if lo <= 0:
             return False
-        return hi / lo <= config.agreement_ratio
+        return hi / lo <= AGREEMENT_RATIO
 
     def policy(region: Rect, depth: int) -> Tuple[bool, LeafCutoff]:
         points = sample_points(rng, region, config.k_samples, reachable)
@@ -277,7 +278,7 @@ def build_cutoff_map(
         payload = LeafCutoff(
             cutoff_radius=min(radii), sampled_radii=tuple(radii)
         )
-        too_small = min(region.width, region.height) / 2.0 < config.min_region_m
+        too_small = min(region.width, region.height) / 2.0 < MIN_REGION_M
         stop = radii_similar(radii) or too_small
         return stop, payload
 

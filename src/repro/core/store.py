@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -37,6 +37,7 @@ import numpy as np
 
 from .. import perf
 from ..codec import EncodedFrame
+from ..render import rasterizer
 
 # Bump when the on-disk layout or any upstream semantics change.
 CACHE_SCHEMA_VERSION = 1
@@ -287,6 +288,15 @@ class PanoramaDiskCache:
         perf.count("panorama_store.misses")
 
 
+#: The rasterizer constants that were ``RenderConfig`` fields, by field
+#: name: the key still carries them, so cache directories written before
+#: they moved keep their addresses.
+_RENDER_CONSTANTS = (
+    "view_limit", "fog_distance", "min_angular_radius", "ground_texture_scale",
+    "sky_luminance", "ground_luminance", "fog_luminance", "object_texture_freq",
+)
+
+
 def world_cache_key(
     game: str,
     scale: float,
@@ -297,19 +307,20 @@ def world_cache_key(
 ) -> Dict[str, Any]:
     """The shared key ingredients for one game's preprocessing artifacts.
 
-    ``render_config`` is flattened field-by-field so any rendering knob
-    change invalidates the cache; game identity is by (name, scale) because
-    world construction is deterministic in them.
+    ``render_config`` is flattened field-by-field, together with the
+    rasterizer's rendering constants under the field names they had, so
+    any rendering change invalidates the cache; game identity is by
+    (name, scale) because world construction is deterministic in them.
     """
-    from dataclasses import asdict
-
+    rendering = asdict(render_config)
+    rendering.update((name, getattr(rasterizer, name.upper())) for name in _RENDER_CONSTANTS)
     return {
         "game": game,
         "scale": float(scale),
         "seed": int(seed),
         "render_config": {
             key: (float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value)
-            for key, value in asdict(render_config).items()
+            for key, value in rendering.items()
         },
         "crf": float(crf),
         "eye_height": float(eye_height),

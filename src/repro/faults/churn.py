@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
+from .schedule import _finite
+
 
 def _check_time(t_ms: float) -> None:
     if t_ms < 0:
@@ -188,12 +190,14 @@ class ChurnSchedule:
             when, _, arg = rest.partition(":")
             if kind == "join":
                 t_ms = float(when)
+                _finite(t_ms)
                 count = int(arg) if arg else 1
                 if count < 1:
                     raise ValueError("join count must be >= 1")
                 joins.extend(JoinEvent(t_ms) for _ in range(count))
             elif kind in ("rejoin", "leave", "crash"):
                 t_ms, slot = float(when), int(arg)
+                _finite(t_ms)
                 note_slot_event(kind, t_ms, slot, index)
                 if kind == "rejoin":
                     joins.append(JoinEvent(t_ms, slot=slot))
@@ -207,10 +211,12 @@ class ChurnSchedule:
                     raise ValueError("expected flap@start-end:slot[~half_period]")
                 slot_s, _, period_s = arg.partition("~")
                 start_ms, end_ms = float(start_s), float(end_s)
+                _finite(start_ms, end_ms)
                 if end_ms <= start_ms:
                     raise ValueError("flap window must satisfy start < end")
                 slot = int(slot_s)
                 half_period = float(period_s) if period_s else 1000.0
+                _finite(half_period)
                 if half_period <= 0:
                     raise ValueError("flap period must be positive")
                 note_flap_window(slot, start_ms, end_ms, index)

@@ -30,6 +30,14 @@ from typing import Tuple
 from ..net.impairment import DipEpisode
 
 
+def _finite(*values: float) -> None:
+    """Refuse NaN and infinities in a parsed spec: a NaN time or argument
+    compares false against every range check a record makes."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not a finite number")
+
+
 def _check_window(start_ms: float, end_ms: float) -> None:
     if start_ms < 0 or end_ms <= start_ms:
         raise ValueError("fault window must satisfy 0 <= start < end")
@@ -256,6 +264,7 @@ class FaultSchedule:
             player_s = player_s.strip()
             player = -1 if player_s in ("", "all") else int(player_s)
             value = float(value_s) if value_s else default
+            _finite(value)
             return player, value
 
         def add(entry: str) -> None:
@@ -273,6 +282,7 @@ class FaultSchedule:
                     t_ms = float(window)
                 except ValueError:
                     raise ValueError(shape) from None
+                _finite(t_ms)
                 if kind == "teleport":
                     player, meters = split_player_arg(arg, default=10.0)
                     poses.append(PoseJump(t_ms, player_id=player, dx=meters))
@@ -295,6 +305,7 @@ class FaultSchedule:
                 start_ms, end_ms = float(start_s), float(end_s)
             except ValueError:
                 raise ValueError(shape) from None
+            _finite(start_ms, end_ms)
             if kind == "dip":
                 link.append(LinkDegradation(
                     start_ms, end_ms,
@@ -306,10 +317,9 @@ class FaultSchedule:
                     loss_rate=float(arg) if arg else 0.2,
                 ))
             elif kind == "stall":
-                stalls.append(ServerStall(
-                    start_ms, end_ms,
-                    extra_ms=float(arg) if arg else 25.0,
-                ))
+                extra_ms = float(arg) if arg else 25.0
+                _finite(extra_ms)
+                stalls.append(ServerStall(start_ms, end_ms, extra_ms=extra_ms))
             elif kind == "outage":
                 player = -1 if arg in ("", "all") else int(arg)
                 outages.append(ClientOutage(start_ms, end_ms, player_id=player))

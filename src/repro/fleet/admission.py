@@ -9,7 +9,7 @@ resources are the render farm's GPU slots and the serving backhaul:
 * **Constraint 1 (fleet form)** — the aggregate panorama-render demand
   of every active session, *discounted by the shared store's observed
   dedup ratio*, must fit the farm's sustainable render throughput
-  (``gpu_slots x 1000/render_ms``, derated by ``render_headroom``).
+  (``gpu_slots x 1000/render_ms``, derated by :data:`RENDER_HEADROOM`).
   This is where cross-session dedup turns into capacity: as the store's
   hit ratio climbs, each admitted session charges the budget less, so
   the same GPUs admit more sessions — the mechanism ``bench_fleet``
@@ -37,22 +37,21 @@ from ..core.constraint import BandwidthBudget, satisfies_bandwidth_constraint
 REASONS = ("admitted", "fleet-full", "constraint-1", "constraint-2")
 
 
+#: The share of the farm's nominal render throughput admission spends,
+#: the way :data:`~repro.core.constraint.NEAR_BE_HEADROOM` derates the
+#: device frame budget: dispatch overhead, batching latency, and demand
+#: jitter mean a farm admitted to 100 % of nominal would blow every
+#: deadline the moment a flash crowd lands.
+RENDER_HEADROOM = 0.8
+
+
 @dataclass(frozen=True)
 class FleetBudget:
-    """The fleet's finite serving resources.
-
-    ``render_headroom`` derates the farm's nominal render throughput the
-    way :class:`~repro.core.constraint.RenderBudget.headroom` derates the
-    device frame budget: dispatch overhead, batching latency, and demand
-    jitter mean a farm admitted to 100 % of nominal would blow every
-    deadline the moment a flash crowd lands.
-    """
+    """The fleet's finite serving resources."""
 
     gpu_slots: int = 4
     render_ms: float = 30.0
     bandwidth_mbps: float = 2000.0
-    utilization_bound: float = 0.8
-    render_headroom: float = 0.8
     max_sessions: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -63,25 +62,18 @@ class FleetBudget:
             raise ValueError("render_ms must be positive")
         if self.bandwidth_mbps <= 0:
             raise ValueError("bandwidth_mbps must be positive")
-        if not 0 < self.utilization_bound <= 1.0:
-            raise ValueError("utilization_bound must be in (0, 1]")
-        if not 0 < self.render_headroom <= 1.0:
-            raise ValueError("render_headroom must be in (0, 1]")
         if self.max_sessions is not None and self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1 when set")
 
     @property
     def bandwidth(self) -> BandwidthBudget:
         """The backhaul as a Constraint-2 budget."""
-        return BandwidthBudget(
-            capacity_mbps=self.bandwidth_mbps,
-            utilization_bound=self.utilization_bound,
-        )
+        return BandwidthBudget(capacity_mbps=self.bandwidth_mbps)
 
     @property
     def usable_renders_per_s(self) -> float:
         """Sustainable farm throughput after headroom derating."""
-        return self.gpu_slots * (1000.0 / self.render_ms) * self.render_headroom
+        return self.gpu_slots * (1000.0 / self.render_ms) * RENDER_HEADROOM
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ which, on a client cache miss, is precisely one panorama render.
 Demand cells are deliberately coarser than the 1/32 m world grid: the
 client does not fetch a fresh panorama every 3 cm, it fetches one per
 *dist-thresh* of movement (several metres — that is Coterie's whole
-point).  ``spacing_m`` models that fetch granularity, so the demand
+point).  :data:`SPACING_M` models that fetch granularity, so the demand
 rate lands at the few-per-second scale Table 9 implies and two sessions
 driving the same track hit the same cells.
 
@@ -39,10 +39,14 @@ from ..trace import generate_party
 from ..world import GameWorld
 from .admission import SessionEstimate
 
-#: Default demand-cell edge in metres — the dist-thresh-scale spacing at
-#: which a moving player needs a fresh far-BE panorama (paper §4.3 finds
+#: Demand-cell edge in metres — the dist-thresh-scale spacing at which a
+#: moving player needs a fresh far-BE panorama (paper §4.3 finds
 #: thresholds of metres, not centimetres).
-DEFAULT_SPACING_M = 2.0
+SPACING_M = 2.0
+
+#: Trajectory sampling stride in ms: a 20 Hz prefetch planning cadence —
+#: at VR movement speeds no demand cell is skipped between samples.
+STRIDE_MS = 50.0
 
 #: Mean far-BE panorama size per game, in kilobytes (paper Table 8 for
 #: the headline games; the study-wide median for the rest).  The fleet
@@ -99,36 +103,25 @@ class SessionDemand:
         )
 
 
-def demand_cell(x: float, y: float, spacing_m: float) -> GridPoint:
+def demand_cell(x: float, y: float) -> GridPoint:
     """Quantize a world position to its dist-thresh-scale demand cell."""
-    return (int(math.floor(x / spacing_m)), int(math.floor(y / spacing_m)))
+    return (int(math.floor(x / SPACING_M)), int(math.floor(y / SPACING_M)))
 
 
 def session_demand(
-    world: GameWorld,
-    players: int,
-    duration_s: float,
-    seed: int,
-    stride_ms: float = 50.0,
-    spacing_m: float = DEFAULT_SPACING_M,
+    world: GameWorld, players: int, duration_s: float, seed: int
 ) -> SessionDemand:
     """Derive one session's demand stream from its party trajectories.
 
-    Samples every trajectory at ``stride_ms`` (a 20 Hz prefetch planning
-    cadence by default — at VR movement speeds no demand cell is skipped
-    between samples), quantizes to ``spacing_m`` demand cells, and emits
-    each cell at its earliest visit time across the whole party — later
-    visits are the session's own client-cache hits and never reach the
-    server.
+    Samples every trajectory every :data:`STRIDE_MS`, quantizes to
+    :data:`SPACING_M` demand cells, and emits each cell at its earliest
+    visit time across the whole party — later visits are the session's
+    own client-cache hits and never reach the server.
     """
     if players < 1:
         raise ValueError("players must be >= 1")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    if stride_ms <= 0:
-        raise ValueError("stride_ms must be positive")
-    if spacing_m <= 0:
-        raise ValueError("spacing_m must be positive")
     party = generate_party(world, players, duration_s, seed=seed)
     first_visit: Dict[GridPoint, float] = {}
     for trajectory in party:
@@ -136,8 +129,8 @@ def session_demand(
         for sample in trajectory:
             if sample.t_ms + 1e-9 < next_t:
                 continue
-            next_t = sample.t_ms + stride_ms
-            cell = demand_cell(sample.position.x, sample.position.y, spacing_m)
+            next_t = sample.t_ms + STRIDE_MS
+            cell = demand_cell(sample.position.x, sample.position.y)
             earlier = first_visit.get(cell)
             if earlier is None or sample.t_ms < earlier:
                 first_visit[cell] = sample.t_ms
@@ -155,28 +148,18 @@ def session_demand(
 
 
 @lru_cache(maxsize=512)
-def _cached_demand(
-    game: str, players: int, duration_s: float, seed: int,
-    stride_ms: float, spacing_m: float,
-) -> SessionDemand:
+def _cached_demand(game: str, players: int, duration_s: float, seed: int) -> SessionDemand:
     """Memoized :func:`session_demand` keyed by its scalar arguments."""
     from ..world import load_game
 
-    return session_demand(
-        load_game(game), players, duration_s, seed,
-        stride_ms=stride_ms, spacing_m=spacing_m,
-    )
+    return session_demand(load_game(game), players, duration_s, seed)
 
 
-def demand_for(
-    game: str, players: int, duration_s: float, seed: int,
-    stride_ms: float = 50.0, spacing_m: float = DEFAULT_SPACING_M,
-) -> SessionDemand:
+def demand_for(game: str, players: int, duration_s: float, seed: int) -> SessionDemand:
     """Cached demand lookup by game name (worlds are memoized too).
 
     Fleet runs evaluate the same prospective session repeatedly (every
     admission retry re-estimates it), so the memoization keeps demand
     derivation off the simulation's critical path.
     """
-    return _cached_demand(game, players, float(duration_s), int(seed),
-                          float(stride_ms), float(spacing_m))
+    return _cached_demand(game, players, float(duration_s), int(seed))

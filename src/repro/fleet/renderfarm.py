@@ -16,7 +16,7 @@ fairness counter:
   from starving a small one at equal deadlines; the FIFO sequence makes
   the order total and deterministic.
 * **batching** — a free slot takes up to ``batch_max`` requests in one
-  dispatch and pays ``dispatch_overhead_ms`` once for the whole batch,
+  dispatch and pays :data:`DISPATCH_OVERHEAD_MS` once for the whole batch,
   the economics that make a shared farm beat per-session GPUs.  With
   ``cross_session=False`` a batch may only contain one session's
   requests (the isolated-serving comparator).
@@ -37,6 +37,10 @@ from typing import Any, Callable, Dict, List, Optional
 from ..metrics.stats import percentile
 from ..sim import Event, Simulator
 from ..telemetry import MetricsHub
+
+#: GPU milliseconds a slot spends setting up one batch dispatch, paid once
+#: per batch however many renders it carries.
+DISPATCH_OVERHEAD_MS = 8.0
 
 
 @dataclass
@@ -103,7 +107,6 @@ class RenderFarm:
         sim: Simulator,
         gpu_slots: int = 4,
         render_ms: float = 30.0,
-        dispatch_overhead_ms: float = 8.0,
         batch_max: int = 8,
         cross_session: bool = True,
         completion_hook: Optional[Callable[[RenderRequest], None]] = None,
@@ -117,14 +120,11 @@ class RenderFarm:
             raise ValueError("gpu_slots must be >= 1")
         if render_ms <= 0:
             raise ValueError("render_ms must be positive")
-        if dispatch_overhead_ms < 0:
-            raise ValueError("dispatch_overhead_ms must be non-negative")
         if batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         self.sim = sim
         self.gpu_slots = gpu_slots
         self.render_ms = render_ms
-        self.dispatch_overhead_ms = dispatch_overhead_ms
         self.batch_max = batch_max
         self.cross_session = cross_session
         self.completion_hook = completion_hook
@@ -215,7 +215,7 @@ class RenderFarm:
             self._free_slots -= 1
             self.counters.batches += 1
             self.counters.batch_sizes.append(len(batch))
-            busy_ms = self.dispatch_overhead_ms + self.render_ms * len(batch)
+            busy_ms = DISPATCH_OVERHEAD_MS + self.render_ms * len(batch)
             self.sim.schedule(busy_ms, lambda b=batch: self._complete(b))
 
     def _complete(self, batch: List[RenderRequest]) -> None:

@@ -78,11 +78,8 @@ class FleetConfig:
     lobby: LobbyConfig = field(default_factory=LobbyConfig)
     budget: FleetBudget = field(default_factory=FleetBudget)
     session_duration_s: float = 10.0
-    stride_ms: float = 50.0
-    spacing_m: float = 2.0
     warmup_points: int = 4
     batch_max: int = 8
-    dispatch_overhead_ms: float = 8.0
     deadline_ms: float = 250.0
     shared: bool = True
     fidelity: str = "model"
@@ -107,16 +104,10 @@ class FleetConfig:
                 "session_duration_s must be at least one frame (1/60 s), "
                 f"got {self.session_duration_s}"
             )
-        if self.stride_ms <= 0:
-            raise ValueError("stride_ms must be positive")
-        if self.spacing_m <= 0:
-            raise ValueError("spacing_m must be positive")
         if self.warmup_points < 0:
             raise ValueError("warmup_points must be non-negative")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.dispatch_overhead_ms < 0:
-            raise ValueError("dispatch_overhead_ms must be non-negative")
         if self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if self.fidelity not in FIDELITIES:
@@ -246,14 +237,11 @@ class _FleetRun:
         self.config = config
         self.trace = trace
         self.sim = Simulator(metrics=metrics)
-        self.store = SharedPanoramaStore(
-            shared=config.shared, spacing_m=config.spacing_m
-        )
+        self.store = SharedPanoramaStore(shared=config.shared)
         self.farm = RenderFarm(
             self.sim,
             gpu_slots=config.budget.gpu_slots,
             render_ms=config.budget.render_ms,
-            dispatch_overhead_ms=config.dispatch_overhead_ms,
             batch_max=config.batch_max,
             cross_session=config.shared,
             completion_hook=lambda request: self.store.commit(request.address),
@@ -319,11 +307,7 @@ class _FleetRun:
 
     def _demand(self, game: str, players: int, seed: int) -> SessionDemand:
         """The demand stream of one (prospective) session."""
-        return demand_for(
-            game, players, self.config.session_duration_s, seed,
-            stride_ms=self.config.stride_ms,
-            spacing_m=self.config.spacing_m,
-        )
+        return demand_for(game, players, self.config.session_duration_s, seed)
 
     def _estimate_for(self, game: str, players: int) -> SessionEstimate:
         """Admission forecast for the *next* session slot's seed."""

@@ -24,6 +24,7 @@ from typing import Any, Dict, Mapping, Tuple
 
 from ..core.store import CACHE_SCHEMA_VERSION, content_digest
 from ..geometry import GridPoint
+from .demand import SPACING_M
 
 
 class SharedPanoramaStore:
@@ -36,17 +37,9 @@ class SharedPanoramaStore:
     render.  Hits and misses are counted fleet-wide and per session.
     """
 
-    def __init__(self, shared: bool = True, spacing_m: float = 2.0) -> None:
-        """``shared=False`` namespaces addresses per session (no dedup).
-
-        ``spacing_m`` is the demand-cell edge the grid points were
-        quantized at; it is embedded in every address so entries from
-        differently-quantized runs can never alias.
-        """
-        if spacing_m <= 0:
-            raise ValueError("spacing_m must be positive")
+    def __init__(self, shared: bool = True) -> None:
+        """``shared=False`` namespaces addresses per session (no dedup)."""
         self.shared = shared
-        self.spacing_m = float(spacing_m)
         self._worlds: Dict[str, Dict[str, Any]] = {}
         self._rendered: set = set()
         self.hits = 0
@@ -79,7 +72,8 @@ class SharedPanoramaStore:
             ) from None
         payload: Dict[str, Any] = {
             "grid": [int(grid_point[0]), int(grid_point[1])],
-            "spacing_m": self.spacing_m,
+            # The demand-cell edge the grid points were quantized at.
+            "spacing_m": SPACING_M,
             "kind": "far",
         }
         if not self.shared:

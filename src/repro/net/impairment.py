@@ -153,6 +153,11 @@ class RateTrace:
                     f"{path}: line {lineno}: non-numeric value in "
                     f"{raw.strip()!r}"
                 ) from None
+            if not (math.isfinite(start_ms) and math.isfinite(factor)):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite value in "
+                    f"{raw.strip()!r}"
+                )
             segments.append((start_ms, factor))
         if not segments:
             raise ValueError(f"{path}: trace file contains no segments")

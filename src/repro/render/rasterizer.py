@@ -36,29 +36,30 @@ TWO_PI = 2.0 * math.pi
 _INFINITY = float("inf")
 
 
+#: Rendering constants.  :func:`repro.core.store.world_cache_key` hashes
+#: them under their lowercase names, so a change to one moves every cache
+#: address.
+VIEW_LIMIT = 200.0  # max object draw distance (m)
+FOG_DISTANCE = 300.0  # distance at which fog ~ 63%
+MIN_ANGULAR_RADIUS = 0.004  # skip objects smaller than ~1/3 px (rad)
+GROUND_TEXTURE_SCALE = 20.0  # finest ground noise: cells per metre
+SKY_LUMINANCE = 0.85
+GROUND_LUMINANCE = 0.42
+FOG_LUMINANCE = 0.74
+OBJECT_TEXTURE_FREQ = 3.0
+
+
 @dataclass(frozen=True)
 class RenderConfig:
     """Rendering parameters shared by client and server renderers."""
 
     width: int = 256
     height: int = 128
-    view_limit: float = 200.0  # max object draw distance (m)
-    fog_distance: float = 300.0  # distance at which fog ~ 63%
-    min_angular_radius: float = 0.004  # skip objects smaller than ~1/3 px (rad)
-    ground_texture_scale: float = 20.0  # finest ground noise: cells per metre
-    sky_luminance: float = 0.85
-    ground_luminance: float = 0.42
-    fog_luminance: float = 0.74
-    object_texture_freq: float = 3.0
     indoor: bool = False
 
     def __post_init__(self) -> None:
         if self.width < 8 or self.height < 4:
             raise ValueError(f"frame {self.width}x{self.height} too small")
-        if self.view_limit <= 0 or self.fog_distance <= 0:
-            raise ValueError("view_limit and fog_distance must be positive")
-        if self.min_angular_radius < 0:
-            raise ValueError("min_angular_radius must be non-negative")
 
 
 @dataclass
@@ -142,14 +143,14 @@ def _render_background(
             # sub-pixel aliasing.
             pixel_rad = math.pi / config.height
             cell = np.maximum(
-                1.0 / config.ground_texture_scale, 2.5 * pixel_rad * d_vis
+                1.0 / GROUND_TEXTURE_SCALE, 2.5 * pixel_rad * d_vis
             )
             tex = fractal_noise(hit_x / cell, hit_y / cell, seed + 29, octaves=2)
-            lum = config.ground_luminance * (0.7 + 0.6 * tex)
-            fog = 1.0 - np.exp(-d_vis / config.fog_distance)
+            lum = GROUND_LUMINANCE * (0.7 + 0.6 * tex)
+            fog = 1.0 - np.exp(-d_vis / FOG_DISTANCE)
             if config.indoor:
                 fog = fog * 0.2  # no atmospheric haze indoors
-            value = lum * (1.0 - fog) + config.fog_luminance * fog
+            value = lum * (1.0 - fog) + FOG_LUMINANCE * fog
             image[rows_idx, :] = value.astype(np.float32)
             mask[rows_idx, :] = True
             depth[rows_idx, :] = d_vis
@@ -170,10 +171,10 @@ def _sky(config: RenderConfig, seed: int) -> np.ndarray:
         np.broadcast_to(el_sky * 4.0, (el_sky.shape[0], az.size)),
         seed + 17,
     )
-    sky = config.sky_luminance - 0.18 * (el_sky / (math.pi / 2)) + 0.06 * (cloud - 0.5)
+    sky = SKY_LUMINANCE - 0.18 * (el_sky / (math.pi / 2)) + 0.06 * (cloud - 0.5)
     if config.indoor:
         # Indoors the "sky" is a ceiling: flat, darker, no clouds.
-        sky = np.full_like(sky, config.sky_luminance * 0.7)
+        sky = np.full_like(sky, SKY_LUMINANCE * 0.7)
     rows = sky.astype(np.float32)
     rows.setflags(write=False)
     return rows
@@ -208,7 +209,7 @@ def _cull_objects(
     centre offsets ``(n, 3)``.  The sort is stable: objects at exactly
     equal distance keep their list order, on every CPU and numpy build.
     """
-    min_ang = max(config.min_angular_radius, 0.55 * math.pi / config.height)
+    min_ang = max(MIN_ANGULAR_RADIUS, 0.55 * math.pi / config.height)
     centers = np.column_stack((objects.x, objects.y, objects.z))
     radii = objects.radius
     offsets = centers - np.array([eye.x, eye.y, eye.z])
@@ -277,14 +278,14 @@ def _draw_objects_scalar(
             segments.append((col_lo, col_hi + 1))
 
         d_el = (el_rows[row_lo : row_hi + 1] - el0)[:, None]
-        fog = 1.0 - math.exp(-dist / config.fog_distance)
+        fog = 1.0 - math.exp(-dist / FOG_DISTANCE)
         if config.indoor:
             fog *= 0.2
         # Feature size adapts to the object's on-screen size (~2.8 px per
         # noise cell): big near objects show fine detail that decorrelates
         # under small viewpoint shifts, tiny far objects stay smooth.
         ang_r_px = ang_r * height / math.pi
-        freq = min(32.0, max(1.0, ang_r_px / 2.8)) * config.object_texture_freq / 3.0
+        freq = min(32.0, max(1.0, ang_r_px / 2.8)) * OBJECT_TEXTURE_FREQ / 3.0
 
         for c0, c1 in segments:
             if c0 >= c1:
@@ -307,7 +308,7 @@ def _draw_objects_scalar(
             )
             shade = 1.0 + 0.22 * (d_el / ang_r)  # lit from above
             lum = obj.luminance * (1.0 - obj.contrast * (tex - 0.5)) * shade
-            value = lum * (1.0 - fog) + config.fog_luminance * fog
+            value = lum * (1.0 - fog) + FOG_LUMINANCE * fog
             np.clip(value, 0.0, 1.0, out=value)
             image[row_lo : row_hi + 1, c0:c1][writable] = value.astype(np.float32)[
                 writable
@@ -377,10 +378,10 @@ def _draw_objects_vector(
         a[unit_obj] for a in (rows, row_lo, az0, el0, cos_el, ang_r, rv)
     )
     dist = dists[kept][unit_obj]
-    fog = 1.0 - np.array(list(map(math.exp, (-dist / config.fog_distance).tolist())))
+    fog = 1.0 - np.array(list(map(math.exp, (-dist / FOG_DISTANCE).tolist())))
     if config.indoor:
         fog *= 0.2
-    freq = np.minimum(32.0, np.maximum(1.0, rv / 2.8)) * config.object_texture_freq / 3.0
+    freq = np.minimum(32.0, np.maximum(1.0, rv / 2.8)) * OBJECT_TEXTURE_FREQ / 3.0
 
     # Separable factors, one entry per (unit, row) and per (unit, column).
     # For b >= 0, fl(a + b) >= a: a row or column whose own square exceeds
@@ -425,7 +426,7 @@ def _draw_objects_vector(
     )
     shade = 1.0 + 0.22 * el_frac[pix_row]  # lit from above
     lum = objects.luminance[win_obj] * (1.0 - objects.contrast[win_obj] * (tex - 0.5)) * shade
-    value = lum * (1.0 - fog[win]) + config.fog_luminance * fog[win]
+    value = lum * (1.0 - fog[win]) + FOG_LUMINANCE * fog[win]
     np.clip(value, 0.0, 1.0, out=value)
     at = (row[pix_row], col[pix_col])
     layer.image[at] = value.astype(np.float32)

@@ -18,6 +18,7 @@ from ..geometry import Vec2, Vec3, camera_height
 from ..world.objects import ObjectArrays, SceneObject
 from ..world.scene import Scene
 from .rasterizer import (
+    VIEW_LIMIT,
     Layer,
     RenderConfig,
     draw_objects,
@@ -42,7 +43,7 @@ def render_whole_be(
 ) -> Layer:
     """The undecoupled panoramic BE frame (what Furion prefetches)."""
     layer = render_background(scene, eye, config, near_clip=0.0, far_clip=_INFINITY)
-    objects = scene.object_arrays_within(eye.ground(), config.view_limit)
+    objects = scene.object_arrays_within(eye.ground(), VIEW_LIMIT)
     return draw_objects(layer, objects, eye, config)
 
 
@@ -60,7 +61,7 @@ def render_far_be(
         scene, eye, config, near_clip=cutoff_radius, far_clip=_INFINITY
     )
     objects = scene.object_arrays_in_annulus(
-        eye.ground(), cutoff_radius, max(config.view_limit, cutoff_radius)
+        eye.ground(), cutoff_radius, max(VIEW_LIMIT, cutoff_radius)
     )
     return draw_objects(layer, objects, eye, config)
 

@@ -14,6 +14,7 @@ from repro.core.store import (
     content_digest,
     world_cache_key,
 )
+from repro.render import rasterizer
 from repro.render.rasterizer import RenderConfig
 
 
@@ -53,10 +54,23 @@ class TestAddressing:
             )
             assert world_cache_key("racing", 0.2, 0, changed, 23.0, 1.7) != base_key, field.name
 
+    @pytest.mark.parametrize("name", [
+        "VIEW_LIMIT", "FOG_DISTANCE", "MIN_ANGULAR_RADIUS", "GROUND_TEXTURE_SCALE",
+        "SKY_LUMINANCE", "GROUND_LUMINANCE", "FOG_LUMINANCE", "OBJECT_TEXTURE_FREQ",
+    ])
+    def test_cache_key_sees_the_render_constants(self, name, monkeypatch):
+        """The rasterizer constants that were ``RenderConfig`` fields are
+        key ingredients too: changing one moves the address."""
+        config = RenderConfig(width=64, height=32)
+        base_key = world_cache_key("racing", 0.2, 0, config, 23.0, 1.7)
+        monkeypatch.setattr(rasterizer, name, getattr(rasterizer, name) * 2)
+        assert world_cache_key("racing", 0.2, 0, config, 23.0, 1.7) != base_key
+
     def test_default_world_key_digest_is_pinned(self):
         """Cache directories written by earlier versions stay valid: the
         default racing key hashes to the value it always has (recorded
-        with ``RenderConfig.kernels`` still present and filtered out)."""
+        with ``RenderConfig.kernels`` still present and filtered out, and
+        with the render constants still ``RenderConfig`` fields)."""
         key = world_cache_key("racing", 1.0, 3, RenderConfig(), 25.0, 1.7)
         assert content_digest(key) == (
             "1a9ea6e5211216b47fa7932e18d28d933c169f1457efe7f78dd043cfb0fa446f"

@@ -97,6 +97,13 @@ class TestParse:
         ("teleport@-5:1", "t_ms must be non-negative"),
         ("snapturn@5:1~x", "could not convert string to float: 'x'"),
         ("desync@2500", "desync needs an explicit player, e.g. desync@2500:1"),
+        ("dip@nan-500:0.1", "nan is not a finite number"),
+        ("outage@0-inf:1", "inf is not a finite number"),
+        ("stall@5-9:nan", "nan is not a finite number"),
+        ("stall@5-9:inf", "inf is not a finite number"),
+        ("desync@nan:1", "nan is not a finite number"),
+        ("teleport@inf:1", "inf is not a finite number"),
+        ("teleport@5:1~nan", "nan is not a finite number"),
     ])
     def test_every_kind_locates_its_bad_entry(self, bad, cause):
         """Argument conversion and the record's own range check fail the

@@ -180,6 +180,11 @@ class TestChurnValidation:
         ("flap@500-100:1", "flap window must satisfy start < end"),
         ("join@100:0", "join count must be >= 1"),
         ("bogus@1", "unknown churn kind 'bogus'"),
+        ("join@nan", "nan is not a finite number"),
+        ("crash@inf:1", "inf is not a finite number"),
+        ("flap@nan-100:1", "nan is not a finite number"),
+        ("flap@0-inf:1", "inf is not a finite number"),
+        ("flap@0-100:1~nan", "nan is not a finite number"),
     ])
     def test_bad_entry_names_number_text_and_cause(self, entry, cause):
         with pytest.raises(ValueError) as info:

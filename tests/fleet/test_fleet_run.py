@@ -35,8 +35,6 @@ class TestFleetConfig:
             FleetConfig(fidelity="half")
         with pytest.raises(ValueError):
             FleetConfig(system="warpdrive")
-        with pytest.raises(ValueError):
-            FleetConfig(spacing_m=0.0)
 
     def test_resolve_prefers_explicit_trace(self):
         trace = ArrivalTrace([PlayerArrival(0.0, "racing")])

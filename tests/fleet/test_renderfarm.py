@@ -7,8 +7,7 @@ from repro.sim import Simulator
 
 
 def make_farm(sim, **kwargs):
-    defaults = dict(gpu_slots=1, render_ms=10.0, dispatch_overhead_ms=2.0,
-                    batch_max=4)
+    defaults = dict(gpu_slots=1, render_ms=10.0, batch_max=4)
     defaults.update(kwargs)
     return RenderFarm(sim, **defaults)
 
@@ -21,8 +20,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             RenderFarm(sim, render_ms=0.0)
         with pytest.raises(ValueError):
-            RenderFarm(sim, dispatch_overhead_ms=-1.0)
-        with pytest.raises(ValueError):
             RenderFarm(sim, batch_max=0)
 
 
@@ -32,12 +29,12 @@ class TestCompletion:
         farm = make_farm(sim)
         done = farm.submit(0, "addr-a", deadline_ms=100.0)
         sim.run()
-        # One batch of one: overhead (2) + render (10).
-        assert done.triggered and done.value == 12.0
+        # One batch of one: DISPATCH_OVERHEAD_MS (8) + render (10).
+        assert done.triggered and done.value == 18.0
         snap = farm.snapshot()
         assert snap.renders == 1 and snap.batches == 1
         assert snap.deadline_misses == 0
-        assert snap.mean_wait_ms == 12.0
+        assert snap.mean_wait_ms == 18.0
 
     def test_batch_amortizes_overhead(self):
         sim = Simulator()
@@ -52,14 +49,13 @@ class TestCompletion:
         assert snap.batches == 2
         assert snap.renders == 5
         assert snap.mean_batch == 2.5
-        # The four-batch lands at 12 (warm) + 2 + 4*10 = 54.
-        assert all(e.value == 54.0 for e in events)
+        # The four-batch lands at 18 (warm) + 8 + 4*10 = 66.
+        assert all(e.value == 66.0 for e in events)
 
     def test_completion_hook_runs_per_request(self):
         sim = Simulator()
         landed = []
-        farm = RenderFarm(sim, gpu_slots=2, render_ms=5.0,
-                          dispatch_overhead_ms=0.0, batch_max=2,
+        farm = RenderFarm(sim, gpu_slots=2, render_ms=5.0, batch_max=2,
                           completion_hook=lambda r: landed.append(r.address))
         for i in range(3):
             farm.submit(0, f"addr-{i}", deadline_ms=100.0)
@@ -69,8 +65,8 @@ class TestCompletion:
     def test_deadline_misses_counted(self):
         sim = Simulator()
         farm = make_farm(sim, gpu_slots=1, batch_max=1)
-        farm.submit(0, "a", deadline_ms=12.0)   # lands exactly at 12: ok
-        farm.submit(0, "b", deadline_ms=12.0)   # lands at 24: missed
+        farm.submit(0, "a", deadline_ms=18.0)   # lands exactly at 18: ok
+        farm.submit(0, "b", deadline_ms=18.0)   # lands at 36: missed
         sim.run()
         assert farm.snapshot().deadline_misses == 1
 

@@ -15,6 +15,7 @@ from repro.core import (
     Prefetcher,
     preprocess_game,
 )
+from repro.core.constraint import NEAR_BE_HEADROOM
 from repro.core.merger import compose_display
 from repro.render import PIXEL2, RenderConfig, RenderCostModel
 from repro.render.splitter import eye_at, reference_frame, render_near_be
@@ -46,7 +47,7 @@ class TestOfflineOnlineConsistency:
             cost = MODEL.near_be_ms(world.scene, sample.position, radius)
             # Min-of-samples radii are conservative; tolerate the paper's
             # ~0.25 % unsampled-hotspot violations but nothing gross.
-            assert cost < budget.near_be_budget_ms / budget.headroom * 1.3
+            assert cost < budget.near_be_budget_ms / NEAR_BE_HEADROOM * 1.3
 
     def test_cache_hit_implies_visual_quality(self, pool):
         """A frame served from the cache merges into a display frame that

@@ -127,6 +127,12 @@ class TestFromFile:
         with pytest.raises(ValueError, match="line 3.*non-numeric"):
             RateTrace.from_file(path)
 
+    @pytest.mark.parametrize("row", ["nan 0.5", "inf 0.5", "500 nan", "500 -inf"])
+    def test_non_finite_names_line(self, tmp_path, row):
+        path = self.write(tmp_path, f"0 1.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 2.*non-finite"):
+            RateTrace.from_file(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "# only comments\n\n")
         with pytest.raises(ValueError, match="no segments"):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Rect, Vec2, Vec3
 from repro.render.rasterizer import (
+    VIEW_LIMIT,
     RenderConfig,
     _draw_objects_scalar,
     draw_objects,
@@ -67,14 +68,14 @@ def _renders(world, config):
                 eye,
                 render_whole_be(scene, eye, config),
                 render_background(scene, eye, config),
-                scene.objects_within(ground, config.view_limit),
+                scene.objects_within(ground, VIEW_LIMIT),
             ),
             (
                 f"{fraction} far",
                 eye,
                 render_far_be(scene, eye, config, CUTOFF),
                 render_background(scene, eye, config, near_clip=CUTOFF),
-                scene.objects_in_annulus(ground, CUTOFF, config.view_limit),
+                scene.objects_in_annulus(ground, CUTOFF, VIEW_LIMIT),
             ),
             (
                 f"{fraction} near",
@@ -133,7 +134,7 @@ FLAT = Scene(Rect(-200, -200, 200, 200), [], lambda p: 0.0)
 PROPERTY_CONFIGS = [
     RenderConfig(width=64, height=32),
     RenderConfig(width=96, height=48, indoor=True),
-    RenderConfig(width=48, height=24, min_angular_radius=0.05),
+    RenderConfig(width=48, height=24),
 ]
 
 
@@ -186,7 +187,7 @@ _DISTANCE = st.one_of(
 )
 _RADIUS = st.one_of(
     st.floats(0.2, 6.0),
-    st.floats(0.001, 0.05),  # culled below min_angular_radius unless close
+    st.floats(0.001, 0.05),  # culled below the angular floor unless close
 )
 _SPEC = st.lists(
     st.tuples(_AZIMUTH, _ELEVATION, _DISTANCE, _RADIUS, st.floats(0.0, 1.0), st.booleans()),

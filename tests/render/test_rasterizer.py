@@ -48,9 +48,7 @@ class TestRenderConfig:
         with pytest.raises(ValueError):
             RenderConfig(width=4, height=64)
         with pytest.raises(ValueError):
-            RenderConfig(view_limit=0)
-        with pytest.raises(ValueError):
-            RenderConfig(min_angular_radius=-1)
+            RenderConfig(width=64, height=2)
 
 
 class TestBackground:

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _finite_float, build_parser, main
+
+#: Every float-typed flag, by subcommand, and a valid command line to add it to.
+_FLOAT_FLAGS = [
+    *(("run", flag) for flag in ("--duration", "--wifi-mbps", "--loss")),
+    *(("fleet", flag) for flag in (
+        "--rate", "--duration", "--max-wait-ms", "--retry-ms", "--patience-ms",
+        "--session-duration", "--render-ms", "--deadline-ms", "--fleet-mbps",
+    )),
+]
+_COMMAND_ARGV = {"run": ["run", "coterie", "pool", "2"], "fleet": ["fleet"]}
 
 
 class TestParser:
@@ -339,6 +349,24 @@ class TestBadConfiguration:
             main([*argv, "--seed", "-1"])
         assert exit_info.value.code == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+    def test_non_finite_float_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*_COMMAND_ARGV[command], flag, value])
+        assert exit_info.value.code == 2
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert line.endswith(f"argument {flag}: must be finite, got {value!r}")
+
+    def test_every_float_flag_is_finite_checked(self):
+        """Each float flag is ``_finite_float``-typed and in ``_FLOAT_FLAGS``."""
+        commands = build_parser()._subparsers._group_actions[0].choices
+        actions = [(name, action) for name, sub in commands.items() for action in sub._actions]
+        assert not [action.dest for _, action in actions if action.type is float]
+        typed = [(name, action.option_strings[0]) for name, action in actions
+                 if action.type is _finite_float]
+        assert sorted(typed) == sorted(_FLOAT_FLAGS)
 
     @pytest.mark.parametrize("relative, reason", [
         ("a_file", "File exists"),

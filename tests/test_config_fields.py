@@ -1,4 +1,5 @@
-"""Every field of a ``*Config`` dataclass in ``src/repro`` is set by a program.
+"""Every field of a ``*Config`` or ``*Budget`` dataclass in ``src/repro`` is
+set by a program.
 
 A field counts as set when a program file (a non-test ``.py`` under
 ``src/repro``, ``benchmarks/`` or ``examples/``) passes its name as a
@@ -20,7 +21,6 @@ PROGRAM_DIRS = (SRC, REPO_ROOT / "benchmarks", REPO_ROOT / "examples")
 
 _GOLDEN = "tests/systems/test_loop_golden.py rows set it; removing re-records a pin"
 _E2E = "benchmarks/e2e/workloads.py reads it and that directory is frozen"
-_DEBT = "known debt: no program sets it (see ROADMAP)"
 
 ALLOWED = {
     **dict.fromkeys(("SessionConfig.device", "SessionConfig.codec_crf"), _E2E),
@@ -29,17 +29,10 @@ ALLOWED = {
         "SessionConfig.fetch_max_retries", "SessionConfig.fetch_backoff_cap_ms",
         "SupervisorConfig.warmup_fetches",
     ), _GOLDEN),
-    **dict.fromkeys((
-        "RenderConfig.view_limit", "RenderConfig.fog_distance",
-        "RenderConfig.min_angular_radius", "RenderConfig.ground_texture_scale",
-        "RenderConfig.sky_luminance", "RenderConfig.ground_luminance",
-        "RenderConfig.fog_luminance", "RenderConfig.object_texture_freq",
-        "CutoffSchemeConfig.agreement_ratio", "CutoffSchemeConfig.agreement_abs",
-        "CutoffSchemeConfig.min_region_m", "CutoffSchemeConfig.max_radius",
-        "CutoffSchemeConfig.radius_tolerance", "FleetConfig.stride_ms",
-        "FleetConfig.spacing_m", "FleetConfig.dispatch_overhead_ms",
-    ), _DEBT),
-    "RenderConfig.indoor": _DEBT + "; indoor games render a cloudy sky",
+    "RenderConfig.indoor": (
+        "known debt: no program sets it, so indoor games render a cloudy sky; "
+        "deriving it from the world moves render digests (see ROADMAP)"
+    ),
 }
 
 
@@ -57,11 +50,12 @@ def _name(node: ast.AST):
 
 @lru_cache(maxsize=None)
 def config_fields() -> Dict[str, List[str]]:
-    """Field names of every ``*Config`` dataclass in ``src/repro``, by class."""
+    """Field names of every ``*Config`` and ``*Budget`` dataclass in
+    ``src/repro``, by class."""
     fields = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            if (isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Budget"))
                     and any(_name(getattr(d, "func", d)) == "dataclass"
                             for d in node.decorator_list)):
                 fields[node.name] = [
