@@ -143,15 +143,15 @@ def exact_max_radius(
     budget: RenderBudget,
     max_radius: float,
 ) -> float:
-    """Exact maximal radius satisfying Constraint 1, in O(M log M).
+    """Exact maximal radius satisfying Constraint 1.
 
     The near-BE cost only changes when the radius crosses an object's
     distance, and each object's LOD weight depends on its own distance, not
     the radius — so sorting objects by distance and prefix-summing their
-    weighted costs yields the exact supremum radius in one pass.  The
-    answer is capped at ``max_radius``, so only the M objects within it are
-    sorted.  Orders of magnitude faster than bisection with repeated
-    spatial queries, and used by :func:`build_cutoff_map`.
+    weighted costs yields the exact supremum radius in one pass, one sort
+    of the objects within ``max_radius``.  Orders of magnitude faster than
+    bisection with repeated spatial queries; a one-point call into the
+    solver :func:`build_cutoff_map` uses.
     """
     return _radius_solver(scene, model, budget, max_radius)([viewpoint])[0]
 
@@ -160,7 +160,16 @@ def _radius_solver(
     scene: Scene, model: RenderCostModel, budget: RenderBudget, max_radius: float
 ) -> Callable[[Sequence[Vec2]], List[float]]:
     """:func:`exact_max_radius` at several points, the per-scene work done
-    once and the points' candidate objects found once."""
+    once.
+
+    Each call first searches only the objects within a bound seeded from
+    the previous call's largest radius (the quadtree visits neighbouring
+    regions in turn); a point whose budget crossing lies beyond the bound
+    is searched again out to ``max_radius``.  The sorted objects within
+    the bound are a prefix of the sorted objects within ``max_radius``,
+    and ``cumsum`` adds in sequence, so the prefix's partial sums — and
+    the answer — are the ones a whole-scene search gives.
+    """
     if max_radius <= 0:
         raise ValueError("max_radius must be positive")
     positions, triangles = scene.position_triangle_arrays()
@@ -168,38 +177,49 @@ def _radius_solver(
     ys = np.ascontiguousarray(positions[:, 1])
     device = model.device
     limit = budget.near_be_budget_ms
-    reach = max_radius + 1.0
+    largest = max_radius  # the previous call's largest radius
+
+    def crossings(px: np.ndarray, py: np.ndarray, bound: float) -> np.ndarray:
+        # Each point's first object whose inclusion busts the budget, by
+        # distance; inf where no object within ``bound`` does.  Every
+        # object within ``bound`` of a point lies in the points' bounding
+        # box grown by ``bound + 1`` (the metre covers rounding).
+        reach = bound + 1.0
+        box = np.flatnonzero(
+            (xs >= px.min() - reach) & (xs <= px.max() + reach)
+            & (ys >= py.min() - reach) & (ys <= py.max() + reach)
+        )
+        distances = np.hypot(xs[box] - px[:, None], ys[box] - py[:, None])
+        # An object beyond the bound sorts last, at inf: a crossing there
+        # reads as none.
+        distances[distances > bound] = np.inf
+        order = np.argsort(distances, axis=1)
+        sorted_d = np.take_along_axis(distances, order, axis=1)
+        lod = np.maximum(device.lod_floor, 1.0 / (1.0 + (sorted_d / device.lod_distance) ** 2))
+        cost_ms = np.cumsum(triangles[box][order] * lod, axis=1) / device.triangle_throughput
+        # ``cost_ms`` never decreases, so this is searchsorted(side="left").
+        index = (cost_ms < limit).sum(axis=1)
+        rows = np.flatnonzero(index < len(box))
+        supremum = np.full(len(px), np.inf)
+        supremum[rows] = sorted_d[rows, index[rows]]
+        return supremum
 
     def solve(points: Sequence[Vec2]) -> List[float]:
-        # Every object within max_radius of a point lies in the points'
-        # bounding box grown by ``reach``.  Kept in insertion order, the
-        # box hands each point's sort the array the whole scene would.
-        px, py = [p.x for p in points], [p.y for p in points]
-        box = np.flatnonzero(
-            (xs >= min(px) - reach) & (xs <= max(px) + reach)
-            & (ys >= min(py) - reach) & (ys <= max(py) + reach)
-        )
-        bx, by, btri = xs[box], ys[box], triangles[box]
-        return [radius_at(bx, by, btri, p) for p in points]
-
-    def radius_at(bx, by, btri, viewpoint: Vec2) -> float:
-        distances = np.hypot(bx - viewpoint.x, by - viewpoint.y)
-        # An object beyond max_radius can only bust the budget at a radius
-        # the cap below already excludes.
-        within = np.flatnonzero(distances <= max_radius)
-        order = within[np.argsort(distances[within])]
-        sorted_d = distances[order]
-        lod = np.maximum(device.lod_floor, 1.0 / (1.0 + (sorted_d / device.lod_distance) ** 2))
-        cost_ms = np.cumsum(btri[order] * lod) / device.triangle_throughput
-        # First object whose inclusion busts the budget.
-        index = int(np.searchsorted(cost_ms, limit, side="left"))
-        if index >= len(sorted_d):
-            return max_radius
-        supremum = float(sorted_d[index])
-        if supremum >= max_radius:
-            return max_radius
-        # Just inside the busting object's distance.
-        return max(0.0, supremum - 1e-6)
+        nonlocal largest
+        px = np.array([p.x for p in points])
+        py = np.array([p.y for p in points])
+        bound = min(2.0 * largest + 2.0, max_radius)
+        supremum = crossings(px, py, bound)
+        missed = np.flatnonzero(supremum == np.inf)
+        if bound < max_radius and len(missed):
+            perf.count("cutoff.resolved", len(missed))
+            supremum[missed] = crossings(px[missed], py[missed], max_radius)
+        # Just inside the busting object's distance, capped at max_radius.
+        radii = np.where(
+            supremum < max_radius, np.maximum(0.0, supremum - 1e-6), max_radius
+        ).tolist()
+        largest = max(radii)
+        return radii
 
     return solve
 

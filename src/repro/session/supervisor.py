@@ -22,6 +22,8 @@ holds no RNG):
   stop producing frames (left, crashed, or evicted; an evicted client
   does *not* silently resume after a long outage, which is precisely the
   behaviour PR 2's outage windows could not express).
+  A client blocked on the link waits through :meth:`beating`, and the
+  monitor beats for it: the heartbeat rides the PUN channel, not the link.
 
 Every state change bumps the monotone membership epoch and is appended
 to the epoch log; the :class:`~repro.session.invariants.InvariantChecker`
@@ -165,6 +167,8 @@ class SessionSupervisor:
         self._last_heartbeat: List[float] = [0.0] * total_slots
         self._leave_pending: List[bool] = [False] * total_slots
         self._crash_pending: List[bool] = [False] * total_slots
+        # Client waits on the link in flight, this incarnation (beating).
+        self._blocked: List[int] = [0] * total_slots
         self._join_requested_ms: Dict[int, float] = {}
         self._warm_started_ms: Dict[int, float] = {}
 
@@ -273,22 +277,53 @@ class SessionSupervisor:
             self.leaves += 1
             self._depart(slot, LEFT, "leave")
             return False
-        if state == SUSPECT:
+        self._beat(slot)
+        return True
+
+    def beating(self, slot: int, process):
+        """Run ``process``, the client's wait on the link, while its
+        heartbeat keeps going (generator returning the process's value).
+
+        Heartbeats ride the PUN channel, not the link, so a client blocked
+        on a long transfer is alive: the monitor beats for it.  A pending
+        crash still silences it, so a crashed client is evicted all the
+        same.
+        """
+        life = self.stats[slot].incarnations
+        self._blocked[slot] += 1
+        value = yield from process
+        if self.stats[slot].incarnations == life:
+            self._blocked[slot] -= 1
+        return value
+
+    def _beat(self, slot: int) -> None:
+        """Record a heartbeat from a live slot."""
+        if self._states[slot] == SUSPECT:
             # The detector was wrong (slow frames, outage window): the
             # heartbeat resumed before eviction, so restore the state
             # the player was in before suspicion.
             self._transition(slot, self._pre_suspect[slot], "recovered")
         self._last_heartbeat[slot] = self.sim.now
-        return True
 
     def activate(self, slot: int) -> bool:
         """Warm-up finished: the player enters the room and turns ACTIVE.
 
         Returns False when the slot is no longer WARMING (it crashed,
-        left, or was evicted mid-handshake) — the client must stop.
+        left, or was evicted mid-handshake) or Constraint 2 no longer
+        holds with it — the client must stop.
         """
         if self._states[slot] != WARMING:
             return False
+        if self._admission is not None:
+            check = self._admission.validate(self._constraint_roster())
+            if not check.admitted:
+                # The players moved while the joiner warmed up and the link
+                # can no longer carry it: turn it away rather than open an
+                # epoch that violates Constraint 2.
+                self.joins_rejected += 1
+                self.stats[slot].rejections += 1
+                self._transition(slot, LEFT, f"rejected:{check.reason}")
+                return False
         now = self.sim.now
         self._last_heartbeat[slot] = now
         stats = self.stats[slot]
@@ -373,6 +408,7 @@ class SessionSupervisor:
             yield ADMISSION_RETRY_MS
         self.joins_admitted += 1
         self.stats[slot].incarnations += 1
+        self._blocked[slot] = 0  # a dead incarnation's waits do not beat
         rejoining = self.stats[slot].incarnations > 1
         self._join_requested_ms[slot] = requested_ms
         self._warm_started_ms[slot] = self.sim.now
@@ -388,6 +424,13 @@ class SessionSupervisor:
             now = self.sim.now
             for slot in range(self.total_slots):
                 state = self._states[slot]
+                if (
+                    self._blocked[slot]
+                    and state in (WARMING, ACTIVE, SUSPECT)
+                    and not self._crash_pending[slot]
+                ):
+                    self._beat(slot)
+                    continue
                 age = now - self._last_heartbeat[slot]
                 if state in (WARMING, ACTIVE) and age > SUSPECT_AFTER_MS:
                     self._pre_suspect[slot] = state

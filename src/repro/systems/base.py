@@ -309,6 +309,15 @@ class Session:
             return self.config.prefetch_deadline_ms
         return max(1.0, 1000.0 / 60.0 - self.config.device.merge_ms)
 
+    def blocked(self, player_id: int, process):
+        """``process``, a client's wait on the link, wrapped so that a
+        supervised client keeps heartbeating while it waits (the beat
+        rides the PUN channel); ``process`` itself when no supervisor
+        runs."""
+        if self.supervisor is None:
+            return process
+        return self.supervisor.beating(player_id, process)
+
     def position_at(self, player: int, t_ms: float):
         """Time-indexed trajectory lookup (players move in real time even
         when the display runs below 60 FPS).

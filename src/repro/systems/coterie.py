@@ -171,8 +171,9 @@ class CoterieStrategy(FetchStrategy):
         or the retry budget is spent."""
         session = self.session
         first_ev = session.link.transfer(stored.wire_bytes, tag="be")
-        ev, _ = yield from fetch_with_retries(
-            session, player_id, stored.wire_bytes, first_ev, blocking=True
+        ev, _ = yield from session.blocked(
+            player_id,
+            fetch_with_retries(session, player_id, stored.wire_bytes, first_ev, blocking=True),
         )
         if ev is not None:
             self.admit(decision, stored, stored.wire_bytes, session.sim.now, player_id)
@@ -190,7 +191,9 @@ class CoterieStrategy(FetchStrategy):
         for hook in self.post_plan:
             decision = hook(player_id, t0, sample, decision)
         out = FrameOutcome()
-        out.cached = yield from self.display(player_id, t0, decision, out)
+        out.cached = yield from session.blocked(
+            player_id, self.display(player_id, t0, decision, out)
+        )
         for hook in self.post_fetch:
             hook(player_id, t0, sample, decision, out)
         near_ms = session.cost_model.near_be_ms(

@@ -71,7 +71,9 @@ class MultiFurionStrategy(WholeFrameStrategy):
                 out.stale_age_ms = t0 - self.last_frame_ms[player_id]
                 out.cache_label = "drop"
             else:
-                stall_ms, wire_ms = yield from self.stream(frame_bytes, t0)
+                stall_ms, wire_ms = yield from session.blocked(
+                    player_id, self.stream(frame_bytes, t0)
+                )
                 out.frame_bytes = frame_bytes
                 out.transfer_ms = stall_ms + wire_ms
                 self.observe(player_id, frame_bytes, out.transfer_ms - stall_ms)

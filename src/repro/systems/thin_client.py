@@ -53,7 +53,9 @@ class ThinClientStrategy(WholeFrameStrategy):
                 session.cost_model.fi_ms(world.spec.fi_triangles) / 10.0,
                 self.server_model.whole_be_ms(world.scene, sample.position),
             )
-            stall_ms, transfer_ms = yield from self.stream(frame_bytes, t0)
+            stall_ms, transfer_ms = yield from session.blocked(
+                player_id, self.stream(frame_bytes, t0)
+            )
             encode_ms = session.codec_timing.encode_ms(FOUR_K_PIXELS)
             self.observe(player_id, frame_bytes, transfer_ms)
             decode_ms = session.cost_model.decode_ms(3840, 2160)

@@ -68,7 +68,7 @@ class WholeFrameStrategy(FetchStrategy):
             return None
         sample = session.position_at(player_id, session.sim.now)
         frame_bytes = self.size_model.sample(session.world.grid.snap(sample.position))
-        yield from self.stream(frame_bytes, session.sim.now)
+        yield from session.blocked(player_id, self.stream(frame_bytes, session.sim.now))
         return {"bytes": frame_bytes}
 
     def wire_bytes(self, player_id: int, grid_point, t0: float) -> Optional[int]:

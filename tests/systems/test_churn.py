@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import ChurnSchedule, FaultSchedule
 from repro.net import ImpairmentConfig, RateTrace
-from repro.session import ACTIVE, CRASHED, LEFT, SupervisorConfig
+from repro.session import ACTIVE, CRASHED, LEFT, SUSPECT, WARMING, SupervisorConfig
 from repro.systems import (
     SessionConfig,
     prepare_artifacts,
@@ -180,12 +180,13 @@ class TestLifecycle:
         assert straddling == []
 
     def test_frame_outlasting_eviction_is_dropped(self, pool):
-        """On a 5 Mbps link one far-BE fetch takes over a second: the
-        detector evicts both clients while they block in it, and the
-        frame that lands afterwards reaches no display (it used to trip
-        invariant 5, "frame delivered to a non-displaying player")."""
+        """On a 5 Mbps link one far-BE fetch takes over a second.  Both
+        clients crash silently while they block in it, so their heartbeat
+        stops: the detector evicts them mid-fetch, and the frame that
+        lands afterwards reaches no display (it used to trip invariant 5,
+        "frame delivered to a non-displaying player")."""
         world, artifacts = pool
-        config = churn_config("leave@500:1,rejoin@700:1", wifi_mbps=5.0)
+        config = churn_config("crash@50:0,crash@50:1", wifi_mbps=5.0)
         result = run_coterie(world, 2, config, artifacts)
         assert result.players == []
         assert result.membership.evictions == 2
@@ -193,6 +194,58 @@ class TestLifecycle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty roster must not warn
             assert math.isnan(result.mean_fps)
+
+
+    def test_client_blocked_in_fetch_keeps_beating(self, racing):
+        """Heartbeats ride the PUN channel, not the link.  On a 5 Mbps
+        link every far-BE fetch, and each of the joiner's warm-up
+        fetches, blocks its client for over a second; no live client may
+        be suspected for it."""
+        world, artifacts = racing
+        config = churn_config("join@1000", wifi_mbps=5.0)
+        member = run_coterie(world, 3, config, artifacts).membership
+        assert [e for e in member.epochs if e.to_state == SUSPECT] == []
+        assert member.evictions == 0
+        assert member.invariant_violations == 0
+        # The joiner's warm-up fetches outlast the run.
+        assert member.final_states == (ACTIVE, ACTIVE, ACTIVE, WARMING)
+
+    @pytest.mark.parametrize("run", [run_multi_furion, run_thin_client])
+    def test_whole_frame_client_blocked_in_stream_keeps_beating(self, pool, run):
+        """The baselines block on one whole frame per display interval;
+        on a 5 Mbps link each takes over a second."""
+        world, _ = pool
+        config = SessionConfig(**BASE, wifi_mbps=5.0, churn=ChurnSchedule())
+        result = run(world, 2, config)
+        member = result.membership
+        assert [e for e in member.epochs if e.to_state == SUSPECT] == []
+        assert member.final_states == (ACTIVE, ACTIVE)
+        assert all(p.metrics.frames > 0 for p in result.players)
+
+    @pytest.mark.parametrize("slot", [1, 3])
+    def test_crash_while_blocked_in_fetch_is_evicted(self, racing, slot):
+        """A silent crash stops the beat even mid-fetch: an initial
+        player blocked on its frame's fetch (slot 1) and the joiner
+        blocked in its warm-up (slot 3) are both evicted."""
+        world, artifacts = racing
+        config = churn_config(f"join@1000,crash@1500:{slot}", wifi_mbps=5.0)
+        member = run_coterie(world, 3, config, artifacts).membership
+        assert member.evictions == 1
+        assert member.final_states[slot] == CRASHED
+        assert member.invariant_violations == 0
+
+    def test_joiner_turned_away_when_constraint_2_lapses(self, racing):
+        """Admitted at 1 s, the joiner only finishes warming up after 7 s,
+        by when the players' dist-thresh fetch rates no longer fit the
+        5 Mbps link: activation re-runs Constraint 2 and the joiner leaves
+        instead of opening an epoch that violates it."""
+        world, artifacts = racing
+        config = churn_config("join@1000", wifi_mbps=5.0, duration_s=10.0)
+        member = run_coterie(world, 3, config, artifacts).membership
+        assert member.joins_admitted == member.joins_rejected == 1
+        assert member.final_states[3] == LEFT
+        assert member.epochs[-1].cause == "rejected:constraint-2"
+        assert member.invariant_violations == 0
 
 
 class TestDeterminism:

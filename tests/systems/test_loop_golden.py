@@ -162,7 +162,7 @@ clean-mobile a9ac2c2b1052b91e3c920ee23a3d3091f63bc6b8591daad73699aa524e1a02c1 68
 clean-multi_furion ab33f41eb69789ed79dd413b176a16afbd97364b198a607923cafb8360fd65e8 0e3bc2be787bee4d60b4011b7501c58e1fcbeb531f0ad21b80b20f6d724b4dfb 6e721608d4c65a010ecf38e0d6d64f7c8ded3ecf9cc2920175096379c0a4768c
 clean-multi_furion_cache 3837a337063e2be7007a6a6414b68d7cdcfb284dd4c52ed32c2c96d8423014bd da8841188ae7fb72b5aae72726de44eabbaba90156d5319939ac5e2c7ea0431b 484c17818597f09940966cf224c4dee9c6f62825ff1cfa948e9c838716df5cb8
 clean-thin_client fd5c92d6502185a052d10ccf22a5c3e87b0b6158fc3203ff73e42660d0e9b3e7 adf1da6ef67faeaf42d1362c868ce9b6cdf38ea05bb70726440179e0a93950c4 e52c2f97b1a38b18fb04e48ed50b593c72c4f4753b869881ce69bf7e576781ab
-everything-coterie fd2be9c0c12c93a0ad245cb30165a379b039e445c89774cd1713c3b34b2252fe 857c5441b999f98380a115aa1fd46e5352f2efc0729aebf17aef837d8fb95ded 024f07dd1adb08b87bc557927f3d70055ad4a443fe1d46378b731dc2d3592a56
+everything-coterie b177d4613b3202b785fe3a5c32fe97b188f94887b0dc9c0c7d8cec3fb9bd766b 80cec5063c5a47790db1328f6cefeccfceab3841aec2603e6b7b051f564c3397 ee754f033f177da0c5df2d1b86da4af1aca22a7495e412267bce6b9d6abf9ab6
 faults-coterie 4f4993506d33faedbecab22ed7de840eb3c83febdabfcd1aacae4a53a9ee9aae 422c86872d9827d475a4730fc740b09aa4755d66e15c7d8f80a1ef89aea382d1 3bf498194fbe8c9abac8718e0d9445e5e23e8fcdfa521d2c8c3139d8b0448958
 faults-multi_furion 2907c916642a02f403398f87f35a1824f8e9be6f6175804b3a6d2f9750332c65 ead489d5193e3e15e2752e4736a998eb14e2a10025b2d52da10dd2e4a02e80a8 96570863de8d6ed7dc1e720926002bcdf35e049093f4f1d2ebd23b10abc81a66
 faults-thin_client cd027409ba78d6aa18fb1016a0c9a7ba2d660f5d33c466a979eab69c38419316 aaf3631083949a997b5b13cd0ed8d37668068ae00d6bb19d12600c6aaa0758e1 0b5e52a27a4e20fe6e35156f37fbc01bbdf89c0dc01121c97ecca975d80cb6b4

@@ -173,10 +173,11 @@ class TestChurnCommands:
         assert "exceeds --max-players" in capsys.readouterr().err
 
     def test_run_where_nobody_displays_exits_cleanly(self, capsys):
-        """Both clients are evicted while blocked in their first fetch."""
+        """Both clients crash silently while blocked in their first fetch
+        and are evicted before it lands."""
         assert main(["run", "coterie", "pool", "2", "--duration", "4",
                      "--seed", "1", "--wifi-mbps", "5",
-                     "--churn", "leave@500:1,rejoin@700:1"]) == 0
+                     "--churn", "crash@50:0,crash@50:1"]) == 0
         out = capsys.readouterr().out
         assert "no player displayed a frame" in out
         assert "2 evicted" in out
