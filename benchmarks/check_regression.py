@@ -1,19 +1,17 @@
 """CI perf-regression gate over the ``BENCH_*.json`` artifacts.
 
 Compares a fresh benchmark run against committed baselines and exits
-nonzero when a watched metric regresses beyond tolerance.  Three metric
-kinds cover the artifacts' shapes:
+nonzero when a watched metric regresses beyond tolerance.  No metric is
+an absolute wall clock: CI runners are not comparable to the machine
+that recorded the baselines.  Two metric kinds cover the artifacts'
+shapes:
 
-* ``wall`` — lower is better, multiplicative: fresh > base * (1 + tol)
-  fails.  Wall clocks are noisy across runner generations, so
-  ``--ratio-only`` skips this kind entirely (CI compares machine-relative
-  ratios only; absolute walls are still reported for humans);
-* ``ratio_high`` — higher is better, multiplicative: a speedup ratio
-  falling below base * (1 - tol) fails even under ``--ratio-only``
-  (both legs ran on the same machine, so the ratio is noise-immune);
+* ``ratio_high`` — higher is better, multiplicative: a ratio falling
+  below base * (1 - tol) fails (both legs ran on the same machine, or
+  the value is a deterministic count, so it is noise-immune);
 * ``abs_low`` — lower is better, additive: fresh > base + tol fails
-  (for small fractions like a deadline-miss rate where a multiplicative
-  band around ~0 is meaningless).
+  (for small counts and fractions like a false-alarm count, where a
+  multiplicative band around ~0 is meaningless).
 
 Observer overhead is not here: ``bench_overhead.py`` judges it in-process
 against the noise floor of the same run, which a cross-machine baseline
@@ -23,7 +21,7 @@ Usage (the CI perf job)::
 
     python benchmarks/check_regression.py \
         --baseline-dir benchmarks/results/smoke \
-        --fresh-dir benchmarks/results --ratio-only --tolerance 0.35
+        --fresh-dir benchmarks/results --tolerance 0.35
 
 Baselines are re-pinned by re-running the benches on a quiet machine and
 committing the refreshed artifacts::
@@ -52,13 +50,6 @@ from typing import Iterable, List, Optional
 #: (bench payloads grow fields over time); present-on-one-side-only is
 #: a failure — a silently vanished metric must not pass the gate.
 SPECS = {
-    "BENCH_preprocess.json": [
-        ("speedup.cached", "ratio_high"),
-        ("speedup.warm", "ratio_high"),
-        ("legs.serial.wall_s", "wall"),
-        ("legs.cached.wall_s", "wall"),
-        ("legs.warm.wall_s", "wall"),
-    ],
     # Speculation must keep improving the hit ratio on most trajectory
     # genres (the deterministic genre count is noise-immune), and the
     # desync validator must never false-alarm on a clean run.
@@ -128,7 +119,6 @@ def compare_metric(
     baseline: Optional[float],
     fresh: Optional[float],
     tolerance: float,
-    ratio_only: bool,
 ) -> Comparison:
     """Judge one metric against its baseline."""
     if baseline is None and fresh is None:
@@ -137,13 +127,7 @@ def compare_metric(
         # A metric that vanished (or appeared without a baseline) is a
         # gate failure: silence must never read as "no regression".
         return Comparison(artifact, metric, kind, baseline, fresh, True)
-    if kind == "wall":
-        if ratio_only:
-            return Comparison(
-                artifact, metric, kind, baseline, fresh, False, skipped=True
-            )
-        regressed = fresh > baseline * (1.0 + tolerance)
-    elif kind == "ratio_high":
+    if kind == "ratio_high":
         regressed = fresh < baseline * (1.0 - tolerance)
     elif kind == "abs_low":
         regressed = fresh > baseline + tolerance
@@ -156,7 +140,6 @@ def compare_dirs(
     baseline_dir: Path,
     fresh_dir: Path,
     tolerance: float,
-    ratio_only: bool,
     artifacts: Optional[Iterable[str]] = None,
 ) -> List[Comparison]:
     """Compare every watched artifact present in the baseline directory.
@@ -200,7 +183,7 @@ def compare_dirs(
             results.append(compare_metric(
                 name, metric, kind,
                 lookup(base_doc, metric), lookup(fresh_doc, metric),
-                tolerance, ratio_only,
+                tolerance,
             ))
     return results
 
@@ -273,9 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed relative (or additive, for abs_low) "
                              "slack before a metric counts as regressed")
-    parser.add_argument("--ratio-only", action="store_true",
-                        help="skip absolute wall-clock metrics (CI runners "
-                             "are not comparable to the baseline machine)")
     parser.add_argument("--artifacts", nargs="*", default=None,
                         help="restrict to these artifact names (default: "
                              "every spec'd artifact with a baseline)")
@@ -309,15 +289,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         results = compare_dirs(
-            args.baseline_dir, args.fresh_dir, args.tolerance,
-            args.ratio_only, args.artifacts,
+            args.baseline_dir, args.fresh_dir, args.tolerance, args.artifacts,
         )
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"cannot compare: {exc}", file=sys.stderr)
         return 2
     print(f"perf gate: {args.fresh_dir} vs baseline {args.baseline_dir} "
-          f"(tolerance {args.tolerance:g}"
-          f"{', ratio-only' if args.ratio_only else ''})")
+          f"(tolerance {args.tolerance:g})")
     for comparison in results:
         print(comparison.line())
     failures = [c for c in results if c.regressed]

@@ -27,7 +27,6 @@ import argparse
 import math
 import sys
 from functools import partial
-from pathlib import Path
 from typing import List, Optional
 
 import dataclasses
@@ -552,20 +551,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    if args.cache_dir is not None:
-        try:
-            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot use --cache-dir {args.cache_dir}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
     world = load_game(args.game)
-    artifacts = prepare_artifacts(
-        world,
-        SessionConfig(seed=args.seed),
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-    )
+    artifacts = prepare_artifacts(world, SessionConfig(seed=args.seed), seed=args.seed)
     stats = artifacts.cutoff_map.stats()
     radii = sorted(artifacts.cutoff_map.leaf_radii())
     print(f"offline preprocessing for {world.spec.title}:")
@@ -579,10 +566,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     print(f"  whole-BE frame   : ~{artifacts.whole_size_model.mean_bytes / 1000:.0f} KB")
     print(f"  modeled offline  : "
           f"{artifacts.cutoff_map.modeled_processing_hours():.2f} h on-device")
-    if artifacts.disk_cache is not None:
-        cache = artifacts.disk_cache
-        print(f"  disk cache       : {cache.entry_count()} entries, "
-              f"{cache.size_bytes() / 1e6:.1f} MB in {cache.root}")
     if args.perf:
         print()
         print(perf.report())
@@ -855,8 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre = sub.add_parser("preprocess", help="run the offline pipeline")
     pre.add_argument("game", choices=ALL_GAMES)
     pre.add_argument("--seed", type=_seed, default=3)
-    pre.add_argument("--cache-dir", default=None,
-                     help="persistent panorama/artifact cache directory")
     pre.add_argument("--perf", action="store_true",
                      help="print the per-stage perf report afterwards")
     pre.set_defaults(func=_cmd_preprocess)

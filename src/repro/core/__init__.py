@@ -41,10 +41,8 @@ from .preprocess import (
     calibrate_size_model,
     preprocess_game,
 )
-from .store import CACHE_SCHEMA_VERSION, PanoramaDiskCache, world_cache_key
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "CachedFrame",
     "CacheStats",
     "CutoffMap",
@@ -59,7 +57,6 @@ __all__ = [
     "LeafKey",
     "OfflineArtifacts",
     "PAPER_FI_BOUND_MS",
-    "PanoramaDiskCache",
     "PanoramaStore",
     "PipelineTimings",
     "PrefetchDecision",
@@ -83,5 +80,4 @@ __all__ = [
     "preprocess_game",
     "satisfies_bandwidth_constraint",
     "satisfies_constraint",
-    "world_cache_key",
 ]

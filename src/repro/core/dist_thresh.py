@@ -12,18 +12,16 @@ Full pre-computation over thousands of leaves is render-heavy, so
 :class:`DistThreshMap` computes thresholds lazily per leaf on first visit
 and memoizes — identical output for every leaf a player actually enters.
 :meth:`DistThreshMap.threshold_for` is the only place a threshold is
-looked up, persisted or measured: memo, then the optional
-:class:`~repro.core.store.PanoramaDiskCache`, then :func:`leaf_threshold`,
-a pure function of (scene, config, leaf key, cutoff, seed, k_samples,
-eye_height) with its own RNG stream, so a value read back from disk is
-the value any process would measure.
+looked up or measured: memo, then :func:`leaf_threshold`, a pure function
+of (scene, config, leaf key, cutoff, seed, k_samples, eye_height) with its
+own RNG stream, so any process measures the same value for a leaf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from ..render.splitter import eye_at, render_far_be
 from ..similarity import SSIM_GOOD, prepare_reference, ssim_with
 from ..world.scene import Scene
 from .cutoff import CutoffMap, LeafKey
-from .store import PanoramaDiskCache
 
 _SEARCH_START_M = 32.0
 
@@ -131,7 +128,6 @@ class DistThreshMap:
     seed: int = 0
     eye_height: float = 1.7
     _cache: Dict[LeafKey, float] = field(default_factory=dict)
-    disk: Optional[PanoramaDiskCache] = None
 
     def __post_init__(self) -> None:
         if self.k_samples < 1:
@@ -143,31 +139,15 @@ class DistThreshMap:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        stored = None
-        if self.disk is not None:
-            # The cutoff is part of the key: a cost-model change that
-            # resizes a leaf's cutoff must invalidate its persisted value.
-            payload = {
-                "leaf": [float(v) for v in key],
-                "cutoff": float(cutoff),
-                "k_samples": int(self.k_samples),
-                "seed": int(self.seed),
-            }
-            stored = self.disk.load_value("dist_thresh", payload)
-        if stored is not None:
-            value = float(stored)
-        else:
-            value = leaf_threshold(
-                self.scene,
-                self.config,
-                key,
-                cutoff,
-                seed=self.seed,
-                k_samples=self.k_samples,
-                eye_height=self.eye_height,
-            )
-            if self.disk is not None:
-                self.disk.store_value("dist_thresh", payload, value)
+        value = leaf_threshold(
+            self.scene,
+            self.config,
+            key,
+            cutoff,
+            seed=self.seed,
+            k_samples=self.k_samples,
+            eye_height=self.eye_height,
+        )
         self._cache[key] = value
         return value
 

@@ -16,11 +16,8 @@ Every artifact here is a pure function of (world, render config, codec,
 seed), and each is computed one way: lazily, where it is first asked for
 (:meth:`PanoramaStore.frame_for`,
 :meth:`~repro.core.dist_thresh.DistThreshMap.threshold_for`,
-:func:`calibrate_size_model`).  With ``cache_dir`` set,
-:func:`preprocess_game` puts a content-addressed
-:class:`~repro.core.store.PanoramaDiskCache` behind those three lookups,
-so a second store, session or process over the same world reads the bytes
-back instead of rendering them again.
+:func:`calibrate_size_model`), then memoized in memory.  Nothing is
+persisted.
 """
 
 from __future__ import annotations
@@ -38,9 +35,8 @@ from ..render.splitter import eye_at, render_far_be, render_whole_be
 from ..render.timing import RenderCostModel
 from ..world.games import GameWorld
 from .constraint import RenderBudget, measure_fi_budget
-from .cutoff import CutoffMap, CutoffSchemeConfig, build_cutoff_map, leaf_key
+from .cutoff import CutoffMap, CutoffSchemeConfig, build_cutoff_map
 from .dist_thresh import DistThreshMap
-from .store import PanoramaDiskCache, content_digest, world_cache_key
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,7 @@ class PanoramaStore:
     ``kind`` selects far-BE frames (Coterie, clipped at the viewpoint's
     cutoff radius) or whole-BE frames (Furion).  With ``render_frames``
     False, a :class:`FrameSizeModel` must be supplied and only sizes are
-    served.  With ``disk_cache`` set, rendered+encoded frames persist
-    across processes; a disk hit reuses the stored bytes and re-decodes
-    them, which is bit-identical to the render path because decoding is a
-    pure function of the encoded payload.
+    served.
     """
 
     def __init__(
@@ -98,7 +91,6 @@ class PanoramaStore:
         eye_height: float = 1.7,
         render_frames: bool = True,
         size_model: Optional[FrameSizeModel] = None,
-        disk_cache: Optional[PanoramaDiskCache] = None,
     ) -> None:
         if kind not in ("far", "whole"):
             raise ValueError("kind must be 'far' or 'whole'")
@@ -114,7 +106,6 @@ class PanoramaStore:
         self.eye_height = eye_height
         self.render_frames = render_frames
         self.size_model = size_model
-        self.disk_cache = disk_cache
         self._memo: Dict[GridPoint, StoredFrame] = {}
         self.renders = 0
 
@@ -138,32 +129,11 @@ class PanoramaStore:
                 viewpoint=viewpoint,
             )
         else:
-            cutoff = None
-            if self.kind == "far":
-                assert self.cutoff_map is not None
-                cutoff = self.cutoff_map.cutoff_for(viewpoint)
-            encoded = decoded = None
-            if self.disk_cache is not None:
-                hit = self.disk_cache.load_frame(
-                    (viewpoint.x, viewpoint.y), cutoff, self.kind
-                )
-                if hit is not None:
-                    _, encoded = hit
-                    decoded = self.codec.decode(encoded)
-            if encoded is None:
-                layer = self._render(viewpoint, cutoff)
-                encoded = self.codec.encode(layer.image)
-                decoded = self.codec.decode(encoded)
-                self.renders += 1
-                perf.count("panorama.renders")
-                if self.disk_cache is not None:
-                    self.disk_cache.store_frame(
-                        (viewpoint.x, viewpoint.y),
-                        cutoff,
-                        self.kind,
-                        decoded,
-                        encoded,
-                    )
+            layer = self._render(viewpoint)
+            encoded = self.codec.encode(layer.image)
+            decoded = self.codec.decode(encoded)
+            self.renders += 1
+            perf.count("panorama.renders")
             frame = StoredFrame(
                 encoded=encoded,
                 decoded=decoded,
@@ -175,29 +145,13 @@ class PanoramaStore:
         self._memo[grid_point] = frame
         return frame
 
-    def _render(self, viewpoint: Vec2, cutoff: Optional[float] = None) -> Layer:
+    def _render(self, viewpoint: Vec2) -> Layer:
         eye = eye_at(self.world.scene, viewpoint, self.eye_height)
         if self.kind == "whole":
             return render_whole_be(self.world.scene, eye, self.config)
-        if cutoff is None:
-            assert self.cutoff_map is not None
-            cutoff = self.cutoff_map.cutoff_for(viewpoint)
+        assert self.cutoff_map is not None
+        cutoff = self.cutoff_map.cutoff_for(viewpoint)
         return render_far_be(self.world.scene, eye, self.config, cutoff)
-
-
-def _cutoff_fingerprint(cutoff_map: CutoffMap) -> str:
-    """Content digest of the cutoff quadtree's leaves.
-
-    Used to key artifacts that depend on the whole map (far-BE size
-    models), not just one leaf's cutoff.
-    """
-    leaves = sorted(
-        (leaf_key(leaf.region), leaf.payload.cutoff_radius)
-        for leaf in cutoff_map.tree.leaves()
-    )
-    return content_digest(
-        {"leaves": [[*key, radius] for key, radius in leaves]}
-    )
 
 
 def calibrate_size_model(
@@ -209,24 +163,10 @@ def calibrate_size_model(
     samples: int = 8,
     seed: int = 0,
     eye_height: float = 1.7,
-    disk: Optional[PanoramaDiskCache] = None,
 ) -> FrameSizeModel:
     """Measure real encoded sizes at sampled viewpoints and fit a model."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    payload = None
-    if disk is not None:
-        payload = {
-            "kind": kind,
-            "samples": samples,
-            "seed": seed,
-            "cutoffs": None if cutoff_map is None else _cutoff_fingerprint(cutoff_map),
-        }
-        stored = disk.load_value("size_model", payload)
-        if stored is not None:
-            return FrameSizeModel(
-                mean_bytes=float(stored["mean"]), std_bytes=float(stored["std"])
-            )
     with perf.timed("size_model"):
         rng = np.random.default_rng(seed)
         sizes = []
@@ -253,16 +193,9 @@ def calibrate_size_model(
             sizes.append(codec.encode(layer.image).wire_bytes())
         if len(sizes) < 2:
             raise RuntimeError("could not sample enough reachable viewpoints")
-    model = FrameSizeModel(
+    return FrameSizeModel(
         mean_bytes=float(np.mean(sizes)), std_bytes=float(np.std(sizes))
     )
-    if disk is not None and payload is not None:
-        disk.store_value(
-            "size_model",
-            payload,
-            {"mean": model.mean_bytes, "std": model.std_bytes},
-        )
-    return model
 
 
 @dataclass
@@ -274,7 +207,6 @@ class OfflineArtifacts:
     dist_thresh_map: DistThreshMap
     far_size_model: FrameSizeModel
     whole_size_model: FrameSizeModel
-    disk_cache: Optional[PanoramaDiskCache] = None
 
 
 def preprocess_game(
@@ -285,15 +217,11 @@ def preprocess_game(
     seed: int = 0,
     cutoff_config: Optional[CutoffSchemeConfig] = None,
     size_samples: int = 8,
-    cache_dir: Optional[str] = None,
 ) -> OfflineArtifacts:
     """Run the full offline pipeline for a game (§6 steps 1-2).
 
     Determines the FI budget, builds the adaptive cutoff quadtree, prepares
     the (lazy) dist-thresh map, and calibrates far/whole frame-size models.
-    ``cache_dir`` persists thresholds, size models and — through a
-    :class:`PanoramaStore` given ``artifacts.disk_cache`` — panoramas
-    across stores and processes; without it nothing touches the disk.
     """
     eye_height = world.spec.player.eye_height
     with perf.timed("preprocess"):
@@ -307,36 +235,22 @@ def preprocess_game(
             seed=seed,
             reachable=reachable,
         )
-        disk = None
-        if cache_dir is not None:
-            disk = PanoramaDiskCache(
-                cache_dir,
-                world_cache_key(
-                    world.name,
-                    world.scale,
-                    seed,
-                    render_config,
-                    codec.crf,
-                    eye_height,
-                ),
-            )
         dist_map = DistThreshMap(
             scene=world.scene,
             config=render_config,
             cutoff_map=cutoff_map,
             seed=seed,
             eye_height=eye_height,
-            disk=disk,
         )
         far_sizes = calibrate_size_model(
             world, render_config, codec, cutoff_map, kind="far",
             samples=size_samples, seed=seed + 1,
-            eye_height=eye_height, disk=disk,
+            eye_height=eye_height,
         )
         whole_sizes = calibrate_size_model(
             world, render_config, codec, None, kind="whole",
             samples=size_samples, seed=seed + 2,
-            eye_height=eye_height, disk=disk,
+            eye_height=eye_height,
         )
     return OfflineArtifacts(
         budget=budget,
@@ -344,5 +258,4 @@ def preprocess_game(
         dist_thresh_map=dist_map,
         far_size_model=far_sizes,
         whole_size_model=whole_sizes,
-        disk_cache=disk,
     )

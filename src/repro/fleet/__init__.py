@@ -18,8 +18,8 @@ Components (one module each):
   fill-or-timeout formation and patience-bounded admission retries;
 * :mod:`~repro.fleet.admission` — Constraints 1 and 2 lifted to fleet
   scope (GPU render throughput, serving backhaul);
-* :mod:`~repro.fleet.store` — the cross-session dedup facade over the
-  content-addressed panorama store;
+* :mod:`~repro.fleet.store` — the cross-session dedup index of
+  rendered panoramas, keyed by (game, grid point);
 * :mod:`~repro.fleet.renderfarm` — deadline-aware batched render
   scheduling on finite GPU slots with per-session fairness;
 * :mod:`~repro.fleet.demand` — per-session demand streams derived from

@@ -4,7 +4,7 @@ Coterie's Fig. 11 scalability argument is server-side: FI sync replaces
 whole-frame streams, so one server sustains ~10x the players — *if* the
 panorama renders those players still demand are scheduled well.  This
 module is that scheduler.  A :class:`RenderFarm` owns ``gpu_slots``
-identical slots; every active session submits render requests (content
+identical slots; every active session submits render requests (panorama
 addresses from the :class:`~repro.fleet.store.SharedPanoramaStore`) and
 the farm drains them under a deadline-aware priority with a per-session
 fairness counter:
@@ -32,7 +32,7 @@ produce bit-identical farm statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from ..metrics.stats import percentile
 from ..sim import Event, Simulator
@@ -49,7 +49,7 @@ class RenderRequest:
 
     seq: int
     session_id: int
-    address: str
+    address: Hashable
     submitted_ms: float
     deadline_ms: float
     #: Fires with the completion time when the render lands.
@@ -130,7 +130,7 @@ class RenderFarm:
         self.completion_hook = completion_hook
         self._free_slots = gpu_slots
         self._pending: List[RenderRequest] = []
-        self._live_by_address: Dict[str, RenderRequest] = {}
+        self._live_by_address: Dict[Hashable, RenderRequest] = {}
         self._served: Dict[int, int] = {}
         self._seq = 0
         self.counters = _FarmCounters()
@@ -154,7 +154,7 @@ class RenderFarm:
     # Submission
     # ------------------------------------------------------------------
 
-    def submit(self, session_id: int, address: str,
+    def submit(self, session_id: int, address: Hashable,
                deadline_ms: float) -> Event:
         """Queue one render; the returned event fires at completion.
 

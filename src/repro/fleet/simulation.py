@@ -34,13 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.store import world_cache_key
 from ..metrics.stats import percentile
 from ..sim import Simulator, all_of
 from ..systems import SYSTEMS, RunResult, SessionConfig, run_system
 from ..telemetry import MetricsHub
 from ..trace import FRAME_MS
-from ..world import ALL_GAMES, load_game
+from ..world import ALL_GAMES
 from .admission import FleetAdmissionController, FleetBudget, FleetDecision, SessionEstimate
 from .arrivals import WORKLOADS, ArrivalTrace, generate_arrivals
 from .demand import SessionDemand, demand_for
@@ -51,11 +50,6 @@ from .store import SharedPanoramaStore
 
 #: Serving fidelities: demand-stream model vs full per-session replay.
 FIDELITIES = ("model", "full")
-
-#: Preprocessing seed embedded in fleet world keys — matches the
-#: :func:`repro.systems.prepare_artifacts` default so fleet addresses
-#: agree with the offline pipeline's disk-cache addresses.
-_WORLD_KEY_SEED = 3
 
 
 @dataclass(frozen=True)
@@ -264,19 +258,12 @@ class _FleetRun:
         self.reports: List[SessionReport] = []
         self.joins: List[float] = []
         self.completed = 0
-        reference = SessionConfig()
         for game in trace.games():
             if game not in ALL_GAMES:
                 raise ValueError(
                     f"unknown game {game!r} in arrival trace; "
                     f"known: {tuple(ALL_GAMES)}"
                 )
-            world = load_game(game)
-            self.store.register_world(game, world_cache_key(
-                game, world.scale, _WORLD_KEY_SEED,
-                reference.render_config, reference.codec_crf,
-                world.spec.player.eye_height,
-            ))
         self._join_gauge = None
         self._join_hist = None
         self._admitted_counter = None

@@ -1,13 +1,11 @@
-"""Cross-session panorama dedup: a fleet facade over content addressing.
+"""Cross-session panorama dedup: the fleet's index of rendered panoramas.
 
-Coterie's far-BE panoramas are pure functions of (world key, grid point)
-— that is what lets :class:`repro.core.store.PanoramaDiskCache` persist
-them across processes.  The same purity means two *sessions* of the same
-game demanding the same grid point need only one render, fleet-wide.
+Coterie's far-BE panoramas are pure functions of (world, grid point),
+and one fleet run serves every session of a game from the same world and
+render settings.  So two *sessions* of the same game demanding the same
+grid point need only one render, fleet-wide.
 :class:`SharedPanoramaStore` is the bookkeeping half of that argument: it
-addresses every demand point with the exact same canonical-JSON SHA-256
-scheme as the disk cache (via :func:`repro.core.store.content_digest`
-over a :func:`repro.core.store.world_cache_key` document), tracks which
+addresses every demand point by ``(game, gx, gy)``, tracks which
 addresses the render farm has already produced, and reports the
 fleet-wide hit ratio that admission control feeds back into its render
 budget.
@@ -20,11 +18,13 @@ against, with everything else (scheduler, budgets, arrivals) held equal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
-from ..core.store import CACHE_SCHEMA_VERSION, content_digest
 from ..geometry import GridPoint
-from .demand import SPACING_M
+
+#: A demand point's panorama address: ``(game, gx, gy)``, plus the
+#: session id when dedup is off.
+Address = Tuple[Any, ...]
 
 
 class SharedPanoramaStore:
@@ -32,7 +32,7 @@ class SharedPanoramaStore:
 
     The store never holds pixels — the fleet model cares about *which*
     renders happen, not their contents — so an entry is just its
-    content address.  ``lookup`` answers "has the farm already rendered
+    address.  ``lookup`` answers "has the farm already rendered
     this demand point for anyone?"; ``commit`` records a completed
     render.  Hits and misses are counted fleet-wide and per session.
     """
@@ -40,7 +40,6 @@ class SharedPanoramaStore:
     def __init__(self, shared: bool = True) -> None:
         """``shared=False`` namespaces addresses per session (no dedup)."""
         self.shared = shared
-        self._worlds: Dict[str, Dict[str, Any]] = {}
         self._rendered: set = set()
         self.hits = 0
         self.misses = 0
@@ -51,47 +50,20 @@ class SharedPanoramaStore:
     # Addressing
     # ------------------------------------------------------------------
 
-    def register_world(self, game: str, world_key: Mapping[str, Any]) -> None:
-        """Pin the world-key document every address for ``game`` embeds.
-
-        Build ``world_key`` with :func:`repro.core.store.world_cache_key`
-        so fleet addresses and disk-cache addresses agree on what
-        invalidates a panorama.
-        """
-        self._worlds[game] = dict(world_key)
-
     def address(self, game: str, grid_point: GridPoint,
-                session_id: int = 0) -> str:
-        """The content address of one demand point's far-BE panorama."""
-        try:
-            world = self._worlds[game]
-        except KeyError:
-            raise KeyError(
-                f"game {game!r} has no registered world key; "
-                "call register_world first"
-            ) from None
-        payload: Dict[str, Any] = {
-            "grid": [int(grid_point[0]), int(grid_point[1])],
-            # The demand-cell edge the grid points were quantized at.
-            "spacing_m": SPACING_M,
-            "kind": "far",
-        }
-        if not self.shared:
-            payload["session"] = int(session_id)
-        document = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "world": world,
-            "namespace": "fleet-frame",
-            "payload": payload,
-        }
-        return content_digest(document)
+                session_id: int = 0) -> Address:
+        """The address of one demand point's far-BE panorama."""
+        gx, gy = int(grid_point[0]), int(grid_point[1])
+        if self.shared:
+            return (game, gx, gy)
+        return (game, gx, gy, int(session_id))
 
     # ------------------------------------------------------------------
     # Lookup / commit protocol
     # ------------------------------------------------------------------
 
     def lookup(self, session_id: int, game: str,
-               grid_point: GridPoint) -> Tuple[bool, str]:
+               grid_point: GridPoint) -> Tuple[bool, Address]:
         """``(hit, address)`` for one demand point, updating counters.
 
         A miss means the caller must submit the address to the render
@@ -113,7 +85,7 @@ class SharedPanoramaStore:
             )
         return hit, address
 
-    def commit(self, address: str) -> None:
+    def commit(self, address: Address) -> None:
         """Record a completed render; later lookups of ``address`` hit."""
         self._rendered.add(address)
 

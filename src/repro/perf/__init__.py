@@ -7,7 +7,7 @@ Usage from any module::
     with perf.timed("ssim"):
         ...
 
-    perf.count("panorama_store.hit")
+    perf.count("panorama.renders")
     print(perf.report())
 
 All helpers operate on one process-wide :data:`REGISTRY`.
@@ -25,7 +25,6 @@ add_time = REGISTRY.add_time
 count = REGISTRY.count
 counter = REGISTRY.counter
 stage = REGISTRY.stage
-stage_names = REGISTRY.stage_names
 snapshot = REGISTRY.snapshot
 reset = REGISTRY.reset
 report = REGISTRY.report
@@ -41,6 +40,5 @@ __all__ = [
     "reset",
     "snapshot",
     "stage",
-    "stage_names",
     "timed",
 ]

@@ -95,11 +95,6 @@ class PerfRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def stage_names(self) -> Dict[str, float]:
-        """Stage -> total seconds, for quick assertions."""
-        with self._lock:
-            return {name: stats.total_s for name, stats in self._stages.items()}
-
     def snapshot(self) -> Dict[str, dict]:
         """Plain-dict copy of every stage and counter recorded so far."""
         with self._lock:
@@ -122,22 +117,15 @@ class PerfRegistry:
             self._stages.clear()
             self._counters.clear()
 
-    def report(self, sort: str = "total") -> str:
+    def report(self) -> str:
         """Human-readable profile table, slowest stages first."""
-        if sort not in ("total", "calls", "name"):
-            raise ValueError("sort must be 'total', 'calls', or 'name'")
         with self._lock:
             rows = [
                 (name, stats.calls, stats.total_s, stats.mean_ms)
                 for name, stats in self._stages.items()
             ]
             counters = sorted(self._counters.items())
-        if sort == "total":
-            rows.sort(key=lambda r: -r[2])
-        elif sort == "calls":
-            rows.sort(key=lambda r: -r[1])
-        else:
-            rows.sort(key=lambda r: r[0])
+        rows.sort(key=lambda r: -r[2])
         # Name column sized to the longest name so long stage names do
         # not shear the numeric columns out of alignment.
         width = max(

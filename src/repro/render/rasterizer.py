@@ -36,9 +36,8 @@ TWO_PI = 2.0 * math.pi
 _INFINITY = float("inf")
 
 
-#: Rendering constants.  :func:`repro.core.store.world_cache_key` hashes
-#: them under their lowercase names, so a change to one moves every cache
-#: address.
+#: Rendering constants: no run varies them, so they are not
+#: :class:`RenderConfig` fields.  Changing one moves every rendered pixel.
 VIEW_LIMIT = 200.0  # max object draw distance (m)
 FOG_DISTANCE = 300.0  # distance at which fog ~ 63%
 MIN_ANGULAR_RADIUS = 0.004  # skip objects smaller than ~1/3 px (rad)

@@ -354,7 +354,6 @@ class Session:
     def finish(
         self,
         system: str,
-        cpu_per_player: Optional[List[float]] = None,
         switch_ssims: Optional[List[List[float]]] = None,
         *,
         decoding: bool = False,
@@ -362,27 +361,26 @@ class Session:
     ) -> RunResult:
         """Aggregate collected metrics once the simulation has drained.
 
-        ``cpu_per_player`` None (every system run) rolls the CPU model up
-        here from each slot's GPU load and BE share; ``decoding`` and
-        ``cache_enabled`` are the system's terms of that model.
+        The CPU model rolls up here from each slot's GPU load and BE
+        share; ``decoding`` and ``cache_enabled`` are the system's terms
+        of that model.
         """
         horizon = self.horizon_ms
         be_mbps = self.link.bandwidth_mbps("be", horizon)
         fi_kbps = self.link.bandwidth_mbps("fi", horizon) * 1000.0
-        if cpu_per_player is None:
-            cpu_model = CpuModel()
-            cpu_per_player = [
-                cpu_model.utilization(
-                    gpu_utilization=collector.gpu_utilization(),
-                    net_mbps=be_mbps / self.n_players,
-                    decoding=decoding,
-                    cache_enabled=cache_enabled,
-                    n_players=self.n_players,
-                )
-                if collector.records
-                else 0.0
-                for collector in self.collectors
-            ]
+        cpu_model = CpuModel()
+        cpu_per_player = [
+            cpu_model.utilization(
+                gpu_utilization=collector.gpu_utilization(),
+                net_mbps=be_mbps / self.n_players,
+                decoding=decoding,
+                cache_enabled=cache_enabled,
+                n_players=self.n_players,
+            )
+            if collector.records
+            else 0.0
+            for collector in self.collectors
+        ]
         power_model = PowerModel()
         players = []
         for player_id, collector in enumerate(self.collectors):

@@ -79,7 +79,6 @@ class CoterieStrategy(FetchStrategy):
             eye_height=world.spec.player.eye_height,
             render_frames=config.render_frames,
             size_model=None if config.render_frames else artifacts.far_size_model,
-            disk_cache=artifacts.disk_cache,
         )
         self.caches = [FrameCache() for _ in range(n_slots)]
         self.prefetchers = [

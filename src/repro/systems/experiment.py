@@ -35,22 +35,20 @@ def prepare_artifacts(
     world: GameWorld,
     config: SessionConfig,
     seed: int = 3,
-    cache_dir: Optional[str] = None,
 ) -> OfflineArtifacts:
     """Run (and memoize) the offline preprocessing for a game.
 
-    Keyed on the game, render resolution, and seed — the expensive part of
-    a Coterie experiment that every run over the same game shares.
-    ``cache_dir`` additionally persists the artifacts on disk (see
-    :func:`~repro.core.preprocess.preprocess_game`).
+    The expensive part of a Coterie experiment, shared by every run over
+    the same game.  Keyed on every input :func:`preprocess_game` reads:
+    the world, render config, device (cost model), codec CRF and seed.
     """
     key = (
         world.name,
         world.scale,
-        config.render_config.width,
-        config.render_config.height,
+        config.render_config,
+        config.device,
+        config.codec_crf,
         seed,
-        cache_dir,
     )
     cached = _ARTIFACT_CACHE.get(key)
     if cached is not None:
@@ -61,7 +59,6 @@ def prepare_artifacts(
         config.render_config,
         FrameCodec(crf=config.codec_crf),
         seed=seed,
-        cache_dir=cache_dir,
     )
     _ARTIFACT_CACHE[key] = artifacts
     return artifacts

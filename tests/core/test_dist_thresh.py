@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import RenderBudget, build_cutoff_map, measure_dist_thresh
+from repro.codec import FrameCodec
+from repro.core import (
+    RenderBudget,
+    build_cutoff_map,
+    measure_dist_thresh,
+    preprocess_game,
+)
 from repro.core.dist_thresh import DistThreshMap
 from repro.geometry import Rect, Vec2, Vec3
 from repro.render import PIXEL2, RenderCostModel, RenderConfig
-from repro.world import Scene, SceneObject
+from repro.world import Scene, SceneObject, load_game
 
 CFG = RenderConfig(width=128, height=64)
 MODEL = RenderCostModel(PIXEL2)
@@ -70,6 +76,15 @@ class TestDistThreshMap:
         if cutoff_map.leaf_for(Vec2(100, 100))[0] == cutoff_map.leaf_for(Vec2(100.5, 100.5))[0]:
             assert t1 == t2
             assert dist_map.computed_leaves == 1
+
+    def test_preprocess_game_measures_no_leaf(self):
+        """Thresholds are measured on first visit, never up front."""
+        world = load_game("racing", scale=0.12)
+        artifacts = preprocess_game(
+            world, MODEL, RenderConfig(width=48, height=24), FrameCodec(),
+            seed=0, size_samples=2,
+        )
+        assert artifacts.dist_thresh_map.computed_leaves == 0
 
     def test_thresholds_positive(self, scene):
         cutoff_map = build_cutoff_map(scene, MODEL, RenderBudget(), seed=2)

@@ -9,8 +9,6 @@ from repro.fleet import (
     SharedPanoramaStore,
 )
 
-WORLD_KEY = {"game": "racing", "scale": 1.0, "seed": 3}
-
 
 def estimate(players=4, renders_per_s=20.0, be_kbps=100.0, fi_kbps=50.0):
     return SessionEstimate(
@@ -121,7 +119,6 @@ class TestDedupDiscount:
 class TestSharedStore:
     def test_cross_session_hits(self):
         store = SharedPanoramaStore(shared=True)
-        store.register_world("racing", WORLD_KEY)
         hit, address = store.lookup(0, "racing", (3, 4))
         assert not hit
         store.commit(address)
@@ -132,7 +129,6 @@ class TestSharedStore:
 
     def test_isolated_namespacing(self):
         store = SharedPanoramaStore(shared=False)
-        store.register_world("racing", WORLD_KEY)
         _, a0 = store.lookup(0, "racing", (3, 4))
         store.commit(a0)
         hit, a1 = store.lookup(1, "racing", (3, 4))
@@ -143,20 +139,12 @@ class TestSharedStore:
 
     def test_worlds_do_not_alias(self):
         store = SharedPanoramaStore()
-        store.register_world("racing", WORLD_KEY)
-        store.register_world("viking", {**WORLD_KEY, "game": "viking"})
         a = store.address("racing", (0, 0))
         b = store.address("viking", (0, 0))
         assert a != b
 
-    def test_unregistered_world_raises(self):
-        store = SharedPanoramaStore()
-        with pytest.raises(KeyError, match="register_world"):
-            store.address("racing", (0, 0))
-
     def test_per_session_counters(self):
         store = SharedPanoramaStore()
-        store.register_world("racing", WORLD_KEY)
         _, address = store.lookup(0, "racing", (1, 1))
         store.commit(address)
         store.lookup(1, "racing", (1, 1))
@@ -166,7 +154,6 @@ class TestSharedStore:
 
     def test_snapshot(self):
         store = SharedPanoramaStore()
-        store.register_world("racing", WORLD_KEY)
         _, address = store.lookup(0, "racing", (1, 1))
         store.commit(address)
         snap = store.snapshot()
@@ -183,7 +170,6 @@ class TestExpectedMissRatio:
 
     def test_isolated_always_full_miss(self):
         store = SharedPanoramaStore(shared=False)
-        store.register_world("racing", WORLD_KEY)
         _, address = store.lookup(0, "racing", (1, 1))
         store.commit(address)
         store.lookup(0, "racing", (1, 1))
@@ -191,7 +177,6 @@ class TestExpectedMissRatio:
 
     def test_tracks_observed_miss_ratio(self):
         store = SharedPanoramaStore()
-        store.register_world("racing", WORLD_KEY)
         _, address = store.lookup(0, "racing", (1, 1))
         store.commit(address)
         for _ in range(3):
@@ -200,7 +185,6 @@ class TestExpectedMissRatio:
 
     def test_floor_keeps_renders_nonfree(self):
         store = SharedPanoramaStore()
-        store.register_world("racing", WORLD_KEY)
         _, address = store.lookup(0, "racing", (1, 1))
         store.commit(address)
         for _ in range(100):

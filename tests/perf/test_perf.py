@@ -54,14 +54,6 @@ class TestPerfRegistry:
         assert reg.counter("hits") == 5
         assert reg.counter("unknown") == 0
 
-    def test_stage_names(self):
-        reg = PerfRegistry()
-        reg.add_time("a", 1.0)
-        reg.add_time("b", 2.0)
-        names = reg.stage_names()
-        assert names["a"] == pytest.approx(1.0)
-        assert names["b"] == pytest.approx(2.0)
-
     def test_snapshot_is_a_detached_copy(self):
         reg = PerfRegistry()
         reg.add_time("raster", 0.25, calls=3)
@@ -83,7 +75,7 @@ class TestPerfRegistry:
         reg.reset()
         assert reg.stage("x") is None
         assert reg.counter("y") == 0
-        assert reg.stage_names() == {}
+        assert reg.snapshot() == {"stages": {}, "counters": {}}
 
     def test_report_contains_stages_and_counters(self):
         reg = PerfRegistry()
@@ -96,17 +88,6 @@ class TestPerfRegistry:
         assert "cache.hits" in text
         # Default sort: largest total first.
         assert text.index("raster") < text.index("ssim")
-
-    def test_report_sort_modes(self):
-        reg = PerfRegistry()
-        reg.add_time("b", 2.0, calls=1)
-        reg.add_time("a", 1.0, calls=5)
-        by_name = reg.report(sort="name")
-        assert by_name.index("a") < by_name.index("b")
-        by_calls = reg.report(sort="calls")
-        assert by_calls.index("a") < by_calls.index("b")
-        with pytest.raises(ValueError):
-            reg.report(sort="bogus")
 
 
 class TestModuleSingleton:

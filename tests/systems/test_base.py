@@ -92,9 +92,9 @@ class TestSession:
             FrameRecord(t_ms=16.7, interval_ms=16.7, render_ms=5.0,
                         responsiveness_ms=12.0)
         )
-        result = session.finish("mobile", [0.2])
+        result = session.finish("mobile")
         assert result.system == "mobile"
-        assert result.players[0].metrics.cpu_utilization == 0.2
+        assert 0.0 < result.players[0].metrics.cpu_utilization <= 1.0
         assert result.players[0].power_w > 0
         assert result.players[0].temperature_c > 25.0
 

@@ -4,8 +4,13 @@ Short runs on the smallest game (pool) for speed, plus paper-shape checks
 on viking where the claim is central.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.codec import FrameCodec
+from repro.core import preprocess_game
+from repro.render import GTX1080TI, RenderCostModel
 from repro.systems import (
     SYSTEMS,
     SessionConfig,
@@ -161,3 +166,23 @@ class TestArtifactCache:
         a = prepare_artifacts(world, FAST)
         b = prepare_artifacts(world, FAST)
         assert a is b
+
+    @pytest.mark.parametrize("change", [
+        {"codec_crf": 40.0},
+        {"device": GTX1080TI},
+    ], ids=["codec_crf", "device"])
+    def test_memo_keyed_on_every_preprocess_input(self, change):
+        """A setting preprocessing reads gets its own artifacts, equal to a
+        fresh preprocess, never the memoized default's."""
+        world = load_game("pool")
+        default = prepare_artifacts(world, FAST)
+        config = dataclasses.replace(FAST, **change)
+        changed = prepare_artifacts(world, config)
+        assert changed is not default
+        fresh = preprocess_game(
+            world, RenderCostModel(config.device), config.render_config,
+            FrameCodec(crf=config.codec_crf), seed=3,
+        )
+        assert changed.budget == fresh.budget
+        assert changed.far_size_model == fresh.far_size_model
+        assert changed.whole_size_model == fresh.whole_size_model

@@ -1,10 +1,10 @@
 """Tests for the CI perf-regression gate (``benchmarks/check_regression.py``).
 
-The ISSUE's acceptance bar requires the gate to *demonstrably* fail on a
-deliberate slowdown, so these tests build synthetic baseline/fresh
-artifact directories and drive ``main()`` end to end: identical runs
-pass, a 2x wall slowdown fails, ``--ratio-only`` ignores walls but still
-catches a speedup-ratio drop, and the tolerance boundary is exclusive.
+The gate must *demonstrably* fail on a deliberate slowdown, so these
+tests build synthetic baseline/fresh artifact directories and drive
+``main()`` end to end: identical runs pass, halving the fleet's
+shared-serving capacity win fails, a desync false alarm fails, and the
+tolerance boundary is exclusive.
 """
 
 import copy
@@ -25,14 +25,16 @@ from check_regression import (  # noqa: E402
     update_baselines,
 )
 
-PREPROCESS_BASE = {
-    "benchmark": "preprocess_speedup",
-    "speedup": {"cached": 3.0, "warm": 6.0},
-    "legs": {
-        "serial": {"wall_s": 6.0},
-        "cached": {"wall_s": 2.0},
-        "warm": {"wall_s": 1.0},
+FLEET_BASE = {
+    "benchmark": "fleet",
+    "comparison": {"sessions_per_s_ratio": 1.4, "dedup_hit_ratio": 0.74},
+    "workloads": {
+        "poisson": {"join_p99_ms": 1538.0},
+        "diurnal": {"join_p99_ms": 3328.0},
+        "flash": {"join_p99_ms": 1538.0},
     },
+    "identity": {"mismatches": 0},
+    "determinism": {"mismatches": 0},
 }
 
 PREDICTION_BASE = {
@@ -53,7 +55,7 @@ def write_dirs(tmp_path, fresh_mutation=None):
     baseline.mkdir()
     fresh.mkdir()
     docs = {
-        "BENCH_preprocess.json": copy.deepcopy(PREPROCESS_BASE),
+        "BENCH_fleet.json": copy.deepcopy(FLEET_BASE),
         "BENCH_prediction.json": copy.deepcopy(PREDICTION_BASE),
     }
     for name, doc in docs.items():
@@ -74,63 +76,54 @@ def run_gate(baseline, fresh, *extra):
 
 class TestLookup:
     def test_nested_path(self):
-        assert lookup(PREPROCESS_BASE, "legs.cached.wall_s") == 2.0
+        assert lookup(FLEET_BASE, "workloads.diurnal.join_p99_ms") == 3328.0
 
     def test_key_with_plus(self):
         assert lookup({"speedup": {"a+b": 3.2}}, "speedup.a+b") == 3.2
 
     def test_missing_returns_none(self):
-        assert lookup(PREPROCESS_BASE, "legs.gpu.wall_s") is None
+        assert lookup(FLEET_BASE, "workloads.burst.join_p99_ms") is None
 
     def test_non_numeric_returns_none(self):
-        assert lookup({"benchmark": "preprocess_speedup"}, "benchmark") is None
+        assert lookup(FLEET_BASE, "benchmark") is None
 
 
 class TestCompareMetric:
     def test_identical_passes(self):
-        c = compare_metric("a", "m", "wall", 2.0, 2.0, 0.25, False)
+        c = compare_metric("a", "m", "ratio_high", 2.0, 2.0, 0.25)
         assert not c.regressed and not c.skipped
 
-    def test_wall_slowdown_fails(self):
-        c = compare_metric("a", "m", "wall", 2.0, 4.0, 0.25, False)
-        assert c.regressed
-
-    def test_wall_boundary_is_exclusive(self):
-        # Exactly base * (1 + tol) is still within tolerance.
-        c = compare_metric("a", "m", "wall", 2.0, 2.5, 0.25, False)
+    def test_ratio_high_boundary_is_exclusive(self):
+        # Exactly base * (1 - tol) is still within tolerance.
+        c = compare_metric("a", "m", "ratio_high", 2.0, 1.5, 0.25)
         assert not c.regressed
-        c = compare_metric("a", "m", "wall", 2.0, 2.5001, 0.25, False)
+        c = compare_metric("a", "m", "ratio_high", 2.0, 1.4999, 0.25)
         assert c.regressed
 
-    def test_ratio_only_skips_wall(self):
-        c = compare_metric("a", "m", "wall", 2.0, 20.0, 0.25, True)
-        assert c.skipped and not c.regressed
-
-    def test_ratio_high_drop_fails_even_ratio_only(self):
-        c = compare_metric("a", "m", "ratio_high", 3.0, 1.0, 0.25, True)
+    def test_ratio_high_drop_fails(self):
+        c = compare_metric("a", "m", "ratio_high", 3.0, 1.0, 0.25)
         assert c.regressed
 
     def test_ratio_high_improvement_passes(self):
-        c = compare_metric("a", "m", "ratio_high", 3.0, 5.0, 0.25, False)
+        c = compare_metric("a", "m", "ratio_high", 3.0, 5.0, 0.25)
         assert not c.regressed
 
     def test_abs_low_additive_band(self):
-        assert not compare_metric("a", "m", "abs_low", 0.02, 0.25, 0.25,
-                                  False).regressed
-        assert compare_metric("a", "m", "abs_low", 0.02, 0.30, 0.25,
-                              False).regressed
+        assert not compare_metric("a", "m", "abs_low", 0.02, 0.25, 0.25).regressed
+        assert compare_metric("a", "m", "abs_low", 0.02, 0.30, 0.25).regressed
 
     def test_vanished_metric_fails(self):
-        c = compare_metric("a", "m", "wall", 2.0, None, 0.25, False)
+        c = compare_metric("a", "m", "ratio_high", 2.0, None, 0.25)
         assert c.regressed
 
     def test_absent_on_both_sides_skips(self):
-        c = compare_metric("a", "m", "wall", None, None, 0.25, False)
+        c = compare_metric("a", "m", "ratio_high", None, None, 0.25)
         assert c.skipped and not c.regressed
 
     def test_unknown_kind_raises(self):
+        # Absolute wall clocks are not a kind: runners are not comparable.
         with pytest.raises(ValueError):
-            compare_metric("a", "m", "median", 1.0, 1.0, 0.25, False)
+            compare_metric("a", "m", "wall", 1.0, 1.0, 0.25)
 
 
 class TestGateEndToEnd:
@@ -141,8 +134,8 @@ class TestGateEndToEnd:
 
     def test_deliberate_2x_slowdown_fails(self, tmp_path, capsys):
         def slow(docs):
-            for leg in docs["BENCH_preprocess.json"]["legs"].values():
-                leg["wall_s"] *= 2.0
+            # Shared serving half as fast relative to isolated serving.
+            docs["BENCH_fleet.json"]["comparison"]["sessions_per_s_ratio"] /= 2.0
 
         baseline, fresh = write_dirs(tmp_path, slow)
         assert run_gate(baseline, fresh) == 1
@@ -150,26 +143,9 @@ class TestGateEndToEnd:
         assert "FAIL" in out.out
         assert "regression" in out.err
 
-    def test_ratio_only_ignores_wall_slowdown(self, tmp_path):
-        def slow_uniformly(docs):
-            # Every leg slower by 2x (a slower runner): ratios unchanged.
-            for leg in docs["BENCH_preprocess.json"]["legs"].values():
-                leg["wall_s"] *= 2.0
-
-        baseline, fresh = write_dirs(tmp_path, slow_uniformly)
-        assert run_gate(baseline, fresh) == 1
-        assert run_gate(baseline, fresh, "--ratio-only") == 0
-
-    def test_ratio_only_catches_speedup_drop(self, tmp_path):
-        def uncached(docs):
-            docs["BENCH_preprocess.json"]["speedup"]["cached"] = 1.0
-
-        baseline, fresh = write_dirs(tmp_path, uncached)
-        assert run_gate(baseline, fresh, "--ratio-only") == 1
-
     def test_tolerance_widens_the_band(self, tmp_path):
         def slightly_slow(docs):
-            docs["BENCH_preprocess.json"]["legs"]["serial"]["wall_s"] *= 1.4
+            docs["BENCH_fleet.json"]["comparison"]["sessions_per_s_ratio"] *= 0.6
 
         baseline, fresh = write_dirs(tmp_path, slightly_slow)
         assert run_gate(baseline, fresh, "--tolerance", "0.25") == 1
@@ -177,21 +153,21 @@ class TestGateEndToEnd:
 
     def test_missing_fresh_artifact_fails(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (fresh / "BENCH_preprocess.json").unlink()
+        (fresh / "BENCH_fleet.json").unlink()
         assert run_gate(baseline, fresh) == 1
 
     def test_unbaselined_artifact_is_skipped_by_default(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (baseline / "BENCH_preprocess.json").unlink()
+        (baseline / "BENCH_fleet.json").unlink()
         (baseline / "BENCH_prediction.json").unlink()
         # No baselines at all -> nothing compared -> usage error, not pass.
         assert run_gate(baseline, fresh) == 2
 
     def test_explicit_artifact_without_baseline_fails(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        (baseline / "BENCH_preprocess.json").unlink()
+        (baseline / "BENCH_fleet.json").unlink()
         assert run_gate(baseline, fresh, "--artifacts",
-                        "BENCH_preprocess.json") == 1
+                        "BENCH_fleet.json") == 1
 
     def test_unknown_artifact_name_is_usage_error(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
@@ -209,12 +185,12 @@ class TestGateEndToEnd:
 class TestCompareDirs:
     def test_restricts_to_requested_artifacts(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
-        results = compare_dirs(baseline, fresh, 0.25, False,
+        results = compare_dirs(baseline, fresh, 0.25,
                                artifacts=["BENCH_prediction.json"])
         assert {c.artifact for c in results} == {"BENCH_prediction.json"}
 
     def test_comparison_line_formats(self):
-        line = Comparison("BENCH_x.json", "m", "wall", 1.0, 2.0, True).line()
+        line = Comparison("BENCH_x.json", "m", "abs_low", 1.0, 2.0, True).line()
         assert "FAIL" in line and "1.000" in line and "2.000" in line
 
 
@@ -222,8 +198,8 @@ class TestAllFailuresReported:
     def test_multiple_regressions_all_listed(self, tmp_path, capsys):
         """Every failing metric shows up in one run, not just the first."""
         def wreck(docs):
-            docs["BENCH_preprocess.json"]["speedup"]["cached"] = 0.5
-            docs["BENCH_preprocess.json"]["legs"]["cached"]["wall_s"] = 9.0
+            docs["BENCH_fleet.json"]["comparison"]["dedup_hit_ratio"] = 0.1
+            docs["BENCH_fleet.json"]["identity"]["mismatches"] = 2
             docs["BENCH_prediction.json"]["clean"]["desync_alarms"] = 1
 
         baseline, fresh = write_dirs(tmp_path, wreck)
@@ -241,7 +217,7 @@ class TestAllFailuresReported:
             docs["BENCH_prediction.json"]["clean"]["desync_alarms"] = 1
 
         baseline, fresh = write_dirs(tmp_path, false_alarm)
-        (fresh / "BENCH_preprocess.json").write_text("{not json")
+        (fresh / "BENCH_fleet.json").write_text("{not json")
         assert run_gate(baseline, fresh) == 1
         out = capsys.readouterr()
         assert "<parse error>" in out.out
@@ -271,7 +247,7 @@ class TestUpdateBaselines:
         target = tmp_path / "new" / "baselines"
         updated = update_baselines(target, fresh)
         assert updated
-        assert (target / "BENCH_preprocess.json").exists()
+        assert (target / "BENCH_fleet.json").exists()
 
     def test_refuses_corrupt_fresh_artifact(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)
@@ -282,15 +258,15 @@ class TestUpdateBaselines:
     def test_cli_flag_reports_and_exits_zero(self, tmp_path, capsys):
         baseline, fresh = write_dirs(
             tmp_path,
-            fresh_mutation=lambda docs: docs["BENCH_preprocess.json"][
-                "speedup"
-            ].update(cached=9.9),
+            fresh_mutation=lambda docs: docs["BENCH_fleet.json"][
+                "comparison"
+            ].update(sessions_per_s_ratio=9.9),
         )
         assert run_gate(baseline, fresh, "--update-baselines") == 0
         out = capsys.readouterr().out
         assert "re-pinned" in out
-        doc = json.loads((baseline / "BENCH_preprocess.json").read_text())
-        assert doc["speedup"]["cached"] == 9.9
+        doc = json.loads((baseline / "BENCH_fleet.json").read_text())
+        assert doc["comparison"]["sessions_per_s_ratio"] == 9.9
 
     def test_cli_flag_respects_artifact_restriction(self, tmp_path, capsys):
         baseline, fresh = write_dirs(
@@ -300,7 +276,7 @@ class TestUpdateBaselines:
             ].update(desync_alarms=1),
         )
         assert run_gate(baseline, fresh, "--update-baselines",
-                        "--artifacts", "BENCH_preprocess.json") == 0
+                        "--artifacts", "BENCH_fleet.json") == 0
         capsys.readouterr()
         untouched = json.loads((baseline / "BENCH_prediction.json").read_text())
         assert untouched == PREDICTION_BASE
@@ -341,7 +317,7 @@ class TestUpdateBaselines:
         )
         updated = update_baselines(baseline, fresh)
         assert "BENCH_newsub.json" in updated
-        assert "BENCH_preprocess.json" in updated
+        assert "BENCH_fleet.json" in updated
 
     def test_new_artifact_must_still_be_valid_json(self, tmp_path):
         baseline, fresh = write_dirs(tmp_path)

@@ -39,7 +39,9 @@ class TestParser:
         ["run", "coterie", "pool", "--kernels", "scalar"],
         ["preprocess", "pool", "--kernels", "scalar"],
         ["preprocess", "pool", "--workers", "2"],
-    ], ids=["run-kernels", "preprocess-kernels", "preprocess-workers"])
+        ["preprocess", "pool", "--cache-dir", "panoramas"],
+    ], ids=["run-kernels", "preprocess-kernels", "preprocess-workers",
+            "preprocess-cache-dir"])
     def test_execution_mode_flags_are_gone(self, argv, capsys):
         """How the bits get computed is not an option."""
         with pytest.raises(SystemExit) as exit_info:
@@ -368,20 +370,6 @@ class TestBadConfiguration:
         typed = [(name, action.option_strings[0]) for name, action in actions
                  if action.type is _finite_float]
         assert sorted(typed) == sorted(_FLOAT_FLAGS)
-
-    @pytest.mark.parametrize("relative, reason", [
-        ("a_file", "File exists"),
-        ("a_file/below", "Not a directory"),
-    ])
-    def test_unusable_cache_dir_exits_2_before_preprocessing(
-        self, relative, reason, tmp_path, capsys
-    ):
-        (tmp_path / "a_file").write_text("not a directory")
-        path = tmp_path / relative
-        assert main(["preprocess", "pool", "--cache-dir", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"cannot use --cache-dir {path}: {reason}"]
-        assert captured.out == ""
 
 
 class TestMetricsCli:

@@ -29,6 +29,10 @@ ALLOWED = {
         "SessionConfig.fetch_max_retries", "SessionConfig.fetch_backoff_cap_ms",
         "SupervisorConfig.warmup_fetches",
     ), _GOLDEN),
+    **dict.fromkeys(("RenderConfig.width", "RenderConfig.height"), (
+        "tests render at small sizes such as 48x24 for speed; a constant "
+        "would render about ten test files at the full 256x128"
+    )),
     "RenderConfig.indoor": (
         "known debt: no program sets it, so indoor games render a cloudy sky; "
         "deriving it from the world moves render digests (see ROADMAP)"
