@@ -12,10 +12,33 @@ from __future__ import annotations
 import pytest
 
 from harness import fmt, once, report
-from repro.systems import SessionConfig, run_coterie
+from repro.systems import Session, run_coterie
+from repro.systems.coterie import CoterieStrategy
 from repro.world import load_game
 
 GAMES = ("viking", "cts")
+
+
+class OverhearingStrategy(CoterieStrategy):
+    """Coterie with the rejected inter-player variant (§4.6 Version 5):
+    every server reply is also admitted into all other displaying
+    players' caches."""
+
+    def admit(self, decision, stored, frame_bytes, now_ms, player_id):
+        cached = super().admit(decision, stored, frame_bytes, now_ms, player_id)
+        for other in self.roster():
+            if other != player_id:
+                self.prefetchers[other].admit(
+                    decision, stored, frame_bytes, now_ms,
+                    origin_player=player_id, digest=cached.digest,
+                )
+        return cached
+
+
+def run_overhearing(world, n_players, config, artifacts):
+    """:func:`~repro.systems.run_coterie` with overhearing."""
+    strategy = OverhearingStrategy(Session(world, n_players, config), artifacts)
+    return strategy.run("coterie_overhear")
 
 
 def _run_all(config, artifacts):
@@ -24,7 +47,7 @@ def _run_all(config, artifacts):
     for game in GAMES:
         world = load_game(game)
         plain = run_coterie(world, 4, config, artifacts[game])
-        overhear = run_coterie(world, 4, config, artifacts[game], overhear=True)
+        overhear = run_overhearing(world, 4, config, artifacts[game])
         data[game] = (plain, overhear)
         rows.append(
             (

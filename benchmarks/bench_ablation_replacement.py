@@ -30,7 +30,7 @@ def _replay(world, artifacts, policy: str, capacity_mb: float) -> float:
     )
     trajectory = generate_trajectory(world, duration_s=25, seed=23)
     for sample in trajectory.samples:
-        decision = prefetcher.plan(sample.position, sample.heading, sample.t_ms)
+        decision = prefetcher.plan(sample.position, sample.t_ms)
         if decision.needs_fetch:
             size = artifacts.far_size_model.sample(decision.grid_point)
             prefetcher.admit(decision, None, size, sample.t_ms)

@@ -65,7 +65,7 @@ def _replay(world, artifacts, ssim_bar):
     )
     trajectory = generate_trajectory(world, duration_s=15, seed=29)
     for sample in trajectory.samples:
-        decision = prefetcher.plan(sample.position, sample.heading, sample.t_ms)
+        decision = prefetcher.plan(sample.position, sample.t_ms)
         if decision.needs_fetch:
             prefetcher.admit(decision, None, 280_000, sample.t_ms)
     mean_thresh = float(np.mean(list(dist_map._cache.values())))

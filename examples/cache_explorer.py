@@ -31,7 +31,7 @@ def replay(world, artifacts, cache, n_players=1, duration_s=20.0):
         artifacts.dist_thresh_map, cache,
     )
     for sample in party[0].samples:
-        decision = prefetcher.plan(sample.position, sample.heading, sample.t_ms)
+        decision = prefetcher.plan(sample.position, sample.t_ms)
         if decision.needs_fetch:
             size = artifacts.far_size_model.sample(decision.grid_point)
             prefetcher.admit(decision, None, size, sample.t_ms)

@@ -208,6 +208,29 @@ def _outputs_writable(args: argparse.Namespace, *flags: str) -> bool:
     return True
 
 
+def _print_metrics(args, hub, slo_results, meta) -> None:
+    """The summary's ``-- metrics --`` block, plus the ``--metrics`` dump
+    (stamped with ``meta``) and ``--openmetrics`` export when requested."""
+    print("  -- metrics --")
+    print(f"  series          : {len(hub.series)} "
+          f"({hub.samples_taken} sample boundaries)")
+    for slo in slo_results:
+        if slo.attainment is None:
+            status = "n/a (series absent)"
+        else:
+            status = (f"{100.0 * slo.attainment:.1f} % attained, "
+                      f"worst burn {slo.worst_burn:.1f}x")
+        alerts = f", {len(slo.alerts)} alert(s)" if slo.alerts else ""
+        print(f"  slo {slo.spec.name:<18}: {status}{alerts}")
+    if args.metrics:
+        n = write_metrics_jsonl(args.metrics, hub, slo_results=slo_results, meta=meta)
+        print(f"  metrics dump    : {n} records -> {args.metrics} "
+              f"(compare with `repro report --diff A B`)")
+    if args.openmetrics:
+        write_openmetrics(args.openmetrics, hub)
+        print(f"  openmetrics     : -> {args.openmetrics}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.system == "mobile" and (args.trace_profile or args.abr):
         print("--trace-profile/--abr require a networked system "
@@ -240,6 +263,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             churn.validate_slots(args.players + churn.new_player_count())
         except ValueError as exc:
             print(f"invalid --churn spec: {exc}", file=sys.stderr)
+            return 2
+    if faults is not None:
+        try:
+            faults.validate_slots(
+                args.players + (churn.new_player_count() if churn else 0)
+            )
+        except ValueError as exc:
+            print(f"invalid --faults spec: {exc}", file=sys.stderr)
             return 2
     if args.max_players is not None and args.players > args.max_players:
         print(f"players ({args.players}) exceeds --max-players "
@@ -324,29 +355,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  join latency    : {lat:.1f} ms mean "
                   f"(warm-up {warm:.1f} ms)")
     if hub is not None and slo_results is not None:
-        print("  -- metrics --")
-        print(f"  series          : {len(hub.series)} "
-              f"({hub.samples_taken} sample boundaries)")
-        for slo in slo_results:
-            if slo.attainment is None:
-                status = "n/a (series absent)"
-            else:
-                status = (f"{100.0 * slo.attainment:.1f} % attained, "
-                          f"worst burn {slo.worst_burn:.1f}x")
-            alerts = f", {len(slo.alerts)} alert(s)" if slo.alerts else ""
-            print(f"  slo {slo.spec.name:<18}: {status}{alerts}")
-        if args.metrics:
-            n = write_metrics_jsonl(
-                args.metrics, hub, slo_results=slo_results,
-                meta={"system": args.system, "game": args.game,
-                      "players": args.players, "seed": args.seed,
-                      "duration_s": args.duration},
-            )
-            print(f"  metrics dump    : {n} records -> {args.metrics} "
-                  f"(compare with `repro report --diff A B`)")
-        if args.openmetrics:
-            write_openmetrics(args.openmetrics, hub)
-            print(f"  openmetrics     : -> {args.openmetrics}")
+        _print_metrics(args, hub, slo_results, meta={
+            "system": args.system, "game": args.game, "players": args.players,
+            "seed": args.seed, "duration_s": args.duration,
+        })
     if tracer is not None:
         if args.trace:
             n = write_chrome_trace(args.trace, tracer.records)
@@ -724,29 +736,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               f"{config.system} engine)")
     if hub is not None:
         slo_results = SloEngine(fleet_slos()).evaluate(hub.series)
-        print("  -- metrics --")
-        print(f"  series          : {len(hub.series)} "
-              f"({hub.samples_taken} sample boundaries)")
-        for slo in slo_results:
-            if slo.attainment is None:
-                status = "n/a (series absent)"
-            else:
-                status = (f"{100.0 * slo.attainment:.1f} % attained, "
-                          f"worst burn {slo.worst_burn:.1f}x")
-            alerts = f", {len(slo.alerts)} alert(s)" if slo.alerts else ""
-            print(f"  slo {slo.spec.name:<18}: {status}{alerts}")
-        if args.metrics:
-            n = write_metrics_jsonl(
-                args.metrics, hub, slo_results=slo_results,
-                meta={"workload": args.workload, "seed": args.seed,
-                      "games": ",".join(summary.games),
-                      "arrivals": summary.arrivals},
-            )
-            print(f"  metrics dump    : {n} records -> {args.metrics} "
-                  f"(compare with `repro report --diff A B`)")
-        if args.openmetrics:
-            write_openmetrics(args.openmetrics, hub)
-            print(f"  openmetrics     : -> {args.openmetrics}")
+        _print_metrics(args, hub, slo_results, meta={
+            "workload": args.workload, "seed": args.seed,
+            "games": ",".join(summary.games), "arrivals": summary.arrivals,
+        })
     return 0
 
 

@@ -7,12 +7,10 @@ This module is the substitute: a genuine lossy transform codec whose output
 a far-BE frame with the busy near field stripped compresses to roughly half
 the bytes of the whole-BE frame, which is the paper's observation.
 
-Two frame types are supported:
-
-* **I-frames** — standalone intra coding (what the far-BE prefetch store
-  uses: any frame must be decodable on a cache hit without neighbours);
-* **P-frames** — residual coding against a reference (what the Thin-client
-  baseline's continuous stream uses).
+Every frame is an **I-frame** — standalone intra coding, which is what
+the far-BE prefetch store needs: any frame must be decodable on a cache hit
+without neighbours.  The size models that price the baselines' streams
+encode I-frames too.
 
 Because the simulated displays are 4K while we raster at a reduced
 resolution, :meth:`EncodedFrame.wire_bytes` reports the 4K-equivalent size
@@ -23,7 +21,7 @@ count is kept alongside for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,7 +55,6 @@ class EncodedFrame:
     width: int
     height: int
     crf: float
-    is_keyframe: bool
 
     @property
     def luma_bytes(self) -> int:
@@ -94,45 +91,25 @@ class FrameCodec:
         blocks = split_blocks(padded)
         return quantize(forward_dct(blocks), self.crf), padded.shape
 
-    def encode(
-        self, frame: np.ndarray, reference: Optional[np.ndarray] = None
-    ) -> EncodedFrame:
-        """Encode a luminance frame in [0, 1].
-
-        With ``reference`` (the previous *decoded* frame) a P-frame is
-        produced; otherwise an I-frame.
-        """
+    def encode(self, frame: np.ndarray) -> EncodedFrame:
+        """Encode a luminance frame in [0, 1] as an I-frame."""
         if frame.ndim != 2:
             raise ValueError("expected a 2D luminance frame")
         if frame.size == 0:
             raise ValueError("empty frame")
         with perf.timed("encode"):
             pixels = np.asarray(frame, dtype=np.float64) * 255.0
-            if reference is None:
-                levels, _ = self._to_levels(pixels - 128.0)
-                is_key = True
-            else:
-                if reference.shape != frame.shape:
-                    raise ValueError("reference shape differs from frame shape")
-                residual = pixels - np.asarray(reference, dtype=np.float64) * 255.0
-                levels, _ = self._to_levels(residual)
-                is_key = False
+            levels, _ = self._to_levels(pixels - 128.0)
             data = encode_levels(levels)
         return EncodedFrame(
-            data=data,
-            width=frame.shape[1],
-            height=frame.shape[0],
-            crf=self.crf,
-            is_keyframe=is_key,
+            data=data, width=frame.shape[1], height=frame.shape[0], crf=self.crf
         )
 
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
 
-    def decode(
-        self, encoded: EncodedFrame, reference: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def decode(self, encoded: EncodedFrame) -> np.ndarray:
         """Decode back to a luminance frame in [0, 1]."""
         with perf.timed("decode"):
             pad_h = (-encoded.height) % BLOCK
@@ -141,19 +118,11 @@ class FrameCodec:
             nx = (encoded.width + pad_w) // BLOCK
             levels = decode_levels(encoded.data, ny, nx)
             blocks = inverse_dct(dequantize(levels, encoded.crf))
-            pixels = join_blocks(blocks, (encoded.height, encoded.width))
-            if encoded.is_keyframe:
-                out = pixels + 128.0
-            else:
-                if reference is None:
-                    raise ValueError("P-frame decode requires the reference frame")
-                if reference.shape != (encoded.height, encoded.width):
-                    raise ValueError("reference shape mismatch")
-                out = pixels + np.asarray(reference, dtype=np.float64) * 255.0
+            out = join_blocks(blocks, (encoded.height, encoded.width)) + 128.0
             return np.clip(out / 255.0, 0.0, 1.0).astype(np.float32)
 
     def decode_batch(self, encoded_frames):
-        """Decode many I-frames in stacked numpy passes.
+        """Decode many frames in stacked numpy passes.
 
         The online loop's cross-player decode: frames are grouped by
         ``(height, width, crf)`` and each group's dequantize, inverse
@@ -161,9 +130,6 @@ class FrameCodec:
         stack instead of once per frame.  Entropy decoding stays
         per-frame (variable-length zlib streams cannot batch).  Results
         are bit-identical to :meth:`decode` on each frame.
-
-        P-frames are rejected: the batch path serves the far-BE store,
-        which is I-frame only.
         """
         encoded_frames = list(encoded_frames)
         results: list = [None] * len(encoded_frames)
@@ -171,8 +137,6 @@ class FrameCodec:
             return results
         groups: dict = {}
         for index, encoded in enumerate(encoded_frames):
-            if not encoded.is_keyframe:
-                raise ValueError("decode_batch only handles I-frames")
             key = (encoded.height, encoded.width, encoded.crf)
             groups.setdefault(key, []).append(index)
         with perf.timed("decode"):

@@ -29,6 +29,8 @@ from ..world.scene import Scene
 FRAME_BUDGET_MS = 16.7
 # The paper's conservative FI bound on Pixel 2.
 PAPER_FI_BOUND_MS = 4.0
+# Margin on a measured FI render time before it becomes the bound.
+FI_SAFETY_FACTOR = 1.3
 # The near-BE budget keeps this share of 16.7 - RT_FI and leaves the rest
 # unspent: the paper's strict inequality plus on-device measurement
 # variance effectively leaves pipeline slack (their Coterie GPU sits near
@@ -61,20 +63,16 @@ class RenderBudget:
 def measure_fi_budget(
     model: RenderCostModel,
     fi_triangles: float,
-    safety_factor: float = 1.3,
-    conservative_floor_ms: float = PAPER_FI_BOUND_MS,
 ) -> RenderBudget:
     """Derive the budget from an FI render-time measurement.
 
     Mirrors the paper's installation-time procedure: replay recorded FI and
     take a conservative upper bound — the paper measures "well below 4 ms"
     on Pixel 2 yet still budgets the full 4 ms, so the bound never drops
-    below ``conservative_floor_ms`` even when the measurement is lower.
+    below :data:`PAPER_FI_BOUND_MS` even when the measurement is lower.
     """
-    if safety_factor < 1.0:
-        raise ValueError("safety_factor must be >= 1")
     measured = model.fi_ms(fi_triangles)
-    fi_bound = max(measured * safety_factor, conservative_floor_ms)
+    fi_bound = max(measured * FI_SAFETY_FACTOR, PAPER_FI_BOUND_MS)
     if fi_bound >= FRAME_BUDGET_MS:
         raise ValueError(
             f"FI render time {measured:.1f} ms leaves no near-BE budget"

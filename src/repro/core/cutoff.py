@@ -47,6 +47,12 @@ AGREEMENT_ABS = 0.5
 MIN_REGION_M = 2.0
 #: The radius search's ceiling (m); matches Fig. 7's axis.
 MAX_RADIUS = 180.0
+#: Table 3's processing-time model: an on-device render-time sweep per
+#: sampled location (s), plus panoramic coverage per square metre (s).
+PROC_S_PER_SAMPLE = 0.55
+PROC_S_PER_M2 = 0.0025
+#: :func:`max_radius_satisfying` bisects down to this step (m).
+BISECTION_STEP_M = 0.05
 
 
 @dataclass
@@ -91,19 +97,15 @@ class CutoffMap:
         """Quadtree shape summary (Table 3's columns)."""
         return self.tree.stats()
 
-    def modeled_processing_hours(
-        self, per_sample_s: float = 0.55, per_area_s: float = 0.0025
-    ) -> float:
+    def modeled_processing_hours(self) -> float:
         """Offline processing-time model for Table 3's "Proc. Time".
 
         Each sampled location's cutoff calculation is an on-device
-        render-time measurement sweep (~``per_sample_s`` each); panoramic
-        coverage preparation scales with world area.
+        render-time measurement sweep; panoramic coverage preparation
+        scales with world area.
         """
-        if per_sample_s < 0 or per_area_s < 0:
-            raise ValueError("time model coefficients must be non-negative")
         area = self.tree.root.region.area
-        return (self.samples_evaluated * per_sample_s + area * per_area_s) / 3600.0
+        return (self.samples_evaluated * PROC_S_PER_SAMPLE + area * PROC_S_PER_M2) / 3600.0
 
 
 def max_radius_satisfying(
@@ -112,22 +114,22 @@ def max_radius_satisfying(
     viewpoint: Vec2,
     budget: RenderBudget,
     max_radius: float,
-    tolerance: float = 0.25,
 ) -> float:
-    """Largest cutoff radius at ``viewpoint`` that meets Constraint 1.
+    """Largest cutoff radius at ``viewpoint`` that meets Constraint 1,
+    to within :data:`BISECTION_STEP_M`.
 
     ``near_be_ms`` is monotone non-decreasing in the radius, so bisection
     applies.  Returns 0.0 when even an empty near BE would not fit (cannot
     happen with a sane budget) and ``max_radius`` when the whole
     neighbourhood fits.
     """
-    if max_radius <= 0 or tolerance <= 0:
-        raise ValueError("max_radius and tolerance must be positive")
+    if max_radius <= 0:
+        raise ValueError("max_radius must be positive")
     limit = budget.near_be_budget_ms
     if model.near_be_ms(scene, viewpoint, max_radius) < limit:
         return max_radius
     lo, hi = 0.0, max_radius
-    while hi - lo > tolerance:
+    while hi - lo > BISECTION_STEP_M:
         mid = (lo + hi) / 2.0
         if model.near_be_ms(scene, viewpoint, mid) < limit:
             lo = mid
@@ -264,7 +266,6 @@ def build_cutoff_map(
     scene: Scene,
     model: RenderCostModel,
     budget: RenderBudget,
-    world: Optional[Rect] = None,
     config: Optional[CutoffSchemeConfig] = None,
     seed: int = 0,
     reachable: Optional[BatchPredicate] = None,
@@ -277,7 +278,6 @@ def build_cutoff_map(
     has no reachable samples it falls back to uniform samples — its radius
     is then conservative but the region is never visited anyway.
     """
-    world = world if world is not None else scene.bounds
     config = config if config is not None else CutoffSchemeConfig()
     rng = np.random.default_rng(seed)
     max_radius_at = _radius_solver(scene, model, budget, MAX_RADIUS)
@@ -303,6 +303,6 @@ def build_cutoff_map(
         return stop, payload
 
     with perf.timed("cutoff"):
-        tree = QuadTree.build(world, policy, max_depth=config.max_depth)
+        tree = QuadTree.build(scene.bounds, policy, max_depth=config.max_depth)
     perf.count("cutoff.samples", counter["samples"])
     return CutoffMap(tree=tree, config=config, samples_evaluated=counter["samples"])

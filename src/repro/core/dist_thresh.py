@@ -34,6 +34,8 @@ from ..world.scene import Scene
 from .cutoff import CutoffMap, LeafKey
 
 _SEARCH_START_M = 32.0
+#: The search's resolution (m): the smallest threshold it reports.
+_RESOLUTION_M = 0.05
 
 
 def measure_dist_thresh(
@@ -44,7 +46,6 @@ def measure_dist_thresh(
     rng: np.random.Generator,
     eye_height: float = 1.7,
     threshold: float = SSIM_GOOD,
-    resolution_m: float = 0.05,
 ) -> float:
     """Binary-search the reuse displacement for one grid point.
 
@@ -54,8 +55,6 @@ def measure_dist_thresh(
     """
     if cutoff_radius < 0:
         raise ValueError("cutoff_radius must be non-negative")
-    if resolution_m <= 0:
-        raise ValueError("resolution_m must be positive")
     direction = Vec2.from_angle(float(rng.uniform(0.0, 2.0 * math.pi)))
     base = render_far_be(
         scene, eye_at(scene, point, eye_height), config, cutoff_radius
@@ -73,13 +72,13 @@ def measure_dist_thresh(
 
     # Halve from the 32 m start until a similar displacement is found.
     hi = _SEARCH_START_M
-    while hi > resolution_m and not similar_at(hi):
+    while hi > _RESOLUTION_M and not similar_at(hi):
         hi /= 2.0
-    if hi <= resolution_m:
-        return resolution_m
+    if hi <= _RESOLUTION_M:
+        return _RESOLUTION_M
     # Refine upward between hi (similar) and 2*hi (dissimilar or start).
     lo, top = hi, min(2.0 * hi, _SEARCH_START_M)
-    while top - lo > max(resolution_m, 0.1 * lo):
+    while top - lo > max(_RESOLUTION_M, 0.1 * lo):
         mid = (lo + top) / 2.0
         if similar_at(mid):
             lo = mid

@@ -40,7 +40,7 @@ def compose_display(
 
 
 def compose_display_into(
-    out: np.ndarray, far_be: np.ndarray, near_be: Layer, fi: Optional[Layer] = None
+    out: np.ndarray, far_be: np.ndarray, near_be: Layer, fi: Optional[Layer]
 ) -> np.ndarray:
     """:func:`compose_display` into a preallocated float32 buffer.
 

@@ -54,25 +54,12 @@ class PipelineTimings:
         )
 
 
-def frame_interval_ms(
-    timings: PipelineTimings,
-    target_interval_ms: float = 1000.0 / 60.0,
-    quantize: bool = False,
-) -> float:
+def frame_interval_ms(timings: PipelineTimings) -> float:
     """Actual display interval for one pipeline iteration.
 
     A pipeline faster than the 60 Hz refresh waits for vsync (interval =
-    16.7 ms).  A slower one free-runs by default — Android's display path
-    latches whichever frame is ready at each refresh, so sustained 22 ms
-    pipelines show ~45 FPS (the paper's Multi-Furion 2P numbers), not a
-    hard halving; pass ``quantize=True`` for strict beat-multiple vsync.
+    16.7 ms).  A slower one free-runs — Android's display path latches
+    whichever frame is ready at each refresh, so sustained 22 ms pipelines
+    show ~45 FPS (the paper's Multi-Furion 2P numbers), not a hard halving.
     """
-    if target_interval_ms <= 0:
-        raise ValueError("target_interval_ms must be positive")
-    total = timings.split_render_ms()
-    if not quantize:
-        return max(total, target_interval_ms)
-    import math
-
-    beats = max(1, math.ceil(total / target_interval_ms - 1e-9))
-    return beats * target_interval_ms
+    return max(timings.split_render_ms(), 1000.0 / 60.0)

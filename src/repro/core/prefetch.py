@@ -21,6 +21,11 @@ from .cache import CachedFrame, FrameCache
 from .cutoff import CutoffMap, LeafKey
 from .dist_thresh import DistThreshMap
 
+#: Criterion-3 visibility floor: objects smaller than this fraction of the
+#: cutoff radius (~2 px at the boundary) are ignored when comparing near-BE
+#: sets.
+NEAR_SIGNIFICANCE = 0.05
+
 
 @dataclass(frozen=True)
 class PrefetchDecision:
@@ -49,23 +54,12 @@ class Prefetcher:
         cutoff_map: CutoffMap,
         dist_thresh_map: DistThreshMap,
         cache: FrameCache,
-        lookahead_m: float = 0.0,
-        near_significance: float = 0.05,
     ) -> None:
-        if lookahead_m < 0:
-            raise ValueError("lookahead_m must be non-negative")
-        if near_significance < 0:
-            raise ValueError("near_significance must be non-negative")
         self.scene = scene
         self.grid = grid
         self.cutoff_map = cutoff_map
         self.dist_thresh_map = dist_thresh_map
         self.cache = cache
-        self.lookahead_m = lookahead_m
-        # Criterion-3 visibility floor: objects smaller than this fraction
-        # of the cutoff radius (~2 px at the boundary) are ignored when
-        # comparing near-BE sets.
-        self.near_significance = near_significance
         self.fetches = 0
         # Congestion throttle (repro.adapt): >= 1.0 multiplier widening
         # the dist-thresh acceptance band so more cached candidates serve
@@ -73,22 +67,15 @@ class Prefetcher:
         # untouched (the scale is not even applied).
         self.thresh_scale = 1.0
 
-    def _resolve(
-        self, position: Vec2, heading: float, lookup, **lookup_args
-    ) -> PrefetchDecision:
-        """Derive grid point, leaf, cutoff, near set and dist-thresh for the
-        look-ahead target of ``position`` and ask ``lookup`` (one of the
-        cache's keyword queries) for a frame that serves it."""
-        target = position
-        if self.lookahead_m > 0:
-            target = self.scene.bounds.clamp(
-                position + Vec2.from_angle(heading, self.lookahead_m)
-            )
-        grid_point = self.grid.snap(target)
+    def _resolve(self, position: Vec2, lookup, **lookup_args) -> PrefetchDecision:
+        """Derive grid point, leaf, cutoff, near set and dist-thresh for
+        ``position`` and ask ``lookup`` (one of the cache's keyword queries)
+        for a frame that serves it."""
+        grid_point = self.grid.snap(position)
         snapped = self.grid.to_world(grid_point)
         leaf, cutoff = self.cutoff_map.leaf_for(snapped)
         near_ids = self.scene.near_object_ids(
-            snapped, cutoff, min_radius=self.near_significance * cutoff
+            snapped, cutoff, min_radius=NEAR_SIGNIFICANCE * cutoff
         )
         dist_thresh = self.dist_thresh_map.threshold_for(snapped)
         if self.thresh_scale != 1.0:
@@ -111,31 +98,14 @@ class Prefetcher:
             dist_thresh=dist_thresh,
         )
 
-    def plan(
-        self,
-        position: Vec2,
-        heading: float,
-        now_ms: float,
-    ) -> PrefetchDecision:
-        """Resolve the far-BE frame for the (predicted) next viewpoint.
-
-        ``lookahead_m`` projects the request ahead along the movement
-        direction so the transfer completes before arrival (Fig. 10's
-        enlarged prefetching window).
-        """
-        decision = self._resolve(
-            position, heading, self.cache.lookup, now_ms=now_ms
-        )
+    def plan(self, position: Vec2, now_ms: float) -> PrefetchDecision:
+        """Resolve the far-BE frame for the viewpoint at ``position``."""
+        decision = self._resolve(position, self.cache.lookup, now_ms=now_ms)
         if decision.cached is None:
             self.fetches += 1
         return decision
 
-    def plan_speculative(
-        self,
-        position: Vec2,
-        heading: float,
-        now_ms: float,
-    ) -> PrefetchDecision:
+    def plan_speculative(self, position: Vec2) -> PrefetchDecision:
         """Resolve a *forecast* viewpoint without touching lookup stats.
 
         The speculation path (repro.predict) plans against predicted
@@ -146,9 +116,7 @@ class Prefetcher:
         and ``fetches`` is left alone.  Predicted positions may fall
         outside the scene, so the target is clamped to its bounds.
         """
-        return self._resolve(
-            self.scene.bounds.clamp(position), heading, self.cache.peek
-        )
+        return self._resolve(self.scene.bounds.clamp(position), self.cache.peek)
 
     def admit(
         self,

@@ -224,6 +224,20 @@ class FaultSchedule:
         """The link windows as impairment-model dip episodes."""
         return tuple(window.to_dip() for window in self.link)
 
+    def validate_slots(self, total_slots: int) -> None:
+        """Reject player references outside the session's slots."""
+        worst = max((
+            fault.player_id
+            for faults in (self.outages, self.poses, self.spec_storms,
+                           self.spec_corruptions, self.desyncs)
+            for fault in faults
+        ), default=-1)
+        if worst >= total_slots:
+            raise ValueError(
+                f"fault schedule references player {worst} but the session "
+                f"only has slots 0..{total_slots - 1}"
+            )
+
     @classmethod
     def parse(cls, spec: str) -> "FaultSchedule":
         """Parse the compact CLI syntax into a schedule.

@@ -33,6 +33,12 @@ import numpy as np
 #: The named workloads `generate_arrivals` dispatches on.
 WORKLOADS: Tuple[str, ...] = ("poisson", "diurnal", "flash")
 
+#: The diurnal trough's share of the peak rate.
+DIURNAL_FLOOR = 0.2
+#: The flash crowd's extra players and the window they land in (ms).
+SURGE_PLAYERS = 32
+SURGE_WIDTH_MS = 2000.0
+
 
 @dataclass(frozen=True)
 class PlayerArrival:
@@ -210,23 +216,18 @@ def diurnal_arrivals(
     duration_s: float,
     seed: int,
     games: Sequence[str] = ("racing",),
-    floor: float = 0.2,
-    waves: float = 1.0,
 ) -> ArrivalTrace:
     """A sinusoidal day/night wave peaking at ``peak_rate_per_s``.
 
     Implemented by thinning a homogeneous Poisson process at the peak
     rate: a candidate at time ``t`` survives with probability
-    ``floor + (1 - floor) * (1 - cos(2*pi*waves*t/T)) / 2`` — the trough
-    keeps ``floor`` of the peak load, and ``waves`` full cycles fit the
+    ``floor + (1 - floor) * (1 - cos(2*pi*t/T)) / 2`` — the trough keeps
+    :data:`DIURNAL_FLOOR` of the peak load, and one full cycle fits the
     horizon.  Thinning keeps the process exactly Poisson with the target
     intensity while staying a pure function of ``seed``.
     """
     games = _validated(peak_rate_per_s, duration_s, games)
-    if not 0 < floor <= 1.0:
-        raise ValueError("floor must be in (0, 1]")
-    if waves <= 0:
-        raise ValueError("waves must be positive")
+    floor = DIURNAL_FLOOR
     rng = np.random.default_rng(seed)
     horizon_ms = duration_s * 1000.0
     times: List[float] = []
@@ -235,7 +236,7 @@ def diurnal_arrivals(
         t += float(rng.exponential(1000.0 / peak_rate_per_s))
         if t > horizon_ms:
             break
-        phase = 2.0 * math.pi * waves * t / horizon_ms
+        phase = 2.0 * math.pi * t / horizon_ms
         envelope = floor + (1.0 - floor) * 0.5 * (1.0 - math.cos(phase))
         if float(rng.random()) < envelope:
             times.append(t)
@@ -250,24 +251,15 @@ def flash_crowd_arrivals(
     duration_s: float,
     seed: int,
     games: Sequence[str] = ("racing",),
-    surge_players: int = 32,
-    surge_at_frac: float = 0.4,
-    surge_width_s: float = 2.0,
 ) -> ArrivalTrace:
     """Steady background joins plus a dense surge partway through.
 
-    ``surge_players`` extra arrivals land uniformly inside a
-    ``surge_width_s`` window starting at ``surge_at_frac`` of the
-    horizon — the canonical "streamer effect" burst the matchmaker and
-    render farm must absorb without starving the background sessions.
+    :data:`SURGE_PLAYERS` extra arrivals land uniformly inside a
+    :data:`SURGE_WIDTH_MS` window starting at 40 % of the horizon — the
+    canonical "streamer effect" burst the matchmaker and render farm must
+    absorb without starving the background sessions.
     """
     games = _validated(base_rate_per_s, duration_s, games)
-    if surge_players < 1:
-        raise ValueError("surge_players must be >= 1")
-    if not 0 <= surge_at_frac < 1.0:
-        raise ValueError("surge_at_frac must be in [0, 1)")
-    if surge_width_s <= 0:
-        raise ValueError("surge_width_s must be positive")
     rng = np.random.default_rng(seed)
     horizon_ms = duration_s * 1000.0
     base: List[float] = []
@@ -277,10 +269,10 @@ def flash_crowd_arrivals(
         if t > horizon_ms:
             break
         base.append(t)
-    surge_start = surge_at_frac * horizon_ms
-    surge_end = min(horizon_ms, surge_start + surge_width_s * 1000.0)
+    surge_start = 0.4 * horizon_ms
+    surge_end = min(horizon_ms, surge_start + SURGE_WIDTH_MS)
     surge = sorted(
-        float(rng.uniform(surge_start, surge_end)) for _ in range(surge_players)
+        float(rng.uniform(surge_start, surge_end)) for _ in range(SURGE_PLAYERS)
     )
     times = sorted(base + surge)
     assigned = _assign_games(rng, len(times), games)

@@ -45,10 +45,8 @@ class PowerModel:
             + self.wifi_w_per_mbps * net_mbps
         )
 
-    def battery_life_hours(self, draw_w: float, battery_wh: float = BATTERY_WH) -> float:
+    def battery_life_hours(self, draw_w: float) -> float:
         """Runtime on a full battery at a constant draw."""
         if draw_w <= 0:
             raise ValueError("draw_w must be positive")
-        if battery_wh <= 0:
-            raise ValueError("battery_wh must be positive")
-        return battery_wh / draw_w
+        return BATTERY_WH / draw_w

@@ -13,6 +13,9 @@ from typing import List
 from .power import BATTERY_WH, PowerModel
 from .thermal import ThermalModel
 
+#: One point per simulated minute, as Fig. 12 plots.
+SAMPLE_S = 60.0
+
 
 @dataclass(frozen=True)
 class TimelinePoint:
@@ -50,10 +53,6 @@ def build_timeline(
     gpu: float,
     net_mbps: float,
     duration_s: float = 1800.0,
-    sample_s: float = 60.0,
-    power_model: PowerModel = PowerModel(),
-    thermal_model: ThermalModel = None,
-    battery_wh: float = BATTERY_WH,
 ) -> ResourceTimeline:
     """Integrate a steady workload into a resource timeline.
 
@@ -61,17 +60,17 @@ def build_timeline(
     player-count independent), so utilizations are constant and only the
     thermal state and battery evolve.
     """
-    if duration_s <= 0 or sample_s <= 0:
-        raise ValueError("duration_s and sample_s must be positive")
+    if duration_s <= 0:
+        raise ValueError("duration_s must be positive")
     if not 0.0 <= cpu <= 1.0 or not 0.0 <= gpu <= 1.0:
         raise ValueError("cpu and gpu must be in [0, 1]")
-    thermal = thermal_model if thermal_model is not None else ThermalModel()
-    power = power_model.draw_w(cpu, gpu, net_mbps)
+    thermal = ThermalModel()
+    power = PowerModel().draw_w(cpu, gpu, net_mbps)
     points: List[TimelinePoint] = []
     consumed_wh = 0.0
     t = 0.0
     while t <= duration_s + 1e-9:
-        battery_fraction = max(0.0, 1.0 - consumed_wh / battery_wh)
+        battery_fraction = max(0.0, 1.0 - consumed_wh / BATTERY_WH)
         points.append(
             TimelinePoint(
                 t_s=t,
@@ -82,7 +81,7 @@ def build_timeline(
                 battery_fraction=battery_fraction,
             )
         )
-        thermal.step(power, dt_s=sample_s)
-        consumed_wh += power * sample_s / 3600.0
-        t += sample_s
+        thermal.step(power, dt_s=SAMPLE_S)
+        consumed_wh += power * SAMPLE_S / 3600.0
+        t += SAMPLE_S
     return ResourceTimeline(points=points)

@@ -68,6 +68,16 @@ class DipEpisode:
 #: Named synthetic rate-trace generators (see :meth:`RateTrace.named`).
 TRACE_PROFILES = ("cellular", "bufferbloat", "contention")
 
+#: The cellular walk's epoch (ms) and its capacity floor.
+CELLULAR_STEP_MS = 500.0
+CELLULAR_FLOOR = 0.12
+#: The bufferbloat ramp's step (ms) and the capacity it bottoms out at.
+BLOAT_STEP_MS = 250.0
+BLOAT_TROUGH = 0.15
+#: The contention square wave's period (ms) and its contended capacity.
+CONTENTION_PERIOD_MS = 2_000.0
+CONTENTION_LOW = 0.25
+
 
 @dataclass(frozen=True)
 class RateTrace:
@@ -158,72 +168,55 @@ class RateTrace:
                     f"{path}: line {lineno}: non-finite value in "
                     f"{raw.strip()!r}"
                 )
+            try:  # the row against the one before it
+                cls(segments=(*segments[-1:], (start_ms, factor)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             segments.append((start_ms, factor))
         if not segments:
             raise ValueError(f"{path}: trace file contains no segments")
-        try:
-            return cls(segments=tuple(segments), name=f"file:{path}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return cls(segments=tuple(segments), name=f"file:{path}")
 
     @classmethod
-    def cellular(
-        cls,
-        seed: int = 0,
-        duration_ms: float = 20_000.0,
-        step_ms: float = 500.0,
-        floor: float = 0.12,
-    ) -> "RateTrace":
+    def cellular(cls, seed: int = 0, duration_ms: float = 20_000.0) -> "RateTrace":
         """Seeded random-walk capacity, the rapidly-varying cellular link.
 
-        A multiplicative walk over ``step_ms`` epochs, clamped to
-        ``[floor, 1]`` — the shape of the 6.829 cloud-gaming pset's
-        Mahimahi cellular traces: long coherent fades with fast wiggle.
+        A multiplicative walk over :data:`CELLULAR_STEP_MS` epochs, clamped
+        to ``[CELLULAR_FLOOR, 1]`` — the shape of the 6.829 cloud-gaming
+        pset's Mahimahi cellular traces: long coherent fades with fast
+        wiggle.
         """
-        if duration_ms <= 0 or step_ms <= 0:
-            raise ValueError("duration_ms and step_ms must be positive")
-        if not 0.0 < floor <= 1.0:
-            raise ValueError("floor must be in (0, 1]")
+        if duration_ms <= 0:
+            raise ValueError("duration_ms must be positive")
         rng = random.Random(seed)
         segments = []
         factor = 1.0
         t = 0.0
         while t < duration_ms:
             factor *= math.exp(rng.gauss(-0.08, 0.35))
-            factor = min(1.0, max(floor, factor))
+            factor = min(1.0, max(CELLULAR_FLOOR, factor))
             segments.append((t, factor))
-            t += step_ms
+            t += CELLULAR_STEP_MS
         return cls(segments=tuple(segments), name=f"cellular(seed={seed})")
 
     @classmethod
-    def bufferbloat(
-        cls,
-        duration_ms: float = 20_000.0,
-        ramp_start_frac: float = 0.2,
-        ramp_end_frac: float = 0.55,
-        recover_frac: float = 0.8,
-        trough: float = 0.15,
-        step_ms: float = 250.0,
-    ) -> "RateTrace":
+    def bufferbloat(cls, duration_ms: float = 20_000.0) -> "RateTrace":
         """Deterministic capacity ramp: slow decay to a trough, then recovery.
 
         The effective-rate shape of a bufferbloat event — queues fill
-        gradually, goodput decays, then the queue drains and the link
-        snaps back.
+        gradually, goodput decays from 20 % to 55 % of the trace to
+        :data:`BLOAT_TROUGH`, holds there, then the queue drains at 80 %
+        and the link snaps back.
         """
-        if duration_ms <= 0 or step_ms <= 0:
-            raise ValueError("duration_ms and step_ms must be positive")
-        if not 0.0 < trough <= 1.0:
-            raise ValueError("trough must be in (0, 1]")
-        if not 0.0 <= ramp_start_frac < ramp_end_frac <= recover_frac <= 1.0:
-            raise ValueError("ramp fractions must be ordered in [0, 1]")
-        ramp_start = duration_ms * ramp_start_frac
-        ramp_end = duration_ms * ramp_end_frac
-        recover = duration_ms * recover_frac
+        if duration_ms <= 0:
+            raise ValueError("duration_ms must be positive")
+        step_ms = BLOAT_STEP_MS
+        trough = BLOAT_TROUGH
+        ramp_start = duration_ms * 0.2
+        ramp_end = duration_ms * 0.55
+        recover = duration_ms * 0.8
         segments = [(0.0, 1.0)]
         t = step_ms * math.ceil(ramp_start / step_ms)
-        if t <= 0.0:
-            t = step_ms
         while t < duration_ms:
             if t < ramp_end:
                 span = max(ramp_end - ramp_start, step_ms)
@@ -238,31 +231,22 @@ class RateTrace:
         return cls(segments=tuple(segments), name="bufferbloat")
 
     @classmethod
-    def contention(
-        cls,
-        duration_ms: float = 20_000.0,
-        period_ms: float = 2_000.0,
-        duty: float = 0.5,
-        low: float = 0.25,
-    ) -> "RateTrace":
+    def contention(cls, duration_ms: float = 20_000.0) -> "RateTrace":
         """Square-wave capacity: a contending Wi-Fi station toggling on/off.
 
-        Each period spends ``duty`` of its length at full capacity and the
-        rest at ``low`` — the alternating medium share of a periodic bulk
-        transfer on the same channel.
+        Each :data:`CONTENTION_PERIOD_MS` period spends its first half at
+        full capacity and the second at :data:`CONTENTION_LOW` — the
+        alternating medium share of a periodic bulk transfer on the same
+        channel.
         """
-        if duration_ms <= 0 or period_ms <= 0:
-            raise ValueError("duration_ms and period_ms must be positive")
-        if not 0.0 < duty < 1.0:
-            raise ValueError("duty must be in (0, 1)")
-        if not 0.0 < low <= 1.0:
-            raise ValueError("low must be in (0, 1]")
+        if duration_ms <= 0:
+            raise ValueError("duration_ms must be positive")
         segments = []
         t = 0.0
         while t < duration_ms:
             segments.append((t, 1.0))
-            segments.append((t + period_ms * duty, low))
-            t += period_ms
+            segments.append((t + CONTENTION_PERIOD_MS * 0.5, CONTENTION_LOW))
+            t += CONTENTION_PERIOD_MS
         return cls(segments=tuple(segments), name="contention")
 
     @classmethod
@@ -313,14 +297,12 @@ class ImpairmentConfig:
             raise ValueError("jitter_median_ms must be non-negative")
 
     @classmethod
-    def bursty(cls, loss_rate: float, seed: int = 0,
-               dips: Tuple[DipEpisode, ...] = ()) -> "ImpairmentConfig":
+    def bursty(cls, loss_rate: float, seed: int = 0) -> "ImpairmentConfig":
         """Impaired-WiFi preset: bursty loss plus mild heavy-tail jitter."""
         return cls(
             loss_rate=loss_rate,
             jitter_median_ms=0.4 if loss_rate > 0 else 0.0,
             seed=seed,
-            dips=dips,
         )
 
 

@@ -32,11 +32,11 @@ class StageStats:
     min_s: float = math.inf
     max_s: float = 0.0
 
-    def add(self, seconds: float, calls: int = 1) -> None:
-        """Fold one measured duration (covering ``calls`` calls) in."""
-        if seconds < 0 or calls < 1:
+    def add(self, seconds: float) -> None:
+        """Fold one measured call's duration in."""
+        if seconds < 0:
             raise ValueError("invalid timing sample")
-        self.calls += calls
+        self.calls += 1
         self.total_s += seconds
         self.min_s = min(self.min_s, seconds)
         self.max_s = max(self.max_s, seconds)
@@ -63,13 +63,13 @@ class PerfRegistry:
         finally:
             self.add_time(stage, time.perf_counter() - t0)
 
-    def add_time(self, stage: str, seconds: float, calls: int = 1) -> None:
+    def add_time(self, stage: str, seconds: float) -> None:
         """Record an externally measured duration for ``stage``."""
         with self._lock:
             stats = self._stages.get(stage)
             if stats is None:
                 stats = self._stages[stage] = StageStats()
-            stats.add(seconds, calls)
+            stats.add(seconds)
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump an event counter (cache hits, probes, renders, ...)."""

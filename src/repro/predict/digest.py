@@ -67,8 +67,6 @@ def stored_frame_digest(stored, grid_point: GridPoint) -> int:
     return h
 
 
-def pose_digest(
-    t_ms: float, x: float, y: float, heading: float, seed: int = FNV_OFFSET
-) -> int:
+def pose_digest(t_ms: float, x: float, y: float, heading: float) -> int:
     """Hash one viewport pose (float64 bit patterns, order-sensitive)."""
-    return fnv1a(float_bits(t_ms, x, y, heading), seed)
+    return fnv1a(float_bits(t_ms, x, y, heading))

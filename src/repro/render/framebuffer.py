@@ -96,13 +96,11 @@ def fractal_noise(
     return total / norm
 
 
-def new_frame(width: int, height: int, fill: float = 0.0) -> np.ndarray:
-    """Allocate a luminance frame of the given size."""
+def new_frame(width: int, height: int) -> np.ndarray:
+    """Allocate a black luminance frame of the given size."""
     if width < 1 or height < 1:
         raise ValueError(f"invalid frame size {width}x{height}")
-    if not 0.0 <= fill <= 1.0:
-        raise ValueError("fill must be in [0, 1]")
-    return np.full((height, width), fill, dtype=np.float32)
+    return np.zeros((height, width), dtype=np.float32)
 
 
 def clip_frame(frame: np.ndarray) -> np.ndarray:

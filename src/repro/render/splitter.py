@@ -96,10 +96,9 @@ def render_display_frame(
     eye: Vec3,
     config: RenderConfig,
     cutoff_radius: float,
-    avatars: Sequence[SceneObject] = (),
     far_be: Optional[Layer] = None,
 ) -> np.ndarray:
-    """The final displayed frame: far BE + near BE + FI (§5.1 merging).
+    """The final displayed background: far BE + near BE (§5.1 merging).
 
     ``far_be`` may be a cached/decoded far-BE layer rendered from a *nearby*
     viewpoint — exactly the reuse Coterie performs; ``None`` renders it
@@ -108,8 +107,7 @@ def render_display_frame(
     if far_be is None:
         far_be = render_far_be(scene, eye, config, cutoff_radius)
     near = render_near_be(scene, eye, config, cutoff_radius)
-    fi = render_fi(avatars, eye, config)
-    return merge_layers(far_be, near, fi)
+    return merge_layers(far_be, near)
 
 
 def reference_frame(

@@ -25,25 +25,18 @@ def adjacent_similarities(frames: Sequence[np.ndarray]) -> List[float]:
 def best_case_similarities(
     frames_a: Sequence[np.ndarray],
     frames_b: Sequence[np.ndarray],
-    stride: int = 1,
 ) -> List[float]:
     """For each frame of player A, the max SSIM over player B's frames.
 
     The paper calls this *best-case* inter-player similarity because it
-    assumes a perfect oracle picks the most similar candidate.  ``stride``
-    subsamples B's frames to bound the O(|A| x |B|) SSIM cost.
+    assumes a perfect oracle picks the most similar candidate.
     """
     if not frames_a or not frames_b:
         raise ValueError("both frame sequences must be non-empty")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    candidates = frames_b[::stride]
-    return [
-        max(ssim(frame, other) for other in candidates) for frame in frames_a
-    ]
+    return [max(ssim(frame, other) for other in frames_b) for frame in frames_a]
 
 
-def fraction_above(values: Sequence[float], threshold: float = SSIM_GOOD) -> float:
+def fraction_above(values: Sequence[float]) -> float:
     """Fraction of similarity values above the quality threshold.
 
     This is the paper's headline statistic: "the percentage of BE frames
@@ -51,19 +44,18 @@ def fraction_above(values: Sequence[float], threshold: float = SSIM_GOOD) -> flo
     """
     if not values:
         raise ValueError("values must be non-empty")
-    return sum(1 for v in values if v > threshold) / len(values)
+    return sum(1 for v in values if v > SSIM_GOOD) / len(values)
 
 
-def similarity_cdf(values: Sequence[float], points: int = 101) -> np.ndarray:
+def similarity_cdf(values: Sequence[float]) -> np.ndarray:
     """(x, F(x)) pairs for plotting a similarity CDF (Figs. 1, 2, 7).
 
-    Returns an array of shape (points, 2) with x spanning [0, 1].
+    Returns an array of shape (101, 2) with x spanning [0, 1] in steps of
+    0.01.
     """
     if not values:
         raise ValueError("values must be non-empty")
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    xs = np.linspace(0.0, 1.0, points)
+    xs = np.linspace(0.0, 1.0, 101)
     sorted_vals = np.sort(np.asarray(values, dtype=np.float64))
     fractions = np.searchsorted(sorted_vals, xs, side="right") / len(sorted_vals)
     return np.column_stack([xs, fractions])

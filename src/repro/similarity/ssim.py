@@ -24,7 +24,6 @@ floats, just cached).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -61,15 +60,13 @@ def _gaussian_window() -> np.ndarray:
 
 
 # Hoisted out of the per-call path: every SSIM evaluation used to rebuild
-# this window (and the C1/C2 stabilisers) inside gaussian_filter; the
-# scalar oracle path now shares the same precomputed tables.
+# this window inside gaussian_filter; the scalar oracle path now shares the
+# same precomputed table.
 _WINDOW = _gaussian_window()
 
-
-@lru_cache(maxsize=32)
-def _stab_constants(data_range: float):
-    """(C1, C2) stabilisers for a data range, computed once per range."""
-    return (_K1 * data_range) ** 2, (_K2 * data_range) ** 2
+# The C1/C2 stabilisers for frames in [0, 1] (data range 1).
+_C1 = _K1**2
+_C2 = _K2**2
 
 
 def _validate_frame(a: np.ndarray) -> None:
@@ -108,34 +105,20 @@ class SsimReference:
     mu: np.ndarray
     mu_sq: np.ndarray
     sigma_sq: np.ndarray
-    data_range: float
-    c1: float
-    c2: float
 
     @property
     def shape(self):
         return self.image.shape
 
 
-def prepare_reference(a: np.ndarray, data_range: float = 1.0) -> SsimReference:
+def prepare_reference(a: np.ndarray) -> SsimReference:
     """Compute the reference-side moments shared by every comparison."""
     _validate_frame(a)
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
     x = a.astype(np.float64)
     mu_x = _blur(x)
     mu_x_sq = mu_x * mu_x
     sigma_x_sq = _blur(x * x) - mu_x_sq
-    c1, c2 = _stab_constants(data_range)
-    return SsimReference(
-        image=x,
-        mu=mu_x,
-        mu_sq=mu_x_sq,
-        sigma_sq=sigma_x_sq,
-        data_range=data_range,
-        c1=c1,
-        c2=c2,
-    )
+    return SsimReference(image=x, mu=mu_x, mu_sq=mu_x_sq, sigma_sq=sigma_x_sq)
 
 
 def ssim_map_with(ref: SsimReference, b: np.ndarray) -> np.ndarray:
@@ -151,9 +134,9 @@ def ssim_map_with(ref: SsimReference, b: np.ndarray) -> np.ndarray:
         sigma_y_sq = _blur(y * y) - mu_y_sq
         sigma_xy = _blur(ref.image * y) - mu_xy
 
-        numerator = (2.0 * mu_xy + ref.c1) * (2.0 * sigma_xy + ref.c2)
-        denominator = (ref.mu_sq + mu_y_sq + ref.c1) * (
-            ref.sigma_sq + sigma_y_sq + ref.c2
+        numerator = (2.0 * mu_xy + _C1) * (2.0 * sigma_xy + _C2)
+        denominator = (ref.mu_sq + mu_y_sq + _C1) * (
+            ref.sigma_sq + sigma_y_sq + _C2
         )
         return numerator / denominator
 
@@ -262,9 +245,9 @@ def ssim_map_update(
         mu_xy = ref.mu * mu_y
         sigma_y_sq = yy - mu_y_sq
         sigma_xy = xy - mu_xy
-        numerator = (2.0 * mu_xy + ref.c1) * (2.0 * sigma_xy + ref.c2)
-        denominator = (ref.mu_sq + mu_y_sq + ref.c1) * (
-            ref.sigma_sq + sigma_y_sq + ref.c2
+        numerator = (2.0 * mu_xy + _C1) * (2.0 * sigma_xy + _C2)
+        denominator = (ref.mu_sq + mu_y_sq + _C1) * (
+            ref.sigma_sq + sigma_y_sq + _C2
         )
         moments = CandidateMoments(image=y, mu=mu_y, yy=yy, xy=xy)
         return numerator / denominator, moments
@@ -273,8 +256,8 @@ def ssim_map_update(
 def ssim_with_update(
     ref: SsimReference,
     b: np.ndarray,
-    prev: "CandidateMoments | None" = None,
-    dirty_rows: "np.ndarray | None" = None,
+    prev: "CandidateMoments | None",
+    dirty_rows: "np.ndarray | None",
 ):
     """Mean-SSIM variant of :func:`ssim_map_update`.
 
@@ -285,16 +268,14 @@ def ssim_with_update(
     return float(ssim_map.mean()), moments
 
 
-def ssim_many(
-    a: np.ndarray, candidates, data_range: float = 1.0
-) -> np.ndarray:
+def ssim_many(a: np.ndarray, candidates) -> np.ndarray:
     """Mean SSIM of ``a`` against each candidate, sharing ``a``'s moments.
 
     Equivalent to ``[ssim(a, c) for c in candidates]`` but computes the
     reference's gaussian moments once instead of once per pair; the values
     are bit-identical to the pairwise calls.
     """
-    ref = prepare_reference(a, data_range)
+    ref = prepare_reference(a)
     return np.array([ssim_with(ref, c) for c in candidates], dtype=np.float64)
 
 
@@ -348,20 +329,20 @@ def ssim_many_stacked(ref: SsimReference, candidates: np.ndarray) -> np.ndarray:
         sigma_y_sq = np.subtract(yy, mu_y_sq, out=yy)
         sigma_xy = np.subtract(xy, mu_xy, out=xy)
         t1 = np.multiply(2.0, mu_xy, out=scratch[:n])
-        np.add(t1, ref.c1, out=t1)
+        np.add(t1, _C1, out=t1)
         t2 = np.multiply(2.0, sigma_xy, out=scratch[n:2 * n])
-        np.add(t2, ref.c2, out=t2)
+        np.add(t2, _C2, out=t2)
         numerator = np.multiply(t1, t2, out=t1)
         d1 = np.add(ref.mu_sq, mu_y_sq, out=scratch[2 * n:])
-        np.add(d1, ref.c1, out=d1)
+        np.add(d1, _C1, out=d1)
         d2 = np.add(ref.sigma_sq, sigma_y_sq, out=sigma_y_sq)
-        np.add(d2, ref.c2, out=d2)
+        np.add(d2, _C2, out=d2)
         denominator = np.multiply(d1, d2, out=d1)
         maps = np.divide(numerator, denominator, out=numerator)
         return _stack_means(maps)
 
 
-def ssim_pairs(pairs, data_range: float = 1.0) -> np.ndarray:
+def ssim_pairs(pairs) -> np.ndarray:
     """Mean SSIM of K independent (a, b) frame pairs in one tiled pass.
 
     The cross-player batch kernel: all 5K gaussian moments — blur(x),
@@ -375,8 +356,6 @@ def ssim_pairs(pairs, data_range: float = 1.0) -> np.ndarray:
     pairs = list(pairs)
     if not pairs:
         return np.empty(0, dtype=np.float64)
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
     shape = None
     for a, b in pairs:
         _validate_pair(a, b)
@@ -388,7 +367,6 @@ def ssim_pairs(pairs, data_range: float = 1.0) -> np.ndarray:
             )
     k = len(pairs)
     h, w = shape
-    c1, c2 = _stab_constants(data_range)
     with perf.timed("ssim"):
         perf.count("ssim.batched_pairs", k)
         stack = np.empty((5 * k, h, w), dtype=np.float64)
@@ -414,27 +392,25 @@ def ssim_pairs(pairs, data_range: float = 1.0) -> np.ndarray:
         sigma_y_sq = np.subtract(byy, mu_y_sq, out=byy)
         sigma_xy = np.subtract(bxy, mu_xy, out=bxy)
         t1 = np.multiply(2.0, mu_xy, out=scratch[:k])
-        np.add(t1, c1, out=t1)
+        np.add(t1, _C1, out=t1)
         t2 = np.multiply(2.0, sigma_xy, out=scratch[k:2 * k])
-        np.add(t2, c2, out=t2)
+        np.add(t2, _C2, out=t2)
         numerator = np.multiply(t1, t2, out=t1)
         d1 = np.add(mu_x_sq, mu_y_sq, out=mu_x_sq)
-        np.add(d1, c1, out=d1)
+        np.add(d1, _C1, out=d1)
         d2 = np.add(sigma_x_sq, sigma_y_sq, out=sigma_x_sq)
-        np.add(d2, c2, out=d2)
+        np.add(d2, _C2, out=d2)
         denominator = np.multiply(d1, d2, out=d1)
         maps = np.divide(numerator, denominator, out=numerator)
         return _stack_means(maps)
 
 
-def ssim_map(
-    a: np.ndarray, b: np.ndarray, data_range: float = 1.0
-) -> np.ndarray:
+def ssim_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel SSIM index map between two luminance frames."""
     _validate_pair(a, b)
-    return ssim_map_with(prepare_reference(a, data_range), b)
+    return ssim_map_with(prepare_reference(a), b)
 
 
-def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean SSIM between two luminance frames (1.0 = identical)."""
-    return float(ssim_map(a, b, data_range).mean())
+    return float(ssim_map(a, b).mean())

@@ -7,7 +7,7 @@ numbers of Table 9 and Fig. 12.
 
 The per-frame loop is a discrete-event process per player: modeled task
 latencies (render, decode, sync) combine with *actual* simulated network
-transfers through Eq. 2, then vsync-quantize into the display interval.
+transfers through Eq. 2; a frame faster than vsync waits for it.
 """
 
 from __future__ import annotations
@@ -231,6 +231,8 @@ class Session:
         self.total_slots = n_players + extra_slots
         if config.churn is not None:
             config.churn.validate_slots(self.total_slots)
+        if config.faults is not None:
+            config.faults.validate_slots(self.total_slots)
         self.trajectories: List[Trajectory] = generate_party(
             world, self.total_slots, config.duration_s, seed=config.seed
         )

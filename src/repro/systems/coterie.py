@@ -61,7 +61,6 @@ class CoterieStrategy(FetchStrategy):
         artifacts: OfflineArtifacts,
         use_cache: bool = True,
         ssim_stride: int = 25,
-        overhear: bool = False,
     ) -> None:
         super().__init__(session)
         config = session.config
@@ -69,7 +68,6 @@ class CoterieStrategy(FetchStrategy):
         n_slots = session.total_slots
         self.artifacts = artifacts
         self.use_cache = use_cache
-        self.overhear = overhear
         self.store = PanoramaStore(
             world,
             config.render_config,
@@ -122,6 +120,19 @@ class CoterieStrategy(FetchStrategy):
             observer.watch_speculation(self.caches, sync_check)
         self.scorer = DisplayScorer(self, ssim_stride) if config.render_frames else None
 
+    def run(self, name: str) -> RunResult:
+        """Play the session to its horizon and summarise it as ``name``."""
+        session = self.session
+        run_clients(session, self)
+        for hook in self.on_finish:
+            hook()
+        return session.finish(
+            name,
+            switch_ssims=self.scorer.switch_ssims if self.scorer is not None else None,
+            decoding=True,
+            cache_enabled=self.use_cache,
+        )
+
     # ------------------------------------------------------------------
     # Shared by the frame, the warm-up and the policies
     # ------------------------------------------------------------------
@@ -144,24 +155,11 @@ class CoterieStrategy(FetchStrategy):
         return stored_frame_digest(self.store.frame_for(grid_point), grid_point)
 
     def admit(self, decision, stored, frame_bytes: int, now_ms: float, player_id: int):
-        """Admit a fetched frame into the player's cache.
-
-        With ``overhear`` — the inter-player variant the paper evaluated
-        and *rejected* (§4.6 Version 5) — every server reply is also
-        mirrored into all other displaying players' caches.
-        """
+        """Admit a fetched frame into the player's cache."""
         digest = self.oracle_digest(decision.grid_point) if self.stamp_digests else 0
-        cached = self.prefetchers[player_id].admit(
+        return self.prefetchers[player_id].admit(
             decision, stored, frame_bytes, now_ms, origin_player=player_id, digest=digest
         )
-        if self.overhear:
-            for other in self.roster():
-                if other != player_id:
-                    self.prefetchers[other].admit(
-                        decision, stored, frame_bytes, now_ms,
-                        origin_player=player_id, digest=digest,
-                    )
-        return cached
 
     def blocking_fetch(self, player_id: int, decision, stored):
         """Fetch and admit one panorama off the display path (warm-up,
@@ -186,7 +184,7 @@ class CoterieStrategy(FetchStrategy):
         session = self.session
         for hook in self.pre_plan:
             hook(player_id, t0, sample)
-        decision = self.prefetchers[player_id].plan(sample.position, sample.heading, t0)
+        decision = self.prefetchers[player_id].plan(sample.position, t0)
         for hook in self.post_plan:
             decision = hook(player_id, t0, sample, decision)
         out = FrameOutcome()
@@ -249,7 +247,7 @@ class CoterieStrategy(FetchStrategy):
             if not supervisor.poll(player_id):
                 return None  # crashed / left / evicted mid-handshake
             sample = session.position_at(player_id, sim.now + lookahead_ms)
-            decision = prefetcher.plan(sample.position, sample.heading, sim.now)
+            decision = prefetcher.plan(sample.position, sim.now)
             lookahead_ms += 200.0
             if decision.needs_fetch:  # else: trajectory start revisits a cached point
                 stored = self.store.frame_for(decision.grid_point)
@@ -288,33 +286,14 @@ def run_coterie(
     artifacts: OfflineArtifacts,
     use_cache: bool = True,
     ssim_stride: int = 25,
-    overhear: bool = False,
 ) -> RunResult:
     """Simulate N Coterie players sharing one WiFi link.
 
     ``use_cache`` False gives Fig. 11's "Coterie w/o cache" variant: far-BE
     frames are still smaller than whole-BE frames, but every interval
     fetches from the server.
-
-    ``overhear`` enables the inter-player variant the paper evaluated and
-    *rejected* (§4.6 Version 5): every server reply is overheard and
-    admitted into all players' caches.  Kept as an extension so the
-    "adds almost nothing over self-reuse" conclusion is testable at the
-    full-system level.
     """
     if ssim_stride < 1:
         raise ValueError("ssim_stride must be >= 1")
-    session = Session(world, n_players, config)
-    strategy = CoterieStrategy(session, artifacts, use_cache, ssim_stride, overhear)
-    run_clients(session, strategy)
-    for hook in strategy.on_finish:
-        hook()
-    name = "coterie" if use_cache else "coterie_nocache"
-    if overhear:
-        name = "coterie_overhear"
-    return session.finish(
-        name,
-        switch_ssims=strategy.scorer.switch_ssims if strategy.scorer is not None else None,
-        decoding=True,
-        cache_enabled=use_cache,
-    )
+    strategy = CoterieStrategy(Session(world, n_players, config), artifacts, use_cache, ssim_stride)
+    return strategy.run("coterie" if use_cache else "coterie_nocache")

@@ -69,14 +69,12 @@ def run_system(
     game: str,
     n_players: int,
     config: Optional[SessionConfig] = None,
-    artifacts: Optional[OfflineArtifacts] = None,
-    scale: float = 1.0,
 ) -> RunResult:
     """Run one (system, game, player-count) experiment end to end."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
     config = config if config is not None else SessionConfig()
-    world = load_game(game, scale=scale)
+    world = load_game(game)
     if system == "mobile":
         return run_mobile(world, n_players, config)
     if system == "thin_client":
@@ -85,8 +83,7 @@ def run_system(
         return run_multi_furion(world, n_players, config, exact_cache=False)
     if system == "multi_furion_cache":
         return run_multi_furion(world, n_players, config, exact_cache=True)
-    if artifacts is None:
-        artifacts = prepare_artifacts(world, config)
+    artifacts = prepare_artifacts(world, config)
     if system == "coterie":
         return run_coterie(world, n_players, config, artifacts, use_cache=True)
     return run_coterie(world, n_players, config, artifacts, use_cache=False)

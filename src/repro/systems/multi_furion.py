@@ -16,10 +16,7 @@ Version 1).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.cache import CachedFrame, FrameCache
-from ..core.preprocess import FrameSizeModel
 from ..world.games import GameWorld
 from .base import RunResult, Session, SessionConfig
 from .loop import FrameOutcome, run_clients
@@ -31,10 +28,8 @@ _WHOLE_LEAF = (0.0, 0.0, 0.0, 0.0)  # whole-BE frames have no leaf regions
 class MultiFurionStrategy(WholeFrameStrategy):
     """Fetch the next grid point's whole-BE panorama every interval."""
 
-    def __init__(
-        self, session: Session, size_model: Optional[FrameSizeModel], exact_cache: bool
-    ) -> None:
-        super().__init__(session, size_model, calibration_seed=6)
+    def __init__(self, session: Session, exact_cache: bool) -> None:
+        super().__init__(session, calibration_seed=6)
         self.caches = [
             FrameCache(exact_only=True) if exact_cache else None
             for _ in range(session.total_slots)
@@ -101,10 +96,9 @@ def run_multi_furion(
     n_players: int,
     config: SessionConfig,
     exact_cache: bool = False,
-    size_model: Optional[FrameSizeModel] = None,
 ) -> RunResult:
     """Simulate N players under the replicated Furion architecture."""
     session = Session(world, n_players, config)
-    run_clients(session, MultiFurionStrategy(session, size_model, exact_cache))
+    run_clients(session, MultiFurionStrategy(session, exact_cache))
     name = "multi_furion_cache" if exact_cache else "multi_furion"
     return session.finish(name, decoding=True, cache_enabled=exact_cache)

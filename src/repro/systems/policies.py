@@ -291,7 +291,7 @@ class Speculation:
                     "predict.rollback", player_id, "cache", t0, cat="predict",
                     args={"grid": list(spec_frame.grid_point)},
                 )
-            decision = strategy.prefetchers[player_id].plan(sample.position, sample.heading, t0)
+            decision = strategy.prefetchers[player_id].plan(sample.position, t0)
         return decision
 
     def speculate(self, player_id: int, t0: float, sample, decision, out: FrameOutcome) -> None:
@@ -304,9 +304,7 @@ class Speculation:
         if prediction is None or prediction.confidence_m > MAX_CONFIDENCE_M:
             return
         session = self.session
-        spec_decision = self.strategy.prefetchers[player_id].plan_speculative(
-            prediction.position, prediction.heading, t0
-        )
+        spec_decision = self.strategy.prefetchers[player_id].plan_speculative(prediction.position)
         if spec_decision.cached is not None:
             return
         token = self.spec_pending[player_id] = object()
@@ -431,9 +429,7 @@ class SyncCheck:
         now = session.sim.now
         strategy.caches[player_id].drop_speculative()
         sample = session.position_at(player_id, now)
-        decision = strategy.prefetchers[player_id].plan_speculative(
-            sample.position, sample.heading, now
-        )
+        decision = strategy.prefetchers[player_id].plan_speculative(sample.position)
         stored = strategy.store.frame_for(decision.grid_point)
         if session.tracer is not None:
             session.tracer.instant(

@@ -10,10 +10,7 @@ contention (Table 1's 52-64 ms at 2 players).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..codec import FOUR_K_PIXELS
-from ..core.preprocess import FrameSizeModel
 from ..render import GTX1080TI, RenderCostModel
 from ..world.games import GameWorld
 from .base import RunResult, Session, SessionConfig
@@ -30,8 +27,8 @@ SERVER_SCHEDULING_MS = 14.0
 class ThinClientStrategy(WholeFrameStrategy):
     """Fetch the fully rendered frame as one sequential stream."""
 
-    def __init__(self, session: Session, size_model: Optional[FrameSizeModel]) -> None:
-        super().__init__(session, size_model, calibration_seed=5)
+    def __init__(self, session: Session) -> None:
+        super().__init__(session, calibration_seed=5)
         self.server_model = RenderCostModel(GTX1080TI)
 
     def frame(self, player_id: int, t0: float, sample):
@@ -89,9 +86,8 @@ def run_thin_client(
     world: GameWorld,
     n_players: int,
     config: SessionConfig,
-    size_model: Optional[FrameSizeModel] = None,
 ) -> RunResult:
     """Simulate N players on the remote-rendering baseline."""
     session = Session(world, n_players, config)
-    run_clients(session, ThinClientStrategy(session, size_model))
+    run_clients(session, ThinClientStrategy(session))
     return session.finish("thin_client", decoding=True)

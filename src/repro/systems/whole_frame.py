@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.preprocess import FrameSizeModel, calibrate_size_model
+from ..core.preprocess import calibrate_size_model
 from .base import Session
 from .loop import FetchStrategy
 
@@ -20,25 +20,21 @@ from .loop import FetchStrategy
 class WholeFrameStrategy(FetchStrategy):
     """Per-interval whole-frame fetches off one frame-size model."""
 
-    def __init__(
-        self, session: Session, size_model: Optional[FrameSizeModel], calibration_seed: int
-    ) -> None:
+    def __init__(self, session: Session, calibration_seed: int) -> None:
         super().__init__(session)
         config = session.config
         world = session.world
-        if size_model is None:
-            size_model = calibrate_size_model(
-                world, config.render_config, session.codec, None, kind="whole",
-                samples=6, seed=config.seed + calibration_seed,
-                eye_height=world.spec.player.eye_height,
-            )
-        self.size_model = size_model
+        self.size_model = calibrate_size_model(
+            world, config.render_config, session.codec, None, kind="whole",
+            samples=6, seed=config.seed + calibration_seed,
+            eye_height=world.spec.player.eye_height,
+        )
         # Closed-loop adaptation (None when config.adapt is off).  Without
         # a far-BE prefetcher there is nothing to throttle: the ladder
         # scales the frame's wire size, and the drop policy re-displays
         # the previous frame when the forecast says a fetch cannot land
         # in time.
-        self.abr = session.init_abr(size_model.mean_bytes)
+        self.abr = session.init_abr(self.size_model.mean_bytes)
         # When each slot's displayed frame last refreshed (None: nothing
         # shown yet this incarnation, so nothing to fall back on).
         self.last_frame_ms: List[Optional[float]] = [None] * session.total_slots

@@ -21,6 +21,13 @@ SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 #: Clear screen + cursor home (ANSI); used only on TTY streams.
 _ANSI_HOME = "\x1b[H\x1b[2J"
 
+#: Sparkline width and the most series one frame lists.
+_WIDTH = 32
+_MAX_ROWS = 24
+
+#: Least wall time between two live redraws, in seconds.
+_MIN_INTERVAL_S = 0.25
+
 
 def sparkline(values: Sequence[float], width: int = 32) -> str:
     """Render the last ``width`` values as a unicode block sparkline.
@@ -51,28 +58,23 @@ def _fmt_value(value: float) -> str:
     return f"{value:.4g}"
 
 
-def render_dashboard(
-    hub,
-    slo_results: Optional[Sequence] = None,
-    width: int = 32,
-    max_rows: int = 24,
-) -> str:
+def render_dashboard(hub, slo_results: Optional[Sequence] = None) -> str:
     """One dashboard frame: per-series sparklines plus SLO status lines."""
     lines: List[str] = []
     names = sorted(hub.series)
-    shown = names[:max_rows]
+    shown = names[:_MAX_ROWS]
     for name in shown:
         ring = hub.series[name]
         values = [v for _, v in ring]
         last = values[-1] if values else 0.0
         lines.append(
-            f"{name:<44.44} {sparkline(values, width):<{width}} "
+            f"{name:<44.44} {sparkline(values, _WIDTH):<{_WIDTH}} "
             f"{_fmt_value(last):>10}"
         )
     if len(names) > len(shown):
         lines.append(f"... +{len(names) - len(shown)} more series")
     if slo_results:
-        lines.append("-" * (44 + width + 12))
+        lines.append("-" * (44 + _WIDTH + 12))
         for result in slo_results:
             spec = result.spec
             if result.attainment is None:
@@ -91,27 +93,18 @@ class LiveDashboard:
     """Streams dashboard frames to a terminal while a run progresses.
 
     Attach with :meth:`attach` before the run; each hub sample boundary
-    triggers a redraw, throttled to ``min_interval_s`` of *wall* time so
-    fast sims do not spam the terminal.  ``final()`` always renders one
-    last frame (with SLO results, when an engine is provided).
+    triggers a redraw to standard output, throttled to a quarter second
+    of *wall* time so fast sims do not spam the terminal.  ``final()``
+    always renders one last frame (with SLO results, when an engine is
+    provided).
     """
 
-    def __init__(
-        self,
-        hub,
-        engine=None,
-        stream: Optional[IO[str]] = None,
-        min_interval_s: float = 0.25,
-        ansi: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, hub, engine=None) -> None:
         self.hub = hub
         self.engine = engine
-        self.stream = stream if stream is not None else sys.stdout
-        self.min_interval_s = min_interval_s
-        if ansi is None:
-            isatty = getattr(self.stream, "isatty", None)
-            ansi = bool(isatty()) if callable(isatty) else False
-        self.ansi = ansi
+        self.stream: IO[str] = sys.stdout
+        isatty = getattr(self.stream, "isatty", None)
+        self.ansi = bool(isatty()) if callable(isatty) else False
         self._last_draw = float("-inf")
         self.frames_drawn = 0
 
@@ -121,7 +114,7 @@ class LiveDashboard:
 
     def _on_sample(self, t_ms: float) -> None:
         now = time.monotonic()
-        if now - self._last_draw < self.min_interval_s:
+        if now - self._last_draw < _MIN_INTERVAL_S:
             return
         self._last_draw = now
         self._draw(t_ms, slo_results=None)
@@ -135,9 +128,10 @@ class LiveDashboard:
         self.stream.flush()
         self.frames_drawn += 1
 
-    def final(self, t_ms: float, slo_results: Optional[Sequence] = None):
+    def final(self, t_ms: float):
         """Render the closing frame (never throttled)."""
-        if slo_results is None and self.engine is not None:
+        slo_results = None
+        if self.engine is not None:
             slo_results = self.engine.evaluate(self.hub.series)
         self._draw(t_ms, slo_results)
         return slo_results

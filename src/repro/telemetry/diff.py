@@ -77,13 +77,12 @@ DEFAULT_DIFF_RULES: Tuple[DiffRule, ...] = (
 )
 
 
-def rule_for(
-    name: str, rules: Sequence[DiffRule] = DEFAULT_DIFF_RULES
-) -> Optional[DiffRule]:
-    """Longest-prefix rule match on the series' base name, or None."""
+def rule_for(name: str) -> Optional[DiffRule]:
+    """Longest-prefix :data:`DEFAULT_DIFF_RULES` match on the series' base
+    name, or None."""
     base, _ = split_name(name)
     best: Optional[DiffRule] = None
-    for rule in rules:
+    for rule in DEFAULT_DIFF_RULES:
         if base.startswith(rule.prefix):
             if best is None or len(rule.prefix) > len(best.prefix):
                 best = rule
@@ -162,11 +161,7 @@ def _compare_series(
     )
 
 
-def diff_dumps(
-    a: MetricsDump,
-    b: MetricsDump,
-    rules: Sequence[DiffRule] = DEFAULT_DIFF_RULES,
-) -> List[DiffRow]:
+def diff_dumps(a: MetricsDump, b: MetricsDump) -> List[DiffRow]:
     """Compare two dumps series-by-series; rows sorted by name.
 
     Identical dumps produce zero regressed rows; any asymmetry in the
@@ -175,7 +170,7 @@ def diff_dumps(
     rows: List[DiffRow] = []
     names = sorted(set(a.series) | set(b.series))
     for name in names:
-        rule = rule_for(name, rules)
+        rule = rule_for(name)
         in_a = name in a.series
         in_b = name in b.series
         if not (in_a and in_b):

@@ -29,7 +29,7 @@ Instruments follow the OpenMetrics vocabulary:
 * :class:`Histogram` — fixed upper-bound buckets plus sum and count.
 
 Each instrument is sampled into a ring-buffered ``(t_ms, value)`` series
-(:attr:`MetricsHub.series`) every :attr:`MetricsHub.sample_period_ms` of
+(:attr:`MetricsHub.series`) every :data:`SAMPLE_PERIOD_MS` of
 sim time.  *Probes* registered with :meth:`MetricsHub.register_probe`
 run immediately before each sample so gauges mirroring external state
 (queue depth, cache occupancy) are fresh at every boundary.
@@ -58,13 +58,13 @@ from typing import (
 # files from a different version instead of misparsing them.
 METRICS_SCHEMA_VERSION = 1
 
-#: Default sim-time sampling cadence (10 Hz of simulated time).
-DEFAULT_SAMPLE_PERIOD_MS = 100.0
+#: Sim-time sampling cadence (10 Hz of simulated time).
+SAMPLE_PERIOD_MS = 100.0
 
-#: Ring capacity per series: at the default cadence this holds ~400 s of
+#: Ring capacity per series: at this cadence this holds ~400 s of
 #: simulated time, far beyond any current run horizon; longer runs keep
 #: the most recent window (which is all the SLO engine needs).
-DEFAULT_RING_CAPACITY = 4096
+RING_CAPACITY = 4096
 
 #: Default latency buckets (ms upper bounds) for per-stage histograms;
 #: 16.7 ms is the 60 FPS frame budget.  An implicit +Inf bucket follows.
@@ -220,21 +220,11 @@ class MetricsHub:
     hook.
     """
 
-    def __init__(
-        self,
-        sample_period_ms: float = DEFAULT_SAMPLE_PERIOD_MS,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ) -> None:
-        if sample_period_ms <= 0:
-            raise ValueError("sample_period_ms must be positive")
-        if ring_capacity < 1:
-            raise ValueError("ring_capacity must be >= 1")
-        self.sample_period_ms = sample_period_ms
-        self.ring_capacity = ring_capacity
+    def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
         self.series: Dict[str, Deque[Tuple[float, float]]] = {}
         self._probes: List[Callable[[], None]] = []
-        self._next_sample_ms = sample_period_ms
+        self._next_sample_ms = SAMPLE_PERIOD_MS
         self.samples_taken = 0
         self.on_sample: Optional[Callable[[float], None]] = None
 
@@ -302,7 +292,7 @@ class MetricsHub:
         while self._next_sample_ms <= now_ms:
             t = self._next_sample_ms
             self._sample_at(t)
-            self._next_sample_ms += self.sample_period_ms
+            self._next_sample_ms += SAMPLE_PERIOD_MS
         if self.on_sample is not None:
             self.on_sample(t)
 
@@ -310,14 +300,13 @@ class MetricsHub:
         for probe in self._probes:
             probe()
         series = self.series
-        capacity = self.ring_capacity
         for name, instrument in self._instruments.items():
             value = instrument.sample_value()
             if value is None:
                 continue
             ring = series.get(name)
             if ring is None:
-                ring = series[name] = deque(maxlen=capacity)
+                ring = series[name] = deque(maxlen=RING_CAPACITY)
             ring.append((t_ms, float(value)))
         self.samples_taken += 1
 
@@ -435,7 +424,7 @@ def write_metrics_jsonl(
     header: Dict[str, Any] = {
         "v": METRICS_SCHEMA_VERSION,
         "kind": "meta",
-        "sample_period_ms": hub.sample_period_ms,
+        "sample_period_ms": SAMPLE_PERIOD_MS,
         "samples": hub.samples_taken,
     }
     if meta:

@@ -150,12 +150,10 @@ class SpanTracer:
             Span(KIND_INSTANT, name, cat, player, lane, at_ms, 0.0, args)
         )
 
-    def counter(
-        self, name: str, at_ms: float, value: float, player: int = SESSION_TRACK
-    ) -> None:
-        """Record one sample of a time-varying quantity."""
+    def counter(self, name: str, at_ms: float, value: float) -> None:
+        """Record one session-wide sample of a time-varying quantity."""
         self.records.append(
-            Span(KIND_COUNTER, name, "counter", player, name, at_ms, 0.0,
+            Span(KIND_COUNTER, name, "counter", SESSION_TRACK, name, at_ms, 0.0,
                  {"value": value})
         )
 

@@ -151,7 +151,6 @@ def generate_trajectory(
     seed: int,
     player_index: int = 0,
     leader: Optional[Trajectory] = None,
-    dt_ms: float = FRAME_MS,
     follow_radius: float = 4.0,
 ) -> Trajectory:
     """Generate one player's trajectory for ``duration_s`` of game play.
@@ -159,9 +158,11 @@ def generate_trajectory(
     Racing games use :class:`TrackFollower` (followers start a few metres
     behind the leader on the same track); other games use
     :class:`WaypointRoamer` (followers shadow the leader's position).
+    Samples are one display frame apart.
     """
-    if duration_s <= 0 or dt_ms <= 0:
-        raise ValueError("duration_s and dt_ms must be positive")
+    if duration_s <= 0:
+        raise ValueError("duration_s must be positive")
+    dt_ms = FRAME_MS
     steps = int(round(duration_s * 1000.0 / dt_ms))
     samples: List[TrajectorySample] = []
     if world.track is not None:

@@ -27,6 +27,11 @@ from .objects import SceneObject, make_object
 from .reachability import TrackMask
 from .scene import Scene, TerrainFn
 
+#: Edge of the square cells structures are placed in (m).
+PLACEMENT_CELL_M = 8.0
+#: Most objects one scene holds.
+MAX_OBJECTS = 50_000
+
 
 @dataclass(frozen=True)
 class DensityBlob:
@@ -168,16 +173,14 @@ def generate_scene(
     density: Callable[[Vec2], float],
     mixture: KindMixture,
     seed: int,
-    placement_cell: float = 8.0,
     keep_clear: Optional[Callable[[Vec2], bool]] = None,
-    max_objects: int = 50_000,
     clutter_mixture: Optional[KindMixture] = None,
     clutter_per_m2: float = 0.0,
     clutter_mask: Optional[Callable[[Vec2], bool]] = None,
 ) -> Scene:
     """Generate a scene by filling placement cells up to the density budget.
 
-    Each ``placement_cell`` x ``placement_cell`` square receives *structure*
+    Each :data:`PLACEMENT_CELL_M` square receives *structure*
     objects until their cumulative triangle count reaches the local density
     target.  A second pass scatters light *clutter* objects (grass, props)
     at ``clutter_per_m2`` objects per square metre: these contribute little
@@ -185,27 +188,26 @@ def generate_scene(
     "near-object" effect (§4.2) pervasive rather than occasional.
     ``keep_clear`` marks positions where structures must not be placed
     (e.g. the drivable track surface); ``clutter_mask`` restricts where
-    clutter appears (default: anywhere structures may go).
+    clutter appears (default: anywhere structures may go).  A scene holds
+    at most :data:`MAX_OBJECTS` objects.
     """
-    if placement_cell <= 0:
-        raise ValueError("placement_cell must be positive")
     if clutter_per_m2 < 0:
         raise ValueError("clutter_per_m2 must be non-negative")
     rng = np.random.default_rng(seed)
     objects: List[SceneObject] = []
     next_id = 0
-    cell_area = placement_cell * placement_cell
+    cell_area = PLACEMENT_CELL_M * PLACEMENT_CELL_M
     mean_triangles = mixture.mean_triangles()
 
-    ny = max(1, int(math.ceil(bounds.height / placement_cell)))
-    nx = max(1, int(math.ceil(bounds.width / placement_cell)))
+    ny = max(1, int(math.ceil(bounds.height / PLACEMENT_CELL_M)))
+    nx = max(1, int(math.ceil(bounds.width / PLACEMENT_CELL_M)))
     for j in range(ny):
         row = [
             Rect(
-                bounds.x_min + i * placement_cell,
-                bounds.y_min + j * placement_cell,
-                min(bounds.x_min + (i + 1) * placement_cell, bounds.x_max),
-                min(bounds.y_min + (j + 1) * placement_cell, bounds.y_max),
+                bounds.x_min + i * PLACEMENT_CELL_M,
+                bounds.y_min + j * PLACEMENT_CELL_M,
+                min(bounds.x_min + (i + 1) * PLACEMENT_CELL_M, bounds.x_max),
+                min(bounds.y_min + (j + 1) * PLACEMENT_CELL_M, bounds.y_max),
             )
             for i in range(nx)
         ]
@@ -241,14 +243,14 @@ def generate_scene(
                 objects.append(obj)
                 next_id += 1
                 count -= 1
-                if next_id >= max_objects:
+                if next_id >= MAX_OBJECTS:
                     return Scene(bounds, objects, terrain)
 
     if clutter_per_m2 > 0:
         if clutter_mixture is None:
             raise ValueError("clutter_per_m2 set but no clutter_mixture given")
         clutter_count = min(
-            max_objects - next_id,
+            MAX_OBJECTS - next_id,
             rng.poisson(clutter_per_m2 * bounds.area),
         )
         for position in bounds.sample(rng, max(0, int(clutter_count))):

@@ -44,26 +44,23 @@ class FullAreaMask:
 
 
 class TrackMask:
-    """Reachable band around a closed or open polyline track.
+    """Reachable band around a closed polyline track.
 
     Used by the racing games: the player (car) can occupy points within
     ``half_width`` metres of the track centreline.  Segment arrays and the
     running arc length are computed once here; every query reuses them.
     """
 
-    def __init__(
-        self, waypoints: Sequence[Vec2], half_width: float, closed: bool = True
-    ) -> None:
+    def __init__(self, waypoints: Sequence[Vec2], half_width: float) -> None:
         if len(waypoints) < 2:
             raise ValueError("a track needs at least 2 waypoints")
         if half_width <= 0:
             raise ValueError("half_width must be positive")
         self.waypoints = list(waypoints)
         self.half_width = half_width
-        self.closed = closed
 
         pts = self.waypoints
-        self._segments = list(zip(pts, pts[1:] + pts[:1] if closed else pts[1:]))
+        self._segments = list(zip(pts, pts[1:] + pts[:1]))
         self._ax = np.array([a.x for a, _ in self._segments])
         self._ay = np.array([a.y for a, _ in self._segments])
         self._abx = np.array([b.x - a.x for a, b in self._segments])
@@ -134,20 +131,17 @@ class TrackMask:
         return self._length
 
     def point_at(self, arc: float) -> Vec2:
-        """Point at arc-length ``arc`` along the centreline (wraps if closed)."""
+        """Point at arc-length ``arc`` along the centreline (wraps)."""
         total = self._length
         if total == 0:
             return self.waypoints[0]
-        if self.closed:
-            arc = arc % total
-        else:
-            arc = max(0.0, min(arc, total))
+        arc = arc % total
         # First non-degenerate segment that ends at or beyond ``arc``.
         index = bisect_left(self._arc_ends, arc)
         while index < len(self._segments) and self._seg_lengths[index] == 0:
             index += 1
         if index == len(self._segments):
-            return self.waypoints[0] if self.closed else self.waypoints[-1]
+            return self.waypoints[0]
         a, b = self._segments[index]
         travelled = self._arc_ends[index - 1] if index else 0.0
         return a.lerp(b, (arc - travelled) / self._seg_lengths[index])
@@ -191,10 +185,13 @@ class RoomMask:
         )
 
 
-def oval_track(bounds: Rect, margin: float, waypoint_count: int = 32) -> List[Vec2]:
-    """Waypoints of an oval racing track inscribed in the world bounds."""
-    if waypoint_count < 3:
-        raise ValueError("waypoint_count must be >= 3")
+#: Waypoints on an :func:`oval_track`.
+OVAL_WAYPOINTS = 32
+
+
+def oval_track(bounds: Rect, margin: float) -> List[Vec2]:
+    """The :data:`OVAL_WAYPOINTS` waypoints of an oval racing track
+    inscribed in the world bounds."""
     cx, cy = bounds.center.x, bounds.center.y
     rx = bounds.width / 2 - margin
     ry = bounds.height / 2 - margin
@@ -202,8 +199,8 @@ def oval_track(bounds: Rect, margin: float, waypoint_count: int = 32) -> List[Ve
         raise ValueError("margin too large for bounds")
     return [
         Vec2(
-            cx + rx * math.cos(2 * math.pi * k / waypoint_count),
-            cy + ry * math.sin(2 * math.pi * k / waypoint_count),
+            cx + rx * math.cos(2 * math.pi * k / OVAL_WAYPOINTS),
+            cy + ry * math.sin(2 * math.pi * k / OVAL_WAYPOINTS),
         )
-        for k in range(waypoint_count)
+        for k in range(OVAL_WAYPOINTS)
     ]

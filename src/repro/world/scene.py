@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
@@ -196,28 +196,13 @@ class Scene:
     # Near / far BE split
     # ------------------------------------------------------------------
 
-    def partition(
-        self,
-        viewpoint: Vec2,
-        cutoff_radius: float,
-        view_limit: Optional[float] = None,
-    ) -> BePartition:
-        """Split objects into near BE and far BE around a viewpoint.
-
-        ``view_limit`` bounds the far set (server render distance); ``None``
-        includes every object in the scene beyond the cutoff.
-        """
+    def partition(self, viewpoint: Vec2, cutoff_radius: float) -> BePartition:
+        """Split every object into near BE and far BE around a viewpoint."""
         if cutoff_radius < 0:
             raise ValueError("cutoff_radius must be non-negative")
         near = []
         far = []
-        if view_limit is None:
-            candidates: Iterable[SceneObject] = self._objects
-        else:
-            if view_limit < cutoff_radius:
-                raise ValueError("view_limit must be >= cutoff_radius")
-            candidates = self.objects_within(viewpoint, view_limit)
-        for obj in candidates:
+        for obj in self._objects:
             if obj.ground_distance_to(viewpoint) <= cutoff_radius:
                 near.append(obj)
             else:

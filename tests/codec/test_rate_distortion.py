@@ -1,12 +1,11 @@
 """Rate-distortion behaviour of the frame codec.
 
 The network model's realism rests on the codec behaving like a video
-coder: rate falls monotonically with CRF, distortion rises; P-frames track
-content change; long P-chains do not diverge.
+coder: rate falls monotonically with CRF, distortion rises, and rate
+tracks content energy.
 """
 
 import numpy as np
-import pytest
 
 from repro.codec import FrameCodec
 from repro.similarity import ssim
@@ -50,34 +49,3 @@ class TestRateDistortion:
         )
         sizes = [codec.encode(f).luma_bytes for f in (flat, mild, busy)]
         assert sizes[0] < sizes[1] < sizes[2]
-
-
-class TestPFrameChains:
-    def test_static_chain_is_cheap(self):
-        codec = FrameCodec()
-        frame = scene_like_frame(5)
-        reference = codec.decode(codec.encode(frame))
-        p = codec.encode(frame, reference=reference)
-        i = codec.encode(frame)
-        assert p.luma_bytes < i.luma_bytes / 3
-
-    def test_long_chain_does_not_drift(self):
-        """30 P-frames of slowly changing content stay faithful."""
-        codec = FrameCodec()
-        frame = scene_like_frame(6)
-        reference = codec.decode(codec.encode(frame))
-        current = frame
-        for step in range(30):
-            current = np.clip(current + 0.003, 0, 1).astype(np.float32)
-            encoded = codec.encode(current, reference=reference)
-            reference = codec.decode(encoded, reference=reference)
-        assert ssim(current, reference) > 0.85
-
-    def test_scene_cut_makes_p_frame_expensive(self):
-        codec = FrameCodec()
-        a = scene_like_frame(7)
-        b = scene_like_frame(8)  # unrelated content
-        ref = codec.decode(codec.encode(a))
-        p_cut = codec.encode(b, reference=ref)
-        p_same = codec.encode(a, reference=ref)
-        assert p_cut.luma_bytes > 3 * p_same.luma_bytes

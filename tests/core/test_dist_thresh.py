@@ -60,8 +60,6 @@ class TestMeasureDistThresh:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             measure_dist_thresh(scene, CFG, Vec2(0, 0), -1.0, rng)
-        with pytest.raises(ValueError):
-            measure_dist_thresh(scene, CFG, Vec2(0, 0), 1.0, rng, resolution_m=0)
 
 
 class TestDistThreshMap:

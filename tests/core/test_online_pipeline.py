@@ -95,7 +95,7 @@ class TestComposeDisplayInto:
         far, near = textured_frame(3), layer(4)
         out = np.empty(SHAPE, dtype=np.float32)
         np.testing.assert_array_equal(
-            compose_display_into(out, far, near),
+            compose_display_into(out, far, near, None),
             compose_display(far, near),
         )
 
@@ -103,9 +103,9 @@ class TestComposeDisplayInto:
         far, near = textured_frame(5), layer(6)
         with pytest.raises(ValueError):
             compose_display_into(
-                np.empty(SHAPE, dtype=np.float64), far, near
+                np.empty(SHAPE, dtype=np.float64), far, near, None
             )
         with pytest.raises(ValueError):
             compose_display_into(
-                np.empty((8, 8), dtype=np.float32), far, near
+                np.empty((8, 8), dtype=np.float32), far, near, None
             )

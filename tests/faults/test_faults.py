@@ -71,6 +71,24 @@ class TestParse:
         (dip,) = schedule.dips()
         assert dip.capacity_factor == 0.5
 
+    @pytest.mark.parametrize("spec", [
+        "outage@1-2:3", "teleport@5:3", "specstorm@1-2:3", "speccorrupt@1-2:3",
+        "desync@5:3",
+    ])
+    def test_validate_slots(self, spec):
+        schedule = FaultSchedule.parse(f"outage@1-2:all,{spec}")
+        with pytest.raises(ValueError, match="player 3 but the session only has slots 0..2"):
+            schedule.validate_slots(3)
+        schedule.validate_slots(4)
+
+    def test_session_rejects_a_player_outside_its_slots(self):
+        from repro.systems import Session, SessionConfig
+        from repro.world import load_game
+
+        config = SessionConfig(duration_s=0.2, faults=FaultSchedule.parse("outage@1-2:2"))
+        with pytest.raises(ValueError, match="references player 2"):
+            Session(load_game("pool"), 2, config)
+
     def test_empty_entries_skipped(self):
         assert not FaultSchedule.parse("")
         assert len(FaultSchedule.parse("stall@0-100, ,").stalls) == 1

@@ -11,6 +11,7 @@ from repro.fleet import (
     generate_arrivals,
     poisson_arrivals,
 )
+from repro.fleet.arrivals import SURGE_PLAYERS
 
 
 class TestPlayerArrival:
@@ -80,7 +81,7 @@ class TestGenerators:
         assert len(fast) > len(slow)
 
     def test_diurnal_trough_thinner_than_peak(self):
-        trace = diurnal_arrivals(8.0, 60.0, seed=3, floor=0.1)
+        trace = diurnal_arrivals(8.0, 60.0, seed=3)
         # One wave over the horizon: the peak sits mid-trace, the
         # troughs at the edges.  Compare arrival counts in the middle
         # third against the outer thirds.
@@ -91,12 +92,9 @@ class TestGenerators:
         assert middle > edges
 
     def test_flash_surge_lands_in_window(self):
-        trace = flash_crowd_arrivals(
-            0.2, 20.0, seed=3, surge_players=40,
-            surge_at_frac=0.5, surge_width_s=1.0,
-        )
-        in_window = sum(1 for a in trace if 10_000.0 <= a.t_ms <= 11_000.0)
-        assert in_window >= 40
+        trace = flash_crowd_arrivals(0.2, 20.0, seed=3)
+        in_window = sum(1 for a in trace if 8_000.0 <= a.t_ms <= 10_000.0)
+        assert in_window >= SURGE_PLAYERS
 
     def test_multi_game_assignment(self):
         trace = poisson_arrivals(5.0, 20.0, seed=4,

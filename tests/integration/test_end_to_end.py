@@ -64,7 +64,7 @@ class TestOfflineOnlineConsistency:
         trajectory = generate_trajectory(world, duration_s=5, seed=4)
         scores = []
         for sample in trajectory.samples[::5]:
-            decision = prefetcher.plan(sample.position, sample.heading, sample.t_ms)
+            decision = prefetcher.plan(sample.position, sample.t_ms)
             if decision.needs_fetch:
                 stored = store.frame_for(decision.grid_point)
                 cached = prefetcher.admit(
@@ -98,7 +98,7 @@ class TestOfflineOnlineConsistency:
         trajectory = generate_trajectory(world, duration_s=5, seed=6)
         shown = []
         for sample in trajectory.samples[::3]:
-            decision = prefetcher.plan(sample.position, sample.heading, sample.t_ms)
+            decision = prefetcher.plan(sample.position, sample.t_ms)
             if decision.needs_fetch:
                 stored = store.frame_for(decision.grid_point)
                 cached = prefetcher.admit(
@@ -149,9 +149,7 @@ class TestDeterminism:
             )
             trajectory = generate_trajectory(world, duration_s=4, seed=8)
             for sample in trajectory.samples:
-                decision = prefetcher.plan(
-                    sample.position, sample.heading, sample.t_ms
-                )
+                decision = prefetcher.plan(sample.position, sample.t_ms)
                 if decision.needs_fetch:
                     prefetcher.admit(decision, None, 1000, sample.t_ms)
             return cache.stats.hits, cache.stats.misses

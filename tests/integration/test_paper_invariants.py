@@ -144,14 +144,6 @@ class TestPipelineLaws:
         # Display interval never beats the refresh rate.
         assert frame_interval_ms(t) >= 1000.0 / 60.0 - 1e-9
 
-    @settings(max_examples=20)
-    @given(st.floats(min_value=17.0, max_value=100.0))
-    def test_quantized_interval_is_beat_multiple(self, prefetch):
-        t = PipelineTimings(1, 1, 1, prefetch, 1, 1)
-        interval = frame_interval_ms(t, quantize=True)
-        beats = interval / (1000.0 / 60.0)
-        assert abs(beats - round(beats)) < 1e-9
-
 
 class TestNetworkLaws:
     @settings(max_examples=10, deadline=None)

@@ -282,12 +282,8 @@ class TestResourceTimeline:
 
     def test_extreme_load_throttles(self):
         from repro.metrics import build_timeline
-        from repro.metrics import PowerModel
 
-        timeline = build_timeline(
-            cpu=1.0, gpu=1.0, net_mbps=400.0,
-            power_model=PowerModel(gpu_w=4.0),
-        )
+        timeline = build_timeline(cpu=1.0, gpu=1.0, net_mbps=400.0)
         assert timeline.peak_temperature_c >= PIXEL2_THERMAL_LIMIT_C
 
     def test_validation(self):

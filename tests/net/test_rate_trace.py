@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.net import ImpairmentConfig, RateTrace, TRACE_PROFILES
-from repro.net.impairment import DipEpisode, LinkImpairment
+from repro.net.impairment import CELLULAR_FLOOR, DipEpisode, LinkImpairment
 
 
 class TestSampling:
@@ -75,8 +75,8 @@ class TestGenerators:
         assert a.segments != b.segments
 
     def test_cellular_respects_floor(self):
-        trace = RateTrace.cellular(seed=5, duration_ms=60_000.0, floor=0.2)
-        assert all(f >= 0.2 for _, f in trace.segments)
+        trace = RateTrace.cellular(seed=5, duration_ms=60_000.0)
+        assert min(f for _, f in trace.segments) == CELLULAR_FLOOR
 
     def test_bufferbloat_reaches_trough_then_recovers(self):
         trace = RateTrace.bufferbloat(duration_ms=10_000.0)
@@ -90,8 +90,7 @@ class TestGenerators:
         assert trace.factor_at(9_999.0) > 0.9
 
     def test_contention_square_wave(self):
-        trace = RateTrace.contention(duration_ms=8000.0, period_ms=2000.0,
-                                     duty=0.5, low=0.25)
+        trace = RateTrace.contention(duration_ms=8000.0)
         # Nominal first half of each period, contended second half.
         assert trace.factor_at(100.0) == 1.0
         assert trace.factor_at(1500.0) == 0.25
@@ -140,7 +139,10 @@ class TestFromFile:
 
     def test_invalid_segments_report_path(self, tmp_path):
         path = self.write(tmp_path, "0 1.0\n0 0.5\n")
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="line 2: .*strictly increasing"):
+            RateTrace.from_file(path)
+        path = self.write(tmp_path, "0 1.0\n50 0.5\n20 0.7\n")
+        with pytest.raises(ValueError, match="line 3: .*strictly increasing"):
             RateTrace.from_file(path)
 
     def test_missing_file_rejected(self, tmp_path):

@@ -99,16 +99,14 @@ class TestFractalNoise:
 
 class TestFrameHelpers:
     def test_new_frame(self):
-        f = new_frame(8, 4, fill=0.5)
+        f = new_frame(8, 4)
         assert f.shape == (4, 8)
         assert f.dtype == np.float32
-        assert np.all(f == 0.5)
+        assert np.all(f == 0.0)
 
     def test_new_frame_invalid(self):
         with pytest.raises(ValueError):
             new_frame(0, 4)
-        with pytest.raises(ValueError):
-            new_frame(4, 4, fill=2.0)
 
     def test_clip_frame(self):
         f = np.array([[-1.0, 0.5, 2.0]], dtype=np.float32)

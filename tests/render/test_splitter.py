@@ -132,9 +132,8 @@ class TestFiAndDisplay:
         assert ssim(displayed, reference) > 0.9
 
     def test_display_frame_fresh_far_matches_reference(self, scene):
-        avatar = obj(99, 102.0, 101.0, radius=0.5, luminance=0.9)
-        displayed = render_display_frame(scene, EYE, CFG, 10.0, avatars=[avatar])
-        reference = reference_frame(scene, EYE, CFG, avatars=[avatar])
+        displayed = render_display_frame(scene, EYE, CFG, 10.0)
+        reference = reference_frame(scene, EYE, CFG)
         assert ssim(displayed, reference) > 0.98
 
     def test_reference_frame_deterministic(self, scene):

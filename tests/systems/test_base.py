@@ -3,7 +3,9 @@
 import pytest
 
 from repro.metrics import FrameRecord, MetricsCollector
-from repro.systems import PlayerResult, RunResult, Session, SessionConfig, run_system
+from repro.systems import (
+    PlayerResult, RunResult, Session, SessionConfig, run_mobile, run_system,
+)
 from repro.systems.base import SENSOR_SCANOUT_MS
 from repro.world import load_game
 
@@ -111,9 +113,7 @@ class TestSession:
 
 class TestRunSystemScale:
     def test_scaled_world_runs(self):
-        result = run_system(
-            "mobile", "viking", 1, SessionConfig(duration_s=2.0, seed=1),
-            scale=0.25,
-        )
+        world = load_game("viking", scale=0.25)
+        result = run_mobile(world, 1, SessionConfig(duration_s=2.0, seed=1))
         assert result.game == "viking"
         assert result.players[0].metrics.frames > 10

@@ -25,6 +25,8 @@ the rows it prints over ``GOLDEN_ROWS``::
 import dataclasses
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,9 @@ from repro.systems import (
 )
 from repro.telemetry import MetricsHub, SpanTracer, write_metrics_jsonl
 from repro.world import load_game
+
+sys.path.insert(0, str(Path(__file__).parents[2] / "benchmarks"))
+from bench_ablation_overhearing import run_overhearing  # noqa: E402
 
 GAME = "viking"
 SEED = 1
@@ -88,7 +93,9 @@ RUNNERS = {
     "multi_furion_cache": _multi_furion(exact_cache=True),
     "coterie": _coterie(),
     "coterie_nocache": _coterie(use_cache=False),
-    "coterie_overhear": _coterie(overhear=True),
+    "coterie_overhear": lambda world, n_players, config: run_overhearing(
+        world, n_players, config, prepare_artifacts(world, config)
+    ),
     "coterie_stride5": _coterie(ssim_stride=5),
 }
 NETWORKED = ("coterie", "multi_furion", "thin_client")

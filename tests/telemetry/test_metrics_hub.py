@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.telemetry.metrics import RING_CAPACITY, SAMPLE_PERIOD_MS
 from repro.telemetry import (
     DEFAULT_BURN_RULES,
     HIGH_BAD,
@@ -84,7 +85,7 @@ class TestInstruments:
 
 class TestSampling:
     def test_boundaries_stamped_retroactively(self):
-        hub = MetricsHub(sample_period_ms=100.0)
+        hub = MetricsHub()
         hub.counter("frames_total").inc()
         # One call far past several boundaries stamps every boundary.
         hub.maybe_sample(350.0)
@@ -99,7 +100,7 @@ class TestSampling:
         assert "displayed_ssim" not in hub.series
 
     def test_probes_run_before_each_boundary(self):
-        hub = MetricsHub(sample_period_ms=100.0)
+        hub = MetricsHub()
         g = hub.gauge("depth")
         seen = []
         hub.register_probe(lambda: (g.set(42.0), seen.append(1)))
@@ -108,13 +109,15 @@ class TestSampling:
         assert list(hub.series["depth"]) == [(100.0, 42.0), (200.0, 42.0)]
 
     def test_ring_capacity_bounds_memory(self):
-        hub = MetricsHub(sample_period_ms=1.0, ring_capacity=8)
+        hub = MetricsHub()
         hub.counter("c_total").inc()
-        hub.maybe_sample(100.0)
-        assert len(hub.series["c_total"]) == 8
+        hub.maybe_sample(SAMPLE_PERIOD_MS * (RING_CAPACITY + 8))
+        ring = hub.series["c_total"]
+        assert len(ring) == RING_CAPACITY
+        assert ring[0][0] == SAMPLE_PERIOD_MS * 9
 
     def test_on_sample_callback_sees_last_boundary(self):
-        hub = MetricsHub(sample_period_ms=100.0)
+        hub = MetricsHub()
         hub.counter("c_total").inc()
         stamps = []
         hub.on_sample = stamps.append
@@ -238,7 +241,7 @@ class TestOpenMetrics:
 
 class TestJsonlDump:
     def _hub(self):
-        hub = MetricsHub(sample_period_ms=100.0)
+        hub = MetricsHub()
         hub.counter("frames_total").inc(5.0)
         hub.gauge("depth").set(1.5)
         hub.histogram("lat_ms", edges=(1.0,)).observe(0.5)
@@ -295,7 +298,7 @@ class TestDashboard:
             sparkline([1.0], width=0)
 
     def test_render_dashboard_lists_series_and_slos(self):
-        hub = MetricsHub(sample_period_ms=100.0)
+        hub = MetricsHub()
         hub.counter("frames_total").inc()
         hub.maybe_sample(300.0)
         results = SloEngine([_ratio_spec()]).evaluate(
@@ -307,7 +310,7 @@ class TestDashboard:
 
 
 def _dump(tmp_path, name, series, types=None):
-    hub = MetricsHub(sample_period_ms=100.0)
+    hub = MetricsHub()
     path = tmp_path / name
     records = [{"v": 1, "kind": "meta", "sample_period_ms": 100.0}]
     for sname, samples in series.items():

@@ -13,6 +13,7 @@ from repro.faults import FaultSchedule
 from repro.net import ImpairmentConfig, RateTrace
 from repro.systems import SessionConfig, prepare_artifacts, run_coterie
 from repro.telemetry import MetricsHub, SloEngine
+from repro.telemetry.metrics import SAMPLE_PERIOD_MS
 from repro.world import load_game
 
 DURATION_S = 2.0
@@ -86,7 +87,7 @@ class TestInstrumentationCoverage:
         return hub
 
     def test_samples_land_on_period_boundaries(self, hub):
-        period = hub.sample_period_ms
+        period = SAMPLE_PERIOD_MS
         for name, ring in hub.series.items():
             for t, _ in ring:
                 assert t % period == pytest.approx(0.0), (name, t)

@@ -164,6 +164,33 @@ class TestChurnCommands:
         with pytest.raises(Reached):
             main(["run", "coterie", "pool", "2", "--churn", "join@100,leave@200:2"])
 
+    def test_fault_player_outside_session_exits_2_before_running(self, capsys,
+                                                                  monkeypatch):
+        def reached(*_args, **_kwargs):
+            raise AssertionError("started work on an out-of-range fault player")
+
+        monkeypatch.setattr("repro.cli.run_system", reached)
+        assert main(["run", "coterie", "racing", "2", "--duration", "0.3",
+                     "--faults", "outage@1-2:99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "invalid --faults spec: fault schedule references player 99 but "
+            "the session only has slots 0..1"
+        ]
+        assert captured.out == ""
+
+    def test_fault_player_of_a_joiner_is_accepted(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*_args, **_kwargs):
+            raise Reached
+
+        monkeypatch.setattr("repro.cli.run_system", reached)
+        with pytest.raises(Reached):
+            main(["run", "coterie", "pool", "2", "--churn", "join@100",
+                  "--faults", "desync@200:2"])
+
     def test_churn_on_mobile_is_an_error(self, capsys):
         assert main(["run", "mobile", "pool", "1", "--duration", "2",
                      "--churn", "join@100"]) == 2

@@ -23,6 +23,7 @@ from repro.world import (
     load_game,
     oval_track,
 )
+from repro.world import generator
 
 COORDS = st.floats(-100.0, 300.0)
 BLOBS = st.builds(
@@ -175,23 +176,18 @@ class TestGenerateScene:
                 clutter_per_m2=0.1,
             )
 
-    def test_max_objects_cap(self):
+    def test_max_objects_cap(self, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_OBJECTS", 50)
         scene = generate_scene(
             Rect(0, 0, 60, 60),
             FlatTerrain(),
             lambda p: 5000.0,
             self._mixture(),
             seed=6,
-            max_objects=50,
         )
         assert len(scene) == 50
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            generate_scene(
-                Rect(0, 0, 10, 10), FlatTerrain(), lambda p: 1.0,
-                self._mixture(), seed=0, placement_cell=0,
-            )
         with pytest.raises(ValueError):
             generate_scene(
                 Rect(0, 0, 10, 10), FlatTerrain(), lambda p: 1.0,

@@ -3,7 +3,7 @@
 The reference functions below are the scalar code ``TrackMask`` ran before
 its segments became arrays.  Everything that leaves a mask — distances,
 membership booleans, arc-length points and headings — must equal them
-exactly, on open and closed polylines, with duplicate consecutive waypoints
+exactly, on closed polylines, with duplicate consecutive waypoints
 (zero-length segments) and with points on the edge of the band.
 """
 
@@ -22,16 +22,15 @@ from repro.geometry import Rect, Vec2, WorldGrid
 from repro.world import FullAreaMask, RoomMask, TrackMask
 
 
-def reference_segments(waypoints, closed):
+def reference_segments(waypoints):
     segs = list(zip(waypoints, waypoints[1:]))
-    if closed:
-        segs.append((waypoints[-1], waypoints[0]))
+    segs.append((waypoints[-1], waypoints[0]))
     return segs
 
 
-def reference_distance(waypoints, closed, point):
+def reference_distance(waypoints, point):
     best = math.inf
-    for a, b in reference_segments(waypoints, closed):
+    for a, b in reference_segments(waypoints):
         ab = b - a
         ab_len_sq = ab.norm_sq()
         if ab_len_sq == 0:
@@ -44,31 +43,28 @@ def reference_distance(waypoints, closed, point):
     return best
 
 
-def reference_length(waypoints, closed):
-    return sum(a.distance_to(b) for a, b in reference_segments(waypoints, closed))
+def reference_length(waypoints):
+    return sum(a.distance_to(b) for a, b in reference_segments(waypoints))
 
 
-def reference_point_at(waypoints, closed, arc):
-    total = reference_length(waypoints, closed)
+def reference_point_at(waypoints, arc):
+    total = reference_length(waypoints)
     if total == 0:
         return waypoints[0]
-    if closed:
-        arc = arc % total
-    else:
-        arc = max(0.0, min(arc, total))
+    arc = arc % total
     travelled = 0.0
-    for a, b in reference_segments(waypoints, closed):
+    for a, b in reference_segments(waypoints):
         seg_len = a.distance_to(b)
         if travelled + seg_len >= arc and seg_len > 0:
             return a.lerp(b, (arc - travelled) / seg_len)
         travelled += seg_len
-    return waypoints[0] if closed else waypoints[-1]
+    return waypoints[0]
 
 
-def reference_heading_at(waypoints, closed, arc):
-    eps = max(0.5, reference_length(waypoints, closed) * 1e-4)
-    d = reference_point_at(waypoints, closed, arc + eps) - reference_point_at(
-        waypoints, closed, arc
+def reference_heading_at(waypoints, arc):
+    eps = max(0.5, reference_length(waypoints) * 1e-4)
+    d = reference_point_at(waypoints, arc + eps) - reference_point_at(
+        waypoints, arc
     )
     if d.norm() == 0:
         return 0.0
@@ -88,22 +84,21 @@ def polylines(draw):
     waypoints = draw(st.lists(st.one_of(lattice_vec, vec), min_size=2, max_size=7))
     for index in draw(st.lists(st.integers(0, len(waypoints) - 1), max_size=2)):
         waypoints.insert(index, waypoints[index])  # a zero-length segment
-    return waypoints, draw(st.booleans())
+    return waypoints
 
 
 half_widths = st.sampled_from([0.5, 1.0, 2.0, 2.5, 0.1 + 0.2])
 
 
-@given(track=polylines(), half_width=half_widths, points=st.lists(vec, min_size=1, max_size=25))
+@given(waypoints=polylines(), half_width=half_widths, points=st.lists(vec, min_size=1, max_size=25))
 @settings(max_examples=300, deadline=None)
-def test_track_distance_and_membership_match_scalar_reference(track, half_width, points):
-    waypoints, closed = track
+def test_track_distance_and_membership_match_scalar_reference(waypoints, half_width, points):
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])
-    expected = [reference_distance(waypoints, closed, p) for p in points]
+    expected = [reference_distance(waypoints, p) for p in points]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 on zero-length segments
-        mask = TrackMask(waypoints, half_width, closed=closed)
+        mask = TrackMask(waypoints, half_width)
         batch = mask.distances_to_centerline(xs, ys)
         inside = mask.contains_many(xs, ys)
         single = [mask.distance_to_centerline(p) for p in points]
@@ -113,19 +108,18 @@ def test_track_distance_and_membership_match_scalar_reference(track, half_width,
     assert [mask(p) for p in points] == inside.tolist()
 
 
-@given(track=polylines(), arcs=st.lists(st.floats(-40.0, 80.0), min_size=1, max_size=12))
+@given(waypoints=polylines(), arcs=st.lists(st.floats(-40.0, 80.0), min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
-def test_track_arc_queries_match_scalar_reference(track, arcs):
-    waypoints, closed = track
-    mask = TrackMask(waypoints, 1.0, closed=closed)
-    assert mask.length() == reference_length(waypoints, closed)
+def test_track_arc_queries_match_scalar_reference(waypoints, arcs):
+    mask = TrackMask(waypoints, 1.0)
+    assert mask.length() == reference_length(waypoints)
     for arc in arcs:
-        assert mask.point_at(arc) == reference_point_at(waypoints, closed, arc)
-        assert mask.heading_at(arc) == reference_heading_at(waypoints, closed, arc)
+        assert mask.point_at(arc) == reference_point_at(waypoints, arc)
+        assert mask.heading_at(arc) == reference_heading_at(waypoints, arc)
 
 
 def test_band_edge_is_inside_in_both_forms():
-    mask = TrackMask([Vec2(0, 0), Vec2(10, 0)], 2.0, closed=False)
+    mask = TrackMask([Vec2(0, 0), Vec2(10, 0)], 2.0)
     xs, ys = np.array([5.0, 5.0, 12.0]), np.array([2.0, np.nextafter(2.0, 3.0), 0.0])
     assert mask.contains_many(xs, ys).tolist() == [True, False, True]
     assert [mask(Vec2(x, y)) for x, y in zip(xs, ys)] == [True, False, True]
@@ -145,10 +139,9 @@ BOUNDS = Rect(-8.0, -8.0, 8.0, 8.0)
 world_point = st.builds(Vec2, st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
 
 
-def masks(track, half_width):
-    waypoints, closed = track
+def masks(waypoints, half_width):
     return [
-        TrackMask(waypoints, half_width, closed=closed),
+        TrackMask(waypoints, half_width),
         RoomMask(BOUNDS, wall_inset=half_width),
         FullAreaMask(Rect(-6.0, -6.0, 6.0, 6.0)),
         lambda p: p.x * p.y > 1.0,  # a plain callable: adapted point by point
@@ -156,25 +149,24 @@ def masks(track, half_width):
 
 
 @given(
-    track=polylines(),
+    waypoints=polylines(),
     half_width=half_widths,
     pitch=st.sampled_from([1.0 / 32.0, 0.25, 1.0, 3.0]),
     points=st.lists(st.one_of(vec, world_point), min_size=1, max_size=20),
 )
 @settings(max_examples=200, deadline=None)
-def test_grid_reachable_mask_matches_snap_then_is_reachable(track, half_width, pitch, points):
+def test_grid_reachable_mask_matches_snap_then_is_reachable(waypoints, half_width, pitch, points):
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])
-    for mask in masks(track, half_width):
+    for mask in masks(waypoints, half_width):
         grid = WorldGrid(BOUNDS, pitch, reachable=mask)
         expected = [grid.is_reachable(grid.snap(p)) for p in points]
         assert grid.reachable_mask(xs, ys).tolist() == expected
         if not isinstance(mask, TrackMask):
             continue
         # ... and is_reachable itself agrees with the scalar reference.
-        waypoints, closed = track
         assert expected == [
-            reference_distance(waypoints, closed, grid.to_world(grid.snap(p))) <= half_width
+            reference_distance(waypoints, grid.to_world(grid.snap(p))) <= half_width
             for p in points
         ]
 
@@ -192,7 +184,7 @@ def test_count_reachable_matches_point_by_point_count(sample_size):
     mask = TrackMask([Vec2(-5, -5), Vec2(5, -5), Vec2(5, 5), Vec2(-5, 5)], 1.5)
     grid = WorldGrid(BOUNDS, 0.25, reachable=mask)
     hits = sum(
-        reference_distance(mask.waypoints, True, p) <= 1.5
+        reference_distance(mask.waypoints, p) <= 1.5
         for p in BOUNDS.sample(np.random.default_rng(9), sample_size)
     )
     expected = int(round(grid.total_points * hits / sample_size))

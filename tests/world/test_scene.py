@@ -118,14 +118,6 @@ class TestPartition:
         assert near_ids | far_ids == {0, 1, 2, 3}
         assert near_ids & far_ids == set()
 
-    def test_view_limit_truncates_far(self, scene):
-        part = scene.partition(Vec2(10, 10), cutoff_radius=5.0, view_limit=50.0)
-        assert {o.object_id for o in part.far} == {2}
-
-    def test_view_limit_below_cutoff_raises(self, scene):
-        with pytest.raises(ValueError):
-            scene.partition(Vec2(10, 10), cutoff_radius=5.0, view_limit=2.0)
-
     def test_negative_cutoff_raises(self, scene):
         with pytest.raises(ValueError):
             scene.partition(Vec2(0, 0), cutoff_radius=-1.0)

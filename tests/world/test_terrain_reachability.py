@@ -76,7 +76,7 @@ class TestMasks:
 class TestTrackMask:
     def _square_track(self):
         waypoints = [Vec2(0, 0), Vec2(100, 0), Vec2(100, 100), Vec2(0, 100)]
-        return TrackMask(waypoints, half_width=5.0, closed=True)
+        return TrackMask(waypoints, half_width=5.0)
 
     def test_membership(self):
         track = self._square_track()
@@ -98,11 +98,6 @@ class TestTrackMask:
         assert track.point_at(50.0) == Vec2(50, 0)
         assert track.point_at(450.0).distance_to(Vec2(50, 0)) < 1e-9
 
-    def test_point_at_open_clamps(self):
-        open_track = TrackMask([Vec2(0, 0), Vec2(10, 0)], 2.0, closed=False)
-        assert open_track.point_at(-5.0) == Vec2(0, 0)
-        assert open_track.point_at(100.0) == Vec2(10, 0)
-
     def test_heading_follows_track(self):
         track = self._square_track()
         assert track.heading_at(50.0) == pytest.approx(0.0, abs=0.05)
@@ -122,10 +117,8 @@ class TestOvalTrack:
             assert bounds.contains_closed(p)
 
     def test_waypoint_count(self):
-        assert len(oval_track(Rect(0, 0, 100, 100), 10.0, waypoint_count=16)) == 16
+        assert len(oval_track(Rect(0, 0, 100, 100), 10.0)) == 32
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             oval_track(Rect(0, 0, 100, 100), margin=60.0)
-        with pytest.raises(ValueError):
-            oval_track(Rect(0, 0, 100, 100), 10.0, waypoint_count=2)
