@@ -15,7 +15,6 @@ from ascii_plot import ascii_cdf
 from harness import fmt, once, report
 from repro.core import build_cutoff_map, measure_fi_budget
 from repro.render import PIXEL2, RenderCostModel
-from repro.similarity import similarity_cdf
 from repro.world import ALL_GAMES, INDOOR_GAMES, load_game
 
 

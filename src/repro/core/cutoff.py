@@ -244,10 +244,12 @@ def sample_points(
     attempts = 8 * k_samples if reachable is not None else 0
     bit_generator = rng.bit_generator
     state = bit_generator.state
-    lows = np.tile([region.x_min, region.y_min], attempts + k_samples)
-    highs = np.tile([region.x_max, region.y_max], attempts + k_samples)
-    draws = rng.uniform(lows, highs)
-    xs, ys = draws[0::2], draws[1::2]
+    draws = rng.uniform(
+        (region.x_min, region.y_min),
+        (region.x_max, region.y_max),
+        size=(attempts + k_samples, 2),
+    )
+    xs, ys = draws[:, 0], draws[:, 1]
 
     chosen = np.empty(0, dtype=np.intp)
     tried = 0

@@ -4,7 +4,6 @@ from .metrics import (
     adjacent_similarities,
     best_case_similarities,
     fraction_above,
-    similarity_cdf,
 )
 from .ssim import (
     SSIM_GOOD,
@@ -30,7 +29,6 @@ __all__ = [
     "best_case_similarities",
     "fraction_above",
     "prepare_reference",
-    "similarity_cdf",
     "ssim",
     "ssim_many",
     "ssim_many_stacked",

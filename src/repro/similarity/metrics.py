@@ -46,16 +46,3 @@ def fraction_above(values: Sequence[float]) -> float:
         raise ValueError("values must be non-empty")
     return sum(1 for v in values if v > SSIM_GOOD) / len(values)
 
-
-def similarity_cdf(values: Sequence[float]) -> np.ndarray:
-    """(x, F(x)) pairs for plotting a similarity CDF (Figs. 1, 2, 7).
-
-    Returns an array of shape (101, 2) with x spanning [0, 1] in steps of
-    0.01.
-    """
-    if not values:
-        raise ValueError("values must be non-empty")
-    xs = np.linspace(0.0, 1.0, 101)
-    sorted_vals = np.sort(np.asarray(values, dtype=np.float64))
-    fractions = np.searchsorted(sorted_vals, xs, side="right") / len(sorted_vals)
-    return np.column_stack([xs, fractions])

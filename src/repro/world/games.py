@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import Rect, Vec2, WorldGrid
+from ..geometry import BatchPredicate, Rect, Vec2, WorldGrid
 from . import materials as mat
 from .generator import DensityBlob, DensityField, KindMixture, generate_scene
 from .objects import SceneObject, make_object
@@ -192,6 +192,17 @@ def _perimeter_walls(
     return walls
 
 
+def _verge_mask(track: TrackMask, inner: float, outer: float) -> BatchPredicate:
+    """Positions farther than ``inner`` from the centreline and no farther
+    than ``outer``, over coordinate arrays."""
+
+    def on_verge(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        distance = track.distances_to_centerline(xs, ys)
+        return (inner < distance) & (distance <= outer)
+
+    return on_verge
+
+
 def build_game(name: str, scale: float = 1.0) -> GameWorld:
     """Construct a game world.
 
@@ -255,11 +266,7 @@ def build_game(name: str, scale: float = 1.0) -> GameWorld:
         )
         if track is not None:
             # Track-side clutter only: on the verge, never on the asphalt.
-            verge_inner = spec.track_half_width
-            verge_outer = spec.track_band_width
-
-            def clutter_mask(p, _t=track, _i=verge_inner, _o=verge_outer):
-                return _i < _t.distance_to_centerline(p) <= _o
+            clutter_mask = _verge_mask(track, spec.track_half_width, spec.track_band_width)
 
     scene = generate_scene(
         bounds=bounds,

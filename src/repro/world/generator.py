@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import Rect, Vec2
+from ..geometry import BatchPredicate, Rect, Vec2, batch_predicate
 from .materials import ObjectKind
 from .objects import SceneObject, make_object
 from .reachability import TrackMask
@@ -170,13 +170,13 @@ class KindMixture:
 def generate_scene(
     bounds: Rect,
     terrain: TerrainFn,
-    density: Callable[[Vec2], float],
+    density: DensityField,
     mixture: KindMixture,
     seed: int,
     keep_clear: Optional[Callable[[Vec2], bool]] = None,
     clutter_mixture: Optional[KindMixture] = None,
     clutter_per_m2: float = 0.0,
-    clutter_mask: Optional[Callable[[Vec2], bool]] = None,
+    clutter_mask: Optional[BatchPredicate] = None,
 ) -> Scene:
     """Generate a scene by filling placement cells up to the density budget.
 
@@ -187,9 +187,9 @@ def generate_scene(
     render cost but sit everywhere near the player, which is what makes the
     "near-object" effect (§4.2) pervasive rather than occasional.
     ``keep_clear`` marks positions where structures must not be placed
-    (e.g. the drivable track surface); ``clutter_mask`` restricts where
-    clutter appears (default: anywhere structures may go).  A scene holds
-    at most :data:`MAX_OBJECTS` objects.
+    (e.g. the drivable track surface); ``clutter_mask``, a predicate over
+    coordinate arrays, restricts where clutter appears (default: anywhere
+    structures may go).  A scene holds at most :data:`MAX_OBJECTS` objects.
     """
     if clutter_per_m2 < 0:
         raise ValueError("clutter_per_m2 must be non-negative")
@@ -201,25 +201,21 @@ def generate_scene(
 
     ny = max(1, int(math.ceil(bounds.height / PLACEMENT_CELL_M)))
     nx = max(1, int(math.ceil(bounds.width / PLACEMENT_CELL_M)))
+    # Cell i of every row spans [x_lo[i], x_hi[i]]: the floats a Rect per
+    # cell would hold, by the same operations.
+    columns = np.arange(nx, dtype=np.float64)
+    x_lo = bounds.x_min + columns * PLACEMENT_CELL_M
+    x_hi = np.minimum(bounds.x_min + (columns + 1) * PLACEMENT_CELL_M, bounds.x_max)
+    x_mid = (x_lo + x_hi) / 2.0
     for j in range(ny):
-        row = [
-            Rect(
-                bounds.x_min + i * PLACEMENT_CELL_M,
-                bounds.y_min + j * PLACEMENT_CELL_M,
-                min(bounds.x_min + (i + 1) * PLACEMENT_CELL_M, bounds.x_max),
-                min(bounds.y_min + (j + 1) * PLACEMENT_CELL_M, bounds.y_max),
-            )
-            for i in range(nx)
-        ]
-        row = [cell for cell in row if cell.area != 0]
-        centers = [cell.center for cell in row]
-        if isinstance(density, DensityField):
-            # One array pass per placement row, equal to the scalar calls.
-            xs, ys = np.array([(c.x, c.y) for c in centers]).reshape(-1, 2).T
-            row_density = density.at_many(xs, ys).tolist()
-        else:
-            row_density = [density(c) for c in centers]
-        for cell, cell_density in zip(row, row_density):
+        y_lo = bounds.y_min + j * PLACEMENT_CELL_M
+        y_hi = min(bounds.y_min + (j + 1) * PLACEMENT_CELL_M, bounds.y_max)
+        # One array pass per placement row, equal to the scalar calls.
+        kept = np.flatnonzero((x_hi - x_lo) * (y_hi - y_lo) != 0)
+        row_density = density.at_many(
+            x_mid[kept], np.full(len(kept), (y_lo + y_hi) / 2.0)
+        ).tolist()
+        for i, cell_density in zip(kept.tolist(), row_density):
             target = cell_density * cell_area
             if target <= 0:
                 continue
@@ -229,6 +225,9 @@ def generate_scene(
             # one object per cell would inflate sparse worlds many-fold).
             expected_count = target / mean_triangles
             count = int(rng.poisson(expected_count))
+            if count == 0:
+                continue
+            cell = Rect(float(x_lo[i]), y_lo, float(x_hi[i]), y_hi)
             attempts = 0
             max_attempts = 4 * count + 8  # keep_clear cells cannot spin forever
             while count > 0 and attempts < max_attempts:
@@ -253,12 +252,15 @@ def generate_scene(
             MAX_OBJECTS - next_id,
             rng.poisson(clutter_per_m2 * bounds.area),
         )
-        for position in bounds.sample(rng, max(0, int(clutter_count))):
-            if clutter_mask is not None:
-                if not clutter_mask(position):
-                    continue
-            elif keep_clear is not None and keep_clear(position):
-                continue
+        xs, ys = bounds.sample_arrays(rng, max(0, int(clutter_count)))
+        if clutter_mask is not None:
+            wanted = clutter_mask(xs, ys)
+        elif keep_clear is not None:
+            wanted = ~batch_predicate(keep_clear)(xs, ys)
+        else:
+            wanted = np.ones(len(xs), dtype=bool)
+        for x, y in zip(xs[wanted].tolist(), ys[wanted].tolist()):
+            position = Vec2(x, y)
             kind = clutter_mixture.draw(rng)
             objects.append(
                 make_object(next_id, kind, position, terrain(position), rng)

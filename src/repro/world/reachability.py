@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .. import perf
 from ..geometry import Rect, Vec2
 
 # Relative slack when shortlisting nearest-segment candidates by squared
@@ -26,6 +27,14 @@ _SHORTLIST_RTOL = 1e-12
 # Below this, squared distances have underflowed and no longer order the
 # segments: shortlist all of them.
 _SHORTLIST_ATOL = 1e-300
+#: Edge of the square cells of :class:`TrackMask`'s coarse index (m).
+TRACK_CELL_M = 8.0
+# A cell is ruled out only when its centre clears the band by the cell's
+# half-diagonal plus this margin (m): orders of magnitude above the
+# rounding error of any distance in a world of kilometres.
+_FAR_SLACK_M = 1.0
+# Cell centres the index build measures per pass, to bound its memory.
+_BUILD_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,15 @@ class TrackMask:
     Used by the racing games: the player (car) can occupy points within
     ``half_width`` metres of the track centreline.  Segment arrays and the
     running arc length are computed once here; every query reuses them.
+
+    Membership (``__call__``, :meth:`contains_many`) first consults a
+    coarse index, also built here: a grid of :data:`TRACK_CELL_M` cells over
+    the waypoints' bounding box grown by ``half_width`` plus one cell.  A
+    cell whose centre lies farther from the centreline than ``half_width``
+    plus the cell's half-diagonal plus a metre of slack holds no point of
+    the band, so a point in such a cell, or outside the grid, is answered
+    ``False`` without measuring it; every other point gets the exact
+    distance.  The distance queries themselves are always exact.
     """
 
     def __init__(self, waypoints: Sequence[Vec2], half_width: float) -> None:
@@ -77,6 +95,25 @@ class TrackMask:
         # left to right exactly as a walk along the segments would.
         self._arc_ends = list(accumulate(self._seg_lengths))
 
+        reach = half_width + TRACK_CELL_M
+        self._cell_x0 = float(self._ax.min()) - reach
+        self._cell_y0 = float(self._ay.min()) - reach
+        nx = math.ceil((float(self._ax.max()) + reach - self._cell_x0) / TRACK_CELL_M)
+        ny = math.ceil((float(self._ay.max()) + reach - self._cell_y0) / TRACK_CELL_M)
+        cx, cy = np.meshgrid(
+            self._cell_x0 + (np.arange(nx) + 0.5) * TRACK_CELL_M,
+            self._cell_y0 + (np.arange(ny) + 0.5) * TRACK_CELL_M,
+        )
+        cx, cy = cx.ravel(), cy.ravel()
+        clearance = half_width + TRACK_CELL_M * math.sqrt(0.5) + _FAR_SLACK_M
+        near = np.concatenate([
+            self.distances_to_centerline(cx[k:k + _BUILD_CHUNK], cy[k:k + _BUILD_CHUNK])
+            <= clearance
+            for k in range(0, len(cx), _BUILD_CHUNK)
+        ])
+        # _near_cells[j, i]: cell (i, j) may hold a point of the band.
+        self._near_cells = near.reshape(ny, nx)
+
     def _residuals(self, px, py) -> Tuple[np.ndarray, np.ndarray]:
         """Offsets from ``(px, py)`` to its nearest point on every segment.
 
@@ -84,7 +121,10 @@ class TrackMask:
         arrays, (N, 1) columns give N x S.  Same operations in the same
         order as projecting one ``Vec2`` onto one segment at a time:
         ``t = clamp(((p - a) . ab) / |ab|^2)``, offset ``p - (a + ab*t)``.
+        Every point measured here, the index build's cell centres included,
+        counts toward ``reachability.residual_points``.
         """
+        perf.count("reachability.residual_points", np.size(px))
         dx = px - self._ax
         dy = py - self._ay
         t = (dx * self._abx + dy * self._aby) / self._ab_divisor
@@ -121,9 +161,27 @@ class TrackMask:
 
     def contains_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Batch form of ``__call__`` over coordinate arrays."""
-        return self.distances_to_centerline(xs, ys) <= self.half_width
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        fx = (xs - self._cell_x0) / TRACK_CELL_M
+        fy = (ys - self._cell_y0) / TRACK_CELL_M
+        ny, nx = self._near_cells.shape
+        # ``fx >= 0`` is false for NaN, and truncation is floor from here on.
+        in_grid = np.flatnonzero((fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny))
+        near = in_grid[
+            self._near_cells[fy[in_grid].astype(np.intp), fx[in_grid].astype(np.intp)]
+        ]
+        inside = np.zeros(len(xs), dtype=bool)
+        if len(near):
+            inside[near] = self.distances_to_centerline(xs[near], ys[near]) <= self.half_width
+        return inside
 
     def __call__(self, point: Vec2) -> bool:
+        fx = (point.x - self._cell_x0) / TRACK_CELL_M
+        fy = (point.y - self._cell_y0) / TRACK_CELL_M
+        ny, nx = self._near_cells.shape
+        if not (0 <= fx < nx and 0 <= fy < ny and self._near_cells[int(fy), int(fx)]):
+            return False
         return self.distance_to_centerline(point) <= self.half_width
 
     def length(self) -> float:

@@ -11,7 +11,6 @@ from repro.similarity import (
     best_case_similarities,
     fraction_above,
     prepare_reference,
-    similarity_cdf,
     ssim,
     ssim_many,
     ssim_map,
@@ -185,19 +184,6 @@ class TestSequenceMetrics:
         assert fraction_above([0.5]) == 0.0
         with pytest.raises(ValueError):
             fraction_above([])
-
-    def test_similarity_cdf_monotone(self):
-        values = [0.1, 0.5, 0.7, 0.95]
-        cdf = similarity_cdf(values)
-        assert cdf.shape == (101, 2)
-        ys = cdf[:, 1]
-        assert np.all(np.diff(ys) >= 0)
-        assert ys[0] == 0.0
-        assert ys[-1] == 1.0
-
-    def test_similarity_cdf_validation(self):
-        with pytest.raises(ValueError):
-            similarity_cdf([])
 
     def test_ssim_good_constant(self):
         assert SSIM_GOOD == 0.90

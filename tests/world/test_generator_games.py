@@ -115,10 +115,10 @@ class TestGenerateScene:
     def test_object_count_tracks_density(self):
         bounds = Rect(0, 0, 80, 80)
         sparse = generate_scene(
-            bounds, FlatTerrain(), lambda p: 50.0, self._mixture(), seed=1
+            bounds, FlatTerrain(), DensityField(base=50.0), self._mixture(), seed=1
         )
         dense = generate_scene(
-            bounds, FlatTerrain(), lambda p: 500.0, self._mixture(), seed=1
+            bounds, FlatTerrain(), DensityField(base=500.0), self._mixture(), seed=1
         )
         assert len(dense) > 3 * len(sparse)
 
@@ -126,15 +126,15 @@ class TestGenerateScene:
         bounds = Rect(0, 0, 100, 100)
         density = 300.0
         scene = generate_scene(
-            bounds, FlatTerrain(), lambda p: density, self._mixture(), seed=2
+            bounds, FlatTerrain(), DensityField(base=density), self._mixture(), seed=2
         )
         target = density * bounds.area
         assert 0.6 * target < scene.total_triangles() < 1.5 * target
 
     def test_deterministic(self):
         bounds = Rect(0, 0, 40, 40)
-        a = generate_scene(bounds, FlatTerrain(), lambda p: 200.0, self._mixture(), 7)
-        b = generate_scene(bounds, FlatTerrain(), lambda p: 200.0, self._mixture(), 7)
+        a = generate_scene(bounds, FlatTerrain(), DensityField(base=200.0), self._mixture(), 7)
+        b = generate_scene(bounds, FlatTerrain(), DensityField(base=200.0), self._mixture(), 7)
         assert [o.object_id for o in a.objects] == [o.object_id for o in b.objects]
         assert a.total_triangles() == b.total_triangles()
 
@@ -143,7 +143,7 @@ class TestGenerateScene:
         scene = generate_scene(
             bounds,
             FlatTerrain(),
-            lambda p: 400.0,
+            DensityField(base=400.0),
             self._mixture(),
             seed=3,
             keep_clear=lambda p: p.x < 20,
@@ -156,7 +156,7 @@ class TestGenerateScene:
         scene = generate_scene(
             bounds,
             FlatTerrain(),
-            lambda p: 0.0,
+            DensityField(base=0.0),
             self._mixture(),
             seed=4,
             clutter_mixture=clutter,
@@ -165,12 +165,26 @@ class TestGenerateScene:
         assert len(scene) > 100
         assert all(o.kind_name == "grass" for o in scene.objects)
 
+    def test_keep_clear_applies_to_clutter_without_a_mask(self):
+        scene = generate_scene(
+            Rect(0, 0, 50, 50),
+            FlatTerrain(),
+            DensityField(base=0.0),
+            self._mixture(),
+            seed=4,
+            keep_clear=lambda p: p.x < 20,
+            clutter_mixture=KindMixture(kinds=(kind("grass"),), weights=(1.0,)),
+            clutter_per_m2=0.1,
+        )
+        assert len(scene) > 50
+        assert all(o.ground_position.x >= 20 for o in scene.objects)
+
     def test_clutter_without_mixture_raises(self):
         with pytest.raises(ValueError):
             generate_scene(
                 Rect(0, 0, 10, 10),
                 FlatTerrain(),
-                lambda p: 0.0,
+                DensityField(base=0.0),
                 self._mixture(),
                 seed=5,
                 clutter_per_m2=0.1,
@@ -181,7 +195,7 @@ class TestGenerateScene:
         scene = generate_scene(
             Rect(0, 0, 60, 60),
             FlatTerrain(),
-            lambda p: 5000.0,
+            DensityField(base=5000.0),
             self._mixture(),
             seed=6,
         )
@@ -190,7 +204,7 @@ class TestGenerateScene:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             generate_scene(
-                Rect(0, 0, 10, 10), FlatTerrain(), lambda p: 1.0,
+                Rect(0, 0, 10, 10), FlatTerrain(), DensityField(base=1.0),
                 self._mixture(), seed=0, clutter_per_m2=-1,
             )
 
