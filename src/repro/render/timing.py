@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .. import perf
 from ..geometry import Vec2
 from ..world.objects import SceneObject
 from ..world.scene import Scene
@@ -82,6 +83,16 @@ class RenderCostModel:
 
     def __init__(self, device: DeviceProfile) -> None:
         self.device = device
+        # Past ``reach`` the exact weight ``1 / (1 + (d / d0)^2)`` is at
+        # most ``lod_floor * (1 - 1e-9)``: a gap far above the rounding of
+        # that chain, so the computed weight is below the floor too and
+        # ``lod_weight`` returns the floor itself (DESIGN.md §6).
+        floor = device.lod_floor
+        self._reach = (
+            device.lod_distance * math.sqrt(1.0 / (floor * (1.0 - 1e-9)) - 1.0)
+            if floor > 0.0 else math.inf
+        )
+        self._reach_sq = self._reach * self._reach
 
     def lod_weight(self, distance: float) -> float:
         """Fraction of an object's triangles actually rendered at a distance."""
@@ -127,12 +138,23 @@ class RenderCostModel:
     def _scene_ms(self, scene: Scene, viewpoint: Vec2, radius: float) -> float:
         """``objects_ms(scene.objects_within(viewpoint, radius), viewpoint)``
         bit for bit: ``math.hypot`` distances, ``lod_weight`` elementwise and
-        a builtin ``sum`` in candidate order (DESIGN.md §6)."""
+        a builtin ``sum`` in candidate order (DESIGN.md §6).  A candidate
+        beyond the floor's reach gets ``lod_floor`` without a distance."""
         triangles, dx, dy = scene.triangles_and_offsets(viewpoint, radius)
-        distance = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
-        ratio = distance / self.device.lod_distance
-        lod = np.maximum(self.device.lod_floor, 1.0 / (1.0 + ratio * ratio))
+        if radius > self._reach:
+            lod = np.full(triangles.size, self.device.lod_floor)
+            near = np.flatnonzero(dx * dx + dy * dy <= self._reach_sq)
+            lod[near] = self._lod_weights(dx[near], dy[near])
+        else:
+            lod = self._lod_weights(dx, dy)
         return sum((triangles * lod).tolist()) / self.device.triangle_throughput
+
+    def _lod_weights(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """``lod_weight(math.hypot(dx, dy))`` elementwise."""
+        perf.count("cost_model.exact_distances", dx.size)
+        distance = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.size)
+        ratio = distance / self.device.lod_distance
+        return np.maximum(self.device.lod_floor, 1.0 / (1.0 + ratio * ratio))
 
     def frame_ms(self, *task_ms: float) -> float:
         """Total frame time: per-frame setup plus sequential render tasks."""

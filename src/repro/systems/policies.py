@@ -21,7 +21,7 @@ from ..metrics import MetricsCollector
 from ..predict import PosePredictor, PredictConfig
 from ..predict.pose import MAX_CONFIDENCE_M, SPECULATIVE_TTL_MS
 from ..render.rasterizer import merge_layers
-from ..render.splitter import eye_at, reference_frame, render_fi, render_near_be
+from ..render.splitter import eye_at, render_fi, render_near_be, render_whole_be
 from ..session import SyncValidator
 from ..session.sync import CORRUPTION_MASK, state_digest
 from ..sim import any_of
@@ -530,5 +530,6 @@ class DisplayScorer:
         near = render_near_be(world.scene, eye, render_config, decision.cutoff_radius)
         fi_layer = render_fi(avatars, eye, render_config)
         displayed = merge_layers(layer_from_decoded(far_image), near, fi_layer)
-        reference = reference_frame(world.scene, eye, render_config, avatars=avatars)
+        # ``reference_frame`` over the same FI layer, drawn once.
+        reference = merge_layers(render_whole_be(world.scene, eye, render_config), fi_layer)
         return displayed, reference

@@ -16,11 +16,13 @@ returns what a cell-by-cell grid walk would, in its order (DESIGN.md §6).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
+from .. import perf
 from ..geometry import Rect, Vec2
 from .objects import ObjectArrays, SceneObject
 
@@ -79,9 +81,12 @@ class Scene:
         self._arrays = ObjectArrays.from_objects(self._ordered)
         self._x, self._y = self._arrays.x, self._arrays.y
         self._radius = self._arrays.radius
-        self._cell_i, self._cell_j = cell_i[order], cell_j[order]
+        self._cell_i = cell_i[order]
         self._triangles = triangles[order]
         self._ids = np.array(ids, dtype=np.int64)[order]
+        # Cell rows in cell order: rows ``lo..hi`` are the slice between
+        # their bisection points.
+        self._rows: List[int] = cell_j[order].tolist()
 
     def _cell_of(self, point: Vec2) -> Tuple[int, int]:
         return (
@@ -118,21 +123,26 @@ class Scene:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell-order positions of the objects within ``radius`` of
         ``center``, and their offsets ``x - center.x``, ``y - center.y``.
-        The rectangle term keeps out an object whose rounded distance
-        passes but whose cell a grid walk would never visit."""
+        Only the cell rows the query square spans are read: they are one
+        contiguous slice.  The column term keeps out an object whose
+        rounded distance passes but whose cell a grid walk would never
+        visit."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
         lo_i, lo_j = self._cell_of(Vec2(center.x - radius, center.y - radius))
         hi_i, hi_j = self._cell_of(Vec2(center.x + radius, center.y + radius))
-        dx = self._x - center.x
-        dy = self._y - center.y
+        start = bisect_left(self._rows, lo_j)
+        stop = bisect_right(self._rows, hi_j, start)
+        perf.count("scene_query.objects_scanned", stop - start)
+        cell_i = self._cell_i[start:stop]
+        dx = self._x[start:stop] - center.x
+        dy = self._y[start:stop] - center.y
         inside = (
             (dx * dx + dy * dy <= radius * radius)
-            & (self._cell_i >= lo_i) & (self._cell_i <= hi_i)
-            & (self._cell_j >= lo_j) & (self._cell_j <= hi_j)
+            & (cell_i >= lo_i) & (cell_i <= hi_i)
         )
         idx = np.flatnonzero(inside)
-        return idx, dx[idx], dy[idx]
+        return idx + start, dx[idx], dy[idx]
 
     def objects_within(
         self, center: Vec2, radius: float

@@ -4,7 +4,10 @@ The four systems share one client frame loop; Coterie's degradation,
 speculation and sync check plug into it as policies.  That structure
 promises *bit-identical* output to the four hand-written loops it
 replaced, so these digests were recorded on the last commit that ran
-them (PR 12, ``fe07c03``).  Each scenario is run twice:
+them (PR 12, ``fe07c03``).  ``racing-coterie``, the one scenario whose
+near-BE queries reach past the LOD floor, was recorded on ``20bbdcc``,
+before RT_nearBE stopped measuring floored candidates.  Each scenario is
+run twice:
 
 * **untraced** — sha256 over every ``SessionMetrics`` field and every
   ``FrameRecord`` of every player, ``switch_ssims``, the aggregate
@@ -51,6 +54,8 @@ from bench_ablation_overhearing import run_overhearing  # noqa: E402
 
 GAME = "viking"
 SEED = 1
+# Scenarios on another game than ``GAME``.
+SCENARIO_GAMES = {"racing-coterie": "racing"}
 
 # Dips deep enough that viking's far-BE fetches lose the deadline race
 # (stale fallback, background retries, an abandoned fetch), a stall, and
@@ -141,6 +146,9 @@ def _scenarios():
     table["fullrender"] = (
         "coterie_stride5", 2, dict(duration_s=0.35, render_frames=True)
     )
+    # Racing's sparse track regions put the cutoff past the LOD floor's
+    # reach, so RT_nearBE weighs far candidates at the floor unmeasured.
+    table["racing-coterie"] = ("coterie", 2, dict(duration_s=0.6))
     table["everything-coterie"] = (
         "coterie", 2,
         dict(duration_s=2.0, wifi_mbps=300.0, impairment=_cellular(2.0),
@@ -173,6 +181,7 @@ everything-coterie b177d4613b3202b785fe3a5c32fe97b188f94887b0dc9c0c7d8cec3fb9bd7
 faults-coterie 4f4993506d33faedbecab22ed7de840eb3c83febdabfcd1aacae4a53a9ee9aae 422c86872d9827d475a4730fc740b09aa4755d66e15c7d8f80a1ef89aea382d1 3bf498194fbe8c9abac8718e0d9445e5e23e8fcdfa521d2c8c3139d8b0448958
 faults-multi_furion 2907c916642a02f403398f87f35a1824f8e9be6f6175804b3a6d2f9750332c65 ead489d5193e3e15e2752e4736a998eb14e2a10025b2d52da10dd2e4a02e80a8 96570863de8d6ed7dc1e720926002bcdf35e049093f4f1d2ebd23b10abc81a66
 faults-thin_client cd027409ba78d6aa18fb1016a0c9a7ba2d660f5d33c466a979eab69c38419316 aaf3631083949a997b5b13cd0ed8d37668068ae00d6bb19d12600c6aaa0758e1 0b5e52a27a4e20fe6e35156f37fbc01bbdf89c0dc01121c97ecca975d80cb6b4
+racing-coterie fa2d9d33cc9d7fdebe585c92eef5face207bf57932f599381492626685c62113 4ffa54ed9045a17e8abff5104bbe6f18d293b05fb16d2967fc2650629ec27f75 da4d09fdff8472d17a7a7b94f41e833245e85050b109d050752131e559f87349
 fullrender 8e1721476770f86686c4dc17652cb1e0d0957055978e1f8b14f566e247dd0b29 d02ccec7c6fdd40d0363f2131649989db3dae35fc57954e1d15a0c8b55cc86a4 9546602d0fca8fdc2e7ff0dafb6383a11830fb2a43ea18b7a7808d14c0e92d34
 speculation-coterie 91fe13011cb71c38f82364012e9afc0a483bbb93ee255a0c271013dfa2807507 67bf55da8780165c356becbdfc75677c49dd19fa9dfeace953678e5c1610c4d1 00e8dfcc5dd3852d8d7c1d60da5b3fd36d6f7ee75f3bf5ec8603c7b9b8f6366b
 """
@@ -240,7 +249,7 @@ def metrics_digest(hub, tmp_path) -> str:
 def run_scenario(name, tmp_path):
     """The scenario's (result, trace, metrics) digests, twin checked."""
     runner, n_players, kwargs = SCENARIOS[name]
-    world = load_game(GAME)
+    world = load_game(SCENARIO_GAMES.get(name, GAME))
     plain = RUNNERS[runner](world, n_players, SessionConfig(seed=SEED, **kwargs))
     tracer, hub = SpanTracer(), MetricsHub()
     twin = RUNNERS[runner](
