@@ -29,8 +29,7 @@ class _ThresholdedMap(DistThreshMap):
         super().__init__(**kwargs)
         self._ssim_bar = ssim_bar
 
-    def threshold_for(self, point):
-        key, cutoff = self.cutoff_map.leaf_for(point)
+    def threshold_at(self, key, cutoff):
         cached = self._cache.get(key)
         if cached is not None:
             return cached

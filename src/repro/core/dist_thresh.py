@@ -11,8 +11,9 @@ which the far-BE pair keeps SSIM > 0.9, then take the per-leaf minimum.
 Full pre-computation over thousands of leaves is render-heavy, so
 :class:`DistThreshMap` computes thresholds lazily per leaf on first visit
 and memoizes — identical output for every leaf a player actually enters.
-:meth:`DistThreshMap.threshold_for` is the only place a threshold is
-looked up or measured: memo, then :func:`leaf_threshold`, a pure function
+:meth:`DistThreshMap.threshold_at` is the only place a threshold is
+looked up or measured (``threshold_for`` descends the cutoff map to a
+leaf first): memo, then :func:`leaf_threshold`, a pure function
 of (scene, config, leaf key, cutoff, seed, k_samples, eye_height) with its
 own RNG stream, so any process measures the same value for a leaf.
 """
@@ -134,7 +135,11 @@ class DistThreshMap:
 
     def threshold_for(self, point: Vec2) -> float:
         """The dist_thresh of the leaf region containing ``point``."""
-        key, cutoff = self.cutoff_map.leaf_for(point)
+        return self.threshold_at(*self.cutoff_map.leaf_for(point))
+
+    def threshold_at(self, key: LeafKey, cutoff: float) -> float:
+        """The dist_thresh of the leaf ``key`` with cutoff ``cutoff``, for
+        a caller that already descended the cutoff map to it."""
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -3,12 +3,12 @@
 :class:`SsimBatchQueue` serves the discrete-event clients
 (:class:`repro.systems.policies.DisplayScorer`): SSIM jobs whose results
 only feed *metrics* (never simulated timing) are queued during the
-simulation and computed in stacked passes at flush points.
+simulation and scored at flush points, one pair at a time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,16 +17,17 @@ from ..similarity import ssim_pairs
 
 
 class SsimBatchQueue:
-    """Deferred SSIM jobs, computed in stacked tiled-kernel flushes.
+    """Deferred SSIM jobs, scored at flushes.
 
     The discrete-event clients record SSIM-derived *metrics* (far-BE
     switch discontinuity, displayed-frame quality) whose values never
     influence simulated timing — so the pixel math is deferred: ``submit``
-    queues ``(a, b, callback)`` and flushes compute all queued scores via
-    :func:`repro.similarity.ssim_pairs`, grouped by frame shape, then
-    dispatch callbacks in submission order.  Scores are bit-identical to
-    inline ``ssim(a, b)`` calls; submitted arrays must not be mutated
-    before the flush.
+    queues ``(a, b, callback)`` and a flush scores all queued pairs in
+    submission order with :func:`repro.similarity.ssim_pairs` (which
+    reuses the moments of a frame submitted twice), then dispatches the
+    callbacks in that order.  Scores are bit-identical to inline
+    ``ssim(a, b)`` calls; submitted arrays must not be mutated before
+    the flush.
     """
 
     def __init__(self, batch_target: int = 16) -> None:
@@ -62,17 +63,10 @@ class SsimBatchQueue:
             return
         jobs, self._jobs = self._jobs, []
         self.flushes += 1
-        groups: Dict[tuple, List[int]] = {}
-        for index, (a, _b, _cb) in enumerate(jobs):
-            groups.setdefault(a.shape, []).append(index)
-        scores: List[float] = [0.0] * len(jobs)
-        for indices in groups.values():
-            values = ssim_pairs([(jobs[i][0], jobs[i][1]) for i in indices])
-            for i, value in zip(indices, values):
-                scores[i] = float(value)
+        scores = ssim_pairs([(a, b) for a, b, _cb in jobs])
         perf.count("online.ssim_jobs", len(jobs))
         perf.count("online.ssim_flushes")
         if self.on_flush is not None:
             self.on_flush(len(jobs))
         for (_a, _b, callback), value in zip(jobs, scores):
-            callback(value)
+            callback(float(value))

@@ -77,7 +77,7 @@ class Prefetcher:
         near_ids = self.scene.near_object_ids(
             snapped, cutoff, min_radius=NEAR_SIGNIFICANCE * cutoff
         )
-        dist_thresh = self.dist_thresh_map.threshold_for(snapped)
+        dist_thresh = self.dist_thresh_map.threshold_at(leaf, cutoff)
         if self.thresh_scale != 1.0:
             dist_thresh = dist_thresh * self.thresh_scale
         cached = lookup(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+_HASH_X = np.uint64(374761393)
+_HASH_Y = np.uint64(668265263)
 
 
 def hash01(ix: np.ndarray, iy: np.ndarray, seed) -> np.ndarray:
@@ -29,10 +31,20 @@ def hash01(ix: np.ndarray, iy: np.ndarray, seed) -> np.ndarray:
     rasterizer kernel hashes many objects, each with its own seed, in one
     call) — both forms produce bit-identical values per element.
     """
+    return _mix(_lattice(ix, iy, seed))
+
+
+def _lattice(ix, iy, seed) -> np.ndarray:
+    """The hash's linear term ``x·X + y·Y + s·S`` mod 2⁶⁴ (uint64 wraps)."""
     x = np.asarray(ix).astype(np.uint64)
     y = np.asarray(iy).astype(np.uint64)
     s = (np.asarray(seed) & 0xFFFFFFFF).astype(np.uint64)
-    h = (x * np.uint64(374761393) + y * np.uint64(668265263) + s * np.uint64(2246822519)) & _MASK32
+    return x * _HASH_X + y * _HASH_Y + s * np.uint64(2246822519)
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """Finish :func:`hash01` from its linear term."""
+    h = h & _MASK32
     h = ((h ^ (h >> np.uint64(13))) * np.uint64(1274126177)) & _MASK32
     h = h ^ (h >> np.uint64(16))
     return (h & _MASK32).astype(np.float64) / float(2**32)
@@ -42,7 +54,10 @@ def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     """Bilinear value noise: smooth, deterministic, in [0, 1).
 
     ``x``/``y`` are continuous coordinates; one noise cell spans one unit,
-    so callers control feature size by scaling their coordinates.
+    so callers control feature size by scaling their coordinates.  The
+    four corners hash ``(ix + i, iy + j)``; since the hash's linear term
+    is taken mod 2⁶⁴, each corner is the first corner's term plus a
+    constant, so the products are computed once.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -53,12 +68,11 @@ def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     # Smoothstep the lattice fractions for C1 continuity.
     sx = fx * fx * (3.0 - 2.0 * fx)
     sy = fy * fy * (3.0 - 2.0 * fy)
-    ix = x0.astype(np.int64)
-    iy = y0.astype(np.int64)
-    v00 = hash01(ix, iy, seed)
-    v10 = hash01(ix + 1, iy, seed)
-    v01 = hash01(ix, iy + 1, seed)
-    v11 = hash01(ix + 1, iy + 1, seed)
+    h00 = _lattice(x0.astype(np.int64), y0.astype(np.int64), seed)
+    v00 = _mix(h00)
+    v10 = _mix(h00 + _HASH_X)
+    v01 = _mix(h00 + _HASH_Y)
+    v11 = _mix(h00 + (_HASH_X + _HASH_Y))
     top = v00 + (v10 - v00) * sx
     bottom = v01 + (v11 - v01) * sx
     return top + (bottom - top) * sy

@@ -10,7 +10,7 @@ displayed frame.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +81,33 @@ def render_near_be(
     )
     objects = scene.object_arrays_within(eye.ground(), cutoff_radius)
     return draw_objects(layer, objects, eye, config)
+
+
+def render_near_and_whole_be(
+    scene: Scene, eye: Vec3, config: RenderConfig, cutoff_radius: float
+) -> Tuple[Layer, Layer]:
+    """``(render_near_be(...), render_whole_be(...))`` of one eye, with the
+    ground textured once.
+
+    The near BE's background is the whole background's rows whose ground
+    distance is within the cutoff (the same per-row computation; the sky
+    and the empty rows have infinite depth), copied before any object is
+    drawn; each layer then gets its own objects.  Both layers are
+    bit-identical to the separate renders.
+    """
+    if cutoff_radius < 0:
+        raise ValueError("cutoff_radius must be non-negative")
+    whole = render_background(scene, eye, config, near_clip=0.0, far_clip=_INFINITY)
+    band = whole.depth <= cutoff_radius
+    near = Layer(
+        image=np.where(band, whole.image, np.float32(0.0)),
+        mask=band,
+        depth=np.where(band, whole.depth, _INFINITY),
+    )
+    ground = eye.ground()
+    near = draw_objects(near, scene.object_arrays_within(ground, cutoff_radius), eye, config)
+    whole = draw_objects(whole, scene.object_arrays_within(ground, VIEW_LIMIT), eye, config)
+    return near, whole
 
 
 def render_fi(

@@ -19,6 +19,12 @@ precomputes those moments once; :func:`ssim_with` and :func:`ssim_many`
 then cost three filters per candidate instead of five, with results
 bit-identical to the pairwise :func:`ssim` (same operations on the same
 floats, just cached).
+
+The online loop's deferred scoring is many-vs-many: :func:`ssim_pairs`
+scores a flush's independent pairs one at a time, so memory stays at a
+few frames, and a frame that comes back within the flush (a far-BE
+switch chain scores each frame against its predecessor and its
+successor) keeps its moments from the pair that first computed them.
 """
 
 from __future__ import annotations
@@ -83,18 +89,16 @@ def _validate_pair(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
 
 
-def _blur(img: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _blur(img: np.ndarray) -> np.ndarray:
     """Separable gaussian blur over the last two axes.
 
     Bit-identical to ``gaussian_filter(img, sigma=_SIGMA,
     truncate=_TRUNCATE)`` on a 2D frame, and — because the correlation
     never mixes values across leading axes — to blurring each frame of an
-    ``(N, H, W)`` stack independently.  ``out``/``scratch`` take
-    preallocated float64 buffers of ``img``'s shape; they must not alias
-    ``img``.
+    ``(N, H, W)`` stack independently.
     """
-    tmp = correlate1d(img, _WINDOW, axis=-2, mode="reflect", output=scratch)
-    return correlate1d(tmp, _WINDOW, axis=-1, mode="reflect", output=out)
+    tmp = correlate1d(img, _WINDOW, axis=-2, mode="reflect")
+    return correlate1d(tmp, _WINDOW, axis=-1, mode="reflect")
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,31 @@ class SsimReference:
 def prepare_reference(a: np.ndarray) -> SsimReference:
     """Compute the reference-side moments shared by every comparison."""
     _validate_frame(a)
+    return _moments(a)
+
+
+def _moments(a: np.ndarray) -> SsimReference:
     x = a.astype(np.float64)
     mu_x = _blur(x)
     mu_x_sq = mu_x * mu_x
     sigma_x_sq = _blur(x * x) - mu_x_sq
     return SsimReference(image=x, mu=mu_x, mu_sq=mu_x_sq, sigma_sq=sigma_x_sq)
+
+
+def _ssim_map_of(ref: SsimReference, other: SsimReference) -> np.ndarray:
+    """The SSIM map of two frames' moments plus their one cross term.
+
+    A frame's moments are the same whichever side of a pair it is on, so
+    this is :func:`ssim_map_with`'s chain with the candidate's side
+    precomputed too: the same operations on the same floats.
+    """
+    mu_xy = ref.mu * other.mu
+    sigma_xy = _blur(ref.image * other.image) - mu_xy
+    numerator = (2.0 * mu_xy + _C1) * (2.0 * sigma_xy + _C2)
+    denominator = (ref.mu_sq + other.mu_sq + _C1) * (
+        ref.sigma_sq + other.sigma_sq + _C2
+    )
+    return numerator / denominator
 
 
 def ssim_map_with(ref: SsimReference, b: np.ndarray) -> np.ndarray:
@@ -127,18 +151,7 @@ def ssim_map_with(ref: SsimReference, b: np.ndarray) -> np.ndarray:
     if b.shape != ref.shape:
         raise ValueError(f"frame shapes differ: {ref.shape} vs {b.shape}")
     with perf.timed("ssim"):
-        y = b.astype(np.float64)
-        mu_y = _blur(y)
-        mu_y_sq = mu_y * mu_y
-        mu_xy = ref.mu * mu_y
-        sigma_y_sq = _blur(y * y) - mu_y_sq
-        sigma_xy = _blur(ref.image * y) - mu_xy
-
-        numerator = (2.0 * mu_xy + _C1) * (2.0 * sigma_xy + _C2)
-        denominator = (ref.mu_sq + mu_y_sq + _C1) * (
-            ref.sigma_sq + sigma_y_sq + _C2
-        )
-        return numerator / denominator
+        return _ssim_map_of(ref, _moments(b))
 
 
 def ssim_with(ref: SsimReference, b: np.ndarray) -> float:
@@ -279,130 +292,67 @@ def ssim_many(a: np.ndarray, candidates) -> np.ndarray:
     return np.array([ssim_with(ref, c) for c in candidates], dtype=np.float64)
 
 
-def _stack_means(maps: np.ndarray) -> np.ndarray:
-    """Per-frame means of a contiguous (N, H, W) stack.
-
-    Bit-identical to ``maps[i].mean()`` per frame: the reduction runs
-    over the same contiguous H*W values in the same pairwise-summation
-    order.
-    """
-    return maps.reshape(maps.shape[0], -1).mean(axis=1)
-
-
 def ssim_many_stacked(ref: SsimReference, candidates: np.ndarray) -> np.ndarray:
-    """Mean SSIM of a stacked candidate tile against one prepared reference.
+    """Mean SSIM of an ``(N, H, W)`` candidate stack against one prepared
+    reference, bit-identical to ``[ssim_with(ref, c) for c in candidates]``.
 
-    The multi-candidate batch kernel of the online loop: ``candidates``
-    is an ``(N, H, W)`` tile (float32 tiles welcome — frames are promoted
-    to float64 exactly as the scalar path promotes each frame), and the
-    3N candidate-side gaussian moments — blur(y), blur(y²), blur(x·y) —
-    are computed by a *single* pair of separable correlations over one
-    ``(3N, H, W)`` float64 stack.  Results are bit-identical to
-    ``[ssim_with(ref, c) for c in candidates]``.
+    Candidates are scored one at a time, like :func:`ssim_pairs`, so no
+    float64 copy of the stack is built; float32 stacks are welcome (each
+    frame is promoted as the scalar path promotes it).
     """
     candidates = np.asarray(candidates)
     if candidates.ndim != 3:
         raise ValueError("candidates must be an (N, H, W) stack")
-    n = candidates.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    if candidates.shape[1:] != ref.shape:
+    if len(candidates) and candidates.shape[1:] != ref.shape:
         raise ValueError(
             f"frame shapes differ: {ref.shape} vs {candidates.shape[1:]}"
         )
-    h, w = ref.shape
     with perf.timed("ssim"):
-        perf.count("ssim.batched_candidates", n)
-        stack = np.empty((3 * n, h, w), dtype=np.float64)
-        blurred = np.empty_like(stack)
-        scratch = np.empty_like(stack)
-        y = stack[:n]
-        np.copyto(y, candidates)  # the float64 promotion of the scalar path
-        np.multiply(y, y, out=stack[n:2 * n])
-        np.multiply(ref.image, y, out=stack[2 * n:])
-        _blur(stack, out=blurred, scratch=scratch)
-        mu_y, yy, xy = blurred[:n], blurred[n:2 * n], blurred[2 * n:]
-        # The exact elementwise chain of ssim_map_with, written into the
-        # already-consumed input rows (out= does not change the values).
-        mu_y_sq = np.multiply(mu_y, mu_y, out=stack[:n])
-        mu_xy = np.multiply(ref.mu, mu_y, out=stack[n:2 * n])
-        sigma_y_sq = np.subtract(yy, mu_y_sq, out=yy)
-        sigma_xy = np.subtract(xy, mu_xy, out=xy)
-        t1 = np.multiply(2.0, mu_xy, out=scratch[:n])
-        np.add(t1, _C1, out=t1)
-        t2 = np.multiply(2.0, sigma_xy, out=scratch[n:2 * n])
-        np.add(t2, _C2, out=t2)
-        numerator = np.multiply(t1, t2, out=t1)
-        d1 = np.add(ref.mu_sq, mu_y_sq, out=scratch[2 * n:])
-        np.add(d1, _C1, out=d1)
-        d2 = np.add(ref.sigma_sq, sigma_y_sq, out=sigma_y_sq)
-        np.add(d2, _C2, out=d2)
-        denominator = np.multiply(d1, d2, out=d1)
-        maps = np.divide(numerator, denominator, out=numerator)
-        return _stack_means(maps)
+        perf.count("ssim.batched_candidates", len(candidates))
+        return np.array(
+            [_ssim_map_of(ref, _moments(c)).mean() for c in candidates],
+            dtype=np.float64,
+        )
 
 
 def ssim_pairs(pairs) -> np.ndarray:
-    """Mean SSIM of K independent (a, b) frame pairs in one tiled pass.
+    """Mean SSIM of K independent (a, b) frame pairs, one pair at a time.
 
-    The cross-player batch kernel: all 5K gaussian moments — blur(x),
-    blur(y), blur(x²), blur(y²), blur(x·y) — stack into one
-    ``(5K, H, W)`` float64 tile blurred by a single pair of separable
-    correlations.  Every value is bit-identical to
-    ``[ssim(a, b) for a, b in pairs]``.  All pairs must share one frame
-    shape (callers batch homogeneous work: one session's displayed
-    frames at one render resolution).
+    The online loop's flush kernel.  A pair costs five filters: each
+    frame's moments, blur(f) and blur(f²), and the cross term blur(a·b).
+    A frame object that appears again later in the call (the far-BE
+    switch chain A→B, B→C scores B twice) keeps its moments from the pair
+    that first computed them until its last pair, and each reuse counts
+    as ``ssim.moments_reused``.  Pairs may mix frame shapes, and no
+    stacked tile is built, so memory stays at a few frames.  Every value
+    is bit-identical to ``[ssim(a, b) for a, b in pairs]``.
     """
     pairs = list(pairs)
-    if not pairs:
-        return np.empty(0, dtype=np.float64)
-    shape = None
-    for a, b in pairs:
+    last_seen = {}
+    for index, (a, b) in enumerate(pairs):
         _validate_pair(a, b)
-        if shape is None:
-            shape = a.shape
-        elif a.shape != shape:
-            raise ValueError(
-                f"pairs must share one frame shape: {shape} vs {a.shape}"
-            )
-    k = len(pairs)
-    h, w = shape
+        last_seen[id(a)] = last_seen[id(b)] = index
+    kept = {}
+    reused = 0
+    scores = np.empty(len(pairs), dtype=np.float64)
     with perf.timed("ssim"):
-        perf.count("ssim.batched_pairs", k)
-        stack = np.empty((5 * k, h, w), dtype=np.float64)
-        blurred = np.empty_like(stack)
-        scratch = np.empty_like(stack)
-        xs, ys = stack[:k], stack[k:2 * k]
-        for i, (a, b) in enumerate(pairs):
-            np.copyto(xs[i], a)  # the float64 promotion of the scalar path
-            np.copyto(ys[i], b)
-        np.multiply(xs, xs, out=stack[2 * k:3 * k])
-        np.multiply(ys, ys, out=stack[3 * k:4 * k])
-        np.multiply(xs, ys, out=stack[4 * k:])
-        _blur(stack, out=blurred, scratch=scratch)
-        mu_x, mu_y = blurred[:k], blurred[k:2 * k]
-        bxx = blurred[2 * k:3 * k]
-        byy = blurred[3 * k:4 * k]
-        bxy = blurred[4 * k:]
-        # prepare_reference's chain, then ssim_map_with's, elementwise.
-        mu_x_sq = np.multiply(mu_x, mu_x, out=stack[:k])
-        mu_y_sq = np.multiply(mu_y, mu_y, out=stack[k:2 * k])
-        mu_xy = np.multiply(mu_x, mu_y, out=stack[2 * k:3 * k])
-        sigma_x_sq = np.subtract(bxx, mu_x_sq, out=bxx)
-        sigma_y_sq = np.subtract(byy, mu_y_sq, out=byy)
-        sigma_xy = np.subtract(bxy, mu_xy, out=bxy)
-        t1 = np.multiply(2.0, mu_xy, out=scratch[:k])
-        np.add(t1, _C1, out=t1)
-        t2 = np.multiply(2.0, sigma_xy, out=scratch[k:2 * k])
-        np.add(t2, _C2, out=t2)
-        numerator = np.multiply(t1, t2, out=t1)
-        d1 = np.add(mu_x_sq, mu_y_sq, out=mu_x_sq)
-        np.add(d1, _C1, out=d1)
-        d2 = np.add(sigma_x_sq, sigma_y_sq, out=sigma_x_sq)
-        np.add(d2, _C2, out=d2)
-        denominator = np.multiply(d1, d2, out=d1)
-        maps = np.divide(numerator, denominator, out=numerator)
-        return _stack_means(maps)
+        perf.count("ssim.batched_pairs", len(pairs))
+        for index, (a, b) in enumerate(pairs):
+            frames = (a,) if a is b else (a, b)
+            moments = []
+            for frame in frames:
+                key = id(frame)
+                found = kept.pop(key, None)
+                if found is None:
+                    found = _moments(frame)
+                else:
+                    reused += 1
+                if last_seen[key] > index:
+                    kept[key] = found
+                moments.append(found)
+            scores[index] = _ssim_map_of(moments[0], moments[-1]).mean()
+        perf.count("ssim.moments_reused", reused)
+    return scores
 
 
 def ssim_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:

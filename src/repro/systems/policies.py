@@ -21,7 +21,7 @@ from ..metrics import MetricsCollector
 from ..predict import PosePredictor, PredictConfig
 from ..predict.pose import MAX_CONFIDENCE_M, SPECULATIVE_TTL_MS
 from ..render.rasterizer import merge_layers
-from ..render.splitter import eye_at, render_fi, render_near_be, render_whole_be
+from ..render.splitter import eye_at, render_fi, render_near_and_whole_be
 from ..session import SyncValidator
 from ..session.sync import CORRUPTION_MASK, state_digest
 from ..sim import any_of
@@ -454,9 +454,12 @@ class DisplayScorer:
     frame against its all-local reference.
 
     SSIM scores feed only *metrics*, never simulated timing, so they
-    are deferred: jobs queue during the simulation and compute in
-    stacked :func:`repro.similarity.ssim_pairs` flushes (bit-identical
-    to :func:`repro.similarity.ssim`, pair by pair).
+    are deferred: jobs queue during the simulation and a flush scores
+    them with :func:`repro.similarity.ssim_pairs` (bit-identical to
+    :func:`repro.similarity.ssim`, pair by pair).  A displayed frame's
+    near BE and its all-local reference's whole BE come from one
+    :func:`~repro.render.splitter.render_near_and_whole_be` call, which
+    textures the ground once.
     """
 
     def __init__(self, strategy, stride: int) -> None:
@@ -527,9 +530,11 @@ class DisplayScorer:
         ]
         exclude = roster.index(player_id) if player_id in roster else -1
         avatars = avatars_at(world, positions, exclude_player=exclude)
-        near = render_near_be(world.scene, eye, render_config, decision.cutoff_radius)
+        near, whole = render_near_and_whole_be(
+            world.scene, eye, render_config, decision.cutoff_radius
+        )
         fi_layer = render_fi(avatars, eye, render_config)
         displayed = merge_layers(layer_from_decoded(far_image), near, fi_layer)
         # ``reference_frame`` over the same FI layer, drawn once.
-        reference = merge_layers(render_whole_be(world.scene, eye, render_config), fi_layer)
+        reference = merge_layers(whole, fi_layer)
         return displayed, reference

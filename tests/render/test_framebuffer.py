@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.render import (
@@ -58,6 +58,31 @@ class TestValueNoise:
         xs = np.linspace(-10, 10, 40)
         vals = value_noise(xs[:, None], xs[None, :], seed=2)
         assert np.all((vals >= 0.0) & (vals < 1.0))
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+            min_size=1, max_size=16,
+        ),
+        st.integers(-(2**40), 2**40),
+    )
+    @example([(-3.5, -0.25), (-1.0, 2.75)], -7)
+    def test_equals_four_hash_reference(self, points, seed):
+        """The shared linear term gives the four corners' hashes exactly,
+        negative lattice coordinates and seeds included."""
+        x, y = (np.array(axis) for axis in zip(*points))
+        x0, y0 = np.floor(x), np.floor(y)
+        fx, fy = x - x0, y - y0
+        sx = fx * fx * (3.0 - 2.0 * fx)
+        sy = fy * fy * (3.0 - 2.0 * fy)
+        ix, iy = x0.astype(np.int64), y0.astype(np.int64)
+        v00, v10 = hash01(ix, iy, seed), hash01(ix + 1, iy, seed)
+        v01, v11 = hash01(ix, iy + 1, seed), hash01(ix + 1, iy + 1, seed)
+        top = v00 + (v10 - v00) * sx
+        bottom = v01 + (v11 - v01) * sx
+        expected = top + (bottom - top) * sy
+        assert np.array_equal(value_noise(x, y, seed), expected)
 
     @settings(max_examples=20)
     @given(st.floats(min_value=-100, max_value=100), st.floats(min_value=-100, max_value=100))

@@ -15,8 +15,10 @@ from repro.render import (
     render_near_be,
     render_whole_be,
 )
+from repro.render.rasterizer import VIEW_LIMIT
+from repro.render.splitter import render_near_and_whole_be
 from repro.similarity import ssim
-from repro.world import Scene, SceneObject
+from repro.world import ALL_GAMES, Scene, SceneObject, load_game
 
 CFG = RenderConfig(width=128, height=64)
 
@@ -112,6 +114,37 @@ class TestSplitRendering:
             sims.append(ssim(a, b))
         assert sims[-1] > sims[0]
         assert sims[-1] > 0.95
+
+
+class TestSharedGround:
+    """``render_near_and_whole_be`` textures the ground once and must give
+    the two separate renders bit for bit."""
+
+    @pytest.mark.parametrize("game", ALL_GAMES)
+    def test_equals_separate_renders_all_games(self, game):
+        world = load_game(game)
+        bounds = world.scene.bounds
+        point = Vec2(
+            bounds.x_min + 0.4 * (bounds.x_max - bounds.x_min),
+            bounds.y_min + 0.6 * (bounds.y_max - bounds.y_min),
+        )
+        eye = eye_at(world.scene, point, world.spec.player.eye_height)
+        config = RenderConfig()
+        for cutoff in (0.0, 30.0, VIEW_LIMIT, 1.5 * VIEW_LIMIT):
+            layers = render_near_and_whole_be(world.scene, eye, config, cutoff)
+            expected = (
+                render_near_be(world.scene, eye, config, cutoff),
+                render_whole_be(world.scene, eye, config),
+            )
+            for name, got, want in zip(("near", "whole"), layers, expected):
+                context = f"{game} {name} at cutoff {cutoff}"
+                assert np.array_equal(got.image, want.image), context
+                assert np.array_equal(got.mask, want.mask), context
+                assert np.array_equal(got.depth, want.depth), context
+
+    def test_negative_cutoff_raises(self, scene):
+        with pytest.raises(ValueError):
+            render_near_and_whole_be(scene, EYE, CFG, -1.0)
 
 
 class TestFiAndDisplay:
