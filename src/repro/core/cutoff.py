@@ -187,6 +187,7 @@ def _radius_solver(
         # object within ``bound`` of a point lies in the points' bounding
         # box grown by ``bound + 1`` (the metre covers rounding).
         reach = bound + 1.0
+        perf.count("cutoff.box_scanned", len(xs))
         box = np.flatnonzero(
             (xs >= px.min() - reach) & (xs <= px.max() + reach)
             & (ys >= py.min() - reach) & (ys <= py.max() + reach)
