@@ -12,7 +12,7 @@ quadrants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -155,14 +155,16 @@ def exact_max_radius(
     bisection with repeated spatial queries; a one-point call into the
     solver :func:`build_cutoff_map` uses.
     """
-    return _radius_solver(scene, model, budget, max_radius)([viewpoint])[0]
+    return _radius_solver(scene, model, budget, max_radius)(
+        np.array([viewpoint.x]), np.array([viewpoint.y])
+    )[0]
 
 
 def _radius_solver(
     scene: Scene, model: RenderCostModel, budget: RenderBudget, max_radius: float
-) -> Callable[[Sequence[Vec2]], List[float]]:
-    """:func:`exact_max_radius` at several points, the per-scene work done
-    once.
+) -> Callable[[np.ndarray, np.ndarray], List[float]]:
+    """:func:`exact_max_radius` at several points ``(px, py)``, the
+    per-scene work done once.
 
     Each call first searches only the objects within a bound seeded from
     the previous call's largest radius (the quadtree visits neighbouring
@@ -177,6 +179,9 @@ def _radius_solver(
     positions, triangles = scene.position_triangle_arrays()
     xs = np.ascontiguousarray(positions[:, 0])
     ys = np.ascontiguousarray(positions[:, 1])
+    # The objects in x order, so a box's x range is one slice.
+    by_x = np.argsort(xs, kind="stable")
+    sorted_xs = xs[by_x]
     device = model.device
     limit = budget.near_be_budget_ms
     largest = max_radius  # the previous call's largest radius
@@ -187,17 +192,19 @@ def _radius_solver(
         # object within ``bound`` of a point lies in the points' bounding
         # box grown by ``bound + 1`` (the metre covers rounding).
         reach = bound + 1.0
-        perf.count("cutoff.box_scanned", len(xs))
-        box = np.flatnonzero(
-            (xs >= px.min() - reach) & (xs <= px.max() + reach)
-            & (ys >= py.min() - reach) & (ys <= py.max() + reach)
-        )
+        start = np.searchsorted(sorted_xs, px.min() - reach, side="left")
+        stop = np.searchsorted(sorted_xs, px.max() + reach, side="right")
+        perf.count("cutoff.box_scanned", int(stop - start))
+        slab = by_x[start:stop]
+        y_min, y_max = py.min() - reach, py.max() + reach
+        # Back in scene order: the columns a whole-scene filter would give.
+        box = np.sort(slab[(ys[slab] >= y_min) & (ys[slab] <= y_max)])
         distances = np.hypot(xs[box] - px[:, None], ys[box] - py[:, None])
         # An object beyond the bound sorts last, at inf: a crossing there
         # reads as none.
         distances[distances > bound] = np.inf
         order = np.argsort(distances, axis=1)
-        sorted_d = np.take_along_axis(distances, order, axis=1)
+        sorted_d = distances[np.arange(len(px))[:, None], order]
         lod = np.maximum(device.lod_floor, 1.0 / (1.0 + (sorted_d / device.lod_distance) ** 2))
         cost_ms = np.cumsum(triangles[box][order] * lod, axis=1) / device.triangle_throughput
         # ``cost_ms`` never decreases, so this is searchsorted(side="left").
@@ -207,10 +214,8 @@ def _radius_solver(
         supremum[rows] = sorted_d[rows, index[rows]]
         return supremum
 
-    def solve(points: Sequence[Vec2]) -> List[float]:
+    def solve(px: np.ndarray, py: np.ndarray) -> List[float]:
         nonlocal largest
-        px = np.array([p.x for p in points])
-        py = np.array([p.y for p in points])
         bound = min(2.0 * largest + 2.0, max_radius)
         supremum = crossings(px, py, bound)
         missed = np.flatnonzero(supremum == np.inf)
@@ -232,8 +237,9 @@ def sample_points(
     region: Rect,
     k_samples: int,
     reachable: Optional[BatchPredicate],
-) -> List[Vec2]:
-    """K sample locations in ``region``, biased toward reachable ones.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """K sample locations ``(xs, ys)`` in ``region``, biased toward
+    reachable ones.
 
     Equivalent to drawing candidates one at a time (x then y from ``rng``)
     until ``k_samples`` are reachable or ``8 * k_samples`` were tried, then
@@ -245,12 +251,11 @@ def sample_points(
     attempts = 8 * k_samples if reachable is not None else 0
     bit_generator = rng.bit_generator
     state = bit_generator.state
-    draws = rng.uniform(
-        (region.x_min, region.y_min),
-        (region.x_max, region.y_max),
-        size=(attempts + k_samples, 2),
-    )
-    xs, ys = draws[:, 0], draws[:, 1]
+    # ``uniform(low, high)`` returns ``low + (high - low) * random()``, so
+    # one block of ``random`` draws scaled per axis gives its doubles.
+    unit = rng.random((attempts + k_samples, 2))
+    xs = region.x_min + (region.x_max - region.x_min) * unit[:, 0]
+    ys = region.y_min + (region.y_max - region.y_min) * unit[:, 1]
 
     chosen = np.empty(0, dtype=np.intp)
     tried = 0
@@ -262,7 +267,7 @@ def sample_points(
     chosen = np.concatenate([chosen, np.arange(tried, tried + fill)])
     bit_generator.state = state
     bit_generator.advance(2 * (tried + fill))
-    return [Vec2(x, y) for x, y in zip(xs[chosen].tolist(), ys[chosen].tolist())]
+    return xs[chosen], ys[chosen]
 
 
 def build_cutoff_map(
@@ -295,8 +300,7 @@ def build_cutoff_map(
         return hi / lo <= AGREEMENT_RATIO
 
     def policy(region: Rect, depth: int) -> Tuple[bool, LeafCutoff]:
-        points = sample_points(rng, region, config.k_samples, reachable)
-        radii = max_radius_at(points)
+        radii = max_radius_at(*sample_points(rng, region, config.k_samples, reachable))
         counter["samples"] += len(radii)
         payload = LeafCutoff(
             cutoff_radius=min(radii), sampled_radii=tuple(radii)

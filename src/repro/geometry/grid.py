@@ -143,6 +143,9 @@ class WorldGrid:
         self.pitch = pitch
         self._reachable = reachable
         self._reachable_many = None if reachable is None else batch_predicate(reachable)
+        # A mask with a coarse index (``TrackMask.near_indices``) rules
+        # points out before they are snapped.
+        self._near_indices = getattr(reachable, "near_indices", None)
         self.nx = max(1, int(math.floor(bounds.width / pitch)) + 1)
         self.ny = max(1, int(math.floor(bounds.height / pitch)) + 1)
 
@@ -178,14 +181,34 @@ class WorldGrid:
         return self._reachable(self.to_world(gp))
 
     def reachable_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """``is_reachable(snap(p))`` for every world position ``(xs[i], ys[i])``."""
+        """``is_reachable(snap(p))`` for every world position ``(xs[i], ys[i])``.
+
+        With an indexed mask, only the clamped positions its index cannot
+        rule out are snapped and tested.  Snapping moves a clamped position
+        at most one pitch along each axis (half a pitch by rounding, or a
+        pitch onto the last grid line), so less than two pitches: a
+        position farther than that from the reachable set stays out of it.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         if self._reachable_many is None:
             return np.ones(len(xs), dtype=bool)
         b = self.bounds
-        i = np.rint((np.clip(xs, b.x_min, b.x_max) - b.x_min) / self.pitch)
-        j = np.rint((np.clip(ys, b.y_min, b.y_max) - b.y_min) / self.pitch)
+        xs = np.clip(xs, b.x_min, b.x_max)
+        ys = np.clip(ys, b.y_min, b.y_max)
+        if self._near_indices is None:
+            return self._snapped_reachable(xs, ys)
+        reachable = np.zeros(len(xs), dtype=bool)
+        near = self._near_indices(xs, ys, 2.0 * self.pitch)
+        if len(near):
+            reachable[near] = self._snapped_reachable(xs[near], ys[near])
+        return reachable
+
+    def _snapped_reachable(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The mask at the grid points nearest to clamped positions."""
+        b = self.bounds
+        i = np.rint((xs - b.x_min) / self.pitch)
+        j = np.rint((ys - b.y_min) / self.pitch)
         return self._reachable_many(
             b.x_min + np.minimum(i, self.nx - 1) * self.pitch,
             b.y_min + np.minimum(j, self.ny - 1) * self.pitch,

@@ -41,6 +41,7 @@ class TrackFollower:
         self.rng = np.random.default_rng(seed)
         self.arc = start_arc
         self.lateral = 0.0
+        self._heading = self.track.heading_at(start_arc)
 
     def step(self, dt_ms: float) -> Vec2:
         """Advance the car by ``dt_ms`` and return its new position."""
@@ -51,14 +52,13 @@ class TrackFollower:
         max_lateral = self.world.spec.track_half_width * 0.7
         self.lateral += float(self.rng.normal(0.0, 0.08))
         self.lateral = max(-max_lateral, min(max_lateral, self.lateral))
-        center = self.track.point_at(self.arc)
-        heading = self.track.heading_at(self.arc)
-        normal = Vec2.from_angle(heading + math.pi / 2)
+        center, self._heading = self.track.pose_at(self.arc)
+        normal = Vec2.from_angle(self._heading + math.pi / 2)
         return self.world.bounds.clamp(center + normal * self.lateral)
 
     def heading(self) -> float:
         """Current movement direction along the track."""
-        return self.track.heading_at(self.arc)
+        return self._heading
 
 
 class WaypointRoamer:

@@ -90,7 +90,8 @@ class DensityField:
         """Batch form of ``__call__`` over coordinate arrays, equal to it bit
         for bit: blob terms through ``math.exp``, each point's terms reduced
         by the builtin ``sum`` in blob order, and the track band on the exact
-        :meth:`TrackMask.distances_to_centerline`."""
+        :meth:`TrackMask.distances_to_centerline` of the points the track's
+        index does not place beyond ``track_band_width``."""
         cx, cy, sigma, amplitude = np.array(
             [(b.center.x, b.center.y, b.sigma, b.amplitude) for b in self.blobs],
             dtype=np.float64,
@@ -103,9 +104,15 @@ class DensityField:
         terms = (amplitude * exps.reshape(exponent.shape)).tolist()
         density = self.base + np.fromiter(map(sum, terms), np.float64, len(terms))
         if self.track is not None and self.track_band_density > 0:
-            dist = self.track.distances_to_centerline(xs, ys)
-            band = density + self.track_band_density * (1.0 - dist / self.track_band_width)
-            density = np.where(dist <= self.track_band_width, band, density)
+            near = self.track.near_indices(
+                xs, ys, self.track_band_width - self.track.half_width
+            )
+            if len(near):
+                dist = self.track.distances_to_centerline(xs[near], ys[near])
+                band = density[near] + self.track_band_density * (
+                    1.0 - dist / self.track_band_width
+                )
+                density[near] = np.where(dist <= self.track_band_width, band, density[near])
         return density
 
     @staticmethod
@@ -210,6 +217,7 @@ def generate_scene(
     for j in range(ny):
         y_lo = bounds.y_min + j * PLACEMENT_CELL_M
         y_hi = min(bounds.y_min + (j + 1) * PLACEMENT_CELL_M, bounds.y_max)
+        row_height = y_hi - y_lo
         # One array pass per placement row, equal to the scalar calls.
         kept = np.flatnonzero((x_hi - x_lo) * (y_hi - y_lo) != 0)
         row_density = density.at_many(
@@ -227,12 +235,17 @@ def generate_scene(
             count = int(rng.poisson(expected_count))
             if count == 0:
                 continue
-            cell = Rect(float(x_lo[i]), y_lo, float(x_hi[i]), y_hi)
+            cell_x_lo = float(x_lo[i])
+            cell_width = float(x_hi[i]) - cell_x_lo
             attempts = 0
             max_attempts = 4 * count + 8  # keep_clear cells cannot spin forever
             while count > 0 and attempts < max_attempts:
                 attempts += 1
-                position = cell.sample(rng, 1)[0]
+                # ``Rect.sample(rng, 1)``'s two ``uniform`` draws: each is
+                # ``low + (high - low) * random()``.
+                position = Vec2(
+                    cell_x_lo + cell_width * rng.random(), y_lo + row_height * rng.random()
+                )
                 if keep_clear is not None and keep_clear(position):
                     continue
                 kind = mixture.draw(rng)

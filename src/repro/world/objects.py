@@ -132,7 +132,9 @@ def make_object(
     The bounding sphere sits tangent to the terrain for grounded kinds
     (centre at ``terrain_height + radius``).
     """
-    radius = float(rng.uniform(*kind.radius))
+    # ``rng.uniform(lo, hi)``'s double, without its per-call set-up.
+    lo, hi = kind.radius
+    radius = lo + (hi - lo) * rng.random()
     triangles = int(rng.integers(kind.triangles[0], kind.triangles[1] + 1))
     z = terrain_height + (radius if kind.grounded else 2.0 * radius)
     luminance = float(

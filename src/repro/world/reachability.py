@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ TRACK_CELL_M = 8.0
 # half-diagonal plus this margin (m): orders of magnitude above the
 # rounding error of any distance in a world of kilometres.
 _FAR_SLACK_M = 1.0
+_HALF_DIAGONAL_M = TRACK_CELL_M * math.sqrt(0.5)
 # Cell centres the index build measures per pass, to bound its memory.
 _BUILD_CHUNK = 4096
 
@@ -61,12 +62,17 @@ class TrackMask:
 
     Membership (``__call__``, :meth:`contains_many`) first consults a
     coarse index, also built here: a grid of :data:`TRACK_CELL_M` cells over
-    the waypoints' bounding box grown by ``half_width`` plus one cell.  A
-    cell whose centre lies farther from the centreline than ``half_width``
-    plus the cell's half-diagonal plus a metre of slack holds no point of
-    the band, so a point in such a cell, or outside the grid, is answered
-    ``False`` without measuring it; every other point gets the exact
-    distance.  The distance queries themselves are always exact.
+    the waypoints' bounding box grown by ``half_width`` plus one cell, with
+    each cell centre's exact distance to the centreline.  A cell whose
+    centre lies farther from the centreline than ``half_width`` plus the
+    cell's half-diagonal plus a metre of slack holds no point of the band,
+    so a point in such a cell, or outside the grid, is answered ``False``
+    without measuring it (:meth:`near_indices`); every other point gets the
+    exact distance.  ``__call__`` measures it over the cell's shortlist of
+    segments: those whose distance from the cell centre is within two
+    half-diagonals plus the slack of the nearest one, which holds every
+    point's nearest segment.  The distance queries themselves are always
+    exact.
     """
 
     def __init__(self, waypoints: Sequence[Vec2], half_width: float) -> None:
@@ -95,6 +101,8 @@ class TrackMask:
         # left to right exactly as a walk along the segments would.
         self._arc_ends = list(accumulate(self._seg_lengths))
 
+        self._box_x0, self._box_x1 = float(self._ax.min()), float(self._ax.max())
+        self._box_y0, self._box_y1 = float(self._ay.min()), float(self._ay.max())
         reach = half_width + TRACK_CELL_M
         self._cell_x0 = float(self._ax.min()) - reach
         self._cell_y0 = float(self._ay.min()) - reach
@@ -105,14 +113,27 @@ class TrackMask:
             self._cell_y0 + (np.arange(ny) + 0.5) * TRACK_CELL_M,
         )
         cx, cy = cx.ravel(), cy.ravel()
-        clearance = half_width + TRACK_CELL_M * math.sqrt(0.5) + _FAR_SLACK_M
-        near = np.concatenate([
-            self.distances_to_centerline(cx[k:k + _BUILD_CHUNK], cy[k:k + _BUILD_CHUNK])
-            <= clearance
-            for k in range(0, len(cx), _BUILD_CHUNK)
-        ])
-        # _near_cells[j, i]: cell (i, j) may hold a point of the band.
-        self._near_cells = near.reshape(ny, nx)
+        # Python lists of the segment arrays, for the scalar shortlist pass.
+        self._segment_rows = list(zip(
+            self._ax.tolist(), self._ay.tolist(), self._abx.tolist(),
+            self._aby.tolist(), self._ab_divisor.tolist(),
+        ))
+        distances = []
+        # _shortlists[k]: the segments to measure for a point of near cell k.
+        self._shortlists = {}
+        near_clearance = half_width + _HALF_DIAGONAL_M + _FAR_SLACK_M
+        for k in range(0, len(cx), _BUILD_CHUNK):
+            rx, ry = self._residuals(cx[k:k + _BUILD_CHUNK, None], cy[k:k + _BUILD_CHUNK, None])
+            exact = self._nearest(rx, ry)
+            distances.append(exact)
+            rows = np.flatnonzero(exact <= near_clearance)
+            listed = np.hypot(rx[rows], ry[rows]) <= (
+                exact[rows, None] + (2.0 * _HALF_DIAGONAL_M + _FAR_SLACK_M)
+            )
+            for row, segments in zip(rows.tolist(), listed):
+                self._shortlists[k + row] = tuple(np.flatnonzero(segments).tolist())
+        # _cell_distance[j, i]: cell (i, j)'s centre's distance to the centreline.
+        self._cell_distance = np.concatenate(distances).reshape(ny, nx)
 
     def _residuals(self, px, py) -> Tuple[np.ndarray, np.ndarray]:
         """Offsets from ``(px, py)`` to its nearest point on every segment.
@@ -145,7 +166,11 @@ class TrackMask:
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        rx, ry = self._residuals(xs[:, None], ys[:, None])
+        return self._nearest(*self._residuals(xs[:, None], ys[:, None]))
+
+    @staticmethod
+    def _nearest(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+        """Each row's smallest ``math.hypot`` of the N x S residuals."""
         sq = rx * rx + ry * ry
         nearest = sq.min(axis=1, keepdims=True)
         rows, cols = np.nonzero(
@@ -157,32 +182,76 @@ class TrackMask:
             count=len(rows),
         )
         # ``rows`` is sorted and holds every point at least once.
-        return np.minimum.reduceat(exact, np.searchsorted(rows, np.arange(len(xs))))
+        return np.minimum.reduceat(exact, np.searchsorted(rows, np.arange(len(rx))))
+
+    def near_indices(self, xs: np.ndarray, ys: np.ndarray, margin: float) -> np.ndarray:
+        """Indices of the points that may lie within ``margin`` metres of the
+        band, i.e. within ``half_width + margin`` of the centreline: every
+        point but those the coarse index places farther.
+
+        A point in a cell is ruled out when the cell centre's distance
+        exceeds that reach plus the half-diagonal and the slack.  A point
+        outside the grid lies more than ``half_width`` plus a cell from the
+        waypoints' bounding box; when the reach comes within the slack of
+        that, its distance to the box decides instead.
+        """
+        fx = (xs - self._cell_x0) / TRACK_CELL_M
+        fy = (ys - self._cell_y0) / TRACK_CELL_M
+        ny, nx = self._cell_distance.shape
+        # ``fx >= 0`` is false for NaN, and truncation is floor from here on.
+        in_grid = (fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny)
+        cells = np.flatnonzero(in_grid)
+        reach = self.half_width + margin
+        near = np.zeros(len(xs), dtype=bool)
+        near[cells] = self._cell_distance[
+            fy[cells].astype(np.intp), fx[cells].astype(np.intp)
+        ] <= reach + _HALF_DIAGONAL_M + _FAR_SLACK_M
+        if reach + _FAR_SLACK_M >= self.half_width + TRACK_CELL_M:
+            outside = np.flatnonzero(~in_grid)
+            gap_x = np.maximum(self._box_x0 - xs[outside], xs[outside] - self._box_x1)
+            gap_y = np.maximum(self._box_y0 - ys[outside], ys[outside] - self._box_y1)
+            near[outside] = np.hypot(
+                np.maximum(gap_x, 0.0), np.maximum(gap_y, 0.0)
+            ) <= reach + _FAR_SLACK_M
+        return np.flatnonzero(near)
 
     def contains_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Batch form of ``__call__`` over coordinate arrays."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        fx = (xs - self._cell_x0) / TRACK_CELL_M
-        fy = (ys - self._cell_y0) / TRACK_CELL_M
-        ny, nx = self._near_cells.shape
-        # ``fx >= 0`` is false for NaN, and truncation is floor from here on.
-        in_grid = np.flatnonzero((fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny))
-        near = in_grid[
-            self._near_cells[fy[in_grid].astype(np.intp), fx[in_grid].astype(np.intp)]
-        ]
+        near = self.near_indices(xs, ys, 0.0)
         inside = np.zeros(len(xs), dtype=bool)
         if len(near):
             inside[near] = self.distances_to_centerline(xs[near], ys[near]) <= self.half_width
         return inside
 
     def __call__(self, point: Vec2) -> bool:
-        fx = (point.x - self._cell_x0) / TRACK_CELL_M
-        fy = (point.y - self._cell_y0) / TRACK_CELL_M
-        ny, nx = self._near_cells.shape
-        if not (0 <= fx < nx and 0 <= fy < ny and self._near_cells[int(fy), int(fx)]):
-            return False
-        return self.distance_to_centerline(point) <= self.half_width
+        distance = self._near_distance(point)
+        return distance is not None and distance <= self.half_width
+
+    def _near_distance(self, point: Vec2) -> Optional[float]:
+        """:meth:`distance_to_centerline` of a point in a near cell, measured
+        over the cell's segment shortlist; ``None`` for a point the index
+        rules out."""
+        px, py = point.x, point.y
+        fx = (px - self._cell_x0) / TRACK_CELL_M
+        fy = (py - self._cell_y0) / TRACK_CELL_M
+        ny, nx = self._cell_distance.shape
+        if not (0 <= fx < nx and 0 <= fy < ny):
+            return None
+        shortlist = self._shortlists.get(int(fy) * nx + int(fx))
+        if shortlist is None:
+            return None
+        perf.count("reachability.residual_points")
+        # ``_residuals``' operations on Python floats, one segment at a time.
+        nearest = math.inf
+        for s in shortlist:
+            ax, ay, abx, aby, divisor = self._segment_rows[s]
+            dx = px - ax
+            dy = py - ay
+            t = max(0.0, min(1.0, (dx * abx + dy * aby) / divisor))
+            nearest = min(nearest, math.hypot(px - (ax + abx * t), py - (ay + aby * t)))
+        return nearest
 
     def length(self) -> float:
         """Total centreline length."""
@@ -206,10 +275,16 @@ class TrackMask:
 
     def heading_at(self, arc: float) -> float:
         """Track direction (radians) at arc-length ``arc``."""
-        eps = max(0.5, self._length * 1e-4)
-        ahead = self.point_at(arc + eps)
+        return self.pose_at(arc)[1]
+
+    def pose_at(self, arc: float) -> Tuple[Vec2, float]:
+        """``(point_at(arc), heading_at(arc))``, the point computed once."""
         here = self.point_at(arc)
-        d = ahead - here
+        return here, self._heading_from(here, arc)
+
+    def _heading_from(self, here: Vec2, arc: float) -> float:
+        eps = max(0.5, self._length * 1e-4)
+        d = self.point_at(arc + eps) - here
         if d.norm() == 0:
             return 0.0
         return d.angle()

@@ -42,6 +42,12 @@ def reference_sample_points(rng, region, k_samples, reachable):
     return points
 
 
+def sampled(rng, region, reachable):
+    """``sample_points``' coordinate arrays as the reference's ``Vec2`` list."""
+    xs, ys = sample_points(rng, region, K, reachable)
+    return [Vec2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
 def strip(fraction):
     """Reachable iff in the west ``fraction`` of REGION."""
     edge = REGION.x_min + fraction * REGION.width
@@ -59,7 +65,7 @@ def assert_same_points_and_stream(seed, regions, reachable):
     batched = None if reachable is None else batch_predicate(reachable)
     for region in regions:
         expected = reference_sample_points(ref_rng, region, K, reachable)
-        assert sample_points(new_rng, region, K, batched) == expected
+        assert sampled(new_rng, region, batched) == expected
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
     assert new_rng.random() == ref_rng.random()
 
@@ -202,18 +208,18 @@ class TestPrunedRadiusSearch:
     ):
         scene = random_scene(seed, count, 400.0, triangles_hi)
         region = Rect(x0, y0, x0 + width, y0 + height)
-        points = sample_points(np.random.default_rng(seed), region, K, None)
+        points = sampled(np.random.default_rng(seed), region, None)
         assert_region_matches(scene, points, max_radius)
 
     def test_region_wider_than_twice_max_radius(self):
         scene = random_scene(3, 250, 400.0, 3_000_000)
-        points = sample_points(np.random.default_rng(0), Rect(-50, -50, 450, 450), K, None)
+        points = sampled(np.random.default_rng(0), Rect(-50, -50, 450, 450), None)
         radii = assert_region_matches(scene, points, 60.0)
         assert min(radii) < 60.0
 
     def test_region_outside_the_scene(self):
         scene = random_scene(4, 250, 400.0, 3_000_000)
-        points = sample_points(np.random.default_rng(1), Rect(-200, 100, -10, 300), K, None)
+        points = sampled(np.random.default_rng(1), Rect(-200, 100, -10, 300), None)
         radii = assert_region_matches(scene, points, 180.0)
         assert min(radii) < 180.0 and max(radii) == 180.0
 
@@ -221,7 +227,7 @@ class TestPrunedRadiusSearch:
         # Every object sits in one corner, farther than max_radius + 1 m
         # from the whole region.
         scene = random_scene(1, 200, 40.0, 3_000_000)
-        points = sample_points(np.random.default_rng(2), Rect(300, 300, 390, 390), K, None)
+        points = sampled(np.random.default_rng(2), Rect(300, 300, 390, 390), None)
         assert assert_region_matches(scene, points, 50.0) == [50.0] * K
 
     def test_region_with_colocated_objects(self):
@@ -231,7 +237,7 @@ class TestPrunedRadiusSearch:
             for c, (x, y) in enumerate([(50.0, 50.0), (60.0, 52.5), (44.0, 70.0), (90.0, 90.0)])
             for i in range(6)
         ])
-        points = sample_points(np.random.default_rng(6), Rect(30, 30, 110, 110), K, None)
+        points = sampled(np.random.default_rng(6), Rect(30, 30, 110, 110), None)
         points.append(Vec2(50.0, 50.0))  # distance 0 to a whole cluster
         radii = assert_region_matches(scene, points, 180.0)
         assert min(radii) < 180.0
@@ -246,7 +252,7 @@ class TestPrunedRadiusSearch:
 
     def test_region_where_everything_fits(self):
         scene = random_scene(2, 50, 400.0, 100)
-        points = sample_points(np.random.default_rng(3), Rect(0, 0, 400, 400), K, None)
+        points = sampled(np.random.default_rng(3), Rect(0, 0, 400, 400), None)
         assert assert_region_matches(scene, points, 180.0) == [180.0] * K
 
 
@@ -257,5 +263,5 @@ def assert_region_matches(scene, points, max_radius):
         reference_exact_max_radius(scene, MODEL, p, RenderBudget(), max_radius)
         for p in points
     ]
-    assert solve(points) == expected
+    assert solve(np.array([p.x for p in points]), np.array([p.y for p in points])) == expected
     return expected

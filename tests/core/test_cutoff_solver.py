@@ -63,9 +63,18 @@ def scene_of(positions, triangles):
     )
 
 
+def solver(scene, max_radius):
+    """``_radius_solver``'s solve, called with a list of ``Vec2``."""
+    solve = _radius_solver(scene, MODEL, BUDGET, max_radius)
+    return lambda points: solve(
+        np.array([p.x for p in points], dtype=np.float64),
+        np.array([p.y for p in points], dtype=np.float64),
+    )
+
+
 def assert_matches_reference(scene, groups, max_radius):
     """Solve the groups in order on one solver, as the quadtree does."""
-    solve = _radius_solver(scene, MODEL, BUDGET, max_radius)
+    solve = solver(scene, max_radius)
     for points in groups:
         assert solve(points) == [reference_radius(scene, p, max_radius) for p in points]
 
@@ -110,7 +119,7 @@ class TestBoundedSolve:
     @pytest.mark.parametrize("max_radius", [5.0, 50.0, 180.0])
     def test_empty_scene(self, max_radius):
         groups = [[Vec2(10.0, 10.0)] * K, [Vec2(150.0, 20.0)], [Vec2(0.0, 0.0)] * 3]
-        solve = _radius_solver(scene_of([], []), MODEL, BUDGET, max_radius)
+        solve = solver(scene_of([], []), max_radius)
         for points in groups:
             assert solve(points) == [max_radius] * len(points)
 
@@ -119,7 +128,7 @@ class TestBoundedSolve:
         rng = np.random.default_rng(7)
         scene = scene_of(rng.uniform(0.0, EXTENT, (200, 2)), np.full(200, 10))
         points = [Vec2(float(x), float(y)) for x, y in rng.uniform(0.0, EXTENT, (K, 2))]
-        solve = _radius_solver(scene, MODEL, BUDGET, max_radius)
+        solve = solver(scene, max_radius)
         assert solve(points) == [max_radius] * K
         assert solve(points[:3]) == [max_radius] * 3
 
@@ -134,7 +143,7 @@ class TestBoundedSolve:
         before = perf.counter("cutoff.resolved")
         assert_matches_reference(scene, [first, second], 180.0)
         assert perf.counter("cutoff.resolved") - before == K
-        solve = _radius_solver(scene, MODEL, BUDGET, 180.0)
+        solve = solver(scene, 180.0)
         assert max(solve(first)) < 10.0
         assert 0.0 < min(solve(second)) < 180.0
 
@@ -145,5 +154,5 @@ class TestBoundedSolve:
         scene = scene_of(ring, [1_500_000, 2_500_000, 2_000_000, 3_000_000])
         points = [Vec2(100.0, 100.0)] * K
         assert_matches_reference(scene, [points, points], 180.0)
-        solve = _radius_solver(scene, MODEL, BUDGET, 180.0)
+        solve = solver(scene, 180.0)
         assert solve(points) == [5.0 - 1e-6] * K

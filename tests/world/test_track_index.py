@@ -7,6 +7,15 @@ and exactly at ``half_width`` from a waypoint, for closed tracks of 2-40
 waypoints with repeated waypoints (zero-length segments).  The racing
 games' batched verge mask must likewise equal the scalar closure it
 replaced, point by point.
+
+``__call__`` measures a point of a near cell over the cell's shortlist of
+segments, so the shortlisted distance must equal
+``distance_to_centerline`` bit for bit.  ``near_indices(xs, ys, margin)``
+may rule a point out only when its exact distance exceeds
+``half_width + margin``: ``DensityField.at_many`` skips the track band on
+that answer (a margin that reaches past the index grid), and
+``WorldGrid.reachable_mask`` skips snapping on it (a margin of two grid
+pitches).
 """
 
 import numpy as np
@@ -18,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
-from repro.geometry import Rect, Vec2
+from repro.geometry import Rect, Vec2, WorldGrid
 from repro.world import TrackMask, load_game, oval_track
 from repro.world.games import _verge_mask
 from repro.world.reachability import TRACK_CELL_M
@@ -126,3 +135,95 @@ def test_racing_index_rules_out_most_of_the_world():
     assert inside.tolist() == (track.distances_to_centerline(xs, ys) <= track.half_width).tolist()
     # The band covers ~2 % of the world; the near cells a few times that.
     assert 0 < inside.sum() <= measured < 0.2 * len(xs)
+
+margins = st.one_of(
+    st.sampled_from([0.0, 1.0 / 16.0, 15.0, 20.0, 45.0]),
+    st.floats(-0.5, 60.0),
+)
+
+
+@given(data=st.data(), waypoints=tracks(), half_width=half_widths)
+@settings(max_examples=300, deadline=None)
+def test_shortlisted_distance_equals_all_segments(data, waypoints, half_width):
+    mask = TrackMask(waypoints, half_width)
+    points = data.draw(probe_points(waypoints, half_width))
+    for point in points:
+        exact = mask.distance_to_centerline(point)
+        shortlisted = mask._near_distance(point)
+        if shortlisted is None:
+            assert exact > half_width
+        else:
+            assert shortlisted == exact
+
+
+@given(data=st.data(), waypoints=tracks(), half_width=half_widths, margin=margins)
+@settings(max_examples=300, deadline=None)
+def test_near_indices_keep_every_point_within_reach(data, waypoints, half_width, margin):
+    mask = TrackMask(waypoints, half_width)
+    points = data.draw(probe_points(waypoints, half_width))
+    # Points exactly at the reach, off a waypoint.
+    points += [Vec2(w.x + half_width + margin, w.y) for w in waypoints[:3]]
+    xs = np.array([p.x for p in points])
+    ys = np.array([p.y for p in points])
+    near = set(mask.near_indices(xs, ys, margin).tolist())
+    within = mask.distances_to_centerline(xs, ys) <= half_width + margin
+    assert {i for i in range(len(points)) if within[i]} <= near
+
+
+def test_zero_margin_is_the_membership_prefilter():
+    track = load_game("racing").track
+    xs, ys = Rect(0.0, 0.0, 1090.0, 1096.0).sample_arrays(np.random.default_rng(8), 4000)
+    near = track.near_indices(xs, ys, 0.0)
+    inside = np.flatnonzero(track.distances_to_centerline(xs, ys) <= track.half_width)
+    assert set(inside.tolist()) <= set(near.tolist())
+    assert len(near) < 0.2 * len(xs)
+
+
+def test_band_reach_looks_past_the_index_grid():
+    # Racing's band (20 m) reaches past the grid (half_width + one cell),
+    # so points outside the grid near the track's bounding box are kept.
+    track = load_game("racing").track
+    box_west = min(p.x for p in track.waypoints)
+    ys = np.array([548.0, 548.0, 548.0])
+    xs = np.array([box_west - 14.0, box_west - 19.0, box_west - 40.0])
+    near = track.near_indices(xs, ys, 20.0 - track.half_width).tolist()
+    assert near[:2] == [0, 1] and 2 not in near
+
+
+@given(
+    data=st.data(),
+    waypoints=tracks(),
+    half_width=half_widths,
+    pitch=st.sampled_from([1.0 / 32.0, 0.25, 1.0, 3.0, 7.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_grid_prefilter_equals_snap_then_mask(data, waypoints, half_width, pitch):
+    mask = TrackMask(waypoints, half_width)
+    grid = WorldGrid(Rect(-70.0, -70.0, 70.0, 70.0), pitch, reachable=mask)
+    # Anywhere, and within a few pitches of the band, where a snap can
+    # carry a point across the band's edge.
+    spread = half_width + 3.0 * pitch
+    near_band = st.builds(
+        lambda w, dx, dy: (w.x + dx, w.y + dy),
+        st.sampled_from(waypoints),
+        st.floats(-spread, spread),
+        st.floats(-spread, spread),
+    )
+    anywhere = st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
+    points = data.draw(st.lists(st.one_of(anywhere, near_band), min_size=1, max_size=60))
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    expected = [grid.is_reachable(grid.snap(Vec2(x, y))) for x, y in points]
+    assert grid.reachable_mask(xs, ys).tolist() == expected
+
+
+def test_prefilter_keeps_a_point_whose_snap_lands_on_the_band():
+    # Two lanes, y = 0 and y = -4.2, put a cell row at y in [3.3, 11.3):
+    # its centre is 7.3 m from the track, beyond the membership reach, yet
+    # (0, 3.4) snaps to the lattice point (0, 0) on the band.
+    track = TrackMask([Vec2(-60, 0), Vec2(60, 0), Vec2(60, -4.2), Vec2(-60, -4.2)], 0.5)
+    grid = WorldGrid(Rect(-75.0, -75.0, 75.0, 75.0), 7.5, reachable=track)
+    point = Vec2(0.0, 3.4)
+    assert len(track.near_indices(np.array([point.x]), np.array([point.y]), 0.0)) == 0
+    assert grid.is_reachable(grid.snap(point))
+    assert grid.reachable_mask(np.array([point.x]), np.array([point.y])).tolist() == [True]
