@@ -101,13 +101,14 @@ class TrackMask:
         # left to right exactly as a walk along the segments would.
         self._arc_ends = list(accumulate(self._seg_lengths))
 
+        # The waypoints' bounding box.
         self._box_x0, self._box_x1 = float(self._ax.min()), float(self._ax.max())
         self._box_y0, self._box_y1 = float(self._ay.min()), float(self._ay.max())
         reach = half_width + TRACK_CELL_M
-        self._cell_x0 = float(self._ax.min()) - reach
-        self._cell_y0 = float(self._ay.min()) - reach
-        nx = math.ceil((float(self._ax.max()) + reach - self._cell_x0) / TRACK_CELL_M)
-        ny = math.ceil((float(self._ay.max()) + reach - self._cell_y0) / TRACK_CELL_M)
+        self._cell_x0 = self._box_x0 - reach
+        self._cell_y0 = self._box_y0 - reach
+        nx = math.ceil((self._box_x1 + reach - self._cell_x0) / TRACK_CELL_M)
+        ny = math.ceil((self._box_y1 + reach - self._cell_y0) / TRACK_CELL_M)
         cx, cy = np.meshgrid(
             self._cell_x0 + (np.arange(nx) + 0.5) * TRACK_CELL_M,
             self._cell_y0 + (np.arange(ny) + 0.5) * TRACK_CELL_M,
