@@ -46,12 +46,12 @@ def build_harvest_world():
         kinds=(kind("tree"), kind("hut"), kind("fence"), kind("crate")),
         weights=(0.45, 0.25, 0.18, 0.12),
     )
-    scene = generate_scene(
+    objects = generate_scene(
         bounds, terrain, density, mixture, seed=2024,
         clutter_mixture=KindMixture((kind("grass"), kind("rock")), (0.7, 0.3)),
         clutter_per_m2=0.05,
     )
-    scene = Scene(bounds, scene.objects, terrain, ground_seed=2024)
+    scene = Scene(bounds, objects, terrain, ground_seed=2024)
     grid = WorldGrid(bounds, GRID_PITCH, reachable=FullAreaMask(bounds))
     return scene, grid
 

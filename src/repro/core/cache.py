@@ -20,8 +20,9 @@ localities coincide in player movement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
+from .. import perf
 from ..geometry import GridPoint, Vec2
 from .cutoff import LeafKey
 
@@ -65,6 +66,12 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     exact_hits: int = 0
+    # Similarity misses by the furthest §5.3 criterion a resident frame
+    # reached (they sum to ``misses`` unless ``exact_only``).
+    miss_empty: int = 0
+    miss_distance: int = 0
+    miss_leaf: int = 0
+    miss_near_set: int = 0
     # Speculation lifecycle (all zero unless prediction is enabled).
     speculative_inserts: int = 0
     speculative_confirms: int = 0
@@ -114,10 +121,6 @@ class FrameCache:
         # cache lane.  None (the default) costs one branch per lookup.
         self.tracer: Optional[SpanTracer] = None
         self.owner = -1
-        # Resident unconfirmed speculative entries.  Zero on every
-        # non-predicting session, which keeps the speculative filters
-        # below completely off the clean code paths (bit-identity).
-        self._spec_count = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,6 +141,47 @@ class FrameCache:
     # Lookup
     # ------------------------------------------------------------------
 
+    def _find(
+        self,
+        grid_point: GridPoint,
+        position: Vec2,
+        leaf: LeafKey,
+        near_ids: FrozenSet[int],
+        dist_thresh: float,
+    ) -> Tuple[Optional[CachedFrame], str]:
+        """The §5.3 decision and its outcome label: the exact entry
+        (``exact_hit``), nothing under ``exact_only`` (``miss``), or the
+        closest frame passing criteria 1-3 (``similar_hit``; ties go to the
+        earlier-inserted frame).  A similarity miss is labelled by the
+        furthest criterion a resident frame reached before failing:
+        ``empty``, ``distance``, ``leaf`` or ``near_set``.
+        """
+        if dist_thresh < 0:
+            raise ValueError("dist_thresh must be non-negative")
+        exact = self._frames.get(grid_point)
+        if exact is not None:
+            return exact, "exact_hit"
+        if self.exact_only:
+            return None, "miss"
+        best: Optional[CachedFrame] = None
+        best_distance = float("inf")
+        failed = "distance" if self._frames else "empty"
+        for frame in self._frames.values():
+            distance = frame.position.distance_to(position)
+            if distance > dist_thresh:
+                continue  # criterion 1
+            if frame.leaf != leaf:
+                if failed == "distance":
+                    failed = "leaf"
+                continue  # criterion 2
+            if frame.near_ids != near_ids:
+                failed = "near_set"
+                continue  # criterion 3
+            if distance < best_distance:
+                best = frame
+                best_distance = distance
+        return best, failed if best is None else "similar_hit"
+
     def lookup(
         self,
         grid_point: GridPoint,
@@ -149,134 +193,29 @@ class FrameCache:
     ) -> Optional[CachedFrame]:
         """Find a reusable frame for ``grid_point`` (§5.3 lookup algorithm).
 
-        Records a hit or miss in :attr:`stats`; a hit refreshes the entry's
-        LRU timestamp.
+        Records the outcome in :attr:`stats`, a similarity miss by its
+        criterion in ``perf`` too; a hit refreshes the entry's LRU stamp.
         """
-        if dist_thresh < 0:
-            raise ValueError("dist_thresh must be non-negative")
-
-        exact = self._frames.get(grid_point)
-        if exact is not None:
-            exact.last_used_ms = now_ms
-            self.stats.hits += 1
-            self.stats.exact_hits += 1
-            self._trace_lookup("exact_hit", now_ms)
-            return exact
-        if self.exact_only:
-            self.stats.misses += 1
-            self._trace_lookup("miss", now_ms)
-            return None
-
-        best = self._scan(position, leaf, near_ids, dist_thresh)
-        if best is None:
-            self.stats.misses += 1
-            self._trace_lookup("miss", now_ms)
-            return None
-        best.last_used_ms = now_ms
-        self.stats.hits += 1
-        self._trace_lookup("similar_hit", now_ms)
-        return best
-
-    def _scan(
-        self,
-        position: Vec2,
-        leaf: LeafKey,
-        near_ids: FrozenSet[int],
-        dist_thresh: float,
-    ) -> Optional[CachedFrame]:
-        """The §5.3 candidate loop: closest frame passing all three criteria."""
-        best: Optional[CachedFrame] = None
-        best_distance = float("inf")
-        for frame in self._frames.values():
-            distance = frame.position.distance_to(position)
-            if distance > dist_thresh:
-                continue  # criterion 1
-            if frame.leaf != leaf:
-                continue  # criterion 2
-            if frame.near_ids != near_ids:
-                continue  # criterion 3
-            if distance < best_distance:
-                best = frame
-                best_distance = distance
-        return best
-
-    def _trace_lookup(self, outcome: str, now_ms: float) -> None:
+        frame, outcome = self._find(grid_point, position, leaf, near_ids, dist_thresh)
+        stats = self.stats
+        if frame is None:
+            stats.misses += 1
+            if outcome != "miss":
+                field = f"miss_{outcome}"
+                setattr(stats, field, getattr(stats, field) + 1)
+                perf.count(f"cache.miss.{outcome}")
+                outcome = "miss"
+        else:
+            frame.last_used_ms = now_ms
+            stats.hits += 1
+            stats.exact_hits += outcome == "exact_hit"
         if self.tracer is not None:
             self.tracer.instant(
                 "cache.lookup", self.owner, "cache", now_ms, cat="cache",
                 args={"outcome": outcome, "entries": len(self._frames),
                       "bytes": self._bytes},
             )
-
-    def nearest(
-        self, position: Vec2, now_ms: float = 0.0
-    ) -> Optional[CachedFrame]:
-        """Closest resident frame regardless of the hit criteria.
-
-        The stale-frame fallback: when a prefetch misses its deadline the
-        client would rather display the nearest cached far-BE panorama
-        than stall the display — frame similarity (§4.6) keeps a nearby
-        stale frame perceptually close.  Not counted as a hit or miss and
-        does not refresh LRU state; the caller records it as degradation.
-        ``now_ms`` only stamps the telemetry instant.
-
-        Unconfirmed speculative entries never serve as stale fallbacks —
-        displaying unvalidated speculative state is exactly what the
-        rollback discipline forbids — so when any are resident the scan
-        restricts itself to confirmed frames.
-        """
-        if self._spec_count:
-            return self._nearest_confirmed(position, now_ms)
-        if not self._frames:
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "cache.nearest", self.owner, "cache", now_ms, cat="cache",
-                    args={"outcome": "empty", "entries": 0},
-                )
-            return None
-        best = min(
-            self._frames.values(),
-            key=lambda f: f.position.distance_to(position),
-        )
-        if self.tracer is not None:
-            self.tracer.instant(
-                "cache.nearest", self.owner, "cache", now_ms, cat="cache",
-                args={"outcome": "stale",
-                      "age_ms": round(now_ms - best.inserted_ms, 4),
-                      "entries": len(self._frames)},
-            )
-        return best
-
-    def _nearest_confirmed(
-        self, position: Vec2, now_ms: float
-    ) -> Optional[CachedFrame]:
-        """Stale-fallback scan over confirmed (non-speculative) frames.
-
-        Only runs while unconfirmed speculative entries are resident, so
-        the plain :meth:`nearest` path stays untouched for non-predicting
-        sessions.
-        """
-        candidates = [f for f in self._frames.values() if not f.speculative]
-        if not candidates:
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "cache.nearest", self.owner, "cache", now_ms, cat="cache",
-                    args={"outcome": "empty", "entries": len(self._frames)},
-                )
-            return None
-        best = min(candidates, key=lambda f: f.position.distance_to(position))
-        if self.tracer is not None:
-            self.tracer.instant(
-                "cache.nearest", self.owner, "cache", now_ms, cat="cache",
-                args={"outcome": "stale",
-                      "age_ms": round(now_ms - best.inserted_ms, 4),
-                      "entries": len(self._frames)},
-            )
-        return best
-
-    # ------------------------------------------------------------------
-    # Speculation (repro.predict)
-    # ------------------------------------------------------------------
+        return frame
 
     def peek(
         self,
@@ -286,26 +225,49 @@ class FrameCache:
         near_ids: FrozenSet[int],
         dist_thresh: float,
     ) -> Optional[CachedFrame]:
-        """A stats-free, LRU-free :meth:`lookup`.
+        """:meth:`lookup` without stats or LRU: speculative planning (and
+        resync probing) must not skew the hit ratio or refresh recency."""
+        return self._find(grid_point, position, leaf, near_ids, dist_thresh)[0]
 
-        Speculative planning (and resync probing) must not skew the hit
-        ratio or refresh recency, so this answers the same three-criteria
-        question as :meth:`lookup` without recording anything.
+    def nearest(
+        self, position: Vec2, now_ms: float = 0.0
+    ) -> Optional[CachedFrame]:
+        """Closest confirmed resident frame regardless of the hit criteria.
+
+        The stale-frame fallback: when a prefetch misses its deadline the
+        client would rather display the nearest cached far-BE panorama
+        than stall the display — frame similarity (§4.6) keeps a nearby
+        stale frame perceptually close.  Not counted as a hit or miss and
+        does not refresh LRU state; the caller records it as degradation.
+        ``now_ms`` only stamps the telemetry instant.  Unconfirmed
+        speculative entries never serve: displaying unvalidated state is
+        what the rollback discipline forbids.
         """
-        if dist_thresh < 0:
-            raise ValueError("dist_thresh must be non-negative")
-        exact = self._frames.get(grid_point)
-        if exact is not None:
-            return exact
-        if self.exact_only:
-            return None
-        return self._scan(position, leaf, near_ids, dist_thresh)
+        best = min(
+            (f for f in self._frames.values() if not f.speculative),
+            key=lambda f: f.position.distance_to(position),
+            default=None,
+        )
+        if self.tracer is not None:
+            if best is None:
+                args = {"outcome": "empty", "entries": len(self._frames)}
+            else:
+                args = {"outcome": "stale",
+                        "age_ms": round(now_ms - best.inserted_ms, 4),
+                        "entries": len(self._frames)}
+            self.tracer.instant(
+                "cache.nearest", self.owner, "cache", now_ms, cat="cache", args=args
+            )
+        return best
+
+    # ------------------------------------------------------------------
+    # Speculation (repro.predict)
+    # ------------------------------------------------------------------
 
     def confirm(self, frame: CachedFrame) -> None:
         """Promote a validated speculative entry to a confirmed one."""
         if frame.speculative:
             frame.speculative = False
-            self._spec_count -= 1
             self.stats.speculative_confirms += 1
 
     def discard(self, frame: CachedFrame) -> bool:
@@ -313,14 +275,10 @@ class FrameCache:
 
         Returns True when the frame was resident and removed.
         """
-        resident = self._frames.get(frame.grid_point)
-        if resident is not frame:
+        if self._frames.get(frame.grid_point) is not frame:
             return False
-        del self._frames[frame.grid_point]
-        self._bytes -= frame.size_bytes
-        if frame.speculative:
-            self._spec_count -= 1
-            self.stats.speculative_discards += 1
+        self._drop([frame])
+        self.stats.speculative_discards += frame.speculative
         return True
 
     def expire_speculative(self, now_ms: float, ttl_ms: float) -> int:
@@ -330,35 +288,18 @@ class FrameCache:
         letting it linger would waste capacity and (worse) leave
         unvalidated state resident forever.  Returns how many expired.
         """
-        if self._spec_count == 0:
-            return 0
-        stale = [
+        expired = self._drop([
             f for f in self._frames.values()
             if f.speculative and now_ms - f.inserted_ms > ttl_ms
-        ]
-        for frame in stale:
-            del self._frames[frame.grid_point]
-            self._bytes -= frame.size_bytes
-            self._spec_count -= 1
-            self.stats.speculative_expired += 1
-        return len(stale)
+        ])
+        self.stats.speculative_expired += expired
+        return expired
 
     def drop_speculative(self) -> int:
         """Discard every unconfirmed speculative entry (resync repair)."""
-        if self._spec_count == 0:
-            return 0
-        doomed = [f for f in self._frames.values() if f.speculative]
-        for frame in doomed:
-            del self._frames[frame.grid_point]
-            self._bytes -= frame.size_bytes
-            self._spec_count -= 1
-            self.stats.speculative_discards += 1
-        return len(doomed)
-
-    @property
-    def speculative_count(self) -> int:
-        """Resident unconfirmed speculative entries."""
-        return self._spec_count
+        dropped = self._drop([f for f in self._frames.values() if f.speculative])
+        self.stats.speculative_discards += dropped
+        return dropped
 
     # ------------------------------------------------------------------
     # Insertion and replacement
@@ -371,23 +312,23 @@ class FrameCache:
         existing = self._frames.get(frame.grid_point)
         if existing is not None:
             self._bytes -= existing.size_bytes
-            if existing.speculative:
-                self._spec_count -= 1
         self._frames[frame.grid_point] = frame
         self._bytes += frame.size_bytes
         if frame.speculative:
-            self._spec_count += 1
             self.stats.speculative_inserts += 1
         self._evict_if_needed(player_position=frame.position)
 
     def _evict_if_needed(self, player_position: Vec2) -> None:
         while self._bytes > self.capacity_bytes and self._frames:
-            victim = self._pick_victim(player_position)
-            del self._frames[victim.grid_point]
-            self._bytes -= victim.size_bytes
-            if victim.speculative:
-                self._spec_count -= 1
+            self._drop([self._pick_victim(player_position)])
             self.stats.evictions += 1
+
+    def _drop(self, frames: List[CachedFrame]) -> int:
+        """Remove resident ``frames``; returns how many."""
+        for frame in frames:
+            del self._frames[frame.grid_point]
+            self._bytes -= frame.size_bytes
+        return len(frames)
 
     def _pick_victim(self, player_position: Vec2) -> CachedFrame:
         frames = self._frames.values()
@@ -400,4 +341,3 @@ class FrameCache:
         """Drop every cached frame (stats are kept)."""
         self._frames.clear()
         self._bytes = 0
-        self._spec_count = 0

@@ -63,8 +63,7 @@ class Prefetcher:
         self.fetches = 0
         # Congestion throttle (repro.adapt): >= 1.0 multiplier widening
         # the dist-thresh acceptance band so more cached candidates serve
-        # in place of fetches.  Exactly 1.0 leaves the clean lookup path
-        # untouched (the scale is not even applied).
+        # in place of fetches.  Scaling a double by 1.0 is exact.
         self.thresh_scale = 1.0
 
     def _resolve(self, position: Vec2, lookup, **lookup_args) -> PrefetchDecision:
@@ -77,9 +76,7 @@ class Prefetcher:
         near_ids = self.scene.near_object_ids(
             snapped, cutoff, min_radius=NEAR_SIGNIFICANCE * cutoff
         )
-        dist_thresh = self.dist_thresh_map.threshold_at(leaf, cutoff)
-        if self.thresh_scale != 1.0:
-            dist_thresh = dist_thresh * self.thresh_scale
+        dist_thresh = self.dist_thresh_map.threshold_at(leaf, cutoff) * self.thresh_scale
         cached = lookup(
             grid_point=grid_point,
             position=snapped,

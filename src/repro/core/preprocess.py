@@ -73,12 +73,11 @@ _MAX_MEMO_FRAMES = 4096
 
 
 class PanoramaStore:
-    """Server store of pre-rendered, pre-encoded panoramic frames.
+    """Server store of pre-rendered, pre-encoded far-BE panoramic frames.
 
-    ``kind`` selects far-BE frames (Coterie, clipped at the viewpoint's
-    cutoff radius) or whole-BE frames (Furion).  With ``render_frames``
-    False, a :class:`FrameSizeModel` must be supplied and only sizes are
-    served.
+    Each frame is clipped at its viewpoint's cutoff radius and seen from
+    the game's player eye height.  With a :class:`FrameSizeModel` the store
+    renders nothing and serves sizes only.
     """
 
     def __init__(
@@ -86,25 +85,13 @@ class PanoramaStore:
         world: GameWorld,
         config: RenderConfig,
         codec: FrameCodec,
-        cutoff_map: Optional[CutoffMap] = None,
-        kind: str = "far",
-        eye_height: float = 1.7,
-        render_frames: bool = True,
+        cutoff_map: CutoffMap,
         size_model: Optional[FrameSizeModel] = None,
     ) -> None:
-        if kind not in ("far", "whole"):
-            raise ValueError("kind must be 'far' or 'whole'")
-        if kind == "far" and cutoff_map is None:
-            raise ValueError("far-BE store requires a cutoff map")
-        if not render_frames and size_model is None:
-            raise ValueError("emulated store requires a size model")
         self.world = world
         self.config = config
         self.codec = codec
         self.cutoff_map = cutoff_map
-        self.kind = kind
-        self.eye_height = eye_height
-        self.render_frames = render_frames
         self.size_model = size_model
         self._memo: Dict[GridPoint, StoredFrame] = {}
         self.renders = 0
@@ -120,8 +107,7 @@ class PanoramaStore:
         if cached is not None:
             return cached
         viewpoint = self.world.grid.to_world(grid_point)
-        if not self.render_frames:
-            assert self.size_model is not None
+        if self.size_model is not None:
             frame = StoredFrame(
                 encoded=None,
                 decoded=None,
@@ -146,12 +132,10 @@ class PanoramaStore:
         return frame
 
     def _render(self, viewpoint: Vec2) -> Layer:
-        eye = eye_at(self.world.scene, viewpoint, self.eye_height)
-        if self.kind == "whole":
-            return render_whole_be(self.world.scene, eye, self.config)
-        assert self.cutoff_map is not None
+        scene = self.world.scene
+        eye = eye_at(scene, viewpoint, self.world.spec.player.eye_height)
         cutoff = self.cutoff_map.cutoff_for(viewpoint)
-        return render_far_be(self.world.scene, eye, self.config, cutoff)
+        return render_far_be(scene, eye, self.config, cutoff)
 
 
 def calibrate_size_model(

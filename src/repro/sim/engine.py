@@ -20,6 +20,8 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
 
+from .. import perf
+
 if TYPE_CHECKING:
     from ..telemetry import MetricsHub, SpanTracer
 
@@ -78,7 +80,8 @@ class Simulator:
     ``sim_queue_depth`` gauge probe keeps queue depth in the sampled
     series.  Both hooks are purely observational — they never schedule
     events or alter dispatch order — and when absent cost one
-    predictable branch per dispatch.
+    predictable branch each per dispatch.  :attr:`dispatched` (and the
+    ``sim.dispatched`` perf counter) count every dispatched event.
     """
 
     # Queue-depth counter sampling period, in dispatched events.
@@ -190,7 +193,6 @@ class Simulator:
         self._running = True
         tracer = self.tracer
         metrics = self.metrics
-        observed = tracer is not None or metrics is not None
         t_start = self.now
         limit = math.inf if t_end is None else t_end
         dispatched = 0
@@ -199,25 +201,23 @@ class Simulator:
                 when, _seq, action = heapq.heappop(self._queue)
                 self.now = when
                 action()
-                if observed:
-                    dispatched += 1
-                    if (
-                        tracer is not None
-                        and dispatched % Simulator.TRACE_SAMPLE_EVERY == 0
-                    ):
-                        tracer.counter(
-                            "sim.queue_depth", self.now, len(self._queue)
-                        )
-                    if (
-                        metrics is not None
-                        and dispatched % Simulator.METRICS_PUMP_EVERY == 0
-                    ):
-                        metrics.maybe_sample(self.now)
+                dispatched += 1
+                if (
+                    tracer is not None
+                    and dispatched % Simulator.TRACE_SAMPLE_EVERY == 0
+                ):
+                    tracer.counter("sim.queue_depth", self.now, len(self._queue))
+                if (
+                    metrics is not None
+                    and dispatched % Simulator.METRICS_PUMP_EVERY == 0
+                ):
+                    metrics.maybe_sample(self.now)
             if t_end is not None:
                 self.now = t_end
         finally:
             self._running = False
             self.dispatched += dispatched
+            perf.count("sim.dispatched", dispatched)
             if metrics is not None:
                 metrics.maybe_sample(self.now)
             if tracer is not None:

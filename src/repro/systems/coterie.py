@@ -73,9 +73,6 @@ class CoterieStrategy(FetchStrategy):
             config.render_config,
             session.codec,
             cutoff_map=artifacts.cutoff_map,
-            kind="far",
-            eye_height=world.spec.player.eye_height,
-            render_frames=config.render_frames,
             size_model=None if config.render_frames else artifacts.far_size_model,
         )
         self.caches = [FrameCache() for _ in range(n_slots)]

@@ -268,7 +268,7 @@ def build_game(name: str, scale: float = 1.0) -> GameWorld:
             # Track-side clutter only: on the verge, never on the asphalt.
             clutter_mask = _verge_mask(track, spec.track_half_width, spec.track_band_width)
 
-    scene = generate_scene(
+    objects = generate_scene(
         bounds=bounds,
         terrain=terrain,
         density=density,
@@ -279,19 +279,14 @@ def build_game(name: str, scale: float = 1.0) -> GameWorld:
         clutter_per_m2=spec.clutter_per_m2,
         clutter_mask=clutter_mask,
     )
-    scene = Scene(
-        bounds, scene.objects, terrain, ground_seed=spec.seed
-    )
     if spec.indoor:
-        walls = _perimeter_walls(
-            bounds, terrain, np.random.default_rng(spec.seed + 2), len(scene)
+        objects += _perimeter_walls(
+            bounds, terrain, np.random.default_rng(spec.seed + 2), len(objects)
         )
-        scene = Scene(bounds, scene.objects + walls, terrain, ground_seed=spec.seed)
     if spec.rim_mountains > 0:
         mountain_rng = np.random.default_rng(spec.seed + 3)
         ring_radius = min(w, h) / 2.0 * spec.rim_ring_fraction
         center = bounds.center
-        mountains = []
         for k in range(spec.rim_mountains):
             angle = 2.0 * math.pi * k / spec.rim_mountains
             position = bounds.clamp(
@@ -300,14 +295,12 @@ def build_game(name: str, scale: float = 1.0) -> GameWorld:
                     center.y + ring_radius * math.sin(angle),
                 )
             )
-            mountains.append(
+            objects.append(
                 make_object(
-                    len(scene) + k, mat.MOUNTAIN, position, terrain(position), mountain_rng
+                    len(objects), mat.MOUNTAIN, position, terrain(position), mountain_rng
                 )
             )
-        scene = Scene(
-            bounds, scene.objects + mountains, terrain, ground_seed=spec.seed
-        )
+    scene = Scene(bounds, objects, terrain, ground_seed=spec.seed)
 
     if spec.has_track:
         mask: Callable[[Vec2], bool] = track

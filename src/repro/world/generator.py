@@ -25,7 +25,7 @@ from ..geometry import BatchPredicate, Rect, Vec2, batch_predicate
 from .materials import ObjectKind
 from .objects import SceneObject, make_object
 from .reachability import TrackMask
-from .scene import Scene, TerrainFn
+from .scene import TerrainFn
 
 #: Edge of the square cells structures are placed in (m).
 PLACEMENT_CELL_M = 8.0
@@ -184,8 +184,9 @@ def generate_scene(
     clutter_mixture: Optional[KindMixture] = None,
     clutter_per_m2: float = 0.0,
     clutter_mask: Optional[BatchPredicate] = None,
-) -> Scene:
-    """Generate a scene by filling placement cells up to the density budget.
+) -> List[SceneObject]:
+    """Generate a scene's objects by filling placement cells up to the
+    density budget, with ids ``0..n-1`` in list order.
 
     Each :data:`PLACEMENT_CELL_M` square receives *structure*
     objects until their cumulative triangle count reaches the local density
@@ -196,7 +197,8 @@ def generate_scene(
     ``keep_clear`` marks positions where structures must not be placed
     (e.g. the drivable track surface); ``clutter_mask``, a predicate over
     coordinate arrays, restricts where clutter appears (default: anywhere
-    structures may go).  A scene holds at most :data:`MAX_OBJECTS` objects.
+    structures may go).  At most :data:`MAX_OBJECTS` objects are made; the
+    caller builds the :class:`~repro.world.scene.Scene` from them.
     """
     if clutter_per_m2 < 0:
         raise ValueError("clutter_per_m2 must be non-negative")
@@ -256,7 +258,7 @@ def generate_scene(
                 next_id += 1
                 count -= 1
                 if next_id >= MAX_OBJECTS:
-                    return Scene(bounds, objects, terrain)
+                    return objects
 
     if clutter_per_m2 > 0:
         if clutter_mixture is None:
@@ -279,4 +281,4 @@ def generate_scene(
                 make_object(next_id, kind, position, terrain(position), rng)
             )
             next_id += 1
-    return Scene(bounds, objects, terrain)
+    return objects

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import perf
 from repro.core import FLF, LRU, CachedFrame, FrameCache
 from repro.geometry import Vec2
 
@@ -105,6 +106,44 @@ class TestLookup:
 
     def test_empty_cache_hit_ratio_zero(self):
         assert FrameCache().stats.hit_ratio == 0.0
+
+
+class TestMissAttribution:
+    """A similarity miss counts under the furthest criterion a frame reached."""
+
+    def miss(self, cache, leaf=LEAF_A, near=frozenset({1})):
+        before = perf.snapshot()["counters"]
+        assert cache.lookup((9, 5), Vec2(9.0, 5.0), leaf, near, 2.0, 1.0) is None
+        after = perf.snapshot()["counters"]
+        return {
+            name: after[name] - before.get(name, 0)
+            for name in after if after[name] != before.get(name, 0)
+        }
+
+    def test_each_label(self):
+        cache = FrameCache()
+        assert self.miss(cache) == {"cache.miss.empty": 1}
+        cache.insert(frame((1, 5), 1.0, 5.0, near={1}))
+        assert self.miss(cache) == {"cache.miss.distance": 1}
+        cache.insert(frame((8, 5), 8.0, 5.0, leaf=LEAF_B, near={1}))
+        assert self.miss(cache) == {"cache.miss.leaf": 1}
+        cache.insert(frame((10, 5), 10.0, 5.0, near={1, 2}))
+        assert self.miss(cache) == {"cache.miss.near_set": 1}
+        # A frame that fails the leaf after another failed the near set
+        # leaves the miss on the near set.
+        cache.insert(frame((9, 6), 9.0, 6.0, leaf=LEAF_B, near={1}))
+        assert self.miss(cache) == {"cache.miss.near_set": 1}
+        stats = cache.stats
+        assert (stats.miss_empty, stats.miss_distance, stats.miss_leaf,
+                stats.miss_near_set) == (1, 1, 1, 2)
+        assert stats.misses == 5
+
+    def test_exact_only_miss_has_no_criterion(self):
+        cache = FrameCache(exact_only=True)
+        cache.insert(frame((8, 5), 8.0, 5.0, near={1}))
+        assert self.miss(cache) == {}
+        assert cache.stats.misses == 1
+        assert cache.stats.miss_empty + cache.stats.miss_distance == 0
 
 
 class TestTieBreaking:

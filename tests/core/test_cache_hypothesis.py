@@ -4,7 +4,9 @@ A fixed unit test can only pin the interleavings someone thought of;
 here hypothesis drives *arbitrary* insert → evict → lookup → nearest
 sequences (including LRU pressure evictions and, in the second property,
 speculative tagging with confirm/discard/expire) through one cache and
-checks its bookkeeping after every operation.
+checks its bookkeeping after every operation.  A third property checks
+that ``peek`` answers what ``lookup`` answers, without recording
+anything, and that misses are attributed to exactly one §5.3 criterion.
 """
 
 import dataclasses
@@ -72,13 +74,17 @@ spec_ops = st.lists(
 )
 
 
+def spec_resident(cache):
+    """Resident unconfirmed speculative entries."""
+    return sum(f.speculative for f in cache.frames())
+
+
 def check_invariants(cache, before):
     """Bookkeeping that must hold after every operation; returns the stats."""
     frames = cache.frames()
     assert len(cache) == len(frames)
     assert cache.used_bytes == sum(f.size_bytes for f in frames)
     assert cache.used_bytes <= cache.capacity_bytes
-    assert cache.speculative_count == sum(f.speculative for f in frames)
     after = dataclasses.asdict(cache.stats)
     assert all(after[name] >= before[name] for name in before)
     return after
@@ -162,15 +168,53 @@ class TestCacheInvariants:
                     assert resident not in cache.frames()
             elif op[0] == "expire":
                 _, ttl = op
-                spec_before = cache.speculative_count
+                spec_before = spec_resident(cache)
                 expired = cache.expire_speculative(t_ms, float(ttl))
-                assert cache.speculative_count == spec_before - expired
+                assert spec_resident(cache) == spec_before - expired
                 assert not any(
                     f.speculative and t_ms - f.inserted_ms > ttl
                     for f in cache.frames()
                 )
             else:  # drop_spec
-                spec_before = cache.speculative_count
+                spec_before = spec_resident(cache)
                 assert cache.drop_speculative() == spec_before
-                assert cache.speculative_count == 0
+                assert spec_resident(cache) == 0
             stats = check_invariants(cache, stats)
+
+
+class TestOneDecision:
+    @given(ops=spec_ops, queries=st.lists(
+        st.tuples(coords, coords, st.sampled_from(LEAVES), st.sampled_from(NEAR_SETS),
+                  st.floats(min_value=0.0, max_value=4.0)),
+        min_size=1, max_size=10,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_peek_is_lookup_without_records(self, ops, queries):
+        """``peek`` returns what ``lookup`` returns and leaves stats and LRU
+        stamps alone; ``nearest`` never returns a speculative entry; each
+        similarity miss counts under exactly one criterion."""
+        cache = FrameCache(capacity_bytes=2000)
+        t_ms = 0.0
+        for op in ops:
+            t_ms += 16.0
+            if op[0] == "insert":
+                _, gx, gy, size, spec = op
+                leaf = LEAVES[(gx + gy) % 2]
+                near = NEAR_SETS[gx % 2]
+                cache.insert(make_frame(gx, gy, size, t_ms, leaf, near, speculative=spec))
+            elif op[0] == "nearest":
+                _, gx, gy = op
+                best = cache.nearest(Vec2(float(gx), float(gy)), t_ms)
+                assert best is None or not best.speculative
+        for gx, gy, leaf, near, thresh in queries:
+            t_ms += 16.0
+            args = ((gx, gy), Vec2(float(gx), float(gy)), leaf, near, thresh)
+            stats = dataclasses.asdict(cache.stats)
+            stamps = [f.last_used_ms for f in cache.frames()]
+            peeked = cache.peek(*args)
+            assert dataclasses.asdict(cache.stats) == stats
+            assert [f.last_used_ms for f in cache.frames()] == stamps
+            assert cache.lookup(*args, t_ms) is peeked
+        s = cache.stats
+        assert s.lookups == len(queries)
+        assert s.miss_empty + s.miss_distance + s.miss_leaf + s.miss_near_set == s.misses

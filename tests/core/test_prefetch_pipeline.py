@@ -137,7 +137,7 @@ class TestMerger:
 class TestPanoramaStore:
     def test_rendering_store_roundtrip(self, pool_setup):
         gw, cm, _ = pool_setup
-        store = PanoramaStore(gw, CFG, FrameCodec(), cutoff_map=cm, kind="far")
+        store = PanoramaStore(gw, CFG, FrameCodec(), cutoff_map=cm)
         gp = gw.grid.snap(gw.bounds.center)
         frame = store.frame_for(gp)
         assert frame.encoded is not None
@@ -152,10 +152,7 @@ class TestPanoramaStore:
     def test_emulated_store_sizes_only(self, pool_setup):
         gw, cm, _ = pool_setup
         model = FrameSizeModel(mean_bytes=200_000, std_bytes=20_000)
-        store = PanoramaStore(
-            gw, CFG, FrameCodec(), cutoff_map=cm, render_frames=False,
-            size_model=model,
-        )
+        store = PanoramaStore(gw, CFG, FrameCodec(), cutoff_map=cm, size_model=model)
         frame = store.frame_for((10, 10))
         assert frame.encoded is None
         assert frame.wire_bytes > 100_000
@@ -166,16 +163,7 @@ class TestPanoramaStore:
         assert model.sample((3, 4)) == model.sample((3, 4))
         assert model.sample((3, 4)) != model.sample((5, 6))
 
-    def test_validation(self, pool_setup):
-        gw, cm, _ = pool_setup
-        with pytest.raises(ValueError):
-            PanoramaStore(gw, CFG, FrameCodec(), kind="far")  # no cutoff map
-        with pytest.raises(ValueError):
-            PanoramaStore(gw, CFG, FrameCodec(), cutoff_map=cm, kind="medium")
-        with pytest.raises(ValueError):
-            PanoramaStore(
-                gw, CFG, FrameCodec(), cutoff_map=cm, render_frames=False
-            )
+    def test_validation(self):
         with pytest.raises(ValueError):
             FrameSizeModel(mean_bytes=0, std_bytes=1)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.sim import Event, SimulationError, Simulator, all_of
 
 
@@ -45,6 +46,17 @@ class TestScheduling:
         assert sim.now == 5.0
         sim.run()
         assert log == [1, 10]
+
+    def test_dispatched_counts_without_observers(self):
+        sim = Simulator()
+        for delay in (1.0, 2.0, 10.0):
+            sim.schedule(delay, lambda: None)
+        before = perf.counter("sim.dispatched")
+        sim.run_until(5.0)
+        assert sim.dispatched == 2
+        sim.run()
+        assert sim.dispatched == 3
+        assert perf.counter("sim.dispatched") - before == 3
 
     def test_run_until_past_raises(self):
         sim = Simulator()

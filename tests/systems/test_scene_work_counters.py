@@ -1,4 +1,4 @@
-"""Work counters of the per-frame scene queries, pinned on short sessions.
+"""Work counters of the per-frame loop, pinned on short sessions.
 
 A Coterie frame asks the scene for RT_nearBE at the player's position and
 for the near-object ids at the snapped grid point.  Two ``perf`` counters
@@ -9,11 +9,18 @@ measure how much of the scene those queries touch:
 * ``cost_model.exact_distances`` — candidates whose LOD weight needs a
   ``math.hypot`` distance because they lie inside the LOD floor's reach.
 
+Two more count what the loop decides and dispatches:
+
+* ``cache.miss.empty`` / ``.distance`` / ``.leaf`` / ``.near_set`` — each
+  far-BE cache miss, by the furthest §5.3 criterion a resident frame
+  reached before failing;
+* ``sim.dispatched`` — discrete events the simulator ran.
+
 The counts are of a warm session (the same seed run a second time, so
 lazily computed artifacts are memo hits and the count does not depend on
 which tests ran first).  Racing's sparse regions put the cutoff past the
 floor's reach; viking's cutoffs stay inside it, so every candidate there
-is measured exactly.
+is measured exactly.  Racing's misses are almost all near-set misses.
 """
 
 import pytest
@@ -22,26 +29,47 @@ from repro import perf
 from repro.systems import SessionConfig, prepare_artifacts, run_coterie
 from repro.world import load_game
 
-# game -> (objects scanned, exact distances).  Scanning every object and
-# measuring every candidate would count racing (745 200, 6 802) and viking
-# (345 600, 11 171).
+# game -> (objects scanned, exact distances) over 0.6 s.  Scanning every
+# object and measuring every candidate would count racing (745 200, 6 802)
+# and viking (345 600, 11 171).
 PINNED = {
     "racing": (426_034, 1_849),
     "viking": (166_752, 11_171),
 }
 
+# game -> (misses by criterion: empty, distance, leaf, near set; events
+# dispatched) over 2 s.
+PINNED_LOOP = {
+    "racing": ((2, 0, 1, 76), 473),
+    "viking": ((2, 9, 2, 38), 394),
+}
 
-def warm_counts(game):
+MISS_COUNTERS = tuple(
+    f"cache.miss.{label}" for label in ("empty", "distance", "leaf", "near_set")
+)
+
+
+def warm_counters(game, duration_s):
     world = load_game(game)
-    config = SessionConfig(seed=1, duration_s=0.6)
+    config = SessionConfig(seed=1, duration_s=duration_s)
     artifacts = prepare_artifacts(world, config)
     run_coterie(world, 2, config, artifacts)
     perf.reset()
     run_coterie(world, 2, config, artifacts)
+    return perf.counter
+
+
+def warm_counts(game):
+    counter = warm_counters(game, 0.6)
     return (
-        perf.counter("scene_query.objects_scanned"),
-        perf.counter("cost_model.exact_distances"),
+        counter("scene_query.objects_scanned"),
+        counter("cost_model.exact_distances"),
     )
+
+
+def warm_loop_counts(game):
+    counter = warm_counters(game, 2.0)
+    return tuple(counter(name) for name in MISS_COUNTERS), counter("sim.dispatched")
 
 
 @pytest.mark.parametrize("game", sorted(PINNED))
@@ -49,6 +77,11 @@ def test_warm_session_work_counts(game):
     assert warm_counts(game) == PINNED[game]
 
 
+@pytest.mark.parametrize("game", sorted(PINNED_LOOP))
+def test_warm_session_miss_and_dispatch_counts(game):
+    assert warm_loop_counts(game) == PINNED_LOOP[game]
+
+
 if __name__ == "__main__":
     for name in sorted(PINNED):
-        print(name, warm_counts(name))
+        print(name, warm_counts(name), warm_loop_counts(name))

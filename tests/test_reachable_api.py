@@ -41,8 +41,6 @@ ALLOWED = {
         "accessor tests use to compare two runs' membership histories",
     "repro.session.membership.EpochLog.fingerprint":
         "accessor tests use to compare two runs' epoch logs",
-    "repro.core.cache.FrameCache.speculative_count":
-        "accessor tests use to read a live cache's speculative entries",
     "repro.render.rasterizer.Layer.coverage":
         "accessor tests use to read a rendered layer's mask fill",
 }

@@ -125,22 +125,22 @@ class TestGenerateScene:
     def test_total_triangles_near_target(self):
         bounds = Rect(0, 0, 100, 100)
         density = 300.0
-        scene = generate_scene(
+        objects = generate_scene(
             bounds, FlatTerrain(), DensityField(base=density), self._mixture(), seed=2
         )
         target = density * bounds.area
-        assert 0.6 * target < scene.total_triangles() < 1.5 * target
+        assert 0.6 * target < sum(o.triangles for o in objects) < 1.5 * target
 
     def test_deterministic(self):
         bounds = Rect(0, 0, 40, 40)
         a = generate_scene(bounds, FlatTerrain(), DensityField(base=200.0), self._mixture(), 7)
         b = generate_scene(bounds, FlatTerrain(), DensityField(base=200.0), self._mixture(), 7)
-        assert [o.object_id for o in a.objects] == [o.object_id for o in b.objects]
-        assert a.total_triangles() == b.total_triangles()
+        assert [o.object_id for o in a] == list(range(len(a)))
+        assert a == b
 
     def test_keep_clear_respected(self):
         bounds = Rect(0, 0, 40, 40)
-        scene = generate_scene(
+        objects = generate_scene(
             bounds,
             FlatTerrain(),
             DensityField(base=400.0),
@@ -148,12 +148,12 @@ class TestGenerateScene:
             seed=3,
             keep_clear=lambda p: p.x < 20,
         )
-        assert all(o.ground_position.x >= 20 for o in scene.objects)
+        assert all(o.ground_position.x >= 20 for o in objects)
 
     def test_clutter_pass_adds_light_objects(self):
         bounds = Rect(0, 0, 50, 50)
         clutter = KindMixture(kinds=(kind("grass"),), weights=(1.0,))
-        scene = generate_scene(
+        objects = generate_scene(
             bounds,
             FlatTerrain(),
             DensityField(base=0.0),
@@ -162,11 +162,11 @@ class TestGenerateScene:
             clutter_mixture=clutter,
             clutter_per_m2=0.1,
         )
-        assert len(scene) > 100
-        assert all(o.kind_name == "grass" for o in scene.objects)
+        assert len(objects) > 100
+        assert all(o.kind_name == "grass" for o in objects)
 
     def test_keep_clear_applies_to_clutter_without_a_mask(self):
-        scene = generate_scene(
+        objects = generate_scene(
             Rect(0, 0, 50, 50),
             FlatTerrain(),
             DensityField(base=0.0),
@@ -176,8 +176,8 @@ class TestGenerateScene:
             clutter_mixture=KindMixture(kinds=(kind("grass"),), weights=(1.0,)),
             clutter_per_m2=0.1,
         )
-        assert len(scene) > 50
-        assert all(o.ground_position.x >= 20 for o in scene.objects)
+        assert len(objects) > 50
+        assert all(o.ground_position.x >= 20 for o in objects)
 
     def test_clutter_without_mixture_raises(self):
         with pytest.raises(ValueError):
@@ -192,14 +192,14 @@ class TestGenerateScene:
 
     def test_max_objects_cap(self, monkeypatch):
         monkeypatch.setattr(generator, "MAX_OBJECTS", 50)
-        scene = generate_scene(
+        objects = generate_scene(
             Rect(0, 0, 60, 60),
             FlatTerrain(),
             DensityField(base=5000.0),
             self._mixture(),
             seed=6,
         )
-        assert len(scene) == 50
+        assert len(objects) == 50
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
