@@ -1,10 +1,10 @@
-"""Work counters of a racing set-up, pinned on one ``build_game`` +
+"""Work counters of a game's set-up, pinned on one ``build_game`` +
 ``preprocess_game`` run.
 
 Racing's set-up is the paper's offline scheme (§4.3) over a track-masked
 world: region sampling against the reachability mask, the bounded radius
-solve, and scene generation around the track.  Four ``perf`` counters
-measure that work:
+solve, and scene generation around the track.  Viking and cts run the
+same scheme over open worlds.  Five ``perf`` counters measure that work:
 
 * ``cutoff.samples`` — sampled locations the quadtree evaluated;
 * ``cutoff.resolved`` — samples solved a second time out to the maximum
@@ -12,11 +12,15 @@ measure that work:
 * ``cutoff.box_scanned`` — objects tested while forming the solve's
   candidate boxes;
 * ``reachability.residual_points`` — points measured against the track's
-  segments (the coarse index's cell centres included).
+  segments (the coarse index's cell centres included);
+* ``raster.vector.units`` — draw units (an object's non-empty column
+  segments) the rasterizer filled.
 
 The world is built afresh (not through the ``load_game`` memo), so the
 count covers the track index and scene generation too.
 """
+
+import pytest
 
 from repro import perf
 from repro.codec import FrameCodec
@@ -25,33 +29,47 @@ from repro.render import RenderCostModel
 from repro.systems import SessionConfig
 from repro.world.games import build_game
 
-# Testing every object for every box would scan 8 906 175 (5 175 objects x
-# 1 721 boxes); measuring the track band at every placement cell and
-# snapping every sampling candidate would measure 29 174 points.
+COUNTERS = (
+    "cutoff.samples",
+    "cutoff.resolved",
+    "cutoff.box_scanned",
+    "reachability.residual_points",
+    "raster.vector.units",
+)
+
+# game -> counts in COUNTERS order.  Testing every racing object for every
+# box would scan 8 906 175 (5 175 objects x 1 721 boxes); measuring the
+# track band at every placement cell and snapping every sampling candidate
+# would measure 29 174 points.
 PINNED = {
-    "cutoff.samples": 16_010,
-    "cutoff.resolved": 549,
-    "cutoff.box_scanned": 2_089_623,
-    "reachability.residual_points": 12_001,
+    "racing": (16_010, 549, 2_089_623, 12_001, 4_919),
+    "viking": (3_370, 78, 416_062, 0, 16_050),
+    "cts": (1_650, 38, 484_979, 0, 12_468),
 }
 
 
-def setup_counts():
+def setup_counts(game):
     perf.reset()
     config = SessionConfig()
     preprocess_game(
-        build_game("racing"),
+        build_game(game),
         RenderCostModel(config.device),
         config.render_config,
         FrameCodec(crf=config.codec_crf),
         seed=3,
     )
-    return {name: perf.counter(name) for name in PINNED}
+    return tuple(perf.counter(name) for name in COUNTERS)
 
 
 def test_racing_setup_work_counts():
-    assert setup_counts() == PINNED
+    assert setup_counts("racing") == PINNED["racing"]
+
+
+@pytest.mark.parametrize("game", ["cts", "viking"])
+def test_open_world_setup_work_counts(game):
+    assert setup_counts(game) == PINNED[game]
 
 
 if __name__ == "__main__":
-    print(setup_counts())
+    for name in sorted(PINNED):
+        print(name, setup_counts(name))

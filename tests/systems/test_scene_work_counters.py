@@ -21,11 +21,25 @@ lazily computed artifacts are memo hits and the count does not depend on
 which tests ran first).  Racing's sparse regions put the cutoff past the
 floor's reach; viking's cutoffs stay inside it, so every candidate there
 is measured exactly.  Racing's misses are almost all near-set misses.
+
+A cold session pays for the artifacts it computes on first request.  Its
+counts are pinned on fresh ``preprocess_game`` artifacts (not the
+``prepare_artifacts`` memo, which other tests fill):
+
+* ``dist_thresh.probes`` — far-BE frames the dist-thresh searches rendered
+  and scored;
+* ``computed_leaves`` — leaves whose dist_thresh the session measured;
+* ``panorama.renders`` — far-BE panoramas rendered (none in a size-only
+  session);
+* ``raster.vector.units`` — draw units the rasterizer filled.
 """
 
 import pytest
 
 from repro import perf
+from repro.codec import FrameCodec
+from repro.core.preprocess import preprocess_game
+from repro.render import RenderCostModel
 from repro.systems import SessionConfig, prepare_artifacts, run_coterie
 from repro.world import load_game
 
@@ -43,6 +57,10 @@ PINNED_LOOP = {
     "racing": ((2, 0, 1, 76), 473),
     "viking": ((2, 9, 2, 38), 394),
 }
+
+# (dist-thresh probes, computed leaves, panorama renders, draw units) of a
+# cold, size-only viking session over 0.6 s.
+PINNED_COLD = (50, 3, 0, 55_594)
 
 MISS_COUNTERS = tuple(
     f"cache.miss.{label}" for label in ("empty", "distance", "leaf", "near_set")
@@ -72,6 +90,26 @@ def warm_loop_counts(game):
     return tuple(counter(name) for name in MISS_COUNTERS), counter("sim.dispatched")
 
 
+def cold_counts():
+    world = load_game("viking")
+    config = SessionConfig(seed=1, duration_s=0.6)
+    artifacts = preprocess_game(
+        world,
+        RenderCostModel(config.device),
+        config.render_config,
+        FrameCodec(crf=config.codec_crf),
+        seed=3,
+    )
+    perf.reset()
+    run_coterie(world, 2, config, artifacts)
+    return (
+        perf.counter("dist_thresh.probes"),
+        artifacts.dist_thresh_map.computed_leaves,
+        perf.counter("panorama.renders"),
+        perf.counter("raster.vector.units"),
+    )
+
+
 @pytest.mark.parametrize("game", sorted(PINNED))
 def test_warm_session_work_counts(game):
     assert warm_counts(game) == PINNED[game]
@@ -82,6 +120,11 @@ def test_warm_session_miss_and_dispatch_counts(game):
     assert warm_loop_counts(game) == PINNED_LOOP[game]
 
 
+def test_cold_session_work_counts():
+    assert cold_counts() == PINNED_COLD
+
+
 if __name__ == "__main__":
+    print("viking cold", cold_counts())
     for name in sorted(PINNED):
         print(name, warm_counts(name), warm_loop_counts(name))

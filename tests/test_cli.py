@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import _finite_float, build_parser, main
+from repro.codec import FrameCodec
+from repro.core.preprocess import calibrate_size_model
+from repro.systems import SessionConfig, prepare_artifacts
+from repro.world import load_game
 
 #: Every float-typed flag, by subcommand, and a valid command line to add it to.
 _FLOAT_FLAGS = [
@@ -81,6 +85,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "leaf regions" in out
         assert "cutoff radii" in out
+        # The size lines are the far-BE calibration at seed + 1 and the
+        # whole-BE one at seed + 2 (the default seed is 3).
+        world = load_game("pool")
+        config = SessionConfig()
+        codec = FrameCodec(crf=config.codec_crf)
+        eye_height = world.spec.player.eye_height
+        cutoff_map = prepare_artifacts(world, config, seed=3).cutoff_map
+        far = calibrate_size_model(
+            world, config.render_config, codec, cutoff_map, seed=4, eye_height=eye_height
+        )
+        whole = calibrate_size_model(
+            world, config.render_config, codec, None, kind="whole", seed=5, eye_height=eye_height
+        )
+        assert f"  far-BE frame     : ~{far.mean_bytes / 1000:.0f} KB\n" in out
+        assert f"  whole-BE frame   : ~{whole.mean_bytes / 1000:.0f} KB\n" in out
 
     def test_run_with_loss_prints_resilience(self, capsys):
         assert main(["run", "multi_furion", "pool", "1",
