@@ -32,6 +32,7 @@ from typing import List, Optional
 import dataclasses
 
 from . import perf
+from .core.preprocess import calibrate_size_model
 from .faults import ChurnSchedule, FaultSchedule
 from .fleet import (
     FIDELITIES,
@@ -565,6 +566,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     world = load_game(args.game)
     artifacts = prepare_artifacts(world, SessionConfig(seed=args.seed), seed=args.seed)
+    whole_size_model = calibrate_size_model(
+        world, artifacts.render_config, artifacts.codec, None, kind="whole",
+        seed=args.seed + 2, eye_height=world.spec.player.eye_height,
+    )
     stats = artifacts.cutoff_map.stats()
     radii = sorted(artifacts.cutoff_map.leaf_radii())
     print(f"offline preprocessing for {world.spec.title}:")
@@ -575,7 +580,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     print(f"  FI budget        : {artifacts.budget.fi_ms:.1f} ms "
           f"-> near BE {artifacts.budget.near_be_budget_ms:.1f} ms")
     print(f"  far-BE frame     : ~{artifacts.far_size_model.mean_bytes / 1000:.0f} KB")
-    print(f"  whole-BE frame   : ~{artifacts.whole_size_model.mean_bytes / 1000:.0f} KB")
+    print(f"  whole-BE frame   : ~{whole_size_model.mean_bytes / 1000:.0f} KB")
     print(f"  modeled offline  : "
           f"{artifacts.cutoff_map.modeled_processing_hours():.2f} h on-device")
     if args.perf:

@@ -65,7 +65,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    exact_hits: int = 0
     # Similarity misses by the furthest §5.3 criterion a resident frame
     # reached (they sum to ``misses`` unless ``exact_only``).
     miss_empty: int = 0
@@ -208,7 +207,6 @@ class FrameCache:
         else:
             frame.last_used_ms = now_ms
             stats.hits += 1
-            stats.exact_hits += outcome == "exact_hit"
         if self.tracer is not None:
             self.tracer.instant(
                 "cache.lookup", self.owner, "cache", now_ms, cat="cache",

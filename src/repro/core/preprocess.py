@@ -13,16 +13,19 @@ the store supports an emulated mode backed by a calibrated
 :class:`FrameSizeModel`, skipping rasterization entirely.
 
 Every artifact here is a pure function of (world, render config, codec,
-seed), and each is computed one way: lazily, where it is first asked for
-(:meth:`PanoramaStore.frame_for`,
-:meth:`~repro.core.dist_thresh.DistThreshMap.threshold_for`,
-:func:`calibrate_size_model`), then memoized in memory.  Nothing is
-persisted.
+seed).  Set-up (:func:`preprocess_game`) builds the FI budget and the
+cutoff map; panoramas (:meth:`PanoramaStore.frame_for`), thresholds
+(:meth:`~repro.core.dist_thresh.DistThreshMap.threshold_for`) and the
+far-BE size model (:attr:`OfflineArtifacts.far_size_model`) are computed
+on first read, then memoized in memory.  Whole-BE size models belong to
+:class:`~repro.systems.whole_frame.WholeFrameStrategy` and to
+``repro preprocess``.  Nothing is persisted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -184,13 +187,33 @@ def calibrate_size_model(
 
 @dataclass
 class OfflineArtifacts:
-    """Everything §6's offline preprocessing produces for one game."""
+    """Everything §6's offline preprocessing produces for one game.
+
+    ``far_size_model`` is calibrated on first read and memoized; the
+    world, render config, codec and seed are kept for that calibration.
+    """
 
     budget: RenderBudget
     cutoff_map: CutoffMap
     dist_thresh_map: DistThreshMap
-    far_size_model: FrameSizeModel
-    whole_size_model: FrameSizeModel
+    world: GameWorld
+    render_config: RenderConfig
+    codec: FrameCodec
+    seed: int
+    size_samples: int
+
+    @cached_property
+    def far_size_model(self) -> FrameSizeModel:
+        """Far-BE wire sizes at sampled viewpoints (seed + 1)."""
+        return calibrate_size_model(
+            self.world,
+            self.render_config,
+            self.codec,
+            self.cutoff_map,
+            samples=self.size_samples,
+            seed=self.seed + 1,
+            eye_height=self.world.spec.player.eye_height,
+        )
 
 
 def preprocess_game(
@@ -202,12 +225,12 @@ def preprocess_game(
     cutoff_config: Optional[CutoffSchemeConfig] = None,
     size_samples: int = 8,
 ) -> OfflineArtifacts:
-    """Run the full offline pipeline for a game (§6 steps 1-2).
+    """Run the offline pipeline's set-up for a game (§6 steps 1-2).
 
-    Determines the FI budget, builds the adaptive cutoff quadtree, prepares
-    the (lazy) dist-thresh map, and calibrates far/whole frame-size models.
+    Determines the FI budget and builds the adaptive cutoff quadtree.
+    Per-leaf thresholds and the far-BE size model are computed on first
+    read; whole-BE size models are calibrated by their users.
     """
-    eye_height = world.spec.player.eye_height
     with perf.timed("preprocess"):
         budget = measure_fi_budget(cost_model, world.spec.fi_triangles)
         reachable = world.grid.reachable_mask if world.track is not None else None
@@ -224,22 +247,15 @@ def preprocess_game(
             config=render_config,
             cutoff_map=cutoff_map,
             seed=seed,
-            eye_height=eye_height,
-        )
-        far_sizes = calibrate_size_model(
-            world, render_config, codec, cutoff_map, kind="far",
-            samples=size_samples, seed=seed + 1,
-            eye_height=eye_height,
-        )
-        whole_sizes = calibrate_size_model(
-            world, render_config, codec, None, kind="whole",
-            samples=size_samples, seed=seed + 2,
-            eye_height=eye_height,
+            eye_height=world.spec.player.eye_height,
         )
     return OfflineArtifacts(
         budget=budget,
         cutoff_map=cutoff_map,
         dist_thresh_map=dist_map,
-        far_size_model=far_sizes,
-        whole_size_model=whole_sizes,
+        world=world,
+        render_config=render_config,
+        codec=codec,
+        seed=seed,
+        size_samples=size_samples,
     )

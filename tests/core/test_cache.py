@@ -31,8 +31,8 @@ class TestLookup:
         cache = FrameCache()
         cache.insert(frame((5, 5), 5.0, 5.0))
         hit = cache.lookup((5, 5), Vec2(5, 5), LEAF_A, frozenset(), 0.0, now_ms=1.0)
-        assert hit is not None
-        assert cache.stats.exact_hits == 1
+        assert hit is not None and hit.grid_point == (5, 5)
+        assert cache.stats.hits == 1
 
     def test_similar_hit_within_thresh(self):
         cache = FrameCache()

@@ -171,15 +171,18 @@ class TestPanoramaStore:
 class TestPreprocessGame:
     def test_full_offline_pipeline(self, pool_setup):
         gw, _, _ = pool_setup
-        artifacts = preprocess_game(gw, MODEL, CFG, FrameCodec(), seed=2,
-                                    size_samples=3)
+        codec = FrameCodec()
+        artifacts = preprocess_game(gw, MODEL, CFG, codec, seed=2, size_samples=3)
         assert artifacts.budget.near_be_budget_ms > 0
         assert artifacts.cutoff_map.stats().leaf_count >= 1
-        # Far frames strip content, so they are smaller on average.
-        assert (
-            artifacts.far_size_model.mean_bytes
-            < artifacts.whole_size_model.mean_bytes
+        # The far-BE size model is calibrated on first read, at seed + 1,
+        # and memoized.
+        far = calibrate_size_model(
+            gw, CFG, codec, artifacts.cutoff_map, samples=3, seed=3,
+            eye_height=gw.spec.player.eye_height,
         )
+        assert artifacts.far_size_model == far
+        assert artifacts.far_size_model is artifacts.far_size_model
 
     def test_calibrate_size_model_far_smaller(self, pool_setup):
         gw, cm, _ = pool_setup

@@ -185,4 +185,3 @@ class TestArtifactCache:
         )
         assert changed.budget == fresh.budget
         assert changed.far_size_model == fresh.far_size_model
-        assert changed.whole_size_model == fresh.whole_size_model
