@@ -567,8 +567,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     world = load_game(args.game)
     artifacts = prepare_artifacts(world, SessionConfig(seed=args.seed), seed=args.seed)
     whole_size_model = calibrate_size_model(
-        world, artifacts.render_config, artifacts.codec, None, kind="whole",
-        seed=args.seed + 2, eye_height=world.spec.player.eye_height,
+        world, artifacts.render_config, artifacts.codec, None, kind="whole", seed=args.seed + 2
     )
     stats = artifacts.cutoff_map.stats()
     radii = sorted(artifacts.cutoff_map.leaf_radii())

@@ -14,12 +14,10 @@ the store supports an emulated mode backed by a calibrated
 
 Every artifact here is a pure function of (world, render config, codec,
 seed).  Set-up (:func:`preprocess_game`) builds the FI budget and the
-cutoff map; panoramas (:meth:`PanoramaStore.frame_for`), thresholds
-(:meth:`~repro.core.dist_thresh.DistThreshMap.threshold_for`) and the
-far-BE size model (:attr:`OfflineArtifacts.far_size_model`) are computed
-on first read, then memoized in memory.  Whole-BE size models belong to
-:class:`~repro.systems.whole_frame.WholeFrameStrategy` and to
-``repro preprocess``.  Nothing is persisted.
+cutoff map; panoramas, thresholds and the far-BE size model are computed
+on first read and memoized in memory; whole-BE size models belong to
+:class:`~repro.systems.whole_frame.WholeFrameStrategy` and to ``repro
+preprocess``.  Nothing is persisted.
 """
 
 from __future__ import annotations
@@ -149,9 +147,8 @@ def calibrate_size_model(
     kind: str = "far",
     samples: int = 8,
     seed: int = 0,
-    eye_height: float = 1.7,
 ) -> FrameSizeModel:
-    """Measure real encoded sizes at sampled viewpoints and fit a model."""
+    """Measure encoded sizes at sampled player-eye viewpoints; fit a model."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     with perf.timed("size_model"):
@@ -169,7 +166,7 @@ def calibrate_size_model(
                 point = world.bounds.sample(rng, 1)[0]
             if not world.grid.is_reachable(world.grid.snap(point)):
                 continue
-            eye = eye_at(world.scene, point, eye_height)
+            eye = eye_at(world.scene, point, world.spec.player.eye_height)
             if kind == "whole":
                 layer = render_whole_be(world.scene, eye, config)
             else:
@@ -187,11 +184,7 @@ def calibrate_size_model(
 
 @dataclass
 class OfflineArtifacts:
-    """Everything §6's offline preprocessing produces for one game.
-
-    ``far_size_model`` is calibrated on first read and memoized; the
-    world, render config, codec and seed are kept for that calibration.
-    """
+    """Everything §6's offline preprocessing produces for one game."""
 
     budget: RenderBudget
     cutoff_map: CutoffMap
@@ -200,19 +193,12 @@ class OfflineArtifacts:
     render_config: RenderConfig
     codec: FrameCodec
     seed: int
-    size_samples: int
 
     @cached_property
     def far_size_model(self) -> FrameSizeModel:
-        """Far-BE wire sizes at sampled viewpoints (seed + 1)."""
+        """Far-BE wire sizes, calibrated at seed + 1 on first read."""
         return calibrate_size_model(
-            self.world,
-            self.render_config,
-            self.codec,
-            self.cutoff_map,
-            samples=self.size_samples,
-            seed=self.seed + 1,
-            eye_height=self.world.spec.player.eye_height,
+            self.world, self.render_config, self.codec, self.cutoff_map, seed=self.seed + 1
         )
 
 
@@ -223,13 +209,11 @@ def preprocess_game(
     codec: FrameCodec,
     seed: int = 0,
     cutoff_config: Optional[CutoffSchemeConfig] = None,
-    size_samples: int = 8,
 ) -> OfflineArtifacts:
     """Run the offline pipeline's set-up for a game (§6 steps 1-2).
 
-    Determines the FI budget and builds the adaptive cutoff quadtree.
-    Per-leaf thresholds and the far-BE size model are computed on first
-    read; whole-BE size models are calibrated by their users.
+    Determines the FI budget and builds the adaptive cutoff quadtree; the
+    thresholds and the far-BE size model are computed on first read.
     """
     with perf.timed("preprocess"):
         budget = measure_fi_budget(cost_model, world.spec.fi_triangles)
@@ -257,5 +241,4 @@ def preprocess_game(
         render_config=render_config,
         codec=codec,
         seed=seed,
-        size_samples=size_samples,
     )

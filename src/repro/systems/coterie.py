@@ -90,11 +90,9 @@ class CoterieStrategy(FetchStrategy):
         # Closed-loop adaptation (None when config.adapt is off): per-slot
         # controllers stepping the CRF ladder, throttling the prefetcher,
         # and choosing app-layer frame drops.  The far-BE size-model mean
-        # anchors the ladder forecast; it is read only when adapting, since
-        # a full-render run otherwise never calibrates it.
-        self.abr = (
-            session.init_abr(artifacts.far_size_model.mean_bytes) if config.adapt else None
-        )
+        # anchors the ladder forecast; a first read calibrates it, so only
+        # an adapting session reads it here.
+        self.abr = session.init_abr(artifacts.far_size_model.mean_bytes) if config.adapt else None
         # Digest stamping is needed by both speculation (oracle
         # validation) and sync validation (state hashes); the clean path
         # never computes one.

@@ -23,11 +23,9 @@ class WholeFrameStrategy(FetchStrategy):
     def __init__(self, session: Session, calibration_seed: int) -> None:
         super().__init__(session)
         config = session.config
-        world = session.world
         self.size_model = calibrate_size_model(
-            world, config.render_config, session.codec, None, kind="whole",
+            session.world, config.render_config, session.codec, None, kind="whole",
             samples=6, seed=config.seed + calibration_seed,
-            eye_height=world.spec.player.eye_height,
         )
         # Closed-loop adaptation (None when config.adapt is off).  Without
         # a far-BE prefetcher there is nothing to throttle: the ladder

@@ -118,7 +118,6 @@ def test_cutoff_leaves_match_golden(game, scale):
         config.render_config,
         FrameCodec(crf=config.codec_crf),
         seed=3,
-        size_samples=2,
     )
     cutoff_map = artifacts.cutoff_map
     assert len(cutoff_map.leaf_radii()) == leaves

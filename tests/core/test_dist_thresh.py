@@ -79,8 +79,7 @@ class TestDistThreshMap:
         """Thresholds are measured on first visit, never up front."""
         world = load_game("racing", scale=0.12)
         artifacts = preprocess_game(
-            world, MODEL, RenderConfig(width=48, height=24), FrameCodec(),
-            seed=0, size_samples=2,
+            world, MODEL, RenderConfig(width=48, height=24), FrameCodec(), seed=0
         )
         assert artifacts.dist_thresh_map.computed_leaves == 0
 

@@ -172,15 +172,12 @@ class TestPreprocessGame:
     def test_full_offline_pipeline(self, pool_setup):
         gw, _, _ = pool_setup
         codec = FrameCodec()
-        artifacts = preprocess_game(gw, MODEL, CFG, codec, seed=2, size_samples=3)
+        artifacts = preprocess_game(gw, MODEL, CFG, codec, seed=2)
         assert artifacts.budget.near_be_budget_ms > 0
         assert artifacts.cutoff_map.stats().leaf_count >= 1
         # The far-BE size model is calibrated on first read, at seed + 1,
         # and memoized.
-        far = calibrate_size_model(
-            gw, CFG, codec, artifacts.cutoff_map, samples=3, seed=3,
-            eye_height=gw.spec.player.eye_height,
-        )
+        far = calibrate_size_model(gw, CFG, codec, artifacts.cutoff_map, seed=3)
         assert artifacts.far_size_model == far
         assert artifacts.far_size_model is artifacts.far_size_model
 

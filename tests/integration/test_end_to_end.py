@@ -30,9 +30,7 @@ MODEL = RenderCostModel(PIXEL2)
 @pytest.fixture(scope="module")
 def pool():
     world = load_game("pool")
-    artifacts = preprocess_game(
-        world, MODEL, CFG, FrameCodec(), seed=5, size_samples=3
-    )
+    artifacts = preprocess_game(world, MODEL, CFG, FrameCodec(), seed=5)
     return world, artifacts
 
 
@@ -133,8 +131,8 @@ class TestOfflineOnlineConsistency:
 class TestDeterminism:
     def test_preprocessing_deterministic(self):
         world = load_game("pool")
-        a = preprocess_game(world, MODEL, CFG, FrameCodec(), seed=9, size_samples=3)
-        b = preprocess_game(world, MODEL, CFG, FrameCodec(), seed=9, size_samples=3)
+        a = preprocess_game(world, MODEL, CFG, FrameCodec(), seed=9)
+        b = preprocess_game(world, MODEL, CFG, FrameCodec(), seed=9)
         assert a.cutoff_map.leaf_radii() == b.cutoff_map.leaf_radii()
         assert a.far_size_model == b.far_size_model
 

@@ -90,14 +90,9 @@ class TestCommands:
         world = load_game("pool")
         config = SessionConfig()
         codec = FrameCodec(crf=config.codec_crf)
-        eye_height = world.spec.player.eye_height
         cutoff_map = prepare_artifacts(world, config, seed=3).cutoff_map
-        far = calibrate_size_model(
-            world, config.render_config, codec, cutoff_map, seed=4, eye_height=eye_height
-        )
-        whole = calibrate_size_model(
-            world, config.render_config, codec, None, kind="whole", seed=5, eye_height=eye_height
-        )
+        far = calibrate_size_model(world, config.render_config, codec, cutoff_map, seed=4)
+        whole = calibrate_size_model(world, config.render_config, codec, None, kind="whole", seed=5)
         assert f"  far-BE frame     : ~{far.mean_bytes / 1000:.0f} KB\n" in out
         assert f"  whole-BE frame   : ~{whole.mean_bytes / 1000:.0f} KB\n" in out
 

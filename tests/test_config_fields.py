@@ -65,9 +65,6 @@ ALLOWED_PARAMS = {
     "WifiLink.__init__.overhead_ms": (
         f"{_SEAM}: a zero per-transfer overhead keeps the link arithmetic exact"
     ),
-    "preprocess_game.size_samples": (
-        f"{_SEAM}: two or three size samples keep the offline pipeline fast"
-    ),
     **dict.fromkeys(("SpanTracer.instants.name", "SpanTracer.instants.player"), (
         "the tracer's query filters: tests pick one player's instants by name"
     )),
