@@ -213,7 +213,8 @@ def preprocess_game(
     """Run the offline pipeline's set-up for a game (§6 steps 1-2).
 
     Determines the FI budget and builds the adaptive cutoff quadtree; the
-    thresholds and the far-BE size model are computed on first read.
+    thresholds and the far-BE size model are computed on first read;
+    whole-BE size models belong to WholeFrameStrategy and repro preprocess.
     """
     with perf.timed("preprocess"):
         budget = measure_fi_budget(cost_model, world.spec.fi_triangles)

@@ -89,9 +89,8 @@ class CoterieStrategy(FetchStrategy):
             observer.watch_store(self.store)
         # Closed-loop adaptation (None when config.adapt is off): per-slot
         # controllers stepping the CRF ladder, throttling the prefetcher,
-        # and choosing app-layer frame drops.  The far-BE size-model mean
-        # anchors the ladder forecast; a first read calibrates it, so only
-        # an adapting session reads it here.
+        # and choosing app-layer frame drops, anchored on the far-BE size
+        # model's mean (read only when adapting: a first read calibrates it).
         self.abr = session.init_abr(artifacts.far_size_model.mean_bytes) if config.adapt else None
         # Digest stamping is needed by both speculation (oracle
         # validation) and sync validation (state hashes); the clean path
