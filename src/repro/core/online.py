@@ -24,7 +24,7 @@ class SsimBatchQueue:
     influence simulated timing — so the pixel math is deferred: ``submit``
     queues ``(a, b, callback)`` and a flush scores all queued pairs in
     submission order with :func:`repro.similarity.ssim_pairs` (which
-    reuses the moments of a frame submitted twice), then dispatches the
+    blurs only the rows where a pair's frames differ), then dispatches the
     callbacks in that order.  Scores are bit-identical to inline
     ``ssim(a, b)`` calls; submitted arrays must not be mutated before
     the flush.

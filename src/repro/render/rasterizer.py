@@ -47,6 +47,11 @@ GROUND_LUMINANCE = 0.42
 FOG_LUMINANCE = 0.74
 OBJECT_TEXTURE_FREQ = 3.0
 
+#: Candidate pixels per block of frame rows in the draw and the ground
+#: texture: small enough that a block's arrays stay in the allocator's
+#: resident heap instead of being trimmed and faulted back every call.
+_BLOCK_PIXELS = 1 << 13
+
 
 @dataclass(frozen=True)
 class RenderConfig:
@@ -129,9 +134,14 @@ def _render_background(
         el_g = el[ground_rows]
         d = height_above_ground / np.tan(-el_g)  # per-row ground distance
         visible_rows = (d > near_clip) & (d <= min(far_clip, 10_000.0))
-        if np.any(visible_rows):
-            rows_idx = np.nonzero(ground_rows)[0][visible_rows]
-            d_vis = d[visible_rows][:, None]
+        pixel_rad = math.pi / config.height
+        # The texture is per pixel, so it runs a block of rows at a time.
+        step = max(1, _BLOCK_PIXELS // config.width)
+        rows_idx = np.nonzero(ground_rows)[0][visible_rows]
+        d_rows = d[visible_rows][:, None]
+        for start in range(0, rows_idx.size, step):
+            rows = rows_idx[start : start + step]
+            d_vis = d_rows[start : start + step]
             hit_x = eye.x + np.cos(az)[None, :] * d_vis
             hit_y = eye.y + np.sin(az)[None, :] * d_vis
             # Mip-mapped world-anchored texture: the noise cell grows with
@@ -140,7 +150,6 @@ def _render_background(
             # movement visibly shifts -> the near-object effect extends to
             # the ground), far rows get coarse stable texture instead of
             # sub-pixel aliasing.
-            pixel_rad = math.pi / config.height
             cell = np.maximum(
                 1.0 / GROUND_TEXTURE_SCALE, 2.5 * pixel_rad * d_vis
             )
@@ -150,9 +159,9 @@ def _render_background(
             if config.indoor:
                 fog = fog * 0.2  # no atmospheric haze indoors
             value = lum * (1.0 - fog) + FOG_LUMINANCE * fog
-            image[rows_idx, :] = value.astype(np.float32)
-            mask[rows_idx, :] = True
-            depth[rows_idx, :] = d_vis
+            image[rows, :] = value.astype(np.float32)
+            mask[rows, :] = True
+            depth[rows, :] = d_vis
 
     return Layer(image=clip_frame(image), mask=mask, depth=depth)
 
@@ -398,39 +407,50 @@ def _draw_objects_vector(
     col_unit, col, daz, az_sq = col_unit[near], col[near], daz[near], az_sq[near]
 
     # The ragged pixel list: each kept (unit, row) crossed with its unit's
-    # kept columns, tested exactly as the reference tests it.
+    # kept columns, tested exactly as the reference tests it.  Pixels in
+    # different frame rows never compete, so the list is built, resolved
+    # and written a block of rows at a time; a block holds the rows whose
+    # candidates start within one _BLOCK_PIXELS stride.
     cols = np.bincount(col_unit, minlength=units.size)
-    pix_row, pix_col = _ragged(cols[row_unit], (np.cumsum(cols) - cols)[row_unit])
-    flat = row[pix_row] * width + col[pix_col]
-    covers = az_sq[pix_col] + el_sq[pix_row] <= ang_sq[row_unit][pix_row]
-    covers &= dist[row_unit][pix_row] < layer.depth.ravel()[flat]
-    pix_row, pix_col, flat = pix_row[covers], pix_col[covers], flat[covers]
-
+    col_start = np.cumsum(cols) - cols
+    by_row = np.argsort(row, kind="stable")
+    row_unit, row, d_el, el_sq = (a[by_row] for a in (row_unit, row, d_el, el_sq))
+    above = np.concatenate(([0], np.cumsum(cols[row_unit])))
+    above = above[np.searchsorted(row, np.arange(height))]  # candidates above each row
+    row_cuts = [0, *(np.flatnonzero(np.diff(above // _BLOCK_PIXELS)) + 1).tolist(), height]
+    entry_cuts = np.searchsorted(row, row_cuts).tolist()
     # Depth resolve: rank units by (distance, draw order); least rank wins.
     rank = np.argsort(np.argsort(dist, kind="stable"))
-    pix_rank = rank[row_unit][pix_row]
-    best = np.full(width * height, units.size, dtype=np.int64)
-    np.minimum.at(best, flat, pix_rank)
-    wins = pix_rank == best[flat]
-    pix_row, pix_col = pix_row[wins], pix_col[wins]
-    win = row_unit[pix_row]
-    win_obj = kept[unit_obj][win]
-
     # View-facing procedural texture, anchored to the object.
     el_frac = d_el / ang_r[row_unit]
-    tex = hash01(
-        np.floor(daz / ang_r[col_unit] * freq[col_unit] + 11.3).astype(np.int64)[pix_col],
-        np.floor(el_frac * freq[row_unit] + 7.7).astype(np.int64)[pix_row],
-        objects.texture_seed[win_obj],
-    )
-    shade = 1.0 + 0.22 * el_frac[pix_row]  # lit from above
-    lum = objects.luminance[win_obj] * (1.0 - objects.contrast[win_obj] * (tex - 0.5)) * shade
-    value = lum * (1.0 - fog[win]) + FOG_LUMINANCE * fog[win]
-    np.clip(value, 0.0, 1.0, out=value)
-    at = (row[pix_row], col[pix_col])
-    layer.image[at] = value.astype(np.float32)
-    layer.depth[at] = dist[win]
-    layer.mask[at] = True
+    row_tex = np.floor(el_frac * freq[row_unit] + 7.7).astype(np.int64)
+    col_tex = np.floor(daz / ang_r[col_unit] * freq[col_unit] + 11.3).astype(np.int64)
+    depth = layer.depth.ravel()
+    for r0, r1, e0, e1 in zip(row_cuts, row_cuts[1:], entry_cuts, entry_cuts[1:]):
+        block_unit = row_unit[e0:e1]
+        pix_row, pix_col = _ragged(cols[block_unit], col_start[block_unit])
+        pix_row += e0
+        pix_unit = row_unit[pix_row]
+        flat = row[pix_row] * width + col[pix_col]
+        covers = az_sq[pix_col] + el_sq[pix_row] <= ang_sq[pix_unit]
+        covers &= dist[pix_unit] < depth[flat]
+        pix_row, pix_col, pix_unit = pix_row[covers], pix_col[covers], pix_unit[covers]
+        local = flat[covers] - r0 * width
+        pix_rank = rank[pix_unit]
+        best = np.full((r1 - r0) * width, units.size, dtype=np.int64)
+        np.minimum.at(best, local, pix_rank)
+        wins = pix_rank == best[local]
+        pix_row, pix_col, win = pix_row[wins], pix_col[wins], pix_unit[wins]
+        win_obj = kept[unit_obj[win]]
+        tex = hash01(col_tex[pix_col], row_tex[pix_row], objects.texture_seed[win_obj])
+        shade = 1.0 + 0.22 * el_frac[pix_row]  # lit from above
+        lum = objects.luminance[win_obj] * (1.0 - objects.contrast[win_obj] * (tex - 0.5)) * shade
+        value = lum * (1.0 - fog[win]) + FOG_LUMINANCE * fog[win]
+        np.clip(value, 0.0, 1.0, out=value)
+        at = (row[pix_row], col[pix_col])
+        layer.image[at] = value.astype(np.float32)
+        layer.depth[at] = dist[win]
+        layer.mask[at] = True
     return layer
 
 

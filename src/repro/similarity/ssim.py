@@ -10,21 +10,25 @@ Standard formulation: luminance/contrast/structure comparisons over a
 gaussian-weighted sliding window (sigma 1.5, 11x11 support), stabilised by
 C1 = (K1 L)^2 and C2 = (K2 L)^2 with K1=0.01, K2=0.03.
 
-The hot comparison pattern in this codebase is one-vs-many: the dist-thresh
-binary search scores a fixed reference frame against a sequence of
-displaced candidates.  Five gaussian filters per pair — blur(x), blur(y),
-blur(x²), blur(y²), blur(xy) — means two of them (the reference's moments)
-are recomputed identically on every probe.  :class:`SsimReference`
-precomputes those moments once; :func:`ssim_with` and :func:`ssim_many`
-then cost three filters per candidate instead of five, with results
-bit-identical to the pairwise :func:`ssim` (same operations on the same
-floats, just cached).
+The hot comparison pattern is one-vs-many: the dist-thresh binary search
+scores a fixed reference frame against a sequence of displaced
+candidates.  Five gaussian filters per pair — blur(x), blur(y),
+blur(x²), blur(y²), blur(xy) — means two of them (the reference's
+moments) are recomputed identically on every probe.
+:class:`SsimReference` precomputes those moments once; :func:`ssim_with`
+and :func:`ssim_many` then cost three filters per candidate instead of
+five, with results bit-identical to the pairwise :func:`ssim` (same
+operations on the same floats, just cached).
 
-The online loop's deferred scoring is many-vs-many: :func:`ssim_pairs`
-scores a flush's independent pairs one at a time, so memory stays at a
-few frames, and a frame that comes back within the flush (a far-BE
-switch chain scores each frame against its predecessor and its
-successor) keeps its moments from the pair that first computed them.
+The frames compared mostly share rows: a far-BE frame and a displaced
+probe, or a displayed frame and its reference, agree pixel for pixel in
+the sky and the empty near band.  So :func:`ssim`, :func:`ssim_map`,
+:func:`ssim_with` and :func:`ssim_pairs` blur only the rows within the
+blur radius of a differing row (``ssim.rows_scored``) and write exactly
+1.0 elsewhere, where both sides of the SSIM fraction are equal (DESIGN
+§10); the score, the mean over the full map, is bit-identical to
+blurring every row.  :func:`ssim_pairs`, the online loop's flush, scores
+one pair at a time, so memory stays at a few frames.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ def _gaussian_window() -> np.ndarray:
 # this window inside gaussian_filter; the scalar oracle path now shares the
 # same precomputed table.
 _WINDOW = _gaussian_window()
+
+#: Output pixels per scored slab: wider bands are scored in pieces, keeping arrays small.
+_BAND_PIXELS = 1 << 13
 
 # The C1/C2 stabilisers for frames in [0, 1] (data range 1).
 _C1 = _K1**2
@@ -145,13 +152,55 @@ def _ssim_map_of(ref: SsimReference, other: SsimReference) -> np.ndarray:
     return numerator / denominator
 
 
+def _dirty_output_bands(dirty_rows: np.ndarray):
+    """Merged ``[lo, hi)`` bands of blur outputs affected by dirty rows.
+
+    A blurred pixel depends on input rows within :data:`_RADIUS`, so each
+    dirty input row invalidates a ``2 * _RADIUS + 1`` output band; adjacent
+    bands merge.
+    """
+    h = dirty_rows.size
+    kernel = np.ones(2 * _RADIUS + 1, dtype=np.int32)
+    dilated = np.convolve(dirty_rows.astype(np.int32), kernel)[_RADIUS : _RADIUS + h] > 0
+    edges = np.flatnonzero(
+        np.diff(np.concatenate(([0], dilated.astype(np.int8), [0])))
+    )
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _ssim_map_rows(a: np.ndarray, b: np.ndarray, ref=None) -> np.ndarray:
+    """The SSIM map of two finite frames, blurring only where they differ.
+
+    Each band of :func:`_dirty_output_bands` around the differing rows is
+    scored from its input slab, padded by :data:`_RADIUS` and clipped at
+    the frame edge, where the slab's reflection is the frame's; so every
+    band row sees the taps a full-frame blur gives it.  Every other row
+    is exactly 1.0 (DESIGN §10).  ``ref``, if given, holds ``a``'s
+    full-frame moments, and only ``b`` is blurred.
+    """
+    h, w = a.shape
+    step = max(1, _BAND_PIXELS // w)
+    out = np.ones(a.shape)
+    scored = 0
+    for band_lo, band_hi in _dirty_output_bands(np.any(a != b, axis=1)):
+        for lo in range(band_lo, band_hi, step):
+            hi = min(band_hi, lo + step)
+            pad = slice(max(0, lo - _RADIUS), min(h, hi + _RADIUS))
+            x = _moments(a[pad]) if ref is None else SsimReference(
+                *(m[pad] for m in (ref.image, ref.mu, ref.mu_sq, ref.sigma_sq)))
+            out[lo:hi] = _ssim_map_of(x, _moments(b[pad]))[lo - pad.start : hi - pad.start]
+            scored += hi - lo
+    perf.count("ssim.rows_scored", scored)
+    return out
+
+
 def ssim_map_with(ref: SsimReference, b: np.ndarray) -> np.ndarray:
     """Per-pixel SSIM map of a candidate against a prepared reference."""
     _validate_frame(b)
     if b.shape != ref.shape:
         raise ValueError(f"frame shapes differ: {ref.shape} vs {b.shape}")
     with perf.timed("ssim"):
-        return _ssim_map_of(ref, _moments(b))
+        return _ssim_map_rows(ref.image, b, ref)
 
 
 def ssim_with(ref: SsimReference, b: np.ndarray) -> float:
@@ -175,22 +224,6 @@ class CandidateMoments:
     mu: np.ndarray  # blur(y)
     yy: np.ndarray  # blur(y * y)
     xy: np.ndarray  # blur(ref.image * y)
-
-
-def _dirty_output_bands(dirty_rows: np.ndarray):
-    """Merged ``[lo, hi)`` bands of blur outputs affected by dirty rows.
-
-    A blurred pixel depends on input rows within :data:`_RADIUS`, so each
-    dirty input row invalidates a ``2 * _RADIUS + 1`` output band; adjacent
-    bands merge.
-    """
-    h = dirty_rows.size
-    kernel = np.ones(2 * _RADIUS + 1, dtype=np.int32)
-    dilated = np.convolve(dirty_rows.astype(np.int32), kernel)[_RADIUS : _RADIUS + h] > 0
-    edges = np.flatnonzero(
-        np.diff(np.concatenate(([0], dilated.astype(np.int8), [0])))
-    )
-    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def ssim_map_update(
@@ -318,47 +351,28 @@ def ssim_many_stacked(ref: SsimReference, candidates: np.ndarray) -> np.ndarray:
 def ssim_pairs(pairs) -> np.ndarray:
     """Mean SSIM of K independent (a, b) frame pairs, one pair at a time.
 
-    The online loop's flush kernel.  A pair costs five filters: each
-    frame's moments, blur(f) and blur(f²), and the cross term blur(a·b).
-    A frame object that appears again later in the call (the far-BE
-    switch chain A→B, B→C scores B twice) keeps its moments from the pair
-    that first computed them until its last pair, and each reuse counts
-    as ``ssim.moments_reused``.  Pairs may mix frame shapes, and no
-    stacked tile is built, so memory stays at a few frames.  Every value
-    is bit-identical to ``[ssim(a, b) for a, b in pairs]``.
+    The online loop's flush kernel.  Each pair blurs only the rows near
+    where its frames differ (:func:`ssim`), so a pair of consecutive
+    frames costs a fraction of five full-frame filters.  Pairs may mix
+    frame shapes, and no stacked tile is built, so memory stays at a few
+    frames.  Every value is bit-identical to
+    ``[ssim(a, b) for a, b in pairs]``.
     """
     pairs = list(pairs)
-    last_seen = {}
-    for index, (a, b) in enumerate(pairs):
+    for a, b in pairs:
         _validate_pair(a, b)
-        last_seen[id(a)] = last_seen[id(b)] = index
-    kept = {}
-    reused = 0
-    scores = np.empty(len(pairs), dtype=np.float64)
     with perf.timed("ssim"):
         perf.count("ssim.batched_pairs", len(pairs))
-        for index, (a, b) in enumerate(pairs):
-            frames = (a,) if a is b else (a, b)
-            moments = []
-            for frame in frames:
-                key = id(frame)
-                found = kept.pop(key, None)
-                if found is None:
-                    found = _moments(frame)
-                else:
-                    reused += 1
-                if last_seen[key] > index:
-                    kept[key] = found
-                moments.append(found)
-            scores[index] = _ssim_map_of(moments[0], moments[-1]).mean()
-        perf.count("ssim.moments_reused", reused)
-    return scores
+        return np.array(
+            [_ssim_map_rows(a, b).mean() for a, b in pairs], dtype=np.float64
+        )
 
 
 def ssim_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel SSIM index map between two luminance frames."""
     _validate_pair(a, b)
-    return ssim_map_with(prepare_reference(a), b)
+    with perf.timed("ssim"):
+        return _ssim_map_rows(a, b)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:

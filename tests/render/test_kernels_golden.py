@@ -18,6 +18,7 @@ the reference would have produced.
 
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect, Vec2, Vec3
+from repro.render import rasterizer
 from repro.render.rasterizer import (
     VIEW_LIMIT,
     RenderConfig,
@@ -202,17 +204,24 @@ class TestVectorProperties:
         spec=_SPEC,
         config=st.sampled_from(PROPERTY_CONFIGS),
         near_clip=st.sampled_from([None, 0.0, 2.5, 9.0]),
+        block=st.sampled_from([1, 64, rasterizer._BLOCK_PIXELS]),
     )
-    @example(spec=[], config=PROPERTY_CONFIGS[0], near_clip=0.0)
-    @example(spec=_ALL_CULLED, config=PROPERTY_CONFIGS[0], near_clip=0.0)
-    def test_matches_reference_on_synthetic_objects(self, spec, config, near_clip):
+    @example(spec=[], config=PROPERTY_CONFIGS[0], near_clip=0.0, block=64)
+    @example(spec=_ALL_CULLED, config=PROPERTY_CONFIGS[0], near_clip=0.0, block=64)
+    def test_matches_reference_on_synthetic_objects(self, spec, config, near_clip, block):
         """Seam straddlers, eye-inside spheres, poles, culls, exact ties,
-        a near-clipped ground competing for depth, and indoor fog."""
+        a near-clipped ground competing for depth, and indoor fog, with
+        the draw and the ground run in row blocks of every size down to
+        one candidate pixel."""
         if near_clip is None:
             background = empty_layer(config)
         else:
             background = render_background(FLAT, EYE, config, near_clip=near_clip)
-        _assert_matches_reference(background, _objects(spec), EYE, config, repr(spec))
+        with mock.patch.object(rasterizer, "_BLOCK_PIXELS", block):
+            if near_clip is not None:
+                ground = render_background(FLAT, EYE, config, near_clip=near_clip)
+                _assert_layers_equal(background, ground, "ground in row blocks")
+            _assert_matches_reference(background, _objects(spec), EYE, config, repr(spec))
 
     def test_exact_distance_tie_keeps_list_order(self):
         """Two overlapping mirror pairs at bit-equal distances: whichever

@@ -1,7 +1,7 @@
 """Bit-identity tests for the multi-pair SSIM kernels.
 
-The online loop's flush scores many frame pairs one at a time, reusing
-the moments of a frame that comes back (:func:`ssim_pairs`); the stacked
+The online loop's flush scores many frame pairs one at a time, each over
+the rows where its frames differ (:func:`ssim_pairs`); the stacked
 kernel scores many candidates against one reference
 (:func:`ssim_many_stacked`).  Every score must equal the scalar
 :func:`ssim` *exactly* — the scalar path is the oracle, and the session
@@ -74,14 +74,15 @@ class TestSsimPairs:
         a, b = noise_frame(1), noise_frame(2)
         assert float(ssim_pairs([(a, b)])[0]) == ssim(a, b)
 
-    def test_chain_reuses_moments(self):
+    def test_chain_scores_only_differing_rows(self):
+        """Noise frames differ in every row; a frame against itself in none."""
         frames = POOLS[0]
         perf.reset()
         ssim_pairs([(frames[i], frames[i + 1]) for i in range(4)])
-        assert perf.counter("ssim.moments_reused") == 3
+        assert perf.counter("ssim.rows_scored") == 4 * 16
         perf.reset()
         ssim_pairs([(frames[0], frames[0]), (frames[1], frames[2])])
-        assert perf.counter("ssim.moments_reused") == 0
+        assert perf.counter("ssim.rows_scored") == 16
 
     def test_identical_pair_is_one(self):
         f = noise_frame(4)

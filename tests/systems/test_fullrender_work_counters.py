@@ -6,8 +6,8 @@ that a flush scores.  Five ``perf`` counters measure that work:
 
 * ``online.ssim_jobs`` — SSIM jobs the queue flushed;
 * ``ssim.batched_pairs`` — pairs ``ssim_pairs`` scored (equal to the jobs);
-* ``ssim.moments_reused`` — frames whose moments a flush reused instead of
-  blurring them again (the far-BE switch chain A→B, B→C scores B twice);
+* ``ssim.rows_scored`` — frame rows the flushed pairs blurred: the rows
+  within the blur radius of a row where a pair's frames differ;
 * ``raster.vector.units`` — draw units (an object's non-empty column
   segments) the object draw filled;
 * ``panorama.renders`` — far-BE panoramas rendered (the store is per
@@ -25,7 +25,7 @@ from repro.world import load_game
 PINNED = {
     "online.ssim_jobs": 18,
     "ssim.batched_pairs": 18,
-    "ssim.moments_reused": 6,
+    "ssim.rows_scored": 359,
     "raster.vector.units": 28_849,
     "panorama.renders": 12,
 }
