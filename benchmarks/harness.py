@@ -13,9 +13,8 @@ evaluation.  The harness provides:
   microbenchmarks);
 * ``write_bench(name, payload)`` — the single path for machine-readable
   ``BENCH_*.json`` artifacts: everything lands in ``benchmarks/results/``
-  (never the repo root), which is the directory CI uploads and the
-  perf-regression gate reads.  A gated bench writes that one file and
-  only prints its table;
+  (never the repo root), which is the directory CI uploads.  A gated
+  bench writes that one file and only prints its table;
 * ``gated_bench(...)`` — the ``main(argv)`` / ``--smoke`` / PASS-FAIL
   printout and the pytest-benchmark case every gated bench shares.
 """
@@ -145,8 +144,8 @@ def write_bench(name: str, payload: Dict) -> Path:
 
     ``name`` is the bare artifact name (e.g. ``BENCH_fleet.json``); the
     file is written under :data:`RESULTS_DIR` only — the repo root stays
-    clean, and both CI artifact uploads and ``check_regression.py`` agree
-    on this one location.  Returns the written path.
+    clean, and CI's artifact uploads read this one location.  Returns the
+    written path.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     target = RESULTS_DIR / name

@@ -375,6 +375,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _first_field_diff(a, b) -> Optional[str]:
+    """``"name: a vs b"`` for the first field two dataclasses differ in."""
+    for field in dataclasses.fields(a):
+        va = getattr(a, field.name)
+        vb = getattr(b, field.name)
+        if va is not vb and va != vb:  # dataclass ==: one NaN equals itself
+            return f"{field.name}: {va!r} vs {vb!r}"
+    return None
+
+
 def _first_divergence(a, b) -> Optional[str]:
     """First observable difference between two RunResults, or None.
 
@@ -388,13 +398,9 @@ def _first_divergence(a, b) -> Optional[str]:
         return (f"player count differs: {len(a.players)} vs "
                 f"{len(b.players)}")
     for pa, pb in zip(a.players, b.players):
-        if pa.metrics != pb.metrics:
-            for field in dataclasses.fields(pa.metrics):
-                va = getattr(pa.metrics, field.name)
-                vb = getattr(pb.metrics, field.name)
-                if va != vb:
-                    return (f"player {pa.player_id} metrics.{field.name}: "
-                            f"{va!r} vs {vb!r}")
+        diff = _first_field_diff(pa.metrics, pb.metrics)
+        if diff is not None:
+            return f"player {pa.player_id} metrics.{diff}"
         if pa.records != pb.records:
             for i, (ra, rb) in enumerate(zip(pa.records, pb.records)):
                 if ra != rb:
@@ -662,14 +668,10 @@ def _verify_fleet_determinism(config: FleetConfig) -> int:
     result_a = run_fleet(config)
     result_b = run_fleet(config)
     if result_a.summary != result_b.summary:
-        for fld in dataclasses.fields(result_a.summary):
-            va = getattr(result_a.summary, fld.name)
-            vb = getattr(result_b.summary, fld.name)
-            if va != vb:
-                print(f"  run 1 vs run 2 DIVERGED: summary.{fld.name}: "
-                      f"{va!r} vs {vb!r}", file=sys.stderr)
-                return 1
-        print("  run 1 vs run 2 DIVERGED", file=sys.stderr)
+        diff = _first_field_diff(result_a.summary, result_b.summary)
+        print("  run 1 vs run 2 DIVERGED"
+              + ("" if diff is None else f": summary.{diff}"),
+              file=sys.stderr)
         return 1
     if result_a.sessions != result_b.sessions:
         print("  run 1 vs run 2 DIVERGED: per-session reports differ",

@@ -196,8 +196,13 @@ class ChurnSchedule:
                     raise ValueError("join count must be >= 1")
                 joins.extend(JoinEvent(t_ms) for _ in range(count))
             elif kind in ("rejoin", "leave", "crash"):
-                t_ms, slot = float(when), int(arg)
+                t_ms = float(when)
                 _finite(t_ms)
+                if not arg.strip():
+                    raise ValueError(
+                        f"{kind} needs an explicit slot, e.g. {kind}@{t_ms:g}:1"
+                    )
+                slot = int(arg)
                 note_slot_event(kind, t_ms, slot, index)
                 if kind == "rejoin":
                     joins.append(JoinEvent(t_ms, slot=slot))
@@ -214,6 +219,11 @@ class ChurnSchedule:
                 _finite(start_ms, end_ms)
                 if end_ms <= start_ms:
                     raise ValueError("flap window must satisfy start < end")
+                if not slot_s.strip():
+                    raise ValueError(
+                        "flap needs an explicit slot, "
+                        f"e.g. flap@{start_ms:g}-{end_ms:g}:1"
+                    )
                 slot = int(slot_s)
                 half_period = float(period_s) if period_s else 1000.0
                 _finite(half_period)

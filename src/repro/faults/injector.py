@@ -10,9 +10,16 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from .schedule import FaultSchedule
+from .schedule import FaultSchedule, _PlayerWindow
+
+
+def _any_covers(
+    windows: Iterable[_PlayerWindow], player_id: int, now_ms: float
+) -> bool:
+    """Whether any of ``windows`` holds for ``player_id`` at ``now_ms``."""
+    return any(window.covers(player_id, now_ms) for window in windows)
 
 
 class FaultInjector:
@@ -55,17 +62,11 @@ class FaultInjector:
 
     def speculation_frozen(self, player_id: int, now_ms: float) -> bool:
         """Whether a stale-speculation storm freezes pose observations."""
-        return any(
-            storm.covers(player_id, now_ms)
-            for storm in self.schedule.spec_storms
-        )
+        return _any_covers(self.schedule.spec_storms, player_id, now_ms)
 
     def speculation_corrupted(self, player_id: int, now_ms: float) -> bool:
         """Whether a speculative fetch completing now arrives corrupted."""
-        return any(
-            window.covers(player_id, now_ms)
-            for window in self.schedule.spec_corruptions
-        )
+        return _any_covers(self.schedule.spec_corruptions, player_id, now_ms)
 
     def desync_event_ms(
         self, player_id: int, since_ms: float, until_ms: float

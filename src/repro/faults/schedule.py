@@ -84,8 +84,8 @@ class ServerStall:
 
 
 @dataclass(frozen=True)
-class ClientOutage:
-    """A window during which one (or every) client is disconnected."""
+class _PlayerWindow:
+    """A ``[start_ms, end_ms)`` window on one player, or on every player."""
 
     start_ms: float
     end_ms: float
@@ -97,10 +97,14 @@ class ClientOutage:
             raise ValueError("player_id must be >= -1")
 
     def covers(self, player_id: int, now_ms: float) -> bool:
-        """Whether this outage pauses ``player_id`` at ``now_ms``."""
+        """Whether this window holds for ``player_id`` at ``now_ms``."""
         if self.player_id not in (-1, player_id):
             return False
         return self.start_ms <= now_ms < self.end_ms
+
+
+class ClientOutage(_PlayerWindow):
+    """A window during which one (or every) client is disconnected."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,7 @@ class PoseJump:
         return now_ms >= self.t_ms
 
 
-@dataclass(frozen=True)
-class SpeculationStorm:
+class SpeculationStorm(_PlayerWindow):
     """A window during which pose observations freeze (stale speculation).
 
     The predictor keeps issuing forecasts from its last pre-storm state
@@ -142,45 +145,14 @@ class SpeculationStorm:
     display.
     """
 
-    start_ms: float
-    end_ms: float
-    player_id: int = -1  # -1: every player
 
-    def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
-        if self.player_id < -1:
-            raise ValueError("player_id must be >= -1")
-
-    def covers(self, player_id: int, now_ms: float) -> bool:
-        """Whether this storm freezes ``player_id`` at ``now_ms``."""
-        if self.player_id not in (-1, player_id):
-            return False
-        return self.start_ms <= now_ms < self.end_ms
-
-
-@dataclass(frozen=True)
-class SpeculationCorruption:
+class SpeculationCorruption(_PlayerWindow):
     """A window during which speculative frame payloads arrive corrupted.
 
     Admitted speculative entries carry a perturbed oracle digest, so the
     validation step must detect the mismatch and roll the entry back
     before anything is displayed from it.
     """
-
-    start_ms: float
-    end_ms: float
-    player_id: int = -1  # -1: every player
-
-    def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
-        if self.player_id < -1:
-            raise ValueError("player_id must be >= -1")
-
-    def covers(self, player_id: int, now_ms: float) -> bool:
-        """Whether ``player_id``'s speculative fetches corrupt at ``now_ms``."""
-        if self.player_id not in (-1, player_id):
-            return False
-        return self.start_ms <= now_ms < self.end_ms
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Run-diff forensics over two metrics-JSONL series dumps.
 
 ``repro report --diff A B`` aligns two dumps by metric name and sim
-time and judges each series against a per-metric threshold rule, the
-same exit-code contract as ``benchmarks/check_regression.py``: 0 clean,
-1 regression, 2 parse/usage error.
+time and judges each series against a per-metric threshold rule.  It
+exits 0 when every series holds, 1 when any series regresses, and 2 on
+a parse or usage error.
 
 Comparison semantics per instrument type:
 

@@ -176,7 +176,12 @@ class TestChurnValidation:
         ("leave@100:-1", "slot must be non-negative"),
         ("join@-5", "time must be non-negative"),
         ("crash@abc:1", "could not convert string to float: 'abc'"),
-        ("leave@100", "invalid literal for int() with base 10: ''"),
+        ("leave@100", "leave needs an explicit slot, e.g. leave@100:1"),
+        ("rejoin@4000", "rejoin needs an explicit slot, e.g. rejoin@4000:1"),
+        ("crash@1", "crash needs an explicit slot, e.g. crash@1:1"),
+        ("flap@100-200", "flap needs an explicit slot, e.g. flap@100-200:1"),
+        ("flap@100-200:~800", "flap needs an explicit slot"),
+        ("leave@abc", "could not convert string to float: 'abc'"),
         ("flap@500-100:1", "flap window must satisfy start < end"),
         ("join@100:0", "join count must be >= 1"),
         ("bogus@1", "unknown churn kind 'bogus'"),

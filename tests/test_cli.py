@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
-from repro.cli import _finite_float, build_parser, main
+from repro import cli
+from repro.cli import _finite_float, _first_divergence, build_parser, main
 from repro.codec import FrameCodec
 from repro.core.preprocess import calibrate_size_model
 from repro.systems import SessionConfig, prepare_artifacts
@@ -650,3 +654,35 @@ class TestReportHardening:
         clipped.write_text('{"v": 1, "kind": "span", "na\n')
         assert main(["report", str(clipped)]) == 2
         assert "not JSON" in capsys.readouterr().err
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stats:
+    frames: int = 0
+    fps: float = 60.0
+
+
+class TestDivergenceMessages:
+    """The two determinism checks name the first field that differs."""
+
+    @staticmethod
+    def _run(stats):
+        player = SimpleNamespace(player_id=1, metrics=stats, records=[], fetches=0)
+        return SimpleNamespace(players=[player], be_mbps=1.0, fi_kbps=1.0,
+                               membership=None)
+
+    def test_run_names_player_and_metrics_field(self):
+        a, b = self._run(_Stats(3, 60.0)), self._run(_Stats(3, 59.5))
+        assert _first_divergence(a, b) == "player 1 metrics.fps: 60.0 vs 59.5"
+        assert _first_divergence(a, a) is None
+        nan = _Stats(3, float("nan"))
+        assert _first_divergence(self._run(nan), self._run(nan)) is None
+
+    def test_fleet_names_summary_field(self, monkeypatch, capsys):
+        runs = iter([_Stats(4), _Stats(5)])
+        monkeypatch.setattr(cli, "run_fleet", lambda config: SimpleNamespace(
+            summary=next(runs), sessions=[]))
+        assert cli._verify_fleet_determinism(None) == 1
+        assert capsys.readouterr().err == (
+            "  run 1 vs run 2 DIVERGED: summary.frames: 4 vs 5\n"
+        )
