@@ -3,12 +3,12 @@
 Five subcommands cover the everyday workflows:
 
 * ``run`` — simulate one (system, game, players) experiment and print the
-  QoE/network summary; ``--trace``/``--events`` capture a sim-time trace
-  (Perfetto JSON / JSONL event log), ``--metrics``/``--openmetrics``
+  QoE/network summary; ``--trace`` captures a sim-time trace (Perfetto
+  JSON), ``--metrics``/``--openmetrics``
   sample the sim-time metrics pipeline (JSONL series dump / OpenMetrics
   text snapshot), ``--dashboard`` renders a live sparkline view, and
   ``--perf`` prints the stage profile table afterwards;
-* ``report`` — frame-budget attribution from a ``--events`` JSONL log
+* ``report`` — frame-budget attribution from a ``--trace`` file
   (per-stage p50/p95/p99 and the deadline-miss breakdown), SLO
   attainment from a ``--metrics`` dump, or ``--diff A B`` run-diff
   forensics between two dumps (exit 1 on regression);
@@ -56,11 +56,10 @@ from .telemetry import (
     SpanTracer,
     diff_dumps,
     emit_slo_instants,
+    read_chrome_trace,
     read_metrics_jsonl,
     render_diff,
-    results_from_dump,
     write_chrome_trace,
-    write_events_jsonl,
     write_metrics_jsonl,
     write_openmetrics,
 )
@@ -303,9 +302,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.verify_determinism:
         return _verify_determinism(args, make_config)
-    if not _outputs_writable(args, "trace", "events", "metrics", "openmetrics"):
+    if not _outputs_writable(args, "trace", "metrics", "openmetrics"):
         return 2
-    tracer = SpanTracer() if (args.trace or args.events) else None
+    tracer = SpanTracer() if args.trace else None
     metered = bool(args.metrics or args.openmetrics or args.dashboard)
     hub = MetricsHub() if metered else None
     dashboard = None
@@ -361,14 +360,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "seed": args.seed, "duration_s": args.duration,
         })
     if tracer is not None:
-        if args.trace:
-            n = write_chrome_trace(args.trace, tracer.records)
-            print(f"  trace           : {n} events -> {args.trace} "
-                  f"(load in Perfetto / chrome://tracing)")
-        if args.events:
-            n = write_events_jsonl(args.events, tracer.records)
-            print(f"  event log       : {n} records -> {args.events} "
-                  f"(analyze with `repro report {args.events}`)")
+        n = write_chrome_trace(args.trace, tracer.records)
+        print(f"  trace           : {n} events -> {args.trace} "
+              f"(load in Perfetto; analyze with `repro report {args.trace}`)")
     if args.perf:
         print()
         print(perf.report())
@@ -473,25 +467,14 @@ def _verify_determinism(args, make_config) -> int:
     return 0
 
 
-def _is_metrics_jsonl(path: str) -> bool:
-    """True when the file's first record looks like a metrics dump."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                return (
-                    isinstance(record, dict)
-                    and record.get("kind") in ("meta", "series",
-                                               "histogram", "slo")
-                )
-    except (OSError, ValueError):
-        return False
-    return False
+def _first_char(path: str) -> str:
+    """The file's first non-blank character (``""`` when there is none)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            stripped = line.lstrip()
+            if stripped:
+                return stripped[0]
+    return ""
 
 
 def _report_metrics(path: str) -> int:
@@ -511,7 +494,7 @@ def _report_metrics(path: str) -> int:
     )
     print(f"metrics dump {path}" + (f" ({label})" if label else "") + ":")
     print(f"  series          : {len(dump.series)}")
-    for slo in results_from_dump(dump):
+    for slo in dump.slos:
         name = slo["name"]
         if slo["attainment"] is None:
             print(f"  slo {name:<18}: n/a (series absent)")
@@ -540,29 +523,27 @@ def _report_diff(path_a: str, path_b: str) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.diff is not None:
         return _report_diff(*args.diff)
-    if args.events is None:
-        print("report needs an EVENTS.jsonl/METRICS.jsonl argument "
+    if args.file is None:
+        print("report needs a TRACE.json/METRICS.jsonl argument "
               "or --diff A B", file=sys.stderr)
         return 2
     try:
-        with open(args.events, "r", encoding="utf-8") as fh:
-            has_records = any(line.strip() for line in fh)
-    except OSError as exc:
-        print(f"cannot read event log: {exc}", file=sys.stderr)
-        return 2
-    if not has_records:
-        print(f"event log {args.events} is empty (no records)",
-              file=sys.stderr)
-        return 2
-    if _is_metrics_jsonl(args.events):
-        return _report_metrics(args.events)
-    try:
-        report = FrameBudgetReport.from_jsonl(args.events)
+        first = _first_char(args.file)
     except (OSError, ValueError) as exc:
-        print(f"cannot read event log: {exc}", file=sys.stderr)
+        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+        return 2
+    if not first:
+        print(f"{args.file} is empty (no records)", file=sys.stderr)
+        return 2
+    if first != "[":
+        return _report_metrics(args.file)
+    try:
+        report = FrameBudgetReport.from_records(read_chrome_trace(args.file))
+    except (OSError, ValueError) as exc:
+        print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
     if not report.frames:
-        print(f"event log {args.events} contains no frame spans "
+        print(f"trace {args.file} contains no frame spans "
               "(truncated run or wrong file?)", file=sys.stderr)
         return 2
     print(report.render())
@@ -803,9 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "first-divergence report unless both runs are "
                           "bit-identical")
     run.add_argument("--trace", default=None, metavar="OUT.json",
-                     help="write a Perfetto/chrome://tracing trace of the run")
-    run.add_argument("--events", default=None, metavar="OUT.jsonl",
-                     help="write the JSONL span log (input to `repro report`)")
+                     help="write a Perfetto/chrome://tracing trace of the run "
+                          "(input to `repro report`)")
     run.add_argument("--metrics", default=None, metavar="OUT.jsonl",
                      help="sample sim-time metrics and write the "
                           "schema-versioned JSONL series dump "
@@ -822,12 +802,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "report",
-        help="frame-budget attribution from an event log, SLO summary "
+        help="frame-budget attribution from a trace, SLO summary "
              "from a metrics dump, or a two-run metrics diff",
     )
-    rep.add_argument("events", metavar="LOG.jsonl", nargs="?", default=None,
-                     help="JSONL event log from `repro run --events`, or a "
-                          "metrics dump from `repro run --metrics`")
+    rep.add_argument("file", metavar="TRACE.json|METRICS.jsonl", nargs="?",
+                     default=None,
+                     help="trace from `repro run --trace` (read when the file "
+                          "starts with '['), or a metrics dump from "
+                          "`repro run/fleet --metrics`")
     rep.add_argument("--diff", nargs=2, metavar=("A.jsonl", "B.jsonl"),
                      default=None,
                      help="compare two metrics dumps; exit 1 when run B "

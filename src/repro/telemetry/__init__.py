@@ -23,8 +23,9 @@ Two sinks, each ``Optional`` wherever it is held — ``None`` is the only
 * :mod:`~repro.telemetry.diff` — run-diff forensics across two series
   dumps (``repro report --diff A B``);
 * :mod:`~repro.telemetry.export` / :mod:`~repro.telemetry.report` —
-  Chrome trace-event JSON, the JSONL event log, and the per-frame
-  critical-path attribution behind ``repro report``.
+  Chrome trace-event JSON (written by ``repro run --trace``, read back
+  by ``repro report``) and the per-frame critical-path attribution
+  behind ``repro report``.
 """
 
 from .dashboard import LiveDashboard, render_dashboard, sparkline
@@ -40,13 +41,10 @@ from .diff import (
     rule_for,
 )
 from .export import (
-    read_events_jsonl,
-    record_from_dict,
-    record_to_dict,
+    read_chrome_trace,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_events_jsonl,
 )
 from .metrics import (
     LATENCY_BUCKETS_MS,
@@ -80,10 +78,8 @@ from .slo import (
     SloSpec,
     default_slos,
     emit_slo_instants,
-    results_from_dump,
 )
 from .tracer import (
-    SCHEMA_VERSION,
     SESSION_TRACK,
     Span,
     SpanTracer,
@@ -109,7 +105,6 @@ __all__ = [
     "LiveDashboard",
     "MetricsDump",
     "MetricsHub",
-    "SCHEMA_VERSION",
     "SESSION_TRACK",
     "SessionObserver",
     "SloAlert",
@@ -123,14 +118,11 @@ __all__ = [
     "default_slos",
     "diff_dumps",
     "emit_slo_instants",
-    "read_events_jsonl",
+    "read_chrome_trace",
     "read_metrics_jsonl",
-    "record_from_dict",
-    "record_to_dict",
     "render_dashboard",
     "render_diff",
     "render_name",
-    "results_from_dump",
     "rule_for",
     "sparkline",
     "split_name",
@@ -138,7 +130,6 @@ __all__ = [
     "to_openmetrics",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_events_jsonl",
     "write_metrics_jsonl",
     "write_openmetrics",
 ]

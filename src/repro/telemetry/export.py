@@ -1,18 +1,16 @@
-"""Trace consumers: Chrome trace-event JSON and a JSONL event log.
+"""Trace consumer: Chrome trace-event JSON, written and read back.
 
-Two serializations of the same :class:`~repro.telemetry.tracer.Span`
-stream:
+:func:`to_chrome_trace` renders the :class:`~repro.telemetry.tracer.Span`
+stream in the Chrome trace-event format (an array of
+``ph``/``ts``/``dur``/``pid``/``tid`` objects) loadable directly in
+Perfetto or ``chrome://tracing``.  Each player becomes a *process* (pid)
+with one named *thread* (tid) per lane, so the four concurrent pipeline
+tasks of Eq. 2 render as parallel tracks under each player.  Timestamps
+convert from simulated ms to the format's µs.
 
-* :func:`to_chrome_trace` — the Chrome trace-event format (an array of
-  ``ph``/``ts``/``dur``/``pid``/``tid`` objects) loadable directly in
-  Perfetto or ``chrome://tracing``.  Each player becomes a *process*
-  (pid) with one named *thread* (tid) per lane, so the four concurrent
-  pipeline tasks of Eq. 2 render as parallel tracks under each player.
-  Timestamps convert from simulated ms to the format's µs.
-* :func:`write_events_jsonl` / :func:`read_events_jsonl` — one
-  schema-versioned JSON record per line, the stable machine-readable log
-  that ``repro report`` and the frame-budget analyzer consume.  Readers
-  refuse records from an unknown schema version rather than misparse.
+:func:`read_chrome_trace` is its inverse, the input of ``repro report``:
+the same file a reader loads in Perfetto is the one the frame-budget
+analyzer consumes, checked first by :func:`validate_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .tracer import (
     KIND_COUNTER,
     KIND_INSTANT,
     KIND_SPAN,
-    SCHEMA_VERSION,
     SESSION_TRACK,
     Span,
 )
@@ -50,6 +47,9 @@ LANE_ORDER = (
 )
 
 MS_TO_US = 1000.0
+
+# Record kind of each non-metadata trace-event phase.
+_KINDS = {"X": KIND_SPAN, "i": KIND_INSTANT, "C": KIND_COUNTER}
 
 
 def _pid(player: int) -> int:
@@ -135,125 +135,116 @@ def write_chrome_trace(path: Union[str, Path], records: Sequence[Span]) -> int:
     return len(events)
 
 
-# ----------------------------------------------------------------------
-# JSONL event log
-# ----------------------------------------------------------------------
+def json_type(value: Any) -> str:
+    """The JSON type name of a parsed value, for one-line parse errors
+    that name what they found instead of echoing it."""
+    if isinstance(value, dict):
+        return "object"
+    if isinstance(value, list):
+        return "array"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, bool):
+        return "boolean"
+    if value is None:
+        return "null"
+    return "number"
 
 
-def record_to_dict(r: Span) -> Dict[str, Any]:
-    """One record as its JSONL dict (schema v1)."""
-    out: Dict[str, Any] = {
-        "v": SCHEMA_VERSION,
-        "kind": r.kind,
-        "name": r.name,
-        "cat": r.cat,
-        "player": r.player,
-        "lane": r.lane,
-        "t0_ms": round(r.start_ms, 6),
-        "dur_ms": round(r.dur_ms, 6),
-    }
-    if r.args:
-        out["args"] = r.args
-    return out
+def read_chrome_trace(path: Union[str, Path]) -> List[Span]:
+    """Load a :func:`write_chrome_trace` file back into records.
 
-
-def record_from_dict(payload: Dict[str, Any]) -> Span:
-    """Parse one JSONL dict back into a record (version- and shape-checked;
-    raises ValueError naming the bad field)."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"record is not a JSON object: {payload!r}")
-    version = payload.get("v")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported event-log schema version {version!r} "
-            f"(this reader understands v{SCHEMA_VERSION})"
-        )
-    missing = [k for k in ("kind", "name", "player", "lane", "t0_ms", "dur_ms")
-               if k not in payload]
-    if missing:
-        raise ValueError(f"event record lacks field {missing[0]!r}")
-    kind = payload["kind"]
-    if kind not in (KIND_SPAN, KIND_INSTANT, KIND_COUNTER):
-        raise ValueError(f"unknown event kind {kind!r}")
-    args = payload.get("args")
-    if args is not None and not isinstance(args, dict):
-        raise ValueError(f"field 'args' must be an object, got {args!r}")
-    return Span(
-        kind,
-        payload["name"],
-        payload.get("cat", ""),
-        _number(payload, "player", int),
-        payload["lane"],
-        _number(payload, "t0_ms", float),
-        _number(payload, "dur_ms", float),
-        args,
-    )
-
-
-def _number(payload: Dict[str, Any], key: str, cast):
-    """``cast(payload[key])``, or a ValueError naming the field."""
+    The exact inverse of :func:`to_chrome_trace` up to the ms/µs
+    conversion: pid 0 is the session track and pid ``p`` player
+    ``p - 1``; a (pid, tid) reads back as the lane its ``thread_name``
+    metadata event names.  Raises ValueError as one ``PATH: event N: …``
+    line on the first event :func:`validate_chrome_trace` refuses or
+    whose (pid, tid) no ``thread_name`` names.
+    """
     try:
-        return cast(payload[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"field {key!r} must be a number, got {payload[key]!r}") from None
-
-
-def write_events_jsonl(path: Union[str, Path], records: Sequence[Span]) -> int:
-    """Write the JSONL event log; returns the record count."""
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(record_to_dict(r), separators=(",", ":")))
-            fh.write("\n")
-    return len(records)
-
-
-def read_events_jsonl(path: Union[str, Path]) -> List[Span]:
-    """Load a JSONL event log back into records."""
+        events = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(events, list):
+        raise ValueError(f"{path}: a JSON {json_type(events)}, not a trace-event array")
+    try:
+        validate_chrome_trace(events)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    lanes = {
+        (ev["pid"], ev["tid"]): ev["args"]["name"]
+        for ev in events
+        if ev["ph"] == "M" and ev["name"] == "thread_name"
+    }
     records: List[Span] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: not JSON: {exc}") from exc
-            try:
-                records.append(record_from_dict(payload))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for i, ev in enumerate(events):
+        kind = _KINDS.get(ev["ph"])
+        if kind is None:
+            continue
+        lane = lanes.get((ev["pid"], ev["tid"]))
+        if lane is None:
+            raise ValueError(
+                f"{path}: event {i}: pid {ev['pid']} tid {ev['tid']} "
+                "has no thread_name"
+            )
+        records.append(Span(
+            kind,
+            ev["name"],
+            "counter" if kind == KIND_COUNTER else ev.get("cat", ""),
+            SESSION_TRACK if ev["pid"] == 0 else ev["pid"] - 1,
+            lane,
+            ev["ts"] / MS_TO_US,
+            ev["dur"] / MS_TO_US if kind == KIND_SPAN else 0.0,
+            ev.get("args", {}),
+        ))
     return records
 
 
-def validate_chrome_trace(events: Iterable[Dict[str, Any]]) -> None:
-    """Assert the Chrome trace-event contract (tests, benches).
+def validate_chrome_trace(events: Iterable[Any]) -> None:
+    """Assert the Chrome trace-event contract :func:`read_chrome_trace`
+    relies on.
 
-    Every event — metadata included — must carry ``ph``, numeric ``ts``,
-    and integer ``pid``/``tid``; complete events additionally need a
-    numeric ``dur`` and a name; counter series must be monotone in
-    ``ts`` per (pid, name).  Raises ValueError on the first violation.
+    Every event — metadata included — must be an object with a known
+    ``ph`` (``M``/``X``/``i``/``C``), a name, numeric ``ts``,
+    non-negative integer ``pid``/``tid`` and, if present, object
+    ``args``; complete events additionally need a non-negative numeric
+    ``dur``, and ``thread_name`` metadata a string ``args.name``.
+    Counter series must be monotone in ``ts`` per (pid, name).  Raises
+    ValueError naming the first bad event by index.
     """
     counter_ts: Dict[tuple, float] = {}
     for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"event {i}: a JSON {json_type(ev)}, not a JSON object")
         if "ph" not in ev:
-            raise ValueError(f"event {i} lacks ph: {ev!r}")
+            raise ValueError(f"event {i}: lacks ph")
+        ph = ev["ph"]
+        if ph != "M" and ph not in _KINDS:
+            raise ValueError(f"event {i}: ph is not one of 'M', 'X', 'i', 'C'")
         if not isinstance(ev.get("ts"), (int, float)):
-            raise ValueError(f"event {i} ts not numeric: {ev!r}")
+            raise ValueError(f"event {i}: ts is not a number")
         for key in ("pid", "tid"):
-            if not isinstance(ev.get(key), int):
-                raise ValueError(f"event {i} {key} not an int: {ev!r}")
-        if ev["ph"] == "X":
-            if not isinstance(ev.get("dur"), (int, float)):
-                raise ValueError(f"event {i} dur not numeric: {ev!r}")
-            if not ev.get("name"):
-                raise ValueError(f"event {i} lacks name: {ev!r}")
-        elif ev["ph"] == "C":
-            key = (ev["pid"], ev.get("name"))
+            value = ev.get(key)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"event {i}: {key} is not a non-negative integer")
+        name = ev.get("name")
+        if not name or not isinstance(name, str):
+            raise ValueError(f"event {i}: lacks name")
+        if not isinstance(ev.get("args", {}), dict):
+            raise ValueError(f"event {i}: args is not a JSON object")
+        if ph == "X":
+            dur = ev.get("dur")
+            if not isinstance(dur, (int, float)) or dur < 0:
+                raise ValueError(f"event {i}: dur is not a non-negative number")
+        elif ph == "C":
+            key = (ev["pid"], name)
             last = counter_ts.get(key)
             if last is not None and ev["ts"] < last:
                 raise ValueError(
-                    f"event {i} counter {key} not monotone in ts: "
+                    f"event {i}: counter {name!r} not monotone in ts: "
                     f"{ev['ts']} < {last}"
                 )
             counter_ts[key] = ev["ts"]
+        elif ph == "M" and name == "thread_name":
+            if not isinstance(ev.get("args", {}).get("name"), str):
+                raise ValueError(f"event {i}: thread_name lacks a string args.name")

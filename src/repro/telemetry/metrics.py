@@ -54,6 +54,8 @@ from typing import (
     Union,
 )
 
+from .export import json_type
+
 # Bumped whenever the metrics-JSONL record layout changes; readers refuse
 # files from a different version instead of misparsing them.
 METRICS_SCHEMA_VERSION = 1
@@ -464,6 +466,7 @@ def write_metrics_jsonl(
 _METRICS_FIELDS = {
     "series": ("name", "samples"),
     "histogram": ("name", "le", "counts", "sum", "count"),
+    "slo": ("name", "attainment", "evaluated", "compliant", "alerts", "worst"),
 }
 
 
@@ -482,7 +485,10 @@ def read_metrics_jsonl(path: Union[str, Path]) -> MetricsDump:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{where}: not JSON: {exc}") from exc
             if not isinstance(payload, dict):
-                raise ValueError(f"{where}: record is not a JSON object: {payload!r}")
+                raise ValueError(
+                    f"{where}: record is a JSON {json_type(payload)}, "
+                    "not a JSON object"
+                )
             version = payload.get("v")
             if version != METRICS_SCHEMA_VERSION:
                 raise ValueError(

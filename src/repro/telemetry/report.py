@@ -134,7 +134,7 @@ class FrameBudgetReport:
 
     @classmethod
     def from_records(cls, records: Sequence[Span]) -> "FrameBudgetReport":
-        """Build from a record stream (tracer contents or a parsed JSONL)."""
+        """Build from a record stream (tracer contents or a read-back trace)."""
         spans = [r for r in records if r.kind == KIND_SPAN]
         frame_spans = [s for s in spans if s.lane == "frame" and s.name == "frame"]
         stage_by_key: Dict[Tuple[int, int], List[Span]] = {}
@@ -168,12 +168,6 @@ class FrameBudgetReport:
         frames.sort(key=lambda f: (f.player, f.frame))
         return cls(frames=frames)
 
-    @classmethod
-    def from_jsonl(cls, path: str) -> "FrameBudgetReport":
-        from .export import read_events_jsonl
-
-        return cls.from_records(read_events_jsonl(path))
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
@@ -190,13 +184,14 @@ class FrameBudgetReport:
 
     def stage_table(self) -> List[StageRow]:
         """Per-stage attributed time with p50/p95/p99 over the frames that
-        spent any time in the stage, sorted by total attributed time."""
+        spent time in the stage beyond float rounding (``SUM_TOLERANCE``),
+        sorted by total attributed time."""
         from ..metrics.stats import percentile
 
         samples: Dict[str, List[float]] = {}
         for f in self.frames:
             for stage, ms in f.by_stage.items():
-                if ms > 0.0:
+                if ms > SUM_TOLERANCE:
                     samples.setdefault(stage, []).append(ms)
         grand_total = sum(sum(v) for v in samples.values()) or 1.0
         rows = [

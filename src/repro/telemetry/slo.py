@@ -355,14 +355,3 @@ def emit_slo_instants(
             emitted += 1
     return emitted
 
-
-def results_from_dump(dump) -> List[Dict[str, Any]]:
-    """SLO summaries from a parsed dump: stored records, else re-evaluated.
-
-    Returns plain dicts shaped like :meth:`SloResult.to_dict` either way,
-    so ``repro report`` renders stored and recomputed results identically.
-    """
-    if dump.slos:
-        return list(dump.slos)
-    engine = SloEngine()
-    return [r.to_dict() for r in engine.evaluate(dump.series)]

@@ -26,17 +26,13 @@ Design constraints, in order:
    whole code base); the exporters convert to Chrome's µs on the way out.
 
 Consumers: :mod:`repro.telemetry.export` (Perfetto / chrome://tracing
-JSON and a schema-versioned JSONL event log) and
-:mod:`repro.telemetry.report` (per-frame budget attribution).
+JSON, written and read back) and :mod:`repro.telemetry.report`
+(per-frame budget attribution).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
-
-# Bumped whenever the JSONL record layout changes; readers refuse files
-# from a different major version instead of misparsing them.
-SCHEMA_VERSION = 1
 
 # Record kinds (match Chrome trace-event phases where one exists).
 KIND_SPAN = "span"

@@ -1,20 +1,18 @@
-"""Exporters: Chrome trace-event JSON and the JSONL event log."""
+"""Chrome trace-event JSON: the exporter, its validator and its reader."""
 
 import json
+import math
 
 import pytest
 
 from repro.telemetry import (
-    SCHEMA_VERSION,
     SESSION_TRACK,
+    FrameBudgetReport,
     SpanTracer,
-    read_events_jsonl,
-    record_from_dict,
-    record_to_dict,
+    read_chrome_trace,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_events_jsonl,
 )
 
 
@@ -123,49 +121,76 @@ class TestChromeTraceSchema:
         assert all("ts" in ev for ev in events if ev["ph"] == "M")
 
 
-class TestEventsJsonl:
+class TestTraceRoundTrip:
+    """``read_chrome_trace`` inverts ``write_chrome_trace``."""
+
     def test_roundtrip_preserves_records(self, tmp_path):
         tracer = small_trace()
-        out = tmp_path / "events.jsonl"
-        n = write_events_jsonl(out, tracer.records)
-        assert n == len(tracer)
-        back = read_events_jsonl(out)
+        tracer.instant("retry", 1, "net", 3.25)  # args None reads back as {}
+        out = tmp_path / "trace.json"
+        write_chrome_trace(out, tracer.records)
+        back = read_chrome_trace(out)
         assert len(back) == len(tracer.records)
         for a, b in zip(tracer.records, back):
             assert (a.kind, a.name, a.cat, a.player, a.lane) == (
                 b.kind, b.name, b.cat, b.player, b.lane
             )
-            assert b.start_ms == pytest.approx(a.start_ms, abs=1e-6)
-            assert b.dur_ms == pytest.approx(a.dur_ms, abs=1e-6)
-            assert (a.args or None) == b.args
+            assert math.isclose(b.start_ms, a.start_ms, rel_tol=1e-12)
+            assert math.isclose(b.dur_ms, a.dur_ms, rel_tol=1e-12)
+            assert b.args == (a.args or {})
 
-    def test_record_dict_is_schema_versioned(self):
-        (span,) = small_trace().spans("render")
-        payload = record_to_dict(span)
-        assert payload["v"] == SCHEMA_VERSION
-        assert record_from_dict(payload).name == "render"
+    def test_unknown_phase_refused(self, tmp_path):
+        events = to_chrome_trace(small_trace().records)
+        events.append(dict(events[-1], ph="B"))
+        out = tmp_path / "trace.json"
+        out.write_text(json.dumps(events))
+        with pytest.raises(ValueError, match=f"event {len(events) - 1}: ph"):
+            read_chrome_trace(out)
 
-    def test_unknown_version_refused(self):
-        payload = record_to_dict(small_trace().records[0])
-        payload["v"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema version"):
-            record_from_dict(payload)
-
-    def test_unknown_kind_refused(self):
-        payload = record_to_dict(small_trace().records[0])
-        payload["kind"] = "mystery"
-        with pytest.raises(ValueError, match="kind"):
-            record_from_dict(payload)
-
-    def test_reader_reports_bad_line(self, tmp_path):
-        out = tmp_path / "events.jsonl"
-        out.write_text('{"v": 1, "kind": "span"\nnot json\n')
-        with pytest.raises(ValueError):
-            read_events_jsonl(out)
+    @pytest.mark.parametrize("text, says", [
+        ('[{"ph": "X", "na', "not JSON"),
+        ('{"ph": "X"}', "a JSON object, not a trace-event array"),
+        ("[7, 7]", "event 0: a JSON number, not a JSON object"),
+        ('[{"ph": "X", "name": "render", "cat": "stage", "pid": 1, "tid": 3,'
+         ' "ts": 0, "dur": 1}]', "event 0: pid 1 tid 3 has no thread_name"),
+    ], ids=["truncated", "object", "numbers", "no-thread-name"])
+    def test_reader_reports_bad_line(self, text, says, tmp_path):
+        out = tmp_path / "trace.json"
+        out.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_chrome_trace(out)
+        message = str(info.value)
+        assert message.startswith(f"{out}: ") and says in message
+        assert "\n" not in message and len(message) < 200
 
     def test_blank_lines_skipped(self, tmp_path):
         tracer = small_trace()
-        out = tmp_path / "events.jsonl"
-        write_events_jsonl(out, tracer.records)
-        out.write_text(out.read_text() + "\n\n")
-        assert len(read_events_jsonl(out)) == len(tracer.records)
+        out = tmp_path / "trace.json"
+        write_chrome_trace(out, tracer.records)
+        out.write_text("\n\n" + out.read_text() + "\n\n")
+        assert len(read_chrome_trace(out)) == len(tracer.records)
+
+    @pytest.mark.parametrize("system, game, players", [
+        ("coterie", "racing", 2),
+        ("thin_client", "cts", 2),
+    ])
+    def test_report_renders_identically_from_trace(
+        self, system, game, players, tmp_path, capsys
+    ):
+        """``repro report TRACE.json`` prints what the live records give."""
+        from repro.cli import main
+        from repro.faults import FaultSchedule
+        from repro.systems import SessionConfig, run_system
+
+        tracer = SpanTracer()
+        config = SessionConfig(
+            duration_s=2.0, seed=1, tracer=tracer,
+            faults=FaultSchedule.parse("dip@500-1500:0.05,stall@500-700:20"),
+        )
+        run_system(system, game, players, config)
+        live = FrameBudgetReport.from_records(tracer.records).render()
+        out = tmp_path / "trace.json"
+        write_chrome_trace(out, tracer.records)
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out == live + "\n"
+        assert "miss" in live and "dip" in live

@@ -106,6 +106,17 @@ class TestFrameBudgetReport:
         assert {"prefetch", "decode", "render", "wait"} <= stages
         assert sum(r.share for r in rows) == pytest.approx(1.0)
 
+    def test_rounding_sliver_adds_no_stage_frame(self):
+        tracer = SpanTracer()
+        tracer.complete("frame", 0, "frame", 0.0, 16.6, args={"frame": 0})
+        tracer.complete("decode", 0, "decode", 0.0, 16.6 - 1e-9,
+                        args={"frame": 0})
+        report = FrameBudgetReport.from_records(tracer.records)
+        assert report.frames[0].by_stage["wait"] > 0.0  # the sliver is there
+        assert [(r.stage, r.frames) for r in report.stage_table()] == [
+            ("decode", 1)
+        ]
+
     def test_render_mentions_misses(self):
         text = self.build().render()
         assert "frame-budget attribution: 3 frames" in text

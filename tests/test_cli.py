@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -272,42 +274,39 @@ class TestAdaptiveCommands:
 
 class TestTelemetryCommands:
     def test_run_writes_trace_and_events(self, tmp_path, capsys):
-        import json
-
         from repro.telemetry import validate_chrome_trace
 
         trace = tmp_path / "trace.json"
-        events = tmp_path / "events.jsonl"
         assert main(["run", "coterie", "pool", "2", "--duration", "2",
                      "--faults", "dip@400-1100:0.05",
-                     "--trace", str(trace), "--events", str(events)]) == 0
+                     "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "trace" in out and "event log" in out
+        assert f"-> {trace}" in out and f"repro report {trace}" in out
         loaded = json.loads(trace.read_text())
         validate_chrome_trace(loaded)
-        assert any(ev.get("ph") == "X" for ev in loaded)
-        assert events.read_text().count("\n") > 10
+        assert sum(ev.get("ph") == "X" for ev in loaded) > 10
 
     def test_report_from_events(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
+        trace = tmp_path / "trace.json"
         assert main(["run", "coterie", "pool", "1", "--duration", "2",
-                     "--events", str(events)]) == 0
+                     "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["report", str(events)]) == 0
+        assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "frame-budget attribution" in out
         assert "stage" in out and "p95 ms" in out
 
-    def test_report_missing_file_is_an_error(self, capsys):
-        assert main(["report", "/nonexistent/events.jsonl"]) == 2
-        assert "cannot read event log" in capsys.readouterr().err
+    def test_events_flag_is_gone(self, tmp_path, capsys):
+        """The trace is the one span file; there is no second format."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "mobile", "pool", "1", "--events",
+                  str(tmp_path / "events.jsonl")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --events" in capsys.readouterr().err
 
-    def test_report_refuses_unknown_schema(self, tmp_path, capsys):
-        bad = tmp_path / "events.jsonl"
-        bad.write_text('{"v": 99, "kind": "span", "name": "x", "player": 0, '
-                       '"lane": "frame", "t0_ms": 0, "dur_ms": 1}\n')
-        assert main(["report", str(bad)]) == 2
-        assert "schema version" in capsys.readouterr().err
+    def test_report_missing_file_is_an_error(self, capsys):
+        assert main(["report", "/nonexistent/trace.json"]) == 2
+        assert "cannot read /nonexistent/trace.json" in capsys.readouterr().err
 
     def test_run_perf_prints_stage_table(self, capsys):
         assert main(["run", "mobile", "pool", "1", "--duration", "2",
@@ -332,7 +331,7 @@ class TestUnwritableOutputs:
         (_RUN, "--metrics"),
         (_RUN, "--openmetrics"),
         (_RUN, "--trace"),
-        (_RUN, "--events"),
+        ([*_RUN, "--trace", os.devnull], "--metrics"),
         (["fleet"], "--metrics"),
         (["fleet"], "--openmetrics"),
     ])
@@ -470,8 +469,6 @@ class TestMetricsCli:
         assert "0 regression(s)" in out
 
     def test_diff_flags_injected_regression(self, tmp_path, capsys):
-        import json
-
         a = self._dump(tmp_path, "a.jsonl")
         b = tmp_path / "b.jsonl"
         # Inject a regression: halve the final frames_total sample.
@@ -498,6 +495,19 @@ class TestMetricsCli:
         assert "cannot read metrics dump" in capsys.readouterr().err
         assert main(["report", "--diff", str(a),
                      str(tmp_path / "missing.jsonl")]) == 2
+
+    def test_report_prints_only_the_slo_records_a_dump_holds(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({
+            "v": 1, "kind": "series", "name": "frames_total",
+            "type": "counter", "samples": [[0.0, 1.0], [500.0, 30.0]],
+        }) + "\n")
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "series          : 1" in out
+        assert "slo" not in out
 
     def test_report_without_arguments_is_usage_error(self, capsys):
         assert main(["report"]) == 2
@@ -604,38 +614,43 @@ class TestReportHardening:
         assert "is empty" in capsys.readouterr().err
 
     def test_metrics_dump_without_series_exits_two(self, tmp_path, capsys):
-        import json as _json
-
         truncated = tmp_path / "truncated.jsonl"
         truncated.write_text(
-            _json.dumps({"v": 1, "kind": "meta", "system": "coterie"}) + "\n"
+            json.dumps({"v": 1, "kind": "meta", "system": "coterie"}) + "\n"
         )
         assert main(["report", str(truncated)]) == 2
         assert "no series records" in capsys.readouterr().err
 
     def test_event_log_without_frame_spans_exits_two(self, tmp_path, capsys):
-        import json as _json
+        from repro.telemetry import SpanTracer, write_chrome_trace
 
-        spanless = tmp_path / "spanless.jsonl"
-        spanless.write_text(
-            _json.dumps({
-                "v": 1, "kind": "span", "name": "warmup", "player": 0,
-                "lane": "net", "t0_ms": 0.0, "dur_ms": 1.0,
-            }) + "\n"
-        )
+        tracer = SpanTracer()
+        tracer.complete("warmup", 0, "net", 0.0, 1.0)
+        spanless = tmp_path / "spanless.json"
+        write_chrome_trace(spanless, tracer.records)
         assert main(["report", str(spanless)]) == 2
         assert "no frame spans" in capsys.readouterr().err
 
     _SPAN = '{"v":1,"kind":"span","name":"frame","lane":"l","t0_ms":0,"dur_ms":1,'
 
+    # ``report`` reads a file that starts with '[' as a trace (errors
+    # located by event), anything else as a metrics dump (by line).
     @pytest.mark.parametrize("record, report_says, diff_says", [
-        ('{"v":1,"kind":"series"}', "lacks field 'name'", "lacks field 'name'"),
-        ('{"v":1,"kind":"series","name":"x"}', "lacks field 'samples'",
-         "lacks field 'samples'"),
-        ("[1,2]", "not a JSON object", "not a JSON object"),
-        (_SPAN + '"player":0,"args":5}', "field 'args' must be an object", "kind 'span'"),
-        (_SPAN + '"player":"a"}', "field 'player' must be a number", "kind 'span'"),
-    ], ids=["series-no-name", "series-no-samples", "array", "args-number", "player-text"])
+        ('{"v":1,"kind":"series"}', ":1: series record lacks field 'name'",
+         ":1: series record lacks field 'name'"),
+        ('{"v":1,"kind":"series","name":"x"}',
+         ":1: series record lacks field 'samples'",
+         ":1: series record lacks field 'samples'"),
+        ("[1,2]", ": event 0: a JSON number, not a JSON object",
+         ":1: record is a JSON array, not a JSON object"),
+        (_SPAN + '"player":0,"args":5}', ":1: unknown metrics record kind 'span'",
+         ":1: unknown metrics record kind 'span'"),
+        (_SPAN + '"player":"a"}', ":1: unknown metrics record kind 'span'",
+         ":1: unknown metrics record kind 'span'"),
+        ('{"v":1,"kind":"slo","name":"x"}', ":1: slo record lacks field 'attainment'",
+         ":1: slo record lacks field 'attainment'"),
+    ], ids=["series-no-name", "series-no-samples", "array", "args-number", "player-text",
+            "slo-no-attainment"])
     def test_bad_record_shape_is_one_located_line(
         self, record, report_says, diff_says, tmp_path, capsys
     ):
@@ -646,12 +661,20 @@ class TestReportHardening:
             assert main(argv) == 2
             captured = capsys.readouterr()
             (line,) = captured.err.splitlines()
-            assert f"{bad}:1: " in line and says in line
+            assert f"{bad}{says}" in line
             assert captured.out == ""
 
+    def test_large_array_is_named_not_echoed(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(list(range(10_000))) + "\n")
+        for argv in (["report", str(big)], ["report", "--diff", str(big), str(big)]):
+            assert main(argv) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert "not a JSON object" in line and len(line) < 200
+
     def test_truncated_json_line_exits_two(self, tmp_path, capsys):
-        clipped = tmp_path / "clipped.jsonl"
-        clipped.write_text('{"v": 1, "kind": "span", "na\n')
+        clipped = tmp_path / "clipped.json"
+        clipped.write_text('[{"ph": "X", "name": "fra\n')
         assert main(["report", str(clipped)]) == 2
         assert "not JSON" in capsys.readouterr().err
 

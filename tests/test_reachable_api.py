@@ -29,8 +29,6 @@ ALLOWED = {
         "per-point form the region-batched radius solver is checked against",
     "repro.geometry.projection.angular_radius":
         "the paper's angular-size formula for the section 4.2 invariant test",
-    "repro.telemetry.export.validate_chrome_trace":
-        "schema oracle for the Chrome-trace exporter",
     "repro.fleet.arrivals.ArrivalTrace.to_text":
         "other half of the arrival-trace parser round-trip",
     "repro.trace.recorder.load_traces":
