@@ -13,6 +13,7 @@ import pytest
 
 from harness import fmt, once, report
 from repro.core import FLF, LRU, FrameCache, Prefetcher
+from repro.render import PIXEL2, RenderCostModel
 from repro.trace import generate_trajectory
 from repro.world import load_game
 
@@ -24,13 +25,13 @@ def _replay(world, artifacts, policy: str, capacity_mb: float) -> float:
     cache = FrameCache(
         capacity_bytes=int(capacity_mb * 1024 * 1024), policy=policy
     )
+    trajectory = generate_trajectory(world, duration_s=25, seed=23)
     prefetcher = Prefetcher(
         world.scene, world.grid, artifacts.cutoff_map,
-        artifacts.dist_thresh_map, cache,
+        artifacts.dist_thresh_map, cache, RenderCostModel(PIXEL2), trajectory=trajectory,
     )
-    trajectory = generate_trajectory(world, duration_s=25, seed=23)
-    for sample in trajectory.samples:
-        decision = prefetcher.plan(sample.position, sample.t_ms)
+    for index, sample in enumerate(trajectory.samples):
+        decision = prefetcher.plan(sample.position, sample.t_ms, index=index)
         if decision.needs_fetch:
             size = artifacts.far_size_model.sample(decision.grid_point)
             prefetcher.admit(decision, None, size, sample.t_ms)

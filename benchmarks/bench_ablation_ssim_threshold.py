@@ -14,7 +14,7 @@ import pytest
 from harness import fmt, once, report
 from repro.core import FrameCache, Prefetcher
 from repro.core.dist_thresh import DistThreshMap
-from repro.render import RenderConfig
+from repro.render import PIXEL2, RenderConfig, RenderCostModel
 from repro.trace import generate_trajectory
 from repro.world import load_game
 
@@ -59,12 +59,13 @@ def _replay(world, artifacts, ssim_bar):
         k_samples=1, seed=4,
     )
     cache = FrameCache()
-    prefetcher = Prefetcher(
-        world.scene, world.grid, artifacts.cutoff_map, dist_map, cache
-    )
     trajectory = generate_trajectory(world, duration_s=15, seed=29)
-    for sample in trajectory.samples:
-        decision = prefetcher.plan(sample.position, sample.t_ms)
+    prefetcher = Prefetcher(
+        world.scene, world.grid, artifacts.cutoff_map, dist_map, cache,
+        RenderCostModel(PIXEL2), trajectory=trajectory,
+    )
+    for index, sample in enumerate(trajectory.samples):
+        decision = prefetcher.plan(sample.position, sample.t_ms, index=index)
         if decision.needs_fetch:
             prefetcher.admit(decision, None, 280_000, sample.t_ms)
     mean_thresh = float(np.mean(list(dist_map._cache.values())))

@@ -28,10 +28,10 @@ def replay(world, artifacts, cache, n_players=1, duration_s=20.0):
     party = generate_party(world, n_players, duration_s, seed=19)
     prefetcher = Prefetcher(
         world.scene, world.grid, artifacts.cutoff_map,
-        artifacts.dist_thresh_map, cache,
+        artifacts.dist_thresh_map, cache, RenderCostModel(PIXEL2), trajectory=party[0],
     )
-    for sample in party[0].samples:
-        decision = prefetcher.plan(sample.position, sample.t_ms)
+    for index, sample in enumerate(party[0].samples):
+        decision = prefetcher.plan(sample.position, sample.t_ms, index=index)
         if decision.needs_fetch:
             size = artifacts.far_size_model.sample(decision.grid_point)
             prefetcher.admit(decision, None, size, sample.t_ms)

@@ -13,9 +13,13 @@ coordinating via TDMA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, List, Optional, Sequence
+
+import numpy as np
 
 from ..geometry import GridPoint, Vec2, WorldGrid
+from ..render.timing import RenderCostModel
+from ..trace.trajectory import Trajectory
 from ..world.scene import Scene
 from .cache import CachedFrame, FrameCache
 from .cutoff import CutoffMap, LeafKey
@@ -25,6 +29,26 @@ from .dist_thresh import DistThreshMap
 #: cutoff radius (~2 px at the boundary) are ignored when comparing near-BE
 #: sets.
 NEAR_SIGNIFICANCE = 0.05
+
+#: Trajectory samples whose frame geometry one disc-kernel call resolves,
+#: about half a second of play at 60 Hz (DESIGN.md §6).
+CHUNK_SAMPLES = 32
+
+
+@dataclass(frozen=True)
+class FrameGeometry:
+    """What a viewpoint's frame needs from the scene: its look-ahead grid
+    point and that point's world position, leaf and cutoff, the
+    significant near-object ids there (criterion 3), and RT_nearBE at the
+    viewpoint itself (Eq. 2's pacing)."""
+
+    viewpoint: Vec2
+    grid_point: GridPoint
+    position: Vec2
+    leaf: LeafKey
+    cutoff_radius: float
+    near_ids: FrozenSet[int]
+    near_be_ms: float
 
 
 @dataclass(frozen=True)
@@ -38,6 +62,7 @@ class PrefetchDecision:
     near_ids: FrozenSet[int]
     cached: Optional[CachedFrame]  # hit: the frame to reuse
     dist_thresh: float
+    near_be_ms: float  # RT_nearBE at the viewpoint
 
     @property
     def needs_fetch(self) -> bool:
@@ -54,50 +79,106 @@ class Prefetcher:
         cutoff_map: CutoffMap,
         dist_thresh_map: DistThreshMap,
         cache: FrameCache,
+        cost_model: RenderCostModel,
+        trajectory: Optional[Trajectory] = None,
     ) -> None:
         self.scene = scene
         self.grid = grid
         self.cutoff_map = cutoff_map
         self.dist_thresh_map = dist_thresh_map
         self.cache = cache
+        self.cost_model = cost_model
         self.fetches = 0
+        # The client's viewpoints, and the rows of the chunk of them last
+        # resolved (``CHUNK_SAMPLES`` from sample ``_chunk_start`` on).
+        self._viewpoints = trajectory.positions() if trajectory is not None else []
+        self._chunk_start = 0
+        self._chunk: List[Optional[FrameGeometry]] = []
         # Congestion throttle (repro.adapt): >= 1.0 multiplier widening
         # the dist-thresh acceptance band so more cached candidates serve
         # in place of fetches.  Scaling a double by 1.0 is exact.
         self.thresh_scale = 1.0
 
-    def _resolve(self, position: Vec2, lookup, **lookup_args) -> PrefetchDecision:
-        """Derive grid point, leaf, cutoff, near set and dist-thresh for
-        ``position`` and ask ``lookup`` (one of the cache's keyword queries)
-        for a frame that serves it."""
-        grid_point = self.grid.snap(position)
-        snapped = self.grid.to_world(grid_point)
-        leaf, cutoff = self.cutoff_map.leaf_for(snapped)
-        near_ids = self.scene.near_object_ids(
-            snapped, cutoff, min_radius=NEAR_SIGNIFICANCE * cutoff
+    def geometry(self, viewpoints: Sequence[Vec2]) -> List[FrameGeometry]:
+        """The frame geometry of each viewpoint, from one call of the
+        scene's disc kernel: the near set at the snapped point, RT_nearBE
+        at the viewpoint, both under the snapped point's leaf cutoff."""
+        px = np.array([viewpoint.x for viewpoint in viewpoints])
+        py = np.array([viewpoint.y for viewpoint in viewpoints])
+        i, j, qx, qy = self.grid.snap_many(px, py)
+        grid_points = list(zip(i.astype(np.int64).tolist(), j.astype(np.int64).tolist()))
+        snapped = [Vec2(x, y) for x, y in zip(qx.tolist(), qy.tolist())]
+        leaves = [self.cutoff_map.leaf_for(position) for position in snapped]
+        near_sets: List[FrozenSet[int]] = []
+        near_ms: List[float] = []
+        for hits in self.scene.discs(
+            px, py, np.array([cutoff for _, cutoff in leaves]), qx=qx, qy=qy
+        ):
+            near_sets += self.scene.near_sets(hits, NEAR_SIGNIFICANCE * hits.radii)
+            near_ms += self.cost_model.discs_ms(hits)
+        return [
+            FrameGeometry(viewpoint, grid_point, position, leaf, cutoff, near_ids, ms)
+            for viewpoint, grid_point, position, (leaf, cutoff), near_ids, ms in zip(
+                viewpoints, grid_points, snapped, leaves, near_sets, near_ms
+            )
+        ]
+
+    def _row(self, position: Vec2, index: Optional[int]) -> FrameGeometry:
+        """Trajectory sample ``index``'s row when ``position`` is that
+        sample's viewpoint (its chunk resolved on first read), else the
+        one-viewpoint geometry of ``position``."""
+        if index is not None:
+            offset = index - self._chunk_start
+            row = self._chunk[offset] if 0 <= offset < len(self._chunk) else None
+            if row is None:
+                chunk = self.geometry(self._viewpoints[index : index + CHUNK_SAMPLES])
+                self._chunk_start, offset, row = index, 0, chunk[0]
+                self._chunk = list(chunk)
+            # The frame loop reads each sample once, so a read row is let
+            # go: a finished session awaiting the cycle collector then
+            # holds only the rows it never displayed.
+            self._chunk[offset] = None
+            if row.viewpoint == position:
+                return row
+        return self.geometry([position])[0]
+
+    def _resolve(
+        self, position: Vec2, index: Optional[int], lookup, **lookup_args
+    ) -> PrefetchDecision:
+        """Take ``position``'s frame geometry, derive its dist-thresh and
+        ask ``lookup`` (one of the cache's keyword queries) for a frame
+        that serves it."""
+        row = self._row(position, index)
+        # Per frame: a chunk's worth ahead would measure leaves never shown.
+        dist_thresh = (
+            self.dist_thresh_map.threshold_at(row.leaf, row.cutoff_radius) * self.thresh_scale
         )
-        dist_thresh = self.dist_thresh_map.threshold_at(leaf, cutoff) * self.thresh_scale
         cached = lookup(
-            grid_point=grid_point,
-            position=snapped,
-            leaf=leaf,
-            near_ids=near_ids,
+            grid_point=row.grid_point,
+            position=row.position,
+            leaf=row.leaf,
+            near_ids=row.near_ids,
             dist_thresh=dist_thresh,
             **lookup_args,
         )
         return PrefetchDecision(
-            grid_point=grid_point,
-            position=snapped,
-            leaf=leaf,
-            cutoff_radius=cutoff,
-            near_ids=near_ids,
+            grid_point=row.grid_point,
+            position=row.position,
+            leaf=row.leaf,
+            cutoff_radius=row.cutoff_radius,
+            near_ids=row.near_ids,
             cached=cached,
             dist_thresh=dist_thresh,
+            near_be_ms=row.near_be_ms,
         )
 
-    def plan(self, position: Vec2, now_ms: float) -> PrefetchDecision:
-        """Resolve the far-BE frame for the viewpoint at ``position``."""
-        decision = self._resolve(position, self.cache.lookup, now_ms=now_ms)
+    def plan(
+        self, position: Vec2, now_ms: float, index: Optional[int] = None
+    ) -> PrefetchDecision:
+        """Resolve the far-BE frame for the viewpoint at ``position``;
+        ``index`` names the trajectory sample it came from, whose chunk's
+        row then serves unless a pose fault moved it."""
+        decision = self._resolve(position, index, self.cache.lookup, now_ms=now_ms)
         if decision.cached is None:
             self.fetches += 1
         return decision
@@ -113,7 +194,7 @@ class Prefetcher:
         and ``fetches`` is left alone.  Predicted positions may fall
         outside the scene, so the target is clamped to its bounds.
         """
-        return self._resolve(self.scene.bounds.clamp(position), self.cache.peek)
+        return self._resolve(self.scene.bounds.clamp(position), None, self.cache.peek)
 
     def admit(
         self,

@@ -206,13 +206,20 @@ class WorldGrid:
 
     def _snapped_reachable(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The mask at the grid points nearest to clamped positions."""
+        _, _, x, y = self.snap_many(xs, ys)
+        return self._reachable_many(x, y)
+
+    def snap_many(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``snap`` and ``to_world`` of every position ``(xs[k], ys[k])``:
+        the grid indices ``i``, ``j`` (integral floats) and the grid points'
+        world coordinates, the doubles the scalar pair computes (``np.rint``
+        rounds half to even like ``round``)."""
         b = self.bounds
-        i = np.rint((xs - b.x_min) / self.pitch)
-        j = np.rint((ys - b.y_min) / self.pitch)
-        return self._reachable_many(
-            b.x_min + np.minimum(i, self.nx - 1) * self.pitch,
-            b.y_min + np.minimum(j, self.ny - 1) * self.pitch,
-        )
+        i = np.minimum(np.rint((np.clip(xs, b.x_min, b.x_max) - b.x_min) / self.pitch), self.nx - 1)
+        j = np.minimum(np.rint((np.clip(ys, b.y_min, b.y_max) - b.y_min) / self.pitch), self.ny - 1)
+        return i, j, b.x_min + i * self.pitch, b.y_min + j * self.pitch
 
     # ------------------------------------------------------------------
     # Counting and enumeration

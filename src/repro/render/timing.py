@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, List
 
 import numpy as np
 
 from .. import perf
 from ..geometry import Vec2
 from ..world.objects import SceneObject
-from ..world.scene import Scene
+from ..world.scene import Discs, Scene
 
 
 @dataclass(frozen=True)
@@ -136,23 +136,34 @@ class RenderCostModel:
         return self._scene_ms(scene, viewpoint, self.device.view_limit)
 
     def _scene_ms(self, scene: Scene, viewpoint: Vec2, radius: float) -> float:
-        """``objects_ms(scene.objects_within(viewpoint, radius), viewpoint)``
-        bit for bit: ``math.hypot`` distances, ``lod_weight`` elementwise and
-        a builtin ``sum`` in candidate order (DESIGN.md §6).  A candidate
-        beyond the floor's reach gets ``lod_floor`` without a distance."""
-        triangles, dx, dy = scene.triangles_and_offsets(viewpoint, radius)
-        if radius > self._reach:
-            lod = np.full(triangles.size, self.device.lod_floor)
+        return self.discs_ms(scene.disc(viewpoint, radius))[0]
+
+    def discs_ms(self, hits: Discs) -> List[float]:
+        """Geometry time of each centre's disc around its position:
+        ``objects_ms(scene.objects_within(p, r), p)`` bit for bit, per
+        centre: ``math.hypot`` distances, ``lod_weight`` elementwise and one
+        builtin ``sum`` over the centre's slice in candidate order
+        (DESIGN.md §6).  A candidate beyond the floor's reach gets
+        ``lod_floor`` without a distance."""
+        dx, dy = hits.dx, hits.dy
+        if (hits.radii > self._reach).any():
+            lod = np.full(dx.size, self.device.lod_floor)
             near = np.flatnonzero(dx * dx + dy * dy <= self._reach_sq)
             lod[near] = self._lod_weights(dx[near], dy[near])
         else:
             lod = self._lod_weights(dx, dy)
-        return sum((triangles * lod).tolist()) / self.device.triangle_throughput
+        # Iterating a float64 memoryview yields the floats ``tolist`` would.
+        weighted = memoryview(hits.triangles * lod)
+        bounds = hits.bounds
+        throughput = self.device.triangle_throughput
+        return [sum(weighted[a:b]) / throughput for a, b in zip(bounds, bounds[1:])]
 
     def _lod_weights(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """``lod_weight(math.hypot(dx, dy))`` elementwise."""
         perf.count("cost_model.exact_distances", dx.size)
-        distance = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.size)
+        distance = np.fromiter(
+            map(math.hypot, memoryview(dx), memoryview(dy)), np.float64, dx.size
+        )
         ratio = distance / self.device.lod_distance
         return np.maximum(self.device.lod_floor, 1.0 / (1.0 + ratio * ratio))
 

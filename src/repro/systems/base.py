@@ -329,12 +329,15 @@ class Session:
         pose predictor cannot extrapolate across.  With no pose faults
         scheduled the original sample is returned untouched.
         """
-        trajectory = self.trajectories[player]
-        index = min(len(trajectory) - 1, max(0, int(t_ms / (1000.0 / 60.0))))
-        sample = trajectory[index]
+        sample = self.trajectories[player][self.sample_index(player, t_ms)]
         if self.faults.schedule.poses:
             sample = self._apply_pose_faults(player, t_ms, sample)
         return sample
+
+    def sample_index(self, player: int, t_ms: float) -> int:
+        """Index of the trajectory sample ``position_at`` reads at ``t_ms``."""
+        last = len(self.trajectories[player]) - 1
+        return min(last, max(0, int(t_ms / (1000.0 / 60.0))))
 
     def _apply_pose_faults(self, player: int, t_ms: float, sample):
         """Offset a trajectory sample by every pose jump in effect."""

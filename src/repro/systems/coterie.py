@@ -78,9 +78,15 @@ class CoterieStrategy(FetchStrategy):
         self.caches = [FrameCache() for _ in range(n_slots)]
         self.prefetchers = [
             Prefetcher(
-                world.scene, world.grid, artifacts.cutoff_map, artifacts.dist_thresh_map, cache
+                world.scene,
+                world.grid,
+                artifacts.cutoff_map,
+                artifacts.dist_thresh_map,
+                cache,
+                session.cost_model,
+                trajectory=trajectory,
             )
-            for cache in self.caches
+            for cache, trajectory in zip(self.caches, session.trajectories)
         ]
         observer = session.observer
         if observer is not None:
@@ -181,7 +187,9 @@ class CoterieStrategy(FetchStrategy):
         session = self.session
         for hook in self.pre_plan:
             hook(player_id, t0, sample)
-        decision = self.prefetchers[player_id].plan(sample.position, t0)
+        decision = self.prefetchers[player_id].plan(
+            sample.position, t0, index=session.sample_index(player_id, t0)
+        )
         for hook in self.post_plan:
             decision = hook(player_id, t0, sample, decision)
         out = FrameOutcome()
@@ -190,10 +198,7 @@ class CoterieStrategy(FetchStrategy):
         )
         for hook in self.post_fetch:
             hook(player_id, t0, sample, decision, out)
-        near_ms = session.cost_model.near_be_ms(
-            session.world.scene, sample.position, decision.cutoff_radius
-        )
-        self.pace_pipeline(out, t0, near_ms)
+        self.pace_pipeline(out, t0, decision.near_be_ms)
         if self.use_cache:
             out.cache_hit = not decision.needs_fetch
         out.cache_label = (

@@ -470,6 +470,38 @@ _METRICS_FIELDS = {
 }
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pairs(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_numbers(v) and len(v) == 2 for v in value)
+
+
+#: What a field must hold, checked before anything reads it (``samples``
+#: is checked as it is read).
+_FIELD_TYPES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "name": (lambda value: isinstance(value, str), "a string"),
+    "le": (_is_numbers, "a list of numbers"),
+    "counts": (_is_numbers, "a list of numbers"),
+    "sum": (_is_number, "a number"),
+    "count": (_is_number, "a number"),
+    "attainment": (lambda value: value is None or _is_number(value), "a number or null"),
+    "evaluated": (_is_count, "an integer"),
+    "compliant": (_is_count, "an integer"),
+    "alerts": (lambda value: isinstance(value, list), "a list"),
+    "worst": (_is_pairs, "a list of [t, burn] number pairs"),
+}
+
+
 def read_metrics_jsonl(path: Union[str, Path]) -> MetricsDump:
     """Load a series dump back (version- and shape-checked; raises
     ValueError located at ``PATH:LINE`` and naming the bad field)."""
@@ -500,6 +532,12 @@ def read_metrics_jsonl(path: Union[str, Path]) -> MetricsDump:
             for key in _METRICS_FIELDS.get(kind, ()):
                 if key not in payload:
                     raise ValueError(f"{where}: {kind} record lacks field {key!r}")
+                check, wanted = _FIELD_TYPES.get(key, (None, ""))
+                if check is not None and not check(payload[key]):
+                    raise ValueError(
+                        f"{where}: {kind} record field {key!r} must be {wanted} "
+                        f"(found a JSON {json_type(payload[key])})"
+                    )
             if kind == "meta":
                 dump.meta = {
                     k: v for k, v in payload.items() if k not in ("v", "kind")

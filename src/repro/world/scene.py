@@ -8,9 +8,10 @@ a viewpoint:
 * how many triangles lie within a radius (Constraint 1 cost input);
 * what is the set of near-object ids (frame-cache criterion 3).
 
-Every online frame asks twice, so the objects are kept as flat arrays in
-uniform-grid cell order and each query is one numpy mask over them that
-returns what a cell-by-cell grid walk would, in its order (DESIGN.md §6).
+The objects are kept as flat arrays in uniform-grid cell order, and every
+query is one call of a disc kernel over them that returns, for each of many
+centres, what a cell-by-cell grid walk would, in its order.  The frame loop
+asks it for a trajectory chunk's viewpoints at once (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,39 @@ from ..geometry import Rect, Vec2
 from .objects import ObjectArrays, SceneObject
 
 TerrainFn = Callable[[Vec2], float]
+
+#: Slack of the disc kernel's superset radius ``(r + |p - q|)(1 + s) + s``.
+#: A computed squared distance is within a few ulps of the exact one,
+#: relative; ``s`` is far above that, and its absolute part covers
+#: distances whose squares underflow (DESIGN.md §6).
+SUPERSET_SLACK = 1e-9
+
+#: Centres x slab objects that one block of the disc kernel holds at most:
+#: a chunk whose cell rows hold more objects runs as several blocks, so
+#: every array of a block stays under 128 KB.
+BLOCK_ELEMENTS = 1 << 14
+
+
+@dataclass(frozen=True)
+class Discs:
+    """The hits of one block of :meth:`Scene.discs` centres, each centre's
+    in cell order.
+
+    The block's centre ``k``'s objects within ``radii[k]`` of its position are
+    ``index[bounds[k]:bounds[k + 1]]``, with their ``triangles`` and their
+    offsets ``dx``, ``dy`` from the position.  Its objects within
+    ``radii[k]`` of its snapped point are ``near[near_bounds[k]:
+    near_bounds[k + 1]]``.
+    """
+
+    radii: np.ndarray
+    index: np.ndarray
+    triangles: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    bounds: List[int]
+    near: np.ndarray
+    near_bounds: List[int]
 
 
 @dataclass(frozen=True)
@@ -82,6 +116,7 @@ class Scene:
         self._x, self._y = self._arrays.x, self._arrays.y
         self._radius = self._arrays.radius
         self._cell_i = cell_i[order]
+        self._cell_j = cell_j[order]
         self._triangles = triangles[order]
         self._ids = np.array(ids, dtype=np.int64)[order]
         # Cell rows in cell order: rows ``lo..hi`` are the slice between
@@ -118,54 +153,154 @@ class Scene:
     # Radius queries
     # ------------------------------------------------------------------
 
-    def _candidates(
-        self, center: Vec2, radius: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cell-order positions of the objects within ``radius`` of
-        ``center``, and their offsets ``x - center.x``, ``y - center.y``.
-        Only the cell rows the query square spans are read: they are one
-        contiguous slice.  The column term keeps out an object whose
-        rounded distance passes but whose cell a grid walk would never
-        visit."""
-        if radius < 0:
+    def discs(
+        self,
+        px: np.ndarray,
+        py: np.ndarray,
+        radii: np.ndarray,
+        qx: Optional[np.ndarray] = None,
+        qy: Optional[np.ndarray] = None,
+    ) -> Iterator[Discs]:
+        """For each centre ``k``, the objects within ``radii[k]`` of its
+        position ``(px[k], py[k])`` and of its snapped point
+        ``(qx[k], qy[k])`` (the position itself when ``qx`` is None), each
+        what ``objects_within`` returns for that disc.  Yields the centres
+        in order, one block of consecutive centres at a time.
+
+        A block's centres share one slab: the cell rows their squares
+        span, restricted to the columns they span, with at most
+        ``BLOCK_ELEMENTS`` centre-object pairs.  One dense test keeps the
+        objects within the superset radius ``e = (r + |p - q|)(1 + s) + s``
+        of ``p``, which holds both discs.  Each disc's exact test — its
+        cell rectangle and ``dx*dx + dy*dy <= r*r`` from its own centre,
+        the grid walk's floats — runs on those hits only, and only on the
+        hits not well inside both discs.  The rectangle terms keep out an
+        object whose rounded distance passes but whose cell a grid walk
+        would never visit."""
+        radii = np.asarray(radii, dtype=np.float64)
+        if not (radii >= 0).all():
             raise ValueError("radius must be non-negative")
-        lo_i, lo_j = self._cell_of(Vec2(center.x - radius, center.y - radius))
-        hi_i, hi_j = self._cell_of(Vec2(center.x + radius, center.y + radius))
-        start = bisect_left(self._rows, lo_j)
-        stop = bisect_right(self._rows, hi_j, start)
-        perf.count("scene_query.objects_scanned", stop - start)
-        cell_i = self._cell_i[start:stop]
-        dx = self._x[start:stop] - center.x
-        dy = self._y[start:stop] - center.y
-        inside = (
-            (dx * dx + dy * dy <= radius * radius)
-            & (cell_i >= lo_i) & (cell_i <= hi_i)
+        slack = SUPERSET_SLACK
+        p_cells = self._cells(px, py, radii)
+        if qx is None:
+            q_cells, reach, span, gap = p_cells, radii, p_cells, 0.0
+        else:
+            q_cells = self._cells(qx, qy, radii)
+            # Every object within r of q lies within r + |p - q| of p.
+            gap = np.hypot(px - qx, py - qy)
+            reach = (radii + gap) * (1.0 + slack) + slack
+            span = (
+                np.minimum(p_cells[0], q_cells[0]),
+                np.maximum(p_cells[1], q_cells[1]),
+                np.minimum(p_cells[2], q_cells[2]),
+                np.maximum(p_cells[3], q_cells[3]),
+            )
+        # Every object within ``inner`` of p is within r - |p - q| of p, and
+        # so within r of q, by a relative margin; the absolute one covers
+        # the rounding of ``center -/+ r`` in the cell rectangles.
+        inner = (radii - gap) * (1.0 - slack) - slack * (
+            1.0 + np.abs(px) + np.abs(py) + radii + gap
         )
-        idx = np.flatnonzero(inside)
-        return idx + start, dx[idx], dy[idx]
+        signed_inner_sq = inner * np.abs(inner)
+        row_lo, row_hi = span[2].tolist(), span[3].tolist()
+        rows = self._rows
+        k0, n = 0, radii.size
+        while k0 < n:
+            lo, hi, k1 = row_lo[k0], row_hi[k0], k0 + 1
+            start, stop = bisect_left(rows, lo), bisect_right(rows, hi)
+            while k1 < n:
+                lo2, hi2 = min(lo, row_lo[k1]), max(hi, row_hi[k1])
+                start2, stop2 = bisect_left(rows, lo2), bisect_right(rows, hi2)
+                if (k1 + 1 - k0) * (stop2 - start2) > BLOCK_ELEMENTS:
+                    break
+                lo, hi, start, stop, k1 = lo2, hi2, start2, stop2, k1 + 1
+            perf.count("scene_query.objects_scanned", stop - start)
+            block = slice(k0, k1)
+            slab_i = self._cell_i[start:stop]
+            cols = np.flatnonzero(
+                (slab_i >= span[0][block].min()) & (slab_i <= span[1][block].max())
+            ) + start
+            dx = self._x[cols] - px[block, None]
+            dy = self._y[cols] - py[block, None]
+            d2 = dx * dx + dy * dy
+            hits = np.flatnonzero(d2 <= (reach[block] * reach[block])[:, None])
+            k, j = np.divmod(hits, cols.size)
+            index, dx, dy, d2 = cols[j], dx.ravel()[hits], dy.ravel()[hits], d2.ravel()[hits]
+            # A hit within ``inner`` of p is inside both discs and both cell
+            # rectangles: only the rest, the band around the disc edges,
+            # runs the exact tests.
+            unsure = np.flatnonzero(d2 > signed_inner_sq[block][k])
+            if unsure.size:
+                ku, iu = k[unsure] + k0, index[unsure]
+                cell_i, cell_j = self._cell_i[iu], self._cell_j[iu]
+                r2 = (radii * radii)[ku]
+                at_p = np.ones(k.size, dtype=bool)
+                at_p[unsure] = (d2[unsure] <= r2) & _in_cells(p_cells, ku, cell_i, cell_j)
+                if qx is None:
+                    at_q = at_p
+                else:
+                    ex = self._x[iu] - qx[ku]
+                    ey = self._y[iu] - qy[ku]
+                    at_q = np.ones(k.size, dtype=bool)
+                    at_q[unsure] = (
+                        (ex * ex + ey * ey <= r2) & _in_cells(q_cells, ku, cell_i, cell_j)
+                    )
+                k_q, near = k[at_q], index[at_q]
+                k, index, dx, dy = k[at_p], index[at_p], dx[at_p], dy[at_p]
+            else:
+                k_q, near = k, index
+            yield Discs(
+                radii=radii[block],
+                index=index,
+                triangles=self._triangles[index],
+                dx=dx,
+                dy=dy,
+                bounds=_bounds(k, k1 - k0),
+                near=near,
+                near_bounds=_bounds(k_q, k1 - k0),
+            )
+            k0 = k1
+
+    def _cells(
+        self, x: np.ndarray, y: np.ndarray, radii: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each disc's cell rectangle ``(lo_i, hi_i, lo_j, hi_j)``, as
+        ``_cell_of(center -/+ r)`` computes it (kept as floats, so any
+        magnitude compares exactly)."""
+        size = self.cell_size
+        return (
+            np.floor((x - radii) / size),
+            np.floor((x + radii) / size),
+            np.floor((y - radii) / size),
+            np.floor((y + radii) / size),
+        )
+
+    def disc(self, center: Vec2, radius: float) -> Discs:
+        """:meth:`discs` for the one centre ``center``."""
+        return next(self.discs(np.array([center.x]), np.array([center.y]), np.array([radius])))
+
+    def near_sets(self, hits: Discs, min_radii: np.ndarray) -> List[FrozenSet[int]]:
+        """Each centre's :meth:`near_object_ids` set around its snapped
+        point: the ids of its ``near`` hits whose radius is at least
+        ``min_radii[k]``, inserted in cell order — a set's iteration order
+        depends on it."""
+        near, bounds = hits.near, hits.near_bounds
+        keep = self._radius[near] >= np.repeat(min_radii, np.diff(bounds))
+        ids = self._ids[near[keep]].tolist()
+        kept = np.concatenate(([0], np.cumsum(keep))).take(bounds).tolist()
+        return [frozenset(ids[a:b]) for a, b in zip(kept, kept[1:])]
 
     def objects_within(
         self, center: Vec2, radius: float
     ) -> List[SceneObject]:
         """Objects whose footprint centre is within ``radius`` of ``center``,
         in cell order."""
-        idx, _, _ = self._candidates(center, radius)
-        return [self._ordered[k] for k in idx.tolist()]
+        return [self._ordered[k] for k in self.disc(center, radius).index.tolist()]
 
     def object_arrays_within(self, center: Vec2, radius: float) -> ObjectArrays:
         """The rasterizer's arrays of ``objects_within(center, radius)``,
         in that order."""
-        idx, _, _ = self._candidates(center, radius)
-        return self._arrays.take(idx)
-
-    def triangles_and_offsets(
-        self, center: Vec2, radius: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Triangle counts and ``x`` / ``y`` offsets from ``center`` of the
-        ``objects_within(center, radius)`` objects, in that order — the
-        render-cost model's input."""
-        idx, dx, dy = self._candidates(center, radius)
-        return self._triangles[idx], dx, dy
+        return self._arrays.take(self.disc(center, radius).index)
 
     def objects_in_annulus(
         self, center: Vec2, inner: float, outer: float
@@ -186,14 +321,13 @@ class Scene:
     def _annulus(self, center: Vec2, inner: float, outer: float) -> np.ndarray:
         if inner < 0 or outer < inner:
             raise ValueError(f"invalid annulus [{inner}, {outer}]")
-        idx, dx, dy = self._candidates(center, outer)
-        return idx[dx * dx + dy * dy > inner * inner]
+        hits = self.disc(center, outer)
+        return hits.index[hits.dx * hits.dx + hits.dy * hits.dy > inner * inner]
 
     def triangles_within(self, center: Vec2, radius: float) -> int:
         """Total triangle count within ``radius`` — the object-density
         measure the adaptive cutoff scheme samples (§4.3)."""
-        idx, _, _ = self._candidates(center, radius)
-        return int(self._triangles[idx].sum())
+        return int(self.disc(center, radius).triangles.sum())
 
     def triangle_density(self, center: Vec2, probe_radius: float = 10.0) -> float:
         """Triangles per square metre around ``center`` (Fig. 8's x-axis)."""
@@ -241,6 +375,18 @@ class Scene:
         """
         if min_radius < 0:
             raise ValueError("min_radius must be non-negative")
-        idx, _, _ = self._candidates(viewpoint, cutoff_radius)
-        # Inserted in cell order: a set's iteration order depends on it.
-        return frozenset(self._ids[idx[self._radius[idx] >= min_radius]].tolist())
+        return self.near_sets(self.disc(viewpoint, cutoff_radius), np.array([min_radius]))[0]
+
+
+def _in_cells(cells, k: np.ndarray, cell_i: np.ndarray, cell_j: np.ndarray) -> np.ndarray:
+    """Whether each hit's cell lies in its centre ``k``'s rectangle."""
+    lo_i, hi_i, lo_j, hi_j = cells
+    return (
+        (cell_i >= lo_i[k]) & (cell_i <= hi_i[k])
+        & (cell_j >= lo_j[k]) & (cell_j <= hi_j[k])
+    )
+
+
+def _bounds(k: np.ndarray, n: int) -> List[int]:
+    """Slice bounds of centres ``0..n-1`` in the sorted centre column ``k``."""
+    return np.searchsorted(k, np.arange(n + 1)).tolist()

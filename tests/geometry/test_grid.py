@@ -111,3 +111,25 @@ class TestWorldGrid:
     def test_world_snap_identity(self, i, j):
         grid = WorldGrid(Rect(0, 0, 10, 10), pitch=1.0)
         assert grid.snap(grid.to_world((i, j))) == (i, j)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-50.0, 250.0, allow_nan=False),
+                # Half-pitch ties, where rounding must go to even like ``round``.
+                st.integers(-40, 500).map(lambda k: -7.5 + (k + 0.5) * 0.375),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.sampled_from([0.375, 1.0 / 32, 7.0]),
+    )
+    def test_snap_many_is_snap_then_to_world(self, coords, pitch):
+        grid = WorldGrid(Rect(-7.5, 3.0, 180.25, 96.0), pitch=pitch)
+        n = len(coords) // 2
+        xs, ys = np.array(coords[:n]), np.array(coords[n : 2 * n])
+        i, j, x, y = grid.snap_many(xs, ys)
+        for k, (px, py) in enumerate(zip(xs.tolist(), ys.tolist())):
+            gp = grid.snap(Vec2(px, py))
+            assert (int(i[k]), int(j[k])) == gp
+            assert Vec2(float(x[k]), float(y[k])) == grid.to_world(gp)

@@ -632,6 +632,7 @@ class TestReportHardening:
         assert "no frame spans" in capsys.readouterr().err
 
     _SPAN = '{"v":1,"kind":"span","name":"frame","lane":"l","t0_ms":0,"dur_ms":1,'
+    _SLO = '{"v":1,"kind":"slo","name":"x","evaluated":1,"compliant":1,"alerts":[],"worst":[],'
 
     # ``report`` reads a file that starts with '[' as a trace (errors
     # located by event), anything else as a metrics dump (by line).
@@ -649,8 +650,14 @@ class TestReportHardening:
          ":1: unknown metrics record kind 'span'"),
         ('{"v":1,"kind":"slo","name":"x"}', ":1: slo record lacks field 'attainment'",
          ":1: slo record lacks field 'attainment'"),
+        (_SLO + '"attainment":"x"}',
+         ":1: slo record field 'attainment' must be a number or null (found a JSON string)",
+         ":1: slo record field 'attainment' must be a number or null (found a JSON string)"),
+        ('{"v":1,"kind":"histogram","name":"h","le":[5],"counts":"x","sum":0,"count":0}',
+         ":1: histogram record field 'counts' must be a list of numbers (found a JSON string)",
+         ":1: histogram record field 'counts' must be a list of numbers (found a JSON string)"),
     ], ids=["series-no-name", "series-no-samples", "array", "args-number", "player-text",
-            "slo-no-attainment"])
+            "slo-no-attainment", "slo-text-attainment", "histogram-text-counts"])
     def test_bad_record_shape_is_one_located_line(
         self, record, report_says, diff_says, tmp_path, capsys
     ):
