@@ -123,12 +123,6 @@ class Scene:
         # their bisection points.
         self._rows: List[int] = cell_j[order].tolist()
 
-    def _cell_of(self, point: Vec2) -> Tuple[int, int]:
-        return (
-            int(math.floor(point.x / self.cell_size)),
-            int(math.floor(point.y / self.cell_size)),
-        )
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -264,9 +258,9 @@ class Scene:
     def _cells(
         self, x: np.ndarray, y: np.ndarray, radii: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each disc's cell rectangle ``(lo_i, hi_i, lo_j, hi_j)``, as
-        ``_cell_of(center -/+ r)`` computes it (kept as floats, so any
-        magnitude compares exactly)."""
+        """Each disc's cell rectangle ``(lo_i, hi_i, lo_j, hi_j)``: the
+        grid walk's ``floor((center -/+ r) / cell_size)``, kept as floats
+        so any magnitude compares exactly."""
         size = self.cell_size
         return (
             np.floor((x - radii) / size),
