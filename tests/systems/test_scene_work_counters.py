@@ -1,13 +1,13 @@
 """Work counters of the per-frame loop, pinned on short sessions.
 
 A Coterie frame needs RT_nearBE at the player's position and the
-near-object ids at the snapped grid point.  The prefetcher resolves both
-for a chunk of trajectory samples at a time, in one call of the scene's
-disc kernel.  Two ``perf`` counters measure how much of the scene that
-touches:
+near-object ids at the snapped grid point.  The prefetcher resolves each
+for a chunk of trajectory samples at a time, in one batched query, one
+call of the scene's disc kernel.  Two ``perf`` counters measure how much of
+the scene that touches:
 
 * ``scene_query.objects_scanned`` — objects in the cell rows that one
-  block of a chunk's centres spans (the slab ``Scene.discs`` reads once
+  block of a query's centres spans (the slab ``Scene.discs`` reads once
   for the whole block);
 * ``cost_model.exact_distances`` — candidates whose LOD weight needs a
   ``math.hypot`` distance because they lie inside the LOD floor's reach,
@@ -51,10 +51,12 @@ from repro.world import load_game
 # game -> (objects scanned, exact distances) over 0.6 s.  Scanning every
 # object for each of the 144 queries and measuring every candidate would
 # count racing (745 200, 6 802) and viking (345 600, 11 171); one query per
-# sample and query point scanned racing 426 034 and viking 166 752.
+# sample and query point scanned racing 426 034 and viking 166 752.  The
+# snapped points' blocks span the same rows as the positions', so each
+# chunk's two queries scan equal slabs.
 PINNED = {
-    "racing": (51_784, 1_849),
-    "viking": (9_264, 11_171),
+    "racing": (103_568, 1_849),
+    "viking": (18_528, 11_171),
 }
 
 # game -> (misses by criterion: empty, distance, leaf, near set; events
