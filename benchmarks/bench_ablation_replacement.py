@@ -13,7 +13,6 @@ import pytest
 
 from harness import fmt, once, report
 from repro.core import FLF, LRU, FrameCache, Prefetcher
-from repro.render import PIXEL2, RenderCostModel
 from repro.trace import generate_trajectory
 from repro.world import load_game
 
@@ -28,7 +27,7 @@ def _replay(world, artifacts, policy: str, capacity_mb: float) -> float:
     trajectory = generate_trajectory(world, duration_s=25, seed=23)
     prefetcher = Prefetcher(
         world.scene, world.grid, artifacts.cutoff_map,
-        artifacts.dist_thresh_map, cache, RenderCostModel(PIXEL2), trajectory=trajectory,
+        artifacts.dist_thresh_map, cache, trajectory=trajectory,
     )
     for index, sample in enumerate(trajectory.samples):
         decision = prefetcher.plan(sample.position, sample.t_ms, index=index)

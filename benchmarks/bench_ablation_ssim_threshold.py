@@ -14,7 +14,7 @@ import pytest
 from harness import fmt, once, report
 from repro.core import FrameCache, Prefetcher
 from repro.core.dist_thresh import DistThreshMap
-from repro.render import PIXEL2, RenderConfig, RenderCostModel
+from repro.render import RenderConfig
 from repro.trace import generate_trajectory
 from repro.world import load_game
 
@@ -62,7 +62,7 @@ def _replay(world, artifacts, ssim_bar):
     trajectory = generate_trajectory(world, duration_s=15, seed=29)
     prefetcher = Prefetcher(
         world.scene, world.grid, artifacts.cutoff_map, dist_map, cache,
-        RenderCostModel(PIXEL2), trajectory=trajectory,
+        trajectory=trajectory,
     )
     for index, sample in enumerate(trajectory.samples):
         decision = prefetcher.plan(sample.position, sample.t_ms, index=index)

@@ -7,7 +7,6 @@ trajectory locations.  The paper finds K=10 keeps violations under 0.25 %.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from harness import fmt, once, report
@@ -38,15 +37,11 @@ def _violation_rate(game: str, k: int) -> float:
         reachable=reachable, seed=5,
     )
     positions = generate_trajectory(world, duration_s=30, seed=13).positions()[::6]
-    costs = []
     # RT_nearBE at every checked location under its leaf's cutoff, from
-    # one call of the scene's disc kernel.
-    for hits in world.scene.discs(
-        np.array([p.x for p in positions]),
-        np.array([p.y for p in positions]),
-        np.array([cutoff_map.cutoff_for(p) for p in positions]),
-    ):
-        costs += model.discs_ms(hits)
+    # one batched query.
+    costs = model.near_be_ms(
+        world.scene, positions, [cutoff_map.cutoff_for(p) for p in positions]
+    )
     # Violates the paper's raw Constraint 1 (headroom removed).
     violations = sum(cost >= budget.near_be_budget_ms / NEAR_BE_HEADROOM for cost in costs)
     return violations / len(costs)

@@ -28,7 +28,7 @@ def replay(world, artifacts, cache, n_players=1, duration_s=20.0):
     party = generate_party(world, n_players, duration_s, seed=19)
     prefetcher = Prefetcher(
         world.scene, world.grid, artifacts.cutoff_map,
-        artifacts.dist_thresh_map, cache, RenderCostModel(PIXEL2), trajectory=party[0],
+        artifacts.dist_thresh_map, cache, trajectory=party[0],
     )
     for index, sample in enumerate(party[0].samples):
         decision = prefetcher.plan(sample.position, sample.t_ms, index=index)

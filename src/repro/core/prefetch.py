@@ -40,7 +40,7 @@ class FrameGeometry:
     """What a viewpoint's frame needs from the scene: its look-ahead grid
     point and that point's world position, leaf and cutoff, the
     significant near-object ids there (criterion 3), and RT_nearBE at the
-    viewpoint itself (Eq. 2's pacing)."""
+    viewpoint itself (Eq. 2's pacing; None when not asked for)."""
 
     viewpoint: Vec2
     grid_point: GridPoint
@@ -48,7 +48,7 @@ class FrameGeometry:
     leaf: LeafKey
     cutoff_radius: float
     near_ids: FrozenSet[int]
-    near_be_ms: float
+    near_be_ms: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class PrefetchDecision:
     near_ids: FrozenSet[int]
     cached: Optional[CachedFrame]  # hit: the frame to reuse
     dist_thresh: float
-    near_be_ms: float  # RT_nearBE at the viewpoint
+    near_be_ms: Optional[float]  # RT_nearBE at the viewpoint, if paced
 
     @property
     def needs_fetch(self) -> bool:
@@ -70,7 +70,11 @@ class PrefetchDecision:
 
 
 class Prefetcher:
-    """Cache-first far-BE frame acquisition for one client."""
+    """Cache-first far-BE frame acquisition for one client.
+
+    Given the client's ``trajectory``, a frame that names its sample reads
+    the sample's row of a chunk resolved ahead; given a ``cost_model``,
+    the rows of :meth:`plan` carry RT_nearBE."""
 
     def __init__(
         self,
@@ -79,7 +83,7 @@ class Prefetcher:
         cutoff_map: CutoffMap,
         dist_thresh_map: DistThreshMap,
         cache: FrameCache,
-        cost_model: RenderCostModel,
+        cost_model: Optional[RenderCostModel] = None,
         trajectory: Optional[Trajectory] = None,
     ) -> None:
         self.scene = scene
@@ -93,29 +97,32 @@ class Prefetcher:
         # resolved (``CHUNK_SAMPLES`` from sample ``_chunk_start`` on).
         self._viewpoints = trajectory.positions() if trajectory is not None else []
         self._chunk_start = 0
-        self._chunk: List[Optional[FrameGeometry]] = []
+        self._chunk: List[FrameGeometry] = []
         # Congestion throttle (repro.adapt): >= 1.0 multiplier widening
         # the dist-thresh acceptance band so more cached candidates serve
         # in place of fetches.  Scaling a double by 1.0 is exact.
         self.thresh_scale = 1.0
 
-    def geometry(self, viewpoints: Sequence[Vec2]) -> List[FrameGeometry]:
-        """The frame geometry of each viewpoint, from one call of the
-        scene's disc kernel: the near set at the snapped point, RT_nearBE
-        at the viewpoint, both under the snapped point's leaf cutoff."""
-        px = np.array([viewpoint.x for viewpoint in viewpoints])
-        py = np.array([viewpoint.y for viewpoint in viewpoints])
-        i, j, qx, qy = self.grid.snap_many(px, py)
+    def geometry(self, viewpoints: Sequence[Vec2], paced: bool) -> List[FrameGeometry]:
+        """The frame geometry of each viewpoint, from one batched scene
+        query: the near set at the snapped point under its leaf's cutoff,
+        and, when ``paced`` and a cost model is given, RT_nearBE at the
+        viewpoint under that cutoff."""
+        i, j, qx, qy = self.grid.snap_many(
+            np.array([viewpoint.x for viewpoint in viewpoints]),
+            np.array([viewpoint.y for viewpoint in viewpoints]),
+        )
         grid_points = list(zip(i.astype(np.int64).tolist(), j.astype(np.int64).tolist()))
         snapped = [Vec2(x, y) for x, y in zip(qx.tolist(), qy.tolist())]
         leaves = [self.cutoff_map.leaf_for(position) for position in snapped]
-        near_sets: List[FrozenSet[int]] = []
-        near_ms: List[float] = []
-        for hits in self.scene.discs(
-            px, py, np.array([cutoff for _, cutoff in leaves]), qx=qx, qy=qy
-        ):
-            near_sets += self.scene.near_sets(hits, NEAR_SIGNIFICANCE * hits.radii)
-            near_ms += self.cost_model.discs_ms(hits)
+        cutoffs = [cutoff for _, cutoff in leaves]
+        near_sets = self.scene.near_object_ids(
+            snapped, cutoffs, [NEAR_SIGNIFICANCE * cutoff for cutoff in cutoffs]
+        )
+        if paced and self.cost_model is not None:
+            near_ms = self.cost_model.near_be_ms(self.scene, viewpoints, cutoffs)
+        else:
+            near_ms = [None] * len(viewpoints)
         return [
             FrameGeometry(viewpoint, grid_point, position, leaf, cutoff, near_ids, ms)
             for viewpoint, grid_point, position, (leaf, cutoff), near_ids, ms in zip(
@@ -129,26 +136,17 @@ class Prefetcher:
         one-viewpoint geometry of ``position``."""
         if index is not None:
             offset = index - self._chunk_start
-            row = self._chunk[offset] if 0 <= offset < len(self._chunk) else None
-            if row is None:
-                chunk = self.geometry(self._viewpoints[index : index + CHUNK_SAMPLES])
-                self._chunk_start, offset, row = index, 0, chunk[0]
-                self._chunk = list(chunk)
-            # The frame loop reads each sample once, so a read row is let
-            # go: a finished session awaiting the cycle collector then
-            # holds only the rows it never displayed.
-            self._chunk[offset] = None
+            if not 0 <= offset < len(self._chunk):
+                self._chunk = self.geometry(self._viewpoints[index : index + CHUNK_SAMPLES], True)
+                self._chunk_start, offset = index, 0
+            row = self._chunk[offset]
             if row.viewpoint == position:
                 return row
-        return self.geometry([position])[0]
+        return self.geometry([position], True)[0]
 
-    def _resolve(
-        self, position: Vec2, index: Optional[int], lookup, **lookup_args
-    ) -> PrefetchDecision:
-        """Take ``position``'s frame geometry, derive its dist-thresh and
-        ask ``lookup`` (one of the cache's keyword queries) for a frame
-        that serves it."""
-        row = self._row(position, index)
+    def _resolve(self, row: FrameGeometry, lookup, **lookup_args) -> PrefetchDecision:
+        """Derive ``row``'s dist-thresh and ask ``lookup`` (one of the
+        cache's keyword queries) for a frame that serves it."""
         # Per frame: a chunk's worth ahead would measure leaves never shown.
         dist_thresh = (
             self.dist_thresh_map.threshold_at(row.leaf, row.cutoff_radius) * self.thresh_scale
@@ -178,7 +176,7 @@ class Prefetcher:
         """Resolve the far-BE frame for the viewpoint at ``position``;
         ``index`` names the trajectory sample it came from, whose chunk's
         row then serves unless a pose fault moved it."""
-        decision = self._resolve(position, index, self.cache.lookup, now_ms=now_ms)
+        decision = self._resolve(self._row(position, index), self.cache.lookup, now_ms=now_ms)
         if decision.cached is None:
             self.fetches += 1
         return decision
@@ -190,11 +188,13 @@ class Prefetcher:
         poses that may be wrong; charging those probes to the cache's
         hit/miss counters or the fetch tally would corrupt the metrics
         the real frame loop reports.  Same derivation as :meth:`plan`,
-        but the cache is only :meth:`~repro.core.cache.FrameCache.peek`-ed
-        and ``fetches`` is left alone.  Predicted positions may fall
-        outside the scene, so the target is clamped to its bounds.
+        but the cache is only :meth:`~repro.core.cache.FrameCache.peek`-ed,
+        ``fetches`` is left alone and no RT_nearBE is computed (nothing
+        paces a forecast).  Predicted positions may fall outside the
+        scene, so the target is clamped to its bounds.
         """
-        return self._resolve(self.scene.bounds.clamp(position), None, self.cache.peek)
+        row = self.geometry([self.scene.bounds.clamp(position)], False)[0]
+        return self._resolve(row, self.cache.peek)
 
     def admit(
         self,

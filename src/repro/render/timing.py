@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -127,20 +127,36 @@ class RenderCostModel:
             raise ValueError("fi_triangles must be non-negative")
         return fi_triangles / self.device.triangle_throughput
 
-    def near_be_ms(self, scene: Scene, viewpoint: Vec2, cutoff_radius: float) -> float:
-        """RT_nearBE: geometry within the cutoff radius."""
-        return self._scene_ms(scene, viewpoint, cutoff_radius)
+    def near_be_ms(
+        self,
+        scene: Scene,
+        viewpoint: Union[Vec2, Sequence[Vec2]],
+        cutoff_radius: Union[float, Sequence[float]],
+    ) -> Union[float, List[float]]:
+        """RT_nearBE: geometry within the cutoff radius.
+
+        Given a sequence of viewpoints, each with its own cutoff, returns
+        theirs in order from one kernel call: the frame loop asks for a
+        trajectory chunk's so (DESIGN.md §6).  The batch keeps this
+        method's name, so a tracer that wraps it sees the chunk's query.
+        """
+        if isinstance(viewpoint, Vec2):
+            return self._scene_ms(scene, viewpoint, cutoff_radius)
+        xs = np.array([point.x for point in viewpoint], dtype=np.float64)
+        ys = np.array([point.y for point in viewpoint], dtype=np.float64)
+        radii = np.broadcast_to(np.asarray(cutoff_radius, dtype=np.float64), xs.shape)
+        return [ms for hits in scene.discs(xs, ys, radii) for ms in self._discs_ms(hits)]
 
     def whole_be_ms(self, scene: Scene, viewpoint: Vec2) -> float:
         """Rendering the entire BE locally (the Mobile baseline's load)."""
         return self._scene_ms(scene, viewpoint, self.device.view_limit)
 
     def _scene_ms(self, scene: Scene, viewpoint: Vec2, radius: float) -> float:
-        return self.discs_ms(scene.disc(viewpoint, radius))[0]
+        return self._discs_ms(scene.disc(viewpoint, radius))[0]
 
-    def discs_ms(self, hits: Discs) -> List[float]:
-        """Geometry time of each centre's disc around its position:
-        ``objects_ms(scene.objects_within(p, r), p)`` bit for bit, per
+    def _discs_ms(self, hits: Discs) -> List[float]:
+        """Geometry time of each centre ``c``'s disc of radius ``r``:
+        ``objects_ms(scene.objects_within(c, r), c)`` bit for bit, per
         centre: ``math.hypot`` distances, ``lod_weight`` elementwise and one
         builtin ``sum`` over the centre's slice in candidate order
         (DESIGN.md §6).  A candidate beyond the floor's reach gets

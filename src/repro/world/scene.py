@@ -11,7 +11,7 @@ a viewpoint:
 The objects are kept as flat arrays in uniform-grid cell order, and every
 query is one call of a disc kernel over them that returns, for each of many
 centres, what a cell-by-cell grid walk would, in its order.  The frame loop
-asks it for a trajectory chunk's viewpoints at once (DESIGN.md §6).
+asks it for a trajectory chunk's near sets at once (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,12 +28,6 @@ from ..geometry import Rect, Vec2
 from .objects import ObjectArrays, SceneObject
 
 TerrainFn = Callable[[Vec2], float]
-
-#: Slack of the disc kernel's superset radius ``(r + |p - q|)(1 + s) + s``.
-#: A computed squared distance is within a few ulps of the exact one,
-#: relative; ``s`` is far above that, and its absolute part covers
-#: distances whose squares underflow (DESIGN.md §6).
-SUPERSET_SLACK = 1e-9
 
 #: Centres x slab objects that one block of the disc kernel holds at most:
 #: a chunk whose cell rows hold more objects runs as several blocks, so
@@ -46,11 +40,9 @@ class Discs:
     """The hits of one block of :meth:`Scene.discs` centres, each centre's
     in cell order.
 
-    The block's centre ``k``'s objects within ``radii[k]`` of its position are
+    The block's centre ``k``'s objects within ``radii[k]`` of it are
     ``index[bounds[k]:bounds[k + 1]]``, with their ``triangles`` and their
-    offsets ``dx``, ``dy`` from the position.  Its objects within
-    ``radii[k]`` of its snapped point are ``near[near_bounds[k]:
-    near_bounds[k + 1]]``.
+    offsets ``dx``, ``dy`` from the centre.
     """
 
     radii: np.ndarray
@@ -59,8 +51,6 @@ class Discs:
     dx: np.ndarray
     dy: np.ndarray
     bounds: List[int]
-    near: np.ndarray
-    near_bounds: List[int]
 
 
 @dataclass(frozen=True)
@@ -147,56 +137,27 @@ class Scene:
     # Radius queries
     # ------------------------------------------------------------------
 
-    def discs(
-        self,
-        px: np.ndarray,
-        py: np.ndarray,
-        radii: np.ndarray,
-        qx: Optional[np.ndarray] = None,
-        qy: Optional[np.ndarray] = None,
-    ) -> Iterator[Discs]:
-        """For each centre ``k``, the objects within ``radii[k]`` of its
-        position ``(px[k], py[k])`` and of its snapped point
-        ``(qx[k], qy[k])`` (the position itself when ``qx`` is None), each
-        what ``objects_within`` returns for that disc.  Yields the centres
-        in order, one block of consecutive centres at a time.
+    def discs(self, xs: np.ndarray, ys: np.ndarray, radii: np.ndarray) -> Iterator[Discs]:
+        """For each centre ``k``, the objects within ``radii[k]`` of
+        ``(xs[k], ys[k])``: what ``objects_within`` returns for that disc.
+        Yields the centres in order, one block of consecutive centres at a
+        time.
 
         A block's centres share one slab: the cell rows their squares
         span, restricted to the columns they span, with at most
-        ``BLOCK_ELEMENTS`` centre-object pairs.  One dense test keeps the
-        objects within the superset radius ``e = (r + |p - q|)(1 + s) + s``
-        of ``p``, which holds both discs.  Each disc's exact test — its
-        cell rectangle and ``dx*dx + dy*dy <= r*r`` from its own centre,
-        the grid walk's floats — runs on those hits only, and only on the
-        hits not well inside both discs.  The rectangle terms keep out an
-        object whose rounded distance passes but whose cell a grid walk
-        would never visit."""
+        ``BLOCK_ELEMENTS`` centre-object pairs.  One dense
+        ``dx*dx + dy*dy <= r*r`` pass, the grid walk's floats, finds each
+        centre's hits in it; the centre's own cell rectangle then keeps out
+        a hit from a row or column of another centre of the block, or one
+        whose rounded distance passes but whose cell a grid walk would
+        never visit."""
         radii = np.asarray(radii, dtype=np.float64)
         if not (radii >= 0).all():
             raise ValueError("radius must be non-negative")
-        slack = SUPERSET_SLACK
-        p_cells = self._cells(px, py, radii)
-        if qx is None:
-            q_cells, reach, span, gap = p_cells, radii, p_cells, 0.0
-        else:
-            q_cells = self._cells(qx, qy, radii)
-            # Every object within r of q lies within r + |p - q| of p.
-            gap = np.hypot(px - qx, py - qy)
-            reach = (radii + gap) * (1.0 + slack) + slack
-            span = (
-                np.minimum(p_cells[0], q_cells[0]),
-                np.maximum(p_cells[1], q_cells[1]),
-                np.minimum(p_cells[2], q_cells[2]),
-                np.maximum(p_cells[3], q_cells[3]),
-            )
-        # Every object within ``inner`` of p is within r - |p - q| of p, and
-        # so within r of q, by a relative margin; the absolute one covers
-        # the rounding of ``center -/+ r`` in the cell rectangles.
-        inner = (radii - gap) * (1.0 - slack) - slack * (
-            1.0 + np.abs(px) + np.abs(py) + radii + gap
-        )
-        signed_inner_sq = inner * np.abs(inner)
-        row_lo, row_hi = span[2].tolist(), span[3].tolist()
+        cells = self._cells(xs, ys, radii)
+        lo_i, hi_i, lo_j, hi_j = cells
+        row_lo, row_hi = lo_j.tolist(), hi_j.tolist()
+        r2 = radii * radii
         rows = self._rows
         k0, n = 0, radii.size
         while k0 < n:
@@ -212,46 +173,22 @@ class Scene:
             block = slice(k0, k1)
             slab_i = self._cell_i[start:stop]
             cols = np.flatnonzero(
-                (slab_i >= span[0][block].min()) & (slab_i <= span[1][block].max())
+                (slab_i >= lo_i[block].min()) & (slab_i <= hi_i[block].max())
             ) + start
-            dx = self._x[cols] - px[block, None]
-            dy = self._y[cols] - py[block, None]
-            d2 = dx * dx + dy * dy
-            hits = np.flatnonzero(d2 <= (reach[block] * reach[block])[:, None])
+            dx = self._x[cols] - xs[block, None]
+            dy = self._y[cols] - ys[block, None]
+            hits = np.flatnonzero(dx * dx + dy * dy <= r2[block, None])
             k, j = np.divmod(hits, cols.size)
-            index, dx, dy, d2 = cols[j], dx.ravel()[hits], dy.ravel()[hits], d2.ravel()[hits]
-            # A hit within ``inner`` of p is inside both discs and both cell
-            # rectangles: only the rest, the band around the disc edges,
-            # runs the exact tests.
-            unsure = np.flatnonzero(d2 > signed_inner_sq[block][k])
-            if unsure.size:
-                ku, iu = k[unsure] + k0, index[unsure]
-                cell_i, cell_j = self._cell_i[iu], self._cell_j[iu]
-                r2 = (radii * radii)[ku]
-                at_p = np.ones(k.size, dtype=bool)
-                at_p[unsure] = (d2[unsure] <= r2) & _in_cells(p_cells, ku, cell_i, cell_j)
-                if qx is None:
-                    at_q = at_p
-                else:
-                    ex = self._x[iu] - qx[ku]
-                    ey = self._y[iu] - qy[ku]
-                    at_q = np.ones(k.size, dtype=bool)
-                    at_q[unsure] = (
-                        (ex * ex + ey * ey <= r2) & _in_cells(q_cells, ku, cell_i, cell_j)
-                    )
-                k_q, near = k[at_q], index[at_q]
-                k, index, dx, dy = k[at_p], index[at_p], dx[at_p], dy[at_p]
-            else:
-                k_q, near = k, index
+            index = cols[j]
+            inside = _in_cells(cells, k + k0, self._cell_i[index], self._cell_j[index])
+            k, index, hits = k[inside], index[inside], hits[inside]
             yield Discs(
                 radii=radii[block],
                 index=index,
                 triangles=self._triangles[index],
-                dx=dx,
-                dy=dy,
+                dx=dx.ravel()[hits],
+                dy=dy.ravel()[hits],
                 bounds=_bounds(k, k1 - k0),
-                near=near,
-                near_bounds=_bounds(k_q, k1 - k0),
             )
             k0 = k1
 
@@ -273,12 +210,11 @@ class Scene:
         """:meth:`discs` for the one centre ``center``."""
         return next(self.discs(np.array([center.x]), np.array([center.y]), np.array([radius])))
 
-    def near_sets(self, hits: Discs, min_radii: np.ndarray) -> List[FrozenSet[int]]:
-        """Each centre's :meth:`near_object_ids` set around its snapped
-        point: the ids of its ``near`` hits whose radius is at least
-        ``min_radii[k]``, inserted in cell order — a set's iteration order
-        depends on it."""
-        near, bounds = hits.near, hits.near_bounds
+    def _near_sets(self, hits: Discs, min_radii: np.ndarray) -> List[FrozenSet[int]]:
+        """Each centre's :meth:`near_object_ids` set: the ids of its hits
+        whose radius is at least ``min_radii[k]``, inserted in cell order —
+        a set's iteration order depends on it."""
+        near, bounds = hits.index, hits.bounds
         keep = self._radius[near] >= np.repeat(min_radii, np.diff(bounds))
         ids = self._ids[near[keep]].tolist()
         kept = np.concatenate(([0], np.cumsum(keep))).take(bounds).tolist()
@@ -356,20 +292,36 @@ class Scene:
 
     def near_object_ids(
         self,
-        viewpoint: Vec2,
-        cutoff_radius: float,
-        min_radius: float = 0.0,
-    ) -> FrozenSet[int]:
+        viewpoint: Union[Vec2, Sequence[Vec2]],
+        cutoff_radius: Union[float, Sequence[float]],
+        min_radius: Union[float, Sequence[float]] = 0.0,
+    ) -> Union[FrozenSet[int], List[FrozenSet[int]]]:
         """Ids of the near-BE objects (frame-cache lookup criterion 3).
 
         ``min_radius`` drops objects too small to matter: an object whose
         bounding radius is far below the cutoff distance subtends a
         sub-pixel angle at the near/far boundary, so its presence in
         neither layer cannot produce a visible missing part.
+
+        Given a sequence of viewpoints, each with its own cutoff and floor,
+        returns their sets in order from one kernel call: the frame loop
+        asks for a trajectory chunk's so (DESIGN.md §6).  The batch keeps
+        this method's name, so a tracer that wraps it sees the chunk's query.
         """
-        if min_radius < 0:
+        if isinstance(viewpoint, Vec2):
+            if min_radius < 0:
+                raise ValueError("min_radius must be non-negative")
+            return self._near_sets(self.disc(viewpoint, cutoff_radius), np.array([min_radius]))[0]
+        xs = np.array([point.x for point in viewpoint], dtype=np.float64)
+        ys = np.array([point.y for point in viewpoint], dtype=np.float64)
+        radii = np.broadcast_to(np.asarray(cutoff_radius, dtype=np.float64), xs.shape)
+        min_radii = np.broadcast_to(np.asarray(min_radius, dtype=np.float64), xs.shape)
+        if not (min_radii >= 0).all():
             raise ValueError("min_radius must be non-negative")
-        return self.near_sets(self.disc(viewpoint, cutoff_radius), np.array([min_radius]))[0]
+        sets: List[FrozenSet[int]] = []
+        for hits in self.discs(xs, ys, radii):
+            sets += self._near_sets(hits, min_radii[len(sets) : len(sets) + hits.radii.size])
+        return sets
 
 
 def _in_cells(cells, k: np.ndarray, cell_i: np.ndarray, cell_j: np.ndarray) -> np.ndarray:

@@ -40,14 +40,14 @@ def pool_setup():
 class TestPrefetcher:
     def test_first_plan_needs_fetch(self, pool_setup):
         gw, cm, dm = pool_setup
-        pf = Prefetcher(gw.scene, gw.grid, cm, dm, FrameCache(), MODEL)
+        pf = Prefetcher(gw.scene, gw.grid, cm, dm, FrameCache())
         decision = pf.plan(gw.bounds.center, now_ms=0.0)
         assert decision.needs_fetch
         assert pf.fetches == 1
 
     def test_admit_then_hit(self, pool_setup):
         gw, cm, dm = pool_setup
-        pf = Prefetcher(gw.scene, gw.grid, cm, dm, FrameCache(), MODEL)
+        pf = Prefetcher(gw.scene, gw.grid, cm, dm, FrameCache())
         p = gw.bounds.center
         d1 = pf.plan(p, 0.0)
         pf.admit(d1, payload=None, size_bytes=1000, now_ms=0.0)
@@ -59,7 +59,7 @@ class TestPrefetcher:
         # Sub-pitch movement snaps to the same grid point: exact cache hit
         # regardless of how tight the leaf's dist_thresh is.
         gw, cm, dm = pool_setup
-        pf = Prefetcher(gw.scene, gw.grid, cm, dm, FrameCache(), MODEL)
+        pf = Prefetcher(gw.scene, gw.grid, cm, dm, FrameCache())
         p = gw.bounds.center
         d1 = pf.plan(p, 0.0)
         pf.admit(d1, None, 1000, 0.0)
@@ -74,7 +74,7 @@ class TestPrefetcher:
         covered by the benchmarks)."""
         gw, cm, dm = pool_setup
         cache = FrameCache()
-        pf = Prefetcher(gw.scene, gw.grid, cm, dm, cache, MODEL)
+        pf = Prefetcher(gw.scene, gw.grid, cm, dm, cache)
         traj = generate_trajectory(gw, duration_s=10, seed=4)
         for s in traj.samples:
             decision = pf.plan(s.position, s.t_ms)

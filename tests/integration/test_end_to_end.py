@@ -57,7 +57,7 @@ class TestOfflineOnlineConsistency:
         cache = FrameCache()
         prefetcher = Prefetcher(
             world.scene, world.grid, artifacts.cutoff_map,
-            artifacts.dist_thresh_map, cache, MODEL,
+            artifacts.dist_thresh_map, cache,
         )
         trajectory = generate_trajectory(world, duration_s=5, seed=4)
         scores = []
@@ -91,7 +91,7 @@ class TestOfflineOnlineConsistency:
         cache = FrameCache()
         prefetcher = Prefetcher(
             world.scene, world.grid, artifacts.cutoff_map,
-            artifacts.dist_thresh_map, cache, MODEL,
+            artifacts.dist_thresh_map, cache,
         )
         trajectory = generate_trajectory(world, duration_s=5, seed=6)
         shown = []
@@ -143,7 +143,7 @@ class TestDeterminism:
             cache = FrameCache()
             prefetcher = Prefetcher(
                 world.scene, world.grid, artifacts.cutoff_map,
-                artifacts.dist_thresh_map, cache, MODEL,
+                artifacts.dist_thresh_map, cache,
             )
             trajectory = generate_trajectory(world, duration_s=4, seed=8)
             for sample in trajectory.samples:

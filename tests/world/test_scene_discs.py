@@ -1,21 +1,19 @@
-"""The disc kernel against per-centre scalar references.
+"""The batched scene queries against per-centre scalar references.
 
-``Scene.discs`` answers a chunk of centres at once: each centre has a
-position ``p``, a snapped point ``q`` and a radius ``r``.  For every centre,
-RT_nearBE from the kernel's hits around ``p`` must equal
+``RenderCostModel.near_be_ms`` and ``Scene.near_object_ids`` also take a
+chunk of viewpoints, each with its own radius, and answer it with one call
+of the disc kernel ``Scene.discs``.  For every centre, RT_nearBE must equal
 ``objects_ms(objects_within(p, r), p)`` over the grid walk's list, bit for
-bit, and the near set from its hits around ``q`` must equal the walk's ids
-at ``q`` with ``radius >= min_radius``, iteration order included: the loop
-golden digests hang on both.  The one-centre wrappers (``near_be_ms``,
-``near_object_ids``) must agree too.  ``walk`` below is the grid walk's
-order written out: cell row, then column, then insertion.
+bit, and the near set must equal the walk's ids with
+``radius >= min_radius``, iteration order included: the loop golden digests
+hang on both.  The one-centre forms must agree too.  ``walk`` below is the
+grid walk's order written out: cell row, then column, then insertion.
 """
 
 import math
 from dataclasses import replace
 from unittest import mock
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,35 +55,20 @@ def walk(scene, center, radius):
     return [obj for _, obj in sorted(found, key=lambda item: item[0])]
 
 
-def run_kernel(scene, model, ps, qs, radii, min_fraction):
-    """RT_nearBE and near sets of every centre, from one kernel call."""
-    near_ms, near_sets = [], []
-    for hits in scene.discs(
-        np.array([p.x for p in ps]),
-        np.array([p.y for p in ps]),
-        np.array(radii, dtype=np.float64),
-        qx=np.array([q.x for q in qs]),
-        qy=np.array([q.y for q in qs]),
-    ):
-        near_ms += model.discs_ms(hits)
-        near_sets += scene.near_sets(hits, min_fraction * hits.radii)
-    return near_ms, near_sets
-
-
-def assert_centres_match(scene, model, ps, qs, radii, min_fraction):
-    near_ms, near_sets = run_kernel(scene, model, ps, qs, radii, min_fraction)
-    assert len(near_ms) == len(near_sets) == len(ps)
-    for p, q, r, ms, near in zip(ps, qs, radii, near_ms, near_sets):
-        assert ms == model.objects_ms(walk(scene, p, r), p), (p, r)
-        assert ms == model.near_be_ms(scene, p, r)
-        min_radius = min_fraction * r
+def assert_centres_match(scene, model, centres, radii, min_fraction):
+    near_ms = model.near_be_ms(scene, centres, radii)
+    min_radii = [min_fraction * r for r in radii]
+    near_sets = scene.near_object_ids(centres, radii, min_radii)
+    assert len(near_ms) == len(near_sets) == len(centres)
+    for c, r, min_radius, ms, near in zip(centres, radii, min_radii, near_ms, near_sets):
+        assert ms == model.objects_ms(walk(scene, c, r), c), (c, r)
+        assert ms == model.near_be_ms(scene, c, r)
         expected = frozenset(
-            obj.object_id for obj in walk(scene, q, r) if obj.radius >= min_radius
+            obj.object_id for obj in walk(scene, c, r) if obj.radius >= min_radius
         )
-        assert near == expected, (q, r)
+        assert near == expected, (c, r)
         assert list(near) == list(expected)  # same insertion order
-        one = scene.near_object_ids(q, r, min_radius)
-        assert list(one) == list(expected)
+        assert list(scene.near_object_ids(c, r, min_radius)) == list(expected)
 
 
 # 0 never floors a weight, 1 floors every one.
@@ -94,12 +77,10 @@ LOD_FLOORS = st.one_of(st.sampled_from([0.0, 0.04, 0.5, 1.0]), st.floats(1e-3, 1
 
 @st.composite
 def chunk_case(draw):
-    """A random scene and a chunk of 1, 2 or 33 centres: positions on cell
-    edges and corners or anywhere, some outside the scene, snapped points
-    up to a pitch away or metres away, radii of 0, on cell multiples and
-    on both sides of the LOD floor's reach, and objects on the edge of a
-    snapped point's disc straight behind it from its position — where the
-    superset radius is tight."""
+    """A random scene and a chunk of 1, 2 or 33 centres: on cell edges and
+    corners or anywhere, some outside the scene, with radii of 0, on cell
+    multiples and on both sides of the LOD floor's reach, and objects on
+    the edge of some centre's disc."""
     cell = draw(st.sampled_from([1, 9.0, 16.0]))
     on_edge = st.integers(-5, 5).map(lambda k: float(k * cell))
     anywhere = st.floats(-60.0, 60.0, allow_nan=False)
@@ -108,9 +89,6 @@ def chunk_case(draw):
     model = RenderCostModel(replace(PIXEL2, lod_floor=draw(LOD_FLOORS)))
     reach = min(model._reach, 400.0)
     n = draw(st.sampled_from([1, 2, 33]))
-    offset = st.one_of(
-        st.just(0.0), st.floats(-1.0 / 64, 1.0 / 64), st.floats(-3.0, 3.0)
-    )
     radius = st.one_of(
         st.just(0.0),
         st.integers(0, 6).map(lambda k: float(k * cell)),
@@ -118,21 +96,17 @@ def chunk_case(draw):
         st.floats(0.0, 2.0).map(lambda u: reach * (1.0 - 0.5 * u / 2.0)),
         st.floats(0.0, 2.0).map(lambda u: reach * (1.0 + u)),
     )
-    ps, qs, radii = [], [], []
+    centres, radii = [], []
     for _ in range(n):
-        p = Vec2(draw(st.one_of(coord, outside)), draw(st.one_of(coord, outside)))
-        q = Vec2(p.x + draw(offset), p.y + draw(offset))
-        ps.append(p)
-        qs.append(q)
+        centres.append(Vec2(draw(st.one_of(coord, outside)), draw(st.one_of(coord, outside))))
         radii.append(draw(radius))
     points = draw(st.lists(st.tuples(coord, coord), max_size=30))
-    for p, q, r in zip(ps, qs, radii):
-        gap = math.hypot(p.x - q.x, p.y - q.y)
-        if gap > 0.0 and draw(st.booleans()):
-            ux, uy = (q.x - p.x) / gap, (q.y - p.y) / gap
+    for c, r in zip(centres, radii):
+        if draw(st.booleans()):
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
             for step in range(-2, 3):
                 d = r * (1.0 + step * 2.0**-52)
-                points.append((q.x + d * ux, q.y + d * uy))
+                points.append((c.x + d * math.cos(angle), c.y + d * math.sin(angle)))
     if points:
         points += draw(st.lists(st.sampled_from(points), max_size=6))
     objects = [
@@ -142,71 +116,53 @@ def chunk_case(draw):
     scene = Scene(Rect(-60, -60, 60, 60), objects, lambda p: 0.0, cell_size=cell)
     min_fraction = draw(st.sampled_from([0.0, 0.05, 0.5]))
     block = draw(st.sampled_from([scene_module.BLOCK_ELEMENTS, 64, 1]))
-    return scene, model, ps, qs, radii, min_fraction, block
+    return scene, model, centres, radii, min_fraction, block
 
 
 @settings(max_examples=300, deadline=None)
 @given(chunk_case())
 def test_chunks_match_per_centre_references(case):
-    scene, model, ps, qs, radii, min_fraction, block = case
+    scene, model, centres, radii, min_fraction, block = case
     # Small blocks split the chunk, so every block boundary is crossed.
     with mock.patch.object(scene_module, "BLOCK_ELEMENTS", block):
-        assert_centres_match(scene, model, ps, qs, radii, min_fraction)
-
-
-def test_superset_radius_holds_the_snapped_disc():
-    """Objects on the edge of each snapped point's disc, straight behind it
-    from the position: their distance from the position is ``r + |p - q|``
-    up to rounding, so a superset radius without its slack drops some."""
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        ps, qs, radii, points = [], [], [], []
-        for _ in range(33):
-            p = Vec2(*rng.uniform(-50.0, 50.0, 2).tolist())
-            angle, gap = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(1e-3, 0.03)
-            q = Vec2(p.x + gap * math.cos(angle), p.y + gap * math.sin(angle))
-            r = float(rng.uniform(0.5, 40.0))
-            gap = math.hypot(q.x - p.x, q.y - p.y)
-            ux, uy = (q.x - p.x) / gap, (q.y - p.y) / gap
-            for step in range(-3, 4):
-                d = r * (1.0 + step * 2.0**-52)
-                points.append((q.x + d * ux, q.y + d * uy))
-            ps.append(p)
-            qs.append(q)
-            radii.append(r)
-        objects = [obj_at(i, x, y, 100, 1.0) for i, (x, y) in enumerate(points)]
-        scene = Scene(Rect(-100, -100, 100, 100), objects, lambda p: 0.0)
-        assert_centres_match(scene, RenderCostModel(PIXEL2), ps, qs, radii, 0.0)
+        assert_centres_match(scene, model, centres, radii, min_fraction)
 
 
 def test_cell_rectangle_bounds_a_chunk():
     """At ~1e15 m, ``x - cx`` rounds down onto ``r`` for an object left of
     the first cell column the walk visits (``test_scene_arrays`` pins the
-    one-centre case).  In a chunk, next to centres that do reach it, and
-    with the snapped point on either side, the kernel must still keep it
-    out of exactly the discs whose rectangle misses it."""
+    one-centre case), and likewise below the first cell row.  In a chunk,
+    next to a centre that does reach it, the kernel must still keep it out
+    of exactly the discs whose rectangle misses it."""
     x, cx, r = 123170659998864.94, 5113339918864448.0, 4990169258865583.0
-    scene = Scene(Rect(0, 0, 1, 1), [obj_at(0, x, 0.0, 10, 1.0)], lambda p: 0.0, cell_size=1)
     dx = x - cx
     assert dx * dx <= r * r
     assert math.floor(x) < math.floor(cx - r)
-    centres = [Vec2(cx, 0.0), Vec2(x, 0.0), Vec2(cx, 0.0)]
-    snapped = [Vec2(cx, 0.0), Vec2(cx, 0.0), Vec2(x, 0.0)]
     model = RenderCostModel(PIXEL2)
-    assert_centres_match(scene, model, centres, snapped, [r] * 3, 0.0)
-    near_ms, near_sets = run_kernel(scene, model, centres, snapped, [r] * 3, 0.0)
-    assert near_sets == [frozenset(), frozenset(), frozenset({0})]
-    assert near_ms[0] == 0.0 and near_ms[1] > 0.0
+    for transpose in (False, True):
+        def at(u):
+            return Vec2(0.0, u) if transpose else Vec2(u, 0.0)
+
+        o = at(x)
+        scene = Scene(Rect(0, 0, 1, 1), [obj_at(0, o.x, o.y, 10, 1.0)], lambda p: 0.0, cell_size=1)
+        centres = [at(cx), at(x), at(cx)]
+        assert_centres_match(scene, model, centres, [r] * 3, 0.0)
+        assert scene.near_object_ids(centres, [r] * 3) == [frozenset(), frozenset({0}), frozenset()]
+        near_ms = model.near_be_ms(scene, centres, [r] * 3)
+        assert near_ms[0] == near_ms[2] == 0.0 and near_ms[1] > 0.0
 
 
 def test_empty_slabs_answer_nothing():
-    """An empty scene, and centres whose cell rows hold no object."""
+    """No centres, an empty scene, and centres whose cell rows hold no
+    object."""
     model = RenderCostModel(PIXEL2)
     empty = Scene(Rect(0, 0, 10, 10), [], lambda p: 0.0)
-    assert run_kernel(empty, model, [Vec2(5, 5)] * 33, [Vec2(5, 5)] * 33, [100.0] * 33, 0.05) == (
-        [0.0] * 33,
-        [frozenset()] * 33,
-    )
+    assert model.near_be_ms(empty, [], []) == []
+    assert empty.near_object_ids([], [], []) == []
+    centres = [Vec2(5, 5)] * 33
+    assert model.near_be_ms(empty, centres, [100.0] * 33) == [0.0] * 33
+    assert empty.near_object_ids(centres, [100.0] * 33, [5.0] * 33) == [frozenset()] * 33
     scene = Scene(Rect(0, 0, 10, 10), [obj_at(0, 5.0, 5.0, 10, 1.0)], lambda p: 0.0)
     far = [Vec2(5.0, 500.0), Vec2(5.0, -500.0)]
-    assert run_kernel(scene, model, far, far, [10.0, 0.0], 0.0) == ([0.0] * 2, [frozenset()] * 2)
+    assert model.near_be_ms(scene, far, [10.0, 0.0]) == [0.0] * 2
+    assert scene.near_object_ids(far, [10.0, 0.0]) == [frozenset()] * 2
