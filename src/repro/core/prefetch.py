@@ -103,11 +103,11 @@ class Prefetcher:
         # in place of fetches.  Scaling a double by 1.0 is exact.
         self.thresh_scale = 1.0
 
-    def geometry(self, viewpoints: Sequence[Vec2], paced: bool) -> List[FrameGeometry]:
+    def geometry(self, viewpoints: Sequence[Vec2]) -> List[FrameGeometry]:
         """The frame geometry of each viewpoint, from one batched scene
-        query: the near set at the snapped point under its leaf's cutoff,
-        and, when ``paced`` and a cost model is given, RT_nearBE at the
-        viewpoint under that cutoff."""
+        query per answer: the near set at the snapped point under its
+        leaf's cutoff and, given a cost model, RT_nearBE at the viewpoint
+        under that cutoff."""
         i, j, qx, qy = self.grid.snap_many(
             np.array([viewpoint.x for viewpoint in viewpoints]),
             np.array([viewpoint.y for viewpoint in viewpoints]),
@@ -119,7 +119,7 @@ class Prefetcher:
         near_sets = self.scene.near_object_ids(
             snapped, cutoffs, [NEAR_SIGNIFICANCE * cutoff for cutoff in cutoffs]
         )
-        if paced and self.cost_model is not None:
+        if self.cost_model is not None:
             near_ms = self.cost_model.near_be_ms(self.scene, viewpoints, cutoffs)
         else:
             near_ms = [None] * len(viewpoints)
@@ -130,6 +130,21 @@ class Prefetcher:
             )
         ]
 
+    def _one(self, viewpoint: Vec2, paced: bool) -> FrameGeometry:
+        """:meth:`geometry` of one viewpoint, through the scalar queries
+        (a batch of one costs more in array set-up than it shares); RT_nearBE
+        only when ``paced``."""
+        grid_point = self.grid.snap(viewpoint)
+        position = self.grid.to_world(grid_point)
+        leaf, cutoff = self.cutoff_map.leaf_for(position)
+        near_ids = self.scene.near_object_ids(
+            position, cutoff, min_radius=NEAR_SIGNIFICANCE * cutoff
+        )
+        near_ms = None
+        if paced and self.cost_model is not None:
+            near_ms = self.cost_model.near_be_ms(self.scene, viewpoint, cutoff)
+        return FrameGeometry(viewpoint, grid_point, position, leaf, cutoff, near_ids, near_ms)
+
     def _row(self, position: Vec2, index: Optional[int]) -> FrameGeometry:
         """Trajectory sample ``index``'s row when ``position`` is that
         sample's viewpoint (its chunk resolved on first read), else the
@@ -137,12 +152,12 @@ class Prefetcher:
         if index is not None:
             offset = index - self._chunk_start
             if not 0 <= offset < len(self._chunk):
-                self._chunk = self.geometry(self._viewpoints[index : index + CHUNK_SAMPLES], True)
+                self._chunk = self.geometry(self._viewpoints[index : index + CHUNK_SAMPLES])
                 self._chunk_start, offset = index, 0
             row = self._chunk[offset]
             if row.viewpoint == position:
                 return row
-        return self.geometry([position], True)[0]
+        return self._one(position, True)
 
     def _resolve(self, row: FrameGeometry, lookup, **lookup_args) -> PrefetchDecision:
         """Derive ``row``'s dist-thresh and ask ``lookup`` (one of the
@@ -193,8 +208,7 @@ class Prefetcher:
         paces a forecast).  Predicted positions may fall outside the
         scene, so the target is clamped to its bounds.
         """
-        row = self.geometry([self.scene.bounds.clamp(position)], False)[0]
-        return self._resolve(row, self.cache.peek)
+        return self._resolve(self._one(self.scene.bounds.clamp(position), False), self.cache.peek)
 
     def admit(
         self,

@@ -9,9 +9,10 @@ a viewpoint:
 * what is the set of near-object ids (frame-cache criterion 3).
 
 The objects are kept as flat arrays in uniform-grid cell order, and every
-query is one call of a disc kernel over them that returns, for each of many
-centres, what a cell-by-cell grid walk would, in its order.  The frame loop
-asks it for a trajectory chunk's near sets at once (DESIGN.md §6).
+query returns what a cell-by-cell grid walk would, in its order: one
+centre's through :meth:`Scene.disc`, many centres' at once through the
+disc kernel :meth:`Scene.discs`, which the frame loop asks for a trajectory
+chunk's near sets (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,17 +146,16 @@ class Scene:
 
         A block's centres share one slab: the cell rows their squares
         span, restricted to the columns they span, with at most
-        ``BLOCK_ELEMENTS`` centre-object pairs.  One dense
-        ``dx*dx + dy*dy <= r*r`` pass, the grid walk's floats, finds each
-        centre's hits in it; the centre's own cell rectangle then keeps out
-        a hit from a row or column of another centre of the block, or one
-        whose rounded distance passes but whose cell a grid walk would
-        never visit."""
+        ``BLOCK_ELEMENTS`` centre-object pairs.  One dense pass over it runs
+        the grid walk's test for every pair: ``dx*dx + dy*dy <= r*r`` on
+        the walk's floats, and the centre's own cell rectangle, which keeps
+        out an object from a row or column only another centre of the
+        block spans, or one whose rounded distance passes but whose cell a
+        grid walk would never visit."""
         radii = np.asarray(radii, dtype=np.float64)
         if not (radii >= 0).all():
             raise ValueError("radius must be non-negative")
-        cells = self._cells(xs, ys, radii)
-        lo_i, hi_i, lo_j, hi_j = cells
+        lo_i, hi_i, lo_j, hi_j = self._cells(xs, ys, radii)
         row_lo, row_hi = lo_j.tolist(), hi_j.tolist()
         r2 = radii * radii
         rows = self._rows
@@ -177,11 +177,14 @@ class Scene:
             ) + start
             dx = self._x[cols] - xs[block, None]
             dy = self._y[cols] - ys[block, None]
-            hits = np.flatnonzero(dx * dx + dy * dy <= r2[block, None])
+            col_i, col_j = self._cell_i[cols], self._cell_j[cols]
+            hits = np.flatnonzero(
+                (dx * dx + dy * dy <= r2[block, None])
+                & (col_i >= lo_i[block, None]) & (col_i <= hi_i[block, None])
+                & (col_j >= lo_j[block, None]) & (col_j <= hi_j[block, None])
+            )
             k, j = np.divmod(hits, cols.size)
             index = cols[j]
-            inside = _in_cells(cells, k + k0, self._cell_i[index], self._cell_j[index])
-            k, index, hits = k[inside], index[inside], hits[inside]
             yield Discs(
                 radii=radii[block],
                 index=index,
@@ -207,18 +210,50 @@ class Scene:
         )
 
     def disc(self, center: Vec2, radius: float) -> Discs:
-        """:meth:`discs` for the one centre ``center``."""
-        return next(self.discs(np.array([center.x]), np.array([center.y]), np.array([radius])))
+        """:meth:`discs` for the one centre ``center``: the same tests on
+        the slice of the rows its square spans, without the block's
+        gathers, which would cost a lone query more than its scan."""
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        size = self.cell_size
+        lo_i = float(math.floor((center.x - radius) / size))
+        hi_i = float(math.floor((center.x + radius) / size))
+        start = bisect_left(self._rows, float(math.floor((center.y - radius) / size)))
+        stop = bisect_right(self._rows, float(math.floor((center.y + radius) / size)), start)
+        perf.count("scene_query.objects_scanned", stop - start)
+        cell_i = self._cell_i[start:stop]
+        dx = self._x[start:stop] - center.x
+        dy = self._y[start:stop] - center.y
+        hits = np.flatnonzero(
+            (dx * dx + dy * dy <= radius * radius) & (cell_i >= lo_i) & (cell_i <= hi_i)
+        )
+        index = hits + start
+        return Discs(
+            radii=np.array([radius], dtype=np.float64),
+            index=index,
+            triangles=self._triangles[index],
+            dx=dx[hits],
+            dy=dy[hits],
+            bounds=[0, hits.size],
+        )
 
     def _near_sets(self, hits: Discs, min_radii: np.ndarray) -> List[FrozenSet[int]]:
         """Each centre's :meth:`near_object_ids` set: the ids of its hits
         whose radius is at least ``min_radii[k]``, inserted in cell order —
-        a set's iteration order depends on it."""
+        a set's iteration order depends on it.  Consecutive centres with
+        the same ids in the same order share one set."""
         near, bounds = hits.index, hits.bounds
         keep = self._radius[near] >= np.repeat(min_radii, np.diff(bounds))
         ids = self._ids[near[keep]].tolist()
         kept = np.concatenate(([0], np.cumsum(keep))).take(bounds).tolist()
-        return [frozenset(ids[a:b]) for a, b in zip(kept, kept[1:])]
+        sets: List[FrozenSet[int]] = []
+        last: Optional[List[int]] = None
+        for a, b in zip(kept, kept[1:]):
+            part = ids[a:b]
+            if part != last:
+                last, current = part, frozenset(part)
+            sets.append(current)
+        return sets
 
     def objects_within(
         self, center: Vec2, radius: float
@@ -311,7 +346,9 @@ class Scene:
         if isinstance(viewpoint, Vec2):
             if min_radius < 0:
                 raise ValueError("min_radius must be non-negative")
-            return self._near_sets(self.disc(viewpoint, cutoff_radius), np.array([min_radius]))[0]
+            index = self.disc(viewpoint, cutoff_radius).index
+            # Inserted in cell order: a set's iteration order depends on it.
+            return frozenset(self._ids[index[self._radius[index] >= min_radius]].tolist())
         xs = np.array([point.x for point in viewpoint], dtype=np.float64)
         ys = np.array([point.y for point in viewpoint], dtype=np.float64)
         radii = np.broadcast_to(np.asarray(cutoff_radius, dtype=np.float64), xs.shape)
@@ -322,15 +359,6 @@ class Scene:
         for hits in self.discs(xs, ys, radii):
             sets += self._near_sets(hits, min_radii[len(sets) : len(sets) + hits.radii.size])
         return sets
-
-
-def _in_cells(cells, k: np.ndarray, cell_i: np.ndarray, cell_j: np.ndarray) -> np.ndarray:
-    """Whether each hit's cell lies in its centre ``k``'s rectangle."""
-    lo_i, hi_i, lo_j, hi_j = cells
-    return (
-        (cell_i >= lo_i[k]) & (cell_i <= hi_i[k])
-        & (cell_j >= lo_j[k]) & (cell_j <= hi_j[k])
-    )
 
 
 def _bounds(k: np.ndarray, n: int) -> List[int]:
